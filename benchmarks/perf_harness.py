@@ -238,7 +238,7 @@ def bench_batch_enumeration(max_flips: int, protocol: str = "can") -> Dict:
     sections — a single engine pass is a noisy denominator for a gated
     ratio.
     """
-    from repro.analysis.batchreplay import HAVE_NUMPY, clear_caches
+    from repro.analysis.batchreplay import clear_caches
     from repro.analysis.verification import verify_consistency
 
     engine_elapsed, engine = _timed_best(
@@ -269,7 +269,6 @@ def bench_batch_enumeration(max_flips: int, protocol: str = "can") -> Dict:
         "placements": engine.runs,
         "counterexamples": len(engine.counterexamples),
         "verdicts_identical": identical,
-        "vector_backend": "numpy" if HAVE_NUMPY else "python",
         "engine": {
             "seconds": engine_elapsed,
             "placements_per_sec": (
@@ -325,7 +324,6 @@ def bench_header_enumeration() -> Dict:
     """
     from repro.analysis.batchreplay import (
         _HEADER_CLASS_CACHE,
-        HAVE_NUMPY,
         clear_caches,
         warm_shapes,
     )
@@ -364,7 +362,6 @@ def bench_header_enumeration() -> Dict:
         "tail_placements": placements,
         "header_class_runs": len(_HEADER_CLASS_CACHE),
         "rows_identical": True,
-        "vector_backend": "numpy" if HAVE_NUMPY else "python",
         "engine": {"seconds": engine_elapsed},
         "batch": {"seconds": batch_elapsed},
         "speedup": (
@@ -464,7 +461,6 @@ def bench_multiflip_header(
     import itertools
 
     from repro.analysis.batchreplay import (
-        HAVE_NUMPY,
         BatchReplayEvaluator,
         clear_caches,
         warm_shapes,
@@ -541,7 +537,6 @@ def bench_multiflip_header(
         "verdicts_identical": True,
         "backend_stats": stats,
         "engine_share": stats["engine"] / len(combos),
-        "vector_backend": "numpy" if HAVE_NUMPY else "python",
         "engine": {
             "seconds": engine_elapsed,
             "combos_per_sec": (
@@ -816,7 +811,7 @@ def bench_sweep() -> Dict:
     import itertools
     import tempfile
 
-    from repro.analysis.batchreplay import HAVE_NUMPY, clear_caches, warm_shapes
+    from repro.analysis.batchreplay import clear_caches, warm_shapes
     from repro.metrics.export import json_line
     from repro.sweep import ResultStore, SweepSpec, run_sweep
 
@@ -880,7 +875,6 @@ def bench_sweep() -> Dict:
         "max_flips": spec.max_flips,
         "results_identical": True,
         "rerun_evaluated": rerun.evaluated,
-        "vector_backend": "numpy" if HAVE_NUMPY else "python",
         "engine": {
             "seconds": engine_elapsed,
             "cells_per_sec": (
@@ -1015,7 +1009,7 @@ def bench_noise_batch() -> Dict:
     universes are identical in smoke and full runs; the PR 10
     acceptance bar is >= 3x on each half.
     """
-    from repro.analysis.batchreplay import HAVE_NUMPY, clear_caches
+    from repro.analysis.batchreplay import clear_caches
     from repro.faults.campaigns import _ROUND_REFERENCE, CampaignSpec, run_campaign
     from repro.metrics.export import json_line
     from repro.traffic import (
@@ -1102,7 +1096,6 @@ def bench_noise_batch() -> Dict:
         )
 
     return {
-        "vector_backend": "numpy" if HAVE_NUMPY else "python",
         "traffic": {
             "protocol": traffic_spec.protocol,
             "m": traffic_spec.m,
@@ -1342,14 +1335,13 @@ def main(argv=None) -> int:
             section = report[key]
             print(
                 "batch      : %-8s flips=%d %6d placements, %8.1f/s engine,"
-                " %9.1f/s batch [%s] (x%.2f)"
+                " %9.1f/s batch (x%.2f)"
                 % (
                     section["protocol"],
                     section["max_flips"],
                     section["placements"],
                     section["engine"]["placements_per_sec"],
                     section["batch"]["placements_per_sec"],
-                    section["vector_backend"],
                     section["speedup"],
                 )
             )
@@ -1357,12 +1349,11 @@ def main(argv=None) -> int:
         section = report["header_enumeration"]
         print(
             "header     : m=%s check_f1 sweep, %6.2fs engine, %6.2fs batch"
-            " [%s] (x%.2f)"
+            " (x%.2f)"
             % (
                 ",".join(str(m) for m in section["m_values"]),
                 section["engine"]["seconds"],
                 section["batch"]["seconds"],
-                section["vector_backend"],
                 section["speedup"],
             )
         )
@@ -1382,7 +1373,7 @@ def main(argv=None) -> int:
         section = report["multiflip_header"]
         print(
             "multiflip  : %-8s m=%d n=%d %6d combos, %8.1f/s engine,"
-            " %9.1f/s batch [%s] (x%.2f, engine share %.2f%%)"
+            " %9.1f/s batch (x%.2f, engine share %.2f%%)"
             % (
                 section["protocol"],
                 section["m"],
@@ -1390,7 +1381,6 @@ def main(argv=None) -> int:
                 section["combos"],
                 section["engine"]["combos_per_sec"],
                 section["batch"]["combos_per_sec"],
-                section["vector_backend"],
                 section["speedup"],
                 section["engine_share"] * 100.0,
             )
@@ -1467,12 +1457,11 @@ def main(argv=None) -> int:
         section = report["sweep"]
         print(
             "sweep      : %6d cells, %8.2f cells/s engine,"
-            " %9.2f cells/s batch [%s] (x%.2f, re-run evaluated %d)"
+            " %9.2f cells/s batch (x%.2f, re-run evaluated %d)"
             % (
                 section["cells"],
                 section["engine"]["cells_per_sec"],
                 section["batch"]["cells_per_sec"],
-                section["vector_backend"],
                 section["speedup"],
                 section["rerun_evaluated"],
             )
@@ -1492,12 +1481,11 @@ def main(argv=None) -> int:
         )
         print(
             "noise      : campaign %2d rounds %6.2fs engine, %6.2fs batch"
-            " [%s] (x%.2f, engine share %.1f%%)"
+            " (x%.2f, engine share %.1f%%)"
             % (
                 section["campaign"]["rounds"],
                 section["campaign"]["engine"]["seconds"],
                 section["campaign"]["batch"]["seconds"],
-                section["vector_backend"],
                 section["campaign"]["speedup"],
                 section["campaign"]["engine_share"] * 100.0,
             )

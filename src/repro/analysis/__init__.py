@@ -1,7 +1,6 @@
 """Analytical models: probabilities (eq. 1-5), Table 1, overheads."""
 
 from repro.analysis.batchreplay import (
-    HAVE_NUMPY,
     BatchReplayEvaluator,
     PlacementOutcome,
     classify_placements,
@@ -85,7 +84,6 @@ from repro.analysis.table1 import (
 __all__ = [
     "BatchReplayEvaluator",
     "Counterexample",
-    "HAVE_NUMPY",
     "PlacementOutcome",
     "classify_placements",
     "tail_shape",

@@ -50,12 +50,13 @@ overflows), and combos touching header sites classify through cached
 witness.  The engine remains only for combos naming unknown nodes or
 fields outside every model.
 
-Two interchangeable backends implement the same transition table: a
-numpy one evaluating ``(batch, node)`` arrays in single passes, and a
-pure-python scalar one used automatically when numpy is absent (the
-import is guarded; a notice is logged once per process).  The
-differential suite pins both against the engine over the full tail-site
-universe of every corpus frame.
+Two micro-simulators implement the same transition table: an array
+one evaluating ``(batch, node)`` numpy arrays in lockstep passes, and a
+scalar one replaying a single placement.  Each fresh batch goes to one
+of them by size (:data:`_ARRAY_BREAK_EVEN`): the array pass only
+amortises its fixed per-bit cost over wide batches.  The differential
+suite pins both against the engine over the full tail-site universe of
+every corpus frame, and against each other directly.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.can.fields import (
     ACK_DELIM,
@@ -88,15 +91,7 @@ from repro.can.encoding import (
 )
 from repro.faults.scenarios import make_controller
 
-try:  # numpy is the optional ``repro[fast]`` extra
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the import-block tests
-    np = None
-
-HAVE_NUMPY = np is not None
-
 logger = logging.getLogger(__name__)
-_fallback_noticed = False
 
 #: A fault site: (node name, field label, index within the field).
 Site = Tuple[str, str, int]
@@ -155,9 +150,6 @@ class TailShape:
     key_count: int
     #: Generous per-attempt step bound; overflow bails to the engine.
     attempt_cap: int
-    #: Full program levels as one flat row (numpy row-matrix when
-    #: available, plain tuple otherwise).
-    levels_row: object
     #: Fixed signalling shapes: {"flag": 6, "delimiter": dl, ...}.
     signal_shapes: Tuple[Tuple[str, int], ...]
     supported: bool
@@ -175,11 +167,6 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
     window_end = signalling.extended_flag_end
     majority = getattr(probe, "majority", 0) or 0
     program = wire_program(frame, eof_length)
-    levels_row = (
-        np.asarray(program.bit_values, dtype=np.int8)
-        if HAVE_NUMPY
-        else tuple(program.bit_values)
-    )
     supported = proto is not None
     tail_offset = 0
     expected_positions = [(CRC_DELIM, 0), (ACK_SLOT, 0), (ACK_DELIM, 0)]
@@ -219,7 +206,6 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
         tail_offset=tail_offset,
         key_count=key_count,
         attempt_cap=attempt_cap,
-        levels_row=levels_row,
         signal_shapes=signalling.shapes,
         supported=supported,
     )
@@ -300,7 +286,6 @@ class BatchReplayEvaluator:
         node_names: Sequence[str],
         payload: bytes = b"\x55",
         frame: Optional[Frame] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.protocol = protocol
         self.m = m
@@ -310,14 +295,6 @@ class BatchReplayEvaluator:
         )
         self.shape = tail_shape(protocol, m, self.frame)
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
-        if backend is None:
-            backend = "numpy"
-        if backend == "numpy" and not HAVE_NUMPY:
-            _notice_fallback()
-            backend = "python"
-        if backend not in ("numpy", "python"):
-            raise ValueError("unknown batch backend %r" % (backend,))
-        self.backend = backend
         #: Outcome provenance counters: placements classified by the
         #: array pass, the scalar micro-sim, the header class cache,
         #: and the engine fallback.
@@ -389,7 +366,7 @@ class BatchReplayEvaluator:
             # loop runs to the slowest placement, ~60 ufunc dispatches
             # per bus bit) that only amortises over wide batches; small
             # batches are cheaper through the scalar micro-sim.
-            if self.backend == "numpy" and len(fast) >= _ARRAY_BREAK_EVEN:
+            if len(fast) >= _ARRAY_BREAK_EVEN:
                 verdicts = _simulate_numpy(
                     self.shape, len(self.node_names), [arm for _, _, arm in fast]
                 )
@@ -779,7 +756,7 @@ _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 _COMBO_CACHE: Dict[Tuple, Tuple[Tuple[int, ...], int, str]] = {}
 _COMBO_CACHE_LIMIT = 1 << 19
 
-#: Minimum fresh-placement batch for the numpy array pass; below this
+#: Minimum fresh-placement batch for the array pass; below this
 #: the scalar micro-sim's ~40us/placement beats the array loop's fixed
 #: per-call overhead (measured crossover is ~150 placements).
 _ARRAY_BREAK_EVEN = 96
@@ -946,16 +923,13 @@ def classify_placements(
     node_names: Sequence[str],
     combos: Sequence[Sequence[Site]],
     payload: bytes,
-    backend: Optional[str] = None,
 ) -> List[Optional[Tuple]]:
     """Batch counterpart of ``verification.classify_placement``.
 
     Returns, per combo, the same picklable hit tuple (or None) the
     engine-backed classifier produces.
     """
-    evaluator = BatchReplayEvaluator(
-        protocol, m, node_names, payload=payload, backend=backend
-    )
+    evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
     outcomes = evaluator.evaluate(combos)
     return [
         evaluator.counterexample(combo, outcome)
@@ -963,19 +937,8 @@ def classify_placements(
     ]
 
 
-def _notice_fallback() -> None:
-    global _fallback_noticed
-    if not _fallback_noticed:
-        logger.info(
-            "numpy unavailable: batch backend falling back to the "
-            "pure-python micro-simulator (install repro[fast] for the "
-            "vectorised path)"
-        )
-        _fallback_noticed = True
-
-
 # ---------------------------------------------------------------------------
-# Pure-python scalar micro-simulator (the numpy-absent fallback)
+# Scalar micro-simulator: one placement at a time (small batches, retries)
 # ---------------------------------------------------------------------------
 
 
@@ -1234,7 +1197,6 @@ def _simulate_numpy(
     iteration advances *every* live placement by one bus bit with
     whole-array operations.
     """
-    assert np is not None
     batch = len(placements)
     if batch == 0:
         return []

@@ -24,31 +24,24 @@ dispatch:
 numpy's ``Generator.random(k)`` fills from the same PCG64 stream as
 ``k`` scalar ``.random()`` calls (the invariant the Monte-Carlo tail
 chunk already relies on), so the vector scan preserves the engine's
-draw order exactly.  numpy ships with the ``repro[fast]`` extra; a
-scalar fallback keeps the scan correct (just not vectorised) for any
-generator exposing ``.random()``.
+draw order exactly.  Every caller passes a numpy ``Generator`` (from
+:func:`repro.parallel.seeds.rng_from`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by numpy-less installs
-    np = None
+import numpy as np
 
 #: Draws per vectorised scan call: large enough to amortise the call,
 #: small enough that a hit early in a long window wastes little work.
 SCAN_CHUNK = 65536
 
 
-def _vector_generator(rng) -> bool:
-    """Whether ``rng`` supports numpy's vectorised ``random(k)``."""
-    return np is not None and isinstance(rng, np.random.Generator)
-
-
-def first_flip(rng, total: int, ber: float, chunk: int = SCAN_CHUNK) -> Optional[int]:
+def first_flip(
+    rng: np.random.Generator, total: int, ber: float, chunk: int = SCAN_CHUNK
+) -> Optional[int]:
     """Index of the first draw in the next ``total`` that is ``< ber``.
 
     Consumes draws from ``rng`` in the engine's order and returns the
@@ -57,13 +50,6 @@ def first_flip(rng, total: int, ber: float, chunk: int = SCAN_CHUNK) -> Optional
     end of the containing chunk — rewind with ``restore_state`` before
     handing the stream to an engine run.
     """
-    if total <= 0:
-        return None
-    if not _vector_generator(rng):
-        for index in range(total):
-            if rng.random() < ber:
-                return index
-        return None
     offset = 0
     while offset < total:
         draws = rng.random(min(chunk, total - offset))
@@ -74,38 +60,25 @@ def first_flip(rng, total: int, ber: float, chunk: int = SCAN_CHUNK) -> Optional
     return None
 
 
-def advance(rng, draws: int, chunk: int = SCAN_CHUNK) -> None:
+def advance(rng: np.random.Generator, draws: int, chunk: int = SCAN_CHUNK) -> None:
     """Discard the next ``draws`` uniforms from ``rng``.
 
     Positions the stream exactly where the engine's injector would be
     after ``draws`` scalar calls, so a resumed engine continues the
     same realisation the scan classified.
     """
-    if draws <= 0:
-        return
-    if not _vector_generator(rng):
-        for _ in range(draws):
-            rng.random()
-        return
-    remaining = draws
-    while remaining:
-        step = min(chunk, remaining)
+    while draws > 0:
+        step = min(chunk, draws)
         rng.random(step)
-        remaining -= step
+        draws -= step
 
 
-def generator_state(rng):
-    """Snapshot of ``rng``'s stream position (opaque; see ``restore_state``)."""
-    bit_generator = getattr(rng, "bit_generator", None)
-    if bit_generator is not None:
-        return ("bit_generator", bit_generator.state)
-    getstate = getattr(rng, "getstate", None)
-    if getstate is not None:
-        return ("getstate", getstate())
-    raise TypeError("cannot snapshot generator %r" % (rng,))
+def generator_state(rng: np.random.Generator) -> dict:
+    """Snapshot of ``rng``'s stream position (see ``restore_state``)."""
+    return rng.bit_generator.state
 
 
-def restore_state(rng, state) -> None:
+def restore_state(rng: np.random.Generator, state: dict) -> None:
     """Rewind ``rng`` to a ``generator_state`` snapshot, in place.
 
     Restores the *same object* rather than re-creating it: campaign
@@ -113,11 +86,4 @@ def restore_state(rng, state) -> None:
     engine fallback must consume the original stream object from the
     restored position, exactly like the pure engine path.
     """
-    kind, payload = state
-    if kind == "bit_generator":
-        rng.bit_generator.state = payload
-        return
-    if kind == "getstate":
-        rng.setstate(payload)
-        return
-    raise TypeError("unknown generator state %r" % (kind,))
+    rng.bit_generator.state = state

@@ -28,24 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-#: Lazily-resolved ``scipy.stats`` (``False`` = not yet attempted).
-#: scipy takes ~2s to import; deferring it keeps ``repro.analysis`` —
-#: whose ``noisebatch`` sits on the hot noisy-traffic path — cheap to
-#: import for workers that never touch the residual-rate tables.
-_stats = False
-
-
-def _scipy_stats():
-    global _stats
-    if _stats is False:
-        try:
-            from scipy import stats as scipy_stats
-
-            _stats = scipy_stats
-        except ImportError:  # pragma: no cover - numpy-less installs
-            _stats = None
-    return _stats
-
 from repro.analysis.rates import incidents_per_hour
 from repro.errors import AnalysisError
 from repro.faults.models import ber_star
@@ -65,22 +47,17 @@ def p_more_than_m_errors(
         raise AnalysisError("at least one exposed bit required")
     b = ber_star(ber, n_nodes)
     sites = n_nodes * exposed_bits
-    # Survival function: P(X > m) for X ~ Binomial(sites, b).
-    stats = _scipy_stats()
-    if stats is not None:
-        return float(stats.binom.sf(m, sites, b))
     return _binom_sf(m, sites, b)
 
 
 def _binom_sf(m: int, n: int, p: float) -> float:
     """P(X > m) for X ~ Binomial(n, p), summed from the tail upward.
 
-    Pure-python stand-in for ``scipy.stats.binom.sf`` when scipy (and
-    therefore numpy) is absent.  Summing the upper tail directly avoids
-    the catastrophic cancellation of ``1 - cdf`` at the tiny
-    probabilities this module works with; terms past the mode decay
-    geometrically, so truncation once a term stops contributing keeps
-    the sum exact to double precision.
+    Summing the upper tail directly avoids the catastrophic
+    cancellation of ``1 - cdf`` at the tiny probabilities this module
+    works with; terms past the mode decay geometrically, so truncation
+    once a term stops contributing keeps the sum exact to double
+    precision.
     """
     if p <= 0.0:
         return 0.0

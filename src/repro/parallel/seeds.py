@@ -14,24 +14,15 @@ from __future__ import annotations
 
 from typing import List, Union
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by numpy-less installs
-    np = None
+import numpy as np
 
 #: Everything a chunk can carry across a process boundary as its seed.
-#: ``SeedSequence`` and ``Generator`` both pickle cleanly.
+#: ``SeedSequence`` and ``Generator`` both pickle cleanly.  The aliases
+#: are quoted so that importing this module does not load
+#: ``numpy.random`` (numpy imports it lazily, on first attribute access).
 ChildSeed = Union["np.random.SeedSequence", "np.random.Generator"]
 
 SeedLike = Union[int, None, "np.random.SeedSequence", "np.random.Generator"]
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ImportError(
-            "numpy is required for deterministic seed splitting; "
-            "install the 'repro[fast]' extra"
-        )
 
 
 def spawn_seeds(seed: SeedLike, count: int) -> List[ChildSeed]:
@@ -44,7 +35,6 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[ChildSeed]:
     """
     if count < 0:
         raise ValueError("count must be non-negative, got %d" % count)
-    _require_numpy()
     if isinstance(seed, np.random.Generator):
         return list(seed.spawn(count))
     if isinstance(seed, np.random.SeedSequence):
@@ -52,9 +42,8 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[ChildSeed]:
     return list(np.random.SeedSequence(seed).spawn(count))
 
 
-def rng_from(child: ChildSeed) -> "np.random.Generator":
+def rng_from(child: ChildSeed) -> np.random.Generator:
     """Instantiate the generator for one spawned child seed."""
-    _require_numpy()
     if isinstance(child, np.random.Generator):
         return child
     return np.random.default_rng(child)

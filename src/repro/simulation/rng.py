@@ -4,46 +4,30 @@ All stochastic components of the library (random bit-error injection,
 workload generation, Monte-Carlo studies) draw from numpy generators
 created through :func:`make_rng`, so every experiment is reproducible
 from its seed.
-
-numpy ships with the ``repro[fast]`` extra.  The deterministic parts
-of the library (protocol engine, scenarios, verification, batch
-replay) never touch this module, so the import is guarded and only
-actually *using* a generator without numpy raises.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by numpy-less installs
-    np = None
+import numpy as np
 
+#: Quoted so that importing this module does not load ``numpy.random``
+#: (numpy imports that submodule lazily, on first attribute access).
 SeedLike = Union[int, "np.random.Generator", None]
 
 
-def _require_numpy() -> None:
-    if np is None:
-        raise ImportError(
-            "numpy is required for seeded random generators; "
-            "install the 'repro[fast]' extra"
-        )
-
-
-def make_rng(seed: SeedLike = None) -> "np.random.Generator":
+def make_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a numpy random generator for ``seed``.
 
     Accepts an integer seed, an existing generator (returned as-is, so
     components can share a stream), or ``None`` for OS entropy.
     """
-    _require_numpy()
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
 
 
-def spawn(rng: "np.random.Generator", count: int) -> list:
+def spawn(rng: np.random.Generator, count: int) -> list:
     """Derive ``count`` independent child generators from ``rng``."""
-    _require_numpy()
     return [np.random.default_rng(s) for s in rng.integers(0, 2**63 - 1, size=count)]

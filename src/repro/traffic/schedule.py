@@ -46,8 +46,7 @@ def traffic_seed_tree(spec: TrafficSpec) -> Tuple[list, list]:
 
     One spawn tree per spec: the Poisson sources and the per-window
     noise injectors draw from disjoint children of ``spec.seed``, so
-    enabling one never perturbs the other.  Requires numpy (the
-    ``repro[fast]`` extra) like every stochastic component.
+    enabling one never perturbs the other.
     """
     from repro.parallel.seeds import spawn_seeds
 

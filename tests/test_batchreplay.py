@@ -25,9 +25,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.batchreplay import (
-    HAVE_NUMPY,
     BatchReplayEvaluator,
+    _simulate_numpy,
+    _simulate_scalar,
     classify_placements,
+    clear_caches,
     tail_shape,
 )
 from repro.analysis.enumeration import enumerate_tail_patterns
@@ -158,23 +160,40 @@ class TestSeededRandomSweep:
             expected = engine_oracle(protocol, m, node_names, combo, frame)
             assert (outcome.deliveries, outcome.attempts) == expected, combo
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the numpy backend")
-    def test_numpy_and_python_backends_agree(self):
+    @pytest.mark.parametrize("protocol,m", SWEEP_CONFIGS)
+    def test_array_and_scalar_simulators_agree(self, protocol, m):
+        """The two micro-simulators, fed the same armed-pair lists."""
         node_names = ["tx", "r1", "r2"]
-        for protocol, m in SWEEP_CONFIGS:
-            sites = universe(protocol, m, node_names)
-            rng = random.Random(7 * m)
-            combos = [(s,) for s in sites] + [
-                tuple(rng.sample(sites, 2)) for _ in range(40)
-            ]
-            vec = BatchReplayEvaluator(
-                protocol, m, node_names, backend="numpy"
-            ).evaluate(combos)
-            pure = BatchReplayEvaluator(
-                protocol, m, node_names, backend="python"
-            ).evaluate(combos)
-            for a, b in zip(vec, pure):
-                assert (a.deliveries, a.attempts) == (b.deliveries, b.attempts)
+        sites = universe(protocol, m, node_names)
+        rng = random.Random(7 * m)
+        combos = [(s,) for s in sites] + [
+            tuple(rng.sample(sites, 2)) for _ in range(40)
+        ]
+        evaluator = BatchReplayEvaluator(protocol, m, node_names)
+        arms = []
+        for combo in combos:
+            route, arm = evaluator._resolve(combo)
+            assert route == "fast", combo
+            arms.append(arm)
+        shape = evaluator.shape
+        array = _simulate_numpy(shape, len(node_names), arms)
+        scalar = [_simulate_scalar(shape, len(node_names), arm) for arm in arms]
+        assert array == scalar
+
+    @pytest.mark.parametrize("fresh,label", [(95, "scalar"), (96, "batch")])
+    def test_dispatch_boundary_labels(self, fresh, label):
+        # The route label is persisted (sweep store ``backend_stats``,
+        # benchmark fingerprints), so the size threshold is pinned.
+        node_names = ["tx", "r1", "r2"]
+        tx_sites = [s for s in universe("majorcan", 5, node_names) if s[0] == "tx"]
+        combos = list(itertools.combinations(tx_sites, 2))[:fresh]
+        assert len(combos) == fresh
+        clear_caches()
+        evaluator = BatchReplayEvaluator("majorcan", 5, node_names)
+        evaluator.evaluate(combos)
+        assert evaluator.stats == {
+            "batch": 0, "scalar": 0, "header": 0, "engine": 0, label: fresh
+        }
 
 
 class TestHeaderDifferential:
@@ -516,8 +535,6 @@ class TestWiredEntryPoints:
             enumerate_tail_patterns("can", backend="cuda")
         with pytest.raises(AnalysisError):
             monte_carlo_tail("can", trials=1, backend="cuda")
-        with pytest.raises(ValueError):
-            BatchReplayEvaluator("can", 5, ["tx", "r1"], backend="cuda")
 
 
 class TestSignalShapeHook:

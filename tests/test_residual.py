@@ -1,8 +1,12 @@
 """Tests for the MajorCAN residual-rate model."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis.residual import (
+    _binom_sf,
     p_more_than_m_errors,
     residual_rate_tail_bound,
     residual_rate_upper_bound,
@@ -10,6 +14,15 @@ from repro.analysis.residual import (
     smallest_m_meeting_target,
 )
 from repro.errors import AnalysisError
+from repro.faults.models import ber_star
+from repro.workload.profiles import PAPER_PROFILE
+
+
+def _exact_sf(m, n, p):
+    """P(X > m) for X ~ Binomial(n, p), as an exact rational."""
+    q = Fraction(p)
+    cdf = sum(math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(m + 1))
+    return 1 - cdf
 
 
 class TestProbability:
@@ -30,6 +43,27 @@ class TestProbability:
             p_more_than_m_errors(1e-4, -1, 32, 130)
         with pytest.raises(AnalysisError):
             p_more_than_m_errors(1e-4, 5, 32, 0)
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("ber,m,exposed", [
+        (1e-4, 5, PAPER_PROFILE.frame_bits + 20),  # upper bound, paper m
+        (1e-4, 5, 20),  # tail-window bound, paper m
+        (1e-5, 3, PAPER_PROFILE.frame_bits + 14),
+        (1e-6, 7, 36),
+        (0.3, 2, 4),  # mode past m: the sum runs to n
+    ])
+    def test_matches_exact_rational_sum(self, ber, m, exposed):
+        n = PAPER_PROFILE.n_nodes * exposed
+        p = ber_star(ber, PAPER_PROFILE.n_nodes)
+        assert _binom_sf(m, n, p) == pytest.approx(
+            float(_exact_sf(m, n, p)), rel=1e-12
+        )
+
+    def test_degenerate_probabilities(self):
+        assert _binom_sf(5, 100, 0.0) == 0.0
+        assert _binom_sf(5, 100, 1.0) == 1.0
+        assert _binom_sf(100, 100, 1.0) == 0.0
 
 
 class TestBounds:
