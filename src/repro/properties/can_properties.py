@@ -10,6 +10,7 @@ often.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -51,12 +52,9 @@ def classify_omissions(ledger: SystemLedger) -> OmissionClassification:
     the phenomenon whose per-hour probability Table 1 quantifies.
     """
     result = OmissionClassification()
-    seen: List[MessageKey] = []
-    for key in ledger.all_broadcast_keys():
-        if key in seen:
-            continue
-        seen.append(key)
-        counts = [node.delivery_count(key) for node in ledger.correct_nodes]
+    tallies = [Counter(node.deliveries) for node in ledger.correct_nodes]
+    for key in dict.fromkeys(ledger.all_broadcast_keys()):
+        counts = [tally[key] for tally in tallies]
         if not counts:
             continue
         if any(count > 1 for count in counts):
@@ -83,11 +81,10 @@ def check_can2_best_effort_agreement(ledger: SystemLedger) -> PropertyResult:
     exactly what the paper's new scenarios produce, motivating CAN2'.
     """
     violations = []
+    delivered_sets = [set(node.deliveries) for node in ledger.correct_nodes]
     for node in ledger.correct_nodes:
         for key in node.broadcasts:
-            delivered = [
-                other.delivery_count(key) > 0 for other in ledger.correct_nodes
-            ]
+            delivered = [key in keys for keys in delivered_sets]
             if any(delivered) and not all(delivered):
                 violations.append(
                     "message %r from correct transmitter %r reached only part "

@@ -137,9 +137,6 @@ class SystemLedger:
 
     def delivered_anywhere_correct(self) -> List[MessageKey]:
         """Keys delivered to at least one correct node (deduplicated)."""
-        seen: List[MessageKey] = []
-        for node in self.correct_nodes:
-            for key in node.deliveries:
-                if key not in seen:
-                    seen.append(key)
-        return seen
+        return list(
+            dict.fromkeys(key for node in self.correct_nodes for key in node.deliveries)
+        )
