@@ -2,7 +2,8 @@
 
 PYTHON ?= python
 # JSON report written by bench-perf (override: make bench-perf OUT=foo.json).
-OUT ?= BENCH_PR10.json
+# Re-baselining the perf gate is an explicit OUT=BENCH_PR10.json.
+OUT ?= bench-report.json
 
 .PHONY: install test lint bench bench-perf bench-batch corpus-check corpus-update examples experiments clean
 
@@ -21,16 +22,16 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Timing harness for the controller fast path, the parallel trial layer,
-# the engine bit loop and the batch-replay backend; writes $(OUT) at the
-# repo root.
+# Timing harness: every reference-vs-candidate row (engine vs batch,
+# reference vs fast-path controller, jobs=1 vs jobs=N), identity asserted
+# on each; writes $(OUT).
 bench-perf:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_harness.py --out $(OUT)
 
-# Only the vectorised batch-enumeration section (engine vs batch backend
-# on identical verify_consistency universes, verdicts asserted equal).
+# Only the batch-enumeration rows (engine vs batch backend on identical
+# verify_consistency universes, verdicts asserted equal).
 bench-batch:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_harness.py --section batch_enumeration --out BENCH_BATCH.json
+	PYTHONPATH=src $(PYTHON) benchmarks/perf_harness.py --section batch_enumeration --section batch_enumeration_majorcan --out BENCH_BATCH.json
 
 # Golden-scenario trace corpus (see docs/traces.md).  check replays
 # every recording and fails on any behavioural diff; update re-records

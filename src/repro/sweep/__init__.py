@@ -18,8 +18,8 @@ one evaluates exactly the missing cells.
   :mod:`repro.parallel`, with warmed universes broadcast to workers
   once per fork.
 
-CLI: ``repro sweep plan|run|status|export``; integrity gate:
-``tools/sweep_resume_check.py``.
+CLI: ``repro sweep plan|run|status|export``; integrity test:
+``tests/test_sweep.py::TestRunSweep::test_interrupted_resume_across_jobs_is_byte_identical``.
 """
 
 from repro.sweep.cell import (

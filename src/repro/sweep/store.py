@@ -12,7 +12,9 @@ duplicate keys collapse to one record — so the compacted store is a
 pure function of the set of evaluated cells.  Interrupted runs leave a
 valid log (records are flushed line by line); resuming appends only the
 missing keys; and a ``--jobs N`` run compacts to the exact bytes of a
-``--jobs 1`` run, which CI enforces with ``tools/sweep_resume_check.py``.
+``--jobs 1`` run, which
+``tests/test_sweep.py::TestRunSweep::test_interrupted_resume_across_jobs_is_byte_identical``
+enforces.
 """
 
 from __future__ import annotations

@@ -1,23 +1,71 @@
-"""Smoke test of the perf harness — exercises the parallel path on
-every test run with tiny trial counts and checks the report schema."""
+"""The perf harness: its runner's identity and share checks, and a smoke
+run that exercises every row (the parallel path included) and pins the
+report keys the perf gate reads."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
-HARNESS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-    "perf_harness.py",
-)
+import pytest
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HARNESS = os.path.join(_ROOT, "benchmarks", "perf_harness.py")
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve their module here
+    spec.loader.exec_module(module)
+    return module
+
+
+perf_harness = _load("perf_harness", HARNESS)
+perf_gate = _load("perf_gate", os.path.join(_ROOT, "tools", "perf_gate.py"))
+
+
+def _fake_row(candidate=(1, 2, 3), share=None, max_share=None):
+    return perf_harness.Row(
+        "fake",
+        reference=lambda: (1, 2, 3),
+        candidate=lambda: candidate,
+        surface=lambda result: result,
+        items=len,
+        unit="items",
+        share=None if share is None else (lambda result: share),
+        max_share=max_share,
+    )
+
+
+class TestRunner:
+    def test_identical_sides_give_a_report_entry(self):
+        entry = perf_harness.run_row(_fake_row(share=0.05, max_share=0.10))
+        assert entry["items"] == 3 and entry["unit"] == "items"
+        assert entry["reference"]["seconds"] >= 0
+        assert entry["candidate"]["per_sec"] > 0
+        assert entry["speedup"] > 0
+        assert entry["engine_share"] == 0.05
+
+    def test_diverging_candidate_raises(self):
+        with pytest.raises(AssertionError, match="diverged"):
+            perf_harness.run_row(_fake_row(candidate=(1, 2, 4)))
+
+    @pytest.mark.parametrize("share,bound", [(0.10, 0.10), (0.5, 0.10), (0.01, 0.0)])
+    def test_breached_engine_share_raises(self, share, bound):
+        with pytest.raises(AssertionError, match="engine share"):
+            perf_harness.run_row(_fake_row(share=share, max_share=bound))
+
+    def test_zero_share_meets_a_zero_bound(self):
+        entry = perf_harness.run_row(_fake_row(share=0.0, max_share=0.0))
+        assert entry["engine_share"] == 0.0
 
 
 def test_smoke_run_writes_report(tmp_path):
     out = tmp_path / "bench.json"
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(HARNESS), "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.path.join(_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
         [sys.executable, HARNESS, "--smoke", "--jobs", "2", "--out", str(out)],
         capture_output=True,
@@ -29,19 +77,13 @@ def test_smoke_run_writes_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["smoke"] is True
     assert report["host"]["cpu_count"] >= 1
-    for section, rate_key in (
-        ("montecarlo", "trials_per_sec"),
-        ("verify", "placements_per_sec"),
-    ):
-        assert report[section]["serial"][rate_key] > 0
-        assert report[section]["parallel"][rate_key] > 0
-        assert report[section]["speedup"] > 0
-    assert report["engine"]["fast_path"]["bits_per_sec"] > 0
-    assert report["engine"]["fast_path_speedup"] > 0
-    capture = report["capture"]
-    assert capture["fast_path"]["bits_per_sec"] > 0
-    assert capture["fast_path_with_recording"]["bits_per_sec"] > 0
-    # Overhead is a ratio relative to the bare fast path; smoke counts on a
-    # loaded 1-CPU host are too noisy for a tight bound, but the key must
-    # exist and be a finite number.
-    assert isinstance(capture["overhead"], float)
+    for row in perf_harness.rows(smoke=True, jobs=2):
+        entry = perf_gate.lookup(report, row.key)
+        assert entry["items"] > 0, row.key
+        assert entry["reference"]["per_sec"] > 0, row.key
+        assert entry["candidate"]["per_sec"] > 0, row.key
+        assert entry["speedup"] > 0, row.key
+    # The report-key contract with the gate: every gated path resolves.
+    for metric in perf_gate.GATED_METRICS:
+        value = perf_gate.lookup(report, metric)
+        assert isinstance(value, float) and value > 0, metric

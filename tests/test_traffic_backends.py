@@ -85,6 +85,19 @@ _SEEDED_SPECS = (
         load=1.8,
         seed=3,
     ),
+    # Noisy at a low BER: most windows scan clean, the odd flipped one
+    # resumes the engine from the cut.
+    TrafficSpec(
+        name="invariance-noisy-low-ber",
+        protocol="majorcan",
+        m=3,
+        n_nodes=4,
+        windows=4,
+        window_bits=900,
+        load=0.55,
+        seed=11,
+        noise_ber=2e-5,
+    ),
 )
 
 

@@ -47,7 +47,7 @@ class TestCampaignBackend:
             protocol=protocol,
             m=m,
             n_nodes=4,
-            rounds=32,
+            rounds=64,
             attack_probability=0.5,
             seed=17,
         )
@@ -56,7 +56,7 @@ class TestCampaignBackend:
         assert campaign_surface(batch) == campaign_surface(engine)
         assert engine.backend_stats == {}
         assert batch.backend_stats["engine"] == 0
-        assert sum(batch.backend_stats.values()) == 32
+        assert sum(batch.backend_stats.values()) == 64
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("backend", ["engine", "batch"])
