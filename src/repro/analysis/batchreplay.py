@@ -735,8 +735,8 @@ class BatchReplayEvaluator:
 #: Reduced-run verdicts per header equivalence class, keyed by
 #: ``(protocol, m, frame, role, n_eff, class_key)`` and holding
 #: ``(tx_count, faulted_count, witness_count, attempts)``.  Module-level
-#: so every evaluator in a process (and every chunk in a warmed pool
-#: worker) shares one cache; entries are tiny tuples.
+#: so every evaluator in a process (and every chunk a pool worker
+#: runs) shares one cache; entries are tiny tuples.
 _HEADER_CLASS_CACHE: Dict[Tuple, Tuple[int, int, int, int]] = {}
 
 #: Reduced-run verdicts per multi-fault group arrangement, keyed by
@@ -844,8 +844,7 @@ def _header_class_run(
 def warm_shapes(payload: bytes = b"\x55") -> None:
     """Pre-populate the wire/tail/header shape caches in this process.
 
-    Called from the worker-pool initializer so every worker expands the
-    default campaign frame once per campaign instead of once per chunk.
+    An untimed warm-up for benchmarks that time warm-cache passes.
     Covers the protocols and ``m`` values the sweeps iterate over; other
     frames still warm lazily through the ``lru_cache``s.
     """
@@ -858,28 +857,6 @@ def warm_shapes(payload: bytes = b"\x55") -> None:
         for m in ms:
             shape = tail_shape(protocol, m, frame)
             header_shape(frame, shape.eof_length)
-
-
-def warm_universe(entries: Sequence[Tuple[str, int, str]]) -> None:
-    """Pre-populate the shape caches for an explicit cell universe.
-
-    ``entries`` is a sequence of ``(protocol, m, payload_hex)`` triples
-    — the distinct frame universes of a sweep, picklable so the driver
-    can broadcast them to pool workers once per fork (via the pool's
-    worker context) instead of letting every chunk warm its own.  Like
-    :func:`warm_shapes` this is purely a cache fill; bad entries are
-    skipped rather than raised so a stale context can never take a
-    worker down.
-    """
-    for protocol, m, payload_hex in entries:
-        try:
-            frame = data_frame(
-                0x123, bytes.fromhex(payload_hex), message_id="m"
-            )
-            shape = tail_shape(protocol, int(m), frame)
-            header_shape(frame, shape.eof_length)
-        except Exception:  # pragma: no cover - warm-up must stay harmless
-            continue
 
 
 #: Display order of the provenance counters in stats lines.

@@ -25,14 +25,24 @@ rates and the *numbers* with the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
+from repro.can.fields import EOF
+from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.scenarios import make_controller
+from repro.faults.bit_errors import RandomViewErrorInjector
+from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
+from repro.faults.scenarios import make_controller, run_single_frame_scenario
 from repro.parallel.pool import run_tasks
-from repro.parallel.seeds import adaptive_chunk, chunk_sizes, spawn_seeds
-from repro.parallel.tasks import ChunkCounts, MonteCarloFullChunk, MonteCarloTailChunk
+from repro.parallel.seeds import (
+    ChildSeed,
+    adaptive_chunk,
+    chunk_sizes,
+    rng_from,
+    spawn_seeds,
+)
 from repro.simulation.rng import SeedLike
 
 #: Baseline trials per task chunk, tuned for the canonical three-node
@@ -102,6 +112,121 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> Tuple[float
         / denom
     )
     return (max(0.0, centre - half), min(1.0, centre + half))
+
+
+@dataclass
+class ChunkCounts:
+    """Additive partial classification counts of one Monte-Carlo chunk."""
+
+    trials: int = 0
+    imo: int = 0
+    double_reception: int = 0
+    inconsistent: int = 0
+    no_fault_trials: int = 0
+    flips_total: int = 0
+    #: Batch-backend provenance counters (empty on the engine backend).
+    backend_stats: dict = field(default_factory=dict)
+
+    def absorb_outcome(self, outcome) -> None:
+        """Fold one :class:`ScenarioOutcome` classification in."""
+        if outcome.inconsistent_omission:
+            self.imo += 1
+        if outcome.double_reception:
+            self.double_reception += 1
+        if not outcome.consistent:
+            self.inconsistent += 1
+
+
+def tail_chunk(
+    protocol: str,
+    m: int,
+    node_names: Tuple[str, ...],
+    sites: Tuple[Tuple[str, int], ...],
+    ber_star: float,
+    trials: int,
+    seed: ChildSeed,
+    backend: str = "engine",
+) -> ChunkCounts:
+    """Classify one chunk of tail-window trials (``sites`` are
+    ``(node name, EOF index)`` pairs); one pool task of
+    :func:`monte_carlo_tail`."""
+    rng = rng_from(seed)
+    counts = ChunkCounts(trials=trials)
+    # Draw the whole chunk as one (trials, sites) matrix.  The
+    # generator fills row-major from the same PCG64 stream as the
+    # per-trial ``rng.random(len(sites))`` calls it replaces, so
+    # the drawn placements — and therefore the aggregate counts —
+    # are bit-identical to the scalar draw order for the same
+    # SeedSequence child, for both backends and any chunking.
+    mask = rng.random((trials, len(sites))) < ber_star
+    counts.flips_total = int(mask.sum())
+    counts.no_fault_trials = trials - int(mask.any(axis=1).sum())
+    # ``nonzero`` walks the mask in row-major order too, so the
+    # fault-bearing trials regroup in draw order at O(flips) cost.
+    groups: List[List[Tuple[str, str, int]]] = []
+    last_trial = -1
+    for trial, site in zip(*(axis.tolist() for axis in mask.nonzero())):
+        if trial != last_trial:
+            groups.append([])
+            last_trial = trial
+        name, index = sites[site]
+        groups[-1].append((name, EOF, index))
+    trial_combos = [tuple(group) for group in groups]
+    if not trial_combos:
+        return counts
+    if backend == "batch":
+        from repro.analysis.batchreplay import BatchReplayEvaluator
+
+        evaluator = BatchReplayEvaluator(protocol, m, node_names)
+        for outcome in evaluator.evaluate(trial_combos):
+            counts.absorb_outcome(outcome)
+        counts.backend_stats = dict(evaluator.stats)
+        return counts
+    for combo in trial_combos:
+        faults = [
+            ViewFault(name, Trigger(field=field_name, index=index), force=None)
+            for name, field_name, index in combo
+        ]
+        nodes = [make_controller(protocol, name, m=m) for name in node_names]
+        outcome = run_single_frame_scenario(
+            "mc",
+            nodes,
+            ScriptedInjector(view_faults=faults),
+            frame=data_frame(0x123, b"\x55", message_id="m"),
+            record_bits=False,
+        )
+        counts.absorb_outcome(outcome)
+    return counts
+
+
+def full_chunk(
+    protocol: str,
+    m: int,
+    node_names: Tuple[str, ...],
+    ber_star: float,
+    trials: int,
+    payload: bytes,
+    max_bits: int,
+    seed: ChildSeed,
+) -> ChunkCounts:
+    """Classify one chunk of whole-frame random-view-error trials; one
+    pool task of :func:`monte_carlo_full`."""
+    rng = rng_from(seed)
+    counts = ChunkCounts(trials=trials)
+    for _ in range(trials):
+        nodes = [make_controller(protocol, name, m=m) for name in node_names]
+        injector = RandomViewErrorInjector(ber_star, seed=rng)
+        outcome = run_single_frame_scenario(
+            "mc-full",
+            nodes,
+            injector,  # type: ignore[arg-type]
+            frame=data_frame(0x123, payload, message_id="m"),
+            record_bits=False,
+            max_bits=max_bits,
+        )
+        counts.flips_total += injector.injected
+        counts.absorb_outcome(outcome)
+    return counts
 
 
 def _merge_counts(trials: int, parts: List[ChunkCounts]) -> MonteCarloResult:
@@ -176,7 +301,8 @@ def monte_carlo_tail(
     sizes = chunk_sizes(trials, chunk_trials)
     children = spawn_seeds(seed, len(sizes))
     tasks = [
-        MonteCarloTailChunk(
+        partial(
+            tail_chunk,
             protocol=protocol,
             m=m,
             node_names=node_names,
@@ -219,7 +345,8 @@ def monte_carlo_full(
     sizes = chunk_sizes(trials, chunk_trials)
     children = spawn_seeds(seed, len(sizes))
     tasks = [
-        MonteCarloFullChunk(
+        partial(
+            full_chunk,
             protocol=protocol,
             m=m,
             node_names=node_names,

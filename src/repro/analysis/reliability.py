@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.probability import (
@@ -29,7 +30,6 @@ from repro.analysis.probability import (
 from repro.analysis.rates import incidents_per_hour
 from repro.errors import AnalysisError
 from repro.parallel.pool import run_tasks
-from repro.parallel.tasks import ReliabilityTask
 from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
 
 
@@ -170,8 +170,9 @@ def reliability_sweep(
     identical for any ``jobs`` and either empirical backend.
     """
     tasks = [
-        ReliabilityTask(
-            ber=ber,
+        partial(
+            reliability_comparison,
+            ber,
             mission_hours=tuple(mission_hours),
             profile=profile,
             backend=backend,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.can.fields import (
@@ -39,7 +40,6 @@ from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 from repro.parallel.pool import effective_jobs, run_tasks
 from repro.parallel.seeds import adaptive_chunk
-from repro.parallel.tasks import VerificationChunk
 
 #: A fault site: (node name, field label, index within the field).
 Site = Tuple[str, str, int]
@@ -262,25 +262,62 @@ def verify_consistency(
                     return result
         return result
     tasks = (
-        VerificationChunk(
-            protocol=protocol,
-            m=m,
-            node_names=tuple(node_names),
-            combos=tuple(chunk),
-            payload=payload,
-            backend=backend,
+        partial(
+            verify_chunk,
+            protocol,
+            m,
+            tuple(node_names),
+            tuple(chunk),
+            payload,
+            backend,
         )
         for chunk in _chunked(combos, chunk_placements)
     )
-    for part in run_tasks(tasks, jobs):
-        result.runs += part.runs
-        result.counterexamples.extend(Counterexample(*hit) for hit in part.hits)
-        if part.stats:
+    for runs, hits, stats in run_tasks(tasks, jobs):
+        result.runs += runs
+        result.counterexamples.extend(Counterexample(*hit) for hit in hits)
+        if stats:
             merged = result.backend_stats or {}
-            for key, value in part.stats.items():
+            for key, value in stats.items():
                 merged[key] = merged.get(key, 0) + value
             result.backend_stats = merged
     return result
+
+
+def verify_chunk(
+    protocol: str,
+    m: int,
+    node_names: Tuple[str, ...],
+    combos: Tuple[Tuple[Site, ...], ...],
+    payload: bytes,
+    backend: str = "engine",
+) -> Tuple[int, List[Tuple], dict]:
+    """Classify one chunk of placements; one pool task of
+    :func:`verify_consistency`.
+
+    Returns ``(runs, hits, stats)``: the placement count, the
+    :class:`Counterexample` argument tuples of the broken placements
+    in enumeration order, and the batch-backend provenance counters
+    (empty on the engine backend).
+    """
+    if backend == "batch":
+        from repro.analysis.batchreplay import BatchReplayEvaluator
+
+        evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
+        outcomes = evaluator.evaluate(combos)
+        hits = [
+            hit
+            for combo, outcome in zip(combos, outcomes)
+            for hit in (evaluator.counterexample(combo, outcome),)
+            if hit is not None
+        ]
+        return len(combos), hits, dict(evaluator.stats)
+    hits = []
+    for combo in combos:
+        hit = classify_placement(protocol, m, node_names, combo, payload)
+        if hit is not None:
+            hits.append(hit)
+    return len(combos), hits, {}
 
 
 def _chunked(combos: Iterator, size: int) -> Iterator[List]:
@@ -300,9 +337,9 @@ def classify_placement(
 ) -> Optional[Tuple]:
     """Simulate one flip placement; return Counterexample args or None.
 
-    Returns plain picklable data (not a :class:`Counterexample`) so the
-    worker side of :class:`repro.parallel.tasks.VerificationChunk` can
-    ship results across the process boundary cheaply.
+    Returns plain picklable data (not a :class:`Counterexample`) so
+    :func:`verify_chunk` can ship results across the process boundary
+    cheaply.
     """
     nodes = [make_controller(protocol, name, m=m) for name in node_names]
     faults = [

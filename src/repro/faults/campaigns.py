@@ -11,7 +11,8 @@ wrapper over this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.can.bits import DOMINANT, RECESSIVE
 from repro.can.fields import EOF
@@ -26,14 +27,17 @@ from repro.faults.injector import (
 )
 from repro.faults.scenarios import make_controller
 from repro.parallel.pool import run_tasks
-from repro.parallel.seeds import chunk_sizes, spawn_seeds
-from repro.parallel.tasks import CampaignRoundsChunk
+from repro.parallel.seeds import ChildSeed, chunk_sizes, rng_from, spawn_seeds
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeedLike
 
 #: Rounds per task chunk (fixed regardless of ``jobs``; see
 #: :mod:`repro.parallel`).
 CHUNK_ROUNDS = 8
+
+#: (round index, attacked, category in {"imo", "double", "consistent"},
+#: errors injected) — one entry per campaign round.
+RoundResult = Tuple[int, bool, str, int]
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,8 @@ def run_campaign(
     start = 0
     for size in chunk_sizes(spec.rounds, chunk_rounds):
         tasks.append(
-            CampaignRoundsChunk(
+            partial(
+                run_rounds,
                 protocol=spec.protocol,
                 m=spec.m,
                 n_nodes=spec.n_nodes,
@@ -142,36 +147,10 @@ def run_campaign(
             )
         )
         start += size
-    if backend == "batch" and spec.noise_ber_star > 0.0:
-        # Forked workers prime the reference-round cache once (there
-        # are only n_nodes distinct noise-free rounds per spec) instead
-        # of once per chunk.
-        from repro.parallel.pool import set_worker_context
-
-        node_names = ["critical"] + [
-            "bg%d" % i for i in range(1, spec.n_nodes)
-        ]
-        entries = [
-            (spec.protocol, spec.m, tuple(node_names),
-             spec.background_frames, False, None)
-        ] + [
-            (spec.protocol, spec.m, tuple(node_names),
-             spec.background_frames, True, victim)
-            for victim in node_names[1:]
-        ]
-        set_worker_context(
-            (("repro.faults.campaigns", "warm_campaign", (tuple(entries),)),)
-        )
-        try:
-            chunks = run_tasks(tasks, jobs)
-        finally:
-            set_worker_context(())
-    else:
-        chunks = run_tasks(tasks, jobs)
-    for chunk in chunks:
-        for key, value in chunk.stats.items():
+    for rows, stats in run_tasks(tasks, jobs):
+        for key, value in stats.items():
             outcome.backend_stats[key] = outcome.backend_stats.get(key, 0) + value
-        for round_index, attacked, category, injected in chunk.rounds:
+        for round_index, attacked, category, injected in rows:
             outcome.rounds += 1
             outcome.attacked_rounds += int(attacked)
             outcome.errors_injected += injected
@@ -183,6 +162,107 @@ def run_campaign(
             else:
                 outcome.consistent += 1
     return outcome
+
+
+def run_rounds(
+    protocol: str,
+    m: int,
+    n_nodes: int,
+    attack_probability: float,
+    noise_ber_star: float,
+    background_frames: int,
+    rounds: Tuple[Tuple[int, ChildSeed], ...],
+    backend: str = "engine",
+) -> Tuple[List[RoundResult], Dict[str, int]]:
+    """Run one chunk of independent ``(round index, child seed)``
+    rounds; one pool task of :func:`run_campaign`.
+
+    Returns the round rows in chunk order and the batch-backend
+    provenance counters (empty on the engine backend).
+    """
+    node_names = ["critical"] + ["bg%d" % i for i in range(1, n_nodes)]
+    # The attack schedule is drawn up front, in the exact per-round
+    # order of the engine path, so both backends consume the same
+    # generator stream and see the same attacked/victim plan.
+    draws = []
+    for round_index, child in rounds:
+        rng = rng_from(child)
+        attacked = bool(rng.random() < attack_probability)
+        victim = node_names[1 + int(rng.integers(0, n_nodes - 1))]
+        draws.append((round_index, attacked, victim, rng))
+
+    def engine_row(round_index, attacked, victim, rng) -> RoundResult:
+        counts, injected = run_round(
+            protocol=protocol,
+            m=m,
+            node_names=node_names,
+            background_frames=background_frames,
+            noise_ber_star=noise_ber_star,
+            attacked=attacked,
+            victim=victim,
+            rng=rng,
+        )
+        return (round_index, attacked, classify_counts(counts), injected)
+
+    if backend != "batch":
+        return [engine_row(*draw) for draw in draws], {}
+    # Without view noise a round is a pure function of the attack
+    # draw: the critical frame has the lowest identifier so background
+    # traffic never reorders it, and the Fig. 3a forces coincide with
+    # view *flips* (the victim's flag or extended flag makes the
+    # transmitter's masked EOF bit dominant on the bus).  Each scripted
+    # fault fires exactly once, so the injected count is 2 per attacked
+    # round.  With view noise the round is *still* that pure function
+    # whenever its noise mask never fires — and the mask is a
+    # known-length prefix of the child stream (one uniform per node per
+    # bus bit of the noise-free reference round), so a vectorised scan
+    # classifies each round up front and only the rounds whose mask
+    # fires rerun on the engine, from the rewound generator
+    # (bit-identical to the engine path).
+    from repro.analysis.batchreplay import BatchReplayEvaluator
+    from repro.analysis.noisebatch import first_flip, generator_state, restore_state
+
+    evaluator = BatchReplayEvaluator(
+        protocol,
+        m,
+        node_names,
+        frame=data_frame(0x010, b"\xc0\x01", message_id="critical"),
+    )
+    eof_last = evaluator.shape.eof_length - 1
+    combos = []
+    combo_positions = []
+    rows: Dict[int, RoundResult] = {}
+    for position, (round_index, attacked, victim, rng) in enumerate(draws):
+        flip = None
+        if noise_ber_star > 0.0:
+            state = generator_state(rng)
+            bits = round_reference_bits(
+                protocol, m, node_names, background_frames, attacked, victim
+            )
+            flip = first_flip(rng, bits * n_nodes, noise_ber_star)
+        if flip is None:
+            combos.append(
+                ((victim, EOF, eof_last - 1), ("critical", EOF, eof_last))
+                if attacked
+                else ()
+            )
+            combo_positions.append(position)
+            continue
+        restore_state(rng, state)
+        rows[position] = engine_row(round_index, attacked, victim, rng)
+    engine_rounds = len(rows)
+    for position, outcome in zip(combo_positions, evaluator.evaluate(combos)):
+        round_index, attacked, _, _ = draws[position]
+        rows[position] = (
+            round_index,
+            attacked,
+            classify_counts(outcome.deliveries),
+            2 if attacked else 0,
+        )
+    stats = dict(evaluator.stats)
+    if engine_rounds:
+        stats["engine"] = stats.get("engine", 0) + engine_rounds
+    return [rows[position] for position in range(len(draws))], stats
 
 
 def classify_counts(counts: Sequence[int]) -> str:
@@ -271,20 +351,6 @@ def round_reference_bits(
     return engine.time
 
 
-def warm_campaign(entries) -> None:
-    """Worker warm hook: prime the reference-round cache at fork time.
-
-    ``entries`` are ``round_reference_bits`` argument tuples broadcast
-    via :func:`repro.parallel.set_worker_context`.  Purely a cache
-    fill — failures are swallowed, chunks rebuild on demand.
-    """
-    for entry in entries:
-        try:
-            round_reference_bits(*entry)
-        except Exception:  # pragma: no cover - warm-up must never kill a worker
-            continue
-
-
 def run_round(
     protocol: str,
     m: int,
@@ -298,8 +364,7 @@ def run_round(
     """Execute one campaign round; returns (delivery counts, injected).
 
     Pure function of its arguments (including the generator state) so
-    :class:`repro.parallel.tasks.CampaignRoundsChunk` can run rounds in
-    worker processes.
+    :func:`run_rounds` can run rounds in worker processes.
     """
     controllers, scripted = _round_network(protocol, m, node_names, attacked, victim)
     injector = scripted

@@ -9,25 +9,20 @@ simulations.  This package fans chunks of such trials out over a
 * :mod:`repro.parallel.seeds` — deterministic seed splitting via
   ``numpy.random.SeedSequence.spawn``, so parallel and serial runs of
   the same seed produce bit-identical aggregate results;
-* :mod:`repro.parallel.tasks` — picklable task specs (one chunk of
-  trials each) with a pure ``run()`` returning a picklable partial
-  result;
 * :mod:`repro.parallel.pool` — the worker pool itself, with a
   zero-dependency serial fallback and a ``jobs=1`` path that executes
   tasks inline.
+
+A task is any picklable zero-argument callable returning a picklable
+partial result: callers pass ``functools.partial`` objects of the
+module-level function that evaluates one chunk.
 
 The determinism contract: callers chunk their work identically
 regardless of ``jobs`` and merge partial results in chunk order, so
 ``jobs`` only decides *where* a chunk runs, never *what* it computes.
 """
 
-from repro.parallel.pool import (
-    effective_jobs,
-    imap_tasks,
-    run_tasks,
-    set_worker_context,
-    worker_context,
-)
+from repro.parallel.pool import effective_jobs, imap_tasks, run_tasks
 from repro.parallel.seeds import adaptive_chunk, rng_from, spawn_seeds
 
 __all__ = [
@@ -36,7 +31,5 @@ __all__ = [
     "imap_tasks",
     "run_tasks",
     "rng_from",
-    "set_worker_context",
     "spawn_seeds",
-    "worker_context",
 ]

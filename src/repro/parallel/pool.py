@@ -1,7 +1,9 @@
 """The worker pool: fan picklable tasks out over processes.
 
-``run_tasks`` is the single entry point the analysis layer uses.  Its
-contract:
+A task is any picklable zero-argument callable — in practice a
+``functools.partial`` of a module-level function — and its result is
+``task()``.  ``imap_tasks`` and ``run_tasks`` are the entry points the
+analysis layer uses.  Their contract:
 
 * ``jobs=1`` executes tasks inline in submission order — byte-for-byte
   the serial behaviour, with no ``multiprocessing`` machinery touched;
@@ -15,14 +17,16 @@ contract:
 ``jobs=None``/``0`` resolves through ``REPRO_JOBS`` (then 1) and a
 negative ``jobs`` means "all visible CPUs".
 
-The pool itself is created lazily and *reused* across ``run_tasks``
-calls: CLI subcommands and sweeps that fan out repeatedly (ablation
-rows, chunked verification, Monte-Carlo batches) pay the process
-start-up and import cost once instead of per call.  The cached pool is
-replaced when a different worker count is requested, recycled by
-``maxtasksperchild`` to bound worker memory growth, discarded on any
-failure mid-map, and torn down at interpreter exit.  None of this
-changes results: tasks are deterministic functions of their own fields,
+The pool itself is created lazily and *reused* across calls: CLI
+subcommands and sweeps that fan out repeatedly (ablation rows, chunked
+verification, Monte-Carlo batches) pay the process start-up and import
+cost once instead of per call.  Workers are forked (the Linux default),
+so they inherit the parent's warm caches and fill the rest on demand.
+The cached pool is replaced when a different worker count is
+requested, recycled by ``maxtasksperchild`` to bound worker memory
+growth, discarded on any failure mid-map, and torn down at interpreter
+exit.  None of this
+changes results: tasks are deterministic functions of their arguments,
 so which process runs them — fresh or reused — is unobservable.
 """
 
@@ -33,8 +37,6 @@ import multiprocessing
 import os
 from typing import Iterable, List, Optional
 
-from repro.parallel.tasks import execute
-
 #: Tasks a worker processes before it is replaced.  High enough that
 #: recycling never dominates, low enough to bound the memory of
 #: long-lived workers accumulating per-task allocations.
@@ -42,10 +44,6 @@ MAXTASKSPERCHILD = 512
 
 _POOL = None
 _POOL_WORKERS = 0
-#: Context the live pool's workers were initialised with.
-_POOL_CONTEXT: tuple = ()
-#: Context requested for the next pool (see :func:`set_worker_context`).
-_CONTEXT: tuple = ()
 
 
 def cpu_count() -> int:
@@ -76,179 +74,75 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-def set_worker_context(entries) -> None:
-    """Declare what new pool workers should pre-warm at fork time.
-
-    ``entries`` is a sequence of ``(module, function, args)`` triples —
-    all picklable — that each new worker applies once in its
-    initializer, after the default :func:`warm_shapes` pass.  This is
-    the shared-memory half of task batching: a sweep broadcasts its
-    warmed site universes and frame tables to every worker *once per
-    fork* through the pool's ``initargs`` instead of pickling them into
-    every task.  Changing the context replaces the pool on the next
-    ``run_tasks``/``imap_tasks`` call; an equal context reuses it, so
-    repeated sweeps over the same universe keep their warm workers.
-    """
-    global _CONTEXT
-    normalised = []
-    for entry in entries:
-        module, function, args = entry
-        if not isinstance(module, str) or not isinstance(function, str):
-            raise ValueError(
-                "worker context entries are (module, function, args) "
-                "triples, got %r" % (entry,)
-            )
-        normalised.append((module, function, tuple(args)))
-    _CONTEXT = tuple(normalised)
-
-
-def worker_context() -> tuple:
-    """The context new pool workers will be initialised with."""
-    return _CONTEXT
-
-
-def _warm_worker(context: tuple = ()) -> None:
-    """Worker initializer: pre-expand the shared campaign shapes.
-
-    Populates the ``wire_program``/``tail_shape``/``header_shape``
-    caches for the default campaign frame once per worker process, then
-    applies the broadcast worker context (warmed sweep universes, frame
-    tables), so every chunk the worker later receives starts from warm
-    caches instead of re-expanding per chunk (shared-memory task
-    batching: the expanded context is installed at fork time, not
-    shipped with each task).  Purely an optimisation — tasks rebuild
-    anything missing on demand — so failures are swallowed.
-    """
-    try:
-        from repro.analysis.batchreplay import warm_shapes
-
-        warm_shapes()
-    except Exception:  # pragma: no cover - warm-up must never kill a worker
-        pass
-    for module_name, function_name, args in context:
-        try:
-            module = __import__(module_name, fromlist=[function_name])
-            getattr(module, function_name)(*args)
-        except Exception:  # pragma: no cover - warm-up must never kill a worker
-            continue
+def execute(task):
+    """Run one task (the pool's map function — must be module level)."""
+    return task()
 
 
 def _get_pool(workers: int):
     """Return the shared pool for ``workers``, creating or resizing it.
 
-    The cached pool is reused only when both the worker count and the
-    worker context match what it was built with.  Returns ``None`` when
-    no pool can be created on this platform.
+    Returns ``None`` when no pool can be created on this platform.
     """
-    global _POOL, _POOL_WORKERS, _POOL_CONTEXT
-    if _POOL is not None and _POOL_WORKERS == workers and _POOL_CONTEXT == _CONTEXT:
+    global _POOL, _POOL_WORKERS
+    if _POOL is not None and _POOL_WORKERS == workers:
         return _POOL
-    if _POOL is not None:
-        shutdown_pool()
+    shutdown_pool()
     try:
-        context = multiprocessing.get_context()
-        _POOL = context.Pool(
-            processes=workers,
-            initializer=_warm_worker,
-            initargs=(_CONTEXT,),
-            maxtasksperchild=MAXTASKSPERCHILD,
+        _POOL = multiprocessing.get_context().Pool(
+            processes=workers, maxtasksperchild=MAXTASKSPERCHILD
         )
         _POOL_WORKERS = workers
-        _POOL_CONTEXT = _CONTEXT
     except (ImportError, OSError, PermissionError, ValueError):
         _POOL = None
         _POOL_WORKERS = 0
-        _POOL_CONTEXT = ()
     return _POOL
 
 
-def _discard_pool() -> None:
-    """Drop a pool whose state is suspect (an exception escaped a map)."""
-    global _POOL, _POOL_WORKERS, _POOL_CONTEXT
-    if _POOL is not None:
-        try:
-            _POOL.terminate()
-            _POOL.join()
-        except Exception:
-            pass
-    _POOL = None
-    _POOL_WORKERS = 0
-    _POOL_CONTEXT = ()
+def shutdown_pool(terminate: bool = False) -> None:
+    """Tear down the shared pool (idempotent; also runs at exit).
 
-
-def shutdown_pool() -> None:
-    """Tear down the shared pool (idempotent; also runs at exit)."""
-    global _POOL, _POOL_WORKERS, _POOL_CONTEXT
-    if _POOL is not None:
-        try:
-            _POOL.close()
-            _POOL.join()
-        except Exception:
-            _discard_pool()
-            return
-    _POOL = None
-    _POOL_WORKERS = 0
-    _POOL_CONTEXT = ()
+    ``terminate=True`` stops the workers at once instead of letting
+    them finish queued work — for a pool whose state is suspect.
+    """
+    global _POOL, _POOL_WORKERS
+    pool, _POOL, _POOL_WORKERS = _POOL, None, 0
+    if pool is not None:
+        if terminate:
+            pool.terminate()
+        else:
+            pool.close()
+        pool.join()
 
 
 atexit.register(shutdown_pool)
 
 
-def run_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1) -> List:
-    """Execute ``tasks`` and return their results in submission order.
-
-    ``tasks`` may be any iterable of objects with a ``run()`` method
-    (see :mod:`repro.parallel.tasks`); generators are consumed lazily
-    on the parallel path via ``imap``.
-    """
-    workers = effective_jobs(jobs)
-    if workers == 1:
-        return [execute(task) for task in tasks]
-    task_list = tasks if isinstance(tasks, (list, tuple)) else None
-    pool = _get_pool(workers)
-    if pool is None:
-        # No process support here (e.g. sandboxed semaphores): degrade
-        # gracefully — same results, serial execution.
-        return [execute(task) for task in (task_list if task_list is not None else tasks)]
-    source = task_list if task_list is not None else tasks
-    try:
-        return list(pool.imap(execute, source, chunksize))
-    except BaseException:
-        # A worker died or a task raised: the pool may hold queued
-        # work, so never hand it to the next caller.
-        _discard_pool()
-        raise
-
-
 def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
     """Yield task results one by one, in submission order.
 
-    The streaming twin of :func:`run_tasks`, for drivers that persist
-    partial results as they arrive (the sweep engine appends each chunk
-    to its store the moment it completes, so an interrupted run keeps
-    everything finished so far).  Same contract otherwise: ``jobs=1``
-    executes inline, the pool path preserves submission order, and pool
-    failure degrades to the serial path.
+    For drivers that persist partial results as they arrive (the sweep
+    engine appends each chunk to its store the moment it completes, so
+    an interrupted run keeps everything finished so far).  ``jobs=1``
+    and a platform without process support execute inline; the pool
+    path preserves submission order.
     """
     workers = effective_jobs(jobs)
-    if workers == 1:
-        for task in tasks:
-            yield execute(task)
-        return
-    source = tasks if isinstance(tasks, (list, tuple)) else list(tasks)
-    pool = _get_pool(workers)
+    pool = _get_pool(workers) if workers > 1 else None
     if pool is None:
-        for task in source:
-            yield execute(task)
+        for task in tasks:
+            yield task()
         return
-    iterator = pool.imap(execute, source, chunksize)
+    iterator = pool.imap(execute, tasks, chunksize)
     while True:
         try:
             result = next(iterator)
         except StopIteration:
             return
         except BaseException:
-            _discard_pool()
+            # A worker died or a task raised: the pool may hold queued
+            # work, so never hand it to the next caller.
+            shutdown_pool(terminate=True)
             raise
         try:
             yield result
@@ -256,5 +150,10 @@ def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
             # The consumer abandoned the stream (GeneratorExit) or threw
             # into it: queued chunks may still be in flight, so the pool
             # is not safe to hand to the next caller.
-            _discard_pool()
+            shutdown_pool(terminate=True)
             raise
+
+
+def run_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1) -> List:
+    """Execute ``tasks`` and return their results in submission order."""
+    return list(imap_tasks(tasks, jobs, chunksize))

@@ -15,8 +15,7 @@ one evaluates exactly the missing cells.
 * :mod:`repro.sweep.cell` — cell identity and per-cell evaluation;
 * :mod:`repro.sweep.store` — the append-only, compacting result store;
 * :mod:`repro.sweep.run` — the resumable driver over
-  :mod:`repro.parallel`, with warmed universes broadcast to workers
-  once per fork.
+  :mod:`repro.parallel`.
 
 CLI: ``repro sweep plan|run|status|export``; integrity test:
 ``tests/test_sweep.py::TestRunSweep::test_interrupted_resume_across_jobs_is_byte_identical``.

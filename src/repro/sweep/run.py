@@ -10,13 +10,10 @@
    integrity check models a run killed mid-grid),
 5. group the survivors into chunks sized by each cell's adaptive
    ``chunk_cells`` constant,
-6. broadcast the distinct frame universes to pool workers once per
-   fork (:func:`repro.parallel.set_worker_context` →
-   :func:`repro.analysis.batchreplay.warm_universe`),
-7. stream chunk results through :func:`repro.parallel.imap_tasks`,
+6. stream chunk results through :func:`repro.parallel.imap_tasks`,
    appending each chunk to the store the moment it completes — an
    interrupted run keeps everything finished so far,
-8. compact the store (sorted by key, deduplicated) so the persisted
+7. compact the store (sorted by key, deduplicated) so the persisted
    bytes are a pure function of the evaluated cell set — identical for
    any ``jobs``, any backend-induced chunking, any interrupt/resume
    history.
@@ -25,16 +22,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.parallel import imap_tasks, set_worker_context
-from repro.parallel.tasks import SweepCellChunk, TrafficCellChunk
+from repro.parallel import imap_tasks
 from repro.sweep.cell import (
     cell_constants,
     cell_key,
+    cell_record,
     stats_of,
     traffic_cell_constants,
-    traffic_cell_spec,
+    traffic_cell_record,
 )
 from repro.sweep.spec import (
     SweepCell,
@@ -133,6 +131,13 @@ def pending_cells(
     return pending, skipped
 
 
+def _evaluate_chunk(record, cells) -> List[dict]:
+    """Evaluate one chunk of cells into complete store records (keys
+    included, so the driver appends them verbatim); one pool task of
+    :func:`run_sweep`."""
+    return [record(cell) for cell in cells]
+
+
 def _chunk_tasks(
     pending: List[Tuple[Any, Dict[str, Any], str]],
     spec: SweepSpec,
@@ -146,102 +151,35 @@ def _chunk_tasks(
     chunking (and the submission order) is identical for any ``jobs``.
     """
     if spec.surface == "traffic":
-
-        def values(cell):
-            return (
-                cell.protocol,
-                cell.m,
-                cell.n_nodes,
-                cell.load,
-                cell.source,
-                cell.noise_ber,
-            )
-
-        def make(cells):
-            return TrafficCellChunk(
-                cells=cells,
-                windows=spec.traffic_windows,
-                window_bits=spec.traffic_window_bits,
-                seed=spec.traffic_seed,
-                backend=backend,
-            )
-
+        record = partial(
+            traffic_cell_record,
+            windows=spec.traffic_windows,
+            window_bits=spec.traffic_window_bits,
+            seed=spec.traffic_seed,
+            backend=backend,
+        )
     else:
-
-        def values(cell):
-            return (
-                cell.protocol,
-                cell.m,
-                cell.ber,
-                cell.bit_rate,
-                cell.bus_length_m,
-                cell.payload,
-                cell.n_nodes,
-            )
-
-        def make(cells):
-            return SweepCellChunk(
-                cells=cells,
-                window=spec.window,
-                max_flips=spec.max_flips,
-                load=spec.load,
-                backend=backend,
-            )
-
+        record = partial(
+            cell_record,
+            window=spec.window,
+            max_flips=spec.max_flips,
+            load=spec.load,
+            backend=backend,
+        )
     tasks: List[Any] = []
-    current: List[Tuple] = []
+    current: List[Any] = []
     current_size = 0
     for cell, constants, _ in pending:
         chunk_cells = int(constants["chunk_cells"])
         if current and (chunk_cells != current_size or len(current) >= current_size):
-            tasks.append(make(tuple(current)))
+            tasks.append(partial(_evaluate_chunk, record, tuple(current)))
             current = []
         if not current:
             current_size = chunk_cells
-        current.append(values(cell))
+        current.append(cell)
     if current:
-        tasks.append(make(tuple(current)))
+        tasks.append(partial(_evaluate_chunk, record, tuple(current)))
     return tasks
-
-
-def _universe_context(
-    pending: List[Tuple[Any, Dict[str, Any], str]],
-    spec: SweepSpec,
-) -> List[Tuple[str, str, Tuple]]:
-    """The worker-context entries warming this run's frame universes.
-
-    Analytic cells broadcast their distinct (protocol, m, payload)
-    universes to :func:`repro.analysis.batchreplay.warm_universe`;
-    traffic cells broadcast their distinct traffic specs to
-    :func:`repro.traffic.batch.warm_traffic`, which pre-compiles the
-    wire images the batch windows concatenate.
-    """
-    if spec.surface == "traffic":
-        specs = []
-        seen = set()
-        for cell, _, _ in pending:
-            traffic_spec = traffic_cell_spec(
-                cell,
-                windows=spec.traffic_windows,
-                window_bits=spec.traffic_window_bits,
-                seed=spec.traffic_seed,
-            )
-            if traffic_spec not in seen:
-                seen.add(traffic_spec)
-                specs.append(traffic_spec)
-        if not specs:
-            return []
-        return [("repro.traffic.batch", "warm_traffic", (tuple(specs),))]
-    universes = []
-    seen = set()
-    for cell, _, _ in pending:
-        entry = (cell.protocol, cell.m, cell.payload_bytes.hex())
-        if entry not in seen:
-            seen.add(entry)
-            universes.append(entry)
-    if not universes:
-        return []
-    return [("repro.analysis.batchreplay", "warm_universe", (tuple(universes),))]
 
 
 def run_sweep(
@@ -270,23 +208,16 @@ def run_sweep(
             cell_budget = 0
         deferred = max(0, len(pending) - cell_budget)
         pending = pending[:cell_budget]
-    tasks = _chunk_tasks(pending, spec, backend)
-    set_worker_context(_universe_context(pending, spec))
-    try:
-        evaluated = 0
-        stats: Dict[str, int] = {}
-        for records in imap_tasks(tasks, jobs=jobs):
-            store.append(records)
-            evaluated += len(records)
-            for record in records:
-                for key, value in (stats_of(record) or {}).items():
-                    stats[key] = stats.get(key, 0) + int(value)
-            if progress is not None:
-                progress(evaluated, len(pending))
-    finally:
-        # The broadcast universe is this run's; never leak it into the
-        # next caller's pool.
-        set_worker_context(())
+    evaluated = 0
+    stats: Dict[str, int] = {}
+    for records in imap_tasks(_chunk_tasks(pending, spec, backend), jobs=jobs):
+        store.append(records)
+        evaluated += len(records)
+        for record in records:
+            for key, value in (stats_of(record) or {}).items():
+                stats[key] = stats.get(key, 0) + int(value)
+        if progress is not None:
+            progress(evaluated, len(pending))
     status = store.compact()
     return SweepRunReport(
         name=spec.name,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import glob
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import TraceStoreError
@@ -372,20 +373,19 @@ def check_corpus(
 ) -> CorpusReport:
     """Replay every ``.jsonl`` recording under ``directory``.
 
-    One :class:`repro.parallel.tasks.CorpusCheckTask` per entry is
-    fanned out over the worker pool; results keep sorted-path order, so
-    the report is identical for any ``jobs`` value.  With
+    One :func:`check_recording` task per entry is fanned out over the
+    worker pool; results keep sorted-path order, so the report is
+    identical for any ``jobs`` value.  With
     ``require_golden`` (the default) a missing canonical entry is
     reported as a failure.
     """
     from repro.parallel.pool import run_tasks
-    from repro.parallel.tasks import CorpusCheckTask
 
     if not os.path.isdir(directory):
         raise TraceStoreError("corpus directory %r does not exist" % directory)
     paths = sorted(glob.glob(os.path.join(directory, "*.jsonl")))
-    tasks = [CorpusCheckTask(path=path) for path in paths]
-    report = CorpusReport(results=list(run_tasks(tasks, jobs=jobs)))
+    tasks = [partial(check_recording, path) for path in paths]
+    report = CorpusReport(results=run_tasks(tasks, jobs=jobs))
     if require_golden:
         present = {result.entry for result in report.results}
         for name in corpus_entries():

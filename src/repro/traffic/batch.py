@@ -152,31 +152,6 @@ def clear_window_cache() -> None:
     _CACHE_STATS["misses"] = 0
 
 
-def warm_traffic(specs: Tuple[TrafficSpec, ...]) -> None:
-    """Pre-compile the wire images a batch traffic run concatenates.
-
-    ``specs`` is a sequence of picklable :class:`TrafficSpec` values —
-    the distinct traffic shapes of a sweep — broadcast to pool workers
-    once per fork through :func:`repro.parallel.set_worker_context`.
-    Every clean window of those specs synthesizes its bus from the
-    schedule's frame images; warming builds each image once per worker
-    instead of once per chunk.  Like
-    :func:`repro.analysis.batchreplay.warm_universe` this is purely a
-    cache fill: bad entries are skipped, never raised, so a stale
-    context cannot take a worker down.
-    """
-    from repro.can.encoding import bus_image
-    from repro.traffic.schedule import build_schedule
-
-    for spec in specs:
-        try:
-            eof_length = _eof_length(spec)
-            for sub in build_schedule(spec):
-                bus_image(_submission_frame(spec, sub), eof_length)
-        except Exception:  # noqa: BLE001 - cache fill must never raise
-            continue
-
-
 def _eof_length(spec: TrafficSpec) -> int:
     from repro.traffic.run import _controller_config
 

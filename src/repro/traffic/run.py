@@ -13,14 +13,15 @@ windows' actual bit streams (active + drain), offsetting every event
 and delivery time by the cumulative length of the preceding windows.
 
 Windows are the sharding unit over ``repro.parallel``: each
-:class:`repro.parallel.tasks.TrafficWindowTask` is pure in (spec,
-window, submissions, noise child seed), so ``--jobs 1`` and
-``--jobs N`` produce bit-identical ledgers by construction.
+:func:`run_window` task is pure in (spec, window, submissions, noise
+child seed), so ``--jobs 1`` and ``--jobs N`` produce bit-identical
+ledgers by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -572,7 +573,6 @@ def run_traffic(
     """
     from repro.errors import ConfigurationError
     from repro.parallel.pool import run_tasks
-    from repro.parallel.tasks import TrafficWindowTask
 
     if backend not in ("engine", "batch"):
         raise ConfigurationError("unknown traffic backend %r" % (backend,))
@@ -585,11 +585,12 @@ def run_traffic(
     else:
         noise_children = [None] * spec.windows
     tasks = [
-        TrafficWindowTask(
-            spec=spec,
-            window=window,
-            submissions=tuple(per_window[window]),
-            noise_seed=noise_children[window],
+        partial(
+            run_window,
+            spec,
+            window,
+            tuple(per_window[window]),
+            noise_children[window],
             backend=backend,
         )
         for window in range(spec.windows)

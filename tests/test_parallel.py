@@ -7,10 +7,12 @@ path: ``record_bits=False`` runs reach the same scenario outcomes as
 ``record_bits=True``.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import monte_carlo_full, monte_carlo_tail
+from repro.analysis.montecarlo import monte_carlo_full, monte_carlo_tail, tail_chunk
 from repro.analysis.reliability import reliability_comparison, reliability_sweep
 from repro.analysis.sweeps import m_ablation
 from repro.analysis.verification import verify_consistency
@@ -23,7 +25,6 @@ from repro.can.fields import EOF
 import repro.parallel.pool as pool_module
 from repro.parallel.pool import cpu_count, effective_jobs, run_tasks, shutdown_pool
 from repro.parallel.seeds import adaptive_chunk, chunk_sizes, rng_from, spawn_seeds
-from repro.parallel.tasks import MonteCarloTailChunk
 from repro.simulation.engine import SimulationEngine
 
 
@@ -70,7 +71,8 @@ class TestPool:
 
     def test_run_tasks_preserves_order(self):
         tasks = [
-            MonteCarloTailChunk(
+            partial(
+                tail_chunk,
                 protocol="can",
                 m=5,
                 node_names=("tx", "r1", "r2"),
@@ -87,11 +89,9 @@ class TestPool:
         assert [part.trials for part in parallel] == [1, 2, 3, 4]
 
 
-class _BoomTask:
+def _boom():
     """Picklable task that fails inside the worker."""
-
-    def run(self):
-        raise RuntimeError("task failure")
+    raise RuntimeError("task failure")
 
 
 class TestPoolReuse:
@@ -99,7 +99,8 @@ class TestPoolReuse:
 
     def _tasks(self, count=3, seed=1):
         return [
-            MonteCarloTailChunk(
+            partial(
+                tail_chunk,
                 protocol="can",
                 m=5,
                 node_names=("tx", "r1", "r2"),
@@ -160,12 +161,46 @@ class TestPoolReuse:
                 part.flips_total for part in serial
             ]
 
+    def test_no_pool_falls_back_to_serial(self, monkeypatch):
+        def refuse(*args):
+            raise OSError("no semaphore support")
+
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context", refuse)
+        serial = run_tasks(self._tasks(seed=3), jobs=1)
+        fallback = run_tasks(self._tasks(seed=3), jobs=2)
+        assert pool_module._POOL is None
+        assert [part.flips_total for part in fallback] == [
+            part.flips_total for part in serial
+        ]
+
+    def test_sweeps_over_different_specs_share_the_pool(self, tmp_path):
+        from repro.sweep import ResultStore, SweepSpec, run_sweep
+
+        grid = dict(
+            m_values=(5,),
+            bit_rates=(500_000.0,),
+            bus_lengths_m=(30.0,),
+            payloads=(1,),
+            node_counts=(3,),
+            window=1,
+            max_flips=1,
+        )
+        first = SweepSpec(name="a", protocols=("can",), bers=(1e-5,), **grid)
+        second = SweepSpec(name="b", protocols=("majorcan",), bers=(1e-4,), **grid)
+        run_sweep(first, ResultStore(str(tmp_path / "a")), jobs=2)
+        created = pool_module._POOL
+        if created is None:
+            pytest.skip("platform cannot create process pools")
+        report = run_sweep(second, ResultStore(str(tmp_path / "b")), jobs=2)
+        assert report.evaluated == 1
+        assert pool_module._POOL is created, "a new spec must not rebuild the pool"
+
     def test_exception_discards_the_pool(self):
         run_tasks(self._tasks(), jobs=2)
         if pool_module._POOL is None:
             pytest.skip("platform cannot create process pools")
         with pytest.raises(RuntimeError):
-            run_tasks([_BoomTask()], jobs=2)
+            run_tasks([_boom], jobs=2)
         assert pool_module._POOL is None
 
 

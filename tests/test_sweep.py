@@ -500,6 +500,23 @@ class TestTrafficSurface:
             assert row["atomic"] is True
             assert 0.0 < row["bus_load"] <= 1.0
 
+    def test_noisy_fresh_runs_across_jobs_are_byte_identical(self, tmp_path):
+        # Each store is filled from scratch: serially, then on the pool.
+        spec = traffic_spec(
+            protocols=("majorcan",),
+            sources=("periodic", "poisson"),
+            noise_bers=(0.01, 0.0),
+        )
+        serial = ResultStore(str(tmp_path / "serial"))
+        pooled = ResultStore(str(tmp_path / "pooled"))
+        first = run_sweep(spec, serial, jobs=1)
+        second = run_sweep(spec, pooled, jobs=2)
+        assert first.evaluated == second.evaluated == spec.cell_count() == 4
+        assert first.backend_stats == second.backend_stats
+        assert first.digest == second.digest
+        assert serial.compacted_bytes() == pooled.compacted_bytes()
+        assert serial.compacted_bytes()  # non-empty
+
     def test_engine_and_batch_cells_agree(self, tmp_path):
         spec = traffic_spec(protocols=("majorcan",))
         batch_store = ResultStore(str(tmp_path / "b"))

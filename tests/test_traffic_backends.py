@@ -20,7 +20,6 @@ from repro.traffic import (
     window_backend,
     window_cache_stats,
 )
-from repro.traffic.batch import warm_traffic
 
 
 def _lines(outcome):
@@ -227,13 +226,3 @@ class TestWindowCache:
     def test_clear_resets_counters(self):
         clear_window_cache()
         assert window_cache_stats() == {"entries": 0, "hits": 0, "misses": 0}
-
-    def test_warm_traffic_primes_wire_images(self):
-        # warm_traffic is a cache fill: it must swallow every spec it
-        # is handed (even ones whose schedule cannot build) and leave
-        # subsequent batch runs bit-identical.
-        spec = _SEEDED_SPECS[1]
-        warm_traffic((spec,))
-        clear_window_cache()
-        warmed = run_traffic(spec, jobs=1, backend="batch")
-        assert _lines(warmed) == _lines(run_traffic(spec, jobs=1))
