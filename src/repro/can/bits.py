@@ -9,6 +9,7 @@ property underlies arbitration, acknowledgement, and error signalling.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Iterable, List, Sequence
 
 
@@ -95,6 +96,22 @@ def levels_to_string(levels: Iterable[Level]) -> str:
     active error flag renders as ``"dddddd"``.
     """
     return "".join(level.symbol for level in levels)
+
+
+#: Recessive bits after traffic that still count as busy bus time
+#: (delimiters, end of frame and intermission), when measuring load.
+BUSY_RECESSIVE_BITS = 12
+
+_IDLE_RUN = re.compile("r{%d,}" % (BUSY_RECESSIVE_BITS + 1))
+
+
+def count_busy_bits(symbols: str) -> int:
+    """Busy bits of a ``d``/``r`` trace: every dominant bit and the
+    first :data:`BUSY_RECESSIVE_BITS` bits of every recessive run."""
+    return len(symbols) - sum(
+        match.end() - match.start() - BUSY_RECESSIVE_BITS
+        for match in _IDLE_RUN.finditer(symbols)
+    )
 
 
 def levels_from_string(text: str) -> List[Level]:

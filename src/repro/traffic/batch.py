@@ -1,18 +1,31 @@
-"""Frame-granular batch evaluation of clean traffic windows.
+"""Closed-form rendering of traffic windows: the clean prefix.
 
-A window free of noise, bursts and higher-level protocols is fully
-determined by its submission schedule: identifiers are fixed per node,
-so arbitration under contention resolves deterministically (lowest
-identifier = lowest node index wins), every frame is acknowledged, no
-error flag ever fires, and the bus trace is the concatenation of the
-winners' cached :class:`repro.can.encoding.BusImage` wire images with
-recessive gaps in between.  :func:`run_window_batch` therefore replays
-the whole window with a priority-queue scheduler at bus-idle instants
-instead of stepping :class:`repro.simulation.engine.SimulationEngine`
-bit by bit, and reproduces the engine's observable surface *exactly* —
-bus string, per-node deliveries, event stream (times, payloads and
-merge order), backlog samples, busy-bit count and the drain-parity
-``SimulationError``.
+Every traffic window is a committed clean prefix, rendered here in
+closed form, followed by an engine suffix from cut tick ``s``
+(:func:`repro.traffic.run._run_engine_suffix`).  The window's
+``backend`` label names which half is empty:
+
+- ``"batch"`` — no suffix: a window free of noise, bursts and
+  higher-level protocols (or a noisy one whose mask never fires) is
+  fully determined by its submission schedule.  Identifiers are fixed
+  per node, so arbitration under contention resolves deterministically
+  (lowest identifier = lowest node index wins), every frame is
+  acknowledged, no error flag ever fires, and the bus trace is the
+  concatenation of the winners' cached
+  :class:`repro.can.encoding.BusImage` wire images with recessive gaps
+  in between.  A priority-queue scheduler at bus-idle instants
+  (:func:`_plan_frames`) lays out the frames and :func:`_render_prefix`
+  reproduces the engine's observable surface *exactly* — bus string,
+  per-node deliveries, event stream (times, payloads and merge order),
+  backlog samples and busy-bit count; :func:`_evaluate_window` adds
+  the drain-parity ``SimulationError``.
+- ``"resume"`` — both halves: :func:`_resume_window` commits the clean
+  frames that end before the first fault, renders them with the same
+  renderer and runs the engine suffix from the cut.
+- ``"engine"`` — no prefix (``s = 0``): nothing commits before the
+  first fault, the clean timeline overflows its drain budget, the
+  window runs a higher-level protocol, or the run asked for the engine
+  backend, which never plans or scans.
 
 Timing model (verified against the engine's step order — drive, bus
 resolve, ``on_bit``, tick hooks, ``time += 1``):
@@ -50,8 +63,17 @@ import heapq
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.can.bits import count_busy_bits
 from repro.can.events import Event, EventKind
 from repro.errors import SimulationError
+from repro.traffic.run import (
+    _BACKLOG_STRIDE,
+    _SETTLE_BITS,
+    WindowResult,
+    _controller_config,
+    _run_engine_suffix,
+    _submission_frame,
+)
 from repro.traffic.spec import Submission, TrafficSpec
 
 #: Version of the window-cache key schema.  Bump whenever the batch
@@ -59,15 +81,9 @@ from repro.traffic.spec import Submission, TrafficSpec
 #: window results.
 WINDOW_KEY_VERSION = 1
 
-#: Quiet bits a drained window ends with (``run._SETTLE_BITS``).
-_SETTLE_BITS = 12
-
 #: Bit times between a frame's last EOF bit and the next possible SOF:
 #: three intermission bits consumed, then the first idle drive instant.
 _TURNAROUND = 4
-
-#: Backlog sampling stride; mirrors ``run._BACKLOG_STRIDE``.
-_BACKLOG_STRIDE = 16
 
 #: Process-wide memo of evaluated windows, insertion-ordered for FIFO
 #: eviction.  Values are canonical :class:`WindowResult` objects; hits
@@ -152,24 +168,6 @@ def clear_window_cache() -> None:
     _CACHE_STATS["misses"] = 0
 
 
-def _eof_length(spec: TrafficSpec) -> int:
-    from repro.traffic.run import _controller_config
-
-    return _controller_config(spec).eof_length
-
-
-def _submission_frame(spec: TrafficSpec, sub: Submission):
-    """The exact frame the engine path would submit for ``sub``."""
-    from repro.can.frame import data_frame
-
-    return data_frame(
-        sub.identifier,
-        sub.payload,
-        message_id=sub.message_id,
-        origin=spec.node_names[sub.node_index],
-    )
-
-
 def _arbitration_divergence(loser_values, winner_values) -> int:
     """First wire position where the loser's program leaves the bus.
 
@@ -183,22 +181,6 @@ def _arbitration_divergence(loser_values, winner_values) -> int:
         if loser != winner:
             return position
     raise SimulationError("contending frames share an identifier")
-
-
-def _busy_symbols(symbols: str) -> int:
-    """Busy-bit count of a trace string, same idle rule as the engine:
-    dominant bits and the first twelve bits of every recessive run."""
-    busy = 0
-    idle_run = 0
-    for symbol in symbols:
-        if symbol == "d":
-            busy += 1
-            idle_run = 0
-        else:
-            idle_run += 1
-            if idle_run <= _SETTLE_BITS:
-                busy += 1
-    return busy
 
 
 def _max_sampled_backlog(
@@ -292,13 +274,11 @@ def _plan_frames(
     """Lay the window's frames on the clean timeline; no rendering.
 
     Returns the time-ordered frame plans and the window's total bit
-    length (active + drain), raising the engine's drain-parity
-    ``SimulationError`` when the clean timeline alone would overflow
-    the window's drain budget.
+    length (active + drain) on the clean timeline.
     """
     from repro.can.encoding import bus_image
 
-    eof_length = _eof_length(spec)
+    eof_length = _controller_config(spec).eof_length
     n_nodes = spec.n_nodes
     heads = [0] * n_nodes
     plans: List[_FramePlan] = []
@@ -330,31 +310,29 @@ def _plan_frames(
         total_bits = (
             max(spec.window_bits, plans[-1].t_end + _TURNAROUND - 1) + _SETTLE_BITS
         )
-    if total_bits - spec.window_bits > spec.max_window_bits:
-        raise SimulationError(
-            "bus did not become idle within %d bits" % spec.max_window_bits
-        )
     return plans, total_bits
 
 
-def _render_frames(
+def _render_prefix(
     spec: TrafficSpec,
+    window: int,
     queues: List[List[Tuple[int, object, Submission]]],
     plans: List[_FramePlan],
-):
-    """Engine-exact surface of the planned frames.
+    bits: int,
+) -> Tuple[WindowResult, List[int]]:
+    """Engine-exact surface of the planned frames over ticks ``0..bits``.
 
-    Returns ``(node_events, deliveries, completions, segments,
-    attempts)`` for exactly the frames in ``plans`` — the whole window
-    on the clean path, the committed prefix on the noisy resume path.
-    ``attempts`` is the per-node retry counter left standing after the
-    last plan (losers of committed arbitration rounds carry it into
-    the resumed engine so their next TX_START numbers identically).
+    The one closed-form renderer: the whole drained window on the clean
+    path, the committed prefix up to the cut on the resume path.
+    Returns the result (labelled ``"batch"``) and the per-node
+    arbitration attempt counters left standing after the last plan:
+    losers of committed rounds carry them into the engine suffix so
+    their next TX_START numbers identically.
     """
     from repro.can.frame import Frame
     from repro.can.encoding import bus_image
     from repro.can.identifiers import CanId
-    from repro.traffic.run import _controller_config
+    from repro.tracestore.recorder import event_record
 
     config = _controller_config(spec)
     eof_length = config.eof_length
@@ -369,7 +347,7 @@ def _render_frames(
     node_events: List[List[Event]] = [[] for _ in range(n_nodes)]
     deliveries: List[List[Tuple[str, int, int]]] = [[] for _ in range(n_nodes)]
     completions: List[List[int]] = [[] for _ in range(n_nodes)]
-    segments: List[Tuple[int, str]] = []
+    symbols = ["r"] * bits
 
     for plan in plans:
         t0 = plan.t0
@@ -463,29 +441,8 @@ def _render_frames(
         completions[winner].append(t_end)
         heads[winner] += 1
         attempts[winner] = 0
-        segments.append((t0, image.symbols))
+        symbols[t0 : t0 + image.length] = image.symbols
 
-    return node_events, deliveries, completions, segments, attempts
-
-
-def _evaluate_window(
-    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-):
-    """Closed-form replay of one clean window (see the module docs)."""
-    from repro.tracestore.recorder import event_record
-    from repro.traffic.run import WindowResult
-
-    names = spec.node_names
-    n_nodes = spec.n_nodes
-    queues = _local_queues(spec, window, submissions)
-    plans, total_bits = _plan_frames(spec, queues, len(submissions))
-    node_events, deliveries, completions, segments, _ = _render_frames(
-        spec, queues, plans
-    )
-
-    symbols = ["r"] * total_bits
-    for start, frame_symbols in segments:
-        symbols[start : start + len(frame_symbols)] = frame_symbols
     bus = "".join(symbols)
 
     merged = list(heapq.merge(*node_events, key=lambda event: event.time))
@@ -498,12 +455,14 @@ def _evaluate_window(
         else None
     )
 
+    # Arrivals at or after ``bits`` belong to the engine suffix, which
+    # samples them itself; the closed-form walk stops at its horizon.
     arrivals = [
-        [entry[0] for entry in node_queue] for node_queue in queues
+        [entry[0] for entry in node_queue if entry[0] < bits] for node_queue in queues
     ]
     return WindowResult(
         window=window,
-        bits=total_bits,
+        bits=bits,
         bus=bus,
         deliveries={
             names[index]: tuple(deliveries[index]) for index in range(n_nodes)
@@ -512,11 +471,28 @@ def _evaluate_window(
         events=events,
         ever_offline=(),
         offline_at_end=(),
-        max_backlog=_max_sampled_backlog(arrivals, completions, total_bits),
-        busy_bits=_busy_symbols(bus),
+        max_backlog=_max_sampled_backlog(arrivals, completions, bits),
+        busy_bits=count_busy_bits(bus),
         errors_injected=0,
         backend="batch",
-    )
+    ), attempts
+
+
+def _evaluate_window(
+    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
+) -> WindowResult:
+    """Closed-form replay of one clean window: all prefix, no suffix.
+
+    Raises the engine's drain-parity ``SimulationError`` when the clean
+    timeline alone overflows the window's drain budget.
+    """
+    queues = _local_queues(spec, window, submissions)
+    plans, total_bits = _plan_frames(spec, queues, len(submissions))
+    if total_bits - spec.window_bits > spec.max_window_bits:
+        raise SimulationError(
+            "bus did not become idle within %d bits" % spec.max_window_bits
+        )
+    return _render_prefix(spec, window, queues, plans, total_bits)[0]
 
 
 def run_window_batch(
@@ -566,37 +542,34 @@ def run_window_noisy(
     window: int,
     submissions: Tuple[Submission, ...],
     noise_seed,
-):
-    """Vectorised dispatch of one noisy/burst window (ISSUE 10).
+) -> WindowResult:
+    """Vectorised dispatch of one noisy/burst window.
 
     Draws the window's whole noise mask in the engine's stream order
     (one uniform per noise-eligible node per tick over the fault-free
     timeline) and thresholds it against the BER.  A zero-fault window
     *is* the clean window, so it resolves through the memoised batch
-    evaluator with no simulation; a window whose mask fires — or whose
-    scheduled burst lands inside the clean timeline — commits the
-    clean frames that provably finish before the first fault and
-    re-enters the engine from the cut point with the generator
-    advanced to the same stream position, so error cascades and the
-    shifted downstream schedule are exactly the engine's.  Falls back
-    to a plain engine run when nothing can be committed (fault at the
-    window start) or when even the clean timeline overflows the drain
-    budget (only the engine reproduces the exact overflow surface).
+    evaluator with no simulation (no suffix).  A window whose mask
+    fires — or whose scheduled burst lands inside the clean timeline —
+    goes to :func:`_resume_window` with its first fault tick.  When even
+    the clean timeline overflows the drain budget, only the engine
+    reproduces the exact overflow surface, so the window resumes from a
+    fault at tick 0: an empty prefix.
     """
     from repro.analysis.noisebatch import first_flip, generator_state, restore_state
-    from repro.traffic.run import _run_window_engine
 
-    try:
-        clean = run_window_batch(spec, window, submissions)
-    except SimulationError:
-        return _run_window_engine(spec, window, submissions, noise_seed)
-    draw_width = _noise_draw_width(spec)
     rng = None
-    fault_tick = None
-    if draw_width:
+    if spec.noise_ber > 0.0:
         from repro.parallel.seeds import rng_from
 
         rng = rng_from(noise_seed)
+    draw_width = _noise_draw_width(spec)
+    try:
+        clean = run_window_batch(spec, window, submissions)
+    except SimulationError:
+        return _resume_window(spec, window, submissions, rng, draw_width, 0)
+    fault_tick = None
+    if draw_width:
         state = generator_state(rng)
         flip = first_flip(rng, clean.bits * draw_width, spec.noise_ber)
         restore_state(rng, state)
@@ -609,21 +582,18 @@ def run_window_noisy(
             fault_tick = burst.start
     if fault_tick is None:
         return clean
-    return _resume_window(
-        spec, window, submissions, noise_seed, rng, draw_width, fault_tick
-    )
+    return _resume_window(spec, window, submissions, rng, draw_width, fault_tick)
 
 
 def _resume_window(
     spec: TrafficSpec,
     window: int,
     submissions: Tuple[Submission, ...],
-    noise_seed,
     rng,
     draw_width: int,
     fault_tick: int,
-):
-    """Engine run of a faulted window, resumed from the last safe cut.
+) -> WindowResult:
+    """A faulted window: the clean prefix up to the cut, then the engine.
 
     The clean timeline is committed frame by frame while a frame's
     whole extent *including its three intermission bits* ends strictly
@@ -632,198 +602,64 @@ def _resume_window(
     at the cut, and every committed tick is provably fault-free.  The
     cut ``s`` is the latest tick with those guarantees: the first
     fault tick itself, clamped below the next uncommitted frame's SOF.
-    A fresh engine then replays global ticks ``s..`` at local ``0..``
-    with (a) the generator fast-forwarded ``s * draw_width`` draws, (b)
-    uncommitted submissions re-queued at ``max(0, arrival - s)``, (c)
-    carried arbitration attempt counters restored, and (d) bursts
-    shifted by ``s``; the surfaces are spliced (prefix events strictly
-    precede tick ``s``, so concatenation is the engine's heap merge).
+    The engine suffix then runs window ticks ``s..`` with (a) the
+    generator fast-forwarded ``s * draw_width`` draws, (b) uncommitted
+    submissions re-queued at ``max(0, arrival - s)``, (c) carried
+    arbitration attempt counters restored and (d) bursts shifted by
+    ``s``.  The halves are spliced (prefix events strictly precede tick
+    ``s``, so concatenation is the engine's heap merge).  At ``s = 0``
+    nothing commits and the suffix is the whole window (``"engine"``).
     """
     from repro.analysis.noisebatch import advance
-    from repro.can.events import EventKind
-    from repro.faults.scenarios import make_controller
-    from repro.simulation.engine import SimulationEngine
-    from repro.tracestore.recorder import event_record
-    from repro.traffic.run import (
-        WindowResult,
-        _controller_config,
-        _decode_wire_key,
-        _run_window_engine,
-    )
 
     queues = _local_queues(spec, window, submissions)
     plans, _ = _plan_frames(spec, queues, len(submissions))
-    committed: List[_FramePlan] = []
-    for plan in plans:
-        if plan.t_end + _TURNAROUND - 1 < fault_tick:
-            committed.append(plan)
-        else:
-            break
-    if len(committed) < len(plans):
-        cut = min(fault_tick, plans[len(committed)].t0 - 1)
-    else:
-        cut = fault_tick
-    if cut <= 0:
-        # Nothing commits: the resume would be a full engine run, so
-        # run (and account) it as one.
-        return _run_window_engine(spec, window, submissions, noise_seed)
+    committed = 0
+    while (
+        committed < len(plans)
+        and plans[committed].t_end + _TURNAROUND - 1 < fault_tick
+    ):
+        committed += 1
+    cut = fault_tick
+    if committed < len(plans):
+        cut = min(cut, plans[committed].t0 - 1)
+    prefix, attempts = _render_prefix(spec, window, queues, plans[:committed], cut)
 
-    names = spec.node_names
-    n_nodes = spec.n_nodes
-    node_events, deliveries, completions, segments, attempts_carry = _render_frames(
-        spec, queues, committed
-    )
-    heads = [0] * n_nodes
-    for plan in committed:
+    # Uncommitted submissions re-enter the suffix at shifted times; a
+    # stable (time, node) sort preserves each node's queue order, which
+    # is all the per-node controllers can observe.
+    heads = [0] * spec.n_nodes
+    for plan in plans[:committed]:
         heads[plan.winner] += 1
-
-    # Uncommitted submissions re-enter the resumed engine at shifted
-    # times; a stable (time, node) sort preserves each node's queue
-    # order, which is all the per-node controllers can observe.
-    carried: List[Tuple[int, int, object]] = []
-    for index in range(n_nodes):
-        for arrival, frame, _ in queues[index][heads[index]:]:
-            carried.append((max(0, arrival - cut), index, frame))
-    carried.sort(key=lambda item: (item[0], item[1]))
-
-    injectors: List[object] = []
-    if rng is not None:
-        from repro.faults.bit_errors import RandomViewErrorInjector
-
-        advance(rng, cut * draw_width)
-        injectors.append(
-            RandomViewErrorInjector(
-                spec.noise_ber, seed=rng, only_nodes=spec.noise_nodes
-            )
-        )
-    for burst in spec.bursts_for_window(window):
-        from repro.faults.bit_errors import BurstViewErrorInjector
-
-        injectors.append(
-            BurstViewErrorInjector(burst.node, burst.start - cut, burst.length)
-        )
-    if not injectors:
-        injector = None
-    elif len(injectors) == 1:
-        injector = injectors[0]
-    else:
-        from repro.faults.injector import CompositeInjector
-
-        injector = CompositeInjector(list(injectors))
-
-    config = _controller_config(spec)
-    controllers = [
-        make_controller(spec.protocol, name, m=spec.m, config=config)
-        for name in names
-    ]
-    engine = SimulationEngine(controllers, injector=injector, record_bits=False)
-
-    cursor = [0]
-
-    def _submit(now: int) -> None:
-        index = cursor[0]
-        while index < len(carried) and carried[index][0] == now:
-            _, node_index, frame = carried[index]
-            controllers[node_index].submit(frame)
-            index += 1
-        cursor[0] = index
-        if now == 0:
-            # Losers of committed arbitration rounds retry with their
-            # attempt counters intact, so resumed TX_START/TX_SUCCESS
-            # events number exactly like the engine's.
-            for node_index, carry in enumerate(attempts_carry):
-                if carry and controllers[node_index].tx_queue:
-                    controllers[node_index].tx_queue[0].attempts = carry
-
-    backlog = [0]
-
-    def _sample_backlog(now: int) -> None:
-        if (now + cut) & (_BACKLOG_STRIDE - 1) == 0:
-            depth = max(c.pending_transmissions for c in controllers)
-            if depth > backlog[0]:
-                backlog[0] = depth
-
-    engine.add_tick_hook(_submit)
-    engine.add_tick_hook(_sample_backlog)
-
-    try:
-        if cut < spec.window_bits:
-            engine.run(spec.window_bits - cut)
-            drain_budget = spec.max_window_bits
-        else:
-            # The committed prefix already spent part of the drain
-            # budget; the resumed engine gets exactly the remainder.
-            drain_budget = spec.max_window_bits - (cut - spec.window_bits)
-        engine.run_until_idle(max_bits=drain_budget, settle_bits=_SETTLE_BITS)
-    except SimulationError as exc:
-        if str(exc).startswith("bus did not become idle"):
-            raise SimulationError(
-                "bus did not become idle within %d bits" % spec.max_window_bits
-            )
-        raise
-
-    trace = engine.collect_events()
-    prefix_events = list(heapq.merge(*node_events, key=lambda event: event.time))
-    event_counts: Dict[str, int] = {}
-    for event in prefix_events:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    for event in trace.events:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    events: Optional[Tuple[dict, ...]] = None
-    if spec.record_events:
-        records = [event_record(event) for event in prefix_events]
-        for event in trace.events:
-            record = event_record(event)
-            record["t"] += cut
-            records.append(record)
-        events = tuple(records)
-
-    merged_deliveries: Dict[str, Tuple[Tuple[str, int, int], ...]] = {}
-    for index, name in enumerate(names):
-        rows = list(deliveries[index])
-        for delivery in controllers[index].deliveries:
-            key = _decode_wire_key(delivery.frame, n_nodes)
-            if key is not None:
-                rows.append((key[0], key[1], delivery.time + cut))
-        merged_deliveries[name] = tuple(rows)
-
-    prefix_symbols = ["r"] * cut
-    for start, frame_symbols in segments:
-        prefix_symbols[start : start + len(frame_symbols)] = frame_symbols
-    bus = "".join(prefix_symbols) + "".join(
-        level.symbol for level in engine.bus.history
-    )
-
-    ever_offline = sorted(
-        {
-            event.node
-            for event in trace.events
-            if event.kind
-            in (EventKind.BUS_OFF, EventKind.CRASHED, EventKind.DISCONNECTED)
-        }
-        | {c.name for c in controllers if c.offline}
-    )
-    # Prefix depth only: arrivals at or after the cut are re-submitted
-    # into the resumed engine (at ``max(0, arrival - cut)``) and show
-    # up through its own sampler, so the closed-form walk stops at the
-    # cut — it must never see ticks beyond its ``total_bits`` horizon.
-    arrivals = [
-        [entry[0] for entry in node_queue if entry[0] < cut] for node_queue in queues
-    ]
-
-    return WindowResult(
-        window=window,
-        bits=cut + engine.time,
-        bus=bus,
-        deliveries=merged_deliveries,
-        event_counts=event_counts,
-        events=events,
-        ever_offline=tuple(ever_offline),
-        offline_at_end=tuple(c.name for c in controllers if c.offline),
-        max_backlog=max(
-            _max_sampled_backlog(arrivals, completions, cut), backlog[0]
+    pending = sorted(
+        (
+            (max(0, arrival - cut), sub)
+            for node_queue, head in zip(queues, heads)
+            for arrival, _, sub in node_queue[head:]
         ),
-        busy_bits=_busy_symbols(bus),
-        errors_injected=sum(getattr(part, "injected", 0) for part in injectors),
+        key=lambda item: (item[0], item[1].node_index),
+    )
+    if rng is not None:
+        advance(rng, cut * draw_width)
+    suffix = _run_engine_suffix(spec, window, pending, rng, cut, tuple(attempts))
+    if not cut:
+        return suffix
+
+    bus = prefix.bus + suffix.bus
+    event_counts = dict(prefix.event_counts)
+    for kind, count in suffix.event_counts.items():
+        event_counts[kind] = event_counts.get(kind, 0) + count
+    return replace(
+        suffix,
+        bits=cut + suffix.bits,
+        bus=bus,
+        deliveries={
+            name: prefix.deliveries[name] + rows
+            for name, rows in suffix.deliveries.items()
+        },
+        event_counts=event_counts,
+        events=None if suffix.events is None else prefix.events + suffix.events,
+        max_backlog=max(prefix.max_backlog, suffix.max_backlog),
+        busy_bits=count_busy_bits(bus),
         backend="resume",
     )

@@ -4,13 +4,16 @@ Run model
 ---------
 
 A run is ``spec.windows`` independent time segments.  Each window
-builds a fresh network from idle, submits its slice of the global
-schedule at window-local bit times while ``engine.time <
-spec.window_bits``, then *drains*: ``run_until_idle`` keeps the bus
-alive until every online controller is quiet, so no message is cut off
-at a window boundary.  The spliced global trace concatenates the
-windows' actual bit streams (active + drain), offsetting every event
-and delivery time by the cumulative length of the preceding windows.
+starts from idle, submits its slice of the global schedule at
+window-local bit times before ``spec.window_bits``, then *drains*: the
+bus stays alive until every online controller is quiet, so no message
+is cut off at a window boundary.  A window is a clean prefix rendered
+in closed form (:mod:`repro.traffic.batch`) followed by an engine
+suffix from cut tick ``s``; :func:`_run_engine_suffix` is the one
+per-bit engine driver, and the engine backend runs it from ``s = 0``.
+The spliced global trace concatenates the windows' actual bit streams
+(active + drain), offsetting every event and delivery time by the
+cumulative length of the preceding windows.
 
 Windows are the sharding unit over ``repro.parallel``: each
 :func:`run_window` task is pure in (spec, window, submissions, noise
@@ -58,10 +61,10 @@ class WindowResult:
     max_backlog: int
     busy_bits: int
     errors_injected: int
-    #: Which evaluator produced this window: ``"engine"`` (per-bit run),
-    #: ``"batch"`` (closed-form clean replay, incl. zero-flip noisy
-    #: windows) or ``"resume"`` (clean prefix + engine from the fault
-    #: point).  Aggregated into :attr:`TrafficOutcome.backend_stats`.
+    #: Which half of the window is empty: ``"batch"`` (closed-form
+    #: clean prefix only, incl. zero-flip noisy windows), ``"engine"``
+    #: (engine suffix from tick 0, no prefix) or ``"resume"`` (both).
+    #: Aggregated into :attr:`TrafficOutcome.backend_stats`.
     backend: str = "engine"
 
 
@@ -178,50 +181,6 @@ def _controller_config(spec: TrafficSpec):
     )
 
 
-def _window_injector(spec: TrafficSpec, window: int, noise_seed):
-    """Compose the window's fault injector (noise + bursts); None if none."""
-    injectors = []
-    if spec.noise_ber > 0.0:
-        from repro.faults.bit_errors import RandomViewErrorInjector
-        from repro.parallel.seeds import rng_from
-
-        injectors.append(
-            RandomViewErrorInjector(
-                spec.noise_ber,
-                seed=rng_from(noise_seed),
-                only_nodes=spec.noise_nodes,
-            )
-        )
-    for burst in spec.bursts_for_window(window):
-        from repro.faults.bit_errors import BurstViewErrorInjector
-
-        injectors.append(
-            BurstViewErrorInjector(burst.node, burst.start, burst.length)
-        )
-    if not injectors:
-        return None, ()
-    if len(injectors) == 1:
-        return injectors[0], tuple(injectors)
-    from repro.faults.injector import CompositeInjector
-
-    return CompositeInjector(injectors), tuple(injectors)
-
-
-def _busy_bits(history) -> int:
-    """Busy bit count with the same idle rule as ``measured_bus_load``."""
-    busy = 0
-    idle_run = 0
-    for level in history:
-        if level.value == 0:
-            busy += 1
-            idle_run = 0
-        else:
-            idle_run += 1
-            if idle_run <= 12:
-                busy += 1
-    return busy
-
-
 def _decode_wire_key(frame, n_nodes: int) -> Optional[Tuple[str, int]]:
     """(origin, seq) of a traffic data frame; None for foreign frames."""
     index = frame.can_id.value - ID_BASE
@@ -229,6 +188,18 @@ def _decode_wire_key(frame, n_nodes: int) -> Optional[Tuple[str, int]]:
     if frame.remote or not 0 <= index < n_nodes or len(data) < 2:
         return None
     return ("n%d" % index, data[0] | (data[1] << 8))
+
+
+def _submission_frame(spec: TrafficSpec, sub: Submission):
+    """The data frame a node submits for ``sub``."""
+    from repro.can.frame import data_frame
+
+    return data_frame(
+        sub.identifier,
+        sub.payload,
+        message_id=sub.message_id,
+        origin=spec.node_names[sub.node_index],
+    )
 
 
 def run_window(
@@ -243,10 +214,16 @@ def run_window(
     ``submissions`` is the window's slice of the global schedule (still
     carrying global nominal times); ``noise_seed`` the spawned child
     seed for this window's noise injector (None when noise is off).
-    ``backend="batch"`` routes fault-free windows through the
-    frame-granular evaluator and noisy/burst windows through the
-    vectorised noise dispatch (:mod:`repro.traffic.batch`); only HLP
-    windows always run on the engine.
+
+    Every window is a committed clean prefix, rendered in closed form,
+    followed by an engine suffix from cut tick ``s``; the result's
+    ``backend`` names which half is empty.  ``backend="engine"`` runs
+    the suffix from ``s = 0`` (empty prefix, labelled ``"engine"``).
+    ``backend="batch"`` renders fault-free windows as prefix only
+    (``"batch"``) and hands noisy/burst windows to the noise scan of
+    :mod:`repro.traffic.batch`, which cuts before the first fault
+    (``"resume"``, or ``"engine"`` when nothing commits before it).
+    HLP windows always run from ``s = 0``.
     """
     if backend == "batch":
         from repro.traffic.batch import (
@@ -260,29 +237,65 @@ def run_window(
             return run_window_batch(spec, window, submissions)
         if chosen == "noise":
             return run_window_noisy(spec, window, submissions, noise_seed)
-    return _run_window_engine(spec, window, submissions, noise_seed)
+    offset = window * spec.window_bits
+    rng = None
+    if spec.noise_ber > 0.0:
+        from repro.parallel.seeds import rng_from
+
+        rng = rng_from(noise_seed)
+    return _run_engine_suffix(
+        spec, window, [(sub.time - offset, sub) for sub in submissions], rng
+    )
 
 
-def _run_window_engine(
+def _run_engine_suffix(
     spec: TrafficSpec,
     window: int,
-    submissions: Tuple[Submission, ...],
-    noise_seed=None,
+    pending: List[Tuple[int, Submission]],
+    rng=None,
+    cut: int = 0,
+    attempts: Tuple[int, ...] = (),
 ) -> WindowResult:
-    """The per-bit engine evaluation of one window (see ``run_window``)."""
+    """The per-bit engine run of a window from window-local tick ``cut``.
+
+    ``pending`` holds the ``(tick, submission)`` pairs still to submit,
+    ticks counted from the cut and in submission order; ``rng`` is the
+    noise generator already advanced to the cut (None when noise is
+    off); ``attempts`` the arbitration attempt counters the nodes'
+    head-of-queue frames carry into the suffix.  Bursts are shifted by
+    the cut.  The result covers ticks ``cut..`` only — ``bits`` and
+    ``bus`` are the suffix's — with every time on the window's clock,
+    labelled ``"engine"``.
+    """
+    from repro.can.bits import count_busy_bits
+    from repro.can.events import EventKind
     from repro.faults.scenarios import make_controller
     from repro.simulation.engine import SimulationEngine
     from repro.tracestore.recorder import event_record
 
-    config = _controller_config(spec)
-    injector, injector_parts = _window_injector(spec, window, noise_seed)
-    offset = window * spec.window_bits
-    local = [
-        (sub.time - offset, sub.node_index, sub.seq, sub.payload,
-         sub.identifier, sub.message_id)
-        for sub in submissions
-    ]
+    injectors: List[object] = []
+    if rng is not None:
+        from repro.faults.bit_errors import RandomViewErrorInjector
 
+        injectors.append(
+            RandomViewErrorInjector(
+                spec.noise_ber, seed=rng, only_nodes=spec.noise_nodes
+            )
+        )
+    for burst in spec.bursts_for_window(window):
+        from repro.faults.bit_errors import BurstViewErrorInjector
+
+        injectors.append(
+            BurstViewErrorInjector(burst.node, burst.start - cut, burst.length)
+        )
+    if len(injectors) > 1:
+        from repro.faults.injector import CompositeInjector
+
+        injector = CompositeInjector(injectors)
+    else:
+        injector = injectors[0] if injectors else None
+
+    config = _controller_config(spec)
     app_nodes = None
     if spec.hlp is None:
         controllers = [
@@ -305,48 +318,40 @@ def _run_window_engine(
         )
         controllers = [node.controller for node in app_nodes]
         first_seq: Dict[int, int] = {}
-        for _, node_index, seq, _, _, _ in local:
-            first_seq.setdefault(node_index, seq)
+        for _, sub in pending:
+            first_seq.setdefault(sub.node_index, sub.seq)
         for node_index, seq in first_seq.items():
             app_nodes[node_index].advance_sequence_to(seq)
 
     cursor = [0]
-    if spec.hlp is None:
-        from repro.can.frame import data_frame
 
-        def _submit(now: int) -> None:
-            index = cursor[0]
-            while index < len(local) and local[index][0] == now:
-                _, node_index, seq, payload, identifier, message_id = local[index]
-                controllers[node_index].submit(
-                    data_frame(
-                        identifier,
-                        payload,
-                        message_id=message_id,
-                        origin=spec.node_names[node_index],
-                    )
-                )
-                index += 1
-            cursor[0] = index
-    else:
-
-        def _submit(now: int) -> None:
-            index = cursor[0]
-            while index < len(local) and local[index][0] == now:
-                _, node_index, seq, payload, _, _ = local[index]
-                message = app_nodes[node_index].broadcast(payload)
-                if message.seq != seq:
+    def _submit(now: int) -> None:
+        index = cursor[0]
+        while index < len(pending) and pending[index][0] == now:
+            sub = pending[index][1]
+            if app_nodes is None:
+                controllers[sub.node_index].submit(_submission_frame(spec, sub))
+            else:
+                message = app_nodes[sub.node_index].broadcast(sub.payload)
+                if message.seq != sub.seq:
                     raise SimulationError(
                         "window %d: node n%d minted seq %d for scheduled seq %d"
-                        % (window, node_index, message.seq, seq)
+                        % (window, sub.node_index, message.seq, sub.seq)
                     )
-                index += 1
-            cursor[0] = index
+            index += 1
+        cursor[0] = index
+        if now == 0:
+            # Losers of committed arbitration rounds retry with their
+            # attempt counters intact, so the suffix's TX_START and
+            # TX_SUCCESS events number exactly like a run from idle.
+            for controller, carry in zip(controllers, attempts):
+                if carry and controller.tx_queue:
+                    controller.tx_queue[0].attempts = carry
 
     backlog = [0]
 
     def _sample_backlog(now: int) -> None:
-        if now & (_BACKLOG_STRIDE - 1) == 0:
+        if (now + cut) & (_BACKLOG_STRIDE - 1) == 0:
             depth = max(c.pending_transmissions for c in controllers)
             if depth > backlog[0]:
                 backlog[0] = depth
@@ -354,39 +359,50 @@ def _run_window_engine(
     engine.add_tick_hook(_submit)
     engine.add_tick_hook(_sample_backlog)
 
-    engine.run(spec.window_bits)
-    settle = _SETTLE_BITS_HLP if spec.hlp else _SETTLE_BITS
-    engine.run_until_idle(max_bits=spec.max_window_bits, settle_bits=settle)
+    engine.run(max(0, spec.window_bits - cut))
+    try:
+        # A prefix reaching into the drain has spent part of its budget.
+        engine.run_until_idle(
+            max_bits=spec.max_window_bits - max(0, cut - spec.window_bits),
+            settle_bits=_SETTLE_BITS_HLP if spec.hlp else _SETTLE_BITS,
+        )
+    except SimulationError as exc:
+        if not str(exc).startswith("bus did not become idle"):
+            raise
+        raise SimulationError(
+            "bus did not become idle within %d bits" % spec.max_window_bits
+        )
 
     trace = engine.collect_events()
     event_counts: Dict[str, int] = {}
     for event in trace.events:
         event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    events = (
-        tuple(event_record(event) for event in trace.events)
-        if spec.record_events
-        else None
-    )
+    events: Optional[Tuple[dict, ...]] = None
+    if spec.record_events:
+        records = []
+        for event in trace.events:
+            record = event_record(event)
+            record["t"] += cut
+            records.append(record)
+        events = tuple(records)
 
     deliveries: Dict[str, Tuple[Tuple[str, int, int], ...]] = {}
-    if spec.hlp is None:
+    if app_nodes is None:
         for controller in controllers:
             rows = []
             for delivery in controller.deliveries:
                 key = _decode_wire_key(delivery.frame, spec.n_nodes)
                 if key is not None:
-                    rows.append((key[0], key[1], delivery.time))
+                    rows.append((key[0], key[1], delivery.time + cut))
             deliveries[controller.name] = tuple(rows)
     else:
         for node in app_nodes:
-            rows = []
-            for (origin_id, seq), delivery in zip(
-                node.delivered_keys, node.app_deliveries
-            ):
-                rows.append(("n%d" % origin_id, seq, delivery.time))
-            deliveries[node.name] = tuple(rows)
-
-    from repro.can.events import EventKind
+            deliveries[node.name] = tuple(
+                ("n%d" % origin_id, seq, delivery.time + cut)
+                for (origin_id, seq), delivery in zip(
+                    node.delivered_keys, node.app_deliveries
+                )
+            )
 
     ever_offline = sorted(
         {
@@ -397,21 +413,19 @@ def _run_window_engine(
         }
         | {c.name for c in controllers if c.offline}
     )
-    offline_at_end = tuple(c.name for c in controllers if c.offline)
-    injected = sum(getattr(part, "injected", 0) for part in injector_parts)
-
+    bus = "".join(level.symbol for level in engine.bus.history)
     return WindowResult(
         window=window,
         bits=engine.time,
-        bus="".join(level.symbol for level in engine.bus.history),
+        bus=bus,
         deliveries=deliveries,
         event_counts=event_counts,
         events=events,
         ever_offline=tuple(ever_offline),
-        offline_at_end=offline_at_end,
+        offline_at_end=tuple(c.name for c in controllers if c.offline),
         max_backlog=backlog[0],
-        busy_bits=_busy_bits(engine.bus.history),
-        errors_injected=injected,
+        busy_bits=count_busy_bits(bus),
+        errors_injected=sum(getattr(part, "injected", 0) for part in injectors),
         backend="engine",
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from repro.can.bits import count_busy_bits, levels_to_string
 from repro.can.controller import CanController
 from repro.can.frame import data_frame
 from repro.errors import ConfigurationError
@@ -138,14 +139,4 @@ def measured_bus_load(engine: SimulationEngine, start: int = 0) -> float:
     history = engine.bus.history[start:]
     if not history:
         return 0.0
-    busy = 0
-    idle_run = 0
-    for level in history:
-        if level.value == 0:
-            busy += 1
-            idle_run = 0
-        else:
-            idle_run += 1
-            if idle_run <= 12:
-                busy += 1
-    return busy / len(history)
+    return count_busy_bits(levels_to_string(history)) / len(history)

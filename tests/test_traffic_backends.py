@@ -14,8 +14,10 @@ from repro.metrics.export import json_line
 from repro.traffic import (
     BurstSpec,
     TrafficSpec,
+    build_schedule,
     clear_window_cache,
     run_traffic,
+    run_window,
     traffic_records,
     window_backend,
     window_cache_stats,
@@ -178,6 +180,31 @@ class TestFallbackAccounting:
         batch = run_traffic(spec, jobs=1, backend="batch")
         assert batch.backend_stats == {"batch": 2, "resume": 1}
         assert _lines(batch) == _lines(run_traffic(spec, jobs=1))
+
+    def test_fault_before_the_first_frame_runs_the_window_on_the_engine(self):
+        # A burst at tick 0 leaves nothing to commit (cut 0): the window
+        # is all engine suffix and must carry the engine's label.
+        spec = TrafficSpec(
+            name="burst-at-zero",
+            protocol="majorcan",
+            m=5,
+            n_nodes=3,
+            windows=2,
+            window_bits=800,
+            load=0.7,
+            seed=13,
+            bursts=(BurstSpec(node="n1", window=1, start=0, length=6),),
+        )
+        clear_window_cache()
+        batch = run_traffic(spec, jobs=1, backend="batch")
+        assert batch.backend_stats == {"batch": 1, "engine": 1}
+        assert _lines(batch) == _lines(run_traffic(spec, jobs=1))
+        submissions = tuple(
+            sub for sub in build_schedule(spec) if sub.window == 1
+        )
+        assert run_window(spec, 1, submissions, backend="batch") == run_window(
+            spec, 1, submissions
+        )
 
     def test_noisy_windows_route_to_the_noise_evaluator(self):
         spec = TrafficSpec(
