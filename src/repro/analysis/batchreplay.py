@@ -763,10 +763,15 @@ _ARRAY_BREAK_EVEN = 96
 
 
 def clear_caches() -> None:
-    """Empty the process-wide verdict caches (benchmarks and tests)."""
+    """Empty the process-wide verdict caches (benchmarks and tests),
+    including the per-universe tail-pattern verdicts of
+    :mod:`repro.analysis.enumeration`."""
+    from repro.analysis.enumeration import tail_verdicts
+
     _HEADER_CLASS_CACHE.clear()
     _REDUCED_CACHE.clear()
     _COMBO_CACHE.clear()
+    tail_verdicts.cache_clear()
 
 
 def _reduced_class_run(

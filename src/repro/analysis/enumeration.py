@@ -16,13 +16,29 @@ This serves two purposes:
   equation 4's prediction and converges to it as ``ber* -> 0``;
 * it catalogues *all* tail patterns that break consistency at a given
   window size, which the closed form does not enumerate.
+
+An enumeration runs in two steps:
+
+* the **verdict step** (:func:`tail_verdicts`) builds the sites and
+  patterns and classifies each one.  Its verdicts depend only on
+  ``(protocol, n_nodes, window, m, max_flips, payload)``; on the batch
+  backend it is memoised per process with :func:`functools.lru_cache`,
+  whose key is exactly that signature, so a design sweep classifies
+  each universe once and every further cell of it (another BER, bit
+  rate or bus length) only re-weights it.  The engine backend is the
+  oracle and simulates on every call;
+  :func:`repro.analysis.batchreplay.clear_caches` empties the cache;
+* the **weighting step** (:meth:`EnumerationResult.probability`) turns
+  ``ber*`` and ``tau_data`` into per-frame probabilities, weighting
+  each pattern by its flip count as equation 4 does.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.can.controller import CanController
 from repro.can.fields import EOF
@@ -35,7 +51,7 @@ from repro.faults.scenarios import make_controller, run_single_frame_scenario
 Pattern = Tuple[Tuple[int, int], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternOutcome:
     """Simulation verdict for one tail error pattern."""
 
@@ -72,9 +88,18 @@ class EnumerationResult:
         return (b**flips) * ((1 - b) ** (tail_bits - flips)) * ((1 - b) ** rest_bits)
 
     def probability(self, selector: Callable[[PatternOutcome], bool]) -> float:
-        """Exact per-frame probability of the outcomes matching ``selector``."""
+        """Exact per-frame probability of the outcomes matching ``selector``.
+
+        This is the weighting step: a pattern's weight depends only on
+        its flip count, so each count is weighted once, and the sum runs
+        over the patterns in enumeration order.
+        """
+        weights = [
+            self._probability_of(flips)
+            for flips in range(self.n_nodes * self.window + 1)
+        ]
         return sum(
-            self._probability_of(len(outcome.pattern))
+            weights[len(outcome.pattern)]
             for outcome in self.outcomes
             if selector(outcome)
         )
@@ -127,7 +152,9 @@ def enumerate_tail_patterns(
     backend:
         ``"engine"`` simulates every pattern; ``"batch"`` classifies
         them with the vectorised tail replay of
-        :mod:`repro.analysis.batchreplay` (identical outcomes).
+        :mod:`repro.analysis.batchreplay` (identical outcomes) and
+        reuses the verdicts of a universe it already classified in this
+        process.
     payload:
         Data bytes of the simulated frame.  The tail-window outcomes do
         not depend on it, but the design-space sweeps pass each cell's
@@ -136,6 +163,45 @@ def enumerate_tail_patterns(
     """
     if backend not in ("engine", "batch"):
         raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
+    # The verdict step is the same function on both backends; only the
+    # batch one goes through its cache (the engine is the oracle).
+    classify = tail_verdicts if backend == "batch" else tail_verdicts.__wrapped__
+    outcomes, stats = classify(protocol, n_nodes, window, m, max_flips, payload, backend)
+    return EnumerationResult(
+        protocol=protocol,
+        n_nodes=n_nodes,
+        window=window,
+        tau_data=tau_data,
+        ber_star=ber_star,
+        outcomes=list(outcomes),
+        backend_stats=dict(stats) if stats is not None else None,
+    )
+
+
+#: Most tail-pattern universes the batch backend keeps classified per
+#: process.  A universe holds at most a few thousand tiny outcomes, and
+#: a design sweep visits one per (protocol, m, payload, node count).
+VERDICT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
+def tail_verdicts(
+    protocol: str,
+    n_nodes: int,
+    window: int,
+    m: int,
+    max_flips: Optional[int],
+    payload: bytes,
+    backend: str,
+) -> Tuple[Tuple[PatternOutcome, ...], Optional[Dict[str, int]]]:
+    """Classify every tail pattern of one universe: the verdict step.
+
+    A pure function of its arguments (``ber*`` and ``tau_data`` only
+    weight the verdicts), so its signature is the cache key.  Returns
+    the outcomes in enumeration order and the batch provenance counters
+    (``None`` on the engine).  Callers must not mutate either: on the
+    batch backend they are shared by every result of the universe.
+    """
     if n_nodes < 2:
         raise AnalysisError("need at least a transmitter and a receiver")
     probe = make_controller(protocol, "probe", m=m)
@@ -150,46 +216,38 @@ def enumerate_tail_patterns(
         for node_index in range(n_nodes)
         for offset in range(window)
     ]
-    result = EnumerationResult(
-        protocol=protocol,
-        n_nodes=n_nodes,
-        window=window,
-        tau_data=tau_data,
-        ber_star=ber_star,
-    )
     patterns: List[Pattern] = []
     for size in range(len(sites) + 1):
         if max_flips is not None and size > max_flips:
             break
         patterns.extend(itertools.combinations(sites, size))
-    if backend == "batch":
-        from repro.analysis.batchreplay import BatchReplayEvaluator
-
-        evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-        combos = [
-            tuple(
-                (node_names[node_index], EOF, eof_index)
-                for node_index, eof_index in pattern
-            )
-            for pattern in patterns
-        ]
-        for pattern, outcome in zip(patterns, evaluator.evaluate(combos)):
-            result.outcomes.append(
-                PatternOutcome(
-                    pattern=tuple(pattern),
-                    consistent=outcome.consistent,
-                    inconsistent_omission=outcome.inconsistent_omission,
-                    double_reception=outcome.double_reception,
-                    attempts=outcome.attempts,
-                )
-            )
-        result.backend_stats = dict(evaluator.stats)
-        return result
-    for pattern in patterns:
-        result.outcomes.append(
+    if backend == "engine":
+        outcomes = tuple(
             _simulate_pattern(protocol, m, node_names, pattern, payload)
+            for pattern in patterns
         )
-    return result
+        return outcomes, None
+    from repro.analysis.batchreplay import BatchReplayEvaluator
+
+    evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
+    combos = [
+        tuple(
+            (node_names[node_index], EOF, eof_index)
+            for node_index, eof_index in pattern
+        )
+        for pattern in patterns
+    ]
+    outcomes = tuple(
+        PatternOutcome(
+            pattern=tuple(pattern),
+            consistent=outcome.consistent,
+            inconsistent_omission=outcome.inconsistent_omission,
+            double_reception=outcome.double_reception,
+            attempts=outcome.attempts,
+        )
+        for pattern, outcome in zip(patterns, evaluator.evaluate(combos))
+    )
+    return outcomes, dict(evaluator.stats)
 
 
 def _simulate_pattern(

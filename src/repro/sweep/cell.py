@@ -220,27 +220,24 @@ def evaluate_cell(
 
 
 def cell_record(
-    cell: SweepCell,
-    *,
-    window: int,
-    max_flips: int,
-    load: float,
-    backend: str = "batch",
+    cell: SweepCell, constants: Dict[str, Any], key: str
 ) -> Dict[str, Any]:
-    """Evaluate ``cell`` and wrap it as one complete store record."""
-    constants = cell_constants(
-        cell, window=window, max_flips=max_flips, load=load, backend=backend
-    )
+    """Evaluate a planned ``cell`` and wrap it as one complete store record.
+
+    ``constants`` and ``key`` are the cell's :func:`cell_constants` and
+    :func:`cell_key`, derived once when the sweep is planned; the
+    evaluation reads its arguments from the same constants.
+    """
     return {
-        "key": cell_key(cell, constants),
+        "key": key,
         "cell": cell.as_dict(),
         "constants": constants,
         "result": evaluate_cell(
             cell,
-            window=window,
-            max_flips=max_flips,
-            load=load,
-            backend=backend,
+            window=constants["window"],
+            max_flips=constants["max_flips"],
+            load=constants["load"],
+            backend=constants["backend"],
         ),
     }
 
@@ -366,30 +363,19 @@ def evaluate_traffic_cell(
 
 
 def traffic_cell_record(
-    cell: "TrafficCell",
-    *,
-    windows: int,
-    window_bits: int,
-    seed: int,
-    backend: str = "batch",
+    cell: "TrafficCell", constants: Dict[str, Any], key: str
 ) -> Dict[str, Any]:
-    """Evaluate a traffic ``cell`` and wrap it as one store record."""
-    constants = traffic_cell_constants(
-        cell,
-        windows=windows,
-        window_bits=window_bits,
-        seed=seed,
-        backend=backend,
-    )
+    """Evaluate a planned traffic ``cell`` and wrap it as one store record
+    (``constants`` and ``key`` as in :func:`cell_record`)."""
     return {
-        "key": cell_key(cell, constants),
+        "key": key,
         "cell": cell.as_dict(),
         "constants": constants,
         "result": evaluate_traffic_cell(
             cell,
-            windows=windows,
-            window_bits=window_bits,
-            seed=seed,
-            backend=backend,
+            windows=constants["windows"],
+            window_bits=constants["window_bits"],
+            seed=constants["seed"],
+            backend=constants["backend"],
         ),
     }

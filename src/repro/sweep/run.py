@@ -131,17 +131,15 @@ def pending_cells(
     return pending, skipped
 
 
-def _evaluate_chunk(record, cells) -> List[dict]:
-    """Evaluate one chunk of cells into complete store records (keys
-    included, so the driver appends them verbatim); one pool task of
-    :func:`run_sweep`."""
-    return [record(cell) for cell in cells]
+def _evaluate_chunk(record, planned) -> List[dict]:
+    """Evaluate one chunk of planned ``(cell, constants, key)`` triples
+    into complete store records (keys included, so the driver appends
+    them verbatim); one pool task of :func:`run_sweep`."""
+    return [record(cell, constants, key) for cell, constants, key in planned]
 
 
 def _chunk_tasks(
-    pending: List[Tuple[Any, Dict[str, Any], str]],
-    spec: SweepSpec,
-    backend: str,
+    pending: List[Tuple[Any, Dict[str, Any], str]], spec: SweepSpec
 ) -> List[Any]:
     """Chunk pending cells into tasks, honouring each cell's partition.
 
@@ -150,33 +148,18 @@ def _chunk_tasks(
     different partition — a pure function of the pending list, so the
     chunking (and the submission order) is identical for any ``jobs``.
     """
-    if spec.surface == "traffic":
-        record = partial(
-            traffic_cell_record,
-            windows=spec.traffic_windows,
-            window_bits=spec.traffic_window_bits,
-            seed=spec.traffic_seed,
-            backend=backend,
-        )
-    else:
-        record = partial(
-            cell_record,
-            window=spec.window,
-            max_flips=spec.max_flips,
-            load=spec.load,
-            backend=backend,
-        )
+    record = traffic_cell_record if spec.surface == "traffic" else cell_record
     tasks: List[Any] = []
     current: List[Any] = []
     current_size = 0
-    for cell, constants, _ in pending:
-        chunk_cells = int(constants["chunk_cells"])
+    for planned in pending:
+        chunk_cells = int(planned[1]["chunk_cells"])
         if current and (chunk_cells != current_size or len(current) >= current_size):
             tasks.append(partial(_evaluate_chunk, record, tuple(current)))
             current = []
         if not current:
             current_size = chunk_cells
-        current.append(cell)
+        current.append(planned)
     if current:
         tasks.append(partial(_evaluate_chunk, record, tuple(current)))
     return tasks
@@ -210,7 +193,7 @@ def run_sweep(
         pending = pending[:cell_budget]
     evaluated = 0
     stats: Dict[str, int] = {}
-    for records in imap_tasks(_chunk_tasks(pending, spec, backend), jobs=jobs):
+    for records in imap_tasks(_chunk_tasks(pending, spec), jobs=jobs):
         store.append(records)
         evaluated += len(records)
         for record in records:

@@ -70,7 +70,8 @@ class SweepCell:
         return b"\x55" * self.payload
 
     def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Every field is a scalar, so a flat dict needs no deep copy.
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 #: Workload families a traffic-surface cell may name
@@ -125,7 +126,7 @@ class TrafficCell:
             )
 
     def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def _axis(name: str, values: Sequence, kind, allow_empty: bool = False) -> tuple:

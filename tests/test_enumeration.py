@@ -1,10 +1,18 @@
 """Tests for the exact tail-pattern enumeration (experiment E-MC)."""
 
-import pytest
+import dataclasses
+import inspect
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import enumeration
+from repro.analysis.batchreplay import clear_caches
 from repro.analysis.enumeration import (
     enumerate_tail_patterns,
     equation4_tail_prediction,
+    tail_verdicts,
 )
 from repro.errors import AnalysisError
 
@@ -95,3 +103,141 @@ class TestParameters:
         p_none = can_result.probability(lambda o: False)
         assert p_none == 0.0
         assert 0.0 < p_all <= 1.0
+
+
+class TestVerdictCache:
+    """The batch verdict step is memoised per universe; the weights are not."""
+
+    BASE = dict(
+        protocol="can", n_nodes=3, window=1, m=5, max_flips=1,
+        payload=b"\x55", backend="batch",
+    )
+
+    def setup_method(self):
+        clear_caches()
+
+    def test_cache_key_is_the_universe(self):
+        """Every enumeration parameter but the two weights is a verdict-step
+        argument, so a new parameter cannot be left out of the key."""
+        weights = {"ber_star", "tau_data"}
+        universe = set(inspect.signature(enumerate_tail_patterns).parameters)
+        assert set(inspect.signature(tail_verdicts).parameters) == universe - weights
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"protocol": "majorcan"},
+            {"n_nodes": 2},
+            {"window": 2},
+            {"m": 3},
+            {"max_flips": 2},
+            {"payload": b"\x55\x55"},
+        ],
+    )
+    def test_any_universe_argument_misses(self, change):
+        enumerate_tail_patterns(**self.BASE)
+        before = tail_verdicts.cache_info()
+        enumerate_tail_patterns(**dict(self.BASE, **change))
+        after = tail_verdicts.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+
+    @pytest.mark.parametrize("change", [{"ber_star": 3e-3}, {"tau_data": 64}])
+    def test_weights_hit(self, change):
+        first = enumerate_tail_patterns(**self.BASE)
+        before = tail_verdicts.cache_info()
+        again = enumerate_tail_patterns(**dict(self.BASE, **change))
+        after = tail_verdicts.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+        assert again.outcomes == first.outcomes
+        engine = enumerate_tail_patterns(**dict(self.BASE, backend="engine", **change))
+        assert _probabilities(again) == _probabilities(engine)
+        assert _probabilities(again) != _probabilities(first)
+
+    def test_clear_caches_empties_it(self):
+        enumerate_tail_patterns(**self.BASE)
+        assert tail_verdicts.cache_info().currsize == 1
+        clear_caches()
+        assert tail_verdicts.cache_info().currsize == 0
+
+    def test_engine_simulates_on_every_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        simulate = enumeration._simulate_pattern
+        monkeypatch.setattr(enumeration, "_simulate_pattern", counted)
+        engine = dict(self.BASE, backend="engine")
+        first = enumerate_tail_patterns(**engine)
+        second = enumerate_tail_patterns(**engine)
+        assert len(calls) == len(first.outcomes) + len(second.outcomes) == 8
+        assert tail_verdicts.cache_info().currsize == 0
+        assert first.backend_stats is None
+
+    def test_mutating_a_result_does_not_leak(self):
+        first = enumerate_tail_patterns(**self.BASE)
+        outcomes = list(first.outcomes)
+        stats = dict(first.backend_stats)
+        first.outcomes.pop()
+        first.outcomes.reverse()
+        first.backend_stats["engine"] = 99
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.outcomes[0].consistent = False
+        second = enumerate_tail_patterns(**self.BASE)
+        assert tail_verdicts.cache_info().hits == 1
+        assert second.outcomes == outcomes
+        assert second.backend_stats == stats
+        assert second.outcomes is not first.outcomes
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        protocol=st.sampled_from(["can", "minorcan", "majorcan"]),
+        m=st.sampled_from([3, 5, 7]),
+        n_nodes=st.integers(2, 4),
+        window=st.integers(1, 2),
+        max_flips=st.integers(0, 2),
+        payload=st.sampled_from([b"", b"\x55", b"\xff\x00" * 4]),
+        warm_ber=st.floats(1e-9, 0.2),
+        ber_star=st.floats(1e-9, 0.2),
+    )
+    def test_memoised_probabilities_are_exact(
+        self, protocol, m, n_nodes, window, max_flips, payload, warm_ber, ber_star
+    ):
+        args = dict(
+            protocol=protocol, n_nodes=n_nodes, window=window, m=m,
+            max_flips=max_flips, payload=payload,
+        )
+        enumerate_tail_patterns(backend="batch", ber_star=warm_ber, **args)
+        result = enumerate_tail_patterns(backend="batch", ber_star=ber_star, **args)
+        memoised = _probabilities(result)
+        clear_caches()
+        cold = enumerate_tail_patterns(backend="batch", ber_star=ber_star, **args)
+        engine = enumerate_tail_patterns(backend="engine", ber_star=ber_star, **args)
+        assert memoised == _probabilities(cold) == _probabilities(engine)
+        assert memoised == _per_pattern_probabilities(result)
+
+
+def _probabilities(result):
+    return (
+        result.p_inconsistent_omission,
+        result.p_double_reception,
+        result.p_inconsistent,
+    )
+
+
+def _per_pattern_probabilities(result):
+    """The weighting step as one weight computation per pattern."""
+
+    def probability(selector):
+        return sum(
+            result._probability_of(len(outcome.pattern))
+            for outcome in result.outcomes
+            if selector(outcome)
+        )
+
+    return (
+        probability(lambda o: o.inconsistent_omission),
+        probability(lambda o: o.double_reception),
+        probability(lambda o: not o.consistent),
+    )

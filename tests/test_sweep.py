@@ -7,23 +7,28 @@ incrementality, and interrupt/resume determinism across backends and
 worker counts.
 """
 
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.sweep
-from repro.errors import ConfigurationError
-from repro.metrics.export import read_jsonl
+from repro.errors import ConfigurationError, ReproError
+from repro.metrics.export import json_line, read_jsonl
 from repro.sweep import (
     ResultStore,
     SweepCell,
     SweepSpec,
     cell_constants,
     cell_key,
+    cell_record,
     expand_cells,
     pending_cells,
     run_sweep,
@@ -247,6 +252,146 @@ class TestResultStore:
         index = json.loads(open(store.index_path).read())
         assert index["records"] == 1
         assert index["digest"] == status.digest == store.status().digest
+
+
+#: A design grid whose records hold every value shape the store sees:
+#: tiny and zero probabilities, an infeasible bit rate (``None`` bus
+#: fields), two-node cells (``None`` closed forms), nested dicts.
+DESIGN_SPEC = dict(
+    name="test-design",
+    protocols=("can", "minorcan", "majorcan"),
+    m_values=(3, 5),
+    bers=(1e-7, 1e-2),
+    bit_rates=(250_000.0, 3_000_000.0),
+    bus_lengths_m=(10.0,),
+    payloads=(0, 8),
+    node_counts=(2, 3),
+    window=1,
+    max_flips=2,
+)
+
+_floats = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([5e-324, 1e-300, 1.7976931348623157e308, -0.0, 1e16]),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, st.text(),
+    st.sampled_from([float("inf"), float("-inf"), "inf", "-inf"]),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestVerbatimCompaction:
+    """Compaction copies ``json_line`` output verbatim, never re-serialising."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.text(alphabet="0123456789abcdef", min_size=1, max_size=64),
+        cell=st.dictionaries(st.text(max_size=8), _scalars, max_size=6),
+        constants=st.dictionaries(st.text(max_size=8), _values, max_size=6),
+        result=_values,
+    )
+    def test_json_line_is_a_fixed_point(self, key, cell, constants, result):
+        record = {"key": key, "cell": cell, "constants": constants, "result": result}
+        line = json_line(record)
+        assert json_line(json.loads(line)) == line
+
+    def test_design_store_bytes_equal_the_reserialising_path(self, tmp_path):
+        spec = SweepSpec(**DESIGN_SPEC)
+        store = ResultStore(str(tmp_path / "s"))
+        run_sweep(spec, store, jobs=1, cell_budget=spec.cell_count() // 2)
+        pending, _ = pending_cells(spec, store)
+        records = [cell_record(*planned) for planned in pending]
+        # Log: the rest of the grid, out of order, plus duplicates of
+        # keys both in the compacted store and earlier in the log.
+        store.append(records[::-1] + records[:3])
+        store.append(list(store.records().values())[:5])
+        merged = store.records()
+        old_path = "".join(json_line(merged[key]) + "\n" for key in sorted(merged))
+        status = store.compact()
+        assert status.records == spec.cell_count()
+        assert store.compacted_bytes() == old_path.encode("utf-8")
+        fresh = ResultStore(str(tmp_path / "fresh"))
+        run_sweep(spec, fresh, jobs=1)
+        assert store.compacted_bytes() == fresh.compacted_bytes()
+
+
+class TestTornLog:
+    """A run killed mid-append leaves a torn final log line; resume copes."""
+
+    def _killed_run(self, root):
+        """A store with one compacted cell and a log of two more; returns
+        the log bytes and the length of its last line (newline included)."""
+        spec = small_spec()
+        store = ResultStore(root)
+        run_sweep(spec, store, jobs=1, cell_budget=1)
+        pending, _ = pending_cells(spec, store)
+        store.append([cell_record(*planned) for planned in pending[:2]])
+        with open(store.log_path, "rb") as handle:
+            log = handle.read()
+        last = len(log) - log[:-1].rfind(b"\n") - 1
+        return spec, store, log, last
+
+    def test_resume_after_a_torn_line_is_byte_identical(self, tmp_path):
+        spec, killed, log, last = self._killed_run(str(tmp_path / "killed"))
+        fresh = ResultStore(str(tmp_path / "fresh"))
+        run_sweep(spec, fresh, jobs=1)
+        for cut in (1, 2, 17, last // 2, last - 1):
+            root = str(tmp_path / ("cut%d" % cut))
+            shutil.copytree(killed.root, root)
+            store = ResultStore(root)
+            with open(store.log_path, "wb") as handle:
+                handle.write(log[:-cut])
+            # Cutting only the newline leaves a complete record.
+            stored = spec.cell_count() - 1 - (cut > 1)
+            assert len(store.keys()) == stored
+            assert store.status().log_records == stored - 1
+            report = run_sweep(spec, store, jobs=1)
+            assert report.evaluated == spec.cell_count() - stored
+            assert store.compacted_bytes() == fresh.compacted_bytes()
+
+    def test_append_cuts_the_torn_line_off(self, tmp_path):
+        spec, store, log, last = self._killed_run(str(tmp_path / "s"))
+        with open(store.log_path, "wb") as handle:
+            handle.write(log[:-5])
+        pending, _ = pending_cells(spec, store)
+        store.append([cell_record(*pending[0])])
+        with open(store.log_path, "rb") as handle:
+            mended = handle.read()
+        assert mended.startswith(log[: len(log) - last])
+        assert len(read_jsonl(store.log_path)) == 2
+
+    def test_other_invalid_lines_still_raise(self, tmp_path):
+        spec, store, log, last = self._killed_run(str(tmp_path / "s"))
+        head = log[: len(log) - last]
+        for broken in (head + b"{not json\n", b"{not json\n" + log):
+            with open(store.log_path, "wb") as handle:
+                handle.write(broken)
+            with pytest.raises(ReproError, match="invalid JSONL"):
+                store.keys()
+            with pytest.raises(ReproError, match="invalid JSONL"):
+                run_sweep(spec, store, jobs=1)
+
+
+class TestPlannedRecords:
+    def test_record_carries_the_planned_key(self, tmp_path):
+        spec = small_spec()
+        pending, _ = pending_cells(spec, ResultStore(str(tmp_path / "s")))
+        for cell, constants, key in pending:
+            record = cell_record(cell, constants, key)
+            assert record["key"] == key == cell_key(cell, cell_constants(
+                cell, window=spec.window, max_flips=spec.max_flips,
+                load=spec.load,
+            ))
+            assert record["cell"] == dataclasses.asdict(cell)
+            assert record["constants"] is constants
 
 
 class TestRunSweep:
