@@ -77,7 +77,6 @@ from repro.sweep import ResultStore, SweepSpec, run_sweep  # noqa: E402
 from repro.tracestore.recorder import TraceRecorder, event_record  # noqa: E402
 from repro.traffic import (  # noqa: E402
     TrafficSpec,
-    clear_window_cache,
     run_traffic,
     traffic_records,
 )
@@ -573,7 +572,6 @@ def rows(smoke: bool = False, jobs: int = 4) -> List[Row]:
                 outcome.stats,
                 outcome.properties,
             ),
-            cold=clear_window_cache,
             max_share=0.0,
         ),
         _sweep_row(),
@@ -581,7 +579,7 @@ def rows(smoke: bool = False, jobs: int = 4) -> List[Row]:
             "noise_batch.traffic",
             noisy,
             surface=_traffic_lines,
-            cold=lambda: (clear_window_cache(), clear_caches()),
+            cold=clear_caches,
             max_share=0.10,
         ),
         _campaign_row(

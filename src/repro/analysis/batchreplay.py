@@ -28,27 +28,25 @@ understands, and it refuses the rest:
 Header placements (the F1 desync universe: SOF through the CRC
 sequence, where a flip can add or remove a stuff condition and shift a
 receiver's parse of everything downstream) take a third path instead of
-bailing: the stuff-aware :func:`repro.can.encoding.header_shape`
-expansion materialises each site's post-flip restuffed parse, and
-single-flip placements are classified through a per-process cache of
-*reduced* engine runs — one run per equivalence class under receiver
-symmetry (all non-faulted in-sync receivers are bit-identical, and the
-wired-AND bus is invariant under duplicating identical drivers), with
-mid-frame DATA/CRC receiver flips further sharing one class per parse
-signature.  A full header universe costs a handful of two- or
-three-node runs instead of one n-node engine run per site.
+bailing: cached *reduced* engine runs, one per equivalence class under
+receiver symmetry (all non-faulted in-sync receivers are bit-identical,
+and the wired-AND bus is invariant under duplicating identical
+drivers).  A run covers transmitter + distinct fault carriers + one
+witness, so a full header universe costs a handful of two- or
+three-node runs instead of one n-node engine run per site; lone
+mid-frame DATA/CRC receiver flips further share one class per parse
+signature of the stuff-aware :func:`repro.can.encoding.header_shape`
+expansion.
 
 Multi-flip combos compose the same machinery instead of bailing out:
 duplicate triggers on one position cancel by parity before anything
 runs (they all fire at the same first announcement, and a flip of a
 flip is the identity), faulted receivers are relabelled into a
 canonical arrangement so one verdict serves every placement of the
-same fault groups over any receivers, pure-tail multi-site placements
-ride the micro-model (with a widened-budget scalar retry for cascade
-overflows), and combos touching header sites classify through cached
-*reduced* runs over transmitter + distinct fault carriers + one
-witness.  The engine remains only for combos naming unknown nodes or
-fields outside every model.
+same fault groups over any receivers, and pure-tail multi-site
+placements ride the micro-model (with a widened-budget scalar retry
+for cascade overflows).  The engine remains only for combos naming
+unknown nodes or fields outside every model.
 
 Two micro-simulators implement the same transition table: an array
 one evaluating ``(batch, node)`` numpy arrays in lockstep passes, and a
@@ -89,7 +87,7 @@ from repro.can.encoding import (
     header_shape,
     wire_program,
 )
-from repro.faults.scenarios import make_controller
+from repro.faults.scenarios import make_controller, run_placement
 
 logger = logging.getLogger(__name__)
 
@@ -296,7 +294,7 @@ class BatchReplayEvaluator:
         self.shape = tail_shape(protocol, m, self.frame)
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
         #: Outcome provenance counters: placements classified by the
-        #: array pass, the scalar micro-sim, the header class cache,
+        #: array pass, the scalar micro-sim, the reduced header runs,
         #: and the engine fallback.
         self.stats: Dict[str, int] = {
             "batch": 0,
@@ -313,7 +311,7 @@ class BatchReplayEvaluator:
         Verdicts are memoised in the process-wide :data:`_COMBO_CACHE`
         under a *canonical* combo key: duplicate triggers cancel by
         parity, and fault groups are relabelled onto the first
-        receivers (receiver symmetry — see :meth:`_header_outcome`)
+        receivers (receiver symmetry — see :meth:`_reduced_outcome`)
         with the cached delivery tuple permuted back on retrieval.
         Repeated placements — Monte-Carlo draws across chunks, the F1
         universe re-visiting tail-window sites — therefore classify at
@@ -346,11 +344,6 @@ class BatchReplayEvaluator:
             route, resolved = self._resolve(canon)
             if route == "fast":
                 fast.append((key, canon, resolved))
-            elif route == "header":
-                self._finish(
-                    outcomes, pending[key], key,
-                    self._header_outcome(resolved), "header",
-                )
             elif route == "reduced":
                 self._finish(
                     outcomes, pending[key], key,
@@ -531,12 +524,11 @@ class BatchReplayEvaluator:
         return header_shape(self.frame, self.shape.eof_length)
 
     def _resolve(self, combo: Sequence[Site]) -> Tuple[str, object]:
-        """Route a combo to one of the four classification paths.
+        """Route a combo to one of the three classification paths.
 
         Returns ``("fast", armed_keys)`` for pure tail placements,
-        ``("header", (node, field, index))`` for a single announced
-        header-site flip, ``("reduced", (header_hits, tail_sites))``
-        for multi-fault combos touching a header site, and
+        ``("reduced", (header_hits, tail_sites))`` for combos touching
+        an announced header site, and
         ``("engine", None)`` for anything outside the modelled envelope
         (unknown nodes or fields, unexpected program layouts).
         Duplicate triggers never reach this point — :meth:`_canonical`
@@ -587,89 +579,32 @@ class BatchReplayEvaluator:
             live_nodes.add(node)
         header_hits += [site for site in silent if site[0] in live_nodes]
         if header_hits:
-            if (
-                len(header_hits) == 1
-                and not armed
-                and len(self.node_names) >= 2
-            ):
-                return ("header", header_hits[0])
             return ("reduced", (tuple(header_hits), tuple(tail_sites)))
         return ("fast", armed)
-
-    def _header_outcome(
-        self, hit: Tuple[int, str, int]
-    ) -> PlacementOutcome:
-        """Classify a single announced header-site flip exactly.
-
-        Rests on receiver symmetry: the controllers are deterministic
-        and a view fault never disturbs the bus until the faulted node
-        itself drives, so every non-faulted in-sync receiver behaves
-        bit-identically, and the wired-AND bus is invariant under
-        replacing ``k`` identical receivers with one.  The full n-node
-        outcome therefore follows exactly from a *reduced* engine run:
-        faulted transmitter + one witness receiver (role ``tx``), or
-        transmitter + faulted receiver + one witness (role ``rx``,
-        two nodes when no witness exists).  Reduced verdicts are cached
-        per equivalence class in :data:`_HEADER_CLASS_CACHE`; receiver
-        flips in the mid-frame DATA/CRC fields additionally share one
-        class per :class:`~repro.can.encoding.HeaderSiteRow` parse
-        signature (identical flipped-stream trajectories drive the
-        faulted receiver — and hence the whole bus — identically).
-        """
-        node, field_name, index = hit
-        n = len(self.node_names)
-        role = "tx" if node == 0 else "rx"
-        if role == "tx":
-            n_eff = 2
-            class_key: Tuple = ("site", field_name, index)
-        else:
-            n_eff = 2 if n == 2 else 3
-            row = self._header_shape().by_site[(field_name, index)]
-            if field_name in (DATA, CRC) and row.kind != HEADER_KIND_OVERRUN:
-                class_key = ("sig", row.signature)
-            else:
-                class_key = ("site", field_name, index)
-        cache_key = (self.protocol, self.m, self.frame, role, n_eff, class_key)
-        verdict = _HEADER_CLASS_CACHE.get(cache_key)
-        if verdict is None:
-            verdict = _header_class_run(
-                self.protocol, self.m, self.frame, role, n_eff,
-                field_name, index,
-            )
-            _HEADER_CLASS_CACHE[cache_key] = verdict
-        tx_count, faulted_count, witness_count, attempts = verdict
-        if role == "tx":
-            deliveries = tuple(
-                faulted_count if i == 0 else witness_count for i in range(n)
-            )
-        else:
-            deliveries = tuple(
-                tx_count if i == 0
-                else (faulted_count if i == node else witness_count)
-                for i in range(n)
-            )
-        self.stats["header"] += 1
-        return PlacementOutcome(
-            deliveries=deliveries, attempts=attempts, via="batch"
-        )
 
     def _reduced_outcome(
         self,
         spec: Tuple[Tuple[Tuple[int, str, int], ...], Tuple[Tuple[int, str, int], ...]],
     ) -> PlacementOutcome:
-        """Classify a multi-fault combo touching header sites exactly.
+        """Classify a combo touching header sites exactly.
 
-        Same receiver-symmetry argument as :meth:`_header_outcome`,
-        generalised to several fault carriers: the full bus is
-        invariant under collapsing all clean receivers into a single
-        witness, so the n-node verdict follows from one *reduced*
-        engine run over transmitter + the distinct faulted receivers +
-        one witness (the witness is dropped when every receiver is
-        faulted — its ACK and error flags would change the bus).
-        Verdicts are cached per fault-group arrangement in
-        :data:`_REDUCED_CACHE`; combined with the canonical relabelling
-        in :meth:`_canonical`, one run serves every placement of the
-        same fault groups over any receivers.
+        Rests on receiver symmetry: the controllers are deterministic
+        and a view fault never disturbs the bus until the faulted node
+        itself drives, so every non-faulted in-sync receiver behaves
+        bit-identically, and the wired-AND bus is invariant under
+        collapsing all clean receivers into a single witness.  The
+        n-node verdict therefore follows from one *reduced* engine run
+        over transmitter + the distinct faulted receivers + one witness
+        (the witness is dropped when every receiver is faulted — its
+        ACK and error flags would change the bus).  Verdicts are cached
+        per fault-group arrangement in :data:`_REDUCED_CACHE`; combined
+        with the canonical relabelling in :meth:`_canonical`, one run
+        serves every placement of the same fault groups over any
+        receivers.  A lone receiver flip in the mid-frame DATA/CRC
+        fields shares one entry per
+        :class:`~repro.can.encoding.HeaderSiteRow` parse signature
+        instead (identical flipped-stream trajectories drive the
+        faulted receiver — and hence the whole bus — identically).
         """
         header_hits, tail_sites = spec
         sites = sorted(header_hits + tail_sites)
@@ -677,14 +612,16 @@ class BatchReplayEvaluator:
         n = len(self.node_names)
         k = len(rx_nodes)
         has_witness = k < n - 1
-        label = {0: "tx"}
-        for j, node in enumerate(rx_nodes, start=1):
-            label[node] = "f%d" % j
         groups = tuple(
             tuple((f, i) for node2, f, i in sites if node2 == node)
             for node in [0] + rx_nodes
         )
-        cache_key = (self.protocol, self.m, self.frame, groups, has_witness)
+        class_key: Tuple = groups
+        if len(sites) == 1 and k == 1 and sites[0][1] in (DATA, CRC):
+            row = self._header_shape().by_site[sites[0][1:]]
+            if row.kind != HEADER_KIND_OVERRUN:
+                class_key = ("sig", row.signature)
+        cache_key = (self.protocol, self.m, self.frame, class_key, has_witness)
         verdict = _REDUCED_CACHE.get(cache_key)
         if verdict is None:
             verdict = _reduced_class_run(
@@ -703,25 +640,9 @@ class BatchReplayEvaluator:
         )
 
     def _engine_outcome(self, combo: Sequence[Site]) -> PlacementOutcome:
-        from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-        from repro.faults.scenarios import run_single_frame_scenario
-
         self.stats["engine"] += 1
-        nodes = [
-            make_controller(self.protocol, name, m=self.m)
-            for name in self.node_names
-        ]
-        faults = [
-            ViewFault(name, Trigger(field=field_name, index=index), force=None)
-            for name, field_name, index in combo
-        ]
-        outcome = run_single_frame_scenario(
-            "batchreplay-oracle",
-            nodes,
-            ScriptedInjector(view_faults=faults),
-            frame=self.frame,
-            record_bits=False,
-            max_bits=60000,
+        outcome = run_placement(
+            self.protocol, self.m, self.node_names, combo, self.frame
         )
         return PlacementOutcome(
             deliveries=tuple(
@@ -732,18 +653,13 @@ class BatchReplayEvaluator:
         )
 
 
-#: Reduced-run verdicts per header equivalence class, keyed by
-#: ``(protocol, m, frame, role, n_eff, class_key)`` and holding
-#: ``(tx_count, faulted_count, witness_count, attempts)``.  Module-level
-#: so every evaluator in a process (and every chunk a pool worker
-#: runs) shares one cache; entries are tiny tuples.
-_HEADER_CLASS_CACHE: Dict[Tuple, Tuple[int, int, int, int]] = {}
-
-#: Reduced-run verdicts per multi-fault group arrangement, keyed by
+#: Reduced-run verdicts per fault-group arrangement, keyed by
 #: ``(protocol, m, frame, groups, has_witness)`` — ``groups`` being the
-#: per-carrier fault-site tuples, transmitter first — and holding
-#: ``(tx_count, faulted_counts, witness_count, attempts)``.  Shared
-#: process-wide like the single-hit class cache above.
+#: per-carrier fault-site tuples, transmitter first, or
+#: ``("sig", signature)`` for a lone DATA/CRC receiver flip — and
+#: holding ``(tx_count, faulted_counts, witness_count, attempts)``.
+#: Module-level so every evaluator in a process (and every chunk a pool
+#: worker runs) shares one cache; entries are tiny tuples.
 _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 
 #: Final verdicts per canonical placement, keyed by
@@ -768,7 +684,6 @@ def clear_caches() -> None:
     :mod:`repro.analysis.enumeration`."""
     from repro.analysis.enumeration import tail_verdicts
 
-    _HEADER_CLASS_CACHE.clear()
     _REDUCED_CACHE.clear()
     _COMBO_CACHE.clear()
     tail_verdicts.cache_clear()
@@ -781,69 +696,26 @@ def _reduced_class_run(
     groups: Sequence[Tuple[Tuple[str, int], ...]],
     has_witness: bool,
 ) -> Tuple[int, Tuple[int, ...], int, int]:
-    """One reduced engine run classifying a multi-fault arrangement.
+    """One reduced engine run classifying a fault-group arrangement.
 
     ``groups`` holds the fault sites per carrier, transmitter first;
     the run instantiates one node per carrier plus one witness when the
     full network has a clean receiver left.
     """
-    from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-    from repro.faults.scenarios import run_single_frame_scenario
-
     carriers = ["tx"] + ["f%d" % j for j in range(1, len(groups))]
     names = carriers + (["wit"] if has_witness else [])
-    nodes = [make_controller(protocol, name, m=m) for name in names]
-    faults = [
-        ViewFault(name, Trigger(field=field_name, index=index), force=None)
+    combo = [
+        (name, field_name, index)
         for name, group in zip(carriers, groups)
         for field_name, index in group
     ]
-    outcome = run_single_frame_scenario(
-        "batchreplay-reduced-class",
-        nodes,
-        ScriptedInjector(view_faults=faults),
-        frame=frame,
-        record_bits=False,
-        max_bits=60000,
-    )
+    outcome = run_placement(protocol, m, names, combo, frame)
     tx_count = outcome.deliveries["tx"]
     faulted_counts = tuple(
         outcome.deliveries[name] for name in carriers[1:]
     )
     witness_count = outcome.deliveries["wit"] if has_witness else 0
     return (tx_count, faulted_counts, witness_count, outcome.attempts)
-
-
-def _header_class_run(
-    protocol: str,
-    m: int,
-    frame: Frame,
-    role: str,
-    n_eff: int,
-    field_name: str,
-    index: int,
-) -> Tuple[int, int, int, int]:
-    """One reduced engine run classifying a header equivalence class."""
-    from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-    from repro.faults.scenarios import run_single_frame_scenario
-
-    names = ["flt", "wit"] if role == "tx" else ["tx", "flt", "wit"][:n_eff]
-    nodes = [make_controller(protocol, name, m=m) for name in names]
-    fault = ViewFault("flt", Trigger(field=field_name, index=index), force=None)
-    outcome = run_single_frame_scenario(
-        "batchreplay-header-class",
-        nodes,
-        ScriptedInjector(view_faults=[fault]),
-        frame=frame,
-        record_bits=False,
-        max_bits=60000,
-    )
-    faulted_count = outcome.deliveries["flt"]
-    tx_count = outcome.deliveries[names[0]]
-    witness_count = (
-        outcome.deliveries["wit"] if "wit" in outcome.deliveries else tx_count
-    )
-    return (tx_count, faulted_count, witness_count, outcome.attempts)
 
 
 def warm_shapes(payload: bytes = b"\x55") -> None:

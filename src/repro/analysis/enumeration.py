@@ -40,12 +40,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.can.controller import CanController
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.faults.scenarios import make_controller, run_placement
 
 #: A pattern assigns flipped view bits as (node_index, eof_index) pairs.
 Pattern = Tuple[Tuple[int, int], ...]
@@ -257,23 +255,12 @@ def _simulate_pattern(
     combo: Sequence[Tuple[int, int]],
     payload: bytes = b"\x55",
 ) -> PatternOutcome:
-    nodes: List[CanController] = [
-        make_controller(protocol, name, m=m) for name in node_names
-    ]
-    faults = [
-        ViewFault(
-            node_names[node_index],
-            Trigger(field=EOF, index=eof_index),
-            force=None,  # flip: an error inverts the node's view
-        )
-        for node_index, eof_index in combo
-    ]
-    scenario = run_single_frame_scenario(
-        "pattern",
-        nodes,
-        ScriptedInjector(view_faults=faults),
-        frame=data_frame(0x123, payload, message_id="m"),
-        record_bits=False,
+    scenario = run_placement(
+        protocol,
+        m,
+        node_names,
+        [(node_names[node_index], EOF, eof_index) for node_index, eof_index in combo],
+        data_frame(0x123, payload, message_id="m"),
     )
     return PatternOutcome(
         pattern=tuple(combo),

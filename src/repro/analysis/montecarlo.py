@@ -33,8 +33,11 @@ from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
 from repro.faults.bit_errors import RandomViewErrorInjector
-from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.faults.scenarios import (
+    make_controller,
+    run_placement,
+    run_single_frame_scenario,
+)
 from repro.parallel.pool import run_tasks
 from repro.parallel.seeds import (
     ChildSeed,
@@ -73,7 +76,7 @@ class MonteCarloResult:
     flips_total: int = 0
     #: Merged batch-backend provenance counters (None on the engine
     #: backend): how many sampled placements the array pass, the scalar
-    #: micro-sim, the header class cache and the engine fallback each
+    #: micro-sim, the reduced header runs and the engine fallback each
     #: classified.
     backend_stats: Optional[dict] = None
     #: Resolved trials-per-chunk of this run.  Part of the experiment
@@ -182,20 +185,9 @@ def tail_chunk(
             counts.absorb_outcome(outcome)
         counts.backend_stats = dict(evaluator.stats)
         return counts
+    frame = data_frame(0x123, b"\x55", message_id="m")
     for combo in trial_combos:
-        faults = [
-            ViewFault(name, Trigger(field=field_name, index=index), force=None)
-            for name, field_name, index in combo
-        ]
-        nodes = [make_controller(protocol, name, m=m) for name in node_names]
-        outcome = run_single_frame_scenario(
-            "mc",
-            nodes,
-            ScriptedInjector(view_faults=faults),
-            frame=data_frame(0x123, b"\x55", message_id="m"),
-            record_bits=False,
-        )
-        counts.absorb_outcome(outcome)
+        counts.absorb_outcome(run_placement(protocol, m, node_names, combo, frame))
     return counts
 
 

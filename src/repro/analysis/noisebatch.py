@@ -14,7 +14,8 @@ only question that matters cheaply — *where is the first flip?* — and
 dispatch:
 
 * no flip → the realisation **is** the fault-free timeline, already
-  solved in closed form (the PR 9 window memo, the PR 6 combo cache);
+  solved in closed form (the traffic window's clean rendering, the
+  batch-replay combo cache);
 * a flip at draw ``i`` → the engine re-enters at tick
   ``i // draw_width`` with the generator rewound (``generator_state`` /
   ``restore_state``) or fast-forwarded (``advance``) to the exact same

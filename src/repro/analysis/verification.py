@@ -36,8 +36,7 @@ from repro.can.fields import (
 )
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.faults.scenarios import make_controller, run_placement
 from repro.parallel.pool import effective_jobs, run_tasks
 from repro.parallel.seeds import adaptive_chunk
 
@@ -92,7 +91,7 @@ class VerificationResult:
     counterexamples: List[Counterexample] = field(default_factory=list)
     #: Batch-backend provenance counters (None on the engine backend):
     #: placements classified by the array pass / scalar micro-sim /
-    #: header class cache / engine fallback.
+    #: reduced header runs / engine fallback.
     backend_stats: Optional[dict] = None
     #: Resolved placements-per-chunk of this run (recorded even when
     #: the sweep ran inline): the partition is part of the experiment
@@ -192,8 +191,8 @@ def verify_consistency(
 
     ``backend="batch"`` classifies placements with the vectorised
     replay of :mod:`repro.analysis.batchreplay` — array passes for tail
-    placements, the stuff-aware header class cache for single header
-    flips (the ``header_sites`` F1 universe), and a transparent engine
+    placements, cached reduced engine runs for header flips (the
+    ``header_sites`` F1 universe), and a transparent engine
     fallback for anything neither models, with the split recorded in
     ``result.backend_stats``; ``"engine"`` keeps one engine run per
     placement.  Both backends produce identical results.
@@ -341,18 +340,8 @@ def classify_placement(
     :func:`verify_chunk` can ship results across the process boundary
     cheaply.
     """
-    nodes = [make_controller(protocol, name, m=m) for name in node_names]
-    faults = [
-        ViewFault(name, Trigger(field=field_name, index=index), force=None)
-        for name, field_name, index in combo
-    ]
-    outcome = run_single_frame_scenario(
-        "verify",
-        nodes,
-        ScriptedInjector(view_faults=faults),
-        frame=data_frame(0x123, payload, message_id="m"),
-        record_bits=False,
-        max_bits=60000,
+    outcome = run_placement(
+        protocol, m, node_names, combo, data_frame(0x123, payload, message_id="m")
     )
     if outcome.inconsistent_omission:
         kind = "imo"

@@ -174,6 +174,35 @@ def run_single_frame_scenario(
     )
 
 
+def run_placement(
+    protocol: str,
+    m: int,
+    node_names: Sequence[str],
+    combo: Sequence[Tuple[str, str, int]],
+    frame: Frame,
+) -> ScenarioOutcome:
+    """One engine run of ``frame`` under a flip placement.
+
+    Builds one ``protocol`` controller per name (the first transmits)
+    and one flip per ``(node, field, index)`` site of ``combo``.  Each
+    scripted fault fires once, so a frame with k flips settles within
+    k + 1 attempts and the bit bound never binds.
+    """
+    nodes = [make_controller(protocol, name, m=m) for name in node_names]
+    faults = [
+        ViewFault(name, Trigger(field=field_name, index=index), force=None)
+        for name, field_name, index in combo
+    ]
+    return run_single_frame_scenario(
+        "placement",
+        nodes,
+        ScriptedInjector(view_faults=faults),
+        frame=frame,
+        record_bits=False,
+        max_bits=60000,
+    )
+
+
 def _network(
     protocol: str,
     m: int,

@@ -8,13 +8,7 @@ it over ``repro.parallel`` with bit-identical results for any
 the tracestore replays and diffs like the golden corpus.
 """
 
-from repro.traffic.batch import (
-    clear_window_cache,
-    run_window_batch,
-    run_window_noisy,
-    window_backend,
-    window_cache_stats,
-)
+from repro.traffic.batch import run_window_batch
 from repro.traffic.recording import (
     frame_verdict_record,
     record_traffic,
@@ -56,19 +50,15 @@ __all__ = [
     "TrafficStats",
     "WindowResult",
     "build_schedule",
-    "clear_window_cache",
     "frame_verdict_record",
     "record_traffic",
     "recorded_traffic",
     "run_traffic",
     "run_window",
     "run_window_batch",
-    "run_window_noisy",
     "splice_windows",
     "submission_record",
     "traffic_records",
     "traffic_seed_tree",
     "traffic_verdict_record",
-    "window_backend",
-    "window_cache_stats",
 ]

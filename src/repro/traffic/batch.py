@@ -5,9 +5,10 @@ closed form, followed by an engine suffix from cut tick ``s``
 (:func:`repro.traffic.run._run_engine_suffix`).  The window's
 ``backend`` label names which half is empty:
 
-- ``"batch"`` — no suffix: a window free of noise, bursts and
-  higher-level protocols (or a noisy one whose mask never fires) is
-  fully determined by its submission schedule.  Identifiers are fixed
+- ``"batch"`` — no suffix: a window free of higher-level protocols
+  whose noise mask never fires and whose bursts miss the clean
+  timeline (a noise-free window is the zero-flip case) is fully
+  determined by its submission schedule.  Identifiers are fixed
   per node, so arbitration under contention resolves deterministically
   (lowest identifier = lowest node index wins), every frame is
   acknowledged, no error flag ever fires, and the bus trace is the
@@ -46,19 +47,15 @@ resolve, ``on_bit``, tick hooks, ``time += 1``):
 - the drained window ends after twelve quiet bits:
   ``total = max(window_bits, t_last_end + 3) + 12``.
 
-Window outcomes are memoised in a process-wide content-addressed cache
-keyed like :func:`repro.sweep.cell.cell_key` — protocol, ``m``, the
-config knobs and the exact window-local schedule — so identical window
-shapes (empty windows, warm re-runs, sweep re-evaluations) collapse to
-cache hits.  Note the honest limit: periodic workloads advance their
-sequence numbers every window, so distinct windows of one run rarely
-collide; the speedup comes from eliminating the engine, the cache from
-eliminating *repeated* evaluation.
+:func:`run_window_batch` is the one entry point: it renders the clean
+timeline, scans it for the first fault and picks the cut.  Windows are
+not memoised: periodic workloads advance their sequence numbers every
+window, so distinct windows of one run rarely collide, and a measured
+memo saved ~1% of a noisy sweep.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
@@ -76,96 +73,18 @@ from repro.traffic.run import (
 )
 from repro.traffic.spec import Submission, TrafficSpec
 
-#: Version of the window-cache key schema.  Bump whenever the batch
-#: evaluator's semantics change in a way that invalidates cached
-#: window results.
-WINDOW_KEY_VERSION = 1
-
 #: Bit times between a frame's last EOF bit and the next possible SOF:
 #: three intermission bits consumed, then the first idle drive instant.
 _TURNAROUND = 4
 
-#: Process-wide memo of evaluated windows, insertion-ordered for FIFO
-#: eviction.  Values are canonical :class:`WindowResult` objects; hits
-#: return copies re-stamped with the caller's window index.
-_WINDOW_CACHE: Dict[str, object] = {}
-_WINDOW_CACHE_MAX = 1024
-_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def window_backend(spec: TrafficSpec, window: int) -> str:
-    """Which evaluator handles ``window`` of ``spec`` under ``batch``.
-
-    ``"batch"`` is the closed-form replay: nothing can perturb the
-    deterministic arbitration timeline.  ``"noise"`` is the vectorised
-    noise dispatch (:func:`run_window_noisy`): random view noise and
-    scheduled bursts are scanned against the clean timeline and only
-    actually-flipped realisations touch the engine, resumed from the
-    fault point.  Only higher-level protocols stay on ``"engine"``
-    outright — HLP timers submit frames mid-run, so the clean timeline
-    the scan needs is not known in advance.
-    """
-    if spec.hlp is not None:
-        return "engine"
-    if spec.noise_ber > 0.0 or spec.bursts_for_window(window):
-        return "noise"
-    return "batch"
-
-
-def window_cache_key(
-    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-) -> str:
-    """Content-addressed key of one window evaluation.
-
-    Keyed like :func:`repro.sweep.cell.cell_key`: SHA-256 over the
-    canonical JSON of everything the result depends on — protocol,
-    ``m``, node count, the window/drain geometry, the config knobs and
-    the *window-local* schedule (times relative to the window start, so
-    two windows with the same shape share a key regardless of their
-    position in the run).
-    """
-    from repro.metrics.export import json_line
-
-    offset = window * spec.window_bits
-    payload = {
-        "key_version": WINDOW_KEY_VERSION,
-        "protocol": spec.protocol,
-        "m": spec.m,
-        "n_nodes": spec.n_nodes,
-        "window_bits": spec.window_bits,
-        "max_window_bits": spec.max_window_bits,
-        "bus_off_recovery": spec.bus_off_recovery,
-        "fast_path": spec.fast_path,
-        "record_events": spec.record_events,
-        "schedule": [
-            [
-                sub.time - offset,
-                sub.node_index,
-                sub.seq,
-                sub.identifier,
-                sub.payload.hex(),
-                sub.message_id,
-            ]
-            for sub in submissions
-        ],
-    }
-    return hashlib.sha256(json_line(payload).encode("utf-8")).hexdigest()
-
 
 def window_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the process-wide window cache."""
-    return {
-        "entries": len(_WINDOW_CACHE),
-        "hits": _CACHE_STATS["hits"],
-        "misses": _CACHE_STATS["misses"],
-    }
+    """Zero counters of the retired window memo.
 
-
-def clear_window_cache() -> None:
-    """Empty the window cache and reset its counters (tests, benches)."""
-    _WINDOW_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
+    Windows are no longer memoised; the function stays only because
+    the benchmark's traced runs still read these counters.
+    """
+    return {"entries": 0, "hits": 0, "misses": 0}
 
 
 def _arbitration_divergence(loser_values, winner_values) -> int:
@@ -495,33 +414,6 @@ def _evaluate_window(
     return _render_prefix(spec, window, queues, plans, total_bits)[0]
 
 
-def run_window_batch(
-    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-):
-    """Evaluate one clean window through the memoised batch evaluator.
-
-    The caller (``run_window`` with ``backend="batch"``) is responsible
-    for routing only batch-eligible windows here — see
-    :func:`window_backend`.
-    """
-    key = window_cache_key(spec, window, submissions)
-    cached = _WINDOW_CACHE.get(key)
-    if cached is not None:
-        _CACHE_STATS["hits"] += 1
-        return replace(
-            cached,
-            window=window,
-            deliveries=dict(cached.deliveries),
-            event_counts=dict(cached.event_counts),
-        )
-    _CACHE_STATS["misses"] += 1
-    result = _evaluate_window(spec, window, submissions)
-    if len(_WINDOW_CACHE) >= _WINDOW_CACHE_MAX:
-        _WINDOW_CACHE.pop(next(iter(_WINDOW_CACHE)))
-    _WINDOW_CACHE[key] = result
-    return result
-
-
 def _noise_draw_width(spec: TrafficSpec) -> int:
     """Uniform draws the noise injector consumes per engine tick.
 
@@ -537,27 +429,24 @@ def _noise_draw_width(spec: TrafficSpec) -> int:
     return sum(1 for name in spec.node_names if name in allowed)
 
 
-def run_window_noisy(
+def run_window_batch(
     spec: TrafficSpec,
     window: int,
     submissions: Tuple[Submission, ...],
-    noise_seed,
+    noise_seed=None,
 ) -> WindowResult:
-    """Vectorised dispatch of one noisy/burst window.
+    """Evaluate one non-HLP window: clean prefix, then the engine suffix.
 
-    Draws the window's whole noise mask in the engine's stream order
-    (one uniform per noise-eligible node per tick over the fault-free
-    timeline) and thresholds it against the BER.  A zero-fault window
-    *is* the clean window, so it resolves through the memoised batch
-    evaluator with no simulation (no suffix).  A window whose mask
-    fires — or whose scheduled burst lands inside the clean timeline —
-    goes to :func:`_resume_window` with its first fault tick.  When even
-    the clean timeline overflows the drain budget, only the engine
-    reproduces the exact overflow surface, so the window resumes from a
-    fault at tick 0: an empty prefix.
+    Renders the clean timeline in closed form, then draws the window's
+    whole noise mask in the engine's stream order (one uniform per
+    noise-eligible node per tick over that timeline) and thresholds it
+    against the BER.  A window with no flip and no scheduled burst
+    inside the clean timeline *is* the clean window (``"batch"``, no
+    suffix); otherwise it goes to :func:`_resume_window` with its first
+    fault tick.  When the clean timeline overflows the drain budget,
+    the window resumes from tick 0 (an empty prefix), so the engine
+    raises its own ``SimulationError``.
     """
-    from repro.analysis.noisebatch import first_flip, generator_state, restore_state
-
     rng = None
     if spec.noise_ber > 0.0:
         from repro.parallel.seeds import rng_from
@@ -565,11 +454,17 @@ def run_window_noisy(
         rng = rng_from(noise_seed)
     draw_width = _noise_draw_width(spec)
     try:
-        clean = run_window_batch(spec, window, submissions)
+        clean = _evaluate_window(spec, window, submissions)
     except SimulationError:
         return _resume_window(spec, window, submissions, rng, draw_width, 0)
     fault_tick = None
     if draw_width:
+        from repro.analysis.noisebatch import (
+            first_flip,
+            generator_state,
+            restore_state,
+        )
+
         state = generator_state(rng)
         flip = first_flip(rng, clean.bits * draw_width, spec.noise_ber)
         restore_state(rng, state)

@@ -219,24 +219,18 @@ def run_window(
     followed by an engine suffix from cut tick ``s``; the result's
     ``backend`` names which half is empty.  ``backend="engine"`` runs
     the suffix from ``s = 0`` (empty prefix, labelled ``"engine"``).
-    ``backend="batch"`` renders fault-free windows as prefix only
-    (``"batch"``) and hands noisy/burst windows to the noise scan of
-    :mod:`repro.traffic.batch`, which cuts before the first fault
-    (``"resume"``, or ``"engine"`` when nothing commits before it).
-    HLP windows always run from ``s = 0``.
+    ``backend="batch"`` hands every non-HLP window to
+    :func:`repro.traffic.batch.run_window_batch`, which renders windows
+    that see no fault as prefix only (``"batch"``) and otherwise cuts
+    before the first fault (``"resume"``, or ``"engine"`` when nothing
+    commits before it).  HLP windows always run from ``s = 0``: HLP
+    timers submit frames mid-run, so the clean timeline is not known
+    in advance.
     """
-    if backend == "batch":
-        from repro.traffic.batch import (
-            run_window_batch,
-            run_window_noisy,
-            window_backend,
-        )
+    if backend == "batch" and spec.hlp is None:
+        from repro.traffic.batch import run_window_batch
 
-        chosen = window_backend(spec, window)
-        if chosen == "batch":
-            return run_window_batch(spec, window, submissions)
-        if chosen == "noise":
-            return run_window_noisy(spec, window, submissions, noise_seed)
+        return run_window_batch(spec, window, submissions, noise_seed)
     offset = window * spec.window_bits
     rng = None
     if spec.noise_ber > 0.0:

@@ -8,7 +8,7 @@ the engine.  These tests enforce that contract:
 * over the **full tail-site universe of every golden-corpus frame**
   (single flips exhaustively, multi-flips sampled with a fixed seed);
 * over the **full header-site universe** (the F1 desync placements,
-  classified through the stuff-aware header class cache) for every
+  classified through cached reduced engine runs) for every
   protocol, network size and announced field;
 * over a **seeded random sweep** of 1-3 flip placements per protocol;
 * through every wired entry point (``verify_consistency``,
@@ -197,7 +197,7 @@ class TestSeededRandomSweep:
 
 
 class TestHeaderDifferential:
-    """Header flips ride the class cache; verdicts == engine exactly."""
+    """Header flips ride cached reduced runs; verdicts == engine exactly."""
 
     #: majorcan requires m >= 3, so its "small m" config is m=3.
     HEADER_CONFIGS = (
@@ -280,6 +280,33 @@ class TestHeaderDifferential:
             assert outcome.via == "batch"
             expected = engine_oracle("can", 5, ("tx", "r1", "r2"), combo, frame)
             assert (outcome.deliveries, outcome.attempts) == expected
+
+    def test_lone_receiver_flips_share_one_run_per_parse_signature(
+        self, monkeypatch
+    ):
+        # Lone DATA/CRC receiver flips with equal parse signatures share
+        # one reduced run, so the cold MajorCAN_5 header universe over
+        # five nodes costs 24 engine runs, not one per site.
+        from repro.analysis import batchreplay
+
+        runs = []
+        real = batchreplay.run_placement
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(batchreplay, "run_placement", counted)
+        clear_caches()
+        names = ["tx"] + ["r%d" % i for i in range(1, 5)]
+        universe = dict(n_nodes=5, max_flips=1, extra_sites=header_sites(names))
+        batch = verify_consistency("majorcan", 5, backend="batch", **universe)
+        assert len(runs) == 24
+        assert batch.backend_stats["engine"] == 0
+        engine = verify_consistency("majorcan", 5, **universe)
+        assert batch.runs == engine.runs
+        assert batch.counterexamples == engine.counterexamples
+        assert len(batch.counterexamples) == 12
 
     def test_inert_header_plus_tail_flip_stays_vectorised(self):
         node_names = ("tx", "r1", "r2")
