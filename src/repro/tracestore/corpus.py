@@ -229,6 +229,24 @@ def _traffic_spec(name: str):
             seed=13,
             bursts=(BurstSpec(node="n1", window=0, start=180, length=20),),
         ),
+        # Poisson traffic under per-bit noise on two of four nodes plus
+        # a burst on a third: window 0 runs the noise and the burst
+        # through one composite injector, so the noise realisation of a
+        # noise+burst window is pinned without an HLP.
+        "traffic-noisy-burst-majorcan": TrafficSpec(
+            name="traffic-noisy-burst-majorcan",
+            protocol="majorcan",
+            m=5,
+            n_nodes=4,
+            windows=2,
+            window_bits=900,
+            source="poisson",
+            rate_per_bit=0.0015,
+            seed=29,
+            noise_ber=0.001,
+            noise_nodes=("n1", "n2"),
+            bursts=(BurstSpec(node="n3", window=0, start=240, length=4),),
+        ),
     }
     return specs[name]
 
@@ -241,6 +259,7 @@ GOLDEN_TRAFFIC_ENTRIES = (
     "traffic-contended-majorcan",
     "traffic-hlp-edcan",
     "traffic-hlp-totcan-contended",
+    "traffic-noisy-burst-majorcan",
     "traffic-noisy-hlp-edcan",
 )
 
