@@ -216,6 +216,10 @@ def full_chunk(
             record_bits=False,
             max_bits=max_bits,
         )
+        # The chunk's trials share ``rng``: leave it where one draw per
+        # node per simulated tick leaves it, not at the end of the
+        # injector's last block.
+        injector.settle(outcome.engine.time)
         counts.flips_total += injector.injected
         counts.absorb_outcome(outcome)
     return counts

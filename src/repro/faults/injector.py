@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.can.bits import Level
 from repro.can.controller import CanController
 from repro.errors import ConfigurationError
-from repro.simulation.engine import FaultInjector
+from repro.simulation.engine import NEVER, FaultInjector
 
 
 def _level_to_symbol(level: Optional[Level]) -> Optional[str]:
@@ -297,6 +297,16 @@ class CompositeInjector(FaultInjector):
 
     def __init__(self, injectors: Sequence[FaultInjector]) -> None:
         self.injectors = list(injectors)
+
+    @property
+    def next_view_tick(self) -> int:
+        return min(
+            (injector.next_view_tick for injector in self.injectors), default=NEVER
+        )
+
+    def bind(self, nodes: Sequence[CanController]) -> None:
+        for injector in self.injectors:
+            injector.bind(nodes)
 
     def on_bit_start(self, time: int, nodes: Sequence[CanController]) -> None:
         for injector in self.injectors:

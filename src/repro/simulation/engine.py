@@ -11,7 +11,10 @@ time per step, following the model in DESIGN.md:
 4. the fault injector may perturb *each node's view* of the bus level
    — this is the paper's error model, in which a bit error affects "a
    node's particular view of the bit" with probability
-   ``ber* = ber / N``;
+   ``ber* = ber / N``.  The injector announces the next tick at which
+   it might change a view (:attr:`FaultInjector.next_view_tick`); on
+   the non-recording path every earlier tick hands the bus level to
+   every node without consulting it;
 5. every controller consumes its view and steps its state machine;
 6. application-layer hooks run (timeouts of the higher-level
    protocols).
@@ -20,6 +23,7 @@ time per step, following the model in DESIGN.md:
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.can.bits import Level
@@ -28,6 +32,14 @@ from repro.errors import SimulationError
 from repro.simulation.bus import Bus
 from repro.simulation.trace import BitRecord, Trace
 
+#: ``next_view_tick`` of an injector that never changes a view.
+NEVER = sys.maxsize
+
+#: ``next_view_tick`` of an injector that must see every view: always
+#: tick 0, and assignments (an inherited ``__init__`` keeping its own
+#: lookahead) are ignored.
+_EVERY_TICK = property(lambda self: 0, lambda self, value: None)
+
 
 class FaultInjector:
     """Base (no-op) fault injector; see :mod:`repro.faults` for real ones.
@@ -35,7 +47,28 @@ class FaultInjector:
     Subclasses override :meth:`perturb_drive` and/or :meth:`perturb_view`.
     Both receive the controller object, so injectors can trigger on the
     node's announced frame position (``controller.position``).
+
+    ``next_view_tick`` is the earliest tick at which :meth:`perturb_view`
+    might return something other than the bus level.  The engine skips
+    the per-node view calls on every earlier tick, so an injector that
+    knows its flips in advance keeps it current; a subclass that
+    overrides :meth:`perturb_view` without defining ``next_view_tick``
+    is consulted on every tick.
     """
+
+    next_view_tick = NEVER
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "perturb_view" in cls.__dict__ and "next_view_tick" not in cls.__dict__:
+            cls.next_view_tick = _EVERY_TICK
+
+    def bind(self, nodes: Sequence[CanController]) -> None:
+        """Learn the engine's nodes, in the order it steps them.
+
+        Called when the injector is installed on an engine and whenever
+        a node is attached.
+        """
 
     def perturb_drive(self, node: CanController, time: int, level: Level) -> Level:
         """Physical-layer fault on the level ``node`` drives at ``time``."""
@@ -59,7 +92,6 @@ class SimulationEngine:
         record_bits: bool = True,
     ) -> None:
         self.nodes: List[CanController] = list(nodes or [])
-        self.injector = injector or FaultInjector()
         self.bus = Bus()
         self.trace = Trace(record_bits=record_bits)
         self.time = 0
@@ -69,16 +101,24 @@ class SimulationEngine:
         if len(set(names)) != len(names):
             raise SimulationError("node names must be unique: %r" % names)
         self._nodes_by_name = {node.name: node for node in self.nodes}
-        injector_type = type(self.injector)
+        self.injector = injector or FaultInjector()
+
+    @property
+    def injector(self) -> FaultInjector:
+        """The installed fault injector; assigning one binds it to the nodes."""
+        return self._injector
+
+    @injector.setter
+    def injector(self, injector: FaultInjector) -> None:
+        self._injector = injector
+        injector_type = type(injector)
         self._injector_drives = (
             injector_type.perturb_drive is not FaultInjector.perturb_drive
-        )
-        self._injector_views = (
-            injector_type.perturb_view is not FaultInjector.perturb_view
         )
         self._injector_bit_start = (
             injector_type.on_bit_start is not FaultInjector.on_bit_start
         )
+        injector.bind(self.nodes)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -92,6 +132,7 @@ class SimulationEngine:
             raise SimulationError("duplicate node name %r" % node.name)
         self.nodes.append(node)
         self._nodes_by_name[node.name] = node
+        self._injector.bind(self.nodes)
         return node
 
     def node(self, name: str) -> CanController:
@@ -123,18 +164,19 @@ class SimulationEngine:
         if not self.trace.record_bits:
             return self._step_fast()
         time = self.time
-        self.injector.on_bit_start(time, self.nodes)
+        injector = self._injector
+        injector.on_bit_start(time, self.nodes)
         drives: Dict[str, Level] = {}
         for node in self.nodes:
             node.now = time
             driven = node.drive()
-            drives[node.name] = self.injector.perturb_drive(node, time, driven)
+            drives[node.name] = injector.perturb_drive(node, time, driven)
         bus_level = self.bus.resolve(drives)
         views: Dict[str, Level] = {}
         positions = {node.name: node.position for node in self.nodes}
         states = {node.name: node.state for node in self.nodes}
         for node in self.nodes:
-            view = self.injector.perturb_view(node, time, bus_level)
+            view = injector.perturb_view(node, time, bus_level)
             views[node.name] = view
             node.on_bit(view)
         self.trace.record(
@@ -160,10 +202,12 @@ class SimulationEngine:
         ``on_bit`` call order per node — but skips the ``drives`` /
         ``views`` / ``positions`` / ``states`` dicts and the
         :class:`BitRecord` (which :meth:`Trace.record` would discard
-        anyway), and skips injector calls the injector never overrode.
+        anyway), skips injector calls the injector never overrode, and
+        skips the per-node view calls before the injector's
+        ``next_view_tick``.
         """
         nodes = self.nodes
-        injector = self.injector
+        injector = self._injector
         time = self.time
         if self._injector_bit_start:
             injector.on_bit_start(time, nodes)
@@ -179,7 +223,7 @@ class SimulationEngine:
                 if node.drive() is Level.DOMINANT:
                     level = Level.DOMINANT
         self.bus.push(level)
-        if self._injector_views:
+        if time >= injector.next_view_tick:
             for node in nodes:
                 node.on_bit(injector.perturb_view(node, time, level))
         else:

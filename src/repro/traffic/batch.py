@@ -417,16 +417,14 @@ def _evaluate_window(
 def _noise_draw_width(spec: TrafficSpec) -> int:
     """Uniform draws the noise injector consumes per engine tick.
 
-    ``RandomViewErrorInjector`` draws once per ``perturb_view`` call —
-    one per node per tick in engine node order — except that nodes
-    outside ``only_nodes`` return early *before* the draw.
+    One per noise-eligible node, by the rule the injector ranks its
+    nodes with (:func:`repro.faults.bit_errors.view_noise_ranks`).
     """
     if spec.noise_ber <= 0.0:
         return 0
-    if spec.noise_nodes is None:
-        return spec.n_nodes
-    allowed = set(spec.noise_nodes)
-    return sum(1 for name in spec.node_names if name in allowed)
+    from repro.faults.bit_errors import view_noise_ranks
+
+    return len(view_noise_ranks(spec.node_names, spec.noise_nodes))
 
 
 def run_window_batch(

@@ -79,18 +79,28 @@ class PoissonSource:
             raise ConfigurationError("rate_per_bit must be a probability")
         self.rng = make_rng(self.rng)
 
+    @property
+    def exhausted(self) -> bool:
+        """Whether ``max_messages`` frames have been submitted."""
+        return self.max_messages is not None and self.sent >= self.max_messages
+
     def tick(self, time: int) -> None:
-        if self.max_messages is not None and self.sent >= self.max_messages:
+        """Engine tick hook: one uniform draw, submit when it is a hit."""
+        if self.exhausted:
             return
         if self.rng.random() < self.rate_per_bit:
-            frame = data_frame(
-                self.identifier,
-                self.payload_fn(self.sent),
-                message_id="%s#%d" % (self.controller.name, self.sent),
-                origin=self.controller.name,
-            )
-            self.controller.submit(frame)
-            self.sent += 1
+            self.submit_next()
+
+    def submit_next(self) -> None:
+        """Submit the source's next frame to its controller."""
+        frame = data_frame(
+            self.identifier,
+            self.payload_fn(self.sent),
+            message_id="%s#%d" % (self.controller.name, self.sent),
+            origin=self.controller.name,
+        )
+        self.controller.submit(frame)
+        self.sent += 1
 
 
 def periodic_sources_for_profile(

@@ -10,7 +10,9 @@ MinorCAN and MajorCAN alike.  This module checks that three ways:
   comparing the full recorded surface;
 * a seeded random-fault fuzz sweep (``RandomViewErrorInjector``) with
   competing transmitters, which exercises arbitration loss, error
-  flags, overload frames and retransmission under both paths;
+  flags, overload frames and retransmission under both paths (and the
+  sparse noise path of the non-recording engine against the per-node
+  path of the recording one);
 * feeding :class:`FastFrameParser` and the reference
   :class:`FrameParser` in lockstep over encoded frames.
 """
@@ -36,7 +38,8 @@ from repro.can.parser import (
     FrameParser,
 )
 from repro.core.majorcan import DEFAULT_M, majorcan_config
-from repro.faults.bit_errors import RandomViewErrorInjector
+from repro.faults.bit_errors import BurstViewErrorInjector, RandomViewErrorInjector
+from repro.faults.injector import CompositeInjector
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 from repro.simulation.engine import SimulationEngine
 from repro.tracestore.replay import load_trace
@@ -185,6 +188,41 @@ def test_fuzz_identical_fast_vs_reference(protocol, seed, ber_star):
     reference = fuzz_surface(protocol, fast_path=False, seed=seed, ber_star=ber_star)
     fast = fuzz_surface(protocol, fast_path=True, seed=seed, ber_star=ber_star)
     assert fast == reference
+
+
+def noisy_surface(record_bits: bool, seed: int, burst: bool):
+    """Fixed-length contended run under view noise on two of four nodes.
+
+    With ``burst`` the noise shares a ``CompositeInjector`` with a
+    burst on a third node.
+    """
+    nodes = build_nodes([("n%d" % i, "majorcan", DEFAULT_M) for i in range(4)], True)
+    nodes[0].submit(data_frame(0x123, b"\x55\xaa", message_id="a"))
+    nodes[1].submit(data_frame(0x0ABCDEF, b"\x01\x02", extended=True, message_id="b"))
+    nodes[3].submit(data_frame(0x200, b"", message_id="c"))
+    noise = RandomViewErrorInjector(0.01, seed=seed, only_nodes=["n1", "n3"])
+    injector = noise
+    if burst:
+        injector = CompositeInjector([noise, BurstViewErrorInjector("n2", 300, 4)])
+    engine = SimulationEngine(nodes, injector=injector, record_bits=record_bits)
+    engine.run(3000)
+    return {
+        "injections": noise.injections,
+        "deliveries": delivery_surface(nodes),
+        "bus": "".join(level.symbol for level in engine.bus.history),
+    }
+
+
+@pytest.mark.parametrize("burst", [False, True], ids=["noise", "noise+burst"])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_sparse_noise_matches_per_node_path(seed, burst):
+    """The non-recording engine consults the noise injector only on its
+    flip ticks; the recording engine calls it for every node on every
+    tick.  Both must see the same flips."""
+    per_node = noisy_surface(record_bits=True, seed=seed, burst=burst)
+    sparse = noisy_surface(record_bits=False, seed=seed, burst=burst)
+    assert per_node["injections"]
+    assert sparse == per_node
 
 
 def test_fuzz_clean_arbitration_identical_and_delivers():

@@ -74,6 +74,24 @@ class TestFullMonteCarlo:
         assert mc.flips_total > 0
         assert 0 <= mc.imo <= mc.trials
 
+    @pytest.mark.parametrize(
+        "protocol, seed, expected",
+        [
+            ("can", 3, (0, 1, 1, 82)),
+            ("majorcan", 3, (5, 0, 5, 84)),
+            ("can", 11, (0, 2, 2, 70)),
+            ("majorcan", 11, (4, 0, 4, 69)),
+        ],
+    )
+    def test_counts_pinned(self, protocol, seed, expected):
+        """Golden counts; 20-trial chunks share one generator, so each
+        trial starts where the previous one left the stream."""
+        mc = monte_carlo_full(
+            protocol, n_nodes=4, ber_star=3e-3, trials=60, seed=seed, chunk_trials=20
+        )
+        counts = (mc.imo, mc.double_reception, mc.inconsistent, mc.flips_total)
+        assert counts == expected
+
     def test_majorcan_consistent_at_moderate_noise(self):
         mc = monte_carlo_full("majorcan", n_nodes=3, ber_star=1e-3, trials=40, seed=9)
         assert mc.imo == 0
