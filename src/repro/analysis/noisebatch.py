@@ -1,12 +1,15 @@
-"""Draw-order-preserving vectorised noise scans (ISSUE 10 tentpole).
+"""Draw-order-preserving vectorised noise scans.
 
 The engine's :class:`repro.faults.bit_errors.RandomViewErrorInjector`
-consumes exactly one uniform draw per noise-eligible node per bus bit,
-in a fixed order (the engine's per-tick node loop).  That makes a whole
-window's — or campaign round's — noise realisation a *prefix* of the
-generator stream whose length is known in advance from the fault-free
-timeline: ``bits * draw_width`` draws, where ``draw_width`` is the
-number of nodes the injector actually draws for.
+realises one uniform draw per noise-eligible node per bus bit, in a
+fixed order (the engine's per-tick node loop, ranked by
+:func:`repro.faults.bit_errors.view_noise_ranks`).  It draws them in
+blocks itself and rewinds with :func:`restore_state` and
+:func:`advance` when a caller needs the scalar stream position.  That
+makes a whole window's — or campaign round's — noise realisation a
+*prefix* of the generator stream whose length is known in advance from
+the fault-free timeline: ``bits * draw_width`` draws, where
+``draw_width`` is the number of nodes the injector draws for.
 
 This module materialises that prefix in large generator calls and
 thresholds it against the BER, so the batch backends can answer the
