@@ -2,8 +2,9 @@
 
 from repro.analysis.batchreplay import (
     BatchReplayEvaluator,
+    EngineClassifier,
     PlacementOutcome,
-    classify_placements,
+    placement_classifier,
     tail_shape,
 )
 from repro.analysis.enumeration import (
@@ -84,8 +85,9 @@ from repro.analysis.table1 import (
 __all__ = [
     "BatchReplayEvaluator",
     "Counterexample",
+    "EngineClassifier",
     "PlacementOutcome",
-    "classify_placements",
+    "placement_classifier",
     "tail_shape",
     "MAblationRow",
     "MonteCarloResult",

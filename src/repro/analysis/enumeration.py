@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.can.fields import EOF
-from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.scenarios import make_controller, run_placement
+from repro.faults.scenarios import make_controller
 
 #: A pattern assigns flipped view bits as (node_index, eof_index) pairs.
 Pattern = Tuple[Tuple[int, int], ...]
@@ -159,8 +158,6 @@ def enumerate_tail_patterns(
         payload so the simulated frame matches the ``tau_data`` the
         weights are computed against.
     """
-    if backend not in ("engine", "batch"):
-        raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
     # The verdict step is the same function on both backends; only the
     # batch one goes through its cache (the engine is the oracle).
     classify = tail_verdicts if backend == "batch" else tail_verdicts.__wrapped__
@@ -219,15 +216,9 @@ def tail_verdicts(
         if max_flips is not None and size > max_flips:
             break
         patterns.extend(itertools.combinations(sites, size))
-    if backend == "engine":
-        outcomes = tuple(
-            _simulate_pattern(protocol, m, node_names, pattern, payload)
-            for pattern in patterns
-        )
-        return outcomes, None
-    from repro.analysis.batchreplay import BatchReplayEvaluator
+    from repro.analysis.batchreplay import placement_classifier
 
-    evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
+    classifier = placement_classifier(protocol, m, node_names, backend, payload)
     combos = [
         tuple(
             (node_names[node_index], EOF, eof_index)
@@ -243,32 +234,9 @@ def tail_verdicts(
             double_reception=outcome.double_reception,
             attempts=outcome.attempts,
         )
-        for pattern, outcome in zip(patterns, evaluator.evaluate(combos))
+        for pattern, outcome in zip(patterns, classifier.evaluate(combos))
     )
-    return outcomes, dict(evaluator.stats)
-
-
-def _simulate_pattern(
-    protocol: str,
-    m: int,
-    node_names: Sequence[str],
-    combo: Sequence[Tuple[int, int]],
-    payload: bytes = b"\x55",
-) -> PatternOutcome:
-    scenario = run_placement(
-        protocol,
-        m,
-        node_names,
-        [(node_names[node_index], EOF, eof_index) for node_index, eof_index in combo],
-        data_frame(0x123, payload, message_id="m"),
-    )
-    return PatternOutcome(
-        pattern=tuple(combo),
-        consistent=scenario.consistent,
-        inconsistent_omission=scenario.inconsistent_omission,
-        double_reception=scenario.double_reception,
-        attempts=scenario.attempts,
-    )
+    return outcomes, classifier.stats
 
 
 def equation4_tail_prediction(ber_star: float, n_nodes: int, tau_data: int) -> float:

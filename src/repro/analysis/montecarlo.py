@@ -25,7 +25,7 @@ rates and the *numbers* with the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
@@ -33,12 +33,8 @@ from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
 from repro.faults.bit_errors import RandomViewErrorInjector
-from repro.faults.scenarios import (
-    make_controller,
-    run_placement,
-    run_single_frame_scenario,
-)
-from repro.parallel.pool import run_tasks
+from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.parallel.pool import merge_stats, run_tasks
 from repro.parallel.seeds import (
     ChildSeed,
     adaptive_chunk,
@@ -127,11 +123,13 @@ class ChunkCounts:
     inconsistent: int = 0
     no_fault_trials: int = 0
     flips_total: int = 0
-    #: Batch-backend provenance counters (empty on the engine backend).
-    backend_stats: dict = field(default_factory=dict)
+    #: Batch-backend provenance counters (None on the engine backend
+    #: and for a chunk without a fault-bearing trial).
+    backend_stats: Optional[dict] = None
 
     def absorb_outcome(self, outcome) -> None:
-        """Fold one :class:`ScenarioOutcome` classification in."""
+        """Fold one outcome's classification in (a placement's or a
+        whole-frame scenario's)."""
         if outcome.inconsistent_omission:
             self.imo += 1
         if outcome.double_reception:
@@ -177,17 +175,12 @@ def tail_chunk(
     trial_combos = [tuple(group) for group in groups]
     if not trial_combos:
         return counts
-    if backend == "batch":
-        from repro.analysis.batchreplay import BatchReplayEvaluator
+    from repro.analysis.batchreplay import placement_classifier
 
-        evaluator = BatchReplayEvaluator(protocol, m, node_names)
-        for outcome in evaluator.evaluate(trial_combos):
-            counts.absorb_outcome(outcome)
-        counts.backend_stats = dict(evaluator.stats)
-        return counts
-    frame = data_frame(0x123, b"\x55", message_id="m")
-    for combo in trial_combos:
-        counts.absorb_outcome(run_placement(protocol, m, node_names, combo, frame))
+    classifier = placement_classifier(protocol, m, node_names, backend)
+    for outcome in classifier.evaluate(trial_combos):
+        counts.absorb_outcome(outcome)
+    counts.backend_stats = classifier.stats
     return counts
 
 
@@ -234,11 +227,7 @@ def _merge_counts(trials: int, parts: List[ChunkCounts]) -> MonteCarloResult:
         result.inconsistent += part.inconsistent
         result.no_fault_trials += part.no_fault_trials
         result.flips_total += part.flips_total
-        if part.backend_stats:
-            merged = result.backend_stats or {}
-            for key, value in part.backend_stats.items():
-                merged[key] = merged.get(key, 0) + value
-            result.backend_stats = merged
+    result.backend_stats = merge_stats(part.backend_stats for part in parts) or None
     return result
 
 

@@ -31,7 +31,7 @@ from repro.analysis.probability import (
 from repro.analysis.rates import incidents_per_hour
 from repro.analysis.verification import header_sites, verify_consistency
 from repro.errors import AnalysisError
-from repro.parallel.pool import run_tasks
+from repro.parallel.pool import merge_stats, run_tasks
 from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
 
 
@@ -172,15 +172,7 @@ def ablation_row(
             backend=backend,
         )
         f1_closed = f1.holds
-    stats: Optional[dict] = None
-    if backend == "batch":
-        stats = {}
-        parts = [tail.backend_stats]
-        if f1 is not None:
-            parts.append(f1.backend_stats)
-        for part in parts:
-            for key, value in (part or {}).items():
-                stats[key] = stats.get(key, 0) + value
+    stats = merge_stats([tail.backend_stats, f1 and f1.backend_stats]) or None
     return MAblationRow(
         m=m,
         best_case_bits=best_case_overhead_bits(m),

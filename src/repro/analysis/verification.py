@@ -34,11 +34,10 @@ from repro.can.fields import (
     EOF,
     SAMPLING,
 )
-from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.scenarios import make_controller, run_placement
-from repro.parallel.pool import effective_jobs, run_tasks
-from repro.parallel.seeds import adaptive_chunk
+from repro.faults.scenarios import make_controller
+from repro.parallel.pool import effective_jobs, imap_tasks, merge_stats
+from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
 
 #: A fault site: (node name, field label, index within the field).
 Site = Tuple[str, str, int]
@@ -55,12 +54,10 @@ Site = Tuple[str, str, int]
 #: comparable.
 CHUNK_PLACEMENTS = 64
 
-#: Per-placement cost discount of the batch backend relative to the
-#: engine, used by the adaptive chunk resolution.
-_BATCH_DISCOUNT = 16.0
-
-#: Placements per array pass on the serial batch backend — large slabs
-#: amortise the per-pass setup without changing the enumeration order.
+#: Placements per inline chunk (``jobs=1`` or ``stop_at_first``) —
+#: large slabs amortise the batch replay's per-pass setup without
+#: changing the enumeration order; the engine classifies lazily, so an
+#: early exit runs no placement past the first hit.
 _BATCH_SLAB = 2048
 
 
@@ -223,7 +220,7 @@ def verify_consistency(
     if chunk_placements is None:
         cost_units = n_nodes / 3.0
         if backend == "batch":
-            cost_units /= _BATCH_DISCOUNT
+            cost_units /= BATCH_DISCOUNT
         chunk_placements = adaptive_chunk(CHUNK_PLACEMENTS, cost_units)
     result = VerificationResult(
         protocol=protocol,
@@ -236,30 +233,7 @@ def verify_consistency(
     combos = itertools.chain.from_iterable(
         itertools.combinations(sites, size) for size in range(1, max_flips + 1)
     )
-    if stop_at_first or effective_jobs(jobs) == 1:
-        if backend == "batch":
-            from repro.analysis.batchreplay import BatchReplayEvaluator
-
-            evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-            result.backend_stats = evaluator.stats
-            for chunk in _chunked(combos, _BATCH_SLAB):
-                outcomes = evaluator.evaluate(chunk)
-                for combo, outcome in zip(chunk, outcomes):
-                    result.runs += 1
-                    hit = evaluator.counterexample(combo, outcome)
-                    if hit is not None:
-                        result.counterexamples.append(Counterexample(*hit))
-                        if stop_at_first:
-                            return result
-            return result
-        for combo in combos:
-            result.runs += 1
-            hit = classify_placement(protocol, m, node_names, combo, payload)
-            if hit is not None:
-                result.counterexamples.append(Counterexample(*hit))
-                if stop_at_first:
-                    return result
-        return result
+    inline = stop_at_first or effective_jobs(jobs) == 1
     tasks = (
         partial(
             verify_chunk,
@@ -269,17 +243,18 @@ def verify_consistency(
             tuple(chunk),
             payload,
             backend,
+            stop_at_first,
         )
-        for chunk in _chunked(combos, chunk_placements)
+        for chunk in _chunked(combos, _BATCH_SLAB if inline else chunk_placements)
     )
-    for runs, hits, stats in run_tasks(tasks, jobs):
+    stats: dict = {}
+    for runs, hits, chunk_stats in imap_tasks(tasks, 1 if inline else jobs):
         result.runs += runs
         result.counterexamples.extend(Counterexample(*hit) for hit in hits)
-        if stats:
-            merged = result.backend_stats or {}
-            for key, value in stats.items():
-                merged[key] = merged.get(key, 0) + value
-            result.backend_stats = merged
+        stats = merge_stats([stats, chunk_stats])
+        if stop_at_first and hits:
+            break
+    result.backend_stats = stats or None
     return result
 
 
@@ -290,33 +265,30 @@ def verify_chunk(
     combos: Tuple[Tuple[Site, ...], ...],
     payload: bytes,
     backend: str = "engine",
-) -> Tuple[int, List[Tuple], dict]:
-    """Classify one chunk of placements; one pool task of
-    :func:`verify_consistency`.
+    stop_at_first: bool = False,
+) -> Tuple[int, List[Tuple], Optional[dict]]:
+    """Classify one chunk of placements; one task of
+    :func:`verify_consistency`, run inline or on the pool.
 
-    Returns ``(runs, hits, stats)``: the placement count, the
-    :class:`Counterexample` argument tuples of the broken placements
-    in enumeration order, and the batch-backend provenance counters
-    (empty on the engine backend).
+    Returns ``(runs, hits, stats)``: the placements classified, the
+    :class:`Counterexample` argument tuples of the broken ones in
+    enumeration order, and the classifier's provenance counters
+    (``None`` on the engine backend).  ``stop_at_first`` ends the chunk
+    at its first hit.
     """
-    if backend == "batch":
-        from repro.analysis.batchreplay import BatchReplayEvaluator
+    from repro.analysis.batchreplay import placement_classifier
 
-        evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-        outcomes = evaluator.evaluate(combos)
-        hits = [
-            hit
-            for combo, outcome in zip(combos, outcomes)
-            for hit in (evaluator.counterexample(combo, outcome),)
-            if hit is not None
-        ]
-        return len(combos), hits, dict(evaluator.stats)
+    classifier = placement_classifier(protocol, m, node_names, backend, payload)
+    runs = 0
     hits = []
-    for combo in combos:
-        hit = classify_placement(protocol, m, node_names, combo, payload)
+    for combo, outcome in zip(combos, classifier.evaluate(combos)):
+        runs += 1
+        hit = classifier.counterexample(combo, outcome)
         if hit is not None:
             hits.append(hit)
-    return len(combos), hits, {}
+            if stop_at_first:
+                break
+    return runs, hits, classifier.stats
 
 
 def _chunked(combos: Iterator, size: int) -> Iterator[List]:
@@ -326,34 +298,3 @@ def _chunked(combos: Iterator, size: int) -> Iterator[List]:
             return
         yield chunk
 
-
-def classify_placement(
-    protocol: str,
-    m: int,
-    node_names: Sequence[str],
-    combo: Sequence[Site],
-    payload: bytes,
-) -> Optional[Tuple]:
-    """Simulate one flip placement; return Counterexample args or None.
-
-    Returns plain picklable data (not a :class:`Counterexample`) so
-    :func:`verify_chunk` can ship results across the process boundary
-    cheaply.
-    """
-    outcome = run_placement(
-        protocol, m, node_names, combo, data_frame(0x123, payload, message_id="m")
-    )
-    if outcome.inconsistent_omission:
-        kind = "imo"
-    elif outcome.double_reception:
-        kind = "double"
-    elif not outcome.consistent:
-        kind = "inconsistent"
-    else:
-        return None
-    return (
-        tuple(combo),
-        tuple(sorted(outcome.deliveries.items())),
-        outcome.attempts,
-        kind,
-    )

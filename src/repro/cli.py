@@ -180,9 +180,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             title="Consistency campaign (Fig. 3a attacks + optional noise)",
         )
     )
-    _print_backend_stats(
-        _merge_stats(outcome.backend_stats for outcome in outcomes)
-    )
+    _print_backend_stats(*(outcome.backend_stats for outcome in outcomes))
     return 0
 
 
@@ -210,9 +208,7 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
                 )
             )
     _print_backend_stats(
-        _merge_stats(
-            row.backend_stats for rows in sweep.values() for row in rows
-        )
+        *(row.backend_stats for rows in sweep.values() for row in rows)
     )
     return 0
 
@@ -243,7 +239,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
             title="Choice of m — overhead vs verified robustness",
         )
     )
-    _print_backend_stats(_merge_stats(row.backend_stats for row in rows))
+    _print_backend_stats(*(row.backend_stats for row in rows))
     print()
     for ber in (1e-4, 1e-5, 1e-6):
         revision = omission_degree_revision(ber)
@@ -482,22 +478,17 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _merge_stats(stats_iter) -> dict:
-    """Sum any number of optional per-run stat dicts into one."""
-    merged: dict = {}
-    for stats in stats_iter:
-        for key, value in (stats or {}).items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
-def _print_backend_stats(stats) -> None:
+def _print_backend_stats(*parts) -> None:
     """Print the batch backend's provenance split (and any notice).
 
-    Printed after the main output and only when a batch result carries
-    stats, so engine-backend output is byte-identical to earlier
-    releases and silent engine bail-outs become visible.
+    ``parts`` are the counters of one or more results, summed.  Printed
+    after the main output and only when a batch result carries stats,
+    so engine-backend output is byte-identical to earlier releases and
+    silent engine bail-outs become visible.
     """
+    from repro.parallel.pool import merge_stats
+
+    stats = merge_stats(parts)
     if not stats:
         return
     from repro.analysis.batchreplay import engine_share_notice, format_stats

@@ -22,13 +22,14 @@ regardless of ``jobs`` and merge partial results in chunk order, so
 ``jobs`` only decides *where* a chunk runs, never *what* it computes.
 """
 
-from repro.parallel.pool import effective_jobs, imap_tasks, run_tasks
+from repro.parallel.pool import effective_jobs, imap_tasks, merge_stats, run_tasks
 from repro.parallel.seeds import adaptive_chunk, rng_from, spawn_seeds
 
 __all__ = [
     "adaptive_chunk",
     "effective_jobs",
     "imap_tasks",
+    "merge_stats",
     "run_tasks",
     "rng_from",
     "spawn_seeds",

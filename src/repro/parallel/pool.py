@@ -35,7 +35,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 #: Tasks a worker processes before it is replaced.  High enough that
 #: recycling never dominates, low enough to bound the memory of
@@ -157,3 +157,17 @@ def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
 def run_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1) -> List:
     """Execute ``tasks`` and return their results in submission order."""
     return list(imap_tasks(tasks, jobs, chunksize))
+
+
+def merge_stats(parts: Iterable[Optional[Dict[str, int]]]) -> Dict[str, int]:
+    """Sum per-chunk provenance counters, in chunk order.
+
+    A part may be ``None`` or empty (the engine backend reports none);
+    the merged dict is then empty too, and drivers that publish
+    ``None`` for "no counters" write ``merge_stats(...) or None``.
+    """
+    merged: Dict[str, int] = {}
+    for part in parts:
+        for key, value in (part or {}).items():
+            merged[key] = merged.get(key, 0) + value
+    return merged

@@ -49,6 +49,14 @@ def rng_from(child: ChildSeed) -> np.random.Generator:
     return np.random.default_rng(child)
 
 
+#: Per-placement cost discount of the batch replay relative to the
+#: engine: the cost units :func:`adaptive_chunk` gets for a batch-backend
+#: placement are the engine's divided by this.  Verification chunks and
+#: sweep cell chunks both resolve with it, and a sweep cell's resolved
+#: chunk is part of its store key, so changing it moves cell keys.
+BATCH_DISCOUNT = 16.0
+
+
 def adaptive_chunk(
     base: int, cost_units: float, floor: int = 8, cap: int = 4096
 ) -> int:

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.metrics.export import json_line
-from repro.parallel.seeds import adaptive_chunk
+from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
 from repro.sweep.spec import SweepCell
 
 #: Version of the key schema.  Bump whenever the evaluation semantics
@@ -38,10 +38,6 @@ KEY_VERSION = 1
 #: batch backend's per-placement discount; the resolved value is part
 #: of the cell identity (see :func:`cell_constants`).
 CHUNK_CELLS = 8
-
-#: Per-placement cost discount of the batch backend relative to the
-#: engine (matches ``repro.analysis.verification._BATCH_DISCOUNT``).
-_BATCH_DISCOUNT = 16.0
 
 #: Pattern count of the baseline cell: C(6, 0) + C(6, 1) + C(6, 2).
 _BASELINE_PATTERNS = 22
@@ -70,7 +66,7 @@ def cell_constants(
         _BASELINE_PATTERNS
     )
     if backend == "batch":
-        cost_units /= _BATCH_DISCOUNT
+        cost_units /= BATCH_DISCOUNT
     return {
         "key_version": KEY_VERSION,
         "backend": backend,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.parallel import imap_tasks
+from repro.parallel import imap_tasks, merge_stats
 from repro.sweep.cell import (
     cell_constants,
     cell_key,
@@ -196,9 +196,7 @@ def run_sweep(
     for records in imap_tasks(_chunk_tasks(pending, spec), jobs=jobs):
         store.append(records)
         evaluated += len(records)
-        for record in records:
-            for key, value in (stats_of(record) or {}).items():
-                stats[key] = stats.get(key, 0) + int(value)
+        stats = merge_stats([stats, *map(stats_of, records)])
         if progress is not None:
             progress(evaluated, len(pending))
     status = store.compact()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -24,6 +24,53 @@ PROTOCOLS = ("can", "minorcan", "majorcan")
 
 #: Largest classic-CAN payload, bytes.
 MAX_PAYLOAD_BYTES = 8
+
+#: Workload families a traffic-surface cell may name
+#: (:class:`repro.traffic.spec.TrafficSpec` sources).
+TRAFFIC_SOURCES = ("periodic", "poisson")
+
+#: The range rule of every cell field: ``(holds, message)`` per field
+#: name.  :class:`SweepCell` and :class:`TrafficCell` check their
+#: fields against it, and :class:`SweepSpec` checks its axes against it
+#: before expanding any grid.
+_RULES: Dict[str, Tuple[Callable[[Any], bool], Callable[[Any], str]]] = {
+    "protocol": (
+        lambda v: v in PROTOCOLS,
+        lambda v: "unknown protocol %r (use one of %s)" % (v, ", ".join(PROTOCOLS)),
+    ),
+    "m": (lambda v: v >= 2, lambda v: "m must be at least 2, got %d" % v),
+    "ber": (
+        lambda v: 0.0 < v < 1.0,
+        lambda v: "ber must be a probability in (0, 1), got %r" % (v,),
+    ),
+    "bit_rate": (lambda v: v > 0, lambda v: "bit rate must be positive"),
+    "bus_length_m": (lambda v: v >= 0, lambda v: "bus length must be non-negative"),
+    "payload": (
+        lambda v: 0 <= v <= MAX_PAYLOAD_BYTES,
+        lambda v: "payload must be 0..%d bytes, got %d" % (MAX_PAYLOAD_BYTES, v),
+    ),
+    "n_nodes": (lambda v: v >= 2, lambda v: "a broadcast network needs >= 2 nodes, got %d" % v),
+    "load": (lambda v: 0.0 < v <= 4.0, lambda v: "traffic load must be in (0, 4], got %r" % (v,)),
+    "source": (
+        lambda v: v in TRAFFIC_SOURCES,
+        lambda v: "unknown traffic source %r (use one of %s)" % (v, ", ".join(TRAFFIC_SOURCES)),
+    ),
+    "noise_ber": (lambda v: 0.0 <= v < 1.0, lambda v: "noise_ber must be in [0, 1), got %r" % (v,)),
+}
+
+
+def _check(field_name: str, values: Sequence) -> None:
+    """Raise the rule's :class:`ConfigurationError` for the first bad value."""
+    holds, message = _RULES[field_name]
+    for value in values:
+        if not holds(value):
+            raise ConfigurationError(message(value))
+
+
+def _check_fields(cell: Any) -> None:
+    """Check every field of a cell against its rule, in field order."""
+    for cell_field in fields(cell):
+        _check(cell_field.name, (getattr(cell, cell_field.name),))
 
 
 @dataclass(frozen=True)
@@ -39,30 +86,7 @@ class SweepCell:
     n_nodes: int
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                "unknown protocol %r (use one of %s)"
-                % (self.protocol, ", ".join(PROTOCOLS))
-            )
-        if self.m < 2:
-            raise ConfigurationError("m must be at least 2, got %d" % self.m)
-        if not 0.0 < self.ber < 1.0:
-            raise ConfigurationError(
-                "ber must be a probability in (0, 1), got %r" % self.ber
-            )
-        if self.bit_rate <= 0:
-            raise ConfigurationError("bit rate must be positive")
-        if self.bus_length_m < 0:
-            raise ConfigurationError("bus length must be non-negative")
-        if not 0 <= self.payload <= MAX_PAYLOAD_BYTES:
-            raise ConfigurationError(
-                "payload must be 0..%d bytes, got %d"
-                % (MAX_PAYLOAD_BYTES, self.payload)
-            )
-        if self.n_nodes < 2:
-            raise ConfigurationError(
-                "a broadcast network needs >= 2 nodes, got %d" % self.n_nodes
-            )
+        _check_fields(self)
 
     @property
     def payload_bytes(self) -> bytes:
@@ -72,11 +96,6 @@ class SweepCell:
     def as_dict(self) -> Dict[str, Any]:
         # Every field is a scalar, so a flat dict needs no deep copy.
         return {field.name: getattr(self, field.name) for field in fields(self)}
-
-
-#: Workload families a traffic-surface cell may name
-#: (:class:`repro.traffic.spec.TrafficSpec` sources).
-TRAFFIC_SOURCES = ("periodic", "poisson")
 
 
 @dataclass(frozen=True)
@@ -100,33 +119,21 @@ class TrafficCell:
     noise_ber: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                "unknown protocol %r (use one of %s)"
-                % (self.protocol, ", ".join(PROTOCOLS))
-            )
-        if self.m < 2:
-            raise ConfigurationError("m must be at least 2, got %d" % self.m)
-        if self.n_nodes < 2:
-            raise ConfigurationError(
-                "a broadcast network needs >= 2 nodes, got %d" % self.n_nodes
-            )
-        if not 0.0 < self.load <= 4.0:
-            raise ConfigurationError(
-                "traffic load must be in (0, 4], got %r" % self.load
-            )
-        if self.source not in TRAFFIC_SOURCES:
-            raise ConfigurationError(
-                "unknown traffic source %r (use one of %s)"
-                % (self.source, ", ".join(TRAFFIC_SOURCES))
-            )
-        if not 0.0 <= self.noise_ber < 1.0:
-            raise ConfigurationError(
-                "noise_ber must be in [0, 1), got %r" % (self.noise_ber,)
-            )
+        _check_fields(self)
 
     def as_dict(self) -> Dict[str, Any]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
+
+
+#: The analytic grid axes and the cell field each one samples.
+_AXIS_FIELDS = (
+    ("m_values", "m"),
+    ("bers", "ber"),
+    ("bit_rates", "bit_rate"),
+    ("bus_lengths_m", "bus_length_m"),
+    ("payloads", "payload"),
+    ("node_counts", "n_nodes"),
+)
 
 
 def _axis(name: str, values: Sequence, kind, allow_empty: bool = False) -> tuple:
@@ -209,12 +216,7 @@ class SweepSpec:
             "protocols",
             _axis("protocols", self.protocols, str, allow_empty=explicit),
         )
-        for cell_protocol in self.protocols:
-            if cell_protocol not in PROTOCOLS:
-                raise ConfigurationError(
-                    "unknown protocol %r (use one of %s)"
-                    % (cell_protocol, ", ".join(PROTOCOLS))
-                )
+        _check("protocol", self.protocols)
         object.__setattr__(
             self, "m_values", _axis("m_values", self.m_values, int, explicit)
         )
@@ -272,22 +274,9 @@ class SweepSpec:
                     "a traffic surface needs non-empty loads, sources "
                     "and noise_bers"
                 )
-            for noise_ber in self.noise_bers:
-                if not 0.0 <= noise_ber < 1.0:
-                    raise ConfigurationError(
-                        "noise_ber must be in [0, 1), got %r" % (noise_ber,)
-                    )
-            for cell_load in self.loads:
-                if not 0.0 < cell_load <= 4.0:
-                    raise ConfigurationError(
-                        "traffic load must be in (0, 4], got %r" % cell_load
-                    )
-            for cell_source in self.sources:
-                if cell_source not in TRAFFIC_SOURCES:
-                    raise ConfigurationError(
-                        "unknown traffic source %r (use one of %s)"
-                        % (cell_source, ", ".join(TRAFFIC_SOURCES))
-                    )
+            _check("noise_ber", self.noise_bers)
+            _check("load", self.loads)
+            _check("source", self.sources)
             if self.traffic_windows < 1:
                 raise ConfigurationError("traffic_windows must be >= 1")
             if self.traffic_window_bits < 64:
@@ -298,31 +287,8 @@ class SweepSpec:
             # Validate the axis domains up front instead of mid-grid —
             # expanding a million-cell product just to find a bad value
             # on one axis would be wasteful.
-            for m in self.m_values:
-                if m < 2:
-                    raise ConfigurationError("m must be at least 2, got %d" % m)
-            for ber in self.bers:
-                if not 0.0 < ber < 1.0:
-                    raise ConfigurationError(
-                        "ber must be a probability in (0, 1), got %r" % ber
-                    )
-            for bit_rate in self.bit_rates:
-                if bit_rate <= 0:
-                    raise ConfigurationError("bit rate must be positive")
-            for bus_length in self.bus_lengths_m:
-                if bus_length < 0:
-                    raise ConfigurationError("bus length must be non-negative")
-            for payload in self.payloads:
-                if not 0 <= payload <= MAX_PAYLOAD_BYTES:
-                    raise ConfigurationError(
-                        "payload must be 0..%d bytes, got %d"
-                        % (MAX_PAYLOAD_BYTES, payload)
-                    )
-            for n_nodes in self.node_counts:
-                if n_nodes < 2:
-                    raise ConfigurationError(
-                        "a broadcast network needs >= 2 nodes, got %d" % n_nodes
-                    )
+            for axis, field_name in _AXIS_FIELDS:
+                _check(field_name, getattr(self, axis))
 
     # ------------------------------------------------------------------
     # Serialisation (the CLI's spec-file format)

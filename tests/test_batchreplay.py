@@ -26,10 +26,11 @@ import pytest
 
 from repro.analysis.batchreplay import (
     BatchReplayEvaluator,
+    EngineClassifier,
     _simulate_numpy,
     _simulate_scalar,
-    classify_placements,
     clear_caches,
+    placement_classifier,
     tail_shape,
 )
 from repro.analysis.enumeration import enumerate_tail_patterns
@@ -38,6 +39,7 @@ from repro.analysis.sweeps import ablation_row
 from repro.analysis.verification import (
     header_sites,
     tail_sites,
+    verify_chunk,
     verify_consistency,
 )
 from repro.can.frame import data_frame
@@ -402,15 +404,23 @@ class TestWiredEntryPoints:
         ]
 
     def test_verify_stop_at_first_on_batch(self):
-        result = verify_consistency(
-            "can",
-            m=5,
-            n_nodes=3,
-            max_flips=2,
-            backend="batch",
-            stop_at_first=True,
-        )
-        assert len(result.counterexamples) == 1
+        results = [
+            verify_consistency(
+                "can",
+                m=5,
+                n_nodes=3,
+                max_flips=2,
+                backend=backend,
+                stop_at_first=True,
+            )
+            for backend in ("engine", "batch")
+        ]
+        engine, batch = results
+        # The CAN universe's first hit is the lone tx@EOF[5] flip.
+        sites = universe("can", 5, ["tx", "r1", "r2"])
+        assert engine.runs == batch.runs == sites.index(("tx", "EOF", 5)) + 1
+        assert len(engine.counterexamples) == 1
+        assert engine.counterexamples == batch.counterexamples
 
     def test_enumerate_equality(self):
         for protocol in ("can", "minorcan", "majorcan"):
@@ -543,17 +553,18 @@ class TestWiredEntryPoints:
         assert batch.backend_stats is not None
         assert batch.backend_stats["engine"] == 0
 
-    def test_classify_placements_hit_tuples(self):
-        from repro.analysis.verification import classify_placement
-
+    def test_verify_chunk_hit_tuples(self):
         node_names = ("tx", "r1", "r2")
         sites = universe("can", 5, list(node_names))
-        combos = [(site,) for site in sites]
-        hits = classify_placements("can", 5, node_names, combos, b"\x55")
-        for combo, hit in zip(combos, hits):
-            assert hit == classify_placement(
-                "can", 5, node_names, combo, b"\x55"
-            )
+        combos = tuple(itertools.combinations(sites, 2))[::7] + tuple(
+            (site,) for site in sites
+        )
+        engine = verify_chunk("can", 5, node_names, combos, b"\x55", "engine")
+        batch = verify_chunk("can", 5, node_names, combos, b"\x55", "batch")
+        assert engine[:2] == batch[:2]
+        assert engine[0] == len(combos) and engine[1]
+        assert engine[2] is None
+        assert sum(batch[2].values()) == len(combos)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(AnalysisError):
@@ -562,6 +573,44 @@ class TestWiredEntryPoints:
             enumerate_tail_patterns("can", backend="cuda")
         with pytest.raises(AnalysisError):
             monte_carlo_tail("can", trials=1, backend="cuda")
+
+
+class TestPlacementClassifier:
+    """The one engine/batch choice of the placement drivers."""
+
+    def test_backends(self):
+        names = ("tx", "r1")
+        batch = placement_classifier("can", 5, names, "batch")
+        engine = placement_classifier("can", 5, names, "engine")
+        assert type(batch) is BatchReplayEvaluator
+        assert type(engine) is EngineClassifier
+        assert engine.stats is None and batch.stats["engine"] == 0
+        with pytest.raises(AnalysisError, match="unknown backend"):
+            placement_classifier("can", 5, names, "cuda")
+
+    def test_engine_runs_each_combo_as_given_and_lazily(self, monkeypatch):
+        import repro.analysis.batchreplay as batchreplay
+
+        calls = []
+        run = batchreplay.run_placement
+
+        def counted(protocol, m, node_names, combo, frame):
+            calls.append(combo)
+            return run(protocol, m, node_names, combo, frame)
+
+        monkeypatch.setattr(batchreplay, "run_placement", counted)
+        classifier = placement_classifier("can", 5, ("tx", "r1", "r2"), "engine")
+        # A flip of a flip: the batch replay cancels it by parity, the
+        # oracle simulates it as written.
+        twice = (("r1", "EOF", 5), ("r1", "EOF", 5))
+        combos = [twice, (("r2", "EOF", 5),), (("tx", "EOF", 5),)]
+        outcomes = classifier.evaluate(combos)
+        assert calls == []
+        first = next(outcomes)
+        assert calls == [twice]
+        assert first.via == "engine"
+        assert len(list(outcomes)) == 2
+        assert calls == combos
 
 
 class TestSignalShapeHook:

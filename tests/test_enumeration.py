@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import enumeration
+from repro.analysis import batchreplay
 from repro.analysis.batchreplay import clear_caches
 from repro.analysis.enumeration import (
     enumerate_tail_patterns,
@@ -166,8 +166,8 @@ class TestVerdictCache:
             calls.append(args)
             return simulate(*args, **kwargs)
 
-        simulate = enumeration._simulate_pattern
-        monkeypatch.setattr(enumeration, "_simulate_pattern", counted)
+        simulate = batchreplay.run_placement
+        monkeypatch.setattr(batchreplay, "run_placement", counted)
         engine = dict(self.BASE, backend="engine")
         first = enumerate_tail_patterns(**engine)
         second = enumerate_tail_patterns(**engine)

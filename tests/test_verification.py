@@ -115,15 +115,27 @@ class TestHeaderUniverseFindsF1:
             assert all(name != "tx" for name, _, _ in counterexample.sites)
 
     def test_stop_at_first(self):
-        result = verify_consistency(
-            "majorcan",
-            m=5,
-            n_nodes=3,
-            max_flips=1,
-            extra_sites=header_sites(["r1"]),
-            stop_at_first=True,
+        engine, batch = (
+            verify_consistency(
+                "majorcan",
+                m=5,
+                n_nodes=3,
+                max_flips=1,
+                extra_sites=header_sites(["r1"]),
+                stop_at_first=True,
+                backend=backend,
+            )
+            for backend in ("engine", "batch")
         )
-        assert len(result.counterexamples) <= 1
+        full = verify_consistency(
+            "majorcan", m=5, n_nodes=3, max_flips=1, extra_sites=header_sites(["r1"])
+        )
+        # MajorCAN_5 leaves the F1 header channel open, so the sweep
+        # stops at the first of the full sweep's counterexamples.
+        assert len(engine.counterexamples) == 1
+        assert engine.counterexamples == batch.counterexamples
+        assert engine.counterexamples[0] == full.counterexamples[0]
+        assert engine.runs == batch.runs < full.runs
 
 
 class TestValidation:
