@@ -48,13 +48,16 @@ placements ride the micro-model (with a widened-budget scalar retry
 for cascade overflows).  The engine remains only for combos naming
 unknown nodes or fields outside every model.
 
-Two micro-simulators implement the same transition table: an array
-one evaluating ``(batch, node)`` numpy arrays in lockstep passes, and a
-scalar one replaying a single placement.  Each fresh batch goes to one
-of them by size (:data:`_ARRAY_BREAK_EVEN`): the array pass only
+The micro-model's transition relation is written once, as the per-node
+step :func:`_node_step`, and compiled per tail geometry into a
+:class:`TransitionTable` over its reachable ``(state, tail time)``
+pairs.  Two drivers read that table: an array one stepping one code per
+``(placement, node)`` through lockstep numpy passes, and a scalar one
+replaying a single placement over tuple copies.  Each fresh batch goes
+to one of them by size (:data:`_ARRAY_BREAK_EVEN`): the array pass only
 amortises its fixed per-bit cost over wide batches.  The differential
 suite pins both against the engine over the full tail-site universe of
-every corpus frame, and against each other directly.
+every corpus frame, and against each other on generated placements.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +155,19 @@ class TailShape:
     #: Fixed signalling shapes: {"flag": 6, "delimiter": dl, ...}.
     signal_shapes: Tuple[Tuple[str, int], ...]
     supported: bool
+
+    @property
+    def geometry(self) -> "TailGeometry":
+        """The fields the tail micro-model reads: the table's key."""
+        return TailGeometry(
+            self.proto,
+            self.eof_length,
+            self.delimiter_length,
+            self.window_start,
+            self.window_end,
+            self.majority,
+            self.key_count,
+        )
 
 
 @lru_cache(maxsize=256)
@@ -443,19 +459,20 @@ class BatchReplayEvaluator(EngineClassifier):
                     self._engine_outcome(canon), "engine",
                 )
         if fast:
+            table = transition_table(self.shape.geometry)
+            n = len(self.node_names)
+            arms = [arm for _, _, arm in fast]
             # The array pass pays a fixed per-call cost (its lockstep
-            # loop runs to the slowest placement, ~60 ufunc dispatches
-            # per bus bit) that only amortises over wide batches; small
-            # batches are cheaper through the scalar micro-sim.
+            # loop runs to the slowest placement) that only amortises
+            # over wide batches; small batches replay one by one.
             if len(fast) >= _ARRAY_BREAK_EVEN:
-                verdicts = _simulate_numpy(
-                    self.shape, len(self.node_names), [arm for _, _, arm in fast]
-                )
+                cap = _step_cap(self.shape, max(map(len, arms)))
+                verdicts = _replay_array(table, n, arms, cap)
                 label = "batch"
             else:
                 verdicts = [
-                    _simulate_scalar(self.shape, len(self.node_names), arm)
-                    for _, _, arm in fast
+                    _replay_scalar(table, n, arm, _step_cap(self.shape, len(arm)))
+                    for arm in arms
                 ]
                 label = "scalar"
             for (key, canon, arm), verdict in zip(fast, verdicts):
@@ -468,8 +485,8 @@ class BatchReplayEvaluator(EngineClassifier):
                     # transition table, more steps) and keeps these off
                     # the engine; genuine envelope violations bail
                     # again and fall through to the oracle.
-                    verdict = _simulate_scalar(
-                        self.shape, len(self.node_names), arm, cap_scale=8
+                    verdict = _replay_scalar(
+                        table, n, arm, _step_cap(self.shape, len(arm), 8)
                     )
                     stat = "scalar"
                 if verdict is None:
@@ -739,21 +756,26 @@ _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 _COMBO_CACHE: Dict[Tuple, Tuple[Tuple[int, ...], int, str]] = {}
 _COMBO_CACHE_LIMIT = 1 << 19
 
-#: Minimum fresh-placement batch for the array pass; below this
-#: the scalar micro-sim's ~40us/placement beats the array loop's fixed
-#: per-call overhead (measured crossover is ~150 placements).
+#: Minimum fresh-placement batch for the array pass; below this the
+#: scalar driver (~15-30 us/placement) beats the array loop's fixed
+#: per-call cost.  The measured crossover is ~48-128 placements
+#: (MajorCAN_5 over five nodes to CAN over three, 2-vCPU Xeon VM).
+#: The value stays 96 because the route label it picks is persisted
+#: (sweep ``backend_stats``, ``verify`` stdout, benchmark fingerprints).
 _ARRAY_BREAK_EVEN = 96
 
 
 def clear_caches() -> None:
     """Empty the process-wide verdict caches (benchmarks and tests),
     including the per-universe tail-pattern verdicts of
-    :mod:`repro.analysis.enumeration`."""
+    :mod:`repro.analysis.enumeration` and the compiled transition
+    tables."""
     from repro.analysis.enumeration import tail_verdicts
 
     _REDUCED_CACHE.clear()
     _COMBO_CACHE.clear()
     tail_verdicts.cache_clear()
+    transition_table.cache_clear()
 
 
 def _reduced_class_run(
@@ -839,487 +861,354 @@ def engine_share_notice(stats: Dict[str, int]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar micro-simulator: one placement at a time (small batches, retries)
+# The tail micro-model: one transition relation, compiled to one table
 # ---------------------------------------------------------------------------
 
 
-def _simulate_scalar(
-    shape: TailShape,
+class TailGeometry(NamedTuple):
+    """The tail-shape fields the transition relation reads.
+
+    Frame-independent, so every payload of one (protocol, m) shares a
+    :func:`transition_table`.
+    """
+
+    proto: int
+    eof_length: int
+    delimiter_length: int
+    window_start: int
+    window_end: int
+    majority: int
+    key_count: int
+
+
+class _NodeState(NamedTuple):
+    """One node's micro-model state.
+
+    Every transition builds its successor from the fields that state
+    uses, so dead fields are zero: ``flag`` outside the flag states,
+    ``drem`` outside the delimiters, ``ipos`` outside INTER,
+    ``first``/``defer`` outside FLAG/WAIT, ``samp``/``votes`` outside
+    MAJ_FLAG/MAJ_QUIET (``votes`` also while ``samp`` is off).
+    """
+
+    st: int
+    flag: int = 0
+    drem: int = 0
+    ipos: int = 0
+    first: bool = False
+    defer: bool = False
+    samp: bool = False
+    votes: int = 0
+
+
+def _drives(state: _NodeState, t: int) -> bool:
+    """Whether a node drives the bus dominant at tail time ``t``:
+    active flags, and receivers acknowledging in the ACK slot."""
+    return state.st in (FLAG, OVL_FLAG, MAJ_FLAG, MAJ_EXT) or (
+        state.st == RX_PROG and t == 1
+    )
+
+
+def _announced_key(
+    geometry: TailGeometry, state: _NodeState, t: int
+) -> Optional[int]:
+    """The tail key a node announces at time ``t`` (see :func:`_site_key`):
+    its program position, or a MajorCAN sampling position while quiet."""
+    if state.st in (TX_PROG, RX_PROG):
+        return t
+    if state.st == MAJ_QUIET and 0 <= t - 2 <= geometry.window_end:
+        return 3 + geometry.eof_length + t - 2
+    return None
+
+
+def _node_step(
+    geometry: TailGeometry, state: _NodeState, t: int, seen: bool
+) -> Tuple[_NodeState, int, bool]:
+    """One node's bit phase: the micro-model's transition relation.
+
+    ``seen`` is the bit the node samples at tail time ``t`` (the bus,
+    inverted on a fired fault).  Returns ``(state', delivered, bail)``:
+    ``delivered`` counts a delivery this bit, and ``bail`` flags a
+    situation outside the modelled envelope (the placement goes to the
+    engine).
+    """
+    S = _NodeState
+    st = state.st
+    if st == TX_PROG or st == RX_PROG:
+        is_tx = st == TX_PROG
+        if t < 3:
+            if (t != 1 and seen) or (t == 1 and is_tx and not seen):
+                # Dominant delimiter bit, or a missing ACK: an error
+                # whose flag starts inside the frame tail.
+                if geometry.proto == P_MAJOR:
+                    return S(MAJ_FLAG, FLAG_LENGTH), 0, False
+                return S(FLAG, FLAG_LENGTH, first=True), 0, False
+            return state, 0, False
+        index = t - 3
+        last = geometry.eof_length - 1
+        if geometry.proto == P_CAN:
+            if is_tx or index < last:
+                if seen:
+                    return S(FLAG, FLAG_LENGTH, first=True), 0, False
+                if index == last:
+                    return S(INTER), 1, False
+                # Receivers deliver at the last-but-one EOF bit.
+                return state, int(not is_tx and index == last - 1), False
+            if seen:
+                return S(OVL_FLAG, FLAG_LENGTH), 0, False
+            return S(INTER), 0, False
+        if seen:
+            if geometry.proto == P_MINOR:
+                return S(FLAG, FLAG_LENGTH, first=True, defer=index == last), 0, False
+            if index + 1 <= geometry.majority:
+                return S(MAJ_FLAG, FLAG_LENGTH, samp=True), 0, False
+            # Second sub-field: accept now.
+            return S(MAJ_EXT), 1, False
+        if index == last:
+            return S(INTER), 1, False
+        return state, 0, False
+    if st == FLAG or st == OVL_FLAG or st == MAJ_FLAG:
+        if state.flag > 1:
+            return state._replace(flag=state.flag - 1), 0, False
+        after = {FLAG: WAIT, OVL_FLAG: OVL_WAIT, MAJ_FLAG: MAJ_QUIET}[st]
+        return state._replace(st=after, flag=0), 0, False
+    if st == WAIT:
+        delivered = 0
+        if state.first:
+            # The first bit after the flag resolves a deferred primary
+            # error: dominant means it was primary, so accept.
+            delivered = int(state.defer and seen)
+            state = S(WAIT)
+        if not seen:
+            return S(DELIM, drem=geometry.delimiter_length - 1), delivered, False
+        return state, delivered, False
+    if st == DELIM or st == OVL_DELIM:
+        if seen:
+            if state.drem <= 1:
+                return S(OVL_FLAG, FLAG_LENGTH), 0, False
+            return S(FLAG, FLAG_LENGTH, first=True), 0, False
+        if state.drem <= 1:
+            return S(INTER), 0, False
+        return S(st, drem=state.drem - 1), 0, False
+    if st == OVL_WAIT:
+        if seen:
+            return state, 0, False
+        return S(OVL_DELIM, drem=geometry.delimiter_length - 1), 0, False
+    if st == INTER:
+        if seen:
+            if state.ipos < INTERMISSION_LENGTH - 1:
+                return S(OVL_FLAG, FLAG_LENGTH), 0, False
+            return state, 0, True  # un-orchestrated start of frame
+        if state.ipos + 1 >= INTERMISSION_LENGTH:
+            return S(IDLE), 0, False
+        return S(INTER, ipos=state.ipos + 1), 0, False
+    if st == IDLE:
+        return state, 0, seen  # reception outside the restart
+    clock = t - 2
+    if st == MAJ_QUIET:
+        votes = state.votes
+        if state.samp and geometry.window_start <= clock <= geometry.window_end and seen:
+            # Votes saturate at the majority: only ``>= majority`` is read.
+            votes = min(votes + 1, geometry.majority)
+        if clock < geometry.window_end:
+            return state._replace(votes=votes), 0, False
+        return S(WAIT), int(state.samp and votes >= geometry.majority), False
+    # MAJ_EXT
+    if clock >= geometry.window_end:
+        return S(WAIT), 0, False
+    return state, 0, False
+
+
+@dataclass(frozen=True)
+class TransitionTable:
+    """The micro-model compiled over its reachable ``(state, t)`` pairs.
+
+    A node's code is ``2 * pair``, so the entry for the bit it sees is
+    ``code + seen``: ``next`` maps it to the successor code (the tail
+    clock advances with it), ``delivered`` and ``bail`` are that step's
+    outputs.  ``drives``, ``key`` (``key_count`` when the node announces
+    nothing), ``is_idle`` and ``ready`` (idle, or on the last
+    intermission bit: may join a restarted attempt) depend on the pair
+    only and are stored twice.  ``columns`` holds tuple copies of the
+    same seven tables for the scalar driver.
+    """
+
+    next: np.ndarray
+    delivered: np.ndarray
+    bail: np.ndarray
+    drives: np.ndarray
+    key: np.ndarray
+    is_idle: np.ndarray
+    ready: np.ndarray
+    key_count: int
+    columns: Tuple[Tuple, ...]
+
+
+#: Codes of the transmitter and receiver program starts (tail time 0).
+_TX_START = 0
+_RX_START = 2
+
+
+@lru_cache(maxsize=64)
+def transition_table(geometry: TailGeometry) -> TransitionTable:
+    """Compile :func:`_node_step` into a :class:`TransitionTable`.
+
+    A breadth-first search from the two program starts enumerates the
+    reachable ``(state, t)`` pairs under both sampled bits.  ``t`` is
+    clamped at ``max(3 + eof, window_end + 3)``: past the EOF no node
+    is in a program state and past the window no quiet or extended
+    MajorCAN node reads the clock, so later times step identically.
+    """
+    tmax = max(3 + geometry.eof_length, geometry.window_end + 3)
+    none = geometry.key_count
+    pairs = [(_NodeState(TX_PROG), 0), (_NodeState(RX_PROG), 0)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    columns: Tuple[List, ...] = tuple([] for _ in range(7))
+    nxt, delivered, bail, drives, key, is_idle, ready = columns
+    for state, t in pairs:  # grows as the search discovers pairs
+        announced = _announced_key(geometry, state, t)
+        for seen in (False, True):
+            after, got, bails = _node_step(geometry, state, t, seen)
+            pair = (after, min(t + 1, tmax))
+            if pair not in index:
+                index[pair] = len(pairs)
+                pairs.append(pair)
+            nxt.append(2 * index[pair])
+            delivered.append(got)
+            bail.append(bails)
+            drives.append(_drives(state, t))
+            key.append(none if announced is None else announced)
+            is_idle.append(state.st == IDLE)
+            ready.append(
+                state.st == IDLE
+                or (state.st == INTER and state.ipos == INTERMISSION_LENGTH - 1)
+            )
+    code_type = np.min_scalar_type(2 * len(pairs))
+    dtypes = (code_type, np.uint8, bool, bool, np.min_scalar_type(none), bool, bool)
+    arrays = [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
+    for array in arrays:
+        array.setflags(write=False)  # one cached table serves every caller
+    return TransitionTable(
+        *arrays, key_count=none, columns=tuple(map(tuple, columns))
+    )
+
+
+def _step_cap(shape: TailShape, flips: int, scale: int = 1) -> int:
+    """Step budget for replaying ``flips`` armed sites (``scale`` widens
+    it for the cascade-overflow retry); overflow bails to the engine."""
+    return ((flips + 2) * shape.attempt_cap + 16) * scale
+
+
+def _replay_scalar(
+    table: TransitionTable,
     n_nodes: int,
     armed_pairs: Sequence[Tuple[int, int]],
-    cap_scale: int = 1,
+    cap: int,
 ) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """Replay one placement on the tail micro-model.
+    """Replay one placement, node by node, over the table's tuple copies.
 
-    Returns ``(deliveries, attempts)`` or None to bail to the engine.
-    ``cap_scale`` widens the step budget for the cascade-overflow
-    retry: placements whose flips keep restarting the frame legally
-    outrun the nominal per-attempt bound without leaving the modelled
-    envelope.
+    ``armed_pairs`` are ``(node, key)`` fault sites.  Returns
+    ``(deliveries, attempts)``, or None to bail to the engine (an
+    envelope violation or more than ``cap`` steps).
     """
-    eof = shape.eof_length
-    last = eof - 1
-    dl = shape.delimiter_length
-    proto = shape.proto
-    mm = shape.majority
-    ws = shape.window_start
-    we = shape.window_end
-    n = n_nodes
-    quiet_base = 3 + eof
-
-    st = [TX_PROG] + [RX_PROG] * (n - 1)
-    flag = [0] * n
-    drem = [0] * n
-    ipos = [0] * n
-    first = [False] * n
-    defer = [False] * n
-    samp = [False] * n
-    votes = [0] * n
-    deliver = [0] * n
-    pending = True
+    nxt, delivered, bail, drives, key, is_idle, ready = table.columns
+    masks = [0] * n_nodes
+    for node, site_key in armed_pairs:
+        masks[node] |= 1 << site_key
+    armed = any(masks)
+    start = [_TX_START] + [_RX_START] * (n_nodes - 1)
+    codes = list(start)
+    deliver = [0] * n_nodes
     attempts = 1
-    t = 0
-    armed = set(armed_pairs)
-    cap = ((len(armed) + 2) * shape.attempt_cap + 16) * cap_scale
-
+    nodes = range(n_nodes)
     for _ in range(cap):
-        # Drive phase: active flags are dominant; receivers acknowledge.
         bus = False
-        for i in range(n):
-            s = st[i]
-            if s in (FLAG, OVL_FLAG, MAJ_FLAG, MAJ_EXT) or (
-                s == RX_PROG and t == 1
-            ):
+        for code in codes:
+            if drives[code]:
                 bus = True
                 break
-        # Fault firing: each node announces at most one tail key.
-        seen = [bus] * n
-        if armed:
-            for i in range(n):
-                s = st[i]
-                if s == TX_PROG or s == RX_PROG:
-                    key = t
-                elif s == MAJ_QUIET and 0 <= t - 2 <= we:
-                    key = quiet_base + (t - 2)
-                else:
-                    continue
-                pair = (i, key)
-                if pair in armed:
-                    armed.discard(pair)
-                    seen[i] = not bus
-        # Bit phase.
-        for i in range(n):
-            s = st[i]
-            d = seen[i]
-            if s == TX_PROG or s == RX_PROG:
-                is_tx = s == TX_PROG
-                if t >= 3:
-                    index = t - 3
-                    if proto == P_CAN:
-                        if is_tx:
-                            if d:
-                                st[i] = FLAG
-                                flag[i] = FLAG_LENGTH
-                                first[i] = True
-                                defer[i] = False
-                            elif index == last:
-                                pending = False
-                                deliver[i] += 1
-                                st[i] = INTER
-                                ipos[i] = 0
-                        else:
-                            if index < last:
-                                if d:
-                                    st[i] = FLAG
-                                    flag[i] = FLAG_LENGTH
-                                    first[i] = True
-                                    defer[i] = False
-                                elif index == last - 1:
-                                    deliver[i] += 1
-                            elif d:
-                                st[i] = OVL_FLAG
-                                flag[i] = FLAG_LENGTH
-                            else:
-                                st[i] = INTER
-                                ipos[i] = 0
-                    elif proto == P_MINOR:
-                        if d:
-                            st[i] = FLAG
-                            flag[i] = FLAG_LENGTH
-                            first[i] = True
-                            defer[i] = index == last
-                        elif index == last:
-                            if is_tx:
-                                pending = False
-                            deliver[i] += 1
-                            st[i] = INTER
-                            ipos[i] = 0
-                    else:  # MajorCAN
-                        if d:
-                            if index + 1 <= mm:
-                                st[i] = MAJ_FLAG
-                                flag[i] = FLAG_LENGTH
-                                samp[i] = True
-                                votes[i] = 0
-                            else:
-                                # Second sub-field: accept now.
-                                if is_tx:
-                                    pending = False
-                                deliver[i] += 1
-                                st[i] = MAJ_EXT
-                        elif index == last:
-                            if is_tx:
-                                pending = False
-                            deliver[i] += 1
-                            st[i] = INTER
-                            ipos[i] = 0
-                elif (t != 1 and d) or (t == 1 and is_tx and not d):
-                    # Dominant delimiter bit, or a missing ACK: an
-                    # error whose flag starts inside the frame tail.
-                    if proto == P_MAJOR:
-                        st[i] = MAJ_FLAG
-                        flag[i] = FLAG_LENGTH
-                        samp[i] = False
-                    else:
-                        st[i] = FLAG
-                        flag[i] = FLAG_LENGTH
-                        first[i] = True
-                        defer[i] = False
-            elif s == FLAG:
-                flag[i] -= 1
-                if flag[i] <= 0:
-                    st[i] = WAIT
-            elif s == WAIT:
-                if first[i]:
-                    first[i] = False
-                    if defer[i]:
-                        defer[i] = False
-                        if d:  # primary error: accept
-                            if i == 0:
-                                pending = False
-                            deliver[i] += 1
-                if not d:
-                    drem[i] = dl - 1
-                    st[i] = DELIM
-            elif s == DELIM or s == OVL_DELIM:
-                if d:
-                    if drem[i] <= 1:
-                        st[i] = OVL_FLAG
-                        flag[i] = FLAG_LENGTH
-                    else:
-                        st[i] = FLAG
-                        flag[i] = FLAG_LENGTH
-                        first[i] = True
-                        defer[i] = False
-                else:
-                    drem[i] -= 1
-                    if drem[i] <= 0:
-                        st[i] = INTER
-                        ipos[i] = 0
-            elif s == OVL_FLAG:
-                flag[i] -= 1
-                if flag[i] <= 0:
-                    st[i] = OVL_WAIT
-            elif s == OVL_WAIT:
-                if not d:
-                    drem[i] = dl - 1
-                    st[i] = OVL_DELIM
-            elif s == INTER:
-                if d:
-                    if ipos[i] < INTERMISSION_LENGTH - 1:
-                        st[i] = OVL_FLAG
-                        flag[i] = FLAG_LENGTH
-                    else:
-                        return None  # un-orchestrated start of frame
-                else:
-                    ipos[i] += 1
-                    if ipos[i] >= INTERMISSION_LENGTH:
-                        st[i] = IDLE
-            elif s == IDLE:
-                if d:
-                    return None  # reception outside the restart
-            elif s == MAJ_FLAG:
-                flag[i] -= 1
-                if flag[i] <= 0:
-                    st[i] = MAJ_QUIET
-            elif s == MAJ_QUIET:
-                clock = t - 2
-                if samp[i] and ws <= clock <= we and d:
-                    votes[i] += 1
-                if clock >= we:
-                    if samp[i]:
-                        samp[i] = False
-                        if votes[i] >= mm:
-                            if i == 0:
-                                pending = False
-                            deliver[i] += 1
-                    st[i] = WAIT
-                    first[i] = False
-                    defer[i] = False
-            else:  # MAJ_EXT
-                if t - 2 >= we:
-                    st[i] = WAIT
-                    first[i] = False
-                    defer[i] = False
-        t += 1
+        for i in nodes:
+            code = codes[i]
+            entry = code + bus
+            if armed and masks[i] >> key[code] & 1:
+                masks[i] ^= 1 << key[code]
+                armed = any(masks)
+                entry = code + (not bus)
+            if bail[entry]:
+                return None
+            codes[i] = nxt[entry]
+            deliver[i] += delivered[entry]
         # End of step: finished, or an orchestrated retransmission.
-        if st[0] == IDLE:
-            if not pending:
-                if all(s == IDLE for s in st):
+        if is_idle[codes[0]]:
+            if deliver[0]:
+                if all(is_idle[code] for code in codes):
                     return tuple(deliver), attempts
-            else:
-                for j in range(1, n):
-                    if st[j] != IDLE and not (
-                        st[j] == INTER and ipos[j] == INTERMISSION_LENGTH - 1
-                    ):
-                        return None
+            elif all(ready[code] for code in codes[1:]):
                 attempts += 1
-                t = 0
-                st = [TX_PROG] + [RX_PROG] * (n - 1)
-                for j in range(n):
-                    flag[j] = drem[j] = ipos[j] = votes[j] = 0
-                    first[j] = defer[j] = samp[j] = False
+                codes = list(start)
+            else:
+                return None
     return None  # step budget exhausted
 
 
-# ---------------------------------------------------------------------------
-# Numpy batched micro-simulator: (batch, node) arrays, single passes
-# ---------------------------------------------------------------------------
-
-
-def _simulate_numpy(
-    shape: TailShape,
+def _replay_array(
+    table: TransitionTable,
     n_nodes: int,
     placements: Sequence[Sequence[Tuple[int, int]]],
+    cap: int,
 ) -> List[Optional[Tuple[Tuple[int, ...], int]]]:
     """Replay a batch of placements in lockstep array passes.
 
-    Semantically identical to :func:`_simulate_scalar`; each loop
-    iteration advances *every* live placement by one bus bit with
-    whole-array operations.
+    The same table lookups as :func:`_replay_scalar`, over one code per
+    ``(placement, node)``: each pass advances every live placement by
+    one bus bit, and finished placements are compacted out.  ``cap``
+    bounds the passes of the whole batch.
     """
     batch = len(placements)
+    results: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * batch
     if batch == 0:
-        return []
-    n = n_nodes
-    eof = shape.eof_length
-    last = eof - 1
-    dl = shape.delimiter_length
-    proto = shape.proto
-    mm = shape.majority
-    ws = shape.window_start
-    we = shape.window_end
-    quiet_base = 3 + eof
-
-    armed = np.zeros((batch, n, shape.key_count), dtype=bool)
-    max_flips = 0
+        return results
+    width = table.key_count + 1  # the last column is the "no key" sentinel
+    armed = np.zeros((batch, n_nodes, width), dtype=bool)
     for b, pairs in enumerate(placements):
-        max_flips = max(max_flips, len(pairs))
-        for node, key in pairs:
-            armed[b, node, key] = True
-
-    st = np.full((batch, n), RX_PROG, dtype=np.int8)
-    st[:, 0] = TX_PROG
-    flag = np.zeros((batch, n), dtype=np.int16)
-    drem = np.zeros((batch, n), dtype=np.int16)
-    ipos = np.zeros((batch, n), dtype=np.int16)
-    first = np.zeros((batch, n), dtype=bool)
-    defer = np.zeros((batch, n), dtype=bool)
-    samp = np.zeros((batch, n), dtype=bool)
-    votes = np.zeros((batch, n), dtype=np.int16)
-    deliver = np.zeros((batch, n), dtype=np.int32)
-    pending = np.ones(batch, dtype=bool)
+        for node, site_key in pairs:
+            armed[b, node, site_key] = True
+    start = np.full(n_nodes, _RX_START, dtype=np.intp)
+    start[0] = _TX_START
+    codes = np.tile(start, (batch, 1))
+    deliver = np.zeros((batch, n_nodes), dtype=np.int32)
     attempts = np.ones(batch, dtype=np.int32)
-    t = np.zeros(batch, dtype=np.int32)
-    bail = np.zeros(batch, dtype=bool)
-    done = np.zeros(batch, dtype=bool)
-
-    cap = (max_flips + 2) * shape.attempt_cap + 16
+    rows = np.arange(batch)
+    slots = np.arange(batch * n_nodes).reshape(batch, n_nodes) * width
     for _ in range(cap):
-        act = ~(bail | done)
-        if not act.any():
+        flat = armed.reshape(-1)
+        at = slots + table.key[codes]
+        fired = flat[at]
+        flat[at] = False
+        entry = codes + (fired ^ table.drives[codes].any(axis=1)[:, None])
+        codes = table.next[entry].astype(np.intp)
+        deliver += table.delivered[entry]
+        bailed = table.bail[entry].any(axis=1)
+        tx_idle = table.is_idle[codes[:, 0]]
+        if not (tx_idle.any() or bailed.any()):
+            continue
+        # End of step: finished, or an orchestrated retransmission.
+        pending = deliver[:, 0] == 0
+        done = tx_idle & ~pending & table.is_idle[codes].all(axis=1) & ~bailed
+        restart = tx_idle & pending & ~bailed
+        ok = restart & table.ready[codes[:, 1:]].all(axis=1)
+        bailed |= restart & ~ok
+        attempts[ok] += 1
+        codes[ok] = start
+        keep = ~(done | bailed)
+        if keep.all():
+            continue
+        for b in np.flatnonzero(done):
+            results[rows[b]] = (tuple(deliver[b].tolist()), int(attempts[b]))
+        if not keep.any():
             break
-        act_n = act[:, None]
-        tt = t[:, None]
-        # Drive phase.
-        dominant_state = (
-            (st == FLAG) | (st == OVL_FLAG) | (st == MAJ_FLAG) | (st == MAJ_EXT)
+        codes, deliver, attempts, rows, armed = (
+            codes[keep], deliver[keep], attempts[keep], rows[keep], armed[keep]
         )
-        drives = dominant_state | ((st == RX_PROG) & (tt == 1))
-        bus = (drives & act_n).any(axis=1)
-        # Fault firing.
-        prog = (st == TX_PROG) | (st == RX_PROG)
-        key = np.where(prog & act_n, tt, -1)
-        if proto == P_MAJOR:
-            clock = tt - 2
-            quiet = (st == MAJ_QUIET) & (clock >= 0) & (clock <= we) & act_n
-            key = np.where(quiet, quiet_base + clock, key)
-        b_idx, n_idx = np.nonzero(key >= 0)
-        k_idx = key[b_idx, n_idx]
-        fired_flat = armed[b_idx, n_idx, k_idx]
-        armed[b_idx, n_idx, k_idx] = False
-        fired = np.zeros((batch, n), dtype=bool)
-        fired[b_idx, n_idx] = fired_flat
-        seen = bus[:, None] ^ fired
-        # Bit phase: masks from the state snapshot are disjoint per node.
-        stv = st.copy()
-        m_tx = (stv == TX_PROG) & act_n
-        m_rx = (stv == RX_PROG) & act_n
-        m_prog = m_tx | m_rx
-        pre = m_prog & (tt < 3)
-        tail_err = (pre & (tt != 1) & seen) | (m_tx & (tt == 1) & ~seen)
-        m_eof = m_prog & (tt >= 3)
-        index = tt - 3
-        plain = np.zeros((batch, n), dtype=bool)
-        to_defer = np.zeros((batch, n), dtype=bool)
-        to_ovl = np.zeros((batch, n), dtype=bool)
-        maj_flag_entry = np.zeros((batch, n), dtype=bool)
-        maj_ext_entry = np.zeros((batch, n), dtype=bool)
-        finish = np.zeros((batch, n), dtype=bool)
-        if proto == P_CAN:
-            plain |= (m_tx & m_eof & seen) | (m_rx & m_eof & seen & (index < last))
-            deliver[m_rx & m_eof & ~seen & (index == last - 1)] += 1
-            to_ovl |= m_rx & m_eof & seen & (index == last)
-            finish |= m_eof & ~seen & (index == last)
-            # CAN receivers already delivered at the last-but-one bit.
-            succeed = m_tx & m_eof & ~seen & (index == last)
-        elif proto == P_MINOR:
-            plain |= m_eof & seen & (index < last)
-            to_defer |= m_eof & seen & (index == last)
-            finish |= m_eof & ~seen & (index == last)
-            succeed = finish
-        else:
-            maj_err = m_eof & seen
-            maj_flag_entry |= maj_err & (index + 1 <= mm)
-            maj_ext_entry |= maj_err & (index + 1 > mm)
-            finish |= m_eof & ~seen & (index == last)
-            succeed = finish
-        if proto == P_MAJOR:
-            maj_tail_entry = tail_err
-        else:
-            maj_tail_entry = None
-            plain |= tail_err
-        # FLAG
-        m = (stv == FLAG) & act_n
-        flag[m] -= 1
-        st[m & (flag <= 0)] = WAIT
-        # WAIT
-        m = (stv == WAIT) & act_n
-        fb = m & first
-        first[fb] = False
-        resolved = fb & defer
-        defer[resolved] = False
-        accepted = resolved & seen
-        deliver[accepted] += 1
-        pending[accepted[:, 0]] = False
-        to_delim = m & ~seen
-        st[to_delim] = DELIM
-        drem[to_delim] = dl - 1
-        # DELIM / OVL_DELIM
-        for state_from in (DELIM, OVL_DELIM):
-            m = (stv == state_from) & act_n
-            dominant = m & seen
-            to_ovl |= dominant & (drem <= 1)
-            plain |= dominant & (drem > 1)
-            recessive = m & ~seen
-            drem[recessive] -= 1
-            to_inter = recessive & (drem <= 0)
-            st[to_inter] = INTER
-            ipos[to_inter] = 0
-        # OVL_FLAG
-        m = (stv == OVL_FLAG) & act_n
-        flag[m] -= 1
-        st[m & (flag <= 0)] = OVL_WAIT
-        # OVL_WAIT
-        m = (stv == OVL_WAIT) & act_n & ~seen
-        st[m] = OVL_DELIM
-        drem[m] = dl - 1
-        # INTER
-        m = (stv == INTER) & act_n
-        dominant = m & seen
-        to_ovl |= dominant & (ipos < INTERMISSION_LENGTH - 1)
-        bail |= (dominant & (ipos >= INTERMISSION_LENGTH - 1)).any(axis=1)
-        recessive = m & ~seen
-        ipos[recessive] += 1
-        st[recessive & (ipos >= INTERMISSION_LENGTH)] = IDLE
-        # IDLE
-        bail |= ((stv == IDLE) & act_n & seen).any(axis=1)
-        # MAJ states
-        if proto == P_MAJOR:
-            m = (stv == MAJ_FLAG) & act_n
-            flag[m] -= 1
-            st[m & (flag <= 0)] = MAJ_QUIET
-            m = (stv == MAJ_QUIET) & act_n
-            clock = tt - 2
-            votes[m & samp & (clock >= ws) & (clock <= we) & seen] += 1
-            exiting = m & (clock >= we)
-            verdict = exiting & samp
-            samp[verdict] = False
-            accepted = verdict & (votes >= mm)
-            deliver[accepted] += 1
-            pending[accepted[:, 0]] = False
-            st[exiting] = WAIT
-            first[exiting] = False
-            defer[exiting] = False
-            ext = (stv == MAJ_EXT) & act_n & (tt - 2 >= we)
-            st[ext] = WAIT
-            first[ext] = False
-            defer[ext] = False
-        # Apply the PROG-derived entries last (masks are disjoint from
-        # the epilogue-state masks above — a node is in one state).
-        st[plain] = FLAG
-        flag[plain] = FLAG_LENGTH
-        first[plain] = True
-        defer[plain] = False
-        st[to_defer] = FLAG
-        flag[to_defer] = FLAG_LENGTH
-        first[to_defer] = True
-        defer[to_defer] = True
-        st[to_ovl] = OVL_FLAG
-        flag[to_ovl] = FLAG_LENGTH
-        if maj_tail_entry is not None:
-            st[maj_tail_entry] = MAJ_FLAG
-            flag[maj_tail_entry] = FLAG_LENGTH
-            samp[maj_tail_entry] = False
-        if proto == P_MAJOR:
-            st[maj_flag_entry] = MAJ_FLAG
-            flag[maj_flag_entry] = FLAG_LENGTH
-            samp[maj_flag_entry] = True
-            votes[maj_flag_entry] = 0
-            deliver[maj_ext_entry] += 1
-            pending[maj_ext_entry[:, 0]] = False
-            st[maj_ext_entry] = MAJ_EXT
-        deliver[succeed] += 1
-        pending[succeed[:, 0]] = False
-        st[finish] = INTER
-        ipos[finish] = 0
-        t = np.where(act, t + 1, t)
-        # End of step: completion and orchestrated restarts.
-        tx_idle = act & (st[:, 0] == IDLE)
-        all_idle = (st == IDLE).all(axis=1)
-        done |= tx_idle & all_idle & ~pending
-        restart = tx_idle & pending & ~done & ~bail
-        if restart.any():
-            ready = (st == IDLE) | ((st == INTER) & (ipos == INTERMISSION_LENGTH - 1))
-            ok = restart & ready[:, 1:].all(axis=1)
-            bail |= restart & ~ok
-            if ok.any():
-                attempts[ok] += 1
-                t[ok] = 0
-                st[ok, :] = RX_PROG
-                st[ok, 0] = TX_PROG
-                flag[ok, :] = 0
-                drem[ok, :] = 0
-                ipos[ok, :] = 0
-                votes[ok, :] = 0
-                first[ok, :] = False
-                defer[ok, :] = False
-                samp[ok, :] = False
-    bail |= ~(done | bail)  # step budget exhausted
-    results: List[Optional[Tuple[Tuple[int, ...], int]]] = []
-    for b in range(batch):
-        if bail[b]:
-            results.append(None)
-        else:
-            results.append((tuple(int(x) for x in deliver[b]), int(attempts[b])))
+        slots = slots[: len(rows)]
     return results

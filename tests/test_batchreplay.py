@@ -11,6 +11,9 @@ the engine.  These tests enforce that contract:
   classified through cached reduced engine runs) for every
   protocol, network size and announced field;
 * over a **seeded random sweep** of 1-3 flip placements per protocol;
+* over **generated armed placements** (Hypothesis, 1-6 flips, m = 3..8,
+  2-6 nodes): the array and scalar drivers of the transition table
+  agree with each other under every step cap, and with the engine;
 * through every wired entry point (``verify_consistency``,
   ``enumerate_tail_patterns``, ``monte_carlo_tail``, ``m_ablation``,
   the CLI ``--backend`` flag), asserting backend equality end to end.
@@ -23,15 +26,19 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.batchreplay import (
     BatchReplayEvaluator,
     EngineClassifier,
-    _simulate_numpy,
-    _simulate_scalar,
+    _replay_array,
+    _replay_scalar,
+    _step_cap,
     clear_caches,
     placement_classifier,
     tail_shape,
+    transition_table,
 )
 from repro.analysis.enumeration import enumerate_tail_patterns
 from repro.analysis.montecarlo import monte_carlo_tail
@@ -42,11 +49,16 @@ from repro.analysis.verification import (
     verify_chunk,
     verify_consistency,
 )
+from repro.can.fields import ACK_DELIM, ACK_SLOT, CRC_DELIM, EOF, SAMPLING
 from repro.can.frame import data_frame
 from repro.cli import main
 from repro.errors import AnalysisError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.faults.scenarios import (
+    make_controller,
+    run_placement,
+    run_single_frame_scenario,
+)
 from repro.tracestore import load_trace
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -164,7 +176,7 @@ class TestSeededRandomSweep:
 
     @pytest.mark.parametrize("protocol,m", SWEEP_CONFIGS)
     def test_array_and_scalar_simulators_agree(self, protocol, m):
-        """The two micro-simulators, fed the same armed-pair lists."""
+        """The two table drivers, fed the same armed-pair lists."""
         node_names = ["tx", "r1", "r2"]
         sites = universe(protocol, m, node_names)
         rng = random.Random(7 * m)
@@ -178,8 +190,13 @@ class TestSeededRandomSweep:
             assert route == "fast", combo
             arms.append(arm)
         shape = evaluator.shape
-        array = _simulate_numpy(shape, len(node_names), arms)
-        scalar = [_simulate_scalar(shape, len(node_names), arm) for arm in arms]
+        table = transition_table(shape.geometry)
+        cap = _step_cap(shape, max(map(len, arms)))
+        array = _replay_array(table, len(node_names), arms, cap)
+        scalar = [
+            _replay_scalar(table, len(node_names), arm, _step_cap(shape, len(arm)))
+            for arm in arms
+        ]
         assert array == scalar
 
     @pytest.mark.parametrize("fresh,label", [(95, "scalar"), (96, "batch")])
@@ -196,6 +213,151 @@ class TestSeededRandomSweep:
         assert evaluator.stats == {
             "batch": 0, "scalar": 0, "header": 0, "engine": 0, label: fresh
         }
+
+
+TAIL_FRAME = data_frame(0x123, b"\x55", message_id="m")
+
+
+def key_site(shape, key):
+    """The fault site behind a tail key (the inverse of the site map)."""
+    if key < 3:
+        return (CRC_DELIM, ACK_SLOT, ACK_DELIM)[key], 0
+    if key < 3 + shape.eof_length:
+        return EOF, key - 3
+    return SAMPLING, key - 3 - shape.eof_length
+
+
+@st.composite
+def armed_batches(draw, tight=True):
+    """A tail geometry, a network size and a batch of armed placements.
+
+    Placements hold 1-6 distinct ``(node, key)`` pairs, some stacking
+    several keys on one node.  With ``tight`` the per-attempt budget
+    may shrink, so placements run past their nominal step cap (at the
+    real budget none comes near it).
+    """
+    protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
+    m = draw(st.integers(3, 8))
+    n_nodes = draw(st.integers(2, 6))
+    shape = tail_shape(protocol, m, TAIL_FRAME)
+    nodes = st.integers(0, n_nodes - 1)
+    keys = st.integers(0, shape.key_count - 1)
+    scattered = st.lists(
+        st.tuples(nodes, keys), min_size=1, max_size=6, unique=True
+    )
+    stacked = st.tuples(
+        nodes, st.lists(keys, min_size=2, max_size=6, unique=True)
+    ).map(lambda drawn: [(drawn[0], key) for key in drawn[1]])
+    placements = draw(
+        st.lists(st.one_of(scattered, stacked), min_size=1, max_size=8)
+    )
+    if tight and draw(st.booleans()):
+        shape = replace(
+            shape, attempt_cap=draw(st.integers(1, shape.attempt_cap))
+        )
+    return shape, n_nodes, placements
+
+
+class TestGeneratedTailDifferential:
+    """The table drivers against each other and against the engine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(armed_batches())
+    def test_array_driver_equals_scalar_driver(self, case):
+        shape, n_nodes, placements = case
+        table = transition_table(shape.geometry)
+        batch_cap = _step_cap(shape, max(map(len, placements)))
+        array = _replay_array(table, n_nodes, placements, batch_cap)
+        for placement, verdict in zip(placements, array):
+            nominal = _replay_scalar(
+                table, n_nodes, placement, _step_cap(shape, len(placement))
+            )
+            widened = _replay_scalar(
+                table, n_nodes, placement, _step_cap(shape, len(placement), 8)
+            )
+            # The batch cap is at least the placement's own cap and at
+            # most eight times it.
+            if nominal is not None:
+                assert verdict == nominal
+            if verdict is not None:
+                assert verdict == widened
+            assert verdict == _replay_scalar(table, n_nodes, placement, batch_cap)
+
+    @settings(max_examples=80, deadline=None)
+    @given(armed_batches(tight=False))
+    def test_drivers_equal_the_engine(self, case):
+        shape, n_nodes, placements = case
+        placement = placements[0]
+        table = transition_table(shape.geometry)
+        verdict = _replay_scalar(
+            table, n_nodes, placement, _step_cap(shape, len(placement), 8)
+        )
+        assert verdict is not None
+        (array,) = _replay_array(
+            table, n_nodes, [placement], _step_cap(shape, len(placement))
+        )
+        assert array == verdict
+        names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+        combo = [(names[node], *key_site(shape, key)) for node, key in placement]
+        outcome = run_placement(shape.protocol, shape.m, names, combo, TAIL_FRAME)
+        assert verdict == (
+            tuple(outcome.deliveries[name] for name in names),
+            outcome.attempts,
+        ), combo
+
+    def test_route_step_caps(self):
+        # With the per-attempt budget shrunk, placements overflow their
+        # own cap.  The array route's cap follows the densest placement
+        # of the batch, so a 1-2 flip placement that fits it keeps the
+        # ``batch`` label; one that bails there retries on the scalar
+        # route at eight times its own cap.
+        names = ["tx", "r1", "r2"]
+        clear_caches()
+        evaluator = BatchReplayEvaluator("majorcan", 5, names)
+        evaluator.shape = shape = replace(evaluator.shape, attempt_cap=12)
+        # Transmitter sites only: every combo is its own canonical form.
+        tx_sites = [s for s in universe("majorcan", 5, names) if s[0] == "tx"]
+        combos = [(site,) for site in tx_sites]
+        combos += list(itertools.combinations(tx_sites, 2))[:100]
+        combos.append(tuple(tx_sites[::3][:6]))
+        arms = [evaluator._resolve(combo)[1] for combo in combos]
+        assert len(arms) >= 96 and max(map(len, arms)) == 6
+        table = transition_table(shape.geometry)
+        batch_cap = _step_cap(shape, 6)
+        expected = {"batch": 0, "scalar": 0, "header": 0, "engine": 0}
+        past_own_cap = 0
+        for arm in arms:
+            if _replay_scalar(table, 3, arm, batch_cap) is not None:
+                expected["batch"] += 1
+                own = _replay_scalar(table, 3, arm, _step_cap(shape, len(arm)))
+                past_own_cap += own is None
+            elif _replay_scalar(table, 3, arm, _step_cap(shape, len(arm), 8)):
+                expected["scalar"] += 1
+            else:
+                expected["engine"] += 1
+        assert past_own_cap and expected["scalar"]
+        evaluator.evaluate(combos)
+        clear_caches()
+        assert evaluator.stats == expected
+
+    def test_clear_caches_empties_the_transition_tables(self):
+        clear_caches()
+        assert transition_table.cache_info().currsize == 0
+        evaluator = BatchReplayEvaluator("minorcan", 5, ["tx", "r1"])
+        evaluator.evaluate([(("r1", "EOF", 6),)])
+        assert transition_table.cache_info().currsize == 1
+        clear_caches()
+        assert transition_table.cache_info().currsize == 0
+
+    def test_payloads_share_one_table(self):
+        shapes = [
+            tail_shape("majorcan", 5, data_frame(0x123, payload, message_id="m"))
+            for payload in (b"", b"\x55", b"\x00\xff\x00\xff", bytes(8))
+        ]
+        assert len({shape.geometry for shape in shapes}) == 1
+        assert transition_table(shapes[0].geometry) is transition_table(
+            shapes[-1].geometry
+        )
 
 
 class TestHeaderDifferential:
