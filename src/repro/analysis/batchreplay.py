@@ -1,63 +1,53 @@
-"""Vectorised batch replay of wire programs over tail error placements.
+"""Batch replay of error placements: one canonical form, one table, two drivers.
 
-``verify_consistency`` and ``enumerate_tail_patterns`` classify one
-error placement per full engine run: every placement re-simulates the
-whole frame bit by bit even though all the fault sites live in the
-frame *tail* (CRC delimiter, ACK slot, ACK delimiter, EOF, and the
-MajorCAN sampling window) and the pre-tail portion of every attempt is
-therefore identical and error-free.  This module exploits that: it
-expands the cached :class:`repro.can.encoding.WireProgram` into flat
-row-matrices, precompiles the fixed error-signalling shapes (error and
-overload flags are always :data:`FLAG_LENGTH` dominant bits, delimiters
-are fixed recessive runs per config — the same table treatment the
-transmit program already gets), and replays **batches of placements in
-lockstep array passes** over a tail-only micro-model of the controller
-state machine.
+``verify_consistency``, ``enumerate_tail_patterns`` and the Monte-Carlo
+tail estimate classify error placements.  The engine
+(:class:`EngineClassifier`) simulates each one bit by bit over the
+whole frame; this module's :class:`BatchReplayEvaluator` gets the same
+verdicts without instantiating the engine for almost all of them.
 
-The micro-model is *exact by construction* on the placements it
-understands, and it refuses the rest:
+**One canonical form.**  :meth:`BatchReplayEvaluator._canonical` turns
+a placement into sorted ``(node index, field, index)`` sites after two
+exact reductions: duplicate triggers cancel by parity (they all fire
+at the same first announcement, and a flip of a flip is the
+identity), and the faulted receivers are relabelled ``1..k`` in
+fault-group order (the receivers are identical deterministic
+controllers, so permuting them permutes the deliveries and nothing
+else).  That tuple is both the key of the process-wide verdict cache
+and the placement that gets classified, so equivalent placements share
+one verdict.
 
-* every supported fault site is announced at a fixed tail time, so the
-  per-placement state is a handful of small integers per node;
-* any situation outside the modelled envelope — an unexpected program
-  layout, a fault field neither model announces, a dominant bit
-  reaching an idle node outside the orchestrated retransmission
-  restart, or a step-budget overflow — *bails out* and the placement is
-  re-classified by the real engine (the oracle).
+**One table.**  Pure tail placements (CRC delimiter, ACK slot, ACK
+delimiter, EOF and the MajorCAN sampling window) follow a tail-only
+micro-model of the controller state machine.  Its transition relation
+is written once, as the per-node step :func:`_node_step`, and compiled
+per tail geometry into a :class:`TransitionTable` over its reachable
+``(state, tail time)`` pairs.  The micro-model is exact on the
+placements it understands and refuses the rest: an unexpected program
+layout, a fault field it does not announce, a dominant bit reaching an
+idle node outside the orchestrated retransmission restart, or a
+step-budget overflow bails, and the placement goes to the engine (the
+oracle).
 
-Header placements (the F1 desync universe: SOF through the CRC
-sequence, where a flip can add or remove a stuff condition and shift a
-receiver's parse of everything downstream) take a third path instead of
-bailing: cached *reduced* engine runs, one per equivalence class under
-receiver symmetry (all non-faulted in-sync receivers are bit-identical,
-and the wired-AND bus is invariant under duplicating identical
-drivers).  A run covers transmitter + distinct fault carriers + one
-witness, so a full header universe costs a handful of two- or
-three-node runs instead of one n-node engine run per site; lone
-mid-frame DATA/CRC receiver flips further share one class per parse
-signature of the stuff-aware :func:`repro.can.encoding.header_shape`
-expansion.
+**Two drivers.**  An array driver steps one code per ``(placement,
+node)`` through lockstep numpy passes; a scalar driver replays a
+single placement over tuple copies of the same table.  Each fresh
+batch goes to one of them by size (:data:`_ARRAY_BREAK_EVEN`), and a
+placement that overflows its step budget retries once on the scalar
+driver with a widened budget.
 
-Multi-flip combos compose the same machinery instead of bailing out:
-duplicate triggers on one position cancel by parity before anything
-runs (they all fire at the same first announcement, and a flip of a
-flip is the identity), faulted receivers are relabelled into a
-canonical arrangement so one verdict serves every placement of the
-same fault groups over any receivers, and pure-tail multi-site
-placements ride the micro-model (with a widened-budget scalar retry
-for cascade overflows).  The engine remains only for combos naming
-unknown nodes or fields outside every model.
+Placements touching header sites (the F1 desync universe: SOF through
+the CRC sequence) instead take cached *reduced* engine runs, one per
+fault-group arrangement: the transmitter, the faulted receivers and
+one clean witness stand in for the whole network.  Lone mid-frame
+DATA/CRC receiver flips share one run per parse signature of the
+stuff-aware :func:`repro.can.encoding.header_shape` expansion.
 
-The micro-model's transition relation is written once, as the per-node
-step :func:`_node_step`, and compiled per tail geometry into a
-:class:`TransitionTable` over its reachable ``(state, tail time)``
-pairs.  Two drivers read that table: an array one stepping one code per
-``(placement, node)`` through lockstep numpy passes, and a scalar one
-replaying a single placement over tuple copies.  Each fresh batch goes
-to one of them by size (:data:`_ARRAY_BREAK_EVEN`): the array pass only
-amortises its fixed per-bit cost over wide batches.  The differential
-suite pins both against the engine over the full tail-site universe of
-every corpus frame, and against each other on generated placements.
+Every route yields one ``(deliveries, attempts, label)`` verdict, and
+one loop fans it out to every placement that shares it.  The
+differential suite pins the drivers against the engine over the full
+tail-site universe of every corpus frame, and against each other on
+generated placements.
 """
 
 from __future__ import annotations
@@ -129,14 +119,7 @@ _UNSUPPORTED = -2
 
 @dataclass(frozen=True)
 class TailShape:
-    """Precompiled tail geometry for one (protocol, m, frame).
-
-    ``signal_shapes`` is the precompiled error-signalling table: flag
-    and delimiter sequences are fixed shapes per config, so the batch
-    replay treats them as run lengths instead of per-bit handlers —
-    the same treatment :func:`repro.can.encoding.wire_program` gives
-    the steady transmit path.
-    """
+    """Precompiled tail geometry for one (protocol, m, frame)."""
 
     protocol: str
     proto: int
@@ -146,14 +129,10 @@ class TailShape:
     window_start: int
     window_end: int
     majority: int
-    #: Index of ``(CRC_DELIM, 0)`` in the wire program (tail time 0).
-    tail_offset: int
     #: Keys per node: 3 pre-EOF bits + EOF + (MajorCAN) sampling window.
     key_count: int
     #: Generous per-attempt step bound; overflow bails to the engine.
     attempt_cap: int
-    #: Fixed signalling shapes: {"flag": 6, "delimiter": dl, ...}.
-    signal_shapes: Tuple[Tuple[str, int], ...]
     supported: bool
 
     @property
@@ -176,10 +155,9 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
     proto = _PROTO_CODES.get(protocol)
     probe = make_controller(protocol, "shape-probe", m=m)
     eof_length = probe.config.eof_length
-    signalling = probe.signal_shape()
-    delimiter_length = signalling.delimiter
+    delimiter_length = probe.config.delimiter_length
     window_start = getattr(probe, "window_start", 0) or 0
-    window_end = signalling.extended_flag_end
+    window_end = getattr(probe, "window_end", 0)
     majority = getattr(probe, "majority", 0) or 0
     program = wire_program(frame, eof_length)
     supported = proto is not None
@@ -204,9 +182,9 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
     attempt_cap = (
         (3 + eof_length)
         + (window_end + 2)
-        + signalling.error_flag
+        + FLAG_LENGTH
         + 4 * delimiter_length
-        + signalling.intermission
+        + INTERMISSION_LENGTH
         + 32
     )
     return TailShape(
@@ -218,10 +196,8 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
         window_start=window_start,
         window_end=window_end,
         majority=majority,
-        tail_offset=tail_offset,
         key_count=key_count,
         attempt_cap=attempt_cap,
-        signal_shapes=signalling.shapes,
         supported=supported,
     )
 
@@ -252,13 +228,20 @@ def _site_key(shape: TailShape, field: str, index: int) -> int:
     return _UNSUPPORTED
 
 
+#: A verdict: ``(deliveries, attempts, label)``, ``label`` naming the
+#: ``stats`` counter of the route that computed it.
+Verdict = Tuple[Tuple[int, ...], int, str]
+
+#: A canonical site: (node index, field label, index within the field).
+IndexSite = Tuple[int, str, int]
+
+
 @dataclass(frozen=True)
 class PlacementOutcome:
     """Classification of one placement, aligned with ``node_names``."""
 
     deliveries: Tuple[int, ...]
     attempts: int
-    via: str  # "batch" | "engine"
 
     @property
     def consistent(self) -> bool:
@@ -314,15 +297,17 @@ def placement_classifier(
     order), build hit tuples with ``counterexample``, and expose their
     provenance counters as ``stats`` (``None`` on the engine).
     """
+    frame = data_frame(0x123, payload, message_id="m")
     if backend == "batch":
-        return BatchReplayEvaluator(protocol, m, node_names, payload)
+        return BatchReplayEvaluator(protocol, m, node_names, frame)
     if backend == "engine":
-        return EngineClassifier(protocol, m, node_names, payload)
+        return EngineClassifier(protocol, m, node_names, frame)
     raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % (backend,))
 
 
 class EngineClassifier:
-    """Classify each placement with one full engine run, exactly as given.
+    """Classify each placement of ``frame`` with one full engine run,
+    exactly as given.
 
     No canonicalisation and no cache: this is the oracle the batch
     replay is checked against.  :meth:`evaluate` is lazy, so a caller
@@ -334,23 +319,17 @@ class EngineClassifier:
     stats: Optional[Dict[str, int]] = None
 
     def __init__(
-        self,
-        protocol: str,
-        m: int,
-        node_names: Sequence[str],
-        payload: bytes = b"\x55",
-        frame: Optional[Frame] = None,
+        self, protocol: str, m: int, node_names: Sequence[str], frame: Frame
     ) -> None:
         self.protocol = protocol
         self.m = m
         self.node_names = tuple(node_names)
-        self.frame = frame if frame is not None else data_frame(
-            0x123, payload, message_id="m"
-        )
+        self.frame = frame
 
     def evaluate(self, combos: Iterable[Sequence[Site]]) -> Iterator[PlacementOutcome]:
         """Yield one engine outcome per placement, in input order."""
-        return map(self._engine_outcome, combos)
+        for combo in combos:
+            yield _expand(self._engine_outcome(combo), None)
 
     def counterexample(
         self, combo: Sequence[Site], outcome: PlacementOutcome
@@ -365,21 +344,16 @@ class EngineClassifier:
         )
         return (tuple(combo), deliveries, outcome.attempts, kind)
 
-    def _engine_outcome(self, combo: Sequence[Site]) -> PlacementOutcome:
+    def _engine_outcome(self, combo: Sequence[Site]) -> Verdict:
         outcome = run_placement(
             self.protocol, self.m, self.node_names, combo, self.frame
         )
-        return PlacementOutcome(
-            deliveries=tuple(
-                outcome.deliveries[name] for name in self.node_names
-            ),
-            attempts=outcome.attempts,
-            via="engine",
-        )
+        deliveries = tuple(outcome.deliveries[name] for name in self.node_names)
+        return deliveries, outcome.attempts, "engine"
 
 
 class BatchReplayEvaluator(EngineClassifier):
-    """Classify batches of tail error placements without engine runs.
+    """Classify batches of error placements, mostly without engine runs.
 
     Placements the micro-model cannot represent (unsupported fields,
     unexpected program layout, bailed simulations) transparently fall
@@ -387,15 +361,10 @@ class BatchReplayEvaluator(EngineClassifier):
     """
 
     def __init__(
-        self,
-        protocol: str,
-        m: int,
-        node_names: Sequence[str],
-        payload: bytes = b"\x55",
-        frame: Optional[Frame] = None,
+        self, protocol: str, m: int, node_names: Sequence[str], frame: Frame
     ) -> None:
-        super().__init__(protocol, m, node_names, payload, frame)
-        self.shape = tail_shape(protocol, m, self.frame)
+        super().__init__(protocol, m, node_names, frame)
+        self.shape = tail_shape(protocol, m, frame)
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
         #: Outcome provenance counters: placements classified by the
         #: array pass, the scalar micro-sim, the reduced header runs,
@@ -413,111 +382,60 @@ class BatchReplayEvaluator(EngineClassifier):
         """Classify every placement; order follows the input.
 
         Verdicts are memoised in the process-wide :data:`_COMBO_CACHE`
-        under a *canonical* combo key: duplicate triggers cancel by
-        parity, and fault groups are relabelled onto the first
-        receivers (receiver symmetry — see :meth:`_reduced_outcome`)
-        with the cached delivery tuple permuted back on retrieval.
-        Repeated placements — Monte-Carlo draws across chunks, the F1
-        universe re-visiting tail-window sites — therefore classify at
-        dictionary-lookup cost.  Cache hits count toward ``stats``
-        under the provenance that first computed the verdict.
+        under the canonical form of :meth:`_canonical`, and the cached
+        delivery tuple is permuted back to the real receivers on
+        retrieval.  Repeated placements (Monte-Carlo draws across
+        chunks, the F1 universe re-visiting tail-window sites) therefore
+        classify at dictionary-lookup cost.  Each placement adds 1 to
+        ``stats`` under the label of the route that first computed its
+        verdict, cache hits included.
         """
-        combos = [tuple(combo) for combo in combos]
-        outcomes: List[Optional[PlacementOutcome]] = [None] * len(combos)
-        pending: Dict[Tuple, List[Tuple[int, Optional[int]]]] = {}
-        order: List[Tuple[Tuple, Tuple[Site, ...]]] = []
-        for position, combo in enumerate(combos):
-            key, back, canon = self._canonical(combo)
-            if key is None:
+        combos = list(combos)
+        verdicts = self._verdicts()
+        placements = [self._canonical(combo) for combo in combos]
+        fresh = dict.fromkeys(
+            placement[0]
+            for placement in placements
+            if placement is not None and placement[0] not in verdicts
+        )
+        verdicts.update(self._classify(fresh))
+        outcomes = []
+        for combo, placement in zip(combos, placements):
+            if placement is None:
                 # A site names an unknown node: exact semantics live in
                 # the engine and the combo is not worth caching.
-                outcomes[position] = self._engine_outcome(combo)
-                continue
-            cached = _COMBO_CACHE.get(key)
-            if cached is not None:
-                self.stats[cached[2]] += 1
-                outcomes[position] = self._expand(cached, back)
-                continue
-            if key in pending:
-                pending[key].append((position, back))
-                continue
-            pending[key] = [(position, back)]
-            order.append((key, canon))
-        fast: List[Tuple[Tuple, Tuple[Site, ...], List[Tuple[int, int]]]] = []
-        for key, canon in order:
-            route, resolved = self._resolve(canon)
-            if route == "fast":
-                fast.append((key, canon, resolved))
-            elif route == "reduced":
-                self._finish(
-                    outcomes, pending[key], key,
-                    self._reduced_outcome(resolved), "header",
-                )
+                verdict, back = self._engine_outcome(combo), None
             else:
-                self._finish(
-                    outcomes, pending[key], key,
-                    self._engine_outcome(canon), "engine",
-                )
-        if fast:
-            table = transition_table(self.shape.geometry)
-            n = len(self.node_names)
-            arms = [arm for _, _, arm in fast]
-            # The array pass pays a fixed per-call cost (its lockstep
-            # loop runs to the slowest placement) that only amortises
-            # over wide batches; small batches replay one by one.
-            if len(fast) >= _ARRAY_BREAK_EVEN:
-                cap = _step_cap(self.shape, max(map(len, arms)))
-                verdicts = _replay_array(table, n, arms, cap)
-                label = "batch"
-            else:
-                verdicts = [
-                    _replay_scalar(table, n, arm, _step_cap(self.shape, len(arm)))
-                    for arm in arms
-                ]
-                label = "scalar"
-            for (key, canon, arm), verdict in zip(fast, verdicts):
-                stat = label
-                if verdict is None:
-                    # The common bail on dense placements is the step
-                    # budget: every flip can restart the frame and the
-                    # cascade outruns the nominal cap.  A single scalar
-                    # retry with a widened budget stays exact (same
-                    # transition table, more steps) and keeps these off
-                    # the engine; genuine envelope violations bail
-                    # again and fall through to the oracle.
-                    verdict = _replay_scalar(
-                        table, n, arm, _step_cap(self.shape, len(arm), 8)
-                    )
-                    stat = "scalar"
-                if verdict is None:
-                    self._finish(
-                        outcomes, pending[key], key,
-                        self._engine_outcome(canon), "engine",
-                    )
-                else:
-                    deliveries, attempts = verdict
-                    self.stats[stat] += 1
-                    outcome = PlacementOutcome(
-                        deliveries=deliveries, attempts=attempts, via="batch"
-                    )
-                    self._finish(outcomes, pending[key], key, outcome, stat)
-        return outcomes  # type: ignore[return-value]
+                verdict, back = verdicts[placement[0]], placement[1]
+            self.stats[verdict[2]] += 1
+            outcomes.append(_expand(verdict, back))
+        return outcomes
 
     # -- internals -----------------------------------------------------
 
+    def _verdicts(self) -> Dict[Tuple[IndexSite, ...], Verdict]:
+        """This configuration's verdicts in :data:`_COMBO_CACHE`.
+
+        Looked up once per :meth:`evaluate` call, so :func:`clear_caches`
+        reaches evaluators built before it.  The whole cache is cleared
+        once it holds :data:`_COMBO_CACHE_LIMIT` verdicts.
+        """
+        if sum(map(len, _COMBO_CACHE.values())) >= _COMBO_CACHE_LIMIT:
+            _COMBO_CACHE.clear()
+        config = (self.protocol, self.m, self.frame, len(self.node_names))
+        return _COMBO_CACHE.setdefault(config, {})
+
     def _canonical(
         self, combo: Sequence[Site]
-    ) -> Tuple[Optional[Tuple], Optional[Tuple[int, ...]], Tuple[Site, ...]]:
-        """Canonical cache key for ``combo`` plus its expansion hint.
+    ) -> Optional[Tuple[Tuple[IndexSite, ...], Optional[Tuple[int, ...]]]]:
+        """The canonical form ``(sites, back)`` of ``combo``.
 
-        Returns ``(key, back, canon)``: ``key`` is the process-wide
-        cache key (``None`` when a site names an unknown node and the
-        combo must bypass the cache), ``canon`` is the combo actually
-        evaluated, and ``back`` maps canonical receiver labels back to
-        the real faulted nodes when the combo was re-targeted.
+        ``sites`` are sorted ``(node index, field, index)`` triples:
+        the verdict key, and the placement that gets classified.
+        Returns None when a site names an unknown node.
 
         Two exact reductions happen here so equivalent combos share one
-        cache entry:
+        form:
 
         * *parity*: duplicate triggers on one ``(node, field, index)``
           position all fire at the same first announcement, and a flip
@@ -531,101 +449,90 @@ class BatchReplayEvaluator(EngineClassifier):
           behind each canonical label (``back[j-1]`` for label ``j``;
           ``None`` when the relabelling is the identity).
         """
-        counts: Dict[Tuple[int, str, int], int] = {}
-        try:
-            for name, field_name, index in combo:
-                site = (self._node_index[name], field_name, index)
-                counts[site] = counts.get(site, 0) + 1
-        except KeyError:
-            return None, None, tuple(combo)
-        sites = tuple(
-            sorted(site for site, hits in counts.items() if hits % 2)
-        )
-        back: Optional[Tuple[int, ...]] = None
-        rx_nodes = sorted({node for node, _, _ in sites if node != 0})
-        if rx_nodes:
-            groups = {
-                node: tuple(
-                    (f, i) for node2, f, i in sites if node2 == node
-                )
-                for node in rx_nodes
-            }
-            order = sorted(rx_nodes, key=lambda node: (groups[node], node))
-            relabel = {node: 1 + j for j, node in enumerate(order)}
-            if any(relabel[node] != node for node in rx_nodes):
-                back = tuple(order)
-                sites = tuple(
-                    sorted(
-                        (relabel.get(node, node), f, i)
-                        for node, f, i in sites
-                    )
-                )
-        key = (self.protocol, self.m, self.frame, len(self.node_names), sites)
-        canon = tuple(
-            (self.node_names[node], f, i) for node, f, i in sites
-        )
-        return key, back, canon
+        odd = set()
+        for name, field_name, index in combo:
+            node = self._node_index.get(name)
+            if node is None:
+                return None
+            odd ^= {(node, field_name, index)}
+        sites = sorted(odd)
+        groups: Dict[int, List[Tuple[str, int]]] = {}
+        for node, field_name, index in sites:
+            if node:
+                groups.setdefault(node, []).append((field_name, index))
+        order = sorted(groups, key=lambda node: (groups[node], node))
+        if all(node == label for label, node in enumerate(order, 1)):
+            return tuple(sites), None
+        relabel = {node: label for label, node in enumerate(order, 1)}
+        sites = sorted((relabel.get(node, 0), f, i) for node, f, i in sites)
+        return tuple(sites), tuple(order)
 
-    def _expand(
-        self,
-        cached: Tuple[Tuple[int, ...], int, str],
-        back: Optional[Tuple[int, ...]],
-    ) -> PlacementOutcome:
-        """Rebuild an outcome from a cache entry, undoing ``back``.
+    def _classify(
+        self, placements: Sequence[Tuple[IndexSite, ...]]
+    ) -> Iterator[Tuple[Tuple[IndexSite, ...], Verdict]]:
+        """Yield ``(sites, verdict)`` for each fresh canonical placement.
 
-        The cached deliveries are for the canonical arrangement —
-        transmitter at 0, faulted receivers at ``1..k``, witnesses
-        after — and every witness delivery is equal by symmetry, so the
-        permutation only needs the canonical-label-to-real-node map.
+        Header placements take a reduced engine run and placements
+        outside every model the engine.  Pure tail placements replay on
+        the transition table: on the array driver from
+        :data:`_ARRAY_BREAK_EVEN` fresh placements up, on the scalar one
+        below, whose per-placement cost beats the array loop's fixed
+        per-call cost on narrow batches.
         """
-        deliveries, attempts, stat = cached
-        if back is not None:
-            k = len(back)
-            n = len(deliveries)
-            witness = deliveries[k + 1] if k + 1 < n else 0
-            rebuilt = [witness] * n
-            rebuilt[0] = deliveries[0]
-            for label, node in enumerate(back, start=1):
-                rebuilt[node] = deliveries[label]
-            deliveries = tuple(rebuilt)
-        via = "engine" if stat == "engine" else "batch"
-        return PlacementOutcome(
-            deliveries=deliveries, attempts=attempts, via=via
-        )
+        fast = []
+        for sites in placements:
+            route, resolved = self._resolve(sites)
+            if route == "fast":
+                fast.append((sites, resolved))
+            elif route == "reduced":
+                yield sites, self._reduced_outcome(resolved)
+            else:
+                yield sites, self._engine_outcome(self._named(sites))
+        if not fast:
+            return
+        table = transition_table(self.shape.geometry)
+        n = len(self.node_names)
+        arms = [arm for _, arm in fast]
+        if len(fast) >= _ARRAY_BREAK_EVEN:
+            cap = _step_cap(self.shape, max(map(len, arms)))
+            replays = _replay_array(table, n, arms, cap)
+            label = "batch"
+        else:
+            replays = [
+                _replay_scalar(table, n, arm, _step_cap(self.shape, len(arm)))
+                for arm in arms
+            ]
+            label = "scalar"
+        for (sites, arm), replay in zip(fast, replays):
+            if replay is not None:
+                yield sites, replay + (label,)
+                continue
+            # The common bail on dense placements is the step budget:
+            # every flip can restart the frame and the cascade outruns
+            # the nominal cap.  A single scalar retry with a widened
+            # budget stays exact (same transition table, more steps)
+            # and keeps these off the engine; genuine envelope
+            # violations bail again and fall through to the oracle.
+            replay = _replay_scalar(table, n, arm, _step_cap(self.shape, len(arm), 8))
+            if replay is not None:
+                yield sites, replay + ("scalar",)
+            else:
+                yield sites, self._engine_outcome(self._named(sites))
 
-    def _finish(
-        self,
-        outcomes: List[Optional[PlacementOutcome]],
-        waiters: List[Tuple[int, Optional[int]]],
-        key: Tuple,
-        outcome: PlacementOutcome,
-        stat: str,
-    ) -> None:
-        """Record a fresh canonical verdict and fan it out to waiters."""
-        if len(_COMBO_CACHE) >= _COMBO_CACHE_LIMIT:
-            _COMBO_CACHE.clear()
-        entry = (outcome.deliveries, outcome.attempts, stat)
-        _COMBO_CACHE[key] = entry
-        first = True
-        for position, back in waiters:
-            if not first:
-                self.stats[stat] += 1
-            first = False
-            outcomes[position] = self._expand(entry, back)
+    def _named(self, sites: Sequence[IndexSite]) -> Tuple[Site, ...]:
+        return tuple((self.node_names[node], f, i) for node, f, i in sites)
 
     def _header_shape(self):
         return header_shape(self.frame, self.shape.eof_length)
 
-    def _resolve(self, combo: Sequence[Site]) -> Tuple[str, object]:
-        """Route a combo to one of the three classification paths.
+    def _resolve(self, sites: Sequence[IndexSite]) -> Tuple[str, object]:
+        """Route canonical sites to one of the three classification paths.
 
         Returns ``("fast", armed_keys)`` for pure tail placements,
         ``("reduced", (header_hits, tail_sites))`` for combos touching
         an announced header site, and
         ``("engine", None)`` for anything outside the modelled envelope
-        (unknown nodes or fields, unexpected program layouts).
-        Duplicate triggers never reach this point — :meth:`_canonical`
-        cancels them by parity before the combo is resolved.
+        (unknown fields, unexpected program layouts).
 
         Config-inert tail sites — positions no parse of this controller
         configuration can ever announce — are dropped outright, exactly
@@ -644,23 +551,21 @@ class BatchReplayEvaluator(EngineClassifier):
         if not self.shape.supported:
             return ("engine", None)
         armed: List[Tuple[int, int]] = []
-        tail_sites: List[Tuple[int, str, int]] = []
-        header_hits: List[Tuple[int, str, int]] = []
-        silent: List[Tuple[int, str, int]] = []
+        tail_sites: List[IndexSite] = []
+        header_hits: List[IndexSite] = []
+        silent: List[IndexSite] = []
         live_nodes = set()
         shape = None
-        for name, field_name, index in combo:
-            node = self._node_index.get(name)
-            if node is None:
-                return ("engine", None)
+        for site in sites:
+            node, field_name, index = site
             if field_name in HEADER_SITE_FIELDS:
                 if shape is None:
                     shape = self._header_shape()
                 if (field_name, index) in shape.announced:
-                    header_hits.append((node, field_name, index))
+                    header_hits.append(site)
                     live_nodes.add(node)
                 else:
-                    silent.append((node, field_name, index))
+                    silent.append(site)
                 continue
             key = _site_key(self.shape, field_name, index)
             if key == _UNSUPPORTED:
@@ -668,7 +573,7 @@ class BatchReplayEvaluator(EngineClassifier):
             if key == _INERT:
                 continue
             armed.append((node, key))
-            tail_sites.append((node, field_name, index))
+            tail_sites.append(site)
             live_nodes.add(node)
         header_hits += [site for site in silent if site[0] in live_nodes]
         if header_hits:
@@ -676,9 +581,8 @@ class BatchReplayEvaluator(EngineClassifier):
         return ("fast", armed)
 
     def _reduced_outcome(
-        self,
-        spec: Tuple[Tuple[Tuple[int, str, int], ...], Tuple[Tuple[int, str, int], ...]],
-    ) -> PlacementOutcome:
+        self, spec: Tuple[Tuple[IndexSite, ...], Tuple[IndexSite, ...]]
+    ) -> Verdict:
         """Classify a combo touching header sites exactly.
 
         Rests on receiver symmetry: the controllers are deterministic
@@ -727,14 +631,29 @@ class BatchReplayEvaluator(EngineClassifier):
             tx_count if i == 0 else by_node.get(i, witness_count)
             for i in range(n)
         )
-        self.stats["header"] += 1
-        return PlacementOutcome(
-            deliveries=deliveries, attempts=attempts, via="batch"
-        )
+        return deliveries, attempts, "header"
 
-    def _engine_outcome(self, combo: Sequence[Site]) -> PlacementOutcome:
-        self.stats["engine"] += 1
-        return super()._engine_outcome(combo)
+
+def _expand(verdict: Verdict, back: Optional[Tuple[int, ...]]) -> PlacementOutcome:
+    """The outcome of one placement from its canonical verdict.
+
+    The verdict's deliveries are for the canonical arrangement —
+    transmitter at 0, faulted receivers at ``1..k``, witnesses after —
+    and every witness delivery is equal by symmetry, so undoing the
+    relabelling only needs ``back``, the canonical-label-to-real-node
+    map.
+    """
+    deliveries, attempts, _ = verdict
+    if back is not None:
+        k = len(back)
+        n = len(deliveries)
+        witness = deliveries[k + 1] if k + 1 < n else 0
+        rebuilt = [witness] * n
+        rebuilt[0] = deliveries[0]
+        for label, node in enumerate(back, start=1):
+            rebuilt[node] = deliveries[label]
+        deliveries = tuple(rebuilt)
+    return PlacementOutcome(deliveries, attempts)
 
 
 #: Reduced-run verdicts per fault-group arrangement, keyed by
@@ -746,14 +665,13 @@ class BatchReplayEvaluator(EngineClassifier):
 #: worker runs) shares one cache; entries are tiny tuples.
 _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 
-#: Final verdicts per canonical placement, keyed by
-#: ``(protocol, m, frame, n_nodes, canonical_sites)`` and holding
-#: ``(deliveries, attempts, stat)``.  Shared by every evaluator in a
-#: process, so chunked Monte-Carlo draws and overlapping verification
-#: universes classify repeats at lookup cost.  Bounded by a wholesale
-#: clear — entries are tiny and the universes that feed it are small,
-#: so the limit only guards runaway many-frame campaigns.
-_COMBO_CACHE: Dict[Tuple, Tuple[Tuple[int, ...], int, str]] = {}
+#: Final verdicts per configuration ``(protocol, m, frame, n_nodes)``,
+#: each a dict from canonical sites to :data:`Verdict`.  Shared by every
+#: evaluator in a process, so chunked Monte-Carlo draws and overlapping
+#: verification universes classify repeats at lookup cost.  Bounded by
+#: a wholesale clear — entries are tiny and the universes that feed it
+#: are small, so the limit only guards runaway many-frame campaigns.
+_COMBO_CACHE: Dict[Tuple, Dict[Tuple[IndexSite, ...], Verdict]] = {}
 _COMBO_CACHE_LIMIT = 1 << 19
 
 #: Minimum fresh-placement batch for the array pass; below this the

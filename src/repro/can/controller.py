@@ -37,12 +37,10 @@ from repro.can.encoding import (
     OP_ACK,
     OP_EOF,
     OP_MATCH,
-    SignalProgram,
     SignalTable,
     WireFrame,
     WireProgram,
     encode_frame,
-    signal_program,
     signal_table,
     wire_program,
 )
@@ -258,17 +256,6 @@ class CanController:
     def received_frames(self) -> List[Frame]:
         """All frames delivered to this node, in delivery order."""
         return [delivery.frame for delivery in self.deliveries]
-
-    def signal_shape(self) -> SignalProgram:
-        """The node's precompiled error-signalling run lengths.
-
-        Flags, delimiters and the intermission are configuration-fixed
-        runs, so replay-style consumers (shape probes, the batch replay
-        backend) read them here instead of stepping the per-bit error
-        handlers.  Protocol variants whose signalling occupies more of
-        the frame tail (MajorCAN_m's agreement window) override this.
-        """
-        return signal_program(self.config.delimiter_length)
 
     def submit(self, frame: Frame) -> None:
         """Queue a frame for transmission."""

@@ -224,63 +224,14 @@ def compile_wire(wire: WireFrame) -> WireProgram:
 
 
 @dataclass(frozen=True)
-class SignalProgram:
-    """Precompiled error-signalling shapes for one controller config.
-
-    Error and overload flags, delimiters and the intermission are fixed
-    run-length sequences — all-dominant or all-recessive runs whose
-    lengths depend only on the configuration, never on the frame.  This
-    is the signalling counterpart of :class:`WireProgram`: replay-style
-    consumers (the batch backend, shape probes) read the runs as plain
-    lengths instead of stepping the per-bit handlers.
-
-    ``extended_flag_end`` is the last agreement-window position of a
-    MajorCAN_m node's extended flag / quiet sampling phase (0 for
-    protocols without an agreement window): signalling after an
-    EOF-entry error occupies positions up to and including it.
-    """
-
-    error_flag: int
-    overload_flag: int
-    delimiter: int
-    intermission: int
-    extended_flag_end: int
-
-    @property
-    def shapes(self) -> Tuple[Tuple[str, int], ...]:
-        """The run table as ``(name, length)`` pairs, in wire order."""
-        return (
-            ("error_flag", self.error_flag),
-            ("overload_flag", self.overload_flag),
-            ("delimiter", self.delimiter),
-            ("intermission", self.intermission),
-            ("extended_flag_end", self.extended_flag_end),
-        )
-
-
-@lru_cache(maxsize=64)
-def signal_program(
-    delimiter_length: int,
-    extended_flag_end: int = 0,
-    flag_length: int = FLAG_LENGTH,
-    intermission_length: int = INTERMISSION_LENGTH,
-) -> SignalProgram:
-    """Build (and cache) the signalling shape table for one config."""
-    return SignalProgram(
-        error_flag=flag_length,
-        overload_flag=flag_length,
-        delimiter=delimiter_length,
-        intermission=intermission_length,
-        extended_flag_end=extended_flag_end,
-    )
-
-
-@dataclass(frozen=True)
 class SignalTable:
-    """:class:`SignalProgram` expanded into indexable position tuples.
+    """Error-signalling positions as indexable tuples, per config.
 
-    The controller's signalling drive handlers publish one ``(field,
-    index)`` position per bit.  The reference machine constructs that
+    Error and overload flags, delimiters, the intermission and the
+    suspend field are fixed runs whose lengths depend only on the
+    configuration, never on the frame.  The controller's signalling
+    drive handlers publish one ``(field, index)`` position per bit.
+    The reference machine constructs that
     tuple (and, for the shared recessive handler, a whole label dict)
     on every call; the fast path instead walks these precompiled
     tuples, indexing by the state's own run counter — the signalling
@@ -308,26 +259,20 @@ class SignalTable:
 
 
 @lru_cache(maxsize=64)
-def signal_table(
-    delimiter_length: int,
-    extended_flag_end: int = 0,
-    flag_length: int = FLAG_LENGTH,
-    intermission_length: int = INTERMISSION_LENGTH,
-    suspend_length: int = SUSPEND_LENGTH,
-) -> SignalTable:
+def signal_table(delimiter_length: int, extended_flag_end: int = 0) -> SignalTable:
     """Expand (and cache) the signalling position tables for one config."""
     window_span = extended_flag_end + 2
     return SignalTable(
-        error_flag=tuple((ERROR_FLAG, i) for i in range(flag_length)),
-        overload_flag=tuple((OVERLOAD_FLAG, i) for i in range(flag_length)),
+        error_flag=tuple((ERROR_FLAG, i) for i in range(FLAG_LENGTH)),
+        overload_flag=tuple((OVERLOAD_FLAG, i) for i in range(FLAG_LENGTH)),
         error_wait=(ERROR_WAIT, 0),
         overload_wait=(OVERLOAD_WAIT, 0),
         error_delim=tuple((ERROR_DELIM, i) for i in range(delimiter_length)),
         overload_delim=tuple(
             (OVERLOAD_DELIM, i) for i in range(delimiter_length)
         ),
-        intermission=tuple((INTERMISSION, i) for i in range(intermission_length)),
-        suspend=tuple((SUSPEND, i) for i in range(suspend_length)),
+        intermission=tuple((INTERMISSION, i) for i in range(INTERMISSION_LENGTH)),
+        suspend=tuple((SUSPEND, i) for i in range(SUSPEND_LENGTH)),
         sampling=tuple((SAMPLING, i) for i in range(window_span)),
         extended_flag=tuple((EXTENDED_FLAG, i) for i in range(window_span)),
     )

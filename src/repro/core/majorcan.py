@@ -173,14 +173,6 @@ class MajorCanController(CanController):
         """Dominant samples needed to accept: majority of ``2m - 1``."""
         return self.m
 
-    def signal_shape(self):
-        """Signalling runs plus the agreement window this node occupies."""
-        from repro.can.encoding import signal_program
-
-        return signal_program(
-            self.config.delimiter_length, extended_flag_end=self.window_end
-        )
-
     # ------------------------------------------------------------------
     # EOF policies
     # ------------------------------------------------------------------

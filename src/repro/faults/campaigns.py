@@ -227,6 +227,10 @@ def run_rounds(
     from repro.analysis.batchreplay import BatchReplayEvaluator
     from repro.analysis.noisebatch import first_flip, generator_state, restore_state
 
+    # Built directly rather than through ``placement_classifier``: the
+    # engine side of a round runs the whole round with background
+    # traffic and noise (``engine_row``), not one placement of the
+    # critical frame, so there is no engine placement oracle to choose.
     evaluator = BatchReplayEvaluator(
         protocol,
         m,

@@ -14,6 +14,10 @@ the engine.  These tests enforce that contract:
 * over **generated armed placements** (Hypothesis, 1-6 flips, m = 3..8,
   2-6 nodes): the array and scalar drivers of the transition table
   agree with each other under every step cap, and with the engine;
+* over **generated placements** (Hypothesis, 1-4 tail, sampling and
+  header sites, 3-5 nodes): receiver permutations, reorderings and
+  cancelling site pairs share one canonical form and permute the
+  outcome to match, and the batch outcomes equal the engine's;
 * through every wired entry point (``verify_consistency``,
   ``enumerate_tail_patterns``, ``monte_carlo_tail``, ``m_ablation``,
   the CLI ``--backend`` flag), asserting backend equality end to end.
@@ -49,7 +53,7 @@ from repro.analysis.verification import (
     verify_chunk,
     verify_consistency,
 )
-from repro.can.fields import ACK_DELIM, ACK_SLOT, CRC_DELIM, EOF, SAMPLING
+from repro.can.fields import ACK_DELIM, ACK_SLOT, CRC, CRC_DELIM, EOF, SAMPLING
 from repro.can.frame import data_frame
 from repro.cli import main
 from repro.errors import AnalysisError
@@ -62,6 +66,9 @@ from repro.faults.scenarios import (
 from repro.tracestore import load_trace
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+#: The one-byte frame every placement driver simulates.
+FRAME = data_frame(0x123, b"\x55", message_id="m")
 
 
 def _scenario_version(path):
@@ -106,6 +113,11 @@ def engine_oracle(protocol, m, node_names, combo, frame):
     )
 
 
+def off_engine(evaluator):
+    """Placements the evaluator classified without a full engine run."""
+    return sum(evaluator.stats.values()) - evaluator.stats["engine"]
+
+
 def universe(protocol, m, node_names):
     """The paper's tail-site universe for one config."""
     probe = make_controller(protocol, "probe", m=m)
@@ -148,8 +160,8 @@ class TestCorpusDifferential:
         assert evaluator.stats["engine"] == 0, (
             "corpus frames must be classified by the micro-model itself"
         )
+        assert off_engine(evaluator) == len(combos)
         for combo, outcome in zip(combos, outcomes):
-            assert outcome.via == "batch"
             expected = engine_oracle(protocol, m, node_names, combo, spec.frame)
             assert (outcome.deliveries, outcome.attempts) == expected, (
                 path.stem,
@@ -163,15 +175,14 @@ class TestSeededRandomSweep:
     @pytest.mark.parametrize("protocol,m", SWEEP_CONFIGS)
     def test_random_placements_match_engine(self, protocol, m):
         node_names = ["tx", "r1", "r2"]
-        frame = data_frame(0x123, b"\x55", message_id="m")
         sites = universe(protocol, m, node_names)
         rng = random.Random(20260806 + m)
         combos = [
             tuple(rng.sample(sites, rng.randint(1, 3))) for _ in range(60)
         ]
-        evaluator = BatchReplayEvaluator(protocol, m, node_names)
+        evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
         for combo, outcome in zip(combos, evaluator.evaluate(combos)):
-            expected = engine_oracle(protocol, m, node_names, combo, frame)
+            expected = engine_oracle(protocol, m, node_names, combo, FRAME)
             assert (outcome.deliveries, outcome.attempts) == expected, combo
 
     @pytest.mark.parametrize("protocol,m", SWEEP_CONFIGS)
@@ -183,10 +194,10 @@ class TestSeededRandomSweep:
         combos = [(s,) for s in sites] + [
             tuple(rng.sample(sites, 2)) for _ in range(40)
         ]
-        evaluator = BatchReplayEvaluator(protocol, m, node_names)
+        evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
         arms = []
         for combo in combos:
-            route, arm = evaluator._resolve(combo)
+            route, arm = evaluator._resolve(evaluator._canonical(combo)[0])
             assert route == "fast", combo
             arms.append(arm)
         shape = evaluator.shape
@@ -208,14 +219,11 @@ class TestSeededRandomSweep:
         combos = list(itertools.combinations(tx_sites, 2))[:fresh]
         assert len(combos) == fresh
         clear_caches()
-        evaluator = BatchReplayEvaluator("majorcan", 5, node_names)
+        evaluator = BatchReplayEvaluator("majorcan", 5, node_names, FRAME)
         evaluator.evaluate(combos)
         assert evaluator.stats == {
             "batch": 0, "scalar": 0, "header": 0, "engine": 0, label: fresh
         }
-
-
-TAIL_FRAME = data_frame(0x123, b"\x55", message_id="m")
 
 
 def key_site(shape, key):
@@ -239,7 +247,7 @@ def armed_batches(draw, tight=True):
     protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
     m = draw(st.integers(3, 8))
     n_nodes = draw(st.integers(2, 6))
-    shape = tail_shape(protocol, m, TAIL_FRAME)
+    shape = tail_shape(protocol, m, FRAME)
     nodes = st.integers(0, n_nodes - 1)
     keys = st.integers(0, shape.key_count - 1)
     scattered = st.lists(
@@ -299,7 +307,7 @@ class TestGeneratedTailDifferential:
         assert array == verdict
         names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
         combo = [(names[node], *key_site(shape, key)) for node, key in placement]
-        outcome = run_placement(shape.protocol, shape.m, names, combo, TAIL_FRAME)
+        outcome = run_placement(shape.protocol, shape.m, names, combo, FRAME)
         assert verdict == (
             tuple(outcome.deliveries[name] for name in names),
             outcome.attempts,
@@ -313,14 +321,17 @@ class TestGeneratedTailDifferential:
         # route at eight times its own cap.
         names = ["tx", "r1", "r2"]
         clear_caches()
-        evaluator = BatchReplayEvaluator("majorcan", 5, names)
+        evaluator = BatchReplayEvaluator("majorcan", 5, names, FRAME)
         evaluator.shape = shape = replace(evaluator.shape, attempt_cap=12)
         # Transmitter sites only: every combo is its own canonical form.
         tx_sites = [s for s in universe("majorcan", 5, names) if s[0] == "tx"]
         combos = [(site,) for site in tx_sites]
         combos += list(itertools.combinations(tx_sites, 2))[:100]
         combos.append(tuple(tx_sites[::3][:6]))
-        arms = [evaluator._resolve(combo)[1] for combo in combos]
+        arms = [
+            evaluator._resolve(evaluator._canonical(combo)[0])[1]
+            for combo in combos
+        ]
         assert len(arms) >= 96 and max(map(len, arms)) == 6
         table = transition_table(shape.geometry)
         batch_cap = _step_cap(shape, 6)
@@ -343,7 +354,7 @@ class TestGeneratedTailDifferential:
     def test_clear_caches_empties_the_transition_tables(self):
         clear_caches()
         assert transition_table.cache_info().currsize == 0
-        evaluator = BatchReplayEvaluator("minorcan", 5, ["tx", "r1"])
+        evaluator = BatchReplayEvaluator("minorcan", 5, ["tx", "r1"], FRAME)
         evaluator.evaluate([(("r1", "EOF", 6),)])
         assert transition_table.cache_info().currsize == 1
         clear_caches()
@@ -376,15 +387,15 @@ class TestHeaderDifferential:
     @pytest.mark.parametrize("protocol,m", HEADER_CONFIGS)
     def test_header_sites_universe_matches_engine(self, protocol, m):
         node_names = ("tx", "r1", "r2")
-        evaluator = BatchReplayEvaluator(protocol, m, node_names)
+        evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
         combos = [(site,) for site in header_sites(node_names, data_bits=8)]
         outcomes = evaluator.evaluate(combos)
         assert evaluator.stats["engine"] == 0, (
             "header sites must not bail to the full engine"
         )
         assert evaluator.stats["header"] == len(combos)
+        assert off_engine(evaluator) == len(combos)
         for combo, outcome in zip(combos, outcomes):
-            assert outcome.via == "batch"
             expected = engine_oracle(
                 protocol, m, node_names, combo, evaluator.frame
             )
@@ -396,7 +407,7 @@ class TestHeaderDifferential:
 
         node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
         for protocol, m in (("can", 5), ("majorcan", 3)):
-            evaluator = BatchReplayEvaluator(protocol, m, node_names)
+            evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
             shape = header_shape(evaluator.frame, evaluator.shape.eof_length)
             combos = [
                 ((name, field_name, index),)
@@ -417,12 +428,12 @@ class TestHeaderDifferential:
     def test_inert_header_sites_match_clean_run(self):
         # The default 1-byte payload never announces DATA index 60, and
         # SOF has a single bit: both triggers can never fire.
-        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"])
+        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
         clean, data_inert, sof_inert = evaluator.evaluate(
             [(), (("r1", "DATA", 60),), (("r1", "SOF", 3),)]
         )
+        assert off_engine(evaluator) == 3
         for outcome in (data_inert, sof_inert):
-            assert outcome.via == "batch"
             assert (outcome.deliveries, outcome.attempts) == (
                 clean.deliveries,
                 clean.attempts,
@@ -432,7 +443,7 @@ class TestHeaderDifferential:
     def test_multi_flip_header_combos_stay_off_the_engine(self):
         # Header+header and header+tail combos classify through the
         # cached reduced-run path — no full-network engine runs.
-        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"])
+        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
         header = ("r1", "DATA", 0)
         tail = ("r2", "EOF", 5)
         combos = [(header, ("r2", "DATA", 1)), (header, tail)]
@@ -440,8 +451,8 @@ class TestHeaderDifferential:
         assert evaluator.stats["engine"] == 0
         assert evaluator.stats["header"] == 2
         frame = evaluator.frame
+        assert off_engine(evaluator) == 2
         for combo, outcome in zip(combos, outcomes):
-            assert outcome.via == "batch"
             expected = engine_oracle("can", 5, ("tx", "r1", "r2"), combo, frame)
             assert (outcome.deliveries, outcome.attempts) == expected
 
@@ -474,10 +485,10 @@ class TestHeaderDifferential:
 
     def test_inert_header_plus_tail_flip_stays_vectorised(self):
         node_names = ("tx", "r1", "r2")
-        evaluator = BatchReplayEvaluator("can", 5, node_names)
+        evaluator = BatchReplayEvaluator("can", 5, node_names, FRAME)
         combo = (("r1", "DATA", 60), ("r2", "EOF", 6))
         (outcome,) = evaluator.evaluate([combo])
-        assert outcome.via == "batch"
+        assert off_engine(evaluator) == 1
         assert evaluator.stats["engine"] == 0
         expected = engine_oracle("can", 5, node_names, combo, evaluator.frame)
         assert (outcome.deliveries, outcome.attempts) == expected
@@ -491,14 +502,14 @@ class TestRouting:
         # announcement and a flip of a flip is the identity, so an even
         # repeat count is a clean run and an odd one a single flip —
         # matching the engine without ever invoking it.
-        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"])
+        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
         node_names = ("tx", "r1", "r2")
         site = ("r1", "EOF", 5)
         even, odd, clean, single = evaluator.evaluate(
             [(site, site), (site, site, site), (), (site,)]
         )
         assert evaluator.stats["engine"] == 0
-        assert even.via == "batch" and odd.via == "batch"
+        assert off_engine(evaluator) == 4
         assert (even.deliveries, even.attempts) == (
             clean.deliveries,
             clean.attempts,
@@ -514,9 +525,9 @@ class TestRouting:
             assert (outcome.deliveries, outcome.attempts) == expected
 
     def test_inert_sites_match_clean_run(self):
-        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"])
+        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
         clean, inert = evaluator.evaluate([(), (("r1", "EOF", 99),)])
-        assert clean.via == "batch" and inert.via == "batch"
+        assert off_engine(evaluator) == 2
         assert (clean.deliveries, clean.attempts) == (
             inert.deliveries,
             inert.attempts,
@@ -524,9 +535,130 @@ class TestRouting:
         assert clean.deliveries == (1, 1, 1)
 
     def test_unknown_node_falls_back_to_engine(self):
-        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1"])
-        (outcome,) = evaluator.evaluate([(("ghost", "EOF", 5),)])
-        assert outcome.via == "engine"
+        evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1"], FRAME)
+        evaluator.evaluate([(("ghost", "EOF", 5),)])
+        assert evaluator.stats == {"batch": 0, "scalar": 0, "header": 0, "engine": 1}
+
+
+#: Header positions of the generated placements: DLC and DATA (the F1
+#: universe) plus the CRC sequence, whose lone receiver flips share a
+#: reduced run per parse signature.
+HEADER_POSITIONS = [
+    (field_name, index) for _, field_name, index in header_sites(["tx"])
+] + [(CRC, index) for index in range(15)]
+
+
+@st.composite
+def placement_cases(draw):
+    """A protocol, a 3-5 node network, a 1-4 site combo over tail,
+    sampling and header sites, and the site strategy it was drawn from."""
+    protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
+    m = draw(st.integers(3, 7))
+    n_nodes = draw(st.integers(3, 5))
+    names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    positions = [
+        (field_name, index)
+        for _, field_name, index in universe(protocol, m, ["tx"])
+    ] + HEADER_POSITIONS
+    sites = st.tuples(st.sampled_from(names), st.sampled_from(positions)).map(
+        lambda drawn: (drawn[0],) + drawn[1]
+    )
+    combo = tuple(draw(st.lists(sites, min_size=1, max_size=4)))
+    return protocol, m, names, combo, sites
+
+
+class TestCanonicalForm:
+    """One canonical form per placement: the verdict key and the
+    placement that gets classified."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(placement_cases(), st.data())
+    def test_equivalent_combos_share_one_form(self, case, data):
+        protocol, m, names, combo, sites = case
+        evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
+        receivers = names[1:]
+        relabel = dict(zip(receivers, data.draw(st.permutations(receivers))))
+        permuted = tuple((relabel.get(name, name), f, i) for name, f, i in combo)
+        reordered = tuple(data.draw(st.permutations(combo)))
+        pair = data.draw(sites)
+        at = data.draw(st.integers(0, len(combo)))
+        padded = combo[:at] + (pair, pair) + combo[at:]
+        key, _ = evaluator._canonical(combo)
+        for variant in (permuted, reordered, padded):
+            assert evaluator._canonical(variant)[0] == key, variant
+        base, moved, shuffled, cancelled = evaluator.evaluate(
+            [combo, permuted, reordered, padded]
+        )
+        assert shuffled == base
+        assert cancelled == base
+        assert moved.attempts == base.attempts
+        index = {name: i for i, name in enumerate(names)}
+        for name in names:
+            assert (
+                moved.deliveries[index[relabel.get(name, name)]]
+                == base.deliveries[index[name]]
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(placement_cases())
+    def test_batch_equals_the_engine_classifier(self, case):
+        protocol, m, names, combo, _ = case
+        batch = BatchReplayEvaluator(protocol, m, names, FRAME)
+        engine = EngineClassifier(protocol, m, names, FRAME)
+        assert batch.evaluate([combo]) == list(engine.evaluate([combo])), combo
+
+    def test_every_placement_counts_once(self):
+        names = ("tx", "r1", "r2", "r3")
+        sites = universe("majorcan", 3, list(names)) + header_sites(names)
+        clear_caches()
+        BatchReplayEvaluator("majorcan", 3, names, FRAME).evaluate(
+            [(site,) for site in sites[:10]]
+        )
+        evaluator = BatchReplayEvaluator("majorcan", 3, names, FRAME)
+        combos = [(site,) for site in sites[:20]]  # 10 prior cache hits
+        combos += [(sites[12],), (sites[12], sites[12], sites[12])]
+        combos += [(("r2",) + sites[-1][1:],), (("r3",) + sites[-1][1:],)]
+        combos += [(("ghost", EOF, 5),), ()]
+        evaluator.evaluate(combos)
+        assert sum(evaluator.stats.values()) == len(combos)
+        assert evaluator.stats["engine"] == 1  # the unknown node only
+
+    def test_clear_caches_reaches_built_evaluators(self, monkeypatch):
+        evaluator = BatchReplayEvaluator("can", 5, ("tx", "r1", "r2"), FRAME)
+        fresh = []
+        classify = evaluator._classify
+        monkeypatch.setattr(
+            evaluator,
+            "_classify",
+            lambda placements: fresh.append(list(placements)) or classify(placements),
+        )
+        combo = (("r1", EOF, 5),)
+        key, _ = evaluator._canonical(combo)
+        clear_caches()
+        evaluator.evaluate([combo])
+        evaluator.evaluate([combo])
+        assert evaluator._verdicts()
+        clear_caches()
+        assert evaluator._verdicts() == {}
+        evaluator.evaluate([combo])
+        assert fresh == [[key], [], [key]]
+
+    def test_combo_cache_clears_wholesale_at_its_limit(self, monkeypatch):
+        from repro.analysis import batchreplay
+
+        names = ("tx", "r1", "r2")
+        tx_sites = [s for s in universe("can", 5, list(names)) if s[0] == "tx"]
+        clear_caches()
+        monkeypatch.setattr(batchreplay, "_COMBO_CACHE_LIMIT", 4)
+        can = BatchReplayEvaluator("can", 5, names, FRAME)
+        minor = BatchReplayEvaluator("minorcan", 5, names, FRAME)
+        can.evaluate([(site,) for site in tx_sites[:3]])
+        minor.evaluate([(tx_sites[0],)])
+        cached = lambda: sum(map(len, batchreplay._COMBO_CACHE.values()))  # noqa: E731
+        assert cached() == 4
+        can.evaluate([(tx_sites[3],)])  # at the limit: cleared first
+        assert cached() == 1
+        assert list(batchreplay._COMBO_CACHE) == [("can", 5, FRAME, 3)]
 
 
 class TestWiredEntryPoints:
@@ -770,34 +902,32 @@ class TestPlacementClassifier:
         assert calls == []
         first = next(outcomes)
         assert calls == [twice]
-        assert first.via == "engine"
+        assert classifier.stats is None
         assert len(list(outcomes)) == 2
         assert calls == combos
 
 
-class TestSignalShapeHook:
-    """The precompiled error-signalling table flows from the protocol."""
+class TestTailShapeSignalling:
+    """The signalling geometry the tail micro-model reads, per protocol."""
 
-    def test_can_signal_shape(self):
-        shape = make_controller("can", "probe").signal_shape()
-        assert shape.error_flag == 6
-        assert shape.overload_flag == 6
-        assert shape.delimiter == 8
-        assert shape.intermission == 3
-        assert shape.extended_flag_end == 0
+    def test_can_tail_shape(self):
+        shape = tail_shape("can", 5, FRAME)
+        assert shape.delimiter_length == 8
+        assert shape.window_end == 0
+        assert shape.supported
 
-    def test_majorcan_signal_shape_tracks_m(self):
+    def test_majorcan_tail_shape_tracks_m(self):
         for m in (3, 5, 7):
             probe = make_controller("majorcan", "probe", m=m)
-            shape = probe.signal_shape()
-            assert shape.delimiter == probe.config.delimiter_length
-            assert shape.extended_flag_end == probe.window_end == 3 * m + 5
+            shape = tail_shape("majorcan", m, FRAME)
+            assert shape.delimiter_length == probe.config.delimiter_length
+            assert shape.window_end == probe.window_end == 3 * m + 5
+            assert shape.supported
 
-    def test_tail_shape_consumes_the_hook(self):
-        frame = data_frame(0x123, b"\x55", message_id="m")
-        shape = tail_shape("majorcan", 5, frame)
-        assert dict(shape.signal_shapes)["extended_flag_end"] == 20
-        assert dict(shape.signal_shapes)["delimiter"] == 11
+    def test_majorcan_5_window(self):
+        shape = tail_shape("majorcan", 5, FRAME)
+        assert shape.window_end == 20
+        assert shape.delimiter_length == 11
         assert shape.supported
 
 
