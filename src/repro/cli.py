@@ -375,6 +375,33 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``sweep export`` summary line of each surface's rows: a format
+#: and the row fields it prints.
+_EXPORT_LINES = {
+    "analytic": (
+        "%s m=%d ber=%.0e nodes=%d p_imo=%.3e imo/h=%.3e",
+        ("protocol", "m", "ber", "n_nodes", "p_imo", "imo_per_hour"),
+    ),
+    "traffic": (
+        "%s m=%d nodes=%d load=%.2f %s: %d/%d delivered "
+        "bus=%.3f backlog=%d arb_lost=%d atomic=%s",
+        (
+            "protocol",
+            "m",
+            "n_nodes",
+            "load",
+            "source",
+            "delivered",
+            "frames_submitted",
+            "bus_load",
+            "max_backlog",
+            "arbitration_lost",
+            "atomic",
+        ),
+    ),
+}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
         ResultStore,
@@ -421,36 +448,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = surface_rows(store)
     if not args.out:
         for row in rows:
-            if row.get("surface") == "traffic":
-                print(
-                    "%s m=%d nodes=%d load=%.2f %s: %d/%d delivered "
-                    "bus=%.3f backlog=%d arb_lost=%d atomic=%s"
-                    % (
-                        row["protocol"],
-                        row["m"],
-                        row["n_nodes"],
-                        row["load"],
-                        row["source"],
-                        row["delivered"],
-                        row["frames_submitted"],
-                        row["bus_load"],
-                        row["max_backlog"],
-                        row["arbitration_lost"],
-                        row["atomic"],
-                    )
-                )
-                continue
-            print(
-                "%s m=%d ber=%.0e nodes=%d p_imo=%.3e imo/h=%.3e"
-                % (
-                    row["protocol"],
-                    row["m"],
-                    row["ber"],
-                    row["n_nodes"],
-                    row["p_imo"],
-                    row["imo_per_hour"],
-                )
-            )
+            line, names = _EXPORT_LINES[row["surface"]]
+            print(line % tuple(row[name] for name in names))
         return 0
     write_rows(args.out, rows)
     print("wrote %d surface rows -> %s" % (len(rows), args.out))

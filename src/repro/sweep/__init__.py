@@ -2,12 +2,15 @@
 
 The paper's evaluation samples a handful of (protocol, m, BER) points;
 this package turns that sample into a *service*: a validated
-:class:`SweepSpec` names a grid over seven axes (protocol, tolerance
-``m``, bit-error rate, bit rate, bus length, payload, node count), each
-cell gets a content-addressed key (SHA-256 of its parameters plus the
-code-relevant constants — backend, fault universe, chunk partition),
-and results land in an append-only JSONL store whose compacted form is
-byte-identical for any worker count or interrupt/resume history.
+:class:`SweepSpec` names a grid over the axes of one surface in
+:data:`SURFACES` — the analytic surface's protocol, tolerance ``m``,
+bit-error rate, bit rate, bus length, payload and node count, or the
+traffic surface's protocol, ``m``, node count, load, workload source
+and view noise.  Each cell gets a content-addressed key (SHA-256 of
+its parameters plus the code-relevant constants — backend, the
+surface's spec constants, chunk partition), and results land in an
+append-only JSONL store whose compacted form is byte-identical for any
+worker count or interrupt/resume history.
 Re-running a completed sweep evaluates nothing; resuming an interrupted
 one evaluates exactly the missing cells.
 
@@ -27,24 +30,22 @@ from repro.sweep.cell import (
     cell_record,
     evaluate_cell,
     evaluate_traffic_cell,
-    traffic_cell_constants,
-    traffic_cell_record,
-    traffic_cell_spec,
 )
 from repro.sweep.run import SweepRunReport, pending_cells, run_sweep, surface_rows
 from repro.sweep.spec import (
     PROTOCOLS,
+    SURFACES,
     SweepCell,
     SweepSpec,
     TrafficCell,
     expand_cells,
-    expand_traffic_cells,
 )
 from repro.sweep.store import ResultStore, StoreStatus
 
 __all__ = [
     "PROTOCOLS",
     "ResultStore",
+    "SURFACES",
     "StoreStatus",
     "SweepCell",
     "SweepRunReport",
@@ -56,11 +57,7 @@ __all__ = [
     "evaluate_cell",
     "evaluate_traffic_cell",
     "expand_cells",
-    "expand_traffic_cells",
     "pending_cells",
     "run_sweep",
     "surface_rows",
-    "traffic_cell_constants",
-    "traffic_cell_record",
-    "traffic_cell_spec",
 ]

@@ -2,12 +2,13 @@
 
 A cell's *key* is the SHA-256 of its canonical JSON description: the
 cell parameters plus every code-relevant constant that shapes what the
-evaluation computes — the spec-level fault universe (tail window, flip
-bound, bus load), the classification backend, the resolved chunk
-partition and the key schema version.  Two processes (or two machines)
-that would compute the same result therefore derive the same key, which
-is what makes the result store incremental: a re-run skips every key it
-already holds, and a key changes exactly when the result could.
+evaluation computes — the surface's spec-level constants (tail window,
+flip bound and bus load, or window count, window length and seed), the
+backend, the resolved chunk partition and the key schema version.  Two
+processes (or two machines) that would compute the same result
+therefore derive the same key, which is what makes the result store
+incremental: a re-run skips every key it already holds, and a key
+changes exactly when the result could.
 
 Evaluation reuses the repository's existing pipeline end to end: the
 exact tail-pattern enumeration of :mod:`repro.analysis.enumeration`
@@ -25,7 +26,7 @@ from typing import Any, Dict, Optional
 from repro.errors import AnalysisError, ConfigurationError
 from repro.metrics.export import json_line
 from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
-from repro.sweep.spec import SweepCell
+from repro.sweep.spec import SURFACES, SweepCell, SweepSpec, TrafficCell
 
 #: Version of the key schema.  Bump whenever the evaluation semantics
 #: change in a way that invalidates stored results (new result fields
@@ -42,6 +43,15 @@ CHUNK_CELLS = 8
 #: Pattern count of the baseline cell: C(6, 0) + C(6, 1) + C(6, 2).
 _BASELINE_PATTERNS = 22
 
+#: Baseline cells per traffic chunk.  A traffic cell runs whole
+#: steady-state windows rather than one enumerated pattern set, so the
+#: baseline is far coarser than the analytic ``CHUNK_CELLS`` and the
+#: adaptive floor drops to one cell per task.
+TRAFFIC_CHUNK_CELLS = 2
+
+#: Window count x window bits of the chunk-size baseline traffic cell.
+_BASELINE_TRAFFIC_BITS = 2 * 1200.0
+
 
 def _pattern_count(n_nodes: int, window: int, max_flips: int) -> int:
     """Number of enumerated fault patterns of one cell."""
@@ -50,31 +60,41 @@ def _pattern_count(n_nodes: int, window: int, max_flips: int) -> int:
 
 
 def cell_constants(
-    cell: SweepCell,
-    *,
-    window: int,
-    max_flips: int,
-    load: float,
-    backend: str = "batch",
+    cell: Any, spec: SweepSpec, backend: str = "batch"
 ) -> Dict[str, Any]:
-    """The code-relevant constants folded into a cell's identity."""
+    """The code-relevant constants folded into a cell's identity.
+
+    The spec fields come from the surface's ``constants`` list in
+    :data:`repro.sweep.spec.SURFACES`; the rest is the key version,
+    the backend and the chunk partition.  A ``"surface": "traffic"``
+    marker keeps traffic keys disjoint from every analytic key even if
+    the parameter names were ever to collide.
+    """
     if backend not in ("engine", "batch"):
         raise ConfigurationError(
             "unknown backend %r (use 'engine' or 'batch')" % (backend,)
         )
-    cost_units = _pattern_count(cell.n_nodes, window, max_flips) / float(
-        _BASELINE_PATTERNS
-    )
-    if backend == "batch":
-        cost_units /= BATCH_DISCOUNT
-    return {
-        "key_version": KEY_VERSION,
-        "backend": backend,
-        "window": window,
-        "max_flips": max_flips,
-        "load": load,
-        "chunk_cells": adaptive_chunk(CHUNK_CELLS, cost_units),
+    constants = {
+        name: getattr(spec, spec_field)
+        for spec_field, name in SURFACES[spec.surface].constants
     }
+    if spec.surface == "traffic":
+        constants["surface"] = "traffic"
+        cost_units = (
+            constants["windows"] * constants["window_bits"]
+        ) / _BASELINE_TRAFFIC_BITS
+        chunk_cells = adaptive_chunk(TRAFFIC_CHUNK_CELLS, cost_units, floor=1)
+    else:
+        cost_units = _pattern_count(
+            cell.n_nodes, constants["window"], constants["max_flips"]
+        ) / float(_BASELINE_PATTERNS)
+        if backend == "batch":
+            cost_units /= BATCH_DISCOUNT
+        chunk_cells = adaptive_chunk(CHUNK_CELLS, cost_units)
+    constants.update(
+        key_version=KEY_VERSION, backend=backend, chunk_cells=chunk_cells
+    )
+    return constants
 
 
 def cell_key(cell: SweepCell, constants: Dict[str, Any]) -> str:
@@ -215,110 +235,13 @@ def evaluate_cell(
     return result
 
 
-def cell_record(
-    cell: SweepCell, constants: Dict[str, Any], key: str
-) -> Dict[str, Any]:
-    """Evaluate a planned ``cell`` and wrap it as one complete store record.
-
-    ``constants`` and ``key`` are the cell's :func:`cell_constants` and
-    :func:`cell_key`, derived once when the sweep is planned; the
-    evaluation reads its arguments from the same constants.
-    """
-    return {
-        "key": key,
-        "cell": cell.as_dict(),
-        "constants": constants,
-        "result": evaluate_cell(
-            cell,
-            window=constants["window"],
-            max_flips=constants["max_flips"],
-            load=constants["load"],
-            backend=constants["backend"],
-        ),
-    }
-
-
-def stats_of(record: Dict[str, Any]) -> Optional[Dict[str, int]]:
-    """The backend provenance counters of one store record, if any."""
-    result = record.get("result") or {}
-    stats = result.get("backend_stats")
-    return dict(stats) if stats else None
-
-
 # ---------------------------------------------------------------------------
 # Measured-under-load traffic cells (surface="traffic")
 # ---------------------------------------------------------------------------
 
-#: Baseline cells per traffic chunk.  A traffic cell runs whole
-#: steady-state windows rather than one enumerated pattern set, so the
-#: baseline is far coarser than the analytic ``CHUNK_CELLS`` and the
-#: adaptive floor drops to one cell per task.
-TRAFFIC_CHUNK_CELLS = 2
-
-#: Window count x window bits of the chunk-size baseline cell.
-_BASELINE_TRAFFIC_BITS = 2 * 1200.0
-
-
-def traffic_cell_constants(
-    cell: "TrafficCell",
-    *,
-    windows: int,
-    window_bits: int,
-    seed: int,
-    backend: str = "batch",
-) -> Dict[str, Any]:
-    """The code-relevant constants folded into a traffic cell's identity.
-
-    The ``"surface": "traffic"`` marker keeps these keys disjoint from
-    every analytic key even if the parameter names were ever to
-    collide.
-    """
-    if backend not in ("engine", "batch"):
-        raise ConfigurationError(
-            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
-        )
-    cost_units = (windows * window_bits) / _BASELINE_TRAFFIC_BITS
-    return {
-        "key_version": KEY_VERSION,
-        "surface": "traffic",
-        "backend": backend,
-        "windows": windows,
-        "window_bits": window_bits,
-        "seed": seed,
-        "chunk_cells": adaptive_chunk(
-            TRAFFIC_CHUNK_CELLS, cost_units, floor=1
-        ),
-    }
-
-
-def traffic_cell_spec(
-    cell: "TrafficCell", *, windows: int, window_bits: int, seed: int
-):
-    """The :class:`repro.traffic.spec.TrafficSpec` a traffic cell runs.
-
-    Events stay off — the surface keeps headline statistics and
-    verdict tallies, not per-bit traces — which also keeps the window
-    results small on the wire between pool workers.
-    """
-    from repro.traffic.spec import TrafficSpec
-
-    return TrafficSpec(
-        name="sweep-traffic",
-        protocol=cell.protocol,
-        m=cell.m,
-        n_nodes=cell.n_nodes,
-        windows=windows,
-        window_bits=window_bits,
-        source=cell.source,
-        load=cell.load,
-        seed=seed,
-        noise_ber=cell.noise_ber,
-        record_events=False,
-    )
-
 
 def evaluate_traffic_cell(
-    cell: "TrafficCell",
+    cell: TrafficCell,
     windows: int,
     window_bits: int,
     seed: int,
@@ -330,11 +253,26 @@ def evaluate_traffic_cell(
     arguments: the schedule is precomputed from the seed and both
     backends produce bit-identical ledgers, so any process evaluating
     the same key writes the same bytes.
+
+    Events stay off — the surface keeps headline statistics and
+    verdict tallies, not per-bit traces — which also keeps the window
+    results small on the wire between pool workers.
     """
     from repro.traffic.run import run_traffic
+    from repro.traffic.spec import TrafficSpec
 
-    spec = traffic_cell_spec(
-        cell, windows=windows, window_bits=window_bits, seed=seed
+    spec = TrafficSpec(
+        name="sweep-traffic",
+        protocol=cell.protocol,
+        m=cell.m,
+        n_nodes=cell.n_nodes,
+        windows=windows,
+        window_bits=window_bits,
+        source=cell.source,
+        load=cell.load,
+        seed=seed,
+        noise_ber=cell.noise_ber,
+        record_events=False,
     )
     outcome = run_traffic(spec, jobs=1, backend=backend)
     stats = outcome.stats
@@ -358,20 +296,27 @@ def evaluate_traffic_cell(
     }
 
 
-def traffic_cell_record(
-    cell: "TrafficCell", constants: Dict[str, Any], key: str
-) -> Dict[str, Any]:
-    """Evaluate a planned traffic ``cell`` and wrap it as one store record
-    (``constants`` and ``key`` as in :func:`cell_record`)."""
+def cell_record(cell: Any, constants: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """Evaluate a planned ``cell`` and wrap it as one complete store record.
+
+    ``constants`` and ``key`` are the cell's :func:`cell_constants` and
+    :func:`cell_key`, derived once when the sweep is planned; the
+    surface's evaluator reads its keyword arguments from the same
+    constants.
+    """
+    surface = constants.get("surface", "analytic")
+    evaluate = evaluate_traffic_cell if surface == "traffic" else evaluate_cell
+    arguments = {name: constants[name] for _, name in SURFACES[surface].constants}
     return {
         "key": key,
         "cell": cell.as_dict(),
         "constants": constants,
-        "result": evaluate_traffic_cell(
-            cell,
-            windows=constants["windows"],
-            window_bits=constants["window_bits"],
-            seed=constants["seed"],
-            backend=constants["backend"],
-        ),
+        "result": evaluate(cell, backend=constants["backend"], **arguments),
     }
+
+
+def stats_of(record: Dict[str, Any]) -> Optional[Dict[str, int]]:
+    """The backend provenance counters of one store record, if any."""
+    result = record.get("result") or {}
+    stats = result.get("backend_stats")
+    return dict(stats) if stats else None

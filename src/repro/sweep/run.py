@@ -26,20 +26,8 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.parallel import imap_tasks, merge_stats
-from repro.sweep.cell import (
-    cell_constants,
-    cell_key,
-    cell_record,
-    stats_of,
-    traffic_cell_constants,
-    traffic_cell_record,
-)
-from repro.sweep.spec import (
-    SweepCell,
-    SweepSpec,
-    expand_cells,
-    expand_traffic_cells,
-)
+from repro.sweep.cell import cell_constants, cell_key, cell_record, stats_of
+from repro.sweep.spec import SweepSpec, expand_cells
 from repro.sweep.store import ResultStore
 
 
@@ -81,37 +69,9 @@ class SweepRunReport:
         )
 
 
-def _keyed_cells(
-    spec: SweepSpec, backend: str
-) -> List[Tuple[Any, Dict[str, Any], str]]:
-    """Expand the spec and attach each cell's constants and key."""
-    keyed = []
-    if spec.surface == "traffic":
-        for cell in expand_traffic_cells(spec):
-            constants = traffic_cell_constants(
-                cell,
-                windows=spec.traffic_windows,
-                window_bits=spec.traffic_window_bits,
-                seed=spec.traffic_seed,
-                backend=backend,
-            )
-            keyed.append((cell, constants, cell_key(cell, constants)))
-        return keyed
-    for cell in expand_cells(spec):
-        constants = cell_constants(
-            cell,
-            window=spec.window,
-            max_flips=spec.max_flips,
-            load=spec.load,
-            backend=backend,
-        )
-        keyed.append((cell, constants, cell_key(cell, constants)))
-    return keyed
-
-
 def pending_cells(
     spec: SweepSpec, store: ResultStore, backend: str = "batch"
-) -> Tuple[List[Tuple[SweepCell, Dict[str, Any], str]], int]:
+) -> Tuple[List[Tuple[Any, Dict[str, Any], str]], int]:
     """The cells still missing from the store, plus the skipped count.
 
     Preserves the canonical expansion order and drops in-spec
@@ -122,7 +82,9 @@ def pending_cells(
     seen = set(existing)
     pending = []
     skipped = 0
-    for cell, constants, key in _keyed_cells(spec, backend):
+    for cell in expand_cells(spec):
+        constants = cell_constants(cell, spec, backend)
+        key = cell_key(cell, constants)
         if key in seen:
             skipped += 1
             continue
@@ -131,16 +93,14 @@ def pending_cells(
     return pending, skipped
 
 
-def _evaluate_chunk(record, planned) -> List[dict]:
+def _evaluate_chunk(planned) -> List[dict]:
     """Evaluate one chunk of planned ``(cell, constants, key)`` triples
     into complete store records (keys included, so the driver appends
     them verbatim); one pool task of :func:`run_sweep`."""
-    return [record(cell, constants, key) for cell, constants, key in planned]
+    return [cell_record(cell, constants, key) for cell, constants, key in planned]
 
 
-def _chunk_tasks(
-    pending: List[Tuple[Any, Dict[str, Any], str]], spec: SweepSpec
-) -> List[Any]:
+def _chunk_tasks(pending: List[Tuple[Any, Dict[str, Any], str]]) -> List[Any]:
     """Chunk pending cells into tasks, honouring each cell's partition.
 
     Walks the pending list in order and closes a chunk when it reaches
@@ -148,20 +108,19 @@ def _chunk_tasks(
     different partition — a pure function of the pending list, so the
     chunking (and the submission order) is identical for any ``jobs``.
     """
-    record = traffic_cell_record if spec.surface == "traffic" else cell_record
     tasks: List[Any] = []
     current: List[Any] = []
     current_size = 0
     for planned in pending:
         chunk_cells = int(planned[1]["chunk_cells"])
         if current and (chunk_cells != current_size or len(current) >= current_size):
-            tasks.append(partial(_evaluate_chunk, record, tuple(current)))
+            tasks.append(partial(_evaluate_chunk, tuple(current)))
             current = []
         if not current:
             current_size = chunk_cells
         current.append(planned)
     if current:
-        tasks.append(partial(_evaluate_chunk, record, tuple(current)))
+        tasks.append(partial(_evaluate_chunk, tuple(current)))
     return tasks
 
 
@@ -193,7 +152,7 @@ def run_sweep(
         pending = pending[:cell_budget]
     evaluated = 0
     stats: Dict[str, int] = {}
-    for records in imap_tasks(_chunk_tasks(pending, spec), jobs=jobs):
+    for records in imap_tasks(_chunk_tasks(pending), jobs=jobs):
         store.append(records)
         evaluated += len(records)
         stats = merge_stats([stats, *map(stats_of, records)])
@@ -214,39 +173,39 @@ def run_sweep(
     )
 
 
-#: Result fields lifted into a surface row, in column order.
-_SURFACE_FIELDS = (
-    "tau_data",
-    "ber_star",
-    "patterns",
-    "p_imo",
-    "p_double",
-    "p_inconsistent",
-    "frames_per_hour",
-    "imo_per_hour",
-    "double_per_hour",
-    "eq4_per_frame",
-    "eq5_per_frame",
-    "eq4_per_hour",
-)
-
-#: Result fields of a measured-under-load (traffic-surface) row.
-_TRAFFIC_SURFACE_FIELDS = (
-    "frames_submitted",
-    "delivered",
-    "omitted",
-    "duplicated",
-    "lost",
-    "total_bits",
-    "bus_load",
-    "max_backlog",
-    "arbitration_lost",
-    "atomic",
-)
+#: Result fields lifted into a surface row, per surface, in column order.
+_ROW_FIELDS = {
+    "analytic": (
+        "tau_data",
+        "ber_star",
+        "patterns",
+        "p_imo",
+        "p_double",
+        "p_inconsistent",
+        "frames_per_hour",
+        "imo_per_hour",
+        "double_per_hour",
+        "eq4_per_frame",
+        "eq5_per_frame",
+        "eq4_per_hour",
+    ),
+    "traffic": (
+        "frames_submitted",
+        "delivered",
+        "omitted",
+        "duplicated",
+        "lost",
+        "total_bits",
+        "bus_load",
+        "max_backlog",
+        "arbitration_lost",
+        "atomic",
+    ),
+}
 
 
 def surface_rows(store: ResultStore) -> List[Dict[str, Any]]:
-    """Flatten the store into probability-surface rows, sorted by key.
+    """Flatten the store into surface rows, sorted by key.
 
     One row per stored cell: the cell coordinates plus either the
     analytic headline probabilities (and the bus feasibility verdict)
@@ -258,23 +217,18 @@ def surface_rows(store: ResultStore) -> List[Dict[str, Any]]:
     records = store.records()
     for key in sorted(records):
         record = records[key]
-        cell = record.get("cell", {})
         result = record.get("result", {})
         constants = record.get("constants", {})
+        surface = constants.get("surface", "analytic")
         row: Dict[str, Any] = {"key": key}
-        row.update(cell)
+        row.update(record.get("cell", {}))
         row["backend"] = constants.get("backend")
-        if constants.get("surface") == "traffic":
-            row["surface"] = "traffic"
-            for name in _TRAFFIC_SURFACE_FIELDS:
-                row[name] = result.get(name)
-            rows.append(row)
-            continue
-        row["surface"] = "analytic"
-        for name in _SURFACE_FIELDS:
+        row["surface"] = surface
+        for name in _ROW_FIELDS[surface]:
             row[name] = result.get(name)
-        bus = result.get("bus") or {}
-        row["bus_feasible"] = bus.get("feasible")
-        row["max_bus_length_m"] = bus.get("max_bus_length_m")
+        if surface == "analytic":
+            bus = result.get("bus") or {}
+            row["bus_feasible"] = bus.get("feasible")
+            row["max_bus_length_m"] = bus.get("max_bus_length_m")
         rows.append(row)
     return rows

@@ -1,21 +1,27 @@
 """Validated design-space sweep specifications.
 
-A :class:`SweepSpec` names a grid of experiment *cells* over the seven
-axes the paper's evaluation samples a handful of points from —
-protocol, tolerance ``m``, bit-error rate, bit rate, bus length,
-payload size and node count — plus the spec-level constants shared by
-every cell (tail window, flip bound, bus load).  The grid is either the
-full cartesian product of the axes or an explicit cell list; either
-way :func:`expand_cells` produces the cells in one deterministic order,
-which is what makes resumable runs and the content-addressed store of
+A :class:`SweepSpec` names a grid of experiment *cells* on one of the
+*surfaces* of :data:`SURFACES`.  A surface is its cell type, its
+ordered ``(spec axis, cell field)`` pairs and the spec fields folded
+into each cell's constants: the analytic surface samples protocol,
+tolerance ``m``, bit-error rate, bit rate, bus length, payload size
+and node count under one tail window, flip bound and bus load; the
+traffic surface samples protocol, ``m``, node count, load, workload
+source and view noise under one window count, window length and seed.
+The grid is either the full cartesian product of the surface's axes or
+an explicit (analytic) cell list; either way :func:`expand_cells`
+produces the cells in one deterministic order, which is what makes
+resumable runs and the content-addressed store of
 :mod:`repro.sweep.store` line up across processes and worker counts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from itertools import product
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -67,15 +73,21 @@ def _check(field_name: str, values: Sequence) -> None:
             raise ConfigurationError(message(value))
 
 
-def _check_fields(cell: Any) -> None:
-    """Check every field of a cell against its rule, in field order."""
-    for cell_field in fields(cell):
-        _check(cell_field.name, (getattr(cell, cell_field.name),))
+class _Cell:
+    """The field checks and flat dict shared by the cell dataclasses."""
+
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            _check(name, (getattr(self, name),))
+
+    def as_dict(self) -> Dict[str, Any]:
+        # Every field is a scalar, so a flat dict needs no deep copy.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
-class SweepCell:
-    """One concrete experiment cell of a design-space sweep."""
+class SweepCell(_Cell):
+    """One concrete experiment cell of an analytic design-space sweep."""
 
     protocol: str
     m: int
@@ -85,21 +97,14 @@ class SweepCell:
     payload: int  # payload bytes (0..8)
     n_nodes: int
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
     @property
     def payload_bytes(self) -> bytes:
         """The deterministic payload pattern this cell simulates."""
         return b"\x55" * self.payload
 
-    def as_dict(self) -> Dict[str, Any]:
-        # Every field is a scalar, so a flat dict needs no deep copy.
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
 
 @dataclass(frozen=True)
-class TrafficCell:
+class TrafficCell(_Cell):
     """One measured-under-load cell of a traffic-surface sweep.
 
     Where a :class:`SweepCell` samples the analytic single-frame fault
@@ -118,27 +123,72 @@ class TrafficCell:
     #: Uniform per-node per-bit view-noise probability (0 = clean).
     noise_ber: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+class Surface(NamedTuple):
+    """What one sweep surface's cells are and what identifies them."""
 
-
-#: The analytic grid axes and the cell field each one samples.
-_AXIS_FIELDS = (
-    ("m_values", "m"),
-    ("bers", "ber"),
-    ("bit_rates", "bit_rate"),
-    ("bus_lengths_m", "bus_length_m"),
-    ("payloads", "payload"),
-    ("node_counts", "n_nodes"),
-)
+    #: The cell dataclass; its fields are declared in axis order.
+    cell: type
+    #: ``(spec axis, cell field)`` pairs, outermost axis first.
+    axes: Tuple[Tuple[str, str], ...]
+    #: ``(spec field, constant)`` pairs folded into every cell's
+    #: constants, and so into its key and its evaluator's arguments.
+    constants: Tuple[Tuple[str, str], ...]
 
 
-def _axis(name: str, values: Sequence, kind, allow_empty: bool = False) -> tuple:
+#: Every surface a spec may select, by its ``surface`` name.
+SURFACES: Dict[str, Surface] = {
+    "analytic": Surface(
+        SweepCell,
+        (
+            ("protocols", "protocol"),
+            ("m_values", "m"),
+            ("bers", "ber"),
+            ("bit_rates", "bit_rate"),
+            ("bus_lengths_m", "bus_length_m"),
+            ("payloads", "payload"),
+            ("node_counts", "n_nodes"),
+        ),
+        (("window", "window"), ("max_flips", "max_flips"), ("load", "load")),
+    ),
+    "traffic": Surface(
+        TrafficCell,
+        (
+            ("protocols", "protocol"),
+            ("m_values", "m"),
+            ("node_counts", "n_nodes"),
+            ("loads", "load"),
+            ("sources", "source"),
+            ("noise_bers", "noise_ber"),
+        ),
+        (
+            ("traffic_windows", "windows"),
+            ("traffic_window_bits", "window_bits"),
+            ("traffic_seed", "seed"),
+        ),
+    ),
+}
+
+#: A cell-field annotation's type, and the value types its axis takes
+#: (a float axis also takes ints; expansion coerces them).
+_TYPES = {"str": (str, str), "int": (int, int), "float": (float, (int, float))}
+
+#: Every axis of every surface: ``axis -> (cell field, type, accepts)``.
+_AXES: Dict[str, Tuple[str, type, Any]] = {
+    axis: (name, *_TYPES[surface.cell.__dataclass_fields__[name].type])
+    for surface in SURFACES.values()
+    for axis, name in surface.axes
+}
+
+
+def _axis(name: str, values: Sequence, kind, allow_empty: bool) -> tuple:
     """Validate one axis: typed, non-empty, duplicate-free, ordered."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigurationError(
+            "axis %r must be a list of values, got %r" % (name, values)
+        )
     if not values and not allow_empty:
         raise ConfigurationError("axis %r must not be empty" % name)
     for value in values:
@@ -156,27 +206,27 @@ def _axis(name: str, values: Sequence, kind, allow_empty: bool = False) -> tuple
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated design-space sweep over the seven cell axes.
+    """A validated design-space sweep over one surface's cell axes.
 
-    ``cells`` non-empty selects the *explicit* mode: exactly those
-    cells, in order, and the axis fields are ignored.  Otherwise the
-    grid is the cartesian product of the axes, expanded in declaration
-    order (protocol outermost, node count innermost).
+    ``surface`` selects what the cells measure (see :data:`SURFACES`).
+    The default ``"analytic"`` grid is the single-frame fault sweep:
+    protocol x m x BER x bit rate x bus length x payload x node count,
+    evaluated under the spec-level ``window``, ``max_flips`` and
+    ``load``.  ``surface="traffic"`` instead crosses
+    protocol x m x node count with the ``loads``, ``sources`` and
+    ``noise_bers`` axes and evaluates each cell as a steady-state
+    ``repro.traffic`` run (on the frame-granular batch backend) of
+    ``traffic_windows`` windows of ``traffic_window_bits`` bits seeded
+    from ``traffic_seed`` — the measured-under-load surfaces of ROADMAP
+    direction 2.  A surface's constants are part of each of its cells'
+    content-addressed identity (see :func:`repro.sweep.cell.cell_key`).
 
-    ``window``, ``max_flips`` and ``load`` are spec-level constants:
-    they shape every cell's fault universe and traffic profile and are
-    therefore part of each cell's content-addressed identity (see
-    :func:`repro.sweep.cell.cell_key`).
-
-    ``surface`` selects what the cells measure.  The default
-    ``"analytic"`` grid is the seven-axis single-frame fault sweep
-    above.  ``surface="traffic"`` instead crosses protocol x m x node
-    count with the ``loads`` and ``sources`` axes and evaluates each
-    cell as a steady-state ``repro.traffic`` run (on the frame-granular
-    batch backend) of ``traffic_windows`` windows of
-    ``traffic_window_bits`` bits seeded from ``traffic_seed`` — the
-    measured-under-load surfaces of ROADMAP direction 2.  Explicit
-    ``cells`` lists remain analytic-only.
+    The grid is the cartesian product of the surface's axes, expanded
+    in declaration order (protocol outermost).  A non-empty ``cells``
+    list instead selects the *explicit* mode: exactly those analytic
+    cells, in order.  Every axis of every surface is validated either
+    way — typed, duplicate-free, in domain, and non-empty unless the
+    spec lists explicit cells.
     """
 
     name: str = "sweep"
@@ -211,84 +261,36 @@ class SweepSpec:
                     "explicit cells must be SweepCell instances, got %r"
                     % (cell,)
                 )
-        object.__setattr__(
-            self,
-            "protocols",
-            _axis("protocols", self.protocols, str, allow_empty=explicit),
-        )
-        _check("protocol", self.protocols)
-        object.__setattr__(
-            self, "m_values", _axis("m_values", self.m_values, int, explicit)
-        )
-        object.__setattr__(
-            self, "bers", _axis("bers", self.bers, (int, float), explicit)
-        )
-        object.__setattr__(
-            self,
-            "bit_rates",
-            _axis("bit_rates", self.bit_rates, (int, float), explicit),
-        )
-        object.__setattr__(
-            self,
-            "bus_lengths_m",
-            _axis("bus_lengths_m", self.bus_lengths_m, (int, float), explicit),
-        )
-        object.__setattr__(
-            self, "payloads", _axis("payloads", self.payloads, int, explicit)
-        )
-        object.__setattr__(
-            self,
-            "node_counts",
-            _axis("node_counts", self.node_counts, int, explicit),
-        )
+        # Validate the axis domains up front instead of mid-grid —
+        # expanding a million-cell product just to find a bad value on
+        # one axis would be wasteful.
+        for axis, (name, _, accepts) in _AXES.items():
+            values = _axis(axis, getattr(self, axis), accepts, explicit)
+            _check(name, values)
+            object.__setattr__(self, axis, values)
         if self.window < 1:
             raise ConfigurationError("window must be at least 1 bit")
         if self.max_flips < 1:
             raise ConfigurationError("max_flips must be at least 1")
         if not 0.0 < self.load <= 1.0:
             raise ConfigurationError("load must be in (0, 1]")
-        if self.surface not in ("analytic", "traffic"):
+        if self.surface not in SURFACES:
             raise ConfigurationError(
-                "surface must be 'analytic' or 'traffic', got %r"
-                % (self.surface,)
+                "surface must be %s, got %r"
+                % (" or ".join(map(repr, SURFACES)), self.surface)
             )
-        object.__setattr__(
-            self, "loads", _axis("loads", self.loads, (int, float), True)
-        )
-        object.__setattr__(
-            self, "sources", _axis("sources", self.sources, str, True)
-        )
-        object.__setattr__(
-            self,
-            "noise_bers",
-            _axis("noise_bers", self.noise_bers, (int, float), True),
-        )
         if self.surface == "traffic":
             if explicit:
                 raise ConfigurationError(
                     "explicit cell lists are analytic-only; a traffic "
                     "surface expands from its axes"
                 )
-            if not self.loads or not self.sources or not self.noise_bers:
-                raise ConfigurationError(
-                    "a traffic surface needs non-empty loads, sources "
-                    "and noise_bers"
-                )
-            _check("noise_ber", self.noise_bers)
-            _check("load", self.loads)
-            _check("source", self.sources)
             if self.traffic_windows < 1:
                 raise ConfigurationError("traffic_windows must be >= 1")
             if self.traffic_window_bits < 64:
                 raise ConfigurationError(
                     "traffic_window_bits must be >= 64"
                 )
-        if not explicit:
-            # Validate the axis domains up front instead of mid-grid —
-            # expanding a million-cell product just to find a bad value
-            # on one axis would be wasteful.
-            for axis, field_name in _AXIS_FIELDS:
-                _check(field_name, getattr(self, axis))
 
     # ------------------------------------------------------------------
     # Serialisation (the CLI's spec-file format)
@@ -313,29 +315,14 @@ class SweepSpec:
                 "unknown sweep spec fields: %s" % ", ".join(unknown)
             )
         kwargs = dict(data)
-        if "cells" in kwargs:
-            cells = kwargs["cells"]
-            if not isinstance(cells, (list, tuple)):
-                raise ConfigurationError("cells must be a list of objects")
+        cells = kwargs.get("cells", ())
+        if not isinstance(cells, (list, tuple)):
+            raise ConfigurationError("cells must be a list of objects")
+        try:
             kwargs["cells"] = tuple(
                 cell if isinstance(cell, SweepCell) else SweepCell(**cell)
                 for cell in cells
             )
-        for name in (
-            "protocols",
-            "m_values",
-            "bers",
-            "bit_rates",
-            "bus_lengths_m",
-            "payloads",
-            "node_counts",
-            "loads",
-            "sources",
-            "noise_bers",
-        ):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigurationError("invalid sweep spec: %s" % exc)
@@ -355,82 +342,26 @@ class SweepSpec:
 
     def cell_count(self) -> int:
         """Number of cells the spec expands to (product or explicit)."""
-        if self.surface == "traffic":
-            return (
-                len(self.protocols)
-                * len(self.m_values)
-                * len(self.node_counts)
-                * len(self.loads)
-                * len(self.sources)
-                * len(self.noise_bers)
-            )
         if self.cells:
             return len(self.cells)
-        return (
-            len(self.protocols)
-            * len(self.m_values)
-            * len(self.bers)
-            * len(self.bit_rates)
-            * len(self.bus_lengths_m)
-            * len(self.payloads)
-            * len(self.node_counts)
+        return math.prod(
+            len(getattr(self, axis)) for axis, _ in SURFACES[self.surface].axes
         )
 
 
-def expand_cells(spec: SweepSpec) -> List[SweepCell]:
+def expand_cells(spec: SweepSpec) -> List[Any]:
     """Expand ``spec`` into its cells, in the canonical deterministic order.
 
     Explicit cell lists are returned as given; product grids iterate
-    protocol outermost and node count innermost.  The order never
-    affects the persisted store (records compact sorted by key) but
-    keeps planning, budget truncation and progress reporting stable.
+    the surface's axes in declaration order, protocol outermost.  The
+    order never affects the persisted store (records compact sorted by
+    key) but keeps planning, budget truncation and progress reporting
+    stable.
     """
     if spec.cells:
         return list(spec.cells)
-    return [
-        SweepCell(
-            protocol=protocol,
-            m=m,
-            ber=ber,
-            bit_rate=float(bit_rate),
-            bus_length_m=float(bus_length),
-            payload=payload,
-            n_nodes=n_nodes,
-        )
-        for protocol in spec.protocols
-        for m in spec.m_values
-        for ber in spec.bers
-        for bit_rate in spec.bit_rates
-        for bus_length in spec.bus_lengths_m
-        for payload in spec.payloads
-        for n_nodes in spec.node_counts
+    surface = SURFACES[spec.surface]
+    columns = [
+        tuple(map(_AXES[axis][1], getattr(spec, axis))) for axis, _ in surface.axes
     ]
-
-
-def expand_traffic_cells(spec: SweepSpec) -> List[TrafficCell]:
-    """Expand a traffic-surface spec into its cells, in canonical order.
-
-    Protocol outermost, then m, node count, load, source, noise BER —
-    the same declaration-order convention as :func:`expand_cells`.
-    """
-    if spec.surface != "traffic":
-        raise ConfigurationError(
-            "expand_traffic_cells needs surface='traffic', got %r"
-            % (spec.surface,)
-        )
-    return [
-        TrafficCell(
-            protocol=protocol,
-            m=m,
-            n_nodes=n_nodes,
-            load=float(load),
-            source=source,
-            noise_ber=float(noise_ber),
-        )
-        for protocol in spec.protocols
-        for m in spec.m_values
-        for n_nodes in spec.node_counts
-        for load in spec.loads
-        for source in spec.sources
-        for noise_ber in spec.noise_bers
-    ]
+    return [surface.cell(*point) for point in product(*columns)]

@@ -11,11 +11,14 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -23,6 +26,7 @@ import repro.sweep
 from repro.errors import ConfigurationError, ReproError
 from repro.metrics.export import json_line, read_jsonl
 from repro.sweep import (
+    SURFACES,
     ResultStore,
     SweepCell,
     SweepSpec,
@@ -55,6 +59,12 @@ def small_spec(**overrides):
     params = dict(SMALL_SPEC)
     params.update(overrides)
     return SweepSpec(**params)
+
+
+#: The fields of one explicit analytic cell.
+_CELL = dict(
+    protocol="can", m=5, ber=1e-5, bit_rate=1e6, bus_length_m=40.0, payload=1, n_nodes=3
+)
 
 
 class TestSweepSpecValidation:
@@ -137,23 +147,54 @@ class TestSweepSpecValidation:
             "majorcan",
         ]
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"cells": [dict(_CELL, colour="red")]},
+            {"cells": [{"protocol": "can"}]},
+            {"cells": [5]},
+            {"bers": 5},
+        ],
+        ids=["unknown-cell-field", "missing-cell-fields", "cell-not-object", "scalar-axis"],
+    )
+    def test_malformed_spec_files_raise_configuration_error(self, data):
+        with pytest.raises(ConfigurationError):
+            SweepSpec.from_dict(data)
+        with pytest.raises(ConfigurationError):
+            SweepSpec.from_json(json.dumps(data))
+
+    def test_every_axis_is_checked_whatever_the_surface(self):
+        # An analytic spec's traffic axes and an explicit-cell spec's
+        # ignored axes obey the same rule as the axes they expand.
+        with pytest.raises(ConfigurationError):
+            SweepSpec(loads=(5.0,))
+        with pytest.raises(ConfigurationError):
+            SweepSpec(noise_bers=())
+        with pytest.raises(ConfigurationError):
+            SweepSpec(cells=(SweepCell(**_CELL),), m_values=(1,))
+        explicit = SweepSpec(cells=(SweepCell(**_CELL),), bers=(), loads=())
+        assert explicit.cell_count() == 1
+
+    def test_cells_declare_their_fields_in_axis_order(self):
+        # expand_cells builds every cell positionally from the axes.
+        for surface in SURFACES.values():
+            assert [name for _, name in surface.axes] == [
+                field.name for field in dataclasses.fields(surface.cell)
+            ]
+
 
 class TestCellKeys:
     def test_key_is_stable_across_process_restarts(self):
         spec = small_spec()
         cell = expand_cells(spec)[0]
-        constants = cell_constants(
-            cell, window=spec.window, max_flips=spec.max_flips, load=spec.load
-        )
-        here = cell_key(cell, constants)
+        here = cell_key(cell, cell_constants(cell, spec))
         script = (
             "from repro.sweep import SweepSpec, cell_constants, cell_key, "
             "expand_cells\n"
             "spec = SweepSpec.from_json(%r)\n"
             "cell = expand_cells(spec)[0]\n"
-            "constants = cell_constants(cell, window=spec.window, "
-            "max_flips=spec.max_flips, load=spec.load)\n"
-            "print(cell_key(cell, constants))\n" % spec.to_json()
+            "print(cell_key(cell, cell_constants(cell, spec)))\n"
+            % spec.to_json()
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -171,28 +212,26 @@ class TestCellKeys:
 
     def test_key_depends_on_backend(self):
         cell = SweepCell("can", 5, 1e-5, 1e6, 40.0, 1, 3)
-        batch = cell_constants(cell, window=2, max_flips=2, load=0.9)
-        engine = cell_constants(
-            cell, window=2, max_flips=2, load=0.9, backend="engine"
-        )
+        batch = cell_constants(cell, SweepSpec())
+        engine = cell_constants(cell, SweepSpec(), backend="engine")
         assert cell_key(cell, batch) != cell_key(cell, engine)
 
     def test_key_depends_on_spec_constants(self):
         cell = SweepCell("can", 5, 1e-5, 1e6, 40.0, 1, 3)
-        base = cell_constants(cell, window=2, max_flips=2, load=0.9)
+        base = cell_constants(cell, SweepSpec())
         assert cell_key(cell, base) != cell_key(
-            cell, cell_constants(cell, window=1, max_flips=2, load=0.9)
+            cell, cell_constants(cell, SweepSpec(window=1))
         )
         assert cell_key(cell, base) != cell_key(
-            cell, cell_constants(cell, window=2, max_flips=1, load=0.9)
+            cell, cell_constants(cell, SweepSpec(max_flips=1))
         )
         assert cell_key(cell, base) != cell_key(
-            cell, cell_constants(cell, window=2, max_flips=2, load=0.5)
+            cell, cell_constants(cell, SweepSpec(load=0.5))
         )
 
     def test_chunk_partition_is_part_of_identity(self):
         cell = SweepCell("can", 5, 1e-5, 1e6, 40.0, 1, 3)
-        constants = cell_constants(cell, window=2, max_flips=2, load=0.9)
+        constants = cell_constants(cell, SweepSpec())
         assert "chunk_cells" in constants
         bumped = dict(constants, chunk_cells=constants["chunk_cells"] + 1)
         assert cell_key(cell, constants) != cell_key(cell, bumped)
@@ -200,9 +239,93 @@ class TestCellKeys:
     def test_unknown_backend_rejected(self):
         cell = SweepCell("can", 5, 1e-5, 1e6, 40.0, 1, 3)
         with pytest.raises(ConfigurationError):
-            cell_constants(
-                cell, window=2, max_flips=2, load=0.9, backend="gpu"
+            cell_constants(cell, SweepSpec(), backend="gpu")
+
+
+#: Spec fields that choose which cells exist rather than what a cell
+#: measures: the surface, and the explicit (analytic) cell list.
+GRID_SELECTORS = ("surface", "cells")
+
+#: Spec fields no cell key holds, and why.
+UNKEYED_FIELDS = {
+    "name": "a label: two specs that share cells share their stored results",
+}
+
+#: Valid replacement values for every spec field.  Each candidate
+#: differs, as a set, from that field of ``small_spec()`` or of
+#: ``traffic_spec()``.
+PERTURBATIONS = {
+    "name": ("renamed",),
+    "protocols": (("minorcan",), ("can",)),
+    "m_values": ((3,), (4, 5)),
+    "bers": ((1e-3,), (1e-6, 1e-5)),
+    "bit_rates": ((250_000.0,), (1_000_000.0, 500_000.0)),
+    "bus_lengths_m": ((10.0,), (30.0, 40.0)),
+    "payloads": ((0,), (1, 8)),
+    "node_counts": ((2,), (3, 4)),
+    "cells": ((SweepCell("minorcan", 3, 1e-3, 250_000.0, 10.0, 0, 2),),),
+    "window": (2, 3),
+    "max_flips": (1, 2),
+    "load": (0.5, 1.0),
+    "surface": ("analytic", "traffic"),
+    "loads": ((1.2,), (0.6, 0.9)),
+    "sources": (("poisson",), ("periodic", "poisson")),
+    "noise_bers": ((0.01,), (0.0, 0.001)),
+    "traffic_windows": (1, 3),
+    "traffic_window_bits": (600, 1200),
+    "traffic_seed": (1, 7, 9),
+}
+
+
+def _spec_keys(spec):
+    with tempfile.TemporaryDirectory() as root:
+        pending, _ = pending_cells(spec, ResultStore(root))
+    return {key for _, _, key in pending}
+
+
+def _as_set(value):
+    return frozenset(value) if isinstance(value, tuple) else value
+
+
+class TestSpecFieldClassification:
+    """Every spec field reaches the cell keys exactly when it should."""
+
+    def test_every_spec_field_is_classified(self):
+        keyed = {
+            spec_field
+            for surface in SURFACES.values()
+            for spec_field, _ in surface.axes + surface.constants
+        }
+        for spec_field in dataclasses.fields(SweepSpec):
+            groups = [
+                spec_field.name in keyed,
+                spec_field.name in GRID_SELECTORS,
+                spec_field.name in UNKEYED_FIELDS,
+            ]
+            assert sum(groups) == 1, spec_field.name
+            assert spec_field.name in PERTURBATIONS, spec_field.name
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=st.sampled_from(["analytic", "traffic"]),
+        change=st.sampled_from(sorted(PERTURBATIONS)).flatmap(
+            lambda name: st.tuples(
+                st.just(name), st.sampled_from(PERTURBATIONS[name])
             )
+        ),
+    )
+    def test_keys_change_exactly_with_the_surface_fields(self, base, change):
+        spec = small_spec() if base == "analytic" else traffic_spec()
+        name, value = change
+        assume(_as_set(value) != _as_set(getattr(spec, name)))
+        try:
+            perturbed = dataclasses.replace(spec, **{name: value})
+        except ConfigurationError:
+            assume(False)  # e.g. explicit cells on a traffic spec
+        surface = SURFACES[spec.surface]
+        owned = {axis for axis, _ in surface.axes + surface.constants}
+        owned.update(GRID_SELECTORS)
+        assert (_spec_keys(perturbed) != _spec_keys(spec)) == (name in owned)
 
 
 class TestResultStore:
@@ -386,10 +509,9 @@ class TestPlannedRecords:
         pending, _ = pending_cells(spec, ResultStore(str(tmp_path / "s")))
         for cell, constants, key in pending:
             record = cell_record(cell, constants, key)
-            assert record["key"] == key == cell_key(cell, cell_constants(
-                cell, window=spec.window, max_flips=spec.max_flips,
-                load=spec.load,
-            ))
+            assert record["key"] == key == cell_key(
+                cell, cell_constants(cell, spec)
+            )
             assert record["cell"] == dataclasses.asdict(cell)
             assert record["constants"] is constants
 
@@ -442,6 +564,39 @@ class TestRunSweep:
         b_result = {k: v for k, v in b["result"].items() if k != "backend_stats"}
         e_result = {k: v for k, v in e["result"].items() if k != "backend_stats"}
         assert b_result == e_result
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        protocol=st.sampled_from(["can", "minorcan", "majorcan"]),
+        m=st.integers(3, 7),
+        n_nodes=st.integers(2, 4),
+        window=st.integers(1, 2),
+        max_flips=st.integers(1, 2),
+        payload=st.integers(0, 8),
+        ber=st.sampled_from([1e-6, 1e-4, 1e-2]),
+    )
+    def test_generated_engine_and_batch_records_agree(
+        self, protocol, m, n_nodes, window, max_flips, payload, ber
+    ):
+        spec = SweepSpec(
+            protocols=(protocol,),
+            m_values=(m,),
+            bers=(ber,),
+            payloads=(payload,),
+            node_counts=(n_nodes,),
+            window=window,
+            max_flips=max_flips,
+        )
+        (cell,) = expand_cells(spec)
+        records = []
+        for backend in ("batch", "engine"):
+            constants = cell_constants(cell, spec, backend)
+            record = cell_record(cell, constants, cell_key(cell, constants))
+            # Only the backend's identity and provenance may differ.
+            del record["key"], record["result"]["backend_stats"]
+            del record["constants"]["backend"], record["constants"]["chunk_cells"]
+            records.append(record)
+        assert records[0] == records[1]
 
     def test_pending_cells_shrink_as_store_fills(self, tmp_path):
         spec = small_spec()
@@ -596,32 +751,18 @@ class TestTrafficSurface:
         assert spec.cell_count() == 2 * 1 * 1 * 2 * 2
 
     def test_expansion_order_and_keys_disjoint_from_analytic(self):
-        from repro.sweep import (
-            TrafficCell,
-            expand_traffic_cells,
-            traffic_cell_constants,
-        )
+        from repro.sweep import TrafficCell
 
         spec = traffic_spec(loads=(0.6, 1.2))
-        cells = expand_traffic_cells(spec)
+        cells = expand_cells(spec)
         assert cells[0] == TrafficCell("can", 5, 3, 0.6, "periodic")
         assert cells[1] == TrafficCell("can", 5, 3, 1.2, "periodic")
-        constants = traffic_cell_constants(
-            cells[0], windows=1, window_bits=600, seed=7
-        )
+        constants = cell_constants(cells[0], spec)
         assert constants["surface"] == "traffic"
         key = cell_key(cells[0], constants)
         analytic = small_spec()
         analytic_keys = {
-            cell_key(
-                cell,
-                cell_constants(
-                    cell,
-                    window=analytic.window,
-                    max_flips=analytic.max_flips,
-                    load=analytic.load,
-                ),
-            )
+            cell_key(cell, cell_constants(cell, analytic))
             for cell in expand_cells(analytic)
         }
         assert key not in analytic_keys
@@ -675,3 +816,68 @@ class TestTrafficSurface:
         e_result = {k: v for k, v in e["result"].items() if k != "backend_stats"}
         assert b_result == e_result
         assert b["result"]["backend_stats"] == {"batch": 1}
+
+
+#: A traffic grid of 16 noisy cells, two per chunk: long enough to be
+#: killed after its first append, short enough to run three times.
+KILLED_SPEC = dict(
+    TRAFFIC_SPEC,
+    node_counts=(3, 4),
+    loads=(0.6, 0.9),
+    sources=("periodic", "poisson"),
+    noise_bers=(0.01,),
+    traffic_windows=2,
+    traffic_window_bits=1200,
+)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs POSIX signals")
+class TestSigkillResume:
+    """A ``sweep run`` process killed with SIGKILL resumes byte-identically."""
+
+    def _killed_run(self, spec_path, root):
+        """Run the CLI on ``root`` and SIGKILL it once its log holds a
+        complete record; False if the run finished first."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        argv = [sys.executable, "-m", "repro.cli", "sweep", "run", spec_path,
+                "--store", root, "--jobs", "1"]
+        log = os.path.join(root, "results.jsonl")
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
+        try:
+            while proc.poll() is None:
+                if os.path.exists(log):
+                    with open(log, "rb") as handle:
+                        if b"\n" in handle.read():
+                            break
+                time.sleep(0.002)
+        finally:
+            proc.send_signal(signal.SIGKILL)  # a no-op once it has exited
+            proc.wait()
+        return proc.returncode == -signal.SIGKILL
+
+    def test_resume_after_sigkill_is_byte_identical(self, tmp_path):
+        spec = SweepSpec(**KILLED_SPEC)
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w") as handle:
+            handle.write(spec.to_json())
+        for attempt in range(3):
+            root = str(tmp_path / ("killed%d" % attempt))
+            if self._killed_run(spec_path, root):
+                break
+        else:
+            pytest.fail("every run finished before it could be killed")
+        killed = ResultStore(root)
+        stored = len(killed.keys())
+        assert 0 < stored < spec.cell_count()
+        report = run_sweep(spec, killed, jobs=1)
+        assert report.evaluated == spec.cell_count() - stored
+        fresh = ResultStore(str(tmp_path / "fresh"))
+        run_sweep(spec, fresh, jobs=1)
+        assert killed.compacted_bytes() == fresh.compacted_bytes()
+        assert killed.compacted_bytes()  # non-empty
