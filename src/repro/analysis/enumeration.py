@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.can.fields import EOF
 from repro.errors import AnalysisError
@@ -59,6 +59,35 @@ class PatternOutcome:
     attempts: int
 
 
+#: The weighted properties: name -> whether an outcome counts towards it.
+PROPERTIES: Dict[str, Callable[[PatternOutcome], bool]] = {
+    "inconsistent_omission": lambda o: o.inconsistent_omission,
+    "double_reception": lambda o: o.double_reception,
+    "inconsistent": lambda o: not o.consistent,
+}
+
+
+class TailVerdicts(NamedTuple):
+    """One classified tail-pattern universe (the verdict step's output)."""
+
+    outcomes: Tuple[PatternOutcome, ...]
+    #: Batch provenance counters (``None`` on the engine backend).
+    stats: Optional[Dict[str, int]]
+    #: Per :data:`PROPERTIES` name, the flip count of every matching
+    #: outcome, in enumeration order.
+    flips: Dict[str, Tuple[int, ...]]
+
+
+def _flip_counts(
+    outcomes: Sequence[PatternOutcome],
+) -> Dict[str, Tuple[int, ...]]:
+    """The :attr:`TailVerdicts.flips` of ``outcomes``."""
+    return {
+        name: tuple(len(o.pattern) for o in outcomes if selector(o))
+        for name, selector in PROPERTIES.items()
+    }
+
+
 @dataclass
 class EnumerationResult:
     """Exact tail-window probabilities for one protocol and network."""
@@ -71,6 +100,17 @@ class EnumerationResult:
     outcomes: List[PatternOutcome] = field(default_factory=list)
     #: Batch-backend provenance counters (None on the engine backend).
     backend_stats: Optional[dict] = None
+    #: :attr:`TailVerdicts.flips` of the enumerated universe; derived
+    #: from ``outcomes`` when not given.  The ``p_*`` properties weigh
+    #: these, so they describe the universe as enumerated even if a
+    #: caller edits its ``outcomes`` list.
+    flips: Optional[Dict[str, Tuple[int, ...]]] = None
+    #: ``(weighting inputs, weights)`` of the last :meth:`_weights` call.
+    _weighted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.flips is None:
+            self.flips = _flip_counts(self.outcomes)
 
     def _probability_of(self, flips: int) -> float:
         """Probability of a specific pattern with ``flips`` flipped bits.
@@ -84,6 +124,21 @@ class EnumerationResult:
         rest_bits = self.n_nodes * (self.tau_data - self.window)
         return (b**flips) * ((1 - b) ** (tail_bits - flips)) * ((1 - b) ** rest_bits)
 
+    def _weights(self) -> List[float]:
+        """``weights[k] = _probability_of(k)`` for every flip count.
+
+        Built once per weighting inputs and shared by every property of
+        the result.
+        """
+        inputs = (self.ber_star, self.tau_data, self.n_nodes, self.window)
+        if self._weighted is None or self._weighted[0] != inputs:
+            weights = [
+                self._probability_of(flips)
+                for flips in range(self.n_nodes * self.window + 1)
+            ]
+            self._weighted = (inputs, weights)
+        return self._weighted[1]
+
     def probability(self, selector: Callable[[PatternOutcome], bool]) -> float:
         """Exact per-frame probability of the outcomes matching ``selector``.
 
@@ -91,28 +146,30 @@ class EnumerationResult:
         its flip count, so each count is weighted once, and the sum runs
         over the patterns in enumeration order.
         """
-        weights = [
-            self._probability_of(flips)
-            for flips in range(self.n_nodes * self.window + 1)
-        ]
+        weights = self._weights()
         return sum(
             weights[len(outcome.pattern)]
             for outcome in self.outcomes
             if selector(outcome)
         )
 
+    def _property(self, name: str) -> float:
+        """:meth:`probability` of the :data:`PROPERTIES` selector ``name``,
+        summed over its cached flip counts (same terms, same order)."""
+        return sum(map(self._weights().__getitem__, self.flips[name]))
+
     @property
     def p_inconsistent_omission(self) -> float:
         """Exact per-frame IMO probability within the tail window."""
-        return self.probability(lambda o: o.inconsistent_omission)
+        return self._property("inconsistent_omission")
 
     @property
     def p_double_reception(self) -> float:
-        return self.probability(lambda o: o.double_reception)
+        return self._property("double_reception")
 
     @property
     def p_inconsistent(self) -> float:
-        return self.probability(lambda o: not o.consistent)
+        return self._property("inconsistent")
 
     def imo_patterns(self) -> List[Pattern]:
         """All tail patterns that produce an inconsistent omission."""
@@ -161,15 +218,16 @@ def enumerate_tail_patterns(
     # The verdict step is the same function on both backends; only the
     # batch one goes through its cache (the engine is the oracle).
     classify = tail_verdicts if backend == "batch" else tail_verdicts.__wrapped__
-    outcomes, stats = classify(protocol, n_nodes, window, m, max_flips, payload, backend)
+    verdicts = classify(protocol, n_nodes, window, m, max_flips, payload, backend)
     return EnumerationResult(
         protocol=protocol,
         n_nodes=n_nodes,
         window=window,
         tau_data=tau_data,
         ber_star=ber_star,
-        outcomes=list(outcomes),
-        backend_stats=dict(stats) if stats is not None else None,
+        outcomes=list(verdicts.outcomes),
+        backend_stats=dict(verdicts.stats) if verdicts.stats is not None else None,
+        flips=verdicts.flips,
     )
 
 
@@ -188,14 +246,15 @@ def tail_verdicts(
     max_flips: Optional[int],
     payload: bytes,
     backend: str,
-) -> Tuple[Tuple[PatternOutcome, ...], Optional[Dict[str, int]]]:
+) -> TailVerdicts:
     """Classify every tail pattern of one universe: the verdict step.
 
     A pure function of its arguments (``ber*`` and ``tau_data`` only
     weight the verdicts), so its signature is the cache key.  Returns
-    the outcomes in enumeration order and the batch provenance counters
-    (``None`` on the engine).  Callers must not mutate either: on the
-    batch backend they are shared by every result of the universe.
+    the outcomes in enumeration order, the batch provenance counters
+    (``None`` on the engine) and the outcomes' flip counts per weighted
+    property.  Callers must not mutate any of them: on the batch
+    backend they are shared by every result of the universe.
     """
     if n_nodes < 2:
         raise AnalysisError("need at least a transmitter and a receiver")
@@ -236,7 +295,7 @@ def tail_verdicts(
         )
         for pattern, outcome in zip(patterns, classifier.evaluate(combos))
     )
-    return outcomes, classifier.stats
+    return TailVerdicts(outcomes, classifier.stats, _flip_counts(outcomes))
 
 
 def equation4_tail_prediction(ber_star: float, n_nodes: int, tau_data: int) -> float:

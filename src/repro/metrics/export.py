@@ -49,6 +49,33 @@ def normalise_value(value: Any) -> Any:
 #: Backwards-compatible private alias (pre trace-store name).
 _normalise_value = normalise_value
 
+#: Scalar types :func:`json_line` encodes as they are (floats only
+#: while finite, which the plain encoder checks).
+_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+_LINE = dict(sort_keys=True, separators=(",", ":"))
+_PLAIN_ENCODER = json.JSONEncoder(allow_nan=False, **_LINE)
+_NORMALISED_ENCODER = json.JSONEncoder(**_LINE)
+
+
+def _is_plain(value: Any) -> bool:
+    """True when ``value`` is already its own :func:`normalise_value`.
+
+    Plain means built from exactly these types: dicts with ``str``
+    keys, lists, tuples (which both paths write as arrays) and the
+    scalars of ``_PLAIN_SCALARS``.  Subclasses are not plain: a ``str``
+    enum key, say, normalises through its own ``__str__``.
+    """
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or not _is_plain(item):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        return all(map(_is_plain, value))
+    return kind in _PLAIN_SCALARS
+
 
 def json_line(record: Any) -> str:
     """Serialise one record as a compact, deterministic JSON line.
@@ -56,9 +83,17 @@ def json_line(record: Any) -> str:
     The record is :func:`normalise_value`-normalised first; keys are
     sorted and separators minimal, so equal records always produce
     byte-identical lines — the property the trace-store diffs and the
-    golden corpus rely on.
+    golden corpus rely on.  A plain record (see :func:`_is_plain`) with
+    finite floats is its own normal form and is encoded directly; any
+    other record (bytes, infinities, NaN, dataclasses, non-``str``
+    keys) takes the normalising path.
     """
-    return json.dumps(normalise_value(record), sort_keys=True, separators=(",", ":"))
+    if _is_plain(record):
+        try:
+            return _PLAIN_ENCODER.encode(record)
+        except ValueError:  # a non-finite float
+            pass
+    return _NORMALISED_ENCODER.encode(normalise_value(record))
 
 
 def write_jsonl(path_or_handle: Any, records: Iterable[Any]) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.metrics.export import json_line
@@ -59,42 +59,66 @@ def _pattern_count(n_nodes: int, window: int, max_flips: int) -> int:
     return sum(math.comb(sites, flips) for flips in range(0, max_flips + 1))
 
 
-def cell_constants(
-    cell: Any, spec: SweepSpec, backend: str = "batch"
-) -> Dict[str, Any]:
-    """The code-relevant constants folded into a cell's identity.
+def _chunk_cells(base: Dict[str, Any], cell: Any, backend: str) -> int:
+    """The adaptive chunk partition of ``cell`` under the spec constants
+    ``base``; a function of the cell's node count alone."""
+    if base.get("surface") == "traffic":
+        cost_units = (base["windows"] * base["window_bits"]) / _BASELINE_TRAFFIC_BITS
+        return adaptive_chunk(TRAFFIC_CHUNK_CELLS, cost_units, floor=1)
+    cost_units = _pattern_count(
+        cell.n_nodes, base["window"], base["max_flips"]
+    ) / float(_BASELINE_PATTERNS)
+    if backend == "batch":
+        cost_units /= BATCH_DISCOUNT
+    return adaptive_chunk(CHUNK_CELLS, cost_units)
+
+
+def constants_planner(
+    spec: SweepSpec, backend: str = "batch"
+) -> Callable[[Any], Dict[str, Any]]:
+    """``cell -> constants``: the code-relevant constants of a cell's identity.
 
     The spec fields come from the surface's ``constants`` list in
     :data:`repro.sweep.spec.SURFACES`; the rest is the key version,
     the backend and the chunk partition.  A ``"surface": "traffic"``
     marker keeps traffic keys disjoint from every analytic key even if
     the parameter names were ever to collide.
+
+    The spec-derived part is built once, here.  The returned function
+    resolves one constants dict per node count and hands the same dict
+    to every cell of that count, so callers must not mutate it.
     """
     if backend not in ("engine", "batch"):
         raise ConfigurationError(
             "unknown backend %r (use 'engine' or 'batch')" % (backend,)
         )
-    constants = {
+    base = {
         name: getattr(spec, spec_field)
         for spec_field, name in SURFACES[spec.surface].constants
     }
     if spec.surface == "traffic":
-        constants["surface"] = "traffic"
-        cost_units = (
-            constants["windows"] * constants["window_bits"]
-        ) / _BASELINE_TRAFFIC_BITS
-        chunk_cells = adaptive_chunk(TRAFFIC_CHUNK_CELLS, cost_units, floor=1)
-    else:
-        cost_units = _pattern_count(
-            cell.n_nodes, constants["window"], constants["max_flips"]
-        ) / float(_BASELINE_PATTERNS)
-        if backend == "batch":
-            cost_units /= BATCH_DISCOUNT
-        chunk_cells = adaptive_chunk(CHUNK_CELLS, cost_units)
-    constants.update(
-        key_version=KEY_VERSION, backend=backend, chunk_cells=chunk_cells
-    )
-    return constants
+        base["surface"] = "traffic"
+    by_nodes: Dict[int, Dict[str, Any]] = {}
+
+    def constants_of(cell: Any) -> Dict[str, Any]:
+        constants = by_nodes.get(cell.n_nodes)
+        if constants is None:
+            constants = by_nodes[cell.n_nodes] = dict(
+                base,
+                key_version=KEY_VERSION,
+                backend=backend,
+                chunk_cells=_chunk_cells(base, cell, backend),
+            )
+        return constants
+
+    return constants_of
+
+
+def cell_constants(
+    cell: Any, spec: SweepSpec, backend: str = "batch"
+) -> Dict[str, Any]:
+    """The constants of one cell (see :func:`constants_planner`)."""
+    return dict(constants_planner(spec, backend)(cell))
 
 
 def cell_key(cell: SweepCell, constants: Dict[str, Any]) -> str:

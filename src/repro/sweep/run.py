@@ -26,7 +26,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.parallel import imap_tasks, merge_stats
-from repro.sweep.cell import cell_constants, cell_key, cell_record, stats_of
+from repro.sweep.cell import cell_key, cell_record, constants_planner, stats_of
 from repro.sweep.spec import SweepSpec, expand_cells
 from repro.sweep.store import ResultStore
 
@@ -78,12 +78,12 @@ def pending_cells(
     duplicates (explicit cell lists may repeat a point) along with the
     keys the store already holds.
     """
-    existing = store.keys()
-    seen = set(existing)
+    constants_of = constants_planner(spec, backend)
+    seen = store.keys()
     pending = []
     skipped = 0
     for cell in expand_cells(spec):
-        constants = cell_constants(cell, spec, backend)
+        constants = constants_of(cell)
         key = cell_key(cell, constants)
         if key in seen:
             skipped += 1
@@ -138,32 +138,35 @@ def run_sweep(
     stay pending for the next call, which is both the integrity
     check's interruption model and a way to drip a huge grid through
     short CI slots.  ``progress`` is an optional callable receiving
-    ``(evaluated_so_far, planned)`` after each persisted chunk.
+    ``(evaluated_so_far, planned)`` after each persisted chunk.  The
+    run holds the store's writer lock (:meth:`ResultStore.locked`)
+    throughout, so a second run on a live store raises
+    :class:`repro.errors.ReproError` and leaves it untouched.
     """
     from repro.parallel.pool import effective_jobs
 
-    pending, skipped = pending_cells(spec, store, backend=backend)
-    total = spec.cell_count()
-    deferred = 0
-    if cell_budget is not None:
-        if cell_budget < 0:
-            cell_budget = 0
-        deferred = max(0, len(pending) - cell_budget)
-        pending = pending[:cell_budget]
-    evaluated = 0
-    stats: Dict[str, int] = {}
-    for records in imap_tasks(_chunk_tasks(pending), jobs=jobs):
-        store.append(records)
-        evaluated += len(records)
-        stats = merge_stats([stats, *map(stats_of, records)])
-        if progress is not None:
-            progress(evaluated, len(pending))
-    status = store.compact()
+    with store.locked():
+        pending, skipped = pending_cells(spec, store, backend=backend)
+        deferred = 0
+        if cell_budget is not None:
+            if cell_budget < 0:
+                cell_budget = 0
+            deferred = max(0, len(pending) - cell_budget)
+            pending = pending[:cell_budget]
+        evaluated = 0
+        stats: Dict[str, int] = {}
+        for records in imap_tasks(_chunk_tasks(pending), jobs=jobs):
+            store.append(records)
+            evaluated += len(records)
+            stats = merge_stats([stats, *map(stats_of, records)])
+            if progress is not None:
+                progress(evaluated, len(pending))
+        status = store.compact()
     return SweepRunReport(
         name=spec.name,
         backend=backend,
         jobs=effective_jobs(jobs),
-        total_cells=total,
+        total_cells=spec.cell_count(),
         skipped=skipped,
         evaluated=evaluated,
         deferred=deferred,

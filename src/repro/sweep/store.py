@@ -5,6 +5,7 @@ Layout of a store directory::
     <root>/results.jsonl   append-only log of newly evaluated cells
     <root>/store.jsonl     compacted store: one record per key, sorted
     <root>/index.json      record count + SHA-256 digest of store.jsonl
+    <root>/lock            PID of the run writing the store (while it runs)
 
 Every line is emitted with :func:`repro.metrics.export.json_line`
 (sorted keys, minimal separators), records compact *sorted by key*, and
@@ -17,6 +18,14 @@ only for their keys; and a ``--jobs N`` run compacts to the exact bytes
 of a ``--jobs 1`` run, which
 ``tests/test_sweep.py::TestRunSweep::test_interrupted_resume_across_jobs_is_byte_identical``
 enforces.
+
+Every read checks ``store.jsonl`` against the digest in ``index.json``.
+A match vouches for the compacted lines, so their keys are read off
+the line heads instead of parsing each line; a mismatch with a log
+present is the window between writing ``store.jsonl`` and its index,
+read by parsing every line; a mismatch with no log is a store changed
+after compaction, and raises.  :meth:`ResultStore.locked` is the
+writer lock a sweep run holds.
 """
 
 from __future__ import annotations
@@ -24,8 +33,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.metrics.export import json_line
@@ -33,6 +44,15 @@ from repro.metrics.export import json_line
 LOG_NAME = "results.jsonl"
 COMPACT_NAME = "store.jsonl"
 INDEX_NAME = "index.json"
+LOCK_NAME = "lock"
+
+#: The head of a sweep record line as :func:`json_line` writes it: the
+#: flat ``cell`` and ``constants`` objects, then the key.  The pattern
+#: admits no brace inside either object and ``json_line`` escapes every
+#: quote inside a string, so a match ends at the record's own key.
+_RECORD_HEAD = re.compile(
+    r'\{"cell":\{[^{}]*\},"constants":\{[^{}]*\},"key":"([^"\\]+)"'
+)
 
 
 @dataclass(frozen=True)
@@ -79,36 +99,75 @@ class ResultStore:
     def index_path(self) -> str:
         return os.path.join(self.root, INDEX_NAME)
 
+    @property
+    def lock_path(self) -> str:
+        return os.path.join(self.root, LOCK_NAME)
+
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
-    def _lines(self, path: str) -> List[Tuple[int, str]]:
-        """``(line number, line)`` per non-blank line of ``path``.
+    def _log_lines(self) -> List[Tuple[int, str]]:
+        """``(line number, line)`` per non-blank line of the log.
 
         A run killed mid-:meth:`append` leaves an unterminated final
         log line.  When it does not parse it is dropped, so its cell
         reads as missing and the resumed run evaluates it again; any
         other invalid line still raises in :meth:`_entries`.
         """
-        if not os.path.exists(path):
+        if not os.path.exists(self.log_path):
             return []
-        with open(path) as handle:
+        with open(self.log_path) as handle:
             text = handle.read()
         lines = text.splitlines()
-        if path == self.log_path and lines and not text.endswith("\n"):
-            if not _parses(lines[-1]):
-                lines.pop()
-        return [
-            (number, line.strip())
-            for number, line in enumerate(lines, 1)
-            if line.strip()
-        ]
+        if lines and not text.endswith("\n") and not _parses(lines[-1]):
+            lines.pop()
+        return _numbered(lines)
 
-    def _entries(self) -> Iterator[Tuple[str, str, Dict[str, Any]]]:
-        """``(key, line, record)`` per record line, compacted store first."""
-        for path in (self.compacted_path, self.log_path):
-            for number, line in self._lines(path):
+    def _compacted_lines(self) -> Tuple[List[Tuple[int, str]], bool]:
+        """The numbered lines of ``store.jsonl``, and whether the index
+        vouches for them.
+
+        The index vouches when the file's SHA-256 is the digest
+        ``index.json`` records: the file is then exactly what
+        :meth:`compact` wrote.  Without an index, or with a stale one
+        while a log is present (a run killed between writing
+        ``store.jsonl`` and its index), the lines are read unvouched.
+        A digest mismatch with no log means the compacted bytes were
+        changed after compaction, and raises :class:`ReproError`.
+        """
+        body = self.compacted_bytes()
+        expected = _indexed_digest(self.index_path)
+        if expected is None:
+            vouched = False
+        else:
+            found = hashlib.sha256(body).hexdigest()
+            vouched = found == expected
+            if not vouched and not os.path.exists(self.log_path):
+                raise ReproError(
+                    "%s does not match its index: SHA-256 %s, but %s records "
+                    "digest %s" % (self.compacted_path, found, self.index_path, expected)
+                )
+        return _numbered(body.decode("utf-8").splitlines()), vouched
+
+    def _entries(self) -> Iterator[Tuple[str, str, Optional[Dict[str, Any]]]]:
+        """``(key, line, record)`` per record line, compacted store first.
+
+        A vouched ``store.jsonl`` line in the shape of a sweep record
+        has its key read off the line head (:data:`_RECORD_HEAD`) and
+        ``None`` for a record; every other line is parsed.
+        """
+        compacted, vouched = self._compacted_lines()
+        sources = (
+            (self.compacted_path, compacted, vouched),
+            (self.log_path, self._log_lines(), False),
+        )
+        for path, lines, read_heads in sources:
+            for number, line in lines:
+                head = _RECORD_HEAD.match(line) if read_heads else None
+                if head is not None:
+                    yield head.group(1), line, None
+                    continue
                 try:
                     record = json.loads(line)
                 except ValueError as exc:
@@ -127,8 +186,9 @@ class ResultStore:
         to equal payloads; the first occurrence wins.
         """
         merged: Dict[str, Dict[str, Any]] = {}
-        for key, _, record in self._entries():
-            merged.setdefault(key, record)
+        for key, line, record in self._entries():
+            if key not in merged:
+                merged[key] = json.loads(line) if record is None else record
         return merged
 
     def keys(self) -> Set[str]:
@@ -219,6 +279,51 @@ class ResultStore:
         )
 
     # ------------------------------------------------------------------
+    # Locking
+    # ------------------------------------------------------------------
+
+    @contextmanager
+    def locked(self) -> Iterator["ResultStore"]:
+        """Hold the store's writer lock for the ``with`` block.
+
+        The lock is ``<root>/lock``, created with ``O_CREAT | O_EXCL``
+        and holding the writer's PID.  While that process is alive a
+        second writer raises :class:`ReproError` before touching the
+        store.  A lock whose process is gone (a killed run), or that
+        names no PID, is stale and is taken over.  Readers take no lock.
+        """
+        for _ in range(2):
+            try:
+                fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                holder = self._lock_holder()
+                if holder is not None and _alive(holder):
+                    raise ReproError(
+                        "store %s is locked by running process %d (%s)"
+                        % (self.root, holder, self.lock_path)
+                    )
+                _remove(self.lock_path)
+                continue
+            with os.fdopen(fd, "w") as handle:
+                handle.write("%d\n" % os.getpid())
+            break
+        else:
+            raise ReproError("could not take the store lock %s" % self.lock_path)
+        try:
+            yield self
+        finally:
+            if self._lock_holder() == os.getpid():
+                _remove(self.lock_path)
+
+    def _lock_holder(self) -> Optional[int]:
+        """The PID in the lock file (``None`` when absent or unreadable)."""
+        try:
+            with open(self.lock_path) as handle:
+                return int(handle.read().strip())
+        except (OSError, ValueError):
+            return None
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -233,10 +338,51 @@ class ResultStore:
         body = self.compacted_bytes()
         return StoreStatus(
             records=len(self.keys()),
-            log_records=len(self._lines(self.log_path)),
-            compacted_records=len(self._lines(self.compacted_path)),
+            log_records=len(self._log_lines()),
+            compacted_records=len(self._compacted_lines()[0]),
             digest=hashlib.sha256(body).hexdigest() if body else "",
         )
+
+
+def _numbered(lines: List[str]) -> List[Tuple[int, str]]:
+    """``(line number, stripped line)`` per non-blank line."""
+    return [
+        (number, line.strip()) for number, line in enumerate(lines, 1) if line.strip()
+    ]
+
+
+def _indexed_digest(path: str) -> Optional[str]:
+    """The ``digest`` that ``index.json`` at ``path`` records ("" when
+    it is unreadable), or ``None`` when there is no index."""
+    try:
+        with open(path) as handle:
+            index = json.loads(handle.read())
+    except FileNotFoundError:
+        return None
+    except ValueError:
+        return ""
+    digest = index.get("digest") if isinstance(index, dict) else None
+    return digest if isinstance(digest, str) else ""
+
+
+def _alive(pid: int) -> bool:
+    """True when a process ``pid`` exists (signal 0 probes, sends nothing)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 def _parses(line: str) -> bool:

@@ -241,3 +241,62 @@ def _per_pattern_probabilities(result):
         probability(lambda o: o.double_reception),
         probability(lambda o: not o.consistent),
     )
+
+
+def _bits(value):
+    """A probability's exact identity: its type and every bit."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+class TestCachedWeighting:
+    """The ``p_*`` properties sum the verdict step's cached flip counts;
+    they equal ``probability(selector)`` to the bit."""
+
+    SELECTORS = {
+        "p_inconsistent_omission": lambda o: o.inconsistent_omission,
+        "p_double_reception": lambda o: o.double_reception,
+        "p_inconsistent": lambda o: not o.consistent,
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_properties_equal_the_selector_sums(self, data):
+        n_nodes = data.draw(st.integers(2, 4), label="n_nodes")
+        window = data.draw(st.integers(1, 3), label="window")
+        sites = n_nodes * window
+        # The engine simulates every pattern; keep its universes small.
+        backends = ["batch", "engine"] if sites <= 6 else ["batch"]
+        result = enumerate_tail_patterns(
+            protocol=data.draw(st.sampled_from(["can", "minorcan", "majorcan"])),
+            n_nodes=n_nodes,
+            window=window,
+            m=data.draw(st.integers(3, 7), label="m"),
+            max_flips=data.draw(st.one_of(st.none(), st.integers(0, sites))),
+            ber_star=data.draw(st.sampled_from([1e-9, 1e-6, 3.2e-5, 1e-3, 0.1, 0.5])),
+            tau_data=data.draw(st.integers(60, 160), label="tau_data"),
+            backend=data.draw(st.sampled_from(backends), label="backend"),
+        )
+        for name, selector in self.SELECTORS.items():
+            assert _bits(getattr(result, name)) == _bits(result.probability(selector))
+
+    @pytest.mark.parametrize("protocol", ["can", "minorcan", "majorcan"])
+    def test_every_flip_bound_on_both_backends(self, protocol):
+        for max_flips in [None, *range(7)]:
+            for backend in ("batch", "engine"):
+                result = enumerate_tail_patterns(
+                    protocol, n_nodes=3, window=2, m=5, max_flips=max_flips,
+                    ber_star=1e-3, backend=backend,
+                )
+                for name, selector in self.SELECTORS.items():
+                    assert _bits(getattr(result, name)) == _bits(
+                        result.probability(selector)
+                    )
+
+    def test_weights_follow_the_weighting_inputs(self):
+        result = enumerate_tail_patterns("can", n_nodes=3, window=2, ber_star=1e-4)
+        first = result.p_inconsistent
+        result.ber_star = 1e-3
+        assert result.p_inconsistent != first
+        assert _bits(result.p_inconsistent) == _bits(
+            result.probability(lambda o: not o.consistent)
+        )

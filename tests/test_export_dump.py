@@ -1,8 +1,13 @@
 """Tests for the CSV/JSON exporters and the candump formatter."""
 
+import enum
 import json
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.can.controller import CanController
 from repro.can.events import Delivery
@@ -14,7 +19,7 @@ from repro.metrics.dump import (
     format_frame,
     merged_bus_log,
 )
-from repro.metrics.export import rows_to_csv, rows_to_json, write_rows
+from repro.metrics.export import json_line, rows_to_csv, rows_to_json, write_rows
 from repro.simulation.engine import SimulationEngine
 
 
@@ -41,6 +46,97 @@ class TestJsonExport:
     def test_rejects_unknown_row_types(self):
         with pytest.raises(ReproError):
             rows_to_json(["not-a-dict"])
+
+
+def _oracle_normalise(value: Any) -> Any:
+    """The normalising serialiser ``json_line`` was built on, kept
+    verbatim as the oracle for its plain-value fast path."""
+    if isinstance(value, float) and value in (float("inf"), float("-inf")):
+        return str(value)
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_oracle_normalise(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _oracle_normalise(val) for key, val in value.items()}
+    if is_dataclass(value) and not isinstance(value, type):
+        return {key: _oracle_normalise(val) for key, val in asdict(value).items()}
+    return value
+
+
+def _oracle_line(record: Any) -> str:
+    return json.dumps(_oracle_normalise(record), sort_keys=True, separators=(",", ":"))
+
+
+class _Colour(str, enum.Enum):
+    RED = "red"  # str() is "_Colour.RED"; JSON writes the value "red"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: Any
+    y: Any
+
+
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16]),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _floats,
+    st.text(),
+    st.text(alphabet="\u00e9\u00df\u4e2d\U0001f600\"\\\n\x00", max_size=6),
+    st.binary(max_size=6),
+    st.sampled_from([_Colour.RED, _Level.HIGH]),
+)
+_keys = st.one_of(
+    st.text(max_size=6),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    _floats,
+    st.just(_Colour.RED),
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.builds(_Point, inner, inner),
+    ),
+    max_leaves=16,
+)
+
+
+class TestJsonLine:
+    """``json_line``'s plain fast path writes the normalised bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_values)
+    def test_equals_the_normalising_oracle(self, value):
+        assert json_line(value) == _oracle_line(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [1, 2.5, None, True, "\u00e9"], "b": {"c": (1, 2)}},
+            {"p": float("inf"), "q": [float("-inf"), float("nan")]},
+            {1: "int", True: "bool", None: "none", 2.5: "float"},
+            {"x": b"\xbe\xef", "pt": _Point(1, {"z": b"\x00"})},
+            {_Colour.RED: _Level.HIGH},
+        ],
+    )
+    def test_every_fallback_shape(self, value):
+        assert json_line(value) == _oracle_line(value)
 
 
 class TestCsvExport:

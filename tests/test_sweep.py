@@ -503,6 +503,162 @@ class TestTornLog:
                 run_sweep(spec, store, jobs=1)
 
 
+def _snapshot(root):
+    """Every file of a store directory, by name, with its bytes."""
+    snapshot = {}
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), "rb") as handle:
+            snapshot[name] = handle.read()
+    return snapshot
+
+
+def _rewrite_first_line(path, edit):
+    """Replace the first line of ``path`` with ``edit(line)``."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    lines[0] = edit(lines[0])
+    with open(path, "w") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+
+
+def _value_edit(line):
+    """The same record with one result value changed: it still parses."""
+    record = json.loads(line)
+    record["result"]["frames_per_hour"] += 1.0
+    return json_line(record)
+
+
+class TestStoreIntegrity:
+    """``index.json``'s digest vouches for ``store.jsonl`` on every read."""
+
+    def _complete(self, root):
+        spec = small_spec()
+        store = ResultStore(root)
+        report = run_sweep(spec, store, jobs=1)
+        return spec, store, report.digest
+
+    def test_a_value_edit_that_parses_raises_naming_the_digest(self, tmp_path):
+        spec, store, digest = self._complete(str(tmp_path / "s"))
+        _rewrite_first_line(store.compacted_path, _value_edit)
+        before = _snapshot(store.root)
+        for read in (store.keys, store.records, store.status, store.compact):
+            with pytest.raises(ReproError, match="digest %s" % digest):
+                read()
+        with pytest.raises(ReproError, match="digest %s" % digest):
+            run_sweep(spec, store, jobs=1)
+        assert _snapshot(store.root) == before
+
+    def test_a_syntax_edit_raises(self, tmp_path):
+        spec, store, digest = self._complete(str(tmp_path / "s"))
+        _rewrite_first_line(store.compacted_path, lambda line: line[:-1])
+        with pytest.raises(ReproError, match="digest %s" % digest):
+            store.keys()
+        with pytest.raises(ReproError, match="digest %s" % digest):
+            run_sweep(spec, store, jobs=1)
+
+    def test_vouched_reads_equal_a_full_parse(self, tmp_path):
+        spec = SweepSpec(**DESIGN_SPEC)
+        store = ResultStore(str(tmp_path / "s"))
+        run_sweep(spec, store, jobs=1)
+        parsed = {record["key"]: record for record in read_jsonl(store.compacted_path)}
+        assert len(parsed) == spec.cell_count()
+        assert store.keys() == set(parsed)
+        assert store.records() == parsed
+
+    def test_a_missing_index_falls_back_to_a_full_parse(self, tmp_path):
+        spec, store, _ = self._complete(str(tmp_path / "s"))
+        complete = _snapshot(store.root)
+        keys = store.keys()
+        os.remove(store.index_path)
+        assert store.keys() == keys
+        report = run_sweep(spec, store, jobs=1)
+        assert report.evaluated == 0
+        assert _snapshot(store.root) == complete
+        # Without an index nothing vouches for the lines: each is parsed.
+        os.remove(store.index_path)
+        _rewrite_first_line(store.compacted_path, lambda line: line[:-1])
+        with pytest.raises(ReproError, match="invalid JSONL"):
+            store.keys()
+
+    def test_crash_between_store_and_index_resumes_byte_identically(self, tmp_path):
+        spec = small_spec()
+        fresh = ResultStore(str(tmp_path / "fresh"))
+        run_sweep(spec, fresh, jobs=1)
+        store = ResultStore(str(tmp_path / "crashed"))
+        run_sweep(spec, store, jobs=1, cell_budget=1)
+        with open(store.index_path, "rb") as handle:
+            stale_index = handle.read()
+        pending, _ = pending_cells(spec, store)
+        store.append([cell_record(*pending[0])])
+        with open(store.log_path, "rb") as handle:
+            log = handle.read()
+        # Compaction replaced store.jsonl, then the run died before it
+        # wrote the index and removed the log.
+        store.compact()
+        with open(store.index_path, "wb") as handle:
+            handle.write(stale_index)
+        with open(store.log_path, "wb") as handle:
+            handle.write(log)
+        assert len(store.keys()) == 2
+        # The stale index vouches for nothing: every line is parsed.
+        broken = ResultStore(str(tmp_path / "broken"))
+        shutil.copytree(store.root, broken.root, dirs_exist_ok=True)
+        _rewrite_first_line(broken.compacted_path, lambda line: line[:-1])
+        with pytest.raises(ReproError, match="invalid JSONL"):
+            broken.keys()
+        report = run_sweep(spec, store, jobs=1)
+        assert report.evaluated == spec.cell_count() - 2
+        assert _snapshot(store.root) == _snapshot(fresh.root)
+
+
+class TestWriterLock:
+    """``run_sweep`` holds ``<root>/lock``; a live holder keeps others out."""
+
+    def _process(self, seconds):
+        return subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(%r)" % seconds]
+        )
+
+    def _hold(self, store, pid):
+        with open(store.lock_path, "w") as handle:
+            handle.write("%d\n" % pid)
+
+    def test_a_live_holder_blocks_a_second_run(self, tmp_path):
+        spec = small_spec()
+        store = ResultStore(str(tmp_path / "s"))
+        run_sweep(spec, store, jobs=1, cell_budget=2)
+        holder = self._process(60)
+        try:
+            self._hold(store, holder.pid)
+            before = _snapshot(store.root)
+            with pytest.raises(ReproError, match="locked by running process %d" % holder.pid):
+                run_sweep(spec, store, jobs=1)
+            assert _snapshot(store.root) == before
+            # Readers take no lock.
+            assert store.status().records == 2
+            assert len(surface_rows(store)) == 2
+            assert len(pending_cells(spec, store)[0]) == spec.cell_count() - 2
+        finally:
+            holder.kill()
+            holder.wait()
+        report = run_sweep(spec, store, jobs=1)
+        assert report.evaluated == spec.cell_count() - 2
+        assert not os.path.exists(store.lock_path)
+
+    def test_a_stale_lock_is_taken_over(self, tmp_path):
+        spec = small_spec()
+        fresh = ResultStore(str(tmp_path / "fresh"))
+        run_sweep(spec, fresh, jobs=1)
+        assert not os.path.exists(fresh.lock_path)
+        store = ResultStore(str(tmp_path / "s"))
+        dead = self._process(0)
+        dead.wait()
+        self._hold(store, dead.pid)
+        report = run_sweep(spec, store, jobs=1)
+        assert report.evaluated == spec.cell_count()
+        assert _snapshot(store.root) == _snapshot(fresh.root)
+
+
 class TestPlannedRecords:
     def test_record_carries_the_planned_key(self, tmp_path):
         spec = small_spec()
