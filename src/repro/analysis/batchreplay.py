@@ -6,16 +6,21 @@ tail estimate classify error placements.  The engine
 whole frame; this module's :class:`BatchReplayEvaluator` gets the same
 verdicts without instantiating the engine for almost all of them.
 
-**One canonical form.**  :meth:`BatchReplayEvaluator._canonical` turns
-a placement into sorted ``(node index, field, index)`` sites after two
-exact reductions: duplicate triggers cancel by parity (they all fire
-at the same first announcement, and a flip of a flip is the
-identity), and the faulted receivers are relabelled ``1..k`` in
-fault-group order (the receivers are identical deterministic
-controllers, so permuting them permutes the deliveries and nothing
-else).  That tuple is both the key of the process-wide verdict cache
-and the placement that gets classified, so equivalent placements share
-one verdict.
+**One canonical form, computed for a whole slab.**
+:meth:`BatchReplayEvaluator.evaluate` turns its slab of placements into
+an integer matrix, one site code (``node << 32 | position id``) per
+site and one dictionary lookup per site, and canonicalises every row
+at once with two exact reductions: duplicate triggers cancel by parity
+(they all fire at the same first announcement, and a flip of a flip is
+the identity, so each sorted row keeps its odd-length runs), and the
+faulted receivers are relabelled ``1..k`` by ``(fault group, node)``
+rank (the receivers are identical deterministic controllers, so
+permuting them permutes the deliveries and nothing else).  A canonical
+row's codes, trimmed of padding, key the process-wide verdict cache,
+and the fresh rows are routed by a position-to-tail-key table, so
+equivalent placements share one verdict.  The result is columnar
+(:class:`Placements`): a ``[P, n]`` delivery matrix, attempts and route
+codes, with the relabelling undone by one gather.
 
 **One table.**  Pure tail placements (CRC delimiter, ACK slot, ACK
 delimiter, EOF and the MajorCAN sampling window) follow a tail-only
@@ -43,8 +48,8 @@ one clean witness stand in for the whole network.  Lone mid-frame
 DATA/CRC receiver flips share one run per parse signature of the
 stuff-aware :func:`repro.can.encoding.header_shape` expansion.
 
-Every route yields one ``(deliveries, attempts, label)`` verdict, and
-one loop fans it out to every placement that shares it.  The
+Every route yields one flat ``(deliveries..., attempts, route)``
+verdict, and one gather fans it out to every placement that shares it.  The
 differential suite pins the drivers against the engine over the full
 tail-site universe of every corpus frame, and against each other on
 generated placements.
@@ -228,12 +233,21 @@ def _site_key(shape: TailShape, field: str, index: int) -> int:
     return _UNSUPPORTED
 
 
-#: A verdict: ``(deliveries, attempts, label)``, ``label`` naming the
-#: ``stats`` counter of the route that computed it.
-Verdict = Tuple[Tuple[int, ...], int, str]
+#: Route labels of the ``stats`` counters, in the order of their codes:
+#: the array driver, the scalar driver, the reduced header runs and the
+#: engine.  :attr:`Placements.routes` holds the codes.
+ROUTES = ("batch", "scalar", "header", "engine")
+BATCH, SCALAR, HEADER, ENGINE = range(len(ROUTES))
+
+#: A verdict, flat: the per-node deliveries, then the attempts, then the
+#: code in :data:`ROUTES` of the route that computed it.
+Verdict = Tuple[int, ...]
 
 #: A canonical site: (node index, field label, index within the field).
 IndexSite = Tuple[int, str, int]
+
+#: Counterexample kinds by the codes :func:`delivery_kinds` returns.
+KINDS = (None, "imo", "double", "inconsistent")
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,8 @@ def delivery_kind(deliveries: Sequence[int]) -> Optional[str]:
 
     The one imo/double rule of the placement drivers: verification
     counterexamples, campaign round categories and the
-    :func:`placement_classifier` hit tuples all read it.
+    :func:`placement_classifier` hit tuples all read it, and
+    :func:`delivery_kinds` is the same rule over a matrix.
     """
     if any(count == 0 for count in deliveries) and any(
         count > 0 for count in deliveries
@@ -279,6 +294,53 @@ def delivery_kind(deliveries: Sequence[int]) -> Optional[str]:
     if len(set(deliveries)) > 1:
         return "inconsistent"
     return None
+
+
+def delivery_kinds(deliveries: np.ndarray) -> np.ndarray:
+    """:func:`delivery_kind` of every row of a ``[P, n]`` delivery
+    matrix, as codes into :data:`KINDS` (0: consistent)."""
+    imo = (deliveries == 0).any(axis=1) & (deliveries > 0).any(axis=1)
+    double = (deliveries > 1).any(axis=1)
+    split = (deliveries != deliveries[:, :1]).any(axis=1)
+    return np.select([imo, double, split], [1, 2, 3], 0)
+
+
+@dataclass(frozen=True, eq=False)
+class Placements:
+    """The outcomes of a slab of placements as columns, in input order.
+
+    ``deliveries`` is ``[P, n]`` (columns follow ``node_names``),
+    ``attempts`` ``[P]``, and ``routes`` ``[P]`` codes into
+    :data:`ROUTES`: the route that first computed each verdict.
+    Iterating (or indexing) yields :class:`PlacementOutcome` rows.
+    """
+
+    deliveries: np.ndarray
+    attempts: np.ndarray
+    routes: np.ndarray
+
+    @classmethod
+    def of(cls, outcomes: Sequence[PlacementOutcome]) -> "Placements":
+        """Columns of engine outcomes."""
+        return cls(
+            np.array([outcome.deliveries for outcome in outcomes], dtype=np.int64),
+            np.array([outcome.attempts for outcome in outcomes], dtype=np.int64),
+            np.full(len(outcomes), ENGINE, dtype=np.int8),
+        )
+
+    def __len__(self) -> int:
+        return len(self.attempts)
+
+    def __getitem__(self, row: int) -> PlacementOutcome:
+        return PlacementOutcome(
+            tuple(self.deliveries[row].tolist()), int(self.attempts[row])
+        )
+
+    def __iter__(self) -> Iterator[PlacementOutcome]:
+        for deliveries, attempts in zip(
+            self.deliveries.tolist(), self.attempts.tolist()
+        ):
+            yield PlacementOutcome(tuple(deliveries), attempts)
 
 
 def placement_classifier(
@@ -294,8 +356,10 @@ def placement_classifier(
     :class:`EngineClassifier`, the oracle.  Both simulate the
     one-byte-``payload`` frame every placement driver uses, take a
     whole batch of placements through ``evaluate`` (outcomes in input
-    order), build hit tuples with ``counterexample``, and expose their
-    provenance counters as ``stats`` (``None`` on the engine).
+    order: the engine's lazily, the batch replay's as
+    :class:`Placements` columns), build hit tuples with
+    ``counterexample``, and expose their provenance counters as
+    ``stats`` (``None`` on the engine).
     """
     frame = data_frame(0x123, payload, message_id="m")
     if backend == "batch":
@@ -329,27 +393,84 @@ class EngineClassifier:
     def evaluate(self, combos: Iterable[Sequence[Site]]) -> Iterator[PlacementOutcome]:
         """Yield one engine outcome per placement, in input order."""
         for combo in combos:
-            yield _expand(self._engine_outcome(combo), None)
+            *deliveries, attempts, _ = self._engine_outcome(combo)
+            yield PlacementOutcome(tuple(deliveries), attempts)
 
-    def counterexample(
-        self, combo: Sequence[Site], outcome: PlacementOutcome
-    ) -> Optional[Tuple]:
+    def counterexample(self, combo: Sequence[Site], outcome: PlacementOutcome) -> Tuple:
         """The picklable :class:`~repro.analysis.verification.Counterexample`
-        arguments of a broken placement, or None."""
-        kind = outcome.kind
-        if kind is None:
-            return None
+        arguments of a broken placement."""
         deliveries = tuple(
             sorted(zip(self.node_names, outcome.deliveries))
         )
-        return (tuple(combo), deliveries, outcome.attempts, kind)
+        return (tuple(combo), deliveries, outcome.attempts, outcome.kind)
 
     def _engine_outcome(self, combo: Sequence[Site]) -> Verdict:
         outcome = run_placement(
             self.protocol, self.m, self.node_names, combo, self.frame
         )
         deliveries = tuple(outcome.deliveries[name] for name in self.node_names)
-        return deliveries, outcome.attempts, "engine"
+        return deliveries + (outcome.attempts, ENGINE)
+
+
+# Site codes: ``node << _NODE_SHIFT | position id``, so a sorted row of
+# codes is sorted by node.  ``_PAD`` fills the tail of every row and
+# sorts last; ``_UNKNOWN`` marks a site naming a node outside the network.
+_NODE_SHIFT = 32
+_POSITION_MASK = (1 << _NODE_SHIFT) - 1
+_PAD = np.iinfo(np.int64).max
+_UNKNOWN = -1
+
+#: Process-wide ids of ``(field, index)`` fault positions, in first-seen
+#: order, and the positions behind them.  Never cleared: the canonical
+#: keys in :data:`_COMBO_CACHE` are spelt in these ids.
+_POSITION_IDS: Dict[Tuple[str, int], int] = {}
+_POSITIONS: List[Tuple[str, int]] = []
+
+#: Position classes beside the tail keys of :func:`_site_key`: a header
+#: position this frame announces, and one it does not.
+_ANNOUNCED = -3
+_SILENT = -4
+
+#: Position id -> tail key, :data:`_INERT`, :data:`_UNSUPPORTED`,
+#: :data:`_ANNOUNCED` or :data:`_SILENT`, per ``(protocol, m, frame)``;
+#: grown as position ids appear, shared by that frame's evaluators.
+_POSITION_ROUTES: Dict[Tuple, np.ndarray] = {}
+
+# What :meth:`BatchReplayEvaluator._resolve` makes of a canonical row.
+_FAST, _REDUCED, _FULL = range(3)
+
+
+class _Slab(NamedTuple):
+    """The canonical form of a slab of placements.
+
+    ``codes`` holds each row's sorted canonical site codes, ``_PAD``
+    after the last; ``place[p, v]`` is the canonical label of real node
+    ``v`` (a permutation of ``0..n-1`` fixing the transmitter); ``known``
+    is False for a row naming an unknown node (its codes are all
+    ``_PAD``, its ``place`` the identity).
+    """
+
+    codes: np.ndarray
+    place: np.ndarray
+    known: np.ndarray
+
+
+class _SiteCodes(dict):
+    """Site -> site code, each computed on its first lookup."""
+
+    def __init__(self, node_index: Dict[str, int]) -> None:
+        super().__init__()
+        self.node_index = node_index
+
+    def __missing__(self, site: Site) -> int:
+        name, field_name, index = site
+        node = self.node_index.get(name)
+        position = _POSITION_IDS.get((field_name, index))
+        if position is None:
+            position = _POSITION_IDS[(field_name, index)] = len(_POSITIONS)
+            _POSITIONS.append((field_name, index))
+        code = self[site] = _UNKNOWN if node is None else node << _NODE_SHIFT | position
+        return code
 
 
 class BatchReplayEvaluator(EngineClassifier):
@@ -365,112 +486,123 @@ class BatchReplayEvaluator(EngineClassifier):
     ) -> None:
         super().__init__(protocol, m, node_names, frame)
         self.shape = tail_shape(protocol, m, frame)
+        self._config = (protocol, m, frame, len(self.node_names))
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
-        #: Outcome provenance counters: placements classified by the
-        #: array pass, the scalar micro-sim, the reduced header runs,
-        #: and the engine fallback.
-        self.stats: Dict[str, int] = {
-            "batch": 0,
-            "scalar": 0,
-            "header": 0,
-            "engine": 0,
-        }
+        self._site_codes = _SiteCodes(self._node_index)
+        #: Outcome provenance counters, one per :data:`ROUTES` label.
+        self.stats: Dict[str, int] = dict.fromkeys(ROUTES, 0)
 
     # -- public API ----------------------------------------------------
 
-    def evaluate(self, combos: Iterable[Sequence[Site]]) -> List[PlacementOutcome]:
-        """Classify every placement; order follows the input.
+    def evaluate(self, combos: Iterable[Sequence[Site]]) -> Placements:
+        """Classify every placement; rows follow the input.
 
-        Verdicts are memoised in the process-wide :data:`_COMBO_CACHE`
-        under the canonical form of :meth:`_canonical`, and the cached
-        delivery tuple is permuted back to the real receivers on
-        retrieval.  Repeated placements (Monte-Carlo draws across
-        chunks, the F1 universe re-visiting tail-window sites) therefore
-        classify at dictionary-lookup cost.  Each placement adds 1 to
-        ``stats`` under the label of the route that first computed its
-        verdict, cache hits included.
+        The slab is canonicalised as integer arrays (:meth:`_canonical`)
+        and its verdicts memoised in the process-wide
+        :data:`_COMBO_CACHE` under the canonical rows; the cached
+        deliveries are permuted back to the real receivers on retrieval.
+        Repeated placements (Monte-Carlo draws across chunks, the F1
+        universe re-visiting tail-window sites) therefore classify at
+        dictionary-lookup cost.  A slab narrower than
+        :data:`_ARRAY_BREAK_EVEN` whose every placement is in
+        :data:`_ROW_CACHE` skips the front end altogether.  Each
+        placement adds 1 to ``stats`` under the label of the route that
+        first computed its verdict, cache hits included.
         """
-        combos = list(combos)
+        combos = [tuple(combo) for combo in combos]
         verdicts = self._verdicts()
-        placements = [self._canonical(combo) for combo in combos]
-        fresh = dict.fromkeys(
-            placement[0]
-            for placement in placements
-            if placement is not None and placement[0] not in verdicts
-        )
-        verdicts.update(self._classify(fresh))
-        outcomes = []
-        for combo, placement in zip(combos, placements):
-            if placement is None:
-                # A site names an unknown node: exact semantics live in
-                # the engine and the combo is not worth caching.
-                verdict, back = self._engine_outcome(combo), None
-            else:
-                verdict, back = verdicts[placement[0]], placement[1]
-            self.stats[verdict[2]] += 1
-            outcomes.append(_expand(verdict, back))
-        return outcomes
+        n = len(self.node_names)
+        rows = None
+        if len(combos) < _ARRAY_BREAK_EVEN:
+            rows = _ROW_CACHE.setdefault(self._config, {})
+            found = [rows.get(combo) for combo in combos]
+        if rows is not None and None not in found:
+            table = np.array(found, dtype=np.int64).reshape(len(combos), n + 2)
+        else:
+            table = self._verdict_rows(combos, verdicts)
+            if rows is not None:
+                rows.update(zip(combos, table.tolist()))
+        routes = table[:, n + 1]
+        for label, count in zip(ROUTES, np.bincount(routes, minlength=len(ROUTES)).tolist()):
+            self.stats[label] += count
+        return Placements(table[:, :n], table[:, n], routes)
 
     # -- internals -----------------------------------------------------
 
-    def _verdicts(self) -> Dict[Tuple[IndexSite, ...], Verdict]:
+    def _verdicts(self) -> Dict[bytes, Verdict]:
         """This configuration's verdicts in :data:`_COMBO_CACHE`.
 
         Looked up once per :meth:`evaluate` call, so :func:`clear_caches`
-        reaches evaluators built before it.  The whole cache is cleared
-        once it holds :data:`_COMBO_CACHE_LIMIT` verdicts.
+        reaches evaluators built before it.  The whole cache is cleared,
+        with :data:`_ROW_CACHE`, once it holds :data:`_COMBO_CACHE_LIMIT`
+        verdicts.
         """
         if sum(map(len, _COMBO_CACHE.values())) >= _COMBO_CACHE_LIMIT:
             _COMBO_CACHE.clear()
-        config = (self.protocol, self.m, self.frame, len(self.node_names))
-        return _COMBO_CACHE.setdefault(config, {})
+            _ROW_CACHE.clear()
+        return _COMBO_CACHE.setdefault(self._config, {})
 
-    def _canonical(
-        self, combo: Sequence[Site]
-    ) -> Optional[Tuple[Tuple[IndexSite, ...], Optional[Tuple[int, ...]]]]:
-        """The canonical form ``(sites, back)`` of ``combo``.
+    def _verdict_rows(
+        self, combos: Sequence[Sequence[Site]], verdicts: Dict[bytes, Verdict]
+    ) -> np.ndarray:
+        """The front end: one :data:`Verdict` row per placement, in real
+        node order, looked up under (or classified into) the canonical
+        keys of :meth:`_canonical`."""
+        slab = self._canonical(combos)
+        keys = _row_keys(slab.codes)
+        fresh: Dict[bytes, int] = {}
+        for row, (key, known) in enumerate(zip(keys, slab.known.tolist())):
+            if known and key not in verdicts and key not in fresh:
+                fresh[key] = row
+        verdicts.update(zip(fresh, self._classify(slab.codes[list(fresh.values())])))
+        found = [verdicts.get(key) for key in keys]
+        for row in np.flatnonzero(~slab.known).tolist():
+            # A site names an unknown node: exact semantics live in the
+            # engine and the combo is not worth a canonical entry.
+            found[row] = self._engine_outcome(combos[row])
+        n = len(self.node_names)
+        table = np.array(found, dtype=np.int64).reshape(len(found), n + 2)
+        table[:, :n] = table[np.arange(len(found))[:, None], slab.place]
+        return table
 
-        ``sites`` are sorted ``(node index, field, index)`` triples:
-        the verdict key, and the placement that gets classified.
-        Returns None when a site names an unknown node.
+    def _site_matrix(self, combos: Sequence[Sequence[Site]]) -> np.ndarray:
+        """The slab as a ``[P, W]`` matrix of site codes, ``_PAD`` after
+        each row's last site: one dictionary lookup per site."""
+        codes = self._site_codes
+        flat = [codes[site] for combo in combos for site in combo]
+        lengths = np.fromiter(map(len, combos), dtype=np.intp, count=len(combos))
+        width = max(int(lengths.max(initial=0)), 1)
+        matrix = np.full((len(combos), width), _PAD, dtype=np.int64)
+        matrix[np.arange(width) < lengths[:, None]] = flat
+        return matrix
+
+    def _canonical(self, combos: Sequence[Sequence[Site]]) -> _Slab:
+        """The canonical form of every placement of the slab.
 
         Two exact reductions happen here so equivalent combos share one
-        form:
+        canonical row:
 
         * *parity*: duplicate triggers on one ``(node, field, index)``
           position all fire at the same first announcement, and a flip
           of a flip is the identity — an even repeat count cancels to
-          nothing, an odd one collapses to a single flip;
+          nothing, an odd one collapses to a single flip.  Each sorted
+          row keeps one code of each odd-length run;
         * *receiver symmetry*: the receivers are identical
           deterministic controllers, so permuting which of them carry
           which fault group permutes the deliveries and nothing else.
-          The faulted receivers are relabelled ``1..k`` in sorted
-          fault-group order, and ``back`` records the real node index
-          behind each canonical label (``back[j-1]`` for label ``j``;
-          ``None`` when the relabelling is the identity).
+          The faulted receivers are ranked by ``(group, node)`` — a
+          group being the node's sorted position ids — and relabelled
+          ``1..k`` in that order, the clean ones ``k+1..n-1`` in node
+          order; ``place`` records each real node's label.
         """
-        odd = set()
-        for name, field_name, index in combo:
-            node = self._node_index.get(name)
-            if node is None:
-                return None
-            odd ^= {(node, field_name, index)}
-        sites = sorted(odd)
-        groups: Dict[int, List[Tuple[str, int]]] = {}
-        for node, field_name, index in sites:
-            if node:
-                groups.setdefault(node, []).append((field_name, index))
-        order = sorted(groups, key=lambda node: (groups[node], node))
-        if all(node == label for label, node in enumerate(order, 1)):
-            return tuple(sites), None
-        relabel = {node: label for label, node in enumerate(order, 1)}
-        sites = sorted((relabel.get(node, 0), f, i) for node, f, i in sites)
-        return tuple(sites), tuple(order)
+        codes = self._site_matrix(combos)
+        known = (codes != _UNKNOWN).all(axis=1)
+        codes[~known] = _PAD
+        codes, place = _relabel(_odd_runs(codes), len(self.node_names))
+        return _Slab(codes, place, known)
 
-    def _classify(
-        self, placements: Sequence[Tuple[IndexSite, ...]]
-    ) -> Iterator[Tuple[Tuple[IndexSite, ...], Verdict]]:
-        """Yield ``(sites, verdict)`` for each fresh canonical placement.
+    def _classify(self, codes: np.ndarray) -> List[Verdict]:
+        """The verdict of each fresh canonical row.
 
         Header placements take a reduced engine run and placements
         outside every model the engine.  Pure tail placements replay on
@@ -479,33 +611,39 @@ class BatchReplayEvaluator(EngineClassifier):
         below, whose per-placement cost beats the array loop's fixed
         per-call cost on narrow batches.
         """
-        fast = []
-        for sites in placements:
-            route, resolved = self._resolve(sites)
-            if route == "fast":
-                fast.append((sites, resolved))
-            elif route == "reduced":
-                yield sites, self._reduced_outcome(resolved)
-            else:
-                yield sites, self._engine_outcome(self._named(sites))
-        if not fast:
-            return
+        if not len(codes):
+            return []
+        if not self.shape.supported:
+            return [self._engine_outcome(self._named(_index_sites(row))) for row in codes]
+        verdicts: List[Optional[Verdict]] = [None] * len(codes)
+        routes, nodes, keys, live = self._resolve(codes)
+        for row in np.flatnonzero(routes == _REDUCED).tolist():
+            verdicts[row] = self._reduced_outcome(_index_sites(codes[row][live[row]]))
+        for row in np.flatnonzero(routes == _FULL).tolist():
+            verdicts[row] = self._engine_outcome(self._named(_index_sites(codes[row])))
+        fast = np.flatnonzero(routes == _FAST)
+        if not len(fast):
+            return verdicts
         table = transition_table(self.shape.geometry)
         n = len(self.node_names)
-        arms = [arm for _, arm in fast]
+        nodes, keys = nodes[fast], keys[fast]
+        flips = (keys >= 0).sum(axis=1).tolist()
         if len(fast) >= _ARRAY_BREAK_EVEN:
-            cap = _step_cap(self.shape, max(map(len, arms)))
-            replays = _replay_array(table, n, arms, cap)
-            label = "batch"
+            replays = _replay_array(
+                table, n, nodes, keys, _step_cap(self.shape, max(flips))
+            )
+            label = BATCH
         else:
             replays = [
-                _replay_scalar(table, n, arm, _step_cap(self.shape, len(arm)))
-                for arm in arms
+                _replay_scalar(
+                    table, n, _arm(nodes[i], keys[i]), _step_cap(self.shape, flips[i])
+                )
+                for i in range(len(fast))
             ]
-            label = "scalar"
-        for (sites, arm), replay in zip(fast, replays):
+            label = SCALAR
+        for i, (row, replay) in enumerate(zip(fast.tolist(), replays)):
             if replay is not None:
-                yield sites, replay + (label,)
+                verdicts[row] = replay[0] + (replay[1], label)
                 continue
             # The common bail on dense placements is the step budget:
             # every flip can restart the frame and the cascade outruns
@@ -513,11 +651,13 @@ class BatchReplayEvaluator(EngineClassifier):
             # budget stays exact (same transition table, more steps)
             # and keeps these off the engine; genuine envelope
             # violations bail again and fall through to the oracle.
-            replay = _replay_scalar(table, n, arm, _step_cap(self.shape, len(arm), 8))
+            arm = _arm(nodes[i], keys[i])
+            replay = _replay_scalar(table, n, arm, _step_cap(self.shape, flips[i], 8))
             if replay is not None:
-                yield sites, replay + ("scalar",)
+                verdicts[row] = replay[0] + (replay[1], SCALAR)
             else:
-                yield sites, self._engine_outcome(self._named(sites))
+                verdicts[row] = self._engine_outcome(self._named(_index_sites(codes[row])))
+        return verdicts
 
     def _named(self, sites: Sequence[IndexSite]) -> Tuple[Site, ...]:
         return tuple((self.node_names[node], f, i) for node, f, i in sites)
@@ -525,14 +665,23 @@ class BatchReplayEvaluator(EngineClassifier):
     def _header_shape(self):
         return header_shape(self.frame, self.shape.eof_length)
 
-    def _resolve(self, sites: Sequence[IndexSite]) -> Tuple[str, object]:
-        """Route canonical sites to one of the three classification paths.
+    def _position_route(self, field_name: str, index: int) -> int:
+        if field_name in HEADER_SITE_FIELDS:
+            announced = (field_name, index) in self._header_shape().announced
+            return _ANNOUNCED if announced else _SILENT
+        return _site_key(self.shape, field_name, index)
 
-        Returns ``("fast", armed_keys)`` for pure tail placements,
-        ``("reduced", (header_hits, tail_sites))`` for combos touching
-        an announced header site, and
-        ``("engine", None)`` for anything outside the modelled envelope
-        (unknown fields, unexpected program layouts).
+    def _resolve(
+        self, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Route canonical rows to one of the three classification paths.
+
+        Returns ``(routes, nodes, keys, live)``: per row ``_FAST`` for
+        a pure tail placement, ``_REDUCED`` for one touching an
+        announced header site, ``_FULL`` for anything outside the
+        modelled envelope (unknown fields, unexpected program layouts);
+        per site its node, its tail key where it arms the micro-model
+        (-1 elsewhere), and whether it rides into a reduced run.
 
         Config-inert tail sites — positions no parse of this controller
         configuration can ever announce — are dropped outright, exactly
@@ -548,63 +697,48 @@ class BatchReplayEvaluator(EngineClassifier):
         reduced run, which replays the real engine and needs no
         announcement reasoning.
         """
-        if not self.shape.supported:
-            return ("engine", None)
-        armed: List[Tuple[int, int]] = []
-        tail_sites: List[IndexSite] = []
-        header_hits: List[IndexSite] = []
-        silent: List[IndexSite] = []
-        live_nodes = set()
-        shape = None
-        for site in sites:
-            node, field_name, index = site
-            if field_name in HEADER_SITE_FIELDS:
-                if shape is None:
-                    shape = self._header_shape()
-                if (field_name, index) in shape.announced:
-                    header_hits.append(site)
-                    live_nodes.add(node)
-                else:
-                    silent.append(site)
-                continue
-            key = _site_key(self.shape, field_name, index)
-            if key == _UNSUPPORTED:
-                return ("engine", None)
-            if key == _INERT:
-                continue
-            armed.append((node, key))
-            tail_sites.append(site)
-            live_nodes.add(node)
-        header_hits += [site for site in silent if site[0] in live_nodes]
-        if header_hits:
-            return ("reduced", (tuple(header_hits), tuple(tail_sites)))
-        return ("fast", armed)
+        shape_key = self._config[:3]
+        table = _POSITION_ROUTES.get(shape_key, np.zeros(0, dtype=np.int64))
+        if len(table) < len(_POSITIONS):
+            grown = [self._position_route(*position) for position in _POSITIONS[len(table):]]
+            table = _POSITION_ROUTES[shape_key] = np.append(table, grown)
+        valid = codes != _PAD
+        nodes = np.where(valid, codes >> _NODE_SHIFT, 0)
+        kinds = np.full(codes.shape, _INERT, dtype=np.int64)
+        kinds[valid] = table[codes[valid] & _POSITION_MASK]
+        armed = kinds >= 0
+        announced = kinds == _ANNOUNCED
+        live_nodes = np.zeros((len(codes), len(self.node_names)), dtype=bool)
+        rows, columns = np.nonzero(armed | announced)
+        live_nodes[rows, nodes[rows, columns]] = True
+        riding = (kinds == _SILENT) & np.take_along_axis(live_nodes, nodes, axis=1)
+        header = (announced | riding).any(axis=1)
+        routes = np.where(header, _REDUCED, _FAST)
+        routes[(kinds == _UNSUPPORTED).any(axis=1)] = _FULL
+        return routes, nodes, np.where(armed, kinds, -1), armed | announced | riding
 
-    def _reduced_outcome(
-        self, spec: Tuple[Tuple[IndexSite, ...], Tuple[IndexSite, ...]]
-    ) -> Verdict:
+    def _reduced_outcome(self, sites: Tuple[IndexSite, ...]) -> Verdict:
         """Classify a combo touching header sites exactly.
 
-        Rests on receiver symmetry: the controllers are deterministic
-        and a view fault never disturbs the bus until the faulted node
-        itself drives, so every non-faulted in-sync receiver behaves
-        bit-identically, and the wired-AND bus is invariant under
-        collapsing all clean receivers into a single witness.  The
-        n-node verdict therefore follows from one *reduced* engine run
-        over transmitter + the distinct faulted receivers + one witness
-        (the witness is dropped when every receiver is faulted — its
-        ACK and error flags would change the bus).  Verdicts are cached
-        per fault-group arrangement in :data:`_REDUCED_CACHE`; combined
-        with the canonical relabelling in :meth:`_canonical`, one run
-        serves every placement of the same fault groups over any
-        receivers.  A lone receiver flip in the mid-frame DATA/CRC
-        fields shares one entry per
+        ``sites`` are its live canonical sites (see :meth:`_resolve`),
+        sorted.  Rests on receiver symmetry: the controllers are
+        deterministic and a view fault never disturbs the bus until the
+        faulted node itself drives, so every non-faulted in-sync
+        receiver behaves bit-identically, and the wired-AND bus is
+        invariant under collapsing all clean receivers into a single
+        witness.  The n-node verdict therefore follows from one
+        *reduced* engine run over transmitter + the distinct faulted
+        receivers + one witness (the witness is dropped when every
+        receiver is faulted — its ACK and error flags would change the
+        bus).  Verdicts are cached per fault-group arrangement in
+        :data:`_REDUCED_CACHE`; combined with the canonical relabelling
+        in :meth:`_canonical`, one run serves every placement of the
+        same fault groups over any receivers.  A lone receiver flip in
+        the mid-frame DATA/CRC fields shares one entry per
         :class:`~repro.can.encoding.HeaderSiteRow` parse signature
         instead (identical flipped-stream trajectories drive the
         faulted receiver — and hence the whole bus — identically).
         """
-        header_hits, tail_sites = spec
-        sites = sorted(header_hits + tail_sites)
         rx_nodes = sorted({node for node, _, _ in sites if node != 0})
         n = len(self.node_names)
         k = len(rx_nodes)
@@ -631,29 +765,99 @@ class BatchReplayEvaluator(EngineClassifier):
             tx_count if i == 0 else by_node.get(i, witness_count)
             for i in range(n)
         )
-        return deliveries, attempts, "header"
+        return deliveries + (attempts, HEADER)
 
 
-def _expand(verdict: Verdict, back: Optional[Tuple[int, ...]]) -> PlacementOutcome:
-    """The outcome of one placement from its canonical verdict.
+def _odd_runs(codes: np.ndarray) -> np.ndarray:
+    """Parity over each row: one code per odd-length run of equal codes.
 
-    The verdict's deliveries are for the canonical arrangement —
-    transmitter at 0, faulted receivers at ``1..k``, witnesses after —
-    and every witness delivery is equal by symmetry, so undoing the
-    relabelling only needs ``back``, the canonical-label-to-real-node
-    map.
+    Rows come back sorted with ``_PAD`` last.
     """
-    deliveries, attempts, _ = verdict
-    if back is not None:
-        k = len(back)
-        n = len(deliveries)
-        witness = deliveries[k + 1] if k + 1 < n else 0
-        rebuilt = [witness] * n
-        rebuilt[0] = deliveries[0]
-        for label, node in enumerate(back, start=1):
-            rebuilt[node] = deliveries[label]
-        deliveries = tuple(rebuilt)
-    return PlacementOutcome(deliveries, attempts)
+    codes = np.sort(codes, axis=1)
+    if not ((codes[:, 1:] == codes[:, :-1]) & (codes[:, 1:] != _PAD)).any():
+        return codes  # no repeated site: nothing cancels
+    column = np.arange(codes.shape[1])
+    starts = np.ones(codes.shape, dtype=bool)
+    starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    ends = np.ones(codes.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    run_start = np.maximum.accumulate(np.where(starts, column, 0), axis=1)
+    keep = ends & ((column - run_start) % 2 == 0)
+    codes = np.where(keep, codes, _PAD)
+    codes.sort(axis=1)
+    return codes
+
+
+def _relabel(codes: np.ndarray, n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Receiver symmetry over sorted rows: ``(relabelled codes, place)``.
+
+    Each receiver's fault group becomes a row of ``position id + 1``
+    values padded with 0, so comparing the rows lexicographically
+    compares the groups as tuples (a prefix first, an empty group
+    first of all).  One ``lexsort`` ranks every slab row's receivers by
+    ``(group, node)``.  After the clean receivers come the faulted
+    ones, so rank ``r`` of a row with ``k`` faulted receivers gets label
+    ``(r + k) mod (n - 1) + 1``.
+    """
+    rows, width = codes.shape
+    receivers = max(n_nodes - 1, 1)
+    # Padding sits in a dummy node column past the last node, and maps
+    # back to ``_PAD`` through it.
+    nodes = np.minimum(codes >> _NODE_SHIFT, n_nodes)
+    positions = codes & _POSITION_MASK
+    column = np.arange(width)
+    starts = np.ones(codes.shape, dtype=bool)
+    starts[:, 1:] = nodes[:, 1:] != nodes[:, :-1]
+    depth = column - np.maximum.accumulate(np.where(starts, column, 0), axis=1)
+    at = np.nonzero(nodes < n_nodes)
+    span = int(depth[at].max(initial=0)) + 1
+    groups = np.zeros((rows, n_nodes, span), dtype=np.int64)
+    groups[at[0], nodes[at], depth[at]] = positions[at] + 1
+    groups = groups[:, 1:]
+    flat = groups.reshape(-1, span)
+    index = np.arange(len(flat))
+    order = np.lexsort(
+        (index,) + tuple(flat[:, d] for d in range(span - 1, -1, -1)) + (index // receivers,)
+    )
+    ranked = order.reshape(rows, -1) % receivers + 1
+    faulted = np.count_nonzero(groups[:, :, 0], axis=1)
+    row = np.arange(rows)[:, None]
+    place = np.empty((rows, n_nodes + 1), dtype=np.int64)
+    place[:, 0] = 0
+    place[:, n_nodes] = _PAD >> _NODE_SHIFT
+    place[row, ranked] = (np.arange(n_nodes - 1) + faulted[:, None]) % receivers + 1
+    relabelled = place[row, nodes] << _NODE_SHIFT | positions
+    relabelled.sort(axis=1)
+    return relabelled, place[:, :n_nodes]
+
+
+def _row_keys(codes: np.ndarray) -> List[bytes]:
+    """Each row's canonical key: the bytes of its codes up to the first
+    ``_PAD``, so a key does not depend on the slab's width."""
+    codes = np.ascontiguousarray(codes)
+    stride = codes.shape[1] * codes.itemsize
+    sizes = ((codes != _PAD).sum(axis=1) * codes.itemsize).tolist()
+    data = codes.tobytes()
+    return [
+        data[start : start + size]
+        for start, size in zip(range(0, len(data), stride), sizes)
+    ]
+
+
+def _arm(nodes: np.ndarray, keys: np.ndarray) -> List[Tuple[int, int]]:
+    """The armed ``(node, key)`` pairs of one row, for the scalar driver."""
+    return [
+        (node, key) for node, key in zip(nodes.tolist(), keys.tolist()) if key >= 0
+    ]
+
+
+def _index_sites(codes: np.ndarray) -> Tuple[IndexSite, ...]:
+    """The ``(node index, field, index)`` sites of one row of codes."""
+    return tuple(
+        (code >> _NODE_SHIFT,) + _POSITIONS[code & _POSITION_MASK]
+        for code in codes.tolist()
+        if code != _PAD
+    )
 
 
 #: Reduced-run verdicts per fault-group arrangement, keyed by
@@ -666,13 +870,23 @@ def _expand(verdict: Verdict, back: Optional[Tuple[int, ...]]) -> PlacementOutco
 _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 
 #: Final verdicts per configuration ``(protocol, m, frame, n_nodes)``,
-#: each a dict from canonical sites to :data:`Verdict`.  Shared by every
+#: each a dict from canonical keys (:func:`_row_keys`) to
+#: :data:`Verdict`.  Shared by every
 #: evaluator in a process, so chunked Monte-Carlo draws and overlapping
 #: verification universes classify repeats at lookup cost.  Bounded by
 #: a wholesale clear — entries are tiny and the universes that feed it
 #: are small, so the limit only guards runaway many-frame campaigns.
-_COMBO_CACHE: Dict[Tuple, Dict[Tuple[IndexSite, ...], Verdict]] = {}
+_COMBO_CACHE: Dict[Tuple, Dict[bytes, Verdict]] = {}
 _COMBO_CACHE_LIMIT = 1 << 19
+
+#: The verdicts of narrow slabs' placements as given (real node order),
+#: per configuration.  Monte-Carlo chunks and campaign rounds draw the
+#: same few placements call after call, and below
+#: :data:`_ARRAY_BREAK_EVEN` placements the array front end's fixed
+#: per-call cost outweighs its per-placement saving.  Cleared with
+#: :data:`_COMBO_CACHE`, so a row keeps the route label of its
+#: canonical verdict.
+_ROW_CACHE: Dict[Tuple, Dict[Tuple[Site, ...], Verdict]] = {}
 
 #: Minimum fresh-placement batch for the array pass; below this the
 #: scalar driver (~15-30 us/placement) beats the array loop's fixed
@@ -692,6 +906,8 @@ def clear_caches() -> None:
 
     _REDUCED_CACHE.clear()
     _COMBO_CACHE.clear()
+    _ROW_CACHE.clear()
+    _POSITION_ROUTES.clear()
     tail_verdicts.cache_clear()
     transition_table.cache_clear()
 
@@ -1072,25 +1288,27 @@ def _replay_scalar(
 def _replay_array(
     table: TransitionTable,
     n_nodes: int,
-    placements: Sequence[Sequence[Tuple[int, int]]],
+    nodes: np.ndarray,
+    keys: np.ndarray,
     cap: int,
 ) -> List[Optional[Tuple[Tuple[int, ...], int]]]:
     """Replay a batch of placements in lockstep array passes.
 
-    The same table lookups as :func:`_replay_scalar`, over one code per
-    ``(placement, node)``: each pass advances every live placement by
-    one bus bit, and finished placements are compacted out.  ``cap``
-    bounds the passes of the whole batch.
+    Placement ``b`` arms ``(nodes[b, j], keys[b, j])`` for every ``j``
+    with ``keys[b, j] >= 0``.  The same table lookups as
+    :func:`_replay_scalar`, over one code per ``(placement, node)``:
+    each pass advances every live placement by one bus bit, and
+    finished placements are compacted out.  ``cap`` bounds the passes
+    of the whole batch.
     """
-    batch = len(placements)
+    batch = len(keys)
     results: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * batch
     if batch == 0:
         return results
     width = table.key_count + 1  # the last column is the "no key" sentinel
     armed = np.zeros((batch, n_nodes, width), dtype=bool)
-    for b, pairs in enumerate(placements):
-        for node, site_key in pairs:
-            armed[b, node, site_key] = True
+    at = np.nonzero(keys >= 0)
+    armed[at[0], nodes[at], keys[at]] = True
     start = np.full(n_nodes, _RX_START, dtype=np.intp)
     start[0] = _TX_START
     codes = np.tile(start, (batch, 1))

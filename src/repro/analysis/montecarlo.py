@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
@@ -137,6 +139,13 @@ class ChunkCounts:
         if not outcome.consistent:
             self.inconsistent += 1
 
+    def absorb_deliveries(self, deliveries: np.ndarray) -> None:
+        """Fold a ``[P, n]`` delivery matrix in: the rule of
+        :meth:`absorb_outcome` as array predicates over its rows."""
+        self.imo += int(((deliveries == 0).any(axis=1) & (deliveries > 0).any(axis=1)).sum())
+        self.double_reception += int((deliveries > 1).any(axis=1).sum())
+        self.inconsistent += int((deliveries != deliveries[:, :1]).any(axis=1).sum())
+
 
 def tail_chunk(
     protocol: str,
@@ -175,11 +184,13 @@ def tail_chunk(
     trial_combos = [tuple(group) for group in groups]
     if not trial_combos:
         return counts
-    from repro.analysis.batchreplay import placement_classifier
+    from repro.analysis.batchreplay import Placements, placement_classifier
 
     classifier = placement_classifier(protocol, m, node_names, backend)
-    for outcome in classifier.evaluate(trial_combos):
-        counts.absorb_outcome(outcome)
+    placed = classifier.evaluate(trial_combos)
+    if not isinstance(placed, Placements):
+        placed = Placements.of(list(placed))
+    counts.absorb_deliveries(placed.deliveries)
     counts.backend_stats = classifier.stats
     return counts
 

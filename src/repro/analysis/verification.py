@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.can.fields import (
     ACK_DELIM,
     ACK_SLOT,
@@ -274,20 +276,30 @@ def verify_chunk(
     :class:`Counterexample` argument tuples of the broken ones in
     enumeration order, and the classifier's provenance counters
     (``None`` on the engine backend).  ``stop_at_first`` ends the chunk
-    at its first hit.
+    at its first hit.  The delivery kinds are scanned as array
+    predicates over the outcome columns, and only the rows that hit
+    become hit tuples.
     """
-    from repro.analysis.batchreplay import placement_classifier
+    from repro.analysis.batchreplay import Placements, delivery_kinds, placement_classifier
 
     classifier = placement_classifier(protocol, m, node_names, backend, payload)
+    placed = classifier.evaluate(combos)
+    # The batch replay classifies the slab whole; the engine runs
+    # lazily, one placement per block, so an early exit runs no
+    # placement past its hit.
+    blocks = (
+        [placed]
+        if isinstance(placed, Placements)
+        else (Placements.of([outcome]) for outcome in placed)
+    )
     runs = 0
     hits = []
-    for combo, outcome in zip(combos, classifier.evaluate(combos)):
-        runs += 1
-        hit = classifier.counterexample(combo, outcome)
-        if hit is not None:
-            hits.append(hit)
+    for block in blocks:
+        for row in np.flatnonzero(delivery_kinds(block.deliveries)).tolist():
+            hits.append(classifier.counterexample(combos[runs + row], block[row]))
             if stop_at_first:
-                break
+                return runs + row + 1, hits, classifier.stats
+        runs += len(block)
     return runs, hits, classifier.stats
 
 

@@ -761,8 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
+    from repro.parallel.pool import oversubscription_notice
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "jobs"):
+        notice = oversubscription_notice(args.jobs)
+        if notice is not None:
+            print(notice, file=sys.stderr)
     return args.func(args)
 
 

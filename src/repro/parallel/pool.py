@@ -74,6 +74,24 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
+def oversubscription_notice(jobs: Optional[int]) -> Optional[str]:
+    """A ``notice:`` line when ``jobs`` resolves to more workers than
+    :func:`cpu_count`, else None.
+
+    The worker count is left as requested (results never depend on
+    it); the notice only says that the workers will share CPUs, which
+    makes a parallel run slower than a serial one.
+    """
+    workers, cpus = effective_jobs(jobs), cpu_count()
+    if workers <= cpus:
+        return None
+    return "notice: %d workers requested on %d usable CPU%s; they will share them" % (
+        workers,
+        cpus,
+        "" if cpus == 1 else "s",
+    )
+
+
 def execute(task):
     """Run one task (the pool's map function — must be module level)."""
     return task()

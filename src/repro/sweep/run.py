@@ -8,8 +8,8 @@
    the contract: re-running a completed sweep evaluates nothing),
 4. optionally truncate the pending list to a cell budget (how the CI
    integrity check models a run killed mid-grid),
-5. group the survivors into chunks sized by each cell's adaptive
-   ``chunk_cells`` constant,
+5. group the survivors by each cell's adaptive ``chunk_cells``
+   constant and cut each group into chunks of that size,
 6. stream chunk results through :func:`repro.parallel.imap_tasks`,
    appending each chunk to the store the moment it completes — an
    interrupted run keeps everything finished so far,
@@ -103,25 +103,21 @@ def _evaluate_chunk(planned) -> List[dict]:
 def _chunk_tasks(pending: List[Tuple[Any, Dict[str, Any], str]]) -> List[Any]:
     """Chunk pending cells into tasks, honouring each cell's partition.
 
-    Walks the pending list in order and closes a chunk when it reaches
-    its leading cell's ``chunk_cells`` size or the next cell resolves a
-    different partition — a pure function of the pending list, so the
-    chunking (and the submission order) is identical for any ``jobs``.
+    Groups the cells by their ``chunk_cells`` size, in first-seen order
+    and keeping the pending order inside each group, then cuts each
+    group into chunks of that size: a grid whose innermost axis
+    alternates partitions (node counts) still gets full chunks.  A pure
+    function of the pending list, so the chunking (and the submission
+    order) is identical for any ``jobs``.
     """
-    tasks: List[Any] = []
-    current: List[Any] = []
-    current_size = 0
+    groups: Dict[int, List[Any]] = {}
     for planned in pending:
-        chunk_cells = int(planned[1]["chunk_cells"])
-        if current and (chunk_cells != current_size or len(current) >= current_size):
-            tasks.append(partial(_evaluate_chunk, tuple(current)))
-            current = []
-        if not current:
-            current_size = chunk_cells
-        current.append(planned)
-    if current:
-        tasks.append(partial(_evaluate_chunk, tuple(current)))
-    return tasks
+        groups.setdefault(int(planned[1]["chunk_cells"]), []).append(planned)
+    return [
+        partial(_evaluate_chunk, tuple(cells[start : start + size]))
+        for size, cells in groups.items()
+        for start in range(0, len(cells), size)
+    ]
 
 
 def run_sweep(

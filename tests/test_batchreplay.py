@@ -18,6 +18,14 @@ the engine.  These tests enforce that contract:
   header sites, 3-5 nodes): receiver permutations, reorderings and
   cancelling site pairs share one canonical form and permute the
   outcome to match, and the batch outcomes equal the engine's;
+* over **generated slabs** (Hypothesis, 2-7 nodes, combos of every
+  length 1-6 with repeated sites, unknown nodes, tail and header sites
+  mixed): the array canonical form matches a verbatim copy of the
+  per-placement canonicaliser it replaced, and one slab classifies
+  like the same combos one call each;
+* over **generated delivery matrices**: the array hit scan equals
+  ``delivery_kind`` row by row, and ``verify_chunk`` finds the engine's
+  hits on both backends, with and without ``stop_at_first``;
 * through every wired entry point (``verify_consistency``,
   ``enumerate_tail_patterns``, ``monte_carlo_tail``, ``m_ablation``,
   the CLI ``--backend`` flag), asserting backend equality end to end.
@@ -29,17 +37,26 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis.batchreplay import (
+    _FAST,
+    KINDS,
     BatchReplayEvaluator,
     EngineClassifier,
+    _arm,
+    _index_sites,
     _replay_array,
     _replay_scalar,
     _step_cap,
+    _row_keys,
     clear_caches,
+    delivery_kind,
+    delivery_kinds,
     placement_classifier,
     tail_shape,
     transition_table,
@@ -195,15 +212,13 @@ class TestSeededRandomSweep:
             tuple(rng.sample(sites, 2)) for _ in range(40)
         ]
         evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
-        arms = []
-        for combo in combos:
-            route, arm = evaluator._resolve(evaluator._canonical(combo)[0])
-            assert route == "fast", combo
-            arms.append(arm)
+        routes, nodes, keys, _ = evaluator._resolve(evaluator._canonical(combos).codes)
+        assert (routes == _FAST).all(), [c for c, r in zip(combos, routes) if r != _FAST]
+        arms = [_arm(row_nodes, row_keys) for row_nodes, row_keys in zip(nodes, keys)]
         shape = evaluator.shape
         table = transition_table(shape.geometry)
         cap = _step_cap(shape, max(map(len, arms)))
-        array = _replay_array(table, len(node_names), arms, cap)
+        array = _replay_array(table, len(node_names), nodes, keys, cap)
         scalar = [
             _replay_scalar(table, len(node_names), arm, _step_cap(shape, len(arm)))
             for arm in arms
@@ -224,6 +239,18 @@ class TestSeededRandomSweep:
         assert evaluator.stats == {
             "batch": 0, "scalar": 0, "header": 0, "engine": 0, label: fresh
         }
+
+
+def armed_matrices(placements):
+    """``_replay_array``'s ``(nodes, keys)`` matrices of armed-pair
+    lists, padded with key -1."""
+    width = max(map(len, placements))
+    nodes = np.zeros((len(placements), width), dtype=np.int64)
+    keys = np.full((len(placements), width), -1, dtype=np.int64)
+    for row, pairs in enumerate(placements):
+        for column, (node, key) in enumerate(pairs):
+            nodes[row, column], keys[row, column] = node, key
+    return nodes, keys
 
 
 def key_site(shape, key):
@@ -275,7 +302,7 @@ class TestGeneratedTailDifferential:
         shape, n_nodes, placements = case
         table = transition_table(shape.geometry)
         batch_cap = _step_cap(shape, max(map(len, placements)))
-        array = _replay_array(table, n_nodes, placements, batch_cap)
+        array = _replay_array(table, n_nodes, *armed_matrices(placements), batch_cap)
         for placement, verdict in zip(placements, array):
             nominal = _replay_scalar(
                 table, n_nodes, placement, _step_cap(shape, len(placement))
@@ -302,7 +329,7 @@ class TestGeneratedTailDifferential:
         )
         assert verdict is not None
         (array,) = _replay_array(
-            table, n_nodes, [placement], _step_cap(shape, len(placement))
+            table, n_nodes, *armed_matrices([placement]), _step_cap(shape, len(placement))
         )
         assert array == verdict
         names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
@@ -328,10 +355,9 @@ class TestGeneratedTailDifferential:
         combos = [(site,) for site in tx_sites]
         combos += list(itertools.combinations(tx_sites, 2))[:100]
         combos.append(tuple(tx_sites[::3][:6]))
-        arms = [
-            evaluator._resolve(evaluator._canonical(combo)[0])[1]
-            for combo in combos
-        ]
+        routes, nodes, keys, _ = evaluator._resolve(evaluator._canonical(combos).codes)
+        assert (routes == _FAST).all()
+        arms = [_arm(row_nodes, row_keys) for row_nodes, row_keys in zip(nodes, keys)]
         assert len(arms) >= 96 and max(map(len, arms)) == 6
         table = transition_table(shape.geometry)
         batch_cap = _step_cap(shape, 6)
@@ -583,9 +609,13 @@ class TestCanonicalForm:
         pair = data.draw(sites)
         at = data.draw(st.integers(0, len(combo)))
         padded = combo[:at] + (pair, pair) + combo[at:]
-        key, _ = evaluator._canonical(combo)
-        for variant in (permuted, reordered, padded):
-            assert evaluator._canonical(variant)[0] == key, variant
+        # One slab, and one call per variant: the key does not depend
+        # on the slab's width.
+        variants = [combo, permuted, reordered, padded]
+        key = _row_keys(evaluator._canonical([combo]).codes)[0]
+        assert _row_keys(evaluator._canonical(variants).codes) == [key] * 4
+        for variant in variants:
+            assert _row_keys(evaluator._canonical([variant]).codes) == [key], variant
         base, moved, shuffled, cancelled = evaluator.evaluate(
             [combo, permuted, reordered, padded]
         )
@@ -605,7 +635,7 @@ class TestCanonicalForm:
         protocol, m, names, combo, _ = case
         batch = BatchReplayEvaluator(protocol, m, names, FRAME)
         engine = EngineClassifier(protocol, m, names, FRAME)
-        assert batch.evaluate([combo]) == list(engine.evaluate([combo])), combo
+        assert list(batch.evaluate([combo])) == list(engine.evaluate([combo])), combo
 
     def test_every_placement_counts_once(self):
         names = ("tx", "r1", "r2", "r3")
@@ -630,13 +660,15 @@ class TestCanonicalForm:
         monkeypatch.setattr(
             evaluator,
             "_classify",
-            lambda placements: fresh.append(list(placements)) or classify(placements),
+            lambda codes: fresh.append(_row_keys(codes)) or classify(codes),
         )
         combo = (("r1", EOF, 5),)
-        key, _ = evaluator._canonical(combo)
+        mirror = (("r2", EOF, 5),)  # the same canonical form
+        (key,) = _row_keys(evaluator._canonical([combo]).codes)
         clear_caches()
         evaluator.evaluate([combo])
-        evaluator.evaluate([combo])
+        evaluator.evaluate([combo])  # a row-cache hit: no front end at all
+        evaluator.evaluate([mirror])  # a canonical hit: nothing to classify
         assert evaluator._verdicts()
         clear_caches()
         assert evaluator._verdicts() == {}
@@ -659,6 +691,174 @@ class TestCanonicalForm:
         can.evaluate([(tx_sites[3],)])  # at the limit: cleared first
         assert cached() == 1
         assert list(batchreplay._COMBO_CACHE) == [("can", 5, FRAME, 3)]
+
+
+def reference_canonical(self, combo):
+    """The canonical form of the scalar front end, verbatim: the oracle
+    of the array canonicalisation.  ``self`` is a
+    :class:`BatchReplayEvaluator` (only its ``_node_index`` is read).
+
+    The canonical form ``(sites, back)`` of ``combo``: ``sites`` are
+    sorted ``(node index, field, index)`` triples after parity
+    cancellation and receiver relabelling, ``back[j-1]`` the real node
+    behind canonical label ``j`` (None for the identity).  Returns
+    None when a site names an unknown node.
+    """
+    odd = set()
+    for name, field_name, index in combo:
+        node = self._node_index.get(name)
+        if node is None:
+            return None
+        odd ^= {(node, field_name, index)}
+    sites = sorted(odd)
+    groups = {}
+    for node, field_name, index in sites:
+        if node:
+            groups.setdefault(node, []).append((field_name, index))
+    order = sorted(groups, key=lambda node: (groups[node], node))
+    if all(node == label for label, node in enumerate(order, 1)):
+        return tuple(sites), None
+    relabel = {node: label for label, node in enumerate(order, 1)}
+    sites = sorted((relabel.get(node, 0), f, i) for node, f, i in sites)
+    return tuple(sites), tuple(order)
+
+
+@st.composite
+def slab_cases(draw):
+    """A protocol, a 2-7 node network and a slab holding one combo of
+    every length 1-6 plus up to four more, drawn with repeats from a
+    pool of tail, sampling, inert and header sites, some naming an
+    unknown node."""
+    protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
+    m = draw(st.integers(3, 7))
+    n_nodes = draw(st.integers(2, 7))
+    names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    positions = [
+        (field_name, index)
+        for _, field_name, index in universe(protocol, m, ["tx"])
+    ] + HEADER_POSITIONS + [(EOF, 99), ("SOF", 3)]
+    site = st.tuples(
+        st.sampled_from(names * 4 + ["ghost"]), st.sampled_from(positions)
+    ).map(lambda drawn: (drawn[0],) + drawn[1])
+    pool = draw(st.lists(site, min_size=1, max_size=6))
+    combo = lambda size: st.lists(  # noqa: E731
+        st.sampled_from(pool), min_size=size, max_size=size
+    ).map(tuple)
+    combos = [draw(combo(size)) for size in range(1, 7)]
+    combos += draw(st.lists(st.integers(1, 6).flatmap(combo), max_size=4))
+    return protocol, m, names, draw(st.permutations(combos))
+
+
+class TestArrayCanonicalForm:
+    """The slab canonicalisation against the scalar one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(slab_cases())
+    def test_matches_the_reference_canonical_form(self, case):
+        protocol, m, names, combos = case
+        evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
+        slab = evaluator._canonical(combos)
+        keys = _row_keys(slab.codes)
+        identity = list(range(len(names)))
+        reference = [reference_canonical(evaluator, combo) for combo in combos]
+        for row, (combo, expected) in enumerate(zip(combos, reference)):
+            place = slab.place[row].tolist()
+            assert place[0] == 0 and sorted(place) == identity
+            assert bool(slab.known[row]) == (expected is not None), combo
+            if expected is None:
+                assert place == identity
+                continue
+            sites = _index_sites(slab.codes[row])
+            # The same orbit: the representative's reference form is
+            # the combo's own.
+            assert reference_canonical(evaluator, evaluator._named(sites)) [0] == expected[0]
+            # ``place`` undoes the relabelling: back to the combo after
+            # parity, exactly as the reference ``back`` does.
+            expected_sites, back = expected
+            odd = sorted(
+                (back[node - 1] if back and node else node, f, i)
+                for node, f, i in expected_sites
+            )
+            real = {label: node for node, label in enumerate(place)}
+            assert sorted((real[label], f, i) for label, f, i in sites) == odd
+            # One key per reference form, whatever the slab's width.
+            (alone,) = _row_keys(evaluator._canonical([combo]).codes)
+            assert alone == keys[row]
+        for a, b in itertools.combinations(range(len(combos)), 2):
+            if reference[a] is not None and reference[b] is not None:
+                assert (keys[a] == keys[b]) == (reference[a][0] == reference[b][0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(slab_cases())
+    def test_one_slab_equals_separate_calls(self, case):
+        protocol, m, names, combos = case
+        clear_caches()
+        together = list(BatchReplayEvaluator(protocol, m, names, FRAME).evaluate(combos))
+        clear_caches()
+        evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
+        apart = [outcome for combo in combos for outcome in evaluator.evaluate([combo])]
+        assert together == apart
+        assert sum(evaluator.stats.values()) == len(combos)
+
+
+class TestHitScan:
+    """The array predicates of ``delivery_kinds`` are ``delivery_kind``."""
+
+    #: Every kind: "inconsistent" (counts that differ, none zero, none
+    #: above one) needs a negative count, which no classifier produces,
+    #: but the two rules must still agree on it.
+    EVERY_KIND = [[1, 1, 1], [1, 0, 1], [2, 1, 1], [1, -1, 1], [0, 0, 0], [0, 2, 0]]
+
+    def test_every_kind(self):
+        kinds = delivery_kinds(np.array(self.EVERY_KIND))
+        assert [KINDS[kind] for kind in kinds] == [
+            None, "imo", "double", "inconsistent", None, "imo"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(1, 24), st.integers(2, 7)),
+            elements=st.integers(-1, 3),
+        )
+    )
+    def test_generated_matrices(self, deliveries):
+        assert [KINDS[kind] for kind in delivery_kinds(deliveries)] == [
+            delivery_kind(row) for row in deliveries.tolist()
+        ]
+
+    @pytest.mark.parametrize("protocol,m", [("can", 5), ("minorcan", 5)])
+    @pytest.mark.parametrize("backend", ["engine", "batch"])
+    def test_verify_chunk_scan(self, protocol, m, backend):
+        names = ("tx", "r1", "r2")
+        sites = universe(protocol, m, list(names))
+        # Every hit of the 2-flip universe among 40 clean placements.
+        pairs = list(itertools.combinations(sites, 2))
+        placed = placement_classifier(protocol, m, names, "batch").evaluate(pairs)
+        hit = [pair for pair, outcome in zip(pairs, placed) if outcome.kind]
+        clean = [pair for pair, outcome in zip(pairs, placed) if not outcome.kind]
+        combos = hit + random.Random(31).sample(clean, 40)
+        random.Random(32).shuffle(combos)
+        combos = tuple(combos)
+        engine = EngineClassifier(protocol, m, names, FRAME)
+        expected = [
+            (row, delivery_kind(outcome.deliveries))
+            for row, outcome in enumerate(engine.evaluate(combos))
+            if delivery_kind(outcome.deliveries) is not None
+        ]
+        assert {kind for _, kind in expected} == {"imo", "double"}
+        runs, hits, _ = verify_chunk(protocol, m, names, combos, b"\x55", backend)
+        assert runs == len(combos)
+        assert [(hit[0], hit[3]) for hit in hits] == [
+            (combos[row], kind) for row, kind in expected
+        ]
+        runs, hits, _ = verify_chunk(
+            protocol, m, names, combos, b"\x55", backend, stop_at_first=True
+        )
+        first, kind = expected[0]
+        assert runs == first + 1
+        assert [(hit[0], hit[3]) for hit in hits] == [(combos[first], kind)]
 
 
 class TestWiredEntryPoints:

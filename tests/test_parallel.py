@@ -69,6 +69,26 @@ class TestPool:
         monkeypatch.setenv("REPRO_JOBS", "bogus")
         assert effective_jobs(None) == 1
 
+    def test_jobs_beyond_the_cpus_print_one_notice(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(pool_module, "cpu_count", lambda: 2)
+        # No pool either way: a refused pool runs the tasks inline.
+        monkeypatch.setattr(pool_module, "_get_pool", lambda workers: None)
+        args = ["verify", "--protocol", "can", "--flips", "1", "--backend", "batch"]
+        outputs = []
+        for jobs in ("2", "64"):
+            assert main(args + ["--jobs", jobs]) == 1
+            outputs.append(capsys.readouterr())
+        fitting, oversubscribed = outputs
+        assert fitting.err == ""
+        assert oversubscribed.err.splitlines() == [
+            "notice: 64 workers requested on 2 usable CPUs; they will share them"
+        ]
+        assert oversubscribed.out == fitting.out
+        assert pool_module.effective_jobs(64) == 64  # not clamped
+
     def test_run_tasks_preserves_order(self):
         tasks = [
             partial(

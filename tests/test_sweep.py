@@ -699,6 +699,49 @@ class TestRunSweep:
         assert resumed.compacted_bytes() == fresh.compacted_bytes()
         assert resumed.compacted_bytes()  # non-empty
 
+    def test_alternating_partitions_share_chunks(self, tmp_path, monkeypatch):
+        # The innermost axis alternates node counts, and so partitions:
+        # the cells are grouped by partition, not cut at every change.
+        import repro.sweep.run as sweep_run
+
+        spec = small_spec(node_counts=(3, 6))
+        pending, _ = pending_cells(spec, ResultStore(str(tmp_path / "plan")))
+        sizes = [int(constants["chunk_cells"]) for _, constants, _ in pending]
+        assert len(set(sizes)) == 2
+        assert all(a != b for a, b in zip(sizes, sizes[1:]))  # alternating
+        tasks = []
+        real_imap = sweep_run.imap_tasks
+
+        def recorded(chunks, jobs):
+            chunks = list(chunks)
+            tasks.extend(chunks)
+            return real_imap(chunks, jobs=jobs)
+
+        monkeypatch.setattr(sweep_run, "imap_tasks", recorded)
+        grouped = ResultStore(str(tmp_path / "grouped"))
+        report = run_sweep(spec, grouped, jobs=1)
+        assert report.evaluated == len(pending) == 8
+        assert len(tasks) == 2
+        for task in tasks:
+            assert len({planned[1]["chunk_cells"] for planned in task.args[0]}) == 1
+        assert [p for task in tasks for p in task.args[0]] == sorted(
+            pending, key=lambda planned: planned[1]["chunk_cells"] != sizes[0]
+        )
+        # One cell per task: the same records, the same bytes.
+        monkeypatch.setattr(
+            sweep_run,
+            "_chunk_tasks",
+            lambda cells: [
+                sweep_run.partial(sweep_run._evaluate_chunk, (planned,))
+                for planned in cells
+            ],
+        )
+        ungrouped = ResultStore(str(tmp_path / "ungrouped"))
+        run_sweep(spec, ungrouped, jobs=1)
+        assert len(tasks) == 2 + 8
+        assert ungrouped.compacted_bytes() == grouped.compacted_bytes()
+        assert grouped.compacted_bytes()
+
     def test_zero_budget_defers_everything(self, tmp_path):
         spec = small_spec()
         store = ResultStore(str(tmp_path / "s"))
