@@ -5,7 +5,7 @@ PYTHON ?= python
 # Re-baselining the perf gate is an explicit OUT=BENCH_PR10.json.
 OUT ?= bench-report.json
 
-.PHONY: install test lint bench bench-perf bench-batch corpus-check corpus-update examples experiments clean
+.PHONY: install test lint bench-perf bench-batch corpus-check corpus-update examples experiments clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -18,9 +18,6 @@ test:
 # stdlib fallback checker in tools/lint.py covers the same error classes.
 lint:
 	$(PYTHON) tools/lint.py
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Timing harness: every reference-vs-candidate row (engine vs batch,
 # reference vs fast-path controller, jobs=1 vs jobs=N), identity asserted

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.errors import AnalysisError
 from repro.faults.scenarios import make_controller
@@ -264,7 +265,7 @@ def tail_verdicts(
         raise AnalysisError(
             "window of %d bits exceeds the %d-bit EOF" % (window, eof_length)
         )
-    node_names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    node_names = placement_node_names(n_nodes)
     sites = [
         (node_index, eof_length - window + offset)
         for node_index in range(n_nodes)

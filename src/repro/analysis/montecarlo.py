@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
@@ -286,7 +287,7 @@ def monte_carlo_tail(
     eof_length = probe.config.eof_length
     if window > eof_length:
         raise AnalysisError("window exceeds the EOF length")
-    node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
+    node_names = placement_node_names(n_nodes)
     sites = tuple(
         (name, eof_length - window + offset)
         for name in node_names
@@ -335,7 +336,7 @@ def monte_carlo_full(
     ``chunk_trials=None`` default): ``jobs`` never changes the counts,
     only the wall-clock time.
     """
-    node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
+    node_names = placement_node_names(n_nodes)
     if chunk_trials is None:
         chunk_trials = _adaptive_chunk_trials(n_nodes)
     sizes = chunk_sizes(trials, chunk_trials)

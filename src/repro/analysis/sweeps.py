@@ -29,7 +29,11 @@ from repro.analysis.probability import (
     p_old_scenario_per_frame,
 )
 from repro.analysis.rates import incidents_per_hour
-from repro.analysis.verification import header_sites, verify_consistency
+from repro.analysis.verification import (
+    header_sites,
+    placement_node_names,
+    verify_consistency,
+)
 from repro.errors import AnalysisError
 from repro.parallel.pool import merge_stats, run_tasks
 from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
@@ -155,7 +159,7 @@ def ablation_row(
     backend: str = "engine",
 ) -> MAblationRow:
     """Compute one m-value row of the ablation (worker-side entry)."""
-    node_names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    node_names = placement_node_names(n_nodes)
     tail = verify_consistency(
         "majorcan", m=m, n_nodes=n_nodes, max_flips=tail_flips, backend=backend
     )

@@ -150,6 +150,16 @@ def tail_sites(
     return sites
 
 
+def placement_node_names(n_nodes: int) -> Tuple[str, ...]:
+    """Node names of a placement network: ``tx`` then receivers ``r1`` ...
+
+    The one naming rule every placement driver (verification,
+    enumeration, Monte-Carlo, ablation rows, the CLI) builds its
+    network and its sites with.
+    """
+    return ("tx",) + tuple("r%d" % i for i in range(1, n_nodes))
+
+
 def header_sites(node_names: Sequence[str], data_bits: int = 8) -> List[Site]:
     """Frame-header sites that can desynchronise a receiver (finding F1)."""
     sites: List[Site] = []
@@ -208,7 +218,7 @@ def verify_consistency(
         raise AnalysisError("max_flips must be at least 1")
     if backend not in ("engine", "batch"):
         raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
-    node_names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    node_names = placement_node_names(n_nodes)
     probe = make_controller(protocol, "probe", m=m)
     window_start = getattr(probe, "window_start", None) if include_window else None
     window_end = getattr(probe, "window_end", None) if include_window else None
@@ -241,7 +251,7 @@ def verify_consistency(
             verify_chunk,
             protocol,
             m,
-            tuple(node_names),
+            node_names,
             tuple(chunk),
             payload,
             backend,

@@ -51,17 +51,9 @@ from repro.can.fields import (
     ACK_SLOT,
     BUS_OFF_POSITION,
     EOF,
-    ERROR_DELIM,
-    ERROR_FLAG,
-    ERROR_WAIT,
     FLAG_LENGTH,
     IDLE,
-    INTERMISSION,
     INTERMISSION_LENGTH,
-    OVERLOAD_DELIM,
-    OVERLOAD_FLAG,
-    OVERLOAD_WAIT,
-    SUSPEND,
     SUSPEND_LENGTH,
 )
 from repro.can.frame import Frame
@@ -171,20 +163,22 @@ class CanController:
         self._bus_off_sequences = 0
         self._remote_responses: Dict[tuple, bytes] = {}
 
+        #: Precompiled signalling positions for this configuration
+        #: (shared across controllers via the ``signal_table`` cache).
+        self._signal_table: SignalTable = signal_table(self.config.delimiter_length)
         self._drive_handlers: Dict[str, Callable[[], Level]] = {
             STATE_IDLE: self._drive_idle,
             STATE_RECEIVING: self._drive_receiving,
             STATE_TRANSMITTING: self._drive_transmitting,
-            STATE_ERROR_FLAG: self._drive_active_flag,
-            STATE_PASSIVE_ERROR_FLAG: self._drive_recessive,
-            STATE_ERROR_WAIT: self._drive_recessive,
-            STATE_ERROR_DELIM: self._drive_recessive,
-            STATE_OVERLOAD_FLAG: self._drive_active_flag,
-            STATE_OVERLOAD_WAIT: self._drive_recessive,
-            STATE_OVERLOAD_DELIM: self._drive_recessive,
+            STATE_ERROR_FLAG: self._drive_error_flag,
+            STATE_PASSIVE_ERROR_FLAG: self._drive_passive_error_flag,
+            STATE_ERROR_WAIT: self._drive_error_wait,
+            STATE_ERROR_DELIM: self._drive_error_delim,
+            STATE_OVERLOAD_FLAG: self._drive_overload_flag,
+            STATE_OVERLOAD_WAIT: self._drive_overload_wait,
+            STATE_OVERLOAD_DELIM: self._drive_overload_delim,
             STATE_INTERMISSION: self._drive_intermission,
-            STATE_SUSPEND: self._drive_recessive,
-            STATE_BUS_OFF: self._drive_recessive,
+            STATE_SUSPEND: self._drive_suspend,
         }
         self._bit_handlers: Dict[str, Callable[[Level], None]] = {
             STATE_IDLE: self._bit_idle,
@@ -201,37 +195,17 @@ class CanController:
             STATE_SUSPEND: self._bit_suspend,
             STATE_BUS_OFF: self._bit_bus_off,
         }
-        #: Precompiled signalling positions for this configuration
-        #: (shared across controllers via the ``signal_table`` cache).
-        self._signal_table: SignalTable = signal_table(self.config.delimiter_length)
         if self.config.fast_path:
             # Table-driven hot loop: the steady transmit/receive states
-            # walk the compiled wire program, and the error/overload
-            # signalling states walk the precompiled SignalTable
-            # positions instead of rebuilding label tuples (or, in the
-            # shared recessive handler, a whole label dict) on every
-            # bit.  The bit-phase handlers stay shared with the
-            # reference machine — they are pure branch code with no
-            # per-bit construction — so every protocol extension point
+            # walk the compiled wire program and the fast receive
+            # parser.  Every other handler is shared with the reference
+            # machine, so every protocol extension point
             # (_after_flag_complete, _resolve_deferred, the counters)
             # is invoked identically.
             self._drive_handlers[STATE_RECEIVING] = self._drive_receiving_fast
             self._drive_handlers[STATE_TRANSMITTING] = self._drive_transmitting_fast
             self._bit_handlers[STATE_RECEIVING] = self._bit_receiving_fast
             self._bit_handlers[STATE_TRANSMITTING] = self._bit_transmitting_fast
-            self._drive_handlers[STATE_ERROR_FLAG] = self._drive_error_flag_fast
-            self._drive_handlers[STATE_OVERLOAD_FLAG] = self._drive_overload_flag_fast
-            self._drive_handlers[STATE_PASSIVE_ERROR_FLAG] = (
-                self._drive_passive_error_flag_fast
-            )
-            self._drive_handlers[STATE_ERROR_WAIT] = self._drive_error_wait_fast
-            self._drive_handlers[STATE_OVERLOAD_WAIT] = self._drive_overload_wait_fast
-            self._drive_handlers[STATE_ERROR_DELIM] = self._drive_error_delim_fast
-            self._drive_handlers[STATE_OVERLOAD_DELIM] = (
-                self._drive_overload_delim_fast
-            )
-            self._drive_handlers[STATE_INTERMISSION] = self._drive_intermission_fast
-            self._drive_handlers[STATE_SUSPEND] = self._drive_suspend_fast
 
     # ------------------------------------------------------------------
     # Public API
@@ -337,45 +311,6 @@ class CanController:
         wire_bit = self._wire.bits[self._tx_pos]
         self.position = (wire_bit.field, wire_bit.index)
         return wire_bit.level
-
-    def _drive_active_flag(self) -> Level:
-        label = ERROR_FLAG if self._state == STATE_ERROR_FLAG else OVERLOAD_FLAG
-        self.position = (label, FLAG_LENGTH - self._flag_remaining)
-        return DOMINANT
-
-    def _drive_recessive(self) -> Level:
-        labels = {
-            STATE_PASSIVE_ERROR_FLAG: (ERROR_FLAG, FLAG_LENGTH - self._flag_remaining),
-            STATE_ERROR_WAIT: (ERROR_WAIT, 0),
-            STATE_ERROR_DELIM: (
-                ERROR_DELIM,
-                self.config.delimiter_length - self._delim_remaining,
-            ),
-            STATE_OVERLOAD_WAIT: (OVERLOAD_WAIT, 0),
-            STATE_OVERLOAD_DELIM: (
-                OVERLOAD_DELIM,
-                self.config.delimiter_length - self._delim_remaining,
-            ),
-            STATE_SUSPEND: (SUSPEND, SUSPEND_LENGTH - self._suspend_remaining),
-            STATE_BUS_OFF: (BUS_OFF_POSITION, 0),
-        }
-        self.position = labels.get(self._state, (self._state, 0))
-        return RECESSIVE
-
-    def _drive_intermission(self) -> Level:
-        self.position = (INTERMISSION, self._intermission_pos)
-        if (
-            self._intermission_pos == 0
-            and self._overload_requests > 0
-            and self._self_overloads_sent < 2
-        ):
-            # A slow node may delay the next frame with up to two
-            # self-initiated overload frames.
-            self._overload_requests -= 1
-            self._self_overloads_sent += 1
-            self._enter_overload(reactive=False)
-            return self._drive_active_flag()
-        return RECESSIVE
 
     # ------------------------------------------------------------------
     # Bit handlers
@@ -660,59 +595,55 @@ class CanController:
         self._parser_failed = False
 
     # ------------------------------------------------------------------
-    # Fast-path signalling drive handlers (table-driven).
+    # Signalling drive handlers (table-driven)
     #
-    # The reference drive handlers rebuild their position tuples (and,
-    # in _drive_recessive, a seven-entry label dict) on every bit.  The
-    # fast variants index the precompiled SignalTable instead; they set
-    # the identical positions and return the identical levels, and the
-    # bit-phase handlers — which carry all the protocol logic — remain
-    # the shared reference methods.
+    # Each indexes the precompiled SignalTable by its state's own run
+    # counter; the bit-phase handlers carry all the protocol logic.
     # ------------------------------------------------------------------
 
-    def _drive_error_flag_fast(self) -> Level:
+    def _drive_error_flag(self) -> Level:
         self.position = self._signal_table.error_flag[
             FLAG_LENGTH - self._flag_remaining
         ]
         return DOMINANT
 
-    def _drive_overload_flag_fast(self) -> Level:
+    def _drive_overload_flag(self) -> Level:
         self.position = self._signal_table.overload_flag[
             FLAG_LENGTH - self._flag_remaining
         ]
         return DOMINANT
 
-    def _drive_passive_error_flag_fast(self) -> Level:
+    def _drive_passive_error_flag(self) -> Level:
         self.position = self._signal_table.error_flag[
             FLAG_LENGTH - self._flag_remaining
         ]
         return RECESSIVE
 
-    def _drive_error_wait_fast(self) -> Level:
+    def _drive_error_wait(self) -> Level:
         self.position = self._signal_table.error_wait
         return RECESSIVE
 
-    def _drive_overload_wait_fast(self) -> Level:
+    def _drive_overload_wait(self) -> Level:
         self.position = self._signal_table.overload_wait
         return RECESSIVE
 
-    def _drive_error_delim_fast(self) -> Level:
+    def _drive_error_delim(self) -> Level:
         table = self._signal_table.error_delim
         self.position = table[len(table) - self._delim_remaining]
         return RECESSIVE
 
-    def _drive_overload_delim_fast(self) -> Level:
+    def _drive_overload_delim(self) -> Level:
         table = self._signal_table.overload_delim
         self.position = table[len(table) - self._delim_remaining]
         return RECESSIVE
 
-    def _drive_suspend_fast(self) -> Level:
+    def _drive_suspend(self) -> Level:
         self.position = self._signal_table.suspend[
             SUSPEND_LENGTH - self._suspend_remaining
         ]
         return RECESSIVE
 
-    def _drive_intermission_fast(self) -> Level:
+    def _drive_intermission(self) -> Level:
         self.position = self._signal_table.intermission[self._intermission_pos]
         if (
             self._intermission_pos == 0
@@ -724,7 +655,7 @@ class CanController:
             self._overload_requests -= 1
             self._self_overloads_sent += 1
             self._enter_overload(reactive=False)
-            return self._drive_overload_flag_fast()
+            return self._drive_overload_flag()
         return RECESSIVE
 
     # ------------------------------------------------------------------

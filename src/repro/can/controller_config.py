@@ -46,14 +46,14 @@ class ControllerConfig:
         recovery sequence).  Off by default: the paper treats bus-off
         as a crash within the reference interval.
     fast_path:
-        Whether the controller uses the table-driven hot loop
-        (precompiled transmit programs and the allocation-free receive
-        parser) for the ``transmitting``/``receiving`` states.  The
-        behaviour is bit-identical to the reference implementation —
-        ``tests/test_controller_fastpath.py`` and ``make corpus-check``
-        enforce it — so this stays on by default; set it to ``False``
-        to run the branchy reference state machine (differential
-        testing, debugging).
+        Whether the ``transmitting``/``receiving`` states run the
+        compiled transmit program and the allocation-free receive
+        parser; every other state has one handler set shared by both
+        settings.  The behaviour is bit-identical to the reference
+        transmit/receive path — ``tests/test_controller_fastpath.py``
+        and ``make corpus-check`` enforce it — so this stays on by
+        default; set it to ``False`` to run the branchy reference
+        encoder and parser (differential testing, debugging).
     """
 
     eof_length: int = STANDARD_EOF_LENGTH

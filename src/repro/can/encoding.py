@@ -230,15 +230,11 @@ class SignalTable:
     Error and overload flags, delimiters, the intermission and the
     suspend field are fixed runs whose lengths depend only on the
     configuration, never on the frame.  The controller's signalling
-    drive handlers publish one ``(field, index)`` position per bit.
-    The reference machine constructs that
-    tuple (and, for the shared recessive handler, a whole label dict)
-    on every call; the fast path instead walks these precompiled
-    tuples, indexing by the state's own run counter — the signalling
-    counterpart of :class:`WireProgram`'s per-bit ``positions`` array.
-    All entries are interned tuples shared by every controller of the
-    same configuration, so published positions compare identically to
-    the reference machine's freshly built ones.
+    drive handlers publish one ``(field, index)`` position per bit by
+    indexing these tuples with the state's own run counter — the
+    signalling counterpart of :class:`WireProgram`'s per-bit
+    ``positions`` array.  All entries are tuples shared by every
+    controller of the same configuration.
 
     ``sampling`` and ``extended_flag`` cover MajorCAN_m's agreement
     window, indexed by the EOF-relative clock (positions ``0 ..
@@ -305,27 +301,13 @@ HEADER_KIND_OVERRUN = "overrun"
 class HeaderSiteRow:
     """One header bit-site of a frame, expanded under a single flip.
 
-    The row materialises what a nominal in-sync receiver would make of
-    the transmitted stream with this one bit inverted: the restuffed
-    parse trajectory (``signature``), the verdict ``kind`` at the first
-    protocol-independent stop point, and the desync window — the wire
-    positions over which the flipped parse announces different upcoming
-    bits than the nominal parse (``desync_start == -1`` when the flip
-    never desynchronises the parser, e.g. a CRC-sequence flip that
-    changes no stuff condition).
+    The row holds what a nominal in-sync receiver makes of the
+    transmitted stream with this one bit inverted: the verdict ``kind``
+    at the first protocol-independent stop point, and the restuffed
+    parse trajectory (``signature``) that identifies equivalent sites.
     """
 
-    field: str
-    index: int
-    fire_position: int
-    level: Level
-    op: int
     kind: str
-    crc_ok: Optional[bool]
-    complete: bool
-    stop_position: int
-    desync_start: int
-    desync_end: int
     signature: Tuple[object, ...]
 
 
@@ -335,30 +317,22 @@ class HeaderShape:
 
     ``announced`` is the set of ``(field, index)`` positions a trigger
     can actually fire on (header sites absent from it are inert: the
-    fault never fires and the run is clean).  ``rows`` holds one
-    :class:`HeaderSiteRow` per announced header site in wire order;
-    ``by_site`` indexes them by ``(field, index)``.
+    fault never fires and the run is clean); ``by_site`` holds one
+    :class:`HeaderSiteRow` per announced header site.
     """
 
-    frame: Frame
-    eof_length: int
-    tail_offset: int
     announced: frozenset
-    rows: Tuple[HeaderSiteRow, ...]
     by_site: Dict[Tuple[str, int], HeaderSiteRow]
 
 
-def _replay_flipped(
-    bit_values: Tuple[int, ...], flip: Optional[int], eof_length: int
-):
+def _replay_flipped(bit_values: Tuple[int, ...], flip: int, eof_length: int):
     """Replay a receive parse of ``bit_values`` with one bit inverted.
 
-    Returns ``(records, kind, crc_ok, complete, reconstructed, stop)``
-    where ``records`` is the per-bit ``(field, index, is_stuff, code)``
-    trajectory (pre-feed upcoming plus the step code), ``kind`` is the
-    verdict at the first stop point, ``reconstructed`` is the parsed
-    frame or ``None``, and ``stop`` is the wire position of the last
-    consumed bit.  ``flip=None`` replays the nominal stream.
+    Returns ``(kind, signature)``: the verdict at the first stop point
+    and the parse signature — the verdict, the CRC and completion
+    flags, the parsed frame (or ``None``) and the per-bit ``(field,
+    index, is_stuff, code)`` trajectory (pre-feed upcoming plus the
+    step code).
     """
     # Local import: repro.can.parser deliberately does not import this
     # module, so the replay can live next to the encoder it inverts.
@@ -372,9 +346,8 @@ def _replay_flipped(
     parser = FastFrameParser(eof_length=eof_length)
     records: List[Tuple[str, int, bool, int]] = []
     kind = HEADER_KIND_OVERRUN
-    stop = len(bit_values) - 1
     for position, bit in enumerate(bit_values):
-        if flip is not None and position == flip:
+        if position == flip:
             bit ^= 1
         pre_field = parser.next_field
         pre_index = parser.next_index
@@ -383,22 +356,19 @@ def _replay_flipped(
         records.append((pre_field, pre_index, pre_stuff, code))
         if code == STEP_STUFF_VIOLATION:
             kind = HEADER_KIND_STUFF
-            stop = position
             break
         if code == STEP_FORM_VIOLATION:
             kind = HEADER_KIND_FORM
-            stop = position
             break
         if code == STEP_ACK_DELIM and parser.crc_ok is False:
             kind = HEADER_KIND_CRC
-            stop = position
             break
         if parser.complete:
             kind = HEADER_KIND_ACCEPT
-            stop = position
             break
     reconstructed = parser.frame() if parser.header_complete else None
-    return records, kind, parser.crc_ok, parser.complete, reconstructed, stop
+    signature = (kind, parser.crc_ok, parser.complete, reconstructed, tuple(records))
+    return kind, signature
 
 
 @lru_cache(maxsize=256)
@@ -410,55 +380,21 @@ def header_shape(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> HeaderS
     that one wire bit inverted (the stuffed region restuffs itself: the
     replay consumes the *transmitted* levels, so an added or removed
     stuff condition shifts the parse exactly as it would on the bus) and
-    records the verdict kind, the desync window against the nominal
-    parse, and the complete trajectory signature used by the batch
-    backend to share classification work between equivalent sites.
+    records the verdict kind and the complete trajectory signature used
+    by the batch backend to share classification work between
+    equivalent sites.
     """
     program = wire_program(frame, eof_length=eof_length)
     tail_offset = program.positions.index((CRC_DELIM, 0))
-    announced = frozenset(program.positions[:tail_offset])
-    nominal_records, _, _, _, _, _ = _replay_flipped(
-        program.bit_values, None, eof_length
-    )
-    rows: List[HeaderSiteRow] = []
     by_site: Dict[Tuple[str, int], HeaderSiteRow] = {}
     for position in range(tail_offset):
         site = program.positions[position]
         if site in by_site or site[0] not in HEADER_SITE_FIELDS:
             continue
-        records, kind, crc_ok, complete, reconstructed, stop = _replay_flipped(
-            program.bit_values, position, eof_length
-        )
-        desync_start = -1
-        for later in range(position + 1, len(records)):
-            nominal = nominal_records[later][:3] if later < len(nominal_records) else None
-            if records[later][:3] != nominal:
-                desync_start = later
-                break
-        desync_end = stop if desync_start >= 0 else -1
-        row = HeaderSiteRow(
-            field=site[0],
-            index=site[1],
-            fire_position=position,
-            level=program.levels[position],
-            op=program.ops[position],
-            kind=kind,
-            crc_ok=crc_ok,
-            complete=complete,
-            stop_position=stop,
-            desync_start=desync_start,
-            desync_end=desync_end,
-            signature=(kind, crc_ok, complete, reconstructed, tuple(records)),
-        )
-        rows.append(row)
-        by_site[site] = row
+        kind, signature = _replay_flipped(program.bit_values, position, eof_length)
+        by_site[site] = HeaderSiteRow(kind=kind, signature=signature)
     return HeaderShape(
-        frame=frame,
-        eof_length=eof_length,
-        tail_offset=tail_offset,
-        announced=announced,
-        rows=tuple(rows),
-        by_site=by_site,
+        announced=frozenset(program.positions[:tail_offset]), by_site=by_site
     )
 
 

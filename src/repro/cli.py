@@ -186,6 +186,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
     from repro.analysis.reliability import reliability_sweep
+    from repro.analysis.residual import residual_table, smallest_m_meeting_target
+    from repro.metrics.report import render_table
 
     ber_values = args.bers if args.bers else [args.ber]
     backend = None if args.backend == "analytic" else args.backend
@@ -210,11 +212,39 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     _print_backend_stats(
         *(row.backend_stats for rows in sweep.values() for row in rows)
     )
+    print()
+    print(
+        render_table(
+            [
+                {
+                    "ber": "%.0e" % row.ber,
+                    "m": row.m,
+                    "upper bound /h": row.upper_bound_per_hour,
+                    "tail bound /h": row.tail_bound_per_hour,
+                    "meets 1e-9": row.meets_target_upper,
+                }
+                for row in residual_table()
+            ],
+            columns=["ber", "m", "upper bound /h", "tail bound /h", "meets 1e-9"],
+            title="Residual of MajorCAN_m — P(>m errors/frame) as incidents/hour",
+        )
+    )
+    print(
+        "smallest m meeting 1e-9/h (upper bound): "
+        + ", ".join(
+            "ber=%.0e -> m>=%d" % (ber, smallest_m_meeting_target(ber))
+            for ber in (1e-4, 1e-5, 1e-6)
+        )
+    )
     return 0
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    from repro.analysis.sweeps import m_ablation, omission_degree_revision
+    from repro.analysis.sweeps import (
+        imo_rate_sweep,
+        m_ablation,
+        omission_degree_revision,
+    )
     from repro.metrics.report import render_table
 
     rows = m_ablation(
@@ -247,16 +277,35 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
             "CAN6' at ber=%.0e: j=%.2e  j'=%.2e  (x%.0f)"
             % (ber, revision.j_old_scenarios, revision.j_prime_with_new, revision.inflation)
         )
+    print()
+    print(
+        render_table(
+            [
+                {
+                    "N": point.n_nodes,
+                    "IMOnew/hour": point.imo_new_per_hour,
+                    "IMO*/hour": point.imo_star_per_hour,
+                    "ratio": point.ratio,
+                }
+                for point in imo_rate_sweep((1e-4,), (8, 16, 32, 64), (110,))
+            ],
+            columns=["N", "IMOnew/hour", "IMO*/hour", "ratio"],
+            title="IMO rates vs network size (ber=1e-4, ber* = ber/N)",
+        )
+    )
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.analysis.verification import header_sites, verify_consistency
+    from repro.analysis.verification import (
+        header_sites,
+        placement_node_names,
+        verify_consistency,
+    )
 
     extra = ()
     if args.include_header:
-        names = ["tx"] + ["r%d" % i for i in range(1, args.nodes)]
-        extra = header_sites(names)
+        extra = header_sites(placement_node_names(args.nodes))
     result = verify_consistency(
         protocol=args.protocol or "majorcan",
         m=args.m,

@@ -57,9 +57,7 @@ from repro.can.fields import (
     ACK_DELIM,
     ACK_SLOT,
     CRC_DELIM,
-    EXTENDED_FLAG,
     FLAG_LENGTH,
-    SAMPLING,
 )
 from repro.can.frame import Frame
 from repro.errors import ConfigurationError
@@ -100,11 +98,11 @@ class MajorCanController(CanController):
     ``_enter_error`` override, and the extra MAC states registered in
     ``__init__`` — all of which the table-driven fast path
     (``ControllerConfig.fast_path``) reaches exactly as the reference
-    state machine does.  ``_handle_eof_error`` reads only the
+    transmit/receive path does.  ``_handle_eof_error`` reads only the
     ``header_complete`` / ``frame()`` surface of the receive parser,
     which :class:`repro.can.parser.FastFrameParser` provides with
-    identical timing; error signalling and the sampling window always
-    run on the reference handlers.
+    identical timing; error signalling and the sampling window run on
+    one handler set under either setting.
     """
 
     protocol_name = "MajorCAN"
@@ -134,24 +132,18 @@ class MajorCanController(CanController):
         self._samples: List[Level] = []
         self._major_was_transmitter = False
         self._major_frame: Optional[Frame] = None
-        self._drive_handlers[STATE_MAJOR_FLAG] = self._drive_major_flag
+        # Extend the signal table with the sampling window and the
+        # extended-flag span.
+        self._signal_table = signal_table(
+            self.config.delimiter_length, extended_flag_end=self.window_end
+        )
+        # The agreement schedule's first flag is a plain 6-bit error flag.
+        self._drive_handlers[STATE_MAJOR_FLAG] = self._drive_error_flag
         self._drive_handlers[STATE_MAJOR_QUIET] = self._drive_major_quiet
         self._drive_handlers[STATE_MAJOR_EXTENDED_FLAG] = self._drive_extended_flag
         self._bit_handlers[STATE_MAJOR_FLAG] = self._bit_major_flag
         self._bit_handlers[STATE_MAJOR_QUIET] = self._bit_major_quiet
         self._bit_handlers[STATE_MAJOR_EXTENDED_FLAG] = self._bit_extended_flag
-        if self.config.fast_path:
-            # Extend the signal table with the sampling window and the
-            # extended-flag span, then route the MajorCAN drive states
-            # through indexed walks (bit-phase handlers stay reference).
-            self._signal_table = signal_table(
-                self.config.delimiter_length, extended_flag_end=self.window_end
-            )
-            self._drive_handlers[STATE_MAJOR_FLAG] = self._drive_major_flag_fast
-            self._drive_handlers[STATE_MAJOR_QUIET] = self._drive_major_quiet_fast
-            self._drive_handlers[STATE_MAJOR_EXTENDED_FLAG] = (
-                self._drive_extended_flag_fast
-            )
 
     # ------------------------------------------------------------------
     # Geometry
@@ -253,10 +245,6 @@ class MajorCanController(CanController):
     # MajorCAN states
     # ------------------------------------------------------------------
 
-    def _drive_major_flag(self) -> Level:
-        self.position = ("ERROR_FLAG", FLAG_LENGTH - self._flag_remaining)
-        return DOMINANT
-
     def _bit_major_flag(self, seen: Level) -> None:
         self._eof_clock += 1
         self._flag_remaining -= 1
@@ -264,7 +252,7 @@ class MajorCanController(CanController):
             self._state = STATE_MAJOR_QUIET
 
     def _drive_major_quiet(self) -> Level:
-        self.position = (SAMPLING, self._eof_clock + 1)
+        self.position = self._signal_table.sampling[self._eof_clock + 1]
         return RECESSIVE
 
     def _bit_major_quiet(self, seen: Level) -> None:
@@ -288,20 +276,6 @@ class MajorCanController(CanController):
             self._enter_major_epilogue()
 
     def _drive_extended_flag(self) -> Level:
-        self.position = (EXTENDED_FLAG, self._eof_clock + 1)
-        return DOMINANT
-
-    def _drive_major_flag_fast(self) -> Level:
-        self.position = self._signal_table.error_flag[
-            FLAG_LENGTH - self._flag_remaining
-        ]
-        return DOMINANT
-
-    def _drive_major_quiet_fast(self) -> Level:
-        self.position = self._signal_table.sampling[self._eof_clock + 1]
-        return RECESSIVE
-
-    def _drive_extended_flag_fast(self) -> Level:
         self.position = self._signal_table.extended_flag[self._eof_clock + 1]
         return DOMINANT
 

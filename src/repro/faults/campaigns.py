@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.can.bits import DOMINANT, RECESSIVE
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.faults.injector import (
     CompositeInjector,
@@ -307,6 +307,19 @@ def _submit_round(controllers, background_frames: int):
     return command
 
 
+def _drain(engine: SimulationEngine) -> None:
+    """Run a round until the bus is idle, or for the whole drain budget.
+
+    Only the budget running out is tolerated (the round is classified
+    as it stands); any other error propagates.
+    """
+    try:
+        engine.run_until_idle(120000)
+    except SimulationError as exc:
+        if not str(exc).startswith("bus did not become idle"):
+            raise
+
+
 #: Per-process cache of noise-free reference round lengths, keyed by
 #: everything a round's timeline depends on besides the noise stream.
 _ROUND_REFERENCE: Dict[tuple, int] = {}
@@ -343,10 +356,7 @@ def round_reference_bits(
     controllers, scripted = _round_network(protocol, m, node_names, attacked, victim)
     engine = SimulationEngine(controllers, injector=scripted, record_bits=False)
     _submit_round(controllers, background_frames)
-    try:
-        engine.run_until_idle(120000)
-    except Exception:
-        pass  # the noisy zero-flip round would stop at the same tick
+    _drain(engine)  # the noisy zero-flip round would stop at the same tick
     _ROUND_REFERENCE[key] = engine.time
     return engine.time
 
@@ -374,10 +384,7 @@ def run_round(
         injector = CompositeInjector([scripted, noise])
     engine = SimulationEngine(controllers, injector=injector, record_bits=False)
     command = _submit_round(controllers, background_frames)
-    try:
-        engine.run_until_idle(120000)
-    except Exception:
-        pass  # extreme noise may keep a node retrying; classify anyway
+    _drain(engine)  # extreme noise may keep a node retrying; classify anyway
     key = (
         command.can_id.value,
         command.can_id.extended,

@@ -389,7 +389,6 @@ def _render_prefix(
         event_counts=event_counts,
         events=events,
         ever_offline=(),
-        offline_at_end=(),
         max_backlog=_max_sampled_backlog(arrivals, completions, bits),
         busy_bits=count_busy_bits(bus),
         errors_injected=0,

@@ -57,7 +57,6 @@ class WindowResult:
     events: Optional[Tuple[dict, ...]]
     #: Nodes that were offline at any point (bus-off/crash/disconnect).
     ever_offline: Tuple[str, ...]
-    offline_at_end: Tuple[str, ...]
     max_backlog: int
     busy_bits: int
     errors_injected: int
@@ -416,7 +415,6 @@ def _run_engine_suffix(
         event_counts=event_counts,
         events=events,
         ever_offline=tuple(ever_offline),
-        offline_at_end=tuple(c.name for c in controllers if c.offline),
         max_backlog=backlog[0],
         busy_bits=count_busy_bits(bus),
         errors_injected=sum(getattr(part, "injected", 0) for part in injectors),

@@ -1,9 +1,12 @@
 """Tests for the structured fault-injection campaign module."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.faults import campaigns
 from repro.faults.campaigns import CampaignSpec, compare_protocols, run_campaign
+from repro.simulation.engine import SimulationEngine
 
 
 class TestSpecValidation:
@@ -94,3 +97,45 @@ class TestComparison:
         by_protocol = {outcome.spec.protocol: outcome for outcome in outcomes}
         assert by_protocol["majorcan"].omissions == 0
         assert by_protocol["can"].omissions == by_protocol["can"].attacked_rounds
+
+
+class TestRoundDrain:
+    """A round tolerates only its drain budget running out."""
+
+    NODES = ("critical", "bg1", "bg2")
+
+    def _patch_drain(self, monkeypatch, error):
+        def run_until_idle(engine, max_bits=100000, settle_bits=12):
+            engine.run(50)
+            raise error
+
+        monkeypatch.setattr(SimulationEngine, "run_until_idle", run_until_idle)
+        monkeypatch.setattr(campaigns, "_ROUND_REFERENCE", {})
+
+    def _round(self):
+        return campaigns.run_round(
+            "can", 5, self.NODES, 0, 0.01, True, "bg1", np.random.default_rng(3)
+        )
+
+    def _reference(self):
+        return campaigns.round_reference_bits("can", 5, self.NODES, 0, True, "bg1")
+
+    def test_exhausted_budget_is_classified(self, monkeypatch):
+        self._patch_drain(
+            monkeypatch, SimulationError("bus did not become idle within 9 bits")
+        )
+        counts, _ = self._round()
+        assert len(counts) == 3
+        assert self._reference() == 50
+
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("boom"), SimulationError("no drive handler for state 'x'")],
+        ids=["runtime", "other-simulation-error"],
+    )
+    def test_other_errors_propagate(self, monkeypatch, error):
+        self._patch_drain(monkeypatch, error)
+        with pytest.raises(type(error), match=str(error.args[0])):
+            self._round()
+        with pytest.raises(type(error), match=str(error.args[0])):
+            self._reference()

@@ -70,13 +70,22 @@ class TestCommands:
 
     def test_reliability(self, capsys):
         assert main(["reliability", "--ber", "1e-4"]) == 0
-        assert "MTTF" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MTTF" in out
+        assert "Residual of MajorCAN_m" in out
+        assert len([line for line in out.splitlines() if line.startswith("1e-0")]) == 9
+        assert (
+            "smallest m meeting 1e-9/h (upper bound): "
+            "ber=1e-04 -> m>=6, ber=1e-05 -> m>=4, ber=1e-06 -> m>=3"
+        ) in out
 
     def test_ablation(self, capsys):
         assert main(["ablation", "--m-values", "4", "5", "--flips", "1"]) == 0
         out = capsys.readouterr().out
         assert "F1 closed" in out
         assert "CAN6'" in out
+        sweep = out.split("IMO rates vs network size")[1].splitlines()[3:]
+        assert [line.split()[0] for line in sweep] == ["8", "16", "32", "64"]
 
     def test_verify_majorcan_holds(self, capsys):
         assert main(["verify", "--protocol", "majorcan", "--flips", "1"]) == 0

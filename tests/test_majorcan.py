@@ -226,6 +226,12 @@ class TestFig4Table:
     def test_other_m_values(self, m):
         rows = fig4_behaviour(m)
         assert len(rows) == 2 * m + 1
+        for row in rows[1 : m + 1]:
+            assert row.flag == "6-bit error flag"
+            assert row.sampling
+        for row in rows[m + 1 :]:
+            assert row.flag == "extended error flag"
+            assert row.verdict == "accepted"
 
 
 class TestFig5:

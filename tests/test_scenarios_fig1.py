@@ -67,7 +67,7 @@ class TestFig1c:
 
     def test_transmitter_crashed(self):
         outcome = fig1c("can")
-        assert "tx" in outcome.crashed
+        assert outcome.crashed == ["tx"]
 
     def test_no_retransmission_happened(self):
         assert fig1c("can").attempts == 1

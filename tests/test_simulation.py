@@ -7,6 +7,7 @@ from repro.can.controller import CanController
 from repro.can.fields import EOF, SOF
 from repro.can.frame import data_frame
 from repro.errors import SimulationError
+from repro.faults.scenarios import make_controller
 from repro.simulation.bus import Bus
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import make_rng, spawn
@@ -65,6 +66,18 @@ class TestEngine:
         elapsed = engine.run_until_idle(5000)
         assert elapsed == engine.time
         assert elapsed > 40
+
+    @pytest.mark.parametrize("protocol", ["can", "majorcan"])
+    def test_saturated_bus_keeps_delivering(self, protocol):
+        """Eight nodes with 50 frames each contend for 4000 bit times;
+        arbitration must keep the bus busy with deliveries."""
+        nodes = [make_controller(protocol, "n%d" % i) for i in range(8)]
+        engine = SimulationEngine(nodes, record_bits=False)
+        for index, node in enumerate(nodes):
+            for seq in range(50):
+                node.submit(data_frame(0x100 + index, bytes([seq])))
+        engine.run(4000)
+        assert sum(len(node.deliveries) for node in nodes) > 100
 
     def test_collect_events_sorted_by_time(self):
         tx, rx = CanController("tx"), CanController("rx")

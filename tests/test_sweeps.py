@@ -25,9 +25,9 @@ class TestImoRateSweep:
     def test_new_scenario_rate_decreases_with_nodes(self):
         """ber* = ber/N, and the new scenario needs two *effective*
         errors, so spreading errors over more nodes helps."""
-        points = imo_rate_sweep(ber_values=(1e-4,), node_counts=(8, 32, 64))
+        points = imo_rate_sweep(ber_values=(1e-4,), node_counts=(8, 16, 32, 64))
         rates = [point.imo_new_per_hour for point in points]
-        assert rates[0] > rates[1] > rates[2]
+        assert rates[0] > rates[1] > rates[2] > rates[3]
 
     def test_ratio_property(self):
         point = imo_rate_sweep(ber_values=(1e-4,))[0]
@@ -61,7 +61,7 @@ class TestOmissionDegreeRevision:
 class TestMAblation:
     @pytest.fixture(scope="class")
     def rows(self):
-        return m_ablation(m_values=(3, 5, 6), tail_flips=1)
+        return m_ablation(m_values=(3, 4, 5, 6, 7), tail_flips=1)
 
     def test_overhead_columns(self, rows):
         by_m = {row.m: row for row in rows}
@@ -76,8 +76,10 @@ class TestMAblation:
     def test_f1_boundary_at_m6(self, rows):
         by_m = {row.m: row for row in rows}
         assert by_m[3].f1_channel_closed is False
+        assert by_m[4].f1_channel_closed is False
         assert by_m[5].f1_channel_closed is False
         assert by_m[6].f1_channel_closed is True
+        assert by_m[7].f1_channel_closed is True
 
     def test_f1_check_can_be_skipped(self):
         rows = m_ablation(m_values=(5,), tail_flips=1, check_f1=False)

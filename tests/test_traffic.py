@@ -373,7 +373,6 @@ class TestVerdictClassification:
             event_counts={},
             events=(),
             ever_offline=tuple(ever_offline),
-            offline_at_end=tuple(ever_offline),
             max_backlog=0,
             busy_bits=0,
             errors_injected=0,

@@ -59,8 +59,26 @@ class TestMajorCanVerified:
         result = verify_consistency("majorcan", m=3, n_nodes=3, max_flips=1)
         assert result.holds
 
+    def test_m3_three_flip_census(self):
+        """Every placement of up to three view errors over MajorCAN_3's
+        tail and sampling window: the paper's guarantee for m = 3,
+        explored exhaustively (the batch replay is held equal to the
+        engine by ``tests/test_batchreplay.py``)."""
+        result = verify_consistency(
+            "majorcan", m=3, n_nodes=3, max_flips=3, backend="batch"
+        )
+        assert result.holds, [str(c) for c in result.counterexamples[:3]]
+        assert result.runs == 12383
+
 
 class TestStandardCanCounterexamples:
+    def test_census_size(self, can_two_flips):
+        """465 placements; 111 counterexamples, 109 of them double
+        receptions (the Fig. 1b family) and the two Fig. 3a IMOs."""
+        kinds = [c.kind for c in can_two_flips.counterexamples]
+        assert can_two_flips.runs == 465
+        assert (len(kinds), kinds.count("double"), kinds.count("imo")) == (111, 109, 2)
+
     def test_exactly_the_fig3a_imo_patterns(self, can_two_flips):
         imos = [c for c in can_two_flips.counterexamples if c.kind == "imo"]
         assert len(imos) == 2
