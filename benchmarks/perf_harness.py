@@ -70,11 +70,11 @@ from repro.can.frame import data_frame  # noqa: E402
 from repro.faults.campaigns import _ROUND_REFERENCE, CampaignSpec, run_campaign  # noqa: E402
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault  # noqa: E402
 from repro.faults.scenarios import make_controller, run_single_frame_scenario  # noqa: E402
-from repro.metrics.export import json_line  # noqa: E402
+from repro.metrics.export import json_line, write_jsonl  # noqa: E402
 from repro.parallel.pool import cpu_count  # noqa: E402
 from repro.simulation.engine import SimulationEngine  # noqa: E402
 from repro.sweep import ResultStore, SweepSpec, run_sweep  # noqa: E402
-from repro.tracestore.recorder import TraceRecorder, event_record  # noqa: E402
+from repro.tracestore.recorder import event_record  # noqa: E402
 from repro.traffic import (  # noqa: E402
     TrafficSpec,
     run_traffic,
@@ -202,12 +202,12 @@ def _engine_stage(
         engine.run_until_idle(max_bits=10_000_000)
         if capture:
             levels = "".join(level.symbol for level in engine.bus.history)
+            records = itertools.chain(
+                [{"type": "bus", "levels": levels}],
+                (event_record(event) for event in engine.trace.events),
+            )
             with tempfile.TemporaryDirectory() as tmp:
-                with TraceRecorder(os.path.join(tmp, "bench.jsonl")) as out:
-                    out.write_record({"type": "bus", "levels": levels})
-                    out.write_records(
-                        event_record(event) for event in engine.trace.events
-                    )
+                write_jsonl(os.path.join(tmp, "bench.jsonl"), records)
         return engine.time
 
     return run

@@ -6,7 +6,15 @@ Run with::
     python examples/scenario_gallery.py
 """
 
-from repro.faults import fig1a, fig1b, fig1c, fig3, fig4_behaviour, fig5
+from repro.faults import (
+    fig1a,
+    fig1b,
+    fig1c,
+    fig3,
+    fig4_behaviour,
+    fig5,
+    render_behaviour,
+)
 
 
 def show(outcome, description):
@@ -70,8 +78,8 @@ def main():
 
     print("=" * 72)
     print("Fig. 4  Behaviour of a MajorCAN_5 node per error position:")
-    for row in fig4_behaviour(5):
-        print("    " + row.render())
+    for line in render_behaviour(fig4_behaviour(5)):
+        print("    " + line)
 
 
 if __name__ == "__main__":

@@ -66,10 +66,8 @@ from repro.core import MajorCanController, MinorCanController
 from repro.simulation import Bus, SimulationEngine, Trace
 from repro.tracestore import (
     RecordedTrace,
-    Replayer,
     ScenarioSpec,
     TraceDiff,
-    TraceRecorder,
     check_corpus,
     diff_traces,
     load_trace,
@@ -97,7 +95,6 @@ __all__ = [
     "MajorCanController",
     "MinorCanController",
     "RecordedTrace",
-    "Replayer",
     "ResultStore",
     "ScenarioSpec",
     "SimulationEngine",
@@ -105,7 +102,6 @@ __all__ = [
     "SweepSpec",
     "Trace",
     "TraceDiff",
-    "TraceRecorder",
     "TrafficOutcome",
     "TrafficSpec",
     "check_corpus",

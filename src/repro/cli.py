@@ -63,11 +63,11 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import fig4_behaviour
+    from repro.faults.scenarios import fig4_behaviour, render_behaviour
 
     print("Behaviour of a MajorCAN_%d node:" % args.m)
-    for row in fig4_behaviour(args.m):
-        print("  " + row.render())
+    for line in render_behaviour(fig4_behaviour(args.m)):
+        print("  " + line)
     return 0
 
 

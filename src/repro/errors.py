@@ -18,10 +18,6 @@ class FrameError(ReproError):
     """A CAN frame definition is invalid (identifier, payload, DLC...)."""
 
 
-class EncodingError(ReproError):
-    """A frame could not be serialised to a bitstream."""
-
-
 class DecodingError(ReproError):
     """A received bitstream could not be parsed as a CAN frame."""
 

@@ -14,8 +14,6 @@ from repro.faults.campaigns import (
 from repro.faults.crash import (
     PAPER_DELTA_T_HOURS,
     PAPER_LAMBDA_PER_HOUR,
-    crash_at_time,
-    crash_on_error_flag,
     crash_probability,
 )
 from repro.faults.injector import (
@@ -47,6 +45,7 @@ from repro.faults.scenarios import (
     fig4_behaviour,
     fig5,
     make_controller,
+    render_behaviour,
     run_single_frame_scenario,
 )
 
@@ -71,8 +70,6 @@ __all__ = [
     "Trigger",
     "ViewFault",
     "ber_star",
-    "crash_at_time",
-    "crash_on_error_flag",
     "compare_protocols",
     "crash_probability",
     "fig1a",
@@ -85,6 +82,7 @@ __all__ = [
     "fig5",
     "injector_from_dict",
     "make_controller",
+    "render_behaviour",
     "p_eff",
     "run_campaign",
     "run_single_frame_scenario",

@@ -1,20 +1,18 @@
-"""Crash-failure injection helpers.
+"""The crash-failure process of the analytical comparison.
 
 The paper's failure model allows *benign* node failures; the relevant
 one for the Fig. 1c scenario is a transmitter crash that impedes the
-retransmission of a rejected frame.  The generic machinery lives in
-:class:`repro.faults.injector.CrashFault`; this module adds convenience
-constructors and an exponential crash process used by the analytical
-comparison (the ``1 - exp(-lambda * dt)`` factor in equation 5).
+retransmission of a rejected frame.  Simulated crashes are injected
+with :class:`repro.faults.injector.CrashFault`; this module holds the
+exponential crash process used by the analytical comparison (the
+``1 - exp(-lambda * dt)`` factor in equation 5).
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.can.controller import STATE_ERROR_FLAG
 from repro.errors import AnalysisError
-from repro.faults.injector import CrashFault, Trigger
 
 #: The transmitter failure rate used in the paper's Table 1:
 #: lambda = 1e-3 failures/hour (the maximum considered in [10]).
@@ -22,21 +20,6 @@ PAPER_LAMBDA_PER_HOUR = 1e-3
 
 #: The vulnerability window used in the paper's Table 1: dt = 5 ms.
 PAPER_DELTA_T_HOURS = 5e-3 / 3600.0
-
-
-def crash_at_time(node: str, time: int) -> CrashFault:
-    """Crash ``node`` at an absolute bit time."""
-    return CrashFault(node, Trigger(time=time))
-
-
-def crash_on_error_flag(node: str) -> CrashFault:
-    """Crash ``node`` when it starts signalling an error.
-
-    For a transmitter this is exactly the Fig. 1c failure: the error
-    was detected (the frame is scheduled for retransmission) but the
-    node dies before the retransmission can happen.
-    """
-    return CrashFault(node, Trigger(state=STATE_ERROR_FLAG))
 
 
 def crash_probability(lambda_per_hour: float, delta_t_hours: float) -> float:

@@ -363,15 +363,6 @@ class BehaviourRow:
     sampling: bool
     verdict: str
 
-    def render(self) -> str:
-        sampling = "sampling is performed" if self.sampling else "no sampling"
-        return "%-14s %-20s %-22s frame is %s" % (
-            self.case,
-            self.flag,
-            sampling,
-            self.verdict,
-        )
-
 
 def fig4_behaviour(m: int = DEFAULT_M) -> List[BehaviourRow]:
     """Regenerate the Fig. 4 table: the behaviour of a MajorCAN_m node
@@ -380,6 +371,23 @@ def fig4_behaviour(m: int = DEFAULT_M) -> List[BehaviourRow]:
     for eof_index in range(2 * m):
         rows.append(_fig4_case_eof(m, eof_index))
     return rows
+
+
+def render_behaviour(rows: Sequence[BehaviourRow]) -> List[str]:
+    """The Fig. 4 table as text lines, the case column as wide as its
+    widest label so every row's columns line up."""
+    width = max(len(row.case) for row in rows)
+    return [
+        "%-*s %-20s %-22s frame is %s"
+        % (
+            width,
+            row.case,
+            row.flag,
+            "sampling is performed" if row.sampling else "no sampling",
+            row.verdict,
+        )
+        for row in rows
+    ]
 
 
 def _fig4_probe(m: int, faults: List[ViewFault], case: str) -> BehaviourRow:

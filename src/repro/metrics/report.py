@@ -33,13 +33,12 @@ def render_table(
         max(len(column), max(len(row[i]) for row in rendered))
         for i, column in enumerate(columns)
     ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(column.ljust(widths[i]) for i, column in enumerate(columns)))
-    lines.append("  ".join("-" * width for width in widths))
-    for row in rendered:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    lines = [title] if title else []
+    for cells in [list(columns), ["-" * width for width in widths]] + rendered:
+        # The last column is left unpadded: no line ends in whitespace.
+        lines.append(
+            "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
+        )
     return "\n".join(lines)
 
 

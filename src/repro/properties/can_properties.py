@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.properties.broadcast import (
     PropertyResult,
@@ -148,13 +148,3 @@ def omission_degree(ledgers: Sequence[SystemLedger]) -> OmissionDegree:
         )
         omissions += classification.imo_count
     return OmissionDegree(transmissions=transmissions, omissions=omissions)
-
-
-def check_can_properties(ledger: SystemLedger) -> Dict[str, PropertyResult]:
-    """Run all single-execution CAN property checkers."""
-    return {
-        CAN1: check_can1_validity(ledger),
-        CAN2: check_can2_best_effort_agreement(ledger),
-        CAN3: check_can3_at_least_once(ledger),
-        CAN4: check_can4_non_triviality(ledger),
-    }

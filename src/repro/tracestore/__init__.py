@@ -4,8 +4,8 @@ The trace store turns in-memory simulation runs into durable,
 replayable artifacts:
 
 ``repro.tracestore.schema``
-    The versioned JSONL recording format (manifest, bus stream,
-    optional per-bit records, events, verdict) and its validator.
+    The versioned JSONL recording format: one layout table with a row
+    per schema version, and the one validator that walks it.
 
 ``repro.tracestore.spec``
     :class:`ScenarioSpec` — the plain-data description of a scenario
@@ -13,19 +13,16 @@ replayable artifacts:
     stores and a replay rebuilds.
 
 ``repro.tracestore.recorder``
-    :class:`TraceRecorder` — a streaming JSONL writer that captures a
-    completed run.  Capture reads the structures the engine already
-    maintains, so the ``record_bits=False`` fast path is untouched.
+    :func:`outcome_records` — the v1 record generator of a completed
+    run — and :func:`record_outcome`, which streams it through
+    ``repro.metrics.export.write_jsonl``.  Capture reads the structures
+    the engine already maintains, so the ``record_bits=False`` fast
+    path is untouched.
 
 ``repro.tracestore.replay``
-    :class:`Replayer` — rebuild the scenario from a manifest, re-run
-    it, and produce a structured :class:`TraceDiff` (bus divergence,
-    per-bit, event and verdict mismatches).
-
-``repro.tracestore.rle``
-    Opt-in run-length compression of per-bit records
-    (``compression="rle"`` in the manifest), expanded transparently by
-    every reader.
+    :func:`replay_trace` — rebuild the run from a manifest, re-run it,
+    re-emit its records, and produce a structured :class:`TraceDiff`
+    (bus divergence, per-bit, event and verdict mismatches).
 
 ``repro.tracestore.corpus``
     The checked-in golden corpus (Fig. 1b/1c and Fig. 3 across CAN,
@@ -36,7 +33,8 @@ replayable artifacts:
 Two schema versions coexist: v1 single-frame recordings
 (:data:`SCHEMA_VERSION`) and v2 multi-frame traffic recordings
 (:data:`TRAFFIC_SCHEMA_VERSION`, written by ``repro.traffic``); the
-validator and replayer dispatch on the manifest's ``version``.
+validator and :func:`replay_trace` dispatch on the manifest's
+``version``.
 
 CLI: ``majorcan-repro record | replay | diff | corpus | traffic``.
 """
@@ -52,22 +50,13 @@ from repro.tracestore.corpus import (
     corpus_entries,
     update_corpus,
 )
-from repro.tracestore.recorder import TraceRecorder, outcome_records, record_outcome
-from repro.tracestore.rle import (
-    COMPRESSIONS,
-    compress_bit_records,
-    compress_records,
-    expand_bit_records,
-    expand_records,
-)
+from repro.tracestore.recorder import outcome_records, record_outcome
 from repro.tracestore.replay import (
     RecordedTrace,
-    Replayer,
     ReplayResult,
     TraceDiff,
     diff_traces,
     load_trace,
-    recorded_from_outcome,
     replay_trace,
 )
 from repro.tracestore.schema import (
@@ -84,34 +73,26 @@ from repro.tracestore.spec import (
 )
 
 __all__ = [
-    "COMPRESSIONS",
     "CorpusCheckResult",
     "CorpusReport",
     "DEFAULT_CORPUS_DIR",
     "GOLDEN_BUILDERS",
     "GOLDEN_TRAFFIC_ENTRIES",
     "RecordedTrace",
-    "Replayer",
     "ReplayResult",
     "SCHEMA_VERSION",
     "ScenarioSpec",
     "TRAFFIC_SCHEMA_VERSION",
     "TraceDiff",
-    "TraceRecorder",
     "check_corpus",
     "check_recording",
-    "compress_bit_records",
-    "compress_records",
     "corpus_entries",
     "diff_traces",
-    "expand_bit_records",
-    "expand_records",
     "frame_from_dict",
     "frame_to_dict",
     "load_trace",
     "outcome_records",
     "record_outcome",
-    "recorded_from_outcome",
     "replay_trace",
     "require_valid",
     "spec_from_outcome",

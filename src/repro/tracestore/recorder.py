@@ -1,10 +1,12 @@
-"""Recording completed simulation runs to the JSONL trace schema.
+"""Recording completed simulation runs to the v1 JSONL trace schema.
 
-:class:`TraceRecorder` streams one record (JSON line) at a time to its
-sink — it never materialises the whole document — using the shared
-deterministic emitter :func:`repro.metrics.export.json_line`.
+:func:`outcome_records` is the v1 record generator (manifest through
+verdict, one record per line); :func:`record_outcome` streams it to a
+file through :func:`repro.metrics.export.write_jsonl`, the one JSONL
+writer, so it never materialises the whole document.  The v2 generator
+is :func:`repro.traffic.traffic_records`.
 
-The recorder deliberately does **not** hook the engine's per-bit loop:
+Recording deliberately does **not** hook the engine's per-bit loop:
 the engine already maintains everything a recording needs (the resolved
 bus history in both paths, per-bit :class:`BitRecord` objects when
 ``record_bits=True``, and the controller event streams), so capture
@@ -15,11 +17,10 @@ run costs one post-run serialization pass and zero per-bit work.
 
 from __future__ import annotations
 
-import io
-from typing import Any, Dict, Iterable, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import TraceStoreError
-from repro.metrics.export import json_line, normalise_value
+from repro.metrics.export import normalise_value, write_jsonl
 from repro.tracestore.spec import ScenarioSpec, spec_from_outcome
 
 
@@ -65,7 +66,6 @@ def outcome_records(
     outcome,
     spec: Optional[ScenarioSpec] = None,
     meta: Optional[Dict[str, Any]] = None,
-    compression: Optional[str] = None,
 ) -> Iterator[Dict[str, Any]]:
     """Yield the full recording of ``outcome``, line by line, in order.
 
@@ -73,25 +73,10 @@ def outcome_records(
     derived from the very engine that ran.  Supply it explicitly when
     the outcome was produced by :meth:`ScenarioSpec.run` and you want
     the original manifest round-tripped untouched.
-
-    ``compression="rle"`` run-length-encodes the per-bit records (see
-    :mod:`repro.tracestore.rle`) and stamps the scheme into the
-    manifest so readers expand transparently.
     """
-    from repro.tracestore.rle import COMPRESSIONS, compress_bit_records
-
-    if compression is not None and compression not in COMPRESSIONS:
-        raise TraceStoreError(
-            "unknown trace compression %r (supported: %s)"
-            % (compression, ", ".join(COMPRESSIONS))
-        )
     if spec is None:
         spec = spec_from_outcome(outcome)
-    manifest = spec.to_manifest(meta=meta)
-    if compression is not None:
-        manifest = dict(manifest)
-        manifest["compression"] = compression
-    yield manifest
+    yield spec.to_manifest(meta=meta)
     engine = outcome.engine
     if engine is None:
         raise TraceStoreError("outcome %r carries no engine" % outcome.name)
@@ -99,83 +84,11 @@ def outcome_records(
         "type": "bus",
         "levels": "".join(level.symbol for level in engine.bus.history),
     }
-    bits = (bit_record(record) for record in outcome.trace.bits)
-    if compression is not None:
-        for record in compress_bit_records(bits):
-            yield record
-    else:
-        for record in bits:
-            yield record
+    for record in outcome.trace.bits:
+        yield bit_record(record)
     for event in outcome.trace.events:
         yield event_record(event)
     yield verdict_record(outcome)
-
-
-class TraceRecorder:
-    """Streaming JSONL writer for simulation recordings.
-
-    Usable as a context manager around a path or an open text handle::
-
-        with TraceRecorder("fig1b-can.jsonl") as recorder:
-            recorder.write_outcome(outcome)
-    """
-
-    def __init__(self, sink) -> None:
-        if hasattr(sink, "write"):
-            self._handle = sink
-            self._owns_handle = False
-            self.path: Optional[str] = getattr(sink, "name", None)
-        else:
-            self._handle = open(sink, "w")
-            self._owns_handle = True
-            self.path = str(sink)
-        self.lines_written = 0
-
-    # ------------------------------------------------------------------
-    # Streaming primitives
-    # ------------------------------------------------------------------
-
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Emit one schema record as a deterministic JSON line."""
-        self._handle.write(json_line(record) + "\n")
-        self.lines_written += 1
-
-    def write_records(self, records: Iterable[Dict[str, Any]]) -> int:
-        """Emit a stream of schema records; returns the count written."""
-        before = self.lines_written
-        for record in records:
-            self.write_record(record)
-        return self.lines_written - before
-
-    # ------------------------------------------------------------------
-    # High-level capture
-    # ------------------------------------------------------------------
-
-    def write_outcome(
-        self,
-        outcome,
-        spec: Optional[ScenarioSpec] = None,
-        meta: Optional[Dict[str, Any]] = None,
-        compression: Optional[str] = None,
-    ) -> int:
-        """Record a completed scenario run (manifest through verdict)."""
-        return self.write_records(
-            outcome_records(
-                outcome, spec=spec, meta=meta, compression=compression
-            )
-        )
-
-    def close(self) -> None:
-        """Flush and, if the recorder opened the sink, close it."""
-        self._handle.flush()
-        if self._owns_handle:
-            self._handle.close()
-
-    def __enter__(self) -> "TraceRecorder":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def record_outcome(
@@ -183,19 +96,7 @@ def record_outcome(
     outcome,
     spec: Optional[ScenarioSpec] = None,
     meta: Optional[Dict[str, Any]] = None,
-    compression: Optional[str] = None,
 ) -> str:
     """Record ``outcome`` to ``path``; returns the path written."""
-    with TraceRecorder(path) as recorder:
-        recorder.write_outcome(
-            outcome, spec=spec, meta=meta, compression=compression
-        )
+    write_jsonl(path, outcome_records(outcome, spec=spec, meta=meta))
     return str(path)
-
-
-def records_to_text(records: Iterable[Dict[str, Any]]) -> str:
-    """Render a record stream as in-memory JSONL (replay comparisons)."""
-    buffer = io.StringIO()
-    with TraceRecorder(buffer) as recorder:
-        recorder.write_records(records)
-    return buffer.getvalue()

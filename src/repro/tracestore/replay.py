@@ -1,10 +1,11 @@
 """Deterministic replay of recorded traces, with structured diffing.
 
-:func:`load_trace` parses and validates a recording;
-:class:`Replayer` rebuilds the scenario from the manifest (fresh
-controllers, a fresh injector script, the recorded frame), re-runs it,
-and produces a :class:`TraceDiff` against the recording.  Replay is
-fully deterministic — the scripted scenarios contain no randomness and
+:func:`load_trace` parses and validates a recording; :func:`replay_trace`
+rebuilds the run from the manifest (a :class:`ScenarioSpec` for v1, a
+``TrafficSpec`` for v2), re-runs it, re-emits its records through the
+same generator that wrote the recording, and produces a
+:class:`TraceDiff` against the recording.  Replay is fully
+deterministic — the scripted scenarios contain no randomness and
 the engine is single-threaded — so any non-empty diff is a behavioural
 change in the simulator or protocol code, which is exactly what the
 golden corpus exists to catch.
@@ -13,12 +14,12 @@ golden corpus exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from repro.errors import TraceStoreError
 from repro.metrics.export import json_line, read_jsonl
 from repro.tracestore.recorder import outcome_records
-from repro.tracestore.schema import require_valid
+from repro.tracestore.schema import TRAFFIC_SCHEMA_VERSION, require_valid
 from repro.tracestore.spec import ScenarioSpec
 
 
@@ -40,18 +41,8 @@ class RecordedTrace:
     def from_records(
         cls, records: List[Dict[str, Any]], source: str = "<memory>"
     ) -> "RecordedTrace":
-        """Partition a validated record stream into its sections.
-
-        Compressed recordings (manifest ``compression="rle"``) are
-        expanded here, so every consumer downstream — diffing, replay,
-        the corpus checks — sees full per-bit records regardless of
-        how the file was written.
-        """
+        """Partition a validated record stream into its sections."""
         require_valid(records, source=source)
-        if records and records[0].get("compression") is not None:
-            from repro.tracestore.rle import expand_records
-
-            records = expand_records(records)
         manifest = records[0]
         bus = ""
         bits: List[Dict[str, Any]] = []
@@ -112,13 +103,6 @@ def load_trace(path) -> RecordedTrace:
     except OSError as exc:
         raise TraceStoreError("cannot read recording %s: %s" % (path, exc))
     return RecordedTrace.from_records(records, source=str(path))
-
-
-def recorded_from_outcome(outcome, spec: Optional[ScenarioSpec] = None) -> RecordedTrace:
-    """Capture a completed run as an in-memory :class:`RecordedTrace`."""
-    return RecordedTrace.from_records(
-        list(outcome_records(outcome, spec=spec)), source="<replay>"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,69 +267,32 @@ class ReplayResult:
         return self.diff.identical
 
 
-class Replayer:
-    """Rebuild and re-run a recorded scenario, diffing against it.
+def replay_trace(recording: Union[str, RecordedTrace]) -> ReplayResult:
+    """Re-run a recording and diff the re-emitted records against it.
 
-    Accepts a path to a ``.jsonl`` recording or an already-loaded
-    :class:`RecordedTrace`.
+    ``recording`` is a path to a ``.jsonl`` file or a loaded
+    :class:`RecordedTrace`.  The replayed records carry the recording's
+    ``meta``, so the diff compares scenario substance.  Traffic (v2)
+    replays always run ``jobs=1``; the run is jobs-invariant, so a
+    recording made with any worker count diffs empty against it.
     """
+    recorded = (
+        recording if isinstance(recording, RecordedTrace) else load_trace(recording)
+    )
+    meta = recorded.manifest.get("meta")
+    if recorded.version == TRAFFIC_SCHEMA_VERSION:
+        from repro.traffic import run_traffic, traffic_records
 
-    def __init__(self, recording: Union[str, RecordedTrace]) -> None:
-        if isinstance(recording, RecordedTrace):
-            self.recorded = recording
-        else:
-            self.recorded = load_trace(recording)
-
-    def spec(self) -> ScenarioSpec:
-        """The scenario spec the replay will run."""
-        return self.recorded.spec()
-
-    def replay(self) -> ReplayResult:
-        """Re-run the recorded scenario and diff it against the recording."""
-        if self.recorded.version == 2:
-            return self._replay_traffic()
-        spec = self.spec()
+        outcome = run_traffic(recorded.traffic_spec(), jobs=1)
+        records = traffic_records(outcome, meta)
+    else:
+        spec = recorded.spec()
         outcome = spec.run()
-        replayed = recorded_from_outcome(outcome, spec=spec)
-        # The recorded manifest may carry free-form metadata or a
-        # compression stamp; replays compare scenario substance (the
-        # replayed sections are already expanded), so mirror both
-        # before diffing.
-        for passthrough in ("meta", "compression"):
-            if passthrough in self.recorded.manifest:
-                replayed.manifest = dict(replayed.manifest)
-                replayed.manifest[passthrough] = self.recorded.manifest[
-                    passthrough
-                ]
-        return ReplayResult(
-            recorded=self.recorded,
-            replayed=replayed,
-            diff=diff_traces(self.recorded, replayed),
-            outcome=outcome,
-        )
-
-    def _replay_traffic(self) -> ReplayResult:
-        """Re-run a v2 (traffic) recording from its manifest spec.
-
-        Replays always run ``jobs=1``; the run is jobs-invariant, so a
-        recording made with any worker count diffs empty against it.
-        """
-        from repro.traffic import recorded_traffic, run_traffic
-
-        spec = self.recorded.traffic_spec()
-        outcome = run_traffic(spec, jobs=1)
-        replayed = recorded_traffic(
-            outcome, meta=self.recorded.manifest.get("meta")
-        )
-        replayed.source = "<replay>"
-        return ReplayResult(
-            recorded=self.recorded,
-            replayed=replayed,
-            diff=diff_traces(self.recorded, replayed),
-            outcome=outcome,
-        )
-
-
-def replay_trace(path) -> ReplayResult:
-    """Convenience: load ``path``, replay it, return the result."""
-    return Replayer(path).replay()
+        records = outcome_records(outcome, spec=spec, meta=meta)
+    replayed = RecordedTrace.from_records(list(records), source="<replay>")
+    return ReplayResult(
+        recorded=recorded,
+        replayed=replayed,
+        diff=diff_traces(recorded, replayed),
+        outcome=outcome,
+    )

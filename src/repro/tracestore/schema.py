@@ -1,118 +1,207 @@
 """The versioned on-disk trace schema (JSON Lines).
 
 A recording is one ``.jsonl`` file.  Every line is a JSON object with a
-``type`` field; the line order is fixed:
+``type`` field; the first line is the ``manifest``, whose ``version``
+picks the layout of the rest:
 
-1. exactly one ``manifest`` line (first line of the file) — everything
-   needed to *rebuild* the run: schema version, scenario name, per-node
-   protocol parameters, the transmitted frame, the serialized injector
-   script, and the engine configuration;
-2. exactly one ``bus`` line — the resolved bus level stream as a
-   compact ``d``/``r`` string (present in every recording, including
-   fast-path ones where per-bit records are off);
-3. zero or more ``bit`` lines — full per-bit observability (drives,
-   views, positions, MAC states per node), present only when the run
-   recorded bits;
-4. zero or more ``event`` lines — the merged controller event stream;
-5. exactly one ``verdict`` line (last line) — per-node delivery counts
-   and the consistency classification.
+* v1 (:data:`SCHEMA_VERSION`), one scripted single-frame run: manifest
+  (schema version, scenario name, per-node protocol parameters, frame,
+  serialized injector script, engine configuration), exactly one
+  ``bus`` line (the resolved ``d``/``r`` level stream, present in
+  fast-path recordings too), ``bit`` lines (per-bit observability, only
+  when the run recorded bits), ``event`` lines, exactly one ``verdict``;
+* v2 (:data:`TRAFFIC_SCHEMA_VERSION`), one multi-frame traffic run
+  (``repro.traffic``): manifest, ``submission`` lines, exactly one
+  ``bus`` line, ``event`` lines, ``frame_verdict`` lines, exactly one
+  ``verdict`` — never any ``bit`` lines.
 
-The schema is versioned with :data:`SCHEMA_VERSION`; readers refuse
-files from a different major version rather than guessing.
+:data:`LAYOUTS` is the one table of both versions.  Each row holds the
+manifest checks (required keys and the version's one extra check),
+then the line types in file order with, per type, the name its
+section goes by, whether exactly one such line must appear, and the
+checks every line of that type must pass.  :func:`validate_records`
+is one loop over the row the manifest picks; readers refuse a file of
+any other version rather than guessing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import TraceStoreError
 
-#: Version stamp written into (and required from) every manifest.
+#: Version stamp written into (and required from) every v1 manifest.
 SCHEMA_VERSION = 1
 
-#: Version stamp of multi-frame *traffic* recordings (see
-#: ``repro.traffic``).  v2 is a sibling schema, not a replacement:
-#: single-frame recordings keep writing v1 and the 13 golden corpus
-#: entries stay byte-identical.  Readers dispatch on the manifest's
-#: ``version`` field.
+#: Version stamp of multi-frame *traffic* recordings.  v2 is a sibling
+#: schema, not a replacement: single-frame recordings keep writing v1.
 TRAFFIC_SCHEMA_VERSION = 2
 
-#: Line types, in their mandatory file order.
+#: Line types.
 MANIFEST = "manifest"
 BUS = "bus"
 BIT = "bit"
 EVENT = "event"
 VERDICT = "verdict"
-
-#: Additional v2 (traffic) line types.  v2 order: manifest,
-#: submissions, bus, events, frame verdicts, verdict — and never any
-#: ``bit`` lines (steady-state runs always use the fast path).
 SUBMISSION = "submission"
 FRAME_VERDICT = "frame_verdict"
-
-#: Keys a manifest line must carry.
-MANIFEST_KEYS = frozenset(
-    {"type", "version", "name", "nodes", "frame", "injector", "engine"}
-)
-
-#: Keys every per-node entry of ``manifest["nodes"]`` must carry.
-NODE_KEYS = frozenset({"name", "protocol", "m"})
-
-#: Keys a verdict line must carry.
-VERDICT_KEYS = frozenset(
-    {
-        "type",
-        "deliveries",
-        "crashed",
-        "attempts",
-        "errors_injected",
-        "consistent",
-        "inconsistent_omission",
-        "double_reception",
-    }
-)
-
-#: Keys a v2 (traffic) manifest line must carry.
-TRAFFIC_MANIFEST_KEYS = frozenset(
-    {"type", "version", "kind", "name", "traffic", "engine"}
-)
-
-#: Keys a v2 submission line must carry.
-SUBMISSION_KEYS = frozenset(
-    {"type", "t", "window", "node", "seq", "id", "payload", "message_id"}
-)
-
-#: Keys a v2 frame-verdict line must carry.
-FRAME_VERDICT_KEYS = frozenset(
-    {"type", "origin", "seq", "window", "t", "status", "counts",
-     "first_delivered"}
-)
-
-#: Keys a v2 aggregate-verdict line must carry.
-TRAFFIC_VERDICT_KEYS = frozenset(
-    {
-        "type",
-        "frames",
-        "delivered",
-        "duplicated",
-        "omitted",
-        "lost",
-        "total_bits",
-        "bus_load",
-        "max_backlog",
-        "errors_injected",
-        "window_bits",
-        "properties",
-        "deliveries",
-    }
-)
 
 #: Allowed per-message statuses in frame-verdict lines.
 FRAME_STATUSES = frozenset({"delivered", "duplicated", "omitted", "lost"})
 
+#: One check of one line: yields its problem texts.  The second argument
+#: is state shared by the checks of one validation (the last time seen).
+Check = Callable[[Dict[str, Any], Dict[str, int]], Iterator[str]]
 
-def _problem(problems: List[str], line_number: int, message: str) -> None:
-    problems.append("line %d: %s" % (line_number, message))
+
+def _keys(label: str, keys: str) -> Check:
+    """One problem naming every required key the line lacks."""
+    required = frozenset(keys.split())
+
+    def check(record, _state):
+        missing = required - set(record)
+        if missing:
+            yield "%s missing keys %s" % (label, sorted(missing))
+
+    return check
+
+
+def _fields(label: str, fields: str) -> Check:
+    """One problem per required field the line lacks, in field order."""
+
+    names = fields.split()
+
+    def check(record, _state):
+        for name in names:
+            if name not in record:
+                yield "%s missing %r" % (label, name)
+
+    return check
+
+
+def _times(label: str, disorder: str, strict: bool) -> Check:
+    """An integer ``t`` that increases (``strict``) or never decreases."""
+
+    def check(record, last):
+        time = record.get("t")
+        if not isinstance(time, int):
+            yield "%s needs an integer 't'" % label
+        elif label in last and (
+            time <= last[label] if strict else time < last[label]
+        ):
+            yield disorder
+        else:
+            last[label] = time
+
+    return check
+
+
+def _version(manifest, _state):
+    version = manifest.get("version")
+    if version != SCHEMA_VERSION:
+        yield "unsupported schema version %r (expected %d)" % (version, SCHEMA_VERSION)
+
+
+def _node_entries(manifest, _state):
+    for node in manifest.get("nodes", ()):
+        if not isinstance(node, dict) or {"name", "protocol", "m"} - set(node):
+            yield "malformed node entry %r" % (node,)
+
+
+def _traffic_kind(manifest, _state):
+    if manifest.get("kind") != "traffic":
+        yield "v2 manifest kind must be 'traffic', got %r" % manifest.get("kind")
+
+
+def _uncompressed(manifest, _state):
+    if manifest.get("compression") is not None:
+        yield "unsupported trace compression %r (recordings are uncompressed)" % (
+            manifest["compression"],
+        )
+
+
+def _levels(record, _state):
+    levels = record.get("levels")
+    if not isinstance(levels, str) or set(levels) - {"d", "r"}:
+        yield "bus levels must be a d/r string"
+
+
+def _status(record, _state):
+    if record.get("status") not in FRAME_STATUSES:
+        yield "unknown frame status %r" % record.get("status")
+
+
+class Section(NamedTuple):
+    """One line type of a layout, in file order."""
+
+    kind: str
+    #: How the out-of-order problem names this section.
+    name: str
+    #: Whether exactly one line of this type must appear.
+    once: bool
+    checks: Tuple[Check, ...]
+
+
+class Layout(NamedTuple):
+    """The line layout of one schema version."""
+
+    manifest: Tuple[Check, ...]
+    sections: Tuple[Section, ...]
+
+
+_BUS = Section(BUS, "bus", True, (_levels,))
+_EVENT = Section(EVENT, "events", False, (_fields("event", "t node kind"),))
+
+#: Schema version -> layout.  A manifest of any version but v2 is
+#: checked against v1, whose version check then reports it; so only v1
+#: checks the version.
+LAYOUTS: Dict[int, Layout] = {
+    SCHEMA_VERSION: Layout(
+        manifest=(
+            _keys("manifest", "type version name nodes frame injector engine"),
+            _version,
+            _node_entries,
+            _uncompressed,
+        ),
+        sections=(
+            _BUS,
+            Section(BIT, "bits", False, (
+                _times("bit record", "bit times must increase strictly", strict=True),
+                _fields("bit record", "bus drives views pos state"),
+            )),
+            _EVENT,
+            Section(VERDICT, "verdict", True, (
+                _keys("verdict", "type deliveries crashed attempts errors_injected"
+                      " consistent inconsistent_omission double_reception"),
+            )),
+        ),
+    ),
+    TRAFFIC_SCHEMA_VERSION: Layout(
+        manifest=(
+            _keys("manifest", "type version kind name traffic engine"),
+            _traffic_kind,
+            _uncompressed,
+        ),
+        sections=(
+            Section(SUBMISSION, "submissions", False, (
+                _keys("submission", "type t window node seq id payload message_id"),
+                _times("submission", "submission times must not decrease", strict=False),
+            )),
+            _BUS,
+            _EVENT,
+            Section(FRAME_VERDICT, "frame verdicts", False, (
+                _keys("frame verdict",
+                      "type origin seq window t status counts first_delivered"),
+                _status,
+            )),
+            Section(VERDICT, "verdict", True, (
+                _keys("verdict", "type frames delivered duplicated omitted lost"
+                      " total_bits bus_load max_backlog errors_injected window_bits"
+                      " properties deliveries"),
+            )),
+        ),
+    ),
+}
 
 
 def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
@@ -122,179 +211,53 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
     structure only (line order, required keys, value shapes) — replaying
     is how behavioural fidelity is checked.
     """
-    problems: List[str] = []
     records = list(records)
     if not records:
         return ["file is empty (expected a manifest line)"]
-
-    if records[0].get("version") == TRAFFIC_SCHEMA_VERSION:
-        return _validate_traffic(records)
-
-    if records[0].get("compression") is not None:
-        # Compressed bit lines omit carried-forward fields by design;
-        # validate the expanded stream the readers actually consume.
-        from repro.tracestore.rle import expand_records, require_known_compression
-
-        try:
-            require_known_compression(records[0])
-            records = expand_records(records)
-        except TraceStoreError as exc:
-            return [str(exc)]
-
     manifest = records[0]
-    if manifest.get("type") != MANIFEST:
-        _problem(problems, 1, "first line must be the manifest")
-    else:
-        missing = MANIFEST_KEYS - set(manifest)
-        if missing:
-            _problem(problems, 1, "manifest missing keys %s" % sorted(missing))
-        version = manifest.get("version")
-        if version != SCHEMA_VERSION:
-            _problem(
-                problems,
-                1,
-                "unsupported schema version %r (expected %d)"
-                % (version, SCHEMA_VERSION),
-            )
-        for node in manifest.get("nodes", ()):
-            if not isinstance(node, dict) or NODE_KEYS - set(node):
-                _problem(problems, 1, "malformed node entry %r" % (node,))
-
-    seen_bus = 0
-    seen_verdict = 0
-    last_bit_time: Optional[int] = None
-    stage = 0  # 0 manifest, 1 bus, 2 bits, 3 events, 4 verdict
-    order = {MANIFEST: 0, BUS: 1, BIT: 2, EVENT: 3, VERDICT: 4}
-    for number, record in enumerate(records[1:], 2):
-        kind = record.get("type")
-        if kind not in order:
-            _problem(problems, number, "unknown record type %r" % kind)
-            continue
-        if order[kind] < stage:
-            _problem(
-                problems,
-                number,
-                "%r record out of order (manifest, bus, bits, events, verdict)"
-                % kind,
-            )
-        stage = max(stage, order[kind])
-        if kind == MANIFEST:
-            _problem(problems, number, "duplicate manifest")
-        elif kind == BUS:
-            seen_bus += 1
-            levels = record.get("levels")
-            if not isinstance(levels, str) or set(levels) - {"d", "r"}:
-                _problem(problems, number, "bus levels must be a d/r string")
-        elif kind == BIT:
-            time = record.get("t")
-            if not isinstance(time, int):
-                _problem(problems, number, "bit record needs an integer 't'")
-            elif last_bit_time is not None and time <= last_bit_time:
-                _problem(problems, number, "bit times must increase strictly")
-            else:
-                last_bit_time = time
-            for field_name in ("bus", "drives", "views", "pos", "state"):
-                if field_name not in record:
-                    _problem(problems, number, "bit record missing %r" % field_name)
-        elif kind == EVENT:
-            for field_name in ("t", "node", "kind"):
-                if field_name not in record:
-                    _problem(problems, number, "event missing %r" % field_name)
-        elif kind == VERDICT:
-            seen_verdict += 1
-            missing = VERDICT_KEYS - set(record)
-            if missing:
-                _problem(problems, number, "verdict missing keys %s" % sorted(missing))
-    if seen_bus != 1:
-        problems.append("expected exactly one bus line, found %d" % seen_bus)
-    if seen_verdict != 1:
-        problems.append("expected exactly one verdict line, found %d" % seen_verdict)
-    return problems
-
-
-def _validate_traffic(records: List[Dict[str, Any]]) -> List[str]:
-    """Validate a v2 (traffic) recording's structure."""
+    layout = LAYOUTS[
+        TRAFFIC_SCHEMA_VERSION
+        if manifest.get("version") == TRAFFIC_SCHEMA_VERSION
+        else SCHEMA_VERSION
+    ]
     problems: List[str] = []
-    manifest = records[0]
+    last_time: Dict[str, int] = {}
     if manifest.get("type") != MANIFEST:
-        _problem(problems, 1, "first line must be the manifest")
+        problems.append("line 1: first line must be the manifest")
     else:
-        missing = TRAFFIC_MANIFEST_KEYS - set(manifest)
-        if missing:
-            _problem(problems, 1, "manifest missing keys %s" % sorted(missing))
-        if manifest.get("kind") != "traffic":
-            _problem(
-                problems, 1, "v2 manifest kind must be 'traffic', got %r"
-                % manifest.get("kind")
-            )
+        for check in layout.manifest:
+            problems.extend("line 1: " + text for text in check(manifest, last_time))
 
-    seen_bus = 0
-    seen_verdict = 0
-    last_submission: Optional[int] = None
+    rank = {MANIFEST: 0}
+    rank.update((section.kind, i) for i, section in enumerate(layout.sections, 1))
+    checks = {section.kind: section.checks for section in layout.sections}
+    order = ", ".join([MANIFEST] + [section.name for section in layout.sections])
+    counts = dict.fromkeys(rank, 0)
     stage = 0
-    order = {MANIFEST: 0, SUBMISSION: 1, BUS: 2, EVENT: 3, FRAME_VERDICT: 4,
-             VERDICT: 5}
     for number, record in enumerate(records[1:], 2):
         kind = record.get("type")
-        if kind not in order:
-            _problem(problems, number, "unknown record type %r" % kind)
+        if kind not in rank:
+            problems.append("line %d: unknown record type %r" % (number, kind))
             continue
-        if order[kind] < stage:
-            _problem(
-                problems,
-                number,
-                "%r record out of order (manifest, submissions, bus, events, "
-                "frame verdicts, verdict)" % kind,
+        if rank[kind] < stage:
+            problems.append(
+                "line %d: %r record out of order (%s)" % (number, kind, order)
             )
-        stage = max(stage, order[kind])
+        stage = max(stage, rank[kind])
         if kind == MANIFEST:
-            _problem(problems, number, "duplicate manifest")
-        elif kind == SUBMISSION:
-            missing = SUBMISSION_KEYS - set(record)
-            if missing:
-                _problem(
-                    problems, number, "submission missing keys %s" % sorted(missing)
-                )
-            time = record.get("t")
-            if not isinstance(time, int):
-                _problem(problems, number, "submission needs an integer 't'")
-            elif last_submission is not None and time < last_submission:
-                _problem(problems, number, "submission times must not decrease")
-            else:
-                last_submission = time
-        elif kind == BUS:
-            seen_bus += 1
-            levels = record.get("levels")
-            if not isinstance(levels, str) or set(levels) - {"d", "r"}:
-                _problem(problems, number, "bus levels must be a d/r string")
-        elif kind == EVENT:
-            for field_name in ("t", "node", "kind"):
-                if field_name not in record:
-                    _problem(problems, number, "event missing %r" % field_name)
-        elif kind == FRAME_VERDICT:
-            missing = FRAME_VERDICT_KEYS - set(record)
-            if missing:
-                _problem(
-                    problems,
-                    number,
-                    "frame verdict missing keys %s" % sorted(missing),
-                )
-            if record.get("status") not in FRAME_STATUSES:
-                _problem(
-                    problems, number,
-                    "unknown frame status %r" % record.get("status"),
-                )
-        elif kind == VERDICT:
-            seen_verdict += 1
-            missing = TRAFFIC_VERDICT_KEYS - set(record)
-            if missing:
-                _problem(
-                    problems, number, "verdict missing keys %s" % sorted(missing)
-                )
-    if seen_bus != 1:
-        problems.append("expected exactly one bus line, found %d" % seen_bus)
-    if seen_verdict != 1:
-        problems.append("expected exactly one verdict line, found %d" % seen_verdict)
+            problems.append("line %d: duplicate manifest" % number)
+            continue
+        counts[kind] += 1
+        for check in checks[kind]:
+            problems.extend(
+                "line %d: %s" % (number, text) for text in check(record, last_time)
+            )
+    for section in layout.sections:
+        if section.once and counts[section.kind] != 1:
+            problems.append(
+                "expected exactly one %s line, found %d"
+                % (section.kind, counts[section.kind])
+            )
     return problems
 
 

@@ -83,7 +83,7 @@ class ScenarioSpec:
             "engine": {"max_bits": self.max_bits, "record_bits": self.record_bits},
         }
         if meta:
-            manifest["meta"] = dict(meta)
+            manifest["meta"] = meta
         return manifest
 
     @classmethod

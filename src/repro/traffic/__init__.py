@@ -12,7 +12,6 @@ from repro.traffic.batch import run_window_batch
 from repro.traffic.recording import (
     frame_verdict_record,
     record_traffic,
-    recorded_traffic,
     submission_record,
     traffic_records,
     traffic_verdict_record,
@@ -52,7 +51,6 @@ __all__ = [
     "build_schedule",
     "frame_verdict_record",
     "record_traffic",
-    "recorded_traffic",
     "run_traffic",
     "run_window",
     "run_window_batch",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional
 
-from repro.tracestore.recorder import TraceRecorder
+from repro.metrics.export import write_jsonl
 from repro.tracestore.schema import BUS, FRAME_VERDICT, SUBMISSION, VERDICT
 from repro.traffic.run import MessageVerdict, TrafficOutcome
 from repro.traffic.spec import Submission
@@ -102,16 +102,4 @@ def record_traffic(
     path, outcome: TrafficOutcome, meta: Optional[Dict[str, Any]] = None
 ) -> None:
     """Write ``outcome`` as a v2 recording at ``path``."""
-    with TraceRecorder(path) as recorder:
-        recorder.write_records(traffic_records(outcome, meta))
-
-
-def recorded_traffic(
-    outcome: TrafficOutcome, meta: Optional[Dict[str, Any]] = None
-):
-    """An in-memory :class:`RecordedTrace` of ``outcome``."""
-    from repro.tracestore.replay import RecordedTrace
-
-    return RecordedTrace.from_records(
-        list(traffic_records(outcome, meta)), source="<memory>"
-    )
+    write_jsonl(path, traffic_records(outcome, meta))

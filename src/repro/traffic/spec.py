@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, TraceStoreError
-
-#: Schema version of multi-frame *traffic* recordings.  Single-frame
-#: recordings stay at ``repro.tracestore.SCHEMA_VERSION`` (1); readers
-#: dispatch on the manifest's ``version`` field.
-TRAFFIC_SCHEMA_VERSION = 2
+from repro.tracestore.schema import TRAFFIC_SCHEMA_VERSION
 
 #: CAN-identifier base for traffic data frames.  Matches both the
 #: workload generator's assignment and the HLP DATA id base, so the

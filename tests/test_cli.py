@@ -1,5 +1,7 @@
 """Smoke tests for every CLI sub-command."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -37,6 +39,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "CRC error" in out
         assert "extended error flag" in out
+
+    def test_fig4_columns_line_up(self, capsys):
+        """Every row's flag, sampling and verdict columns start at the
+        same offsets, the CRC row and the two-digit EOF bits included."""
+        assert main(["fig4", "--m", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        columns = re.compile(
+            r"(?P<flag>\S+ error flag) +"
+            r"(?P<sampling>sampling is performed|no sampling) +(?P<verdict>frame is)"
+        )
+        starts = {
+            tuple(columns.search(row).start(name) for name in ("flag", "sampling", "verdict"))
+            for row in rows
+        }
+        assert len(rows) == 11
+        assert len(starts) == 1
 
     def test_overhead(self, capsys):
         assert main(["overhead", "--m", "5"]) == 0

@@ -14,7 +14,7 @@ from repro.core.majorcan import (
 )
 from repro.errors import ConfigurationError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import fig4_behaviour, fig5
+from repro.faults.scenarios import fig4_behaviour, fig5, render_behaviour
 
 from helpers import run_one_frame
 
@@ -219,8 +219,7 @@ class TestFig4Table:
         assert rows[5].verdict == "accepted"
 
     def test_render_mentions_sampling(self):
-        rows = fig4_behaviour(3)
-        assert "sampling" in rows[1].render()
+        assert "sampling" in render_behaviour(fig4_behaviour(3))[1]
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_other_m_values(self, m):

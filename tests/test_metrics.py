@@ -76,6 +76,22 @@ class TestRenderTable:
         text = render_table([{"a": 1}], columns=["a", "b"])
         assert text
 
+    def test_no_line_ends_in_whitespace(self):
+        rows = [
+            {"name": "alpha", "note": "short"},
+            {"name": "b", "note": "a much longer note"},
+            {"name": "c"},
+        ]
+        lines = render_table(rows, columns=["name", "note"], title="T").splitlines()
+        assert lines == [
+            "T",
+            "name   note",
+            "-----  ------------------",
+            "alpha  short",
+            "b      a much longer note",
+            "c",
+        ]
+
 
 class TestRenderKv:
     def test_pairs_aligned(self):

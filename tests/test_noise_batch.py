@@ -1,6 +1,7 @@
-"""The vectorised noise layer: flip scans, noisy differentials, RLE.
+"""The vectorised noise layer: flip scans and noisy differentials.
 
-Three contracts from the noise-vectorisation work are pinned here:
+Two contracts from the noise-vectorisation work are pinned here, plus
+the rejection of compressed recordings:
 
 * :mod:`repro.analysis.noisebatch` preserves the engine's draw order
   exactly — a vector scan consumes the same stream prefix as the
@@ -8,8 +9,8 @@ Three contracts from the noise-vectorisation work are pinned here:
 * noisy traffic runs are *bit-identical* across backend, worker count
   and cache temperature, including the degenerate (BER 0) and extreme
   (bus never idles) boundaries;
-* RLE-compressed recordings round-trip exactly and replay identically
-  to their uncompressed twins.
+* a recording whose manifest names a compression is refused, since
+  recordings are written uncompressed.
 """
 
 import numpy as np
@@ -207,77 +208,20 @@ class TestNoisyTrafficDifferential:
 
 
 # ---------------------------------------------------------------------------
-# RLE trace compression
+# Trace compression
 # ---------------------------------------------------------------------------
 
 
-def _bit_recorded_outcome():
-    from repro.tracestore.corpus import GOLDEN_BUILDERS
-
-    return GOLDEN_BUILDERS["eof-extended-flag-majorcan"]()
-
-
-class TestRleRoundTrip:
-    def test_compress_expand_is_exact_for_every_golden_builder(self):
-        from repro.tracestore import compress_records, expand_records
+class TestCompressionRejected:
+    def test_unknown_compression_rejected_on_read(self):
         from repro.tracestore.corpus import GOLDEN_BUILDERS
         from repro.tracestore.recorder import outcome_records
+        from repro.tracestore.schema import require_valid, validate_records
 
-        for name, builder in sorted(GOLDEN_BUILDERS.items()):
-            records = list(outcome_records(builder()))
-            compressed = compress_records(records)
-            expanded = expand_records(compressed)
-            assert [json_line(r) for r in expanded] == [
-                json_line(r) for r in records
-            ], name
-
-    def test_compressed_recording_is_smaller_and_loads_transparently(self, tmp_path):
-        from repro.tracestore.recorder import record_outcome
-        from repro.tracestore.replay import load_trace
-
-        outcome = _bit_recorded_outcome()
-        plain = record_outcome(str(tmp_path / "plain.jsonl"), outcome)
-        packed = record_outcome(
-            str(tmp_path / "packed.jsonl"), outcome, compression="rle"
-        )
-        plain_size = len(open(plain).read())
-        packed_size = len(open(packed).read())
-        assert packed_size < plain_size
-        recorded = load_trace(packed)
-        assert recorded.manifest["compression"] == "rle"
-        # Expansion happened on load: every bit record is full again.
-        assert recorded.bits
-        for record in recorded.bits:
-            assert set(record) >= {"bus", "drives", "views", "pos", "state"}
-        assert [json_line(b) for b in recorded.bits] == [
-            json_line(b) for b in load_trace(plain).bits
-        ]
-
-    def test_compressed_recording_replays_bit_identical(self, tmp_path):
-        from repro.tracestore.recorder import record_outcome
-        from repro.tracestore.replay import replay_trace
-
-        outcome = _bit_recorded_outcome()
-        path = record_outcome(
-            str(tmp_path / "packed.jsonl"), outcome, compression="rle"
-        )
-        assert replay_trace(path).bit_identical
-
-    def test_unknown_compression_rejected_at_write_and_read(self):
-        from repro.tracestore.recorder import outcome_records
-        from repro.tracestore.schema import validate_records
-
-        outcome = _bit_recorded_outcome()
-        with pytest.raises(TraceStoreError):
-            list(outcome_records(outcome, compression="zstd"))
-        records = list(outcome_records(outcome))
+        records = list(outcome_records(GOLDEN_BUILDERS["eof-extended-flag-majorcan"]()))
         manifest = dict(records[0])
         manifest["compression"] = "zstd"
         problems = validate_records([manifest] + records[1:])
         assert any("zstd" in problem for problem in problems)
-
-    def test_expand_rejects_omission_before_any_run(self):
-        from repro.tracestore import expand_bit_records
-
-        with pytest.raises(TraceStoreError):
-            expand_bit_records([{"type": "bit", "t": 0, "bus": "d"}])
+        with pytest.raises(TraceStoreError, match="zstd"):
+            require_valid([manifest] + records[1:])

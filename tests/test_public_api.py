@@ -36,8 +36,6 @@ class TestTopLevel:
             assert hasattr(repro, name), name
 
     def test_tracestore_entry_points(self):
-        assert callable(repro.TraceRecorder)
-        assert callable(repro.Replayer)
         assert callable(repro.load_trace)
         assert callable(repro.replay_trace)
         assert callable(repro.check_corpus)

@@ -19,7 +19,7 @@ from repro.errors import TraceError, TraceStoreError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.tracestore import (
     GOLDEN_BUILDERS,
-    Replayer,
+    RecordedTrace,
     ScenarioSpec,
     check_corpus,
     corpus_entries,
@@ -30,8 +30,7 @@ from repro.tracestore import (
     spec_from_outcome,
     update_corpus,
 )
-from repro.tracestore.recorder import outcome_records, records_to_text
-from repro.tracestore.replay import recorded_from_outcome
+from repro.tracestore.recorder import outcome_records
 from repro.tracestore.schema import SCHEMA_VERSION, require_valid, validate_records
 
 from helpers import run_one_frame
@@ -52,6 +51,10 @@ def _fig1b_outcome(record_bits=True):
     return run_single_frame_scenario(
         "test", nodes, injector, frame=FRAME, record_bits=record_bits
     )
+
+
+def _recorded(outcome):
+    return RecordedTrace.from_records(list(outcome_records(outcome)))
 
 
 class TestSchemaValidation:
@@ -90,6 +93,247 @@ class TestSchemaValidation:
     def test_schema_version_pinned_in_manifest(self):
         manifest = self._records()[0]
         assert manifest["version"] == SCHEMA_VERSION
+
+
+# Minimal well-formed lines of both schema versions; each malformed case
+# below breaks one rule and pins the validator's exact problem list.
+_M1 = {
+    "type": "manifest", "version": 1, "name": "t",
+    "nodes": [{"name": "tx", "protocol": "can", "m": 5}],
+    "frame": {}, "injector": {}, "engine": {},
+}
+_M2 = {
+    "type": "manifest", "version": 2, "kind": "traffic", "name": "t",
+    "traffic": {}, "engine": {},
+}
+_BUS = {"type": "bus", "levels": "drr"}
+_EVENT = {"type": "event", "t": 0, "node": "tx", "kind": "k"}
+_V1 = {
+    "type": "verdict", "deliveries": {}, "crashed": [], "attempts": 1,
+    "errors_injected": 0, "consistent": True, "inconsistent_omission": False,
+    "double_reception": False,
+}
+_V2 = {
+    "type": "verdict", "frames": 1, "delivered": 1, "duplicated": 0,
+    "omitted": 0, "lost": 0, "total_bits": 3, "bus_load": 0.5,
+    "max_backlog": 1, "errors_injected": 0, "window_bits": [3],
+    "properties": {}, "deliveries": {},
+}
+_FV = {
+    "type": "frame_verdict", "origin": "n0", "seq": 0, "window": 0, "t": 0,
+    "status": "delivered", "counts": {}, "first_delivered": 0,
+}
+
+
+def _bit(t):
+    return {"type": "bit", "t": t, "bus": "d", "drives": {}, "views": {},
+            "pos": {}, "state": {}}
+
+
+def _sub(t):
+    return {"type": "submission", "t": t, "window": 0, "node": "n0", "seq": 0,
+            "id": 256, "payload": "", "message_id": "m"}
+
+
+def _without(record, *keys):
+    return {key: value for key, value in record.items() if key not in keys}
+
+
+def _v1(*lines, **manifest):
+    return [dict(_M1, **manifest)] + list(lines)
+
+
+def _v2(*lines, **manifest):
+    return [dict(_M2, **manifest)] + list(lines)
+
+
+_GOOD_V1 = (_BUS, _bit(0), _bit(1), _EVENT, _V1)
+_GOOD_V2 = (_sub(0), _sub(0), _BUS, _EVENT, _FV, _V2)
+_V1_ORDER = "(manifest, bus, bits, events, verdict)"
+_V2_ORDER = "(manifest, submissions, bus, events, frame verdicts, verdict)"
+
+_MALFORMED = {
+    "empty": ([], ["file is empty (expected a manifest line)"]),
+    "v1-manifest-missing-keys": (
+        [_without(_M1, "frame", "injector")] + list(_GOOD_V1),
+        ["line 1: manifest missing keys ['frame', 'injector']"],
+    ),
+    "v1-bad-node-entry": (
+        _v1(*_GOOD_V1, nodes=[{"name": "tx"}, "x"]),
+        ["line 1: malformed node entry {'name': 'tx'}",
+         "line 1: malformed node entry 'x'"],
+    ),
+    "v1-wrong-version": (
+        _v1(*_GOOD_V1, version=3),
+        ["line 1: unsupported schema version 3 (expected 1)"],
+    ),
+    "v1-first-line-not-manifest": (
+        list(_GOOD_V1),
+        ["line 1: first line must be the manifest",
+         "expected exactly one bus line, found 0"],
+    ),
+    "v1-duplicate-manifest": (
+        _v1(_M1, *_GOOD_V1), ["line 2: duplicate manifest"],
+    ),
+    "v1-manifest-after-bus": (
+        _v1(_BUS, _M1, *_GOOD_V1[1:]),
+        ["line 3: 'manifest' record out of order %s" % _V1_ORDER,
+         "line 3: duplicate manifest"],
+    ),
+    "v1-unknown-type": (
+        _v1(_BUS, {"type": "frobnicate"}, _V1),
+        ["line 3: unknown record type 'frobnicate'"],
+    ),
+    "v1-out-of-order": (
+        _v1(_BUS, _EVENT, _bit(0), _V1),
+        ["line 4: 'bit' record out of order %s" % _V1_ORDER],
+    ),
+    "v1-bus-not-dr": (
+        _v1(dict(_BUS, levels="drx"), _V1),
+        ["line 2: bus levels must be a d/r string"],
+    ),
+    "v1-bus-not-string": (
+        _v1(dict(_BUS, levels=3), _V1),
+        ["line 2: bus levels must be a d/r string"],
+    ),
+    "v1-no-bus": (_v1(_EVENT, _V1), ["expected exactly one bus line, found 0"]),
+    "v1-two-buses": (_v1(_BUS, _BUS, _V1), ["expected exactly one bus line, found 2"]),
+    "v1-no-verdict": (
+        _v1(_BUS, _EVENT), ["expected exactly one verdict line, found 0"],
+    ),
+    "v1-two-verdicts": (
+        _v1(_BUS, _V1, _V1), ["expected exactly one verdict line, found 2"],
+    ),
+    "v1-bit-time-repeats": (
+        _v1(_BUS, _bit(0), _bit(0), _bit(1), _V1),
+        ["line 4: bit times must increase strictly"],
+    ),
+    "v1-bit-time-decreases": (
+        _v1(_BUS, _bit(2), _bit(1), _bit(3), _V1),
+        ["line 4: bit times must increase strictly"],
+    ),
+    "v1-bit-time-not-integer": (
+        _v1(_BUS, _bit(0), _bit("1"), _without(_bit(2), "t"), _V1),
+        ["line 4: bit record needs an integer 't'",
+         "line 5: bit record needs an integer 't'"],
+    ),
+    "v1-bit-missing-fields": (
+        _v1(_BUS, _without(_bit(0), "views", "state"), _V1),
+        ["line 3: bit record missing 'views'", "line 3: bit record missing 'state'"],
+    ),
+    "v1-event-missing-fields": (
+        _v1(_BUS, _without(_EVENT, "node", "t"), _V1),
+        ["line 3: event missing 't'", "line 3: event missing 'node'"],
+    ),
+    "v1-verdict-missing-keys": (
+        _v1(_BUS, _without(_V1, "crashed", "consistent")),
+        ["line 3: verdict missing keys ['consistent', 'crashed']"],
+    ),
+    "v2-manifest-missing-keys": (
+        [_without(_M2, "traffic", "engine")] + list(_GOOD_V2),
+        ["line 1: manifest missing keys ['engine', 'traffic']"],
+    ),
+    "v2-wrong-kind": (
+        _v2(*_GOOD_V2, kind="batch"),
+        ["line 1: v2 manifest kind must be 'traffic', got 'batch'"],
+    ),
+    "v2-no-kind": (
+        [_without(_M2, "kind")] + list(_GOOD_V2),
+        ["line 1: manifest missing keys ['kind']",
+         "line 1: v2 manifest kind must be 'traffic', got None"],
+    ),
+    "v2-first-line-not-manifest": (
+        list(_GOOD_V2),
+        ["line 1: first line must be the manifest",
+         "line 2: unknown record type 'submission'",
+         "line 5: unknown record type 'frame_verdict'",
+         "line 6: verdict missing keys ['attempts', 'consistent', 'crashed', "
+         "'double_reception', 'inconsistent_omission']"],
+    ),
+    "v2-duplicate-manifest": (
+        _v2(*_GOOD_V2[:3], _M2, *_GOOD_V2[3:]),
+        ["line 5: 'manifest' record out of order %s" % _V2_ORDER,
+         "line 5: duplicate manifest"],
+    ),
+    "v2-unknown-type": (
+        _v2(_BUS, _bit(0), _V2), ["line 3: unknown record type 'bit'"],
+    ),
+    "v2-out-of-order": (
+        _v2(_BUS, _sub(0), _V2, _FV),
+        ["line 3: 'submission' record out of order %s" % _V2_ORDER,
+         "line 5: 'frame_verdict' record out of order %s" % _V2_ORDER],
+    ),
+    "v2-bus-not-dr": (
+        _v2(dict(_BUS, levels="dr "), _V2),
+        ["line 2: bus levels must be a d/r string"],
+    ),
+    "v2-no-bus": (_v2(_sub(0), _V2), ["expected exactly one bus line, found 0"]),
+    "v2-two-buses": (_v2(_BUS, _BUS, _V2), ["expected exactly one bus line, found 2"]),
+    "v2-no-verdict": (_v2(_BUS, _FV), ["expected exactly one verdict line, found 0"]),
+    "v2-two-verdicts": (
+        _v2(_BUS, _V2, _V2), ["expected exactly one verdict line, found 2"],
+    ),
+    "v2-event-missing-field": (
+        _v2(_BUS, _without(_EVENT, "kind"), _V2), ["line 3: event missing 'kind'"],
+    ),
+    "v2-verdict-missing-keys": (
+        _v2(_BUS, _without(_V2, "properties", "bus_load")),
+        ["line 3: verdict missing keys ['bus_load', 'properties']"],
+    ),
+    "v2-submission-missing-keys": (
+        _v2(_without(_sub(0), "payload", "seq"), _BUS, _V2),
+        ["line 2: submission missing keys ['payload', 'seq']"],
+    ),
+    "v2-submission-time-not-integer": (
+        _v2(_sub(1.5), _without(_sub(0), "t"), _BUS, _V2),
+        ["line 2: submission needs an integer 't'",
+         "line 3: submission missing keys ['t']",
+         "line 3: submission needs an integer 't'"],
+    ),
+    "v2-submission-time-decreases": (
+        _v2(_sub(5), _sub(5), _sub(4), _sub(6), _BUS, _V2),
+        ["line 4: submission times must not decrease"],
+    ),
+    "v2-frame-verdict-missing-keys": (
+        _v2(_BUS, _without(_FV, "counts", "origin"), _V2),
+        ["line 3: frame verdict missing keys ['counts', 'origin']"],
+    ),
+    "v2-frame-verdict-unknown-status": (
+        _v2(_BUS, dict(_FV, status="garbled"), _without(_FV, "status"), _V2),
+        ["line 3: unknown frame status 'garbled'",
+         "line 4: frame verdict missing keys ['status']",
+         "line 4: unknown frame status None"],
+    ),
+    # Recordings are written uncompressed; a manifest naming any
+    # compression is rejected, whichever version it claims.
+    "v1-compression-rle": (
+        _v1(*_GOOD_V1, compression="rle"),
+        ["line 1: unsupported trace compression 'rle' (recordings are uncompressed)"],
+    ),
+    "v2-compression-rle": (
+        _v2(*_GOOD_V2, compression="rle"),
+        ["line 1: unsupported trace compression 'rle' (recordings are uncompressed)"],
+    ),
+}
+
+
+class TestValidatorProblems:
+    def test_well_formed_layouts_validate(self):
+        assert validate_records(_v1(*_GOOD_V1)) == []
+        assert validate_records(_v2(*_GOOD_V2)) == []
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_exact_problem_list(self, case):
+        records, expected = _MALFORMED[case]
+        assert validate_records(records) == expected
+
+    def test_compressed_manifest_fails_to_load(self, tmp_path):
+        from repro.metrics.export import write_jsonl
+
+        path = str(tmp_path / "packed.jsonl")
+        write_jsonl(path, _v1(*_GOOD_V1, compression="rle"))
+        with pytest.raises(TraceStoreError, match="'rle'"):
+            load_trace(path)
 
 
 class TestRecordRoundTrip:
@@ -147,9 +391,7 @@ class TestReplay:
         assert replay_trace(path).bit_identical
 
     def test_replayer_accepts_recorded_trace(self):
-        outcome = _fig1b_outcome()
-        recorded = recorded_from_outcome(outcome)
-        result = Replayer(recorded).replay()
+        result = replay_trace(_recorded(_fig1b_outcome()))
         assert result.bit_identical
 
     def test_controller_tweak_caught_as_diff(self, tmp_path, monkeypatch):
@@ -182,15 +424,15 @@ class TestReplay:
 class TestDiff:
     def test_identical_traces_have_empty_diff(self):
         outcome = _fig1b_outcome()
-        recorded = recorded_from_outcome(outcome)
+        recorded = _recorded(outcome)
         diff = diff_traces(recorded, recorded)
         assert diff.identical
         assert diff.problems() == []
 
     def test_bus_divergence_reports_position_and_context(self):
         outcome = _fig1b_outcome()
-        expected = recorded_from_outcome(outcome)
-        actual = recorded_from_outcome(outcome)
+        expected = _recorded(outcome)
+        actual = _recorded(outcome)
         levels = actual.bus
         actual.bus = levels[:40] + ("d" if levels[40] == "r" else "r") + levels[41:]
         diff = diff_traces(expected, actual)
@@ -199,8 +441,8 @@ class TestDiff:
 
     def test_verdict_divergence_reported_by_key(self):
         outcome = _fig1b_outcome()
-        expected = recorded_from_outcome(outcome)
-        actual = recorded_from_outcome(outcome)
+        expected = _recorded(outcome)
+        actual = _recorded(outcome)
         actual.verdict["double_reception"] = False
         diff = diff_traces(expected, actual)
         assert not diff.identical
@@ -301,11 +543,3 @@ class TestSharedJsonlHelpers:
         path.write_text('{"ok":1}\nnot json\n')
         with pytest.raises(ReproError):
             read_jsonl(str(path))
-
-    def test_records_to_text_matches_file_output(self, tmp_path):
-        outcome = _fig1b_outcome()
-        spec = spec_from_outcome(outcome)
-        text = records_to_text(outcome_records(outcome, spec=spec))
-        path = record_outcome(str(tmp_path / "t.jsonl"), outcome, spec=spec)
-        with open(path) as handle:
-            assert handle.read() == text
