@@ -311,8 +311,9 @@ def _multiflip_row(protocol: str = "can", m: int = 5, n_nodes: int = 6) -> Row:
 
     def batch_pass():
         evaluator = BatchReplayEvaluator(protocol, m, node_names, frame=frame)
-        outcomes = evaluator.evaluate(combos)
-        return [(o.deliveries, o.attempts) for o in outcomes], evaluator.stats
+        placed = evaluator.evaluate(combos)
+        verdicts = zip(map(tuple, placed.deliveries.tolist()), placed.attempts.tolist())
+        return list(verdicts), evaluator.stats
 
     def warm():
         probe = make_controller(protocol, "probe", m=m)

@@ -3,7 +3,7 @@
 from repro.analysis.batchreplay import (
     BatchReplayEvaluator,
     EngineClassifier,
-    PlacementOutcome,
+    Placements,
     placement_classifier,
     tail_shape,
 )
@@ -86,7 +86,7 @@ __all__ = [
     "BatchReplayEvaluator",
     "Counterexample",
     "EngineClassifier",
-    "PlacementOutcome",
+    "Placements",
     "placement_classifier",
     "tail_shape",
     "MAblationRow",

@@ -60,7 +60,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,64 +246,6 @@ Verdict = Tuple[int, ...]
 #: A canonical site: (node index, field label, index within the field).
 IndexSite = Tuple[int, str, int]
 
-#: Counterexample kinds by the codes :func:`delivery_kinds` returns.
-KINDS = (None, "imo", "double", "inconsistent")
-
-
-@dataclass(frozen=True)
-class PlacementOutcome:
-    """Classification of one placement, aligned with ``node_names``."""
-
-    deliveries: Tuple[int, ...]
-    attempts: int
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.deliveries)) <= 1
-
-    @property
-    def inconsistent_omission(self) -> bool:
-        return any(count == 0 for count in self.deliveries) and any(
-            count > 0 for count in self.deliveries
-        )
-
-    @property
-    def double_reception(self) -> bool:
-        return any(count > 1 for count in self.deliveries)
-
-    @property
-    def kind(self) -> Optional[str]:
-        """Counterexample kind, or None for a consistent outcome."""
-        return delivery_kind(self.deliveries)
-
-
-def delivery_kind(deliveries: Sequence[int]) -> Optional[str]:
-    """Counterexample kind of per-node delivery counts, or None if consistent.
-
-    The one imo/double rule of the placement drivers: verification
-    counterexamples, campaign round categories and the
-    :func:`placement_classifier` hit tuples all read it, and
-    :func:`delivery_kinds` is the same rule over a matrix.
-    """
-    if any(count == 0 for count in deliveries) and any(
-        count > 0 for count in deliveries
-    ):
-        return "imo"
-    if any(count > 1 for count in deliveries):
-        return "double"
-    if len(set(deliveries)) > 1:
-        return "inconsistent"
-    return None
-
-
-def delivery_kinds(deliveries: np.ndarray) -> np.ndarray:
-    """:func:`delivery_kind` of every row of a ``[P, n]`` delivery
-    matrix, as codes into :data:`KINDS` (0: consistent)."""
-    imo = (deliveries == 0).any(axis=1) & (deliveries > 0).any(axis=1)
-    double = (deliveries > 1).any(axis=1)
-    split = (deliveries != deliveries[:, :1]).any(axis=1)
-    return np.select([imo, double, split], [1, 2, 3], 0)
-
 
 @dataclass(frozen=True, eq=False)
 class Placements:
@@ -312,35 +254,13 @@ class Placements:
     ``deliveries`` is ``[P, n]`` (columns follow ``node_names``),
     ``attempts`` ``[P]``, and ``routes`` ``[P]`` codes into
     :data:`ROUTES`: the route that first computed each verdict.
-    Iterating (or indexing) yields :class:`PlacementOutcome` rows.
+    :func:`repro.properties.ledger.delivery_flags` reads the
+    ``deliveries`` matrix as it is.
     """
 
     deliveries: np.ndarray
     attempts: np.ndarray
     routes: np.ndarray
-
-    @classmethod
-    def of(cls, outcomes: Sequence[PlacementOutcome]) -> "Placements":
-        """Columns of engine outcomes."""
-        return cls(
-            np.array([outcome.deliveries for outcome in outcomes], dtype=np.int64),
-            np.array([outcome.attempts for outcome in outcomes], dtype=np.int64),
-            np.full(len(outcomes), ENGINE, dtype=np.int8),
-        )
-
-    def __len__(self) -> int:
-        return len(self.attempts)
-
-    def __getitem__(self, row: int) -> PlacementOutcome:
-        return PlacementOutcome(
-            tuple(self.deliveries[row].tolist()), int(self.attempts[row])
-        )
-
-    def __iter__(self) -> Iterator[PlacementOutcome]:
-        for deliveries, attempts in zip(
-            self.deliveries.tolist(), self.attempts.tolist()
-        ):
-            yield PlacementOutcome(tuple(deliveries), attempts)
 
 
 def placement_classifier(
@@ -355,11 +275,9 @@ def placement_classifier(
     ``"batch"`` gives a :class:`BatchReplayEvaluator`; ``"engine"`` an
     :class:`EngineClassifier`, the oracle.  Both simulate the
     one-byte-``payload`` frame every placement driver uses, take a
-    whole batch of placements through ``evaluate`` (outcomes in input
-    order: the engine's lazily, the batch replay's as
-    :class:`Placements` columns), build hit tuples with
-    ``counterexample``, and expose their provenance counters as
-    ``stats`` (``None`` on the engine).
+    whole slab of placements through ``evaluate`` (its outcomes as
+    :class:`Placements` columns, in input order), and expose their
+    provenance counters as ``stats`` (``None`` on the engine).
     """
     frame = data_frame(0x123, payload, message_id="m")
     if backend == "batch":
@@ -374,9 +292,8 @@ class EngineClassifier:
     exactly as given.
 
     No canonicalisation and no cache: this is the oracle the batch
-    replay is checked against.  :meth:`evaluate` is lazy, so a caller
-    that stops at its first hit runs no further placement.  The batch
-    evaluator reuses the network, the hit tuple and the engine run.
+    replay is checked against.  The batch evaluator reuses the network
+    and the engine run.
     """
 
     #: Provenance counters; the oracle keeps none.
@@ -390,19 +307,12 @@ class EngineClassifier:
         self.node_names = tuple(node_names)
         self.frame = frame
 
-    def evaluate(self, combos: Iterable[Sequence[Site]]) -> Iterator[PlacementOutcome]:
-        """Yield one engine outcome per placement, in input order."""
-        for combo in combos:
-            *deliveries, attempts, _ = self._engine_outcome(combo)
-            yield PlacementOutcome(tuple(deliveries), attempts)
-
-    def counterexample(self, combo: Sequence[Site], outcome: PlacementOutcome) -> Tuple:
-        """The picklable :class:`~repro.analysis.verification.Counterexample`
-        arguments of a broken placement."""
-        deliveries = tuple(
-            sorted(zip(self.node_names, outcome.deliveries))
-        )
-        return (tuple(combo), deliveries, outcome.attempts, outcome.kind)
+    def evaluate(self, combos: Iterable[Sequence[Site]]) -> Placements:
+        """One engine run per placement; rows follow the input."""
+        found = [self._engine_outcome(combo) for combo in combos]
+        n = len(self.node_names)
+        table = np.array(found, dtype=np.int64).reshape(len(found), n + 2)
+        return Placements(table[:, :n], table[:, n], table[:, n + 1])
 
     def _engine_outcome(self, combo: Sequence[Site]) -> Verdict:
         outcome = run_placement(
@@ -941,14 +851,15 @@ def _reduced_class_run(
     return (tx_count, faulted_counts, witness_count, outcome.attempts)
 
 
-def warm_shapes(payload: bytes = b"\x55") -> None:
+def warm_shapes() -> None:
     """Pre-populate the wire/tail/header shape caches in this process.
 
     An untimed warm-up for benchmarks that time warm-cache passes.
-    Covers the protocols and ``m`` values the sweeps iterate over; other
-    frames still warm lazily through the ``lru_cache``s.
+    Covers the one-byte placement frame under the protocols and ``m``
+    values the sweeps iterate over; other frames still warm lazily
+    through the ``lru_cache``s.
     """
-    frame = data_frame(0x123, payload, message_id="m")
+    frame = data_frame(0x123, b"\x55", message_id="m")
     for protocol, ms in (
         ("can", (5,)),
         ("minorcan", (5,)),

@@ -44,6 +44,7 @@ from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.errors import AnalysisError
 from repro.faults.scenarios import make_controller
+from repro.properties.ledger import delivery_flags
 
 #: A pattern assigns flipped view bits as (node_index, eof_index) pairs.
 Pattern = Tuple[Tuple[int, int], ...]
@@ -286,15 +287,23 @@ def tail_verdicts(
         )
         for pattern in patterns
     ]
+    placed = classifier.evaluate(combos)
+    flags = delivery_flags(placed.deliveries)
     outcomes = tuple(
         PatternOutcome(
             pattern=tuple(pattern),
-            consistent=outcome.consistent,
-            inconsistent_omission=outcome.inconsistent_omission,
-            double_reception=outcome.double_reception,
-            attempts=outcome.attempts,
+            consistent=not split,
+            inconsistent_omission=imo,
+            double_reception=double,
+            attempts=attempts,
         )
-        for pattern, outcome in zip(patterns, classifier.evaluate(combos))
+        for pattern, split, imo, double, attempts in zip(
+            patterns,
+            flags.split.tolist(),
+            flags.imo.tolist(),
+            flags.double.tolist(),
+            placed.attempts.tolist(),
+        )
     )
     return TailVerdicts(outcomes, classifier.stats, _flip_counts(outcomes))
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
@@ -45,6 +43,7 @@ from repro.parallel.seeds import (
     rng_from,
     spawn_seeds,
 )
+from repro.properties.ledger import DeliveryFlags, delivery_flags
 from repro.simulation.rng import SeedLike
 
 #: Baseline trials per task chunk, tuned for the canonical three-node
@@ -130,22 +129,12 @@ class ChunkCounts:
     #: and for a chunk without a fault-bearing trial).
     backend_stats: Optional[dict] = None
 
-    def absorb_outcome(self, outcome) -> None:
-        """Fold one outcome's classification in (a placement's or a
-        whole-frame scenario's)."""
-        if outcome.inconsistent_omission:
-            self.imo += 1
-        if outcome.double_reception:
-            self.double_reception += 1
-        if not outcome.consistent:
-            self.inconsistent += 1
-
-    def absorb_deliveries(self, deliveries: np.ndarray) -> None:
-        """Fold a ``[P, n]`` delivery matrix in: the rule of
-        :meth:`absorb_outcome` as array predicates over its rows."""
-        self.imo += int(((deliveries == 0).any(axis=1) & (deliveries > 0).any(axis=1)).sum())
-        self.double_reception += int((deliveries > 1).any(axis=1).sum())
-        self.inconsistent += int((deliveries != deliveries[:, :1]).any(axis=1).sum())
+    def absorb(self, flags: DeliveryFlags) -> None:
+        """Fold the delivery rule's flags of some trials in; each flag
+        counts on its own (a double reception is also inconsistent)."""
+        self.imo += int(flags.imo.sum())
+        self.double_reception += int(flags.double.sum())
+        self.inconsistent += int(flags.split.sum())
 
 
 def tail_chunk(
@@ -185,13 +174,10 @@ def tail_chunk(
     trial_combos = [tuple(group) for group in groups]
     if not trial_combos:
         return counts
-    from repro.analysis.batchreplay import Placements, placement_classifier
+    from repro.analysis.batchreplay import placement_classifier
 
     classifier = placement_classifier(protocol, m, node_names, backend)
-    placed = classifier.evaluate(trial_combos)
-    if not isinstance(placed, Placements):
-        placed = Placements.of(list(placed))
-    counts.absorb_deliveries(placed.deliveries)
+    counts.absorb(delivery_flags(classifier.evaluate(trial_combos).deliveries))
     counts.backend_stats = classifier.stats
     return counts
 
@@ -226,7 +212,7 @@ def full_chunk(
         # injector's last block.
         injector.settle(outcome.engine.time)
         counts.flips_total += injector.injected
-        counts.absorb_outcome(outcome)
+        counts.absorb(outcome.flags)
     return counts
 
 

@@ -172,7 +172,6 @@ def ablation_row(
             n_nodes=n_nodes,
             max_flips=1,
             extra_sites=header_sites(node_names, data_bits=0),
-            include_window=True,
             backend=backend,
         )
         f1_closed = f1.holds

@@ -40,6 +40,7 @@ from repro.errors import AnalysisError
 from repro.faults.scenarios import make_controller
 from repro.parallel.pool import effective_jobs, imap_tasks, merge_stats
 from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
+from repro.properties.ledger import KINDS, delivery_flags
 
 #: A fault site: (node name, field label, index within the field).
 Site = Tuple[str, str, int]
@@ -56,10 +57,10 @@ Site = Tuple[str, str, int]
 #: comparable.
 CHUNK_PLACEMENTS = 64
 
-#: Placements per inline chunk (``jobs=1`` or ``stop_at_first``) —
-#: large slabs amortise the batch replay's per-pass setup without
-#: changing the enumeration order; the engine classifies lazily, so an
-#: early exit runs no placement past the first hit.
+#: Placements per inline chunk (``jobs=1``): large slabs amortise the
+#: batch replay's per-pass setup without changing the enumeration
+#: order.  The batch/scalar route split, and so the ``backend stats``
+#: line, depends on the slab size.
 _BATCH_SLAB = 2048
 
 
@@ -127,7 +128,6 @@ def tail_sites(
     eof_length: int,
     window_start: Optional[int] = None,
     window_end: Optional[int] = None,
-    include_pre_eof: bool = True,
 ) -> List[Site]:
     """The paper's error universe: the frame tail and agreement window.
 
@@ -138,10 +138,9 @@ def tail_sites(
     """
     sites: List[Site] = []
     for name in node_names:
-        if include_pre_eof:
-            sites.append((name, CRC_DELIM, 0))
-            sites.append((name, ACK_SLOT, 0))
-            sites.append((name, ACK_DELIM, 0))
+        sites.append((name, CRC_DELIM, 0))
+        sites.append((name, ACK_SLOT, 0))
+        sites.append((name, ACK_DELIM, 0))
         for index in range(eof_length):
             sites.append((name, EOF, index))
         if window_start is not None and window_end is not None:
@@ -177,8 +176,6 @@ def verify_consistency(
     n_nodes: int = 3,
     max_flips: int = 2,
     extra_sites: Iterable[Site] = (),
-    include_window: bool = True,
-    stop_at_first: bool = False,
     payload: bytes = b"\x55",
     jobs: Optional[int] = 1,
     chunk_placements: Optional[int] = None,
@@ -195,8 +192,7 @@ def verify_consistency(
     ``jobs > 1`` partitions the (fixed, deterministic) placement
     enumeration into chunks and explores them on a worker pool; the
     counterexample list and run count are identical to the serial
-    sweep.  ``stop_at_first`` keeps the serial early-exit semantics and
-    therefore always runs inline.
+    sweep.
 
     ``backend="batch"`` classifies placements with the vectorised
     replay of :mod:`repro.analysis.batchreplay` — array passes for tail
@@ -220,13 +216,11 @@ def verify_consistency(
         raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
     node_names = placement_node_names(n_nodes)
     probe = make_controller(protocol, "probe", m=m)
-    window_start = getattr(probe, "window_start", None) if include_window else None
-    window_end = getattr(probe, "window_end", None) if include_window else None
     sites = tail_sites(
         node_names,
         probe.config.eof_length,
-        window_start=window_start,
-        window_end=window_end,
+        window_start=getattr(probe, "window_start", None),
+        window_end=getattr(probe, "window_end", None),
     )
     sites.extend(extra_sites)
     if chunk_placements is None:
@@ -245,18 +239,9 @@ def verify_consistency(
     combos = itertools.chain.from_iterable(
         itertools.combinations(sites, size) for size in range(1, max_flips + 1)
     )
-    inline = stop_at_first or effective_jobs(jobs) == 1
+    inline = effective_jobs(jobs) == 1
     tasks = (
-        partial(
-            verify_chunk,
-            protocol,
-            m,
-            node_names,
-            tuple(chunk),
-            payload,
-            backend,
-            stop_at_first,
-        )
+        partial(verify_chunk, protocol, m, node_names, tuple(chunk), payload, backend)
         for chunk in _chunked(combos, _BATCH_SLAB if inline else chunk_placements)
     )
     stats: dict = {}
@@ -264,8 +249,6 @@ def verify_consistency(
         result.runs += runs
         result.counterexamples.extend(Counterexample(*hit) for hit in hits)
         stats = merge_stats([stats, chunk_stats])
-        if stop_at_first and hits:
-            break
     result.backend_stats = stats or None
     return result
 
@@ -277,7 +260,6 @@ def verify_chunk(
     combos: Tuple[Tuple[Site, ...], ...],
     payload: bytes,
     backend: str = "engine",
-    stop_at_first: bool = False,
 ) -> Tuple[int, List[Tuple], Optional[dict]]:
     """Classify one chunk of placements; one task of
     :func:`verify_consistency`, run inline or on the pool.
@@ -285,32 +267,24 @@ def verify_chunk(
     Returns ``(runs, hits, stats)``: the placements classified, the
     :class:`Counterexample` argument tuples of the broken ones in
     enumeration order, and the classifier's provenance counters
-    (``None`` on the engine backend).  ``stop_at_first`` ends the chunk
-    at its first hit.  The delivery kinds are scanned as array
-    predicates over the outcome columns, and only the rows that hit
-    become hit tuples.
+    (``None`` on the engine backend).  The delivery rule runs over the
+    whole delivery matrix, and only the rows that hit become hit tuples.
     """
-    from repro.analysis.batchreplay import Placements, delivery_kinds, placement_classifier
+    from repro.analysis.batchreplay import placement_classifier
 
     classifier = placement_classifier(protocol, m, node_names, backend, payload)
     placed = classifier.evaluate(combos)
-    # The batch replay classifies the slab whole; the engine runs
-    # lazily, one placement per block, so an early exit runs no
-    # placement past its hit.
-    blocks = (
-        [placed]
-        if isinstance(placed, Placements)
-        else (Placements.of([outcome]) for outcome in placed)
-    )
-    runs = 0
-    hits = []
-    for block in blocks:
-        for row in np.flatnonzero(delivery_kinds(block.deliveries)).tolist():
-            hits.append(classifier.counterexample(combos[runs + row], block[row]))
-            if stop_at_first:
-                return runs + row + 1, hits, classifier.stats
-        runs += len(block)
-    return runs, hits, classifier.stats
+    kinds = delivery_flags(placed.deliveries).kinds()
+    hits = [
+        (
+            tuple(combos[row]),
+            tuple(sorted(zip(node_names, placed.deliveries[row].tolist()))),
+            int(placed.attempts[row]),
+            KINDS[kinds[row]],
+        )
+        for row in np.flatnonzero(kinds).tolist()
+    ]
+    return len(combos), hits, classifier.stats
 
 
 def _chunked(combos: Iterator, size: int) -> Iterator[List]:

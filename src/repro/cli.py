@@ -809,7 +809,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Exit status: 0 ok, 1 a divergence or a counterexample, 2 invalid
+    input (one ``error:`` line on stderr), 3 a sweep with cells left
+    pending.
+    """
+    from repro.errors import ReproError
     from repro.parallel.pool import oversubscription_notice
 
     parser = build_parser()
@@ -818,7 +824,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         notice = oversubscription_notice(args.jobs)
         if notice is not None:
             print(notice, file=sys.stderr)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        head, *problems = str(exc).splitlines() or [""]
+        detail = "; ".join(problem.strip() for problem in problems)
+        print("error: %s" % " ".join(filter(None, (head, detail))), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

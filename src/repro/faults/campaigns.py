@@ -28,6 +28,7 @@ from repro.faults.injector import (
 from repro.faults.scenarios import make_controller
 from repro.parallel.pool import merge_stats, run_tasks
 from repro.parallel.seeds import ChildSeed, chunk_sizes, rng_from, spawn_seeds
+from repro.properties.ledger import KINDS, DeliveryFlags, delivery_flags
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeedLike
 
@@ -179,12 +180,10 @@ def run_rounds(
 
     Returns the round rows in chunk order and the batch-backend
     provenance counters (empty on the engine backend).  Both backends
-    categorise a round by
-    :func:`~repro.analysis.batchreplay.delivery_kind` of its delivery
-    counts.
+    categorise a round by the delivery rule
+    (:func:`~repro.properties.ledger.delivery_flags`) over its online
+    controllers' counts.
     """
-    from repro.analysis.batchreplay import delivery_kind
-
     node_names = ["critical"] + ["bg%d" % i for i in range(1, n_nodes)]
     # The attack schedule is drawn up front, in the exact per-round
     # order of the engine path, so both backends consume the same
@@ -207,7 +206,7 @@ def run_rounds(
             victim=victim,
             rng=rng,
         )
-        return (round_index, attacked, delivery_kind(counts) or "consistent", injected)
+        return (round_index, attacked, _category(delivery_flags([counts]))[0], injected)
 
     if backend != "batch":
         return [engine_row(*draw) for draw in draws], {}
@@ -260,18 +259,19 @@ def run_rounds(
         restore_state(rng, state)
         rows[position] = engine_row(round_index, attacked, victim, rng)
     engine_rounds = len(rows)
-    for position, outcome in zip(combo_positions, evaluator.evaluate(combos)):
+    categories = _category(delivery_flags(evaluator.evaluate(combos).deliveries))
+    for position, category in zip(combo_positions, categories):
         round_index, attacked, _, _ = draws[position]
-        rows[position] = (
-            round_index,
-            attacked,
-            outcome.kind or "consistent",
-            2 if attacked else 0,
-        )
+        rows[position] = (round_index, attacked, category, 2 if attacked else 0)
     stats = dict(evaluator.stats)
     if engine_rounds:
         stats["engine"] = stats.get("engine", 0) + engine_rounds
     return [rows[position] for position in range(len(draws))], stats
+
+
+def _category(flags: DeliveryFlags) -> List[str]:
+    """Each round's category: its kind, or ``"consistent"``."""
+    return [KINDS[kind] or "consistent" for kind in flags.kinds().tolist()]
 
 
 def _round_network(

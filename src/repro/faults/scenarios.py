@@ -37,6 +37,7 @@ from repro.core.majorcan import DEFAULT_M, MajorCanController
 from repro.core.minorcan import MinorCanController
 from repro.errors import ConfigurationError
 from repro.faults.injector import CrashFault, ScriptedInjector, Trigger, ViewFault
+from repro.properties.ledger import DeliveryFlags, delivery_flags
 from repro.simulation.engine import FaultInjector, SimulationEngine
 from repro.simulation.trace import Trace
 
@@ -87,23 +88,28 @@ class ScenarioOutcome:
         return [name for name in self.deliveries if name not in self.crashed]
 
     @property
+    def flags(self) -> DeliveryFlags:
+        """The delivery rule over the live nodes, except ``double``,
+        which reads every node (a crashed node's second delivery still
+        happened)."""
+        live = delivery_flags([[self.deliveries[name] for name in self.live_nodes]])
+        every = delivery_flags([list(self.deliveries.values())])
+        return live._replace(double=every.double)
+
+    @property
     def consistent(self) -> bool:
         """All live nodes delivered the message the same number of times."""
-        counts = {self.deliveries[name] for name in self.live_nodes}
-        return len(counts) <= 1
+        return not self.flags.split[0]
 
     @property
     def inconsistent_omission(self) -> bool:
         """Some live node delivered the message while another never did."""
-        counts = [self.deliveries[name] for name in self.live_nodes]
-        return any(count == 0 for count in counts) and any(
-            count > 0 for count in counts
-        )
+        return bool(self.flags.imo[0])
 
     @property
     def double_reception(self) -> bool:
         """Some node delivered the same message more than once."""
-        return any(count > 1 for count in self.deliveries.values())
+        return bool(self.flags.double[0])
 
     @property
     def all_delivered_once(self) -> bool:

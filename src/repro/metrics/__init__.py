@@ -1,6 +1,5 @@
-"""Result aggregation, reporting, export and frame-log rendering."""
+"""Reporting, export and frame-log rendering."""
 
-from repro.metrics.counters import CampaignResult, ConsistencyCounter
 from repro.metrics.dump import (
     dump_deliveries,
     dump_node,
@@ -20,8 +19,6 @@ from repro.metrics.export import (
 from repro.metrics.report import render_kv, render_table
 
 __all__ = [
-    "CampaignResult",
-    "ConsistencyCounter",
     "dump_deliveries",
     "dump_node",
     "format_delivery",

@@ -46,9 +46,6 @@ def normalise_value(value: Any) -> Any:
     return value
 
 
-#: Backwards-compatible private alias (pre trace-store name).
-_normalise_value = normalise_value
-
 #: Scalar types :func:`json_line` encodes as they are (floats only
 #: while finite, which the plain encoder checks).
 _PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -137,7 +134,7 @@ def read_jsonl(path_or_handle: Any) -> List[Dict[str, Any]]:
 def rows_to_json(rows: Sequence[Any], indent: int = 2) -> str:
     """Serialise rows to a deterministic JSON array."""
     payload = [
-        {key: _normalise_value(value) for key, value in _normalise_row(row).items()}
+        {key: normalise_value(value) for key, value in _normalise_row(row).items()}
         for row in rows
     ]
     return json.dumps(payload, indent=indent, sort_keys=True)
@@ -167,7 +164,7 @@ def rows_to_csv(rows: Sequence[Any], columns: Optional[Sequence[str]] = None) ->
 
 
 def _flatten_for_csv(value: Any) -> Any:
-    value = _normalise_value(value)
+    value = normalise_value(value)
     if isinstance(value, (list, dict)):
         return json.dumps(value, sort_keys=True)
     return value

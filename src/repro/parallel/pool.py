@@ -136,7 +136,7 @@ def shutdown_pool(terminate: bool = False) -> None:
 atexit.register(shutdown_pool)
 
 
-def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
+def imap_tasks(tasks: Iterable, jobs: Optional[int] = None):
     """Yield task results one by one, in submission order.
 
     For drivers that persist partial results as they arrive (the sweep
@@ -151,7 +151,7 @@ def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
         for task in tasks:
             yield task()
         return
-    iterator = pool.imap(execute, tasks, chunksize)
+    iterator = pool.imap(execute, tasks)
     while True:
         try:
             result = next(iterator)
@@ -172,9 +172,9 @@ def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
             raise
 
 
-def run_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1) -> List:
+def run_tasks(tasks: Iterable, jobs: Optional[int] = None) -> List:
     """Execute ``tasks`` and return their results in submission order."""
-    return list(imap_tasks(tasks, jobs, chunksize))
+    return list(imap_tasks(tasks, jobs))
 
 
 def merge_stats(parts: Iterable[Optional[Dict[str, int]]]) -> Dict[str, int]:

@@ -19,7 +19,7 @@ from repro.properties.broadcast import (
     check_non_triviality,
     check_validity,
 )
-from repro.properties.ledger import MessageKey, SystemLedger
+from repro.properties.ledger import MessageKey, SystemLedger, delivery_flags
 
 CAN1 = "CAN1-validity"
 CAN2 = "CAN2-best-effort-agreement"
@@ -53,15 +53,18 @@ def classify_omissions(ledger: SystemLedger) -> OmissionClassification:
     """
     result = OmissionClassification()
     tallies = [Counter(node.deliveries) for node in ledger.correct_nodes]
-    for key in dict.fromkeys(ledger.all_broadcast_keys()):
-        counts = [tally[key] for tally in tallies]
-        if not counts:
-            continue
-        if any(count > 1 for count in counts):
+    keys = list(dict.fromkeys(ledger.all_broadcast_keys()))
+    if not tallies or not keys:
+        return result
+    flags = delivery_flags([[tally[key] for tally in tallies] for key in keys])
+    for key, double, none, imo in zip(
+        keys, flags.double.tolist(), flags.none.tolist(), flags.imo.tolist()
+    ):
+        if double:
             result.duplicates.append(key)
-        if all(count == 0 for count in counts):
+        if none:
             result.never_delivered.append(key)
-        elif any(count == 0 for count in counts):
+        elif imo:
             result.inconsistent_omissions.append(key)
         else:
             result.consistent.append(key)

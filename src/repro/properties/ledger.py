@@ -12,7 +12,9 @@ receivers are not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.can.controller import CanController
 from repro.can.events import Delivery
@@ -20,6 +22,46 @@ from repro.can.frame import Frame
 
 MessageKey = Hashable
 KeyFunction = Callable[[Frame], MessageKey]
+
+#: Message kinds by the codes :meth:`DeliveryFlags.kinds` returns.
+KINDS = (None, "imo", "double", "inconsistent")
+
+
+class DeliveryFlags(NamedTuple):
+    """The delivery rule's verdict, one ``[messages]`` bool array per flag."""
+
+    #: Some node never delivered the message and another did: an
+    #: inconsistent message omission (Fig. 1c, Fig. 3a, Table 1).
+    imo: np.ndarray
+    #: Some node delivered the message more than once (Fig. 1b).
+    double: np.ndarray
+    #: Two nodes delivered it a different number of times.
+    split: np.ndarray
+    #: No node delivered it (also when the node set is empty).
+    none: np.ndarray
+
+    def kinds(self) -> np.ndarray:
+        """Each message's code into :data:`KINDS`: ``imo`` before
+        ``double`` before ``inconsistent``, 0 for a consistent one."""
+        return np.select([self.imo, self.double, self.split], [1, 2, 3], 0)
+
+
+def delivery_flags(counts) -> DeliveryFlags:
+    """The one delivery rule over a ``[messages, nodes]`` count matrix.
+
+    Every consistency verdict reads it: scenario outcomes, placement
+    verification and enumeration, Monte-Carlo and campaign rounds,
+    ledgers and traffic frame verdicts.  The caller picks the node set
+    by the columns it passes (live, online or correct nodes).
+    """
+    counts = np.asarray(counts)
+    delivered = counts > 0
+    return DeliveryFlags(
+        imo=(counts == 0).any(axis=1) & delivered.any(axis=1),
+        double=(counts > 1).any(axis=1),
+        split=(counts != counts[:, :1]).any(axis=1),
+        none=~delivered.any(axis=1),
+    )
 
 
 def wire_key(frame: Frame) -> MessageKey:

@@ -26,6 +26,7 @@ from repro.can.controller import CanController
 from repro.can.events import Delivery
 from repro.can.frame import Frame
 from repro.errors import ConfigurationError, SimulationError
+from repro.properties.ledger import DeliveryFlags, delivery_flags
 from repro.simulation.engine import FaultInjector, SimulationEngine
 
 #: Names of the two channels.
@@ -191,13 +192,17 @@ class DualBusOutcome:
     counts: Dict[str, int]
 
     @property
+    def flags(self) -> DeliveryFlags:
+        """The delivery rule over the correct nodes."""
+        return delivery_flags([list(self.counts.values())])
+
+    @property
     def consistent(self) -> bool:
-        return len(set(self.counts.values())) <= 1
+        return not self.flags.split[0]
 
     @property
     def inconsistent_omission(self) -> bool:
-        values = list(self.counts.values())
-        return any(v == 0 for v in values) and any(v > 0 for v in values)
+        return bool(self.flags.imo[0])
 
     @property
     def all_delivered_once(self) -> bool:

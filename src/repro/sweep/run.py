@@ -126,16 +126,13 @@ def run_sweep(
     jobs: Optional[int] = None,
     backend: str = "batch",
     cell_budget: Optional[int] = None,
-    progress=None,
 ) -> SweepRunReport:
     """Run (or resume) ``spec`` against ``store``; returns the report.
 
     ``cell_budget`` caps how many cells this call evaluates — the rest
     stay pending for the next call, which is both the integrity
     check's interruption model and a way to drip a huge grid through
-    short CI slots.  ``progress`` is an optional callable receiving
-    ``(evaluated_so_far, planned)`` after each persisted chunk.  The
-    run holds the store's writer lock (:meth:`ResultStore.locked`)
+    short CI slots.  The run holds the store's writer lock (:meth:`ResultStore.locked`)
     throughout, so a second run on a live store raises
     :class:`repro.errors.ReproError` and leaves it untouched.
     """
@@ -155,8 +152,6 @@ def run_sweep(
             store.append(records)
             evaluated += len(records)
             stats = merge_stats([stats, *map(stats_of, records)])
-            if progress is not None:
-                progress(evaluated, len(pending))
         status = store.compact()
     return SweepRunReport(
         name=spec.name,

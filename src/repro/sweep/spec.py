@@ -337,8 +337,12 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
+        try:
+            with open(path) as handle:
+                text = handle.read()
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError("cannot read sweep spec %s: %s" % (path, exc))
+        return cls.from_json(text)
 
     def cell_count(self) -> int:
         """Number of cells the spec expands to (product or explicit)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Union
 
-from repro.errors import TraceStoreError
+from repro.errors import ReproError, TraceStoreError
 from repro.metrics.export import json_line, read_jsonl
 from repro.tracestore.recorder import outcome_records
 from repro.tracestore.schema import TRAFFIC_SCHEMA_VERSION, require_valid
@@ -100,7 +100,7 @@ def load_trace(path) -> RecordedTrace:
     """Load and validate one ``.jsonl`` recording from disk."""
     try:
         records = read_jsonl(path)
-    except OSError as exc:
+    except (OSError, ValueError, ReproError) as exc:
         raise TraceStoreError("cannot read recording %s: %s" % (path, exc))
     return RecordedTrace.from_records(records, source=str(path))
 

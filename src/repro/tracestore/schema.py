@@ -103,7 +103,11 @@ def _version(manifest, _state):
 
 
 def _node_entries(manifest, _state):
-    for node in manifest.get("nodes", ()):
+    nodes = manifest.get("nodes", [])
+    if not isinstance(nodes, list):
+        yield "nodes must be a list, got %r" % (nodes,)
+        return
+    for node in nodes:
         if not isinstance(node, dict) or {"name", "protocol", "m"} - set(node):
             yield "malformed node entry %r" % (node,)
 
@@ -127,8 +131,9 @@ def _levels(record, _state):
 
 
 def _status(record, _state):
-    if record.get("status") not in FRAME_STATUSES:
-        yield "unknown frame status %r" % record.get("status")
+    status = record.get("status")
+    if not isinstance(status, str) or status not in FRAME_STATUSES:
+        yield "unknown frame status %r" % (status,)
 
 
 class Section(NamedTuple):
@@ -214,12 +219,8 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
     records = list(records)
     if not records:
         return ["file is empty (expected a manifest line)"]
-    manifest = records[0]
-    layout = LAYOUTS[
-        TRAFFIC_SCHEMA_VERSION
-        if manifest.get("version") == TRAFFIC_SCHEMA_VERSION
-        else SCHEMA_VERSION
-    ]
+    manifest = records[0] if isinstance(records[0], dict) else {}
+    layout = LAYOUTS[_version_of(manifest)]
     problems: List[str] = []
     last_time: Dict[str, int] = {}
     if manifest.get("type") != MANIFEST:
@@ -235,8 +236,11 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
     counts = dict.fromkeys(rank, 0)
     stage = 0
     for number, record in enumerate(records[1:], 2):
+        if not isinstance(record, dict):
+            problems.append("line %d: not a JSON object: %r" % (number, record))
+            continue
         kind = record.get("type")
-        if kind not in rank:
+        if not isinstance(kind, str) or kind not in rank:
             problems.append("line %d: unknown record type %r" % (number, kind))
             continue
         if rank[kind] < stage:
@@ -266,10 +270,15 @@ def require_valid(records: Iterable[Dict[str, Any]], source: str = "<trace>") ->
     records = list(records)
     problems = validate_records(records)
     if problems:
-        version = records[0].get("version") if records else None
-        if version not in (SCHEMA_VERSION, TRAFFIC_SCHEMA_VERSION):
-            version = SCHEMA_VERSION
+        manifest = records[0] if records and isinstance(records[0], dict) else {}
         raise TraceStoreError(
             "%s is not a valid v%d recording:\n  %s"
-            % (source, version, "\n  ".join(problems))
+            % (source, _version_of(manifest), "\n  ".join(problems))
         )
+
+
+def _version_of(manifest: Dict[str, Any]) -> int:
+    """The layout a manifest picks: v2 if it says so, v1 otherwise."""
+    if manifest.get("version") == TRAFFIC_SCHEMA_VERSION:
+        return TRAFFIC_SCHEMA_VERSION
+    return SCHEMA_VERSION

@@ -422,6 +422,24 @@ def _run_engine_suffix(
     )
 
 
+def frame_statuses(counts) -> List[str]:
+    """Each message's frame-verdict status from a ``[messages, correct
+    nodes]`` delivery count matrix, by the delivery rule: ``duplicated``
+    (some correct node above 1), ``lost`` (none delivered), ``omitted``
+    (the counts split) or ``delivered`` (every correct node at 1)."""
+    from repro.properties.ledger import delivery_flags
+
+    flags = delivery_flags(counts)
+    # With no correct node above 1 and one at 1, a split leaves another
+    # correct node short of it: an omission.
+    return [
+        "duplicated" if double else "lost" if none else "omitted" if split else "delivered"
+        for double, none, split in zip(
+            flags.double.tolist(), flags.none.tolist(), flags.split.tolist()
+        )
+    ]
+
+
 def splice_windows(
     spec: TrafficSpec,
     schedule: Tuple[Submission, ...],
@@ -429,6 +447,8 @@ def splice_windows(
     backend_stats: Optional[Dict[str, int]] = None,
 ) -> TrafficOutcome:
     """Concatenate the window results into one global outcome."""
+    import numpy as np
+
     from repro.can.events import EventKind
     from repro.properties.broadcast import check_atomic_broadcast
     from repro.properties.ledger import NodeLedger, SystemLedger
@@ -487,25 +507,12 @@ def splice_windows(
         node.delivery_times = delivery_times[name]
         ledger.nodes[name] = node
 
-    correct_names = [
-        name for name in spec.node_names if name not in ever_offline
-    ]
+    rows = [[counts[name].get(sub.key, 0) for name in spec.node_names] for sub in schedule]
+    correct = [i for i, name in enumerate(spec.node_names) if name not in ever_offline]
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(spec.node_names))
     verdicts: List[MessageVerdict] = []
     tally = {"delivered": 0, "duplicated": 0, "omitted": 0, "lost": 0}
-    for sub in schedule:
-        key = sub.key
-        per_node = {
-            name: counts[name].get(key, 0) for name in spec.node_names
-        }
-        correct_counts = [per_node[name] for name in correct_names]
-        if any(count > 1 for count in correct_counts):
-            status = "duplicated"
-        elif correct_counts and all(count == 1 for count in correct_counts):
-            status = "delivered"
-        elif any(count > 0 for count in correct_counts):
-            status = "omitted"
-        else:
-            status = "lost"
+    for sub, row, status in zip(schedule, rows, frame_statuses(matrix[:, correct])):
         tally[status] += 1
         verdicts.append(
             MessageVerdict(
@@ -514,8 +521,8 @@ def splice_windows(
                 window=sub.window,
                 submitted_at=sub.time,
                 status=status,
-                counts=per_node,
-                first_delivered=first_time.get(key),
+                counts=dict(zip(spec.node_names, row)),
+                first_delivered=first_time.get(sub.key),
             )
         )
 

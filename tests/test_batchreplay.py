@@ -23,9 +23,8 @@ the engine.  These tests enforce that contract:
   mixed): the array canonical form matches a verbatim copy of the
   per-placement canonicaliser it replaced, and one slab classifies
   like the same combos one call each;
-* over **generated delivery matrices**: the array hit scan equals
-  ``delivery_kind`` row by row, and ``verify_chunk`` finds the engine's
-  hits on both backends, with and without ``stop_at_first``;
+* over **a sampled CAN/MinorCAN 2-flip universe**: ``verify_chunk``
+  finds the engine's hits on both backends;
 * through every wired entry point (``verify_consistency``,
   ``enumerate_tail_patterns``, ``monte_carlo_tail``, ``m_ablation``,
   the CLI ``--backend`` flag), asserting backend equality end to end.
@@ -41,11 +40,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.analysis.batchreplay import (
     _FAST,
-    KINDS,
+    ENGINE,
     BatchReplayEvaluator,
     EngineClassifier,
     _arm,
@@ -55,8 +53,6 @@ from repro.analysis.batchreplay import (
     _step_cap,
     _row_keys,
     clear_caches,
-    delivery_kind,
-    delivery_kinds,
     placement_classifier,
     tail_shape,
     transition_table,
@@ -80,6 +76,7 @@ from repro.faults.scenarios import (
     run_placement,
     run_single_frame_scenario,
 )
+from repro.properties.ledger import KINDS, delivery_flags
 from repro.tracestore import load_trace
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -130,6 +127,11 @@ def engine_oracle(protocol, m, node_names, combo, frame):
     )
 
 
+def verdicts(placed):
+    """``(deliveries, attempts)`` per placement of ``Placements`` columns."""
+    return list(zip(map(tuple, placed.deliveries.tolist()), placed.attempts.tolist()))
+
+
 def off_engine(evaluator):
     """Placements the evaluator classified without a full engine run."""
     return sum(evaluator.stats.values()) - evaluator.stats["engine"]
@@ -173,14 +175,14 @@ class TestCorpusDifferential:
         evaluator = BatchReplayEvaluator(
             protocol, m, node_names, frame=spec.frame
         )
-        outcomes = evaluator.evaluate(combos)
+        outcomes = verdicts(evaluator.evaluate(combos))
         assert evaluator.stats["engine"] == 0, (
             "corpus frames must be classified by the micro-model itself"
         )
         assert off_engine(evaluator) == len(combos)
         for combo, outcome in zip(combos, outcomes):
             expected = engine_oracle(protocol, m, node_names, combo, spec.frame)
-            assert (outcome.deliveries, outcome.attempts) == expected, (
+            assert outcome == expected, (
                 path.stem,
                 combo,
             )
@@ -198,9 +200,9 @@ class TestSeededRandomSweep:
             tuple(rng.sample(sites, rng.randint(1, 3))) for _ in range(60)
         ]
         evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
-        for combo, outcome in zip(combos, evaluator.evaluate(combos)):
+        for combo, outcome in zip(combos, verdicts(evaluator.evaluate(combos))):
             expected = engine_oracle(protocol, m, node_names, combo, FRAME)
-            assert (outcome.deliveries, outcome.attempts) == expected, combo
+            assert outcome == expected, combo
 
     @pytest.mark.parametrize("protocol,m", SWEEP_CONFIGS)
     def test_array_and_scalar_simulators_agree(self, protocol, m):
@@ -415,7 +417,7 @@ class TestHeaderDifferential:
         node_names = ("tx", "r1", "r2")
         evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
         combos = [(site,) for site in header_sites(node_names, data_bits=8)]
-        outcomes = evaluator.evaluate(combos)
+        outcomes = verdicts(evaluator.evaluate(combos))
         assert evaluator.stats["engine"] == 0, (
             "header sites must not bail to the full engine"
         )
@@ -425,7 +427,7 @@ class TestHeaderDifferential:
             expected = engine_oracle(
                 protocol, m, node_names, combo, evaluator.frame
             )
-            assert (outcome.deliveries, outcome.attempts) == expected, combo
+            assert outcome == expected, combo
 
     @pytest.mark.parametrize("n_nodes", (2, 4))
     def test_all_announced_fields_match_engine(self, n_nodes):
@@ -440,30 +442,23 @@ class TestHeaderDifferential:
                 for (field_name, index) in sorted(shape.announced)
                 for name in node_names
             ]
-            outcomes = evaluator.evaluate(combos)
+            outcomes = verdicts(evaluator.evaluate(combos))
             assert evaluator.stats["engine"] == 0
             for combo, outcome in zip(combos, outcomes):
                 expected = engine_oracle(
                     protocol, m, node_names, combo, evaluator.frame
                 )
-                assert (
-                    outcome.deliveries,
-                    outcome.attempts,
-                ) == expected, (protocol, m, combo)
+                assert outcome == expected, (protocol, m, combo)
 
     def test_inert_header_sites_match_clean_run(self):
         # The default 1-byte payload never announces DATA index 60, and
         # SOF has a single bit: both triggers can never fire.
         evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
-        clean, data_inert, sof_inert = evaluator.evaluate(
+        clean, data_inert, sof_inert = verdicts(evaluator.evaluate(
             [(), (("r1", "DATA", 60),), (("r1", "SOF", 3),)]
-        )
+        ))
         assert off_engine(evaluator) == 3
-        for outcome in (data_inert, sof_inert):
-            assert (outcome.deliveries, outcome.attempts) == (
-                clean.deliveries,
-                clean.attempts,
-            )
+        assert data_inert == sof_inert == clean
         assert evaluator.stats["engine"] == 0
 
     def test_multi_flip_header_combos_stay_off_the_engine(self):
@@ -473,14 +468,14 @@ class TestHeaderDifferential:
         header = ("r1", "DATA", 0)
         tail = ("r2", "EOF", 5)
         combos = [(header, ("r2", "DATA", 1)), (header, tail)]
-        outcomes = evaluator.evaluate(combos)
+        outcomes = verdicts(evaluator.evaluate(combos))
         assert evaluator.stats["engine"] == 0
         assert evaluator.stats["header"] == 2
         frame = evaluator.frame
         assert off_engine(evaluator) == 2
         for combo, outcome in zip(combos, outcomes):
             expected = engine_oracle("can", 5, ("tx", "r1", "r2"), combo, frame)
-            assert (outcome.deliveries, outcome.attempts) == expected
+            assert outcome == expected
 
     def test_lone_receiver_flips_share_one_run_per_parse_signature(
         self, monkeypatch
@@ -513,11 +508,11 @@ class TestHeaderDifferential:
         node_names = ("tx", "r1", "r2")
         evaluator = BatchReplayEvaluator("can", 5, node_names, FRAME)
         combo = (("r1", "DATA", 60), ("r2", "EOF", 6))
-        (outcome,) = evaluator.evaluate([combo])
+        (outcome,) = verdicts(evaluator.evaluate([combo]))
         assert off_engine(evaluator) == 1
         assert evaluator.stats["engine"] == 0
         expected = engine_oracle("can", 5, node_names, combo, evaluator.frame)
-        assert (outcome.deliveries, outcome.attempts) == expected
+        assert outcome == expected
 
 
 class TestRouting:
@@ -531,34 +526,25 @@ class TestRouting:
         evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
         node_names = ("tx", "r1", "r2")
         site = ("r1", "EOF", 5)
-        even, odd, clean, single = evaluator.evaluate(
+        even, odd, clean, single = verdicts(evaluator.evaluate(
             [(site, site), (site, site, site), (), (site,)]
-        )
+        ))
         assert evaluator.stats["engine"] == 0
         assert off_engine(evaluator) == 4
-        assert (even.deliveries, even.attempts) == (
-            clean.deliveries,
-            clean.attempts,
-        )
-        assert (odd.deliveries, odd.attempts) == (
-            single.deliveries,
-            single.attempts,
-        )
+        assert even == clean
+        assert odd == single
         for combo, outcome in ((((site, site)), even), ((site, site, site), odd)):
             expected = engine_oracle(
                 "can", 5, node_names, combo, evaluator.frame
             )
-            assert (outcome.deliveries, outcome.attempts) == expected
+            assert outcome == expected
 
     def test_inert_sites_match_clean_run(self):
         evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1", "r2"], FRAME)
-        clean, inert = evaluator.evaluate([(), (("r1", "EOF", 99),)])
+        clean, inert = verdicts(evaluator.evaluate([(), (("r1", "EOF", 99),)]))
         assert off_engine(evaluator) == 2
-        assert (clean.deliveries, clean.attempts) == (
-            inert.deliveries,
-            inert.attempts,
-        )
-        assert clean.deliveries == (1, 1, 1)
+        assert clean == inert
+        assert clean[0] == (1, 1, 1)
 
     def test_unknown_node_falls_back_to_engine(self):
         evaluator = BatchReplayEvaluator("can", 5, ["tx", "r1"], FRAME)
@@ -616,18 +602,15 @@ class TestCanonicalForm:
         assert _row_keys(evaluator._canonical(variants).codes) == [key] * 4
         for variant in variants:
             assert _row_keys(evaluator._canonical([variant]).codes) == [key], variant
-        base, moved, shuffled, cancelled = evaluator.evaluate(
+        base, moved, shuffled, cancelled = verdicts(evaluator.evaluate(
             [combo, permuted, reordered, padded]
-        )
+        ))
         assert shuffled == base
         assert cancelled == base
-        assert moved.attempts == base.attempts
+        assert moved[1] == base[1]
         index = {name: i for i, name in enumerate(names)}
         for name in names:
-            assert (
-                moved.deliveries[index[relabel.get(name, name)]]
-                == base.deliveries[index[name]]
-            )
+            assert moved[0][index[relabel.get(name, name)]] == base[0][index[name]]
 
     @settings(max_examples=60, deadline=None)
     @given(placement_cases())
@@ -635,7 +618,7 @@ class TestCanonicalForm:
         protocol, m, names, combo, _ = case
         batch = BatchReplayEvaluator(protocol, m, names, FRAME)
         engine = EngineClassifier(protocol, m, names, FRAME)
-        assert list(batch.evaluate([combo])) == list(engine.evaluate([combo])), combo
+        assert verdicts(batch.evaluate([combo])) == verdicts(engine.evaluate([combo])), combo
 
     def test_every_placement_counts_once(self):
         names = ("tx", "r1", "r2", "r3")
@@ -793,39 +776,28 @@ class TestArrayCanonicalForm:
     def test_one_slab_equals_separate_calls(self, case):
         protocol, m, names, combos = case
         clear_caches()
-        together = list(BatchReplayEvaluator(protocol, m, names, FRAME).evaluate(combos))
+        together = verdicts(BatchReplayEvaluator(protocol, m, names, FRAME).evaluate(combos))
         clear_caches()
         evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
-        apart = [outcome for combo in combos for outcome in evaluator.evaluate([combo])]
+        apart = [
+            outcome for combo in combos for outcome in verdicts(evaluator.evaluate([combo]))
+        ]
         assert together == apart
         assert sum(evaluator.stats.values()) == len(combos)
 
 
 class TestHitScan:
-    """The array predicates of ``delivery_kinds`` are ``delivery_kind``."""
+    """``verify_chunk`` turns the delivery rule's kinds into hit tuples."""
 
     #: Every kind: "inconsistent" (counts that differ, none zero, none
     #: above one) needs a negative count, which no classifier produces,
-    #: but the two rules must still agree on it.
+    #: but the rule still names it.
     EVERY_KIND = [[1, 1, 1], [1, 0, 1], [2, 1, 1], [1, -1, 1], [0, 0, 0], [0, 2, 0]]
 
     def test_every_kind(self):
-        kinds = delivery_kinds(np.array(self.EVERY_KIND))
+        kinds = delivery_flags(np.array(self.EVERY_KIND)).kinds()
         assert [KINDS[kind] for kind in kinds] == [
             None, "imo", "double", "inconsistent", None, "imo"
-        ]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        hnp.arrays(
-            np.int64,
-            st.tuples(st.integers(1, 24), st.integers(2, 7)),
-            elements=st.integers(-1, 3),
-        )
-    )
-    def test_generated_matrices(self, deliveries):
-        assert [KINDS[kind] for kind in delivery_kinds(deliveries)] == [
-            delivery_kind(row) for row in deliveries.tolist()
         ]
 
     @pytest.mark.parametrize("protocol,m", [("can", 5), ("minorcan", 5)])
@@ -836,16 +808,17 @@ class TestHitScan:
         # Every hit of the 2-flip universe among 40 clean placements.
         pairs = list(itertools.combinations(sites, 2))
         placed = placement_classifier(protocol, m, names, "batch").evaluate(pairs)
-        hit = [pair for pair, outcome in zip(pairs, placed) if outcome.kind]
-        clean = [pair for pair, outcome in zip(pairs, placed) if not outcome.kind]
+        kinds = delivery_flags(placed.deliveries).kinds().tolist()
+        hit = [pair for pair, kind in zip(pairs, kinds) if kind]
+        clean = [pair for pair, kind in zip(pairs, kinds) if not kind]
         combos = hit + random.Random(31).sample(clean, 40)
         random.Random(32).shuffle(combos)
         combos = tuple(combos)
-        engine = EngineClassifier(protocol, m, names, FRAME)
+        engine = EngineClassifier(protocol, m, names, FRAME).evaluate(combos)
         expected = [
-            (row, delivery_kind(outcome.deliveries))
-            for row, outcome in enumerate(engine.evaluate(combos))
-            if delivery_kind(outcome.deliveries) is not None
+            (row, KINDS[kind])
+            for row, kind in enumerate(delivery_flags(engine.deliveries).kinds().tolist())
+            if kind
         ]
         assert {kind for _, kind in expected} == {"imo", "double"}
         runs, hits, _ = verify_chunk(protocol, m, names, combos, b"\x55", backend)
@@ -853,12 +826,9 @@ class TestHitScan:
         assert [(hit[0], hit[3]) for hit in hits] == [
             (combos[row], kind) for row, kind in expected
         ]
-        runs, hits, _ = verify_chunk(
-            protocol, m, names, combos, b"\x55", backend, stop_at_first=True
-        )
-        first, kind = expected[0]
-        assert runs == first + 1
-        assert [(hit[0], hit[3]) for hit in hits] == [(combos[first], kind)]
+        for (combo, deliveries, attempts, _), (row, _) in zip(hits, expected):
+            assert deliveries == tuple(sorted(zip(names, engine.deliveries[row].tolist())))
+            assert attempts == engine.attempts[row]
 
 
 class TestWiredEntryPoints:
@@ -896,25 +866,6 @@ class TestWiredEntryPoints:
         assert [str(c) for c in serial.counterexamples] == [
             str(c) for c in parallel.counterexamples
         ]
-
-    def test_verify_stop_at_first_on_batch(self):
-        results = [
-            verify_consistency(
-                "can",
-                m=5,
-                n_nodes=3,
-                max_flips=2,
-                backend=backend,
-                stop_at_first=True,
-            )
-            for backend in ("engine", "batch")
-        ]
-        engine, batch = results
-        # The CAN universe's first hit is the lone tx@EOF[5] flip.
-        sites = universe("can", 5, ["tx", "r1", "r2"])
-        assert engine.runs == batch.runs == sites.index(("tx", "EOF", 5)) + 1
-        assert len(engine.counterexamples) == 1
-        assert engine.counterexamples == batch.counterexamples
 
     def test_enumerate_equality(self):
         for protocol in ("can", "minorcan", "majorcan"):
@@ -1082,7 +1033,7 @@ class TestPlacementClassifier:
         with pytest.raises(AnalysisError, match="unknown backend"):
             placement_classifier("can", 5, names, "cuda")
 
-    def test_engine_runs_each_combo_as_given_and_lazily(self, monkeypatch):
+    def test_engine_runs_each_combo_as_given(self, monkeypatch):
         import repro.analysis.batchreplay as batchreplay
 
         calls = []
@@ -1098,13 +1049,14 @@ class TestPlacementClassifier:
         # oracle simulates it as written.
         twice = (("r1", "EOF", 5), ("r1", "EOF", 5))
         combos = [twice, (("r2", "EOF", 5),), (("tx", "EOF", 5),)]
-        outcomes = classifier.evaluate(combos)
-        assert calls == []
-        first = next(outcomes)
-        assert calls == [twice]
-        assert classifier.stats is None
-        assert len(list(outcomes)) == 2
+        placed = classifier.evaluate(combos)
         assert calls == combos
+        assert classifier.stats is None
+        assert placed.deliveries.shape == (3, 3)
+        assert placed.routes.tolist() == [ENGINE] * 3
+        assert verdicts(placed) == [
+            engine_oracle("can", 5, ("tx", "r1", "r2"), combo, FRAME) for combo in combos
+        ]
 
 
 class TestTailShapeSignalling:

@@ -159,8 +159,59 @@ class TestTraceCommands:
         assert main(["corpus", "check", "--dir", corpus_dir, "--jobs", "2"]) == 0
         assert "bit-identical" in capsys.readouterr().out
 
-    def test_corpus_check_fails_on_missing_dir(self, tmp_path):
-        from repro.errors import TraceStoreError
+    def test_corpus_check_fails_on_missing_dir(self, capsys, tmp_path):
+        assert main(["corpus", "check", "--dir", str(tmp_path / "nope")]) == 2
+        assert_one_error_line(capsys.readouterr().err)
 
-        with pytest.raises(TraceStoreError):
-            main(["corpus", "check", "--dir", str(tmp_path / "nope")])
+
+def assert_one_error_line(err):
+    """Invalid input: one ``error:`` line on stderr, no traceback."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestInvalidInput:
+    """Exit 2 and one ``error:`` line on malformed input; a real
+    divergence keeps exit 1."""
+
+    @pytest.fixture
+    def recording(self, capsys, tmp_path):
+        path = tmp_path / "fig1b.jsonl"
+        assert main(["record", "fig1b", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_replay_without_verdict_line(self, capsys, recording):
+        lines = recording.read_text().splitlines()
+        recording.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["replay", str(recording)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "expected exactly one verdict line, found 0" in captured.err
+        assert captured.out == ""
+
+    def test_replay_of_a_line_that_is_not_an_object(self, capsys, recording):
+        with open(recording, "a") as handle:
+            handle.write("[1, 2]\n")
+        assert main(["replay", str(recording)]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_diff_with_a_malformed_side(self, capsys, tmp_path, recording):
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text(recording.read_text().splitlines()[0][:-7] + "\n")
+        assert main(["diff", str(recording), str(broken)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert main(["diff", str(recording), str(tmp_path / "missing.jsonl")]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "text", [None, "{not json", '["a list"]', '{"name": "x", "frobnicate": 1}']
+    )
+    def test_sweep_run_on_a_malformed_spec(self, capsys, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text)
+        store = tmp_path / "store"
+        assert main(["sweep", "run", str(spec), "--store", str(store)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not store.exists()

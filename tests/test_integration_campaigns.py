@@ -11,8 +11,8 @@ from repro.can.controller import CanController
 from repro.core.majorcan import MajorCanController
 from repro.core.minorcan import MinorCanController
 from repro.faults.bit_errors import RandomViewErrorInjector
-from repro.metrics.counters import ConsistencyCounter
 from repro.properties.broadcast import check_atomic_broadcast
+from repro.properties.can_properties import classify_omissions
 from repro.properties.ledger import SystemLedger
 from repro.simulation.engine import SimulationEngine
 from repro.workload.generator import (
@@ -75,16 +75,22 @@ class TestNoisyTraffic:
         assert total > 40
 
     def test_counter_aggregation_over_protocols(self):
-        counter_can = ConsistencyCounter()
-        counter_major = ConsistencyCounter()
+        can, major = [], []
         for seed in (11, 22):
             _, controllers = run_campaign(CanController, 5e-4, seed)
-            counter_can.add_ledger(SystemLedger.from_controllers(controllers))
+            can.append(classify_omissions(SystemLedger.from_controllers(controllers)))
             _, controllers = run_campaign(MajorCanController, 5e-4, seed)
-            counter_major.add_ledger(SystemLedger.from_controllers(controllers))
-        assert counter_can.messages > 0
-        assert counter_major.messages > 0
-        assert counter_major.inconsistent_omissions == 0
+            major.append(classify_omissions(SystemLedger.from_controllers(controllers)))
+
+        def messages(classifications):
+            return sum(
+                len(c.consistent) + len(c.inconsistent_omissions) + len(c.never_delivered)
+                for c in classifications
+            )
+
+        assert messages(can) > 0
+        assert messages(major) > 0
+        assert sum(c.imo_count for c in major) == 0
 
 
 class TestArbitrationUnderNoise:

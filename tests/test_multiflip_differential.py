@@ -72,13 +72,14 @@ def test_full_two_flip_universe_matches_engine(protocol, m):
     combos = full_universe(protocol, m)
     clear_caches()
     evaluator = BatchReplayEvaluator(protocol, m, NODE_NAMES, frame=FRAME)
-    outcomes = evaluator.evaluate(combos)
-    assert len(outcomes) == len(combos)
+    placed = evaluator.evaluate(combos)
+    assert len(placed.attempts) == len(combos)
+    outcomes = zip(map(tuple, placed.deliveries.tolist()), placed.attempts.tolist())
     mismatches = []
     for combo, outcome in zip(combos, outcomes):
         oracle = engine_oracle(protocol, m, combo)
-        if (outcome.deliveries, outcome.attempts) != oracle:
-            mismatches.append((combo, (outcome.deliveries, outcome.attempts), oracle))
+        if outcome != oracle:
+            mismatches.append((combo, outcome, oracle))
     assert mismatches == []
     total = sum(evaluator.stats.values())
     assert total == len(combos)

@@ -304,6 +304,31 @@ _MALFORMED = {
          "line 4: frame verdict missing keys ['status']",
          "line 4: unknown frame status None"],
     ),
+    # Lines that are not JSON objects, and unhashable values where a
+    # line type or a frame status belongs, are problems too.
+    "v1-lines-not-objects": (
+        _v1(_BUS, [1, 2], 7, "bus", None, _V1),
+        ["line 3: not a JSON object: [1, 2]",
+         "line 4: not a JSON object: 7",
+         "line 5: not a JSON object: 'bus'",
+         "line 6: not a JSON object: None"],
+    ),
+    "manifest-not-an-object": (
+        [["manifest"], _BUS, _V1], ["line 1: first line must be the manifest"],
+    ),
+    "v1-type-not-a-string": (
+        _v1(_BUS, dict(_EVENT, type=["event"]), dict(_EVENT, type={"a": 1}), _V1),
+        ["line 3: unknown record type ['event']",
+         "line 4: unknown record type {'a': 1}"],
+    ),
+    "v1-nodes-not-a-list": (
+        _v1(*_GOOD_V1, nodes=3), ["line 1: nodes must be a list, got 3"],
+    ),
+    "v2-frame-status-not-a-string": (
+        _v2(_BUS, dict(_FV, status=["delivered"]), dict(_FV, status={"lost": 1}), _V2),
+        ["line 3: unknown frame status ['delivered']",
+         "line 4: unknown frame status {'lost': 1}"],
+    ),
     # Recordings are written uncompressed; a manifest naming any
     # compression is rejected, whichever version it claims.
     "v1-compression-rle": (
@@ -326,6 +351,22 @@ class TestValidatorProblems:
     def test_exact_problem_list(self, case):
         records, expected = _MALFORMED[case]
         assert validate_records(records) == expected
+
+    @pytest.mark.parametrize(
+        "line", ["[1, 2]", "7", '"bus"', '{"type": ["event"]}', '{"type": "bus"', "\xff"]
+    )
+    def test_malformed_line_fails_to_load(self, tmp_path, line):
+        # Not an object, an unhashable type, cut-off JSON, bytes that
+        # are not UTF-8: each is a TraceStoreError, never another type.
+        from repro.metrics.export import write_jsonl
+
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(str(path), _v1(*_GOOD_V1))
+        lines = path.read_bytes().splitlines()
+        lines.insert(2, line.encode("latin-1"))
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(TraceStoreError):
+            load_trace(str(path))
 
     def test_compressed_manifest_fails_to_load(self, tmp_path):
         from repro.metrics.export import write_jsonl

@@ -533,6 +533,7 @@ class TestTrafficCli:
         assert main(["replay", path]) == 0
         assert "bit-identical" in capsys.readouterr().out
 
-    def test_traffic_rejects_malformed_burst(self):
-        with pytest.raises(ConfigurationError):
-            main(["traffic", "--burst", "n1:wat"])
+    def test_traffic_rejects_malformed_burst(self, capsys):
+        assert main(["traffic", "--burst", "n1:wat"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: burst must be node:window:start:length")

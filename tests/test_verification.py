@@ -132,29 +132,6 @@ class TestHeaderUniverseFindsF1:
         for counterexample in dlc_hits:
             assert all(name != "tx" for name, _, _ in counterexample.sites)
 
-    def test_stop_at_first(self):
-        engine, batch = (
-            verify_consistency(
-                "majorcan",
-                m=5,
-                n_nodes=3,
-                max_flips=1,
-                extra_sites=header_sites(["r1"]),
-                stop_at_first=True,
-                backend=backend,
-            )
-            for backend in ("engine", "batch")
-        )
-        full = verify_consistency(
-            "majorcan", m=5, n_nodes=3, max_flips=1, extra_sites=header_sites(["r1"])
-        )
-        # MajorCAN_5 leaves the F1 header channel open, so the sweep
-        # stops at the first of the full sweep's counterexamples.
-        assert len(engine.counterexamples) == 1
-        assert engine.counterexamples == batch.counterexamples
-        assert engine.counterexamples[0] == full.counterexamples[0]
-        assert engine.runs == batch.runs < full.runs
-
 
 class TestValidation:
     def test_node_count(self):
