@@ -34,7 +34,7 @@ from repro.can.frame import Frame, data_frame
 from repro.core.majorcan import MajorCanController
 from repro.errors import AnalysisError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.simulation.engine import SimulationEngine
+from repro.faults.scenarios import run_single_frame_scenario
 
 
 def best_case_overhead_bits(m: int) -> int:
@@ -91,22 +91,20 @@ def _slot_length(
     retransmission that follows is the cost MajorCAN saves, and the
     paper's overhead accounting excludes it.
     """
-    transmitter = make_node("tx")
-    receiver_a = make_node("ra")
-    receiver_b = make_node("rb")
+    names = ("tx", "ra", "rb")
     faults = []
     if error_eof_index is not None:
         faults = [
             ViewFault(name, Trigger(field=EOF, index=error_eof_index), force=DOMINANT)
-            for name in ("tx", "ra", "rb")
+            for name in names
         ]
-    engine = SimulationEngine(
-        [transmitter, receiver_a, receiver_b],
-        injector=ScriptedInjector(view_faults=faults),
+    outcome = run_single_frame_scenario(
+        "slot",
+        [make_node(name) for name in names],
+        ScriptedInjector(view_faults=faults),
+        frame=frame,
     )
-    transmitter.submit(frame)
-    engine.run_until_idle(20000)
-    starts = engine.trace.position_times("tx", INTERMISSION, 0)
+    starts = outcome.trace.position_times("tx", INTERMISSION, 0)
     if not starts:
         raise AnalysisError("transmitter never reached the intermission")
     return starts[0]

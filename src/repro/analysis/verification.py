@@ -48,8 +48,8 @@ Site = Tuple[str, str, int]
 #: Baseline flip placements per task chunk on the parallel path, tuned
 #: for the canonical three-node engine sweep.  The placement
 #: enumeration order is fixed, so chunking only partitions it; results
-#: merged in chunk order are identical to the serial sweep.  The
-#: default ``chunk_placements=None`` adapts this baseline to the node
+#: merged in chunk order are identical to the serial sweep.
+#: :func:`verify_consistency` adapts this baseline to the node
 #: count and — because, unlike the Monte-Carlo spawn tree, the
 #: partition cannot change verification results — to the backend: the
 #: vectorised batch backend classifies a placement roughly 16x faster,
@@ -178,7 +178,6 @@ def verify_consistency(
     extra_sites: Iterable[Site] = (),
     payload: bytes = b"\x55",
     jobs: Optional[int] = 1,
-    chunk_placements: Optional[int] = None,
     backend: str = "engine",
 ) -> VerificationResult:
     """Exhaustively explore every ≤ ``max_flips`` placement of view
@@ -202,11 +201,10 @@ def verify_consistency(
     ``result.backend_stats``; ``"engine"`` keeps one engine run per
     placement.  Both backends produce identical results.
 
-    ``chunk_placements=None`` (the default) resolves an adaptive chunk
-    size from the node count and backend — :data:`CHUNK_PLACEMENTS` for
-    the canonical three-node engine sweep, larger for the batch backend
-    whose per-placement cost is far lower.  The resolved value is
-    recorded in ``result.chunk_placements``.
+    The parallel chunk size adapts to the node count and backend —
+    :data:`CHUNK_PLACEMENTS` for the canonical three-node engine sweep,
+    larger for the batch backend whose per-placement cost is far lower
+    — and is recorded in ``result.chunk_placements``.
     """
     if n_nodes < 2:
         raise AnalysisError("need a transmitter and at least one receiver")
@@ -223,11 +221,10 @@ def verify_consistency(
         window_end=getattr(probe, "window_end", None),
     )
     sites.extend(extra_sites)
-    if chunk_placements is None:
-        cost_units = n_nodes / 3.0
-        if backend == "batch":
-            cost_units /= BATCH_DISCOUNT
-        chunk_placements = adaptive_chunk(CHUNK_PLACEMENTS, cost_units)
+    cost_units = n_nodes / 3.0
+    if backend == "batch":
+        cost_units /= BATCH_DISCOUNT
+    chunk_placements = adaptive_chunk(CHUNK_PLACEMENTS, cost_units)
     result = VerificationResult(
         protocol=protocol,
         m=m,

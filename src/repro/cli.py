@@ -49,16 +49,14 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import SCENARIOS, fig3, fig5
+    from repro.faults.scenarios import SCENARIOS
 
     protocols = [args.protocol] if args.protocol else ["can", "minorcan", "majorcan"]
-    for name in ("fig1a", "fig1b", "fig1c"):
+    for name in ("fig1a", "fig1b", "fig1c", "fig3"):
         for protocol in protocols:
             print(SCENARIOS[name](protocol, m=args.m).summary())
-    for protocol in protocols:
-        print(fig3(protocol, m=args.m).summary())
     if args.protocol in (None, "majorcan"):
-        print(fig5(m=args.m).summary())
+        print(SCENARIOS["fig5"]("majorcan", m=args.m).summary())
     return 0
 
 
@@ -325,16 +323,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import SCENARIOS, fig3
+    from repro.faults.scenarios import SCENARIOS
     from repro.tracestore import record_outcome
 
-    name = args.scenario
-    if name == "fig3":
-        outcome = fig3(args.protocol or "can", m=args.m)
-    elif name in ("fig3a", "fig3b", "fig5"):
-        outcome = SCENARIOS[name](m=args.m)
-    else:
-        outcome = SCENARIOS[name](args.protocol or "can", m=args.m)
+    outcome = SCENARIOS[args.scenario](args.protocol or "can", m=args.m)
     out = args.out or ("%s-%s.jsonl" % (outcome.name, outcome.protocol.lower()))
     path = record_outcome(out, outcome)
     print("recorded %s -> %s" % (outcome.summary(), path))
@@ -511,7 +503,9 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker processes (default: REPRO_JOBS or 1; -1 = all CPUs); "
-        "results are identical for any value",
+        "results, counterexamples, cell keys and verdicts are identical "
+        "for any value, the 'backend stats' provenance counters can "
+        "differ above 1",
     )
 
 

@@ -14,18 +14,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.can.bits import DOMINANT, RECESSIVE
-from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.bit_errors import RandomViewErrorInjector
-from repro.faults.injector import (
-    CompositeInjector,
-    ScriptedInjector,
-    Trigger,
-    ViewFault,
-)
-from repro.faults.scenarios import make_controller
+from repro.faults.injector import CompositeInjector
+from repro.faults.scenarios import SCRIPTS, make_controller
 from repro.parallel.pool import merge_stats, run_tasks
 from repro.parallel.seeds import ChildSeed, chunk_sizes, rng_from, spawn_seeds
 from repro.properties.ledger import KINDS, DeliveryFlags, delivery_flags
@@ -102,7 +95,6 @@ class CampaignOutcome:
 def run_campaign(
     spec: CampaignSpec,
     jobs: Optional[int] = 1,
-    chunk_rounds: int = CHUNK_ROUNDS,
     backend: str = "engine",
 ) -> CampaignOutcome:
     """Run the campaign described by ``spec``.
@@ -130,7 +122,7 @@ def run_campaign(
     children = spawn_seeds(spec.seed, spec.rounds)
     tasks = []
     start = 0
-    for size in chunk_sizes(spec.rounds, chunk_rounds):
+    for size in chunk_sizes(spec.rounds, CHUNK_ROUNDS):
         tasks.append(
             partial(
                 run_rounds,
@@ -214,9 +206,10 @@ def run_rounds(
     # draw: the critical frame has the lowest identifier so background
     # traffic never reorders it, and the Fig. 3a forces coincide with
     # view *flips* (the victim's flag or extended flag makes the
-    # transmitter's masked EOF bit dominant on the bus).  Each scripted
-    # fault fires exactly once, so the injected count is 2 per attacked
-    # round.  With view noise the round is *still* that pure function
+    # transmitter's masked EOF bit dominant on the bus), so the round's
+    # flip sites are the script's sites with the force dropped.  Each
+    # scripted fault fires exactly once, so a round's injected count is
+    # its number of sites.  With view noise the round is *still* that pure function
     # whenever its noise mask never fires — and the mask is a
     # known-length prefix of the child stream (one uniform per node per
     # bus bit of the noise-free reference round), so a vectorised scan
@@ -236,7 +229,15 @@ def run_rounds(
         node_names,
         frame=data_frame(0x010, b"\xc0\x01", message_id="critical"),
     )
-    eof_last = evaluator.shape.eof_length - 1
+    attack_sites = {
+        victim: tuple(
+            site[:3]
+            for site in SCRIPTS["fig3"].resolve(
+                _round_roles(node_names, victim), evaluator.shape.eof_length
+            )
+        )
+        for victim in node_names[1:]
+    }
     combos = []
     combo_positions = []
     rows: Dict[int, RoundResult] = {}
@@ -249,20 +250,16 @@ def run_rounds(
             )
             flip = first_flip(rng, bits * n_nodes, noise_ber_star)
         if flip is None:
-            combos.append(
-                ((victim, EOF, eof_last - 1), ("critical", EOF, eof_last))
-                if attacked
-                else ()
-            )
+            combos.append(attack_sites[victim] if attacked else ())
             combo_positions.append(position)
             continue
         restore_state(rng, state)
         rows[position] = engine_row(round_index, attacked, victim, rng)
     engine_rounds = len(rows)
     categories = _category(delivery_flags(evaluator.evaluate(combos).deliveries))
-    for position, category in zip(combo_positions, categories):
+    for position, combo, category in zip(combo_positions, combos, categories):
         round_index, attacked, _, _ = draws[position]
-        rows[position] = (round_index, attacked, category, 2 if attacked else 0)
+        rows[position] = (round_index, attacked, category, len(combo))
     stats = dict(evaluator.stats)
     if engine_rounds:
         stats["engine"] = stats.get("engine", 0) + engine_rounds
@@ -274,6 +271,16 @@ def _category(flags: DeliveryFlags) -> List[str]:
     return [KINDS[kind] or "consistent" for kind in flags.kinds().tolist()]
 
 
+def _round_roles(node_names: Sequence[str], victim: str) -> Dict[str, List[str]]:
+    """The script roles in a round: the critical node transmits, the
+    victim is the X set and every other node the Y set."""
+    return {
+        "tx": [node_names[0]],
+        "x": [victim],
+        "y": [name for name in node_names[1:] if name != victim],
+    }
+
+
 def _round_network(
     protocol: str,
     m: int,
@@ -283,16 +290,12 @@ def _round_network(
 ):
     """Fresh controllers + scripted injector for one round (no frames yet)."""
     controllers = [make_controller(protocol, name, m=m) for name in node_names]
-    eof_last = controllers[0].config.eof_length - 1
-    faults = []
-    if attacked:
-        faults = [
-            ViewFault(victim, Trigger(field=EOF, index=eof_last - 1), force=DOMINANT),
-            ViewFault(
-                "critical", Trigger(field=EOF, index=eof_last), force=RECESSIVE
-            ),
-        ]
-    return controllers, ScriptedInjector(view_faults=faults)
+    # Attacked rounds suffer the Fig. 3a tail pattern.
+    script = SCRIPTS["fig3" if attacked else "clean"]
+    injector = script.injector(
+        _round_roles(node_names, victim), controllers[0].config.eof_length
+    )
+    return controllers, injector
 
 
 def _submit_round(controllers, background_frames: int):

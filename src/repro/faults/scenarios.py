@@ -1,33 +1,41 @@
 """Deterministic reproductions of every error scenario figure.
 
-Each ``fig*`` builder assembles a small network (a transmitter ``tx``,
-an affected receiver set ``x*`` and an unaffected set ``y*``), scripts
-the exact per-node view disturbances described in the corresponding
-figure of the paper, runs the single-frame simulation to completion and
-returns a :class:`ScenarioOutcome` with the consistency verdict.
+Each figure's disturbance pattern is written once, as a row of
+:data:`SCRIPTS`: per-node view disturbances over three roles — the
+transmitter ``tx``, every node of the affected receiver set X and every
+node of the unaffected set Y — plus an optional crash.
+:func:`run_script` resolves a script against a fresh network (``tx``,
+``x``/``x1..``, ``y``/``y1..``), runs the single frame to completion
+and returns a :class:`ScenarioOutcome` with the consistency verdict.
+The figure builders, the property matrices, the campaign rounds and
+the golden corpus map the same rows onto their own nodes.
 
-Scenario map (see DESIGN.md experiment index):
+Script map (see DESIGN.md experiment index):
 
-========  ==========================================================
-fig1a     error in the last EOF bit — the last-bit rule achieves
-          consistency in standard CAN
-fig1b     error in the last-but-one EOF bit — double reception
-fig1c     fig1b plus a transmitter crash — inconsistent omission
-fig2x     the fig1 scenarios under MinorCAN (all become consistent)
-fig3a     the paper's new scenario: X rejects, the transmitter's view
-          of the error flag is masked — IMO with a correct transmitter
-fig3b     the same disturbances defeat MinorCAN (the transmitter's
-          reactive overload flag fakes a primary error)
-fig5      MajorCAN_5 reaching agreement under five errors
-========  ==========================================================
+=====  ==============================================================
+clean  no disturbance (the matrix's control run)
+fig1a  error in the last EOF bit — the last-bit rule achieves
+       consistency in standard CAN
+fig1b  error in the last-but-one EOF bit — double reception
+fig1c  fig1b plus a transmitter crash — inconsistent omission
+       (fig1a-c under MinorCAN are the paper's Fig. 2)
+fig3   the paper's new scenario: X rejects, the transmitter's view of
+       the error flag is masked — IMO with a correct transmitter;
+       Fig. 3a under standard CAN, Fig. 3b under MinorCAN (the
+       transmitter's reactive overload flag fakes a primary error)
+fig5   MajorCAN_5 reaching agreement under five errors
+=====  ==============================================================
+
+Fig. 4's per-bit probes run the one-disturbance EOF script
+:func:`x_eof_error` at every EOF bit, plus a CRC error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.can.bits import DOMINANT, RECESSIVE
+from repro.can.bits import DOMINANT, RECESSIVE, Level
 from repro.can.controller import CanController, STATE_ERROR_FLAG
 from repro.can.controller_config import ControllerConfig
 from repro.can.events import EventKind
@@ -137,7 +145,7 @@ class ScenarioOutcome:
 def run_single_frame_scenario(
     name: str,
     nodes: Sequence[CanController],
-    injector: "FaultInjector",
+    injector: Optional[FaultInjector],
     frame: Optional[Frame] = None,
     max_bits: int = 20000,
     record_bits: bool = True,
@@ -209,22 +217,128 @@ def run_placement(
     )
 
 
-def _network(
-    protocol: str,
-    m: int,
+# ---------------------------------------------------------------------------
+# The disturbance scripts
+# ---------------------------------------------------------------------------
+
+#: One disturbance of a script: ``(role, field, index, force)``.  EOF
+#: indexes count from the start of the frame's EOF, negative ones from
+#: its end (-1 is the last bit); SAMPLING indexes count from the first
+#: bit of the MajorCAN sampling window.  ``force=None`` flips the level
+#: the node observes.
+View = Tuple[str, str, int, Optional[Level]]
+
+
+@dataclass(frozen=True)
+class Script:
+    """One disturbance pattern over the roles ``tx`` (the transmitter),
+    ``x`` (every X-set node) and ``y`` (every Y-set node)."""
+
+    views: Tuple[View, ...] = ()
+    #: Role whose nodes crash as soon as they start an error flag.
+    crash: Optional[str] = None
+
+    def resolve(
+        self,
+        roles: Mapping[str, Sequence[str]],
+        eof_length: int,
+        window_start: int = 0,
+    ) -> List[Tuple[str, str, int, Optional[Level]]]:
+        """The views as ``(node, field, index, force)`` over ``roles``
+        (role -> node names), their indexes made absolute against an
+        ``eof_length``-bit EOF and a sampling window whose first bit is
+        ``window_start``."""
+        resolved = []
+        for role, field_name, index, force in self.views:
+            if field_name == EOF and index < 0:
+                index += eof_length
+            elif field_name == SAMPLING:
+                index += window_start
+            resolved.extend((node, field_name, index, force) for node in roles[role])
+        return resolved
+
+    def injector(
+        self,
+        roles: Mapping[str, Sequence[str]],
+        eof_length: int,
+        window_start: int = 0,
+    ) -> ScriptedInjector:
+        """A fresh injector playing the script on the nodes of ``roles``."""
+        return ScriptedInjector(
+            view_faults=[
+                ViewFault(node, Trigger(field=field_name, index=index), force=force)
+                for node, field_name, index, force in self.resolve(
+                    roles, eof_length, window_start
+                )
+            ],
+            crash_faults=[
+                CrashFault(node, Trigger(state=STATE_ERROR_FLAG))
+                for node in (roles[self.crash] if self.crash else ())
+            ],
+        )
+
+
+def x_eof_error(index: int) -> Script:
+    """The X set sees a dominant level in EOF bit ``index``."""
+    return Script(views=(("x", EOF, index, DOMINANT),))
+
+
+#: Fig. 4's CRC-error probe: one flipped DATA bit in x's view.  With
+#: the alternating 0x55 payload no stuff bits are involved, so the
+#: error is a pure CRC mismatch at x, whose error flag starts at the
+#: first EOF bit.
+_CRC_ERROR = Script(views=(("x", DATA, 3, None),))
+
+#: Scenario name -> its disturbance script (see the module docstring).
+SCRIPTS: Dict[str, Script] = {
+    "clean": Script(),
+    "fig1a": x_eof_error(-1),
+    "fig1b": x_eof_error(-2),
+    "fig1c": replace(x_eof_error(-2), crash="tx"),
+    # X sees a dominant last-but-one EOF bit and rejects; the
+    # transmitter's view of the first bit of X's error flag is masked.
+    "fig3": Script(views=(("x", EOF, -2, DOMINANT), ("tx", EOF, -1, RECESSIVE))),
+    "fig5": Script(
+        views=(
+            ("x", EOF, 2, DOMINANT),
+            ("tx", EOF, 3, RECESSIVE),
+            ("tx", EOF, 4, RECESSIVE),
+            ("y", SAMPLING, 0, RECESSIVE),
+            ("y", SAMPLING, 1, RECESSIVE),
+        )
+    ),
+}
+
+
+def _role_names(role: str, count: int) -> List[str]:
+    if count == 1:
+        return [role]
+    return ["%s%d" % (role, i) for i in range(1, count + 1)]
+
+
+def run_script(
+    name: str,
+    script: Script,
+    protocol: str = "can",
+    m: int = DEFAULT_M,
     x_count: int = 1,
     y_count: int = 1,
-) -> Tuple[CanController, List[CanController], List[CanController]]:
-    transmitter = make_controller(protocol, "tx", m=m)
-    x_set = [
-        make_controller(protocol, "x%d" % i if x_count > 1 else "x", m=m)
-        for i in range(1, x_count + 1)
+) -> ScenarioOutcome:
+    """Run ``script`` under ``protocol`` on a fresh network of ``tx``,
+    ``x_count`` X-set and ``y_count`` Y-set nodes (``x``/``y`` alone,
+    else ``x1``, ...); the outcome is named ``name``."""
+    roles = {
+        "tx": ["tx"],
+        "x": _role_names("x", x_count),
+        "y": _role_names("y", y_count),
+    }
+    nodes = [
+        make_controller(protocol, node, m=m) for names in roles.values() for node in names
     ]
-    y_set = [
-        make_controller(protocol, "y%d" % i if y_count > 1 else "y", m=m)
-        for i in range(1, y_count + 1)
-    ]
-    return transmitter, x_set, y_set
+    # SAMPLING sites count from the MajorCAN_m window's first bit, m + 7;
+    # the other protocols never sample, so theirs never fire.
+    injector = script.injector(roles, nodes[0].config.eof_length, m + 7)
+    return run_single_frame_scenario(name, nodes, injector)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +352,7 @@ def fig1a(protocol: str = "can", m: int = DEFAULT_M, x_count: int = 1, y_count: 
     In standard CAN the last-bit rule makes X accept the frame and send
     an overload flag; everyone delivers exactly once.
     """
-    transmitter, x_set, y_set = _network(protocol, m, x_count, y_count)
-    eof_last = transmitter.config.eof_length - 1
-    faults = [
-        ViewFault(node.name, Trigger(field=EOF, index=eof_last), force=DOMINANT)
-        for node in x_set
-    ]
-    return run_single_frame_scenario(
-        "fig1a", [transmitter] + x_set + y_set, ScriptedInjector(view_faults=faults)
-    )
+    return run_script("fig1a", SCRIPTS["fig1a"], protocol, m, x_count, y_count)
 
 
 def fig1b(protocol: str = "can", m: int = DEFAULT_M, x_count: int = 1, y_count: int = 1) -> ScenarioOutcome:
@@ -256,32 +362,13 @@ def fig1b(protocol: str = "can", m: int = DEFAULT_M, x_count: int = 1, y_count: 
     obliged to accept by the last-bit rule and receives the frame twice
     (double reception) in standard CAN.
     """
-    transmitter, x_set, y_set = _network(protocol, m, x_count, y_count)
-    eof_last = transmitter.config.eof_length - 1
-    faults = [
-        ViewFault(node.name, Trigger(field=EOF, index=eof_last - 1), force=DOMINANT)
-        for node in x_set
-    ]
-    return run_single_frame_scenario(
-        "fig1b", [transmitter] + x_set + y_set, ScriptedInjector(view_faults=faults)
-    )
+    return run_script("fig1b", SCRIPTS["fig1b"], protocol, m, x_count, y_count)
 
 
 def fig1c(protocol: str = "can", m: int = DEFAULT_M, x_count: int = 1, y_count: int = 1) -> ScenarioOutcome:
     """Fig. 1c: as Fig. 1b, but the transmitter crashes before it can
     retransmit — the inconsistent message omission of Rufino et al."""
-    transmitter, x_set, y_set = _network(protocol, m, x_count, y_count)
-    eof_last = transmitter.config.eof_length - 1
-    faults = [
-        ViewFault(node.name, Trigger(field=EOF, index=eof_last - 1), force=DOMINANT)
-        for node in x_set
-    ]
-    crash = CrashFault("tx", Trigger(state=STATE_ERROR_FLAG))
-    return run_single_frame_scenario(
-        "fig1c",
-        [transmitter] + x_set + y_set,
-        ScriptedInjector(view_faults=faults, crash_faults=[crash]),
-    )
+    return run_script("fig1c", SCRIPTS["fig1c"], protocol, m, x_count, y_count)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +387,8 @@ def fig3(protocol: str = "can", m: int = DEFAULT_M, x_count: int = 1, y_count: i
     indication (MinorCAN).  Result: an inconsistent message omission
     with a *correct* transmitter.
     """
-    transmitter, x_set, y_set = _network(protocol, m, x_count, y_count)
-    eof_last = transmitter.config.eof_length - 1
-    faults = [
-        ViewFault(node.name, Trigger(field=EOF, index=eof_last - 1), force=DOMINANT)
-        for node in x_set
-    ]
-    faults.append(
-        ViewFault("tx", Trigger(field=EOF, index=eof_last), force=RECESSIVE)
-    )
     name = "fig3b" if protocol.lower() == "minorcan" else "fig3a"
-    return run_single_frame_scenario(
-        name, [transmitter] + x_set + y_set, ScriptedInjector(view_faults=faults)
-    )
+    return run_script(name, SCRIPTS["fig3"], protocol, m, x_count, y_count)
 
 
 def fig3a(m: int = DEFAULT_M, x_count: int = 1, y_count: int = 1) -> ScenarioOutcome:
@@ -341,18 +417,7 @@ def fig5(m: int = DEFAULT_M, protocol: str = "majorcan") -> ScenarioOutcome:
     * two further disturbances corrupt samples of the Y set inside the
       sampling window; the majority vote still accepts (2 errors).
     """
-    transmitter, x_set, y_set = _network(protocol, m, 1, 1)
-    window_start = m + 7
-    faults = [
-        ViewFault("x", Trigger(field=EOF, index=2), force=DOMINANT),
-        ViewFault("tx", Trigger(field=EOF, index=3), force=RECESSIVE),
-        ViewFault("tx", Trigger(field=EOF, index=4), force=RECESSIVE),
-        ViewFault("y", Trigger(field=SAMPLING, index=window_start), force=RECESSIVE),
-        ViewFault("y", Trigger(field=SAMPLING, index=window_start + 1), force=RECESSIVE),
-    ]
-    return run_single_frame_scenario(
-        "fig5", [transmitter] + x_set + y_set, ScriptedInjector(view_faults=faults)
-    )
+    return run_script("fig5", SCRIPTS["fig5"], protocol, m)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +438,10 @@ class BehaviourRow:
 def fig4_behaviour(m: int = DEFAULT_M) -> List[BehaviourRow]:
     """Regenerate the Fig. 4 table: the behaviour of a MajorCAN_m node
     for a CRC error and for an error in each of the 2m EOF bits."""
-    rows: List[BehaviourRow] = [_fig4_case_crc(m)]
-    for eof_index in range(2 * m):
-        rows.append(_fig4_case_eof(m, eof_index))
-    return rows
+    return [_fig4_probe(m, _CRC_ERROR, "CRC error")] + [
+        _fig4_probe(m, x_eof_error(eof_index), "Error in EOF bit %d" % (eof_index + 1))
+        for eof_index in range(2 * m)
+    ]
 
 
 def render_behaviour(rows: Sequence[BehaviourRow]) -> List[str]:
@@ -396,11 +461,8 @@ def render_behaviour(rows: Sequence[BehaviourRow]) -> List[str]:
     ]
 
 
-def _fig4_probe(m: int, faults: List[ViewFault], case: str) -> BehaviourRow:
-    transmitter, x_set, y_set = _network("majorcan", m, 1, 1)
-    outcome = run_single_frame_scenario(
-        case, [transmitter] + x_set + y_set, ScriptedInjector(view_faults=faults)
-    )
+def _fig4_probe(m: int, script: Script, case: str) -> BehaviourRow:
+    outcome = run_script(case, script, "majorcan", m)
     probe = outcome.engine.node("x")
     extended = any(
         event.kind == EventKind.EXTENDED_FLAG_START for event in probe.events
@@ -425,25 +487,26 @@ def _fig4_probe(m: int, faults: List[ViewFault], case: str) -> BehaviourRow:
     )
 
 
-def _fig4_case_crc(m: int) -> BehaviourRow:
-    # Corrupt one DATA bit of x's view: with the alternating 0x55
-    # payload no stuff bits are involved, so the error is a pure CRC
-    # mismatch at x, whose error flag starts at the first EOF bit.
-    faults = [ViewFault("x", Trigger(field=DATA, index=3))]
-    return _fig4_probe(m, faults, "CRC error")
+def _fixed_protocol(builder: Callable[..., ScenarioOutcome]) -> Callable[..., ScenarioOutcome]:
+    """``builder``, which runs under its figure's own protocol, as a
+    registry entry: the entry ignores the protocol it is passed."""
+
+    def entry(protocol: str = "can", m: int = DEFAULT_M) -> ScenarioOutcome:
+        return builder(m=m)
+
+    return entry
 
 
-def _fig4_case_eof(m: int, eof_index: int) -> BehaviourRow:
-    faults = [ViewFault("x", Trigger(field=EOF, index=eof_index), force=DOMINANT)]
-    return _fig4_probe(m, faults, "Error in EOF bit %d" % (eof_index + 1))
-
-
-#: Name -> builder registry used by the CLI and the benchmarks.
+#: Name -> builder registry used by the CLI and the benchmarks; every
+#: entry is called as ``(protocol, m=...)``.  ``fig3a``, ``fig3b`` and
+#: ``fig5`` run under their figure's protocol whatever protocol is
+#: passed, as ``record fig3a --protocol minorcan`` records Fig. 3a.
 SCENARIOS: Dict[str, Callable[..., ScenarioOutcome]] = {
     "fig1a": fig1a,
     "fig1b": fig1b,
     "fig1c": fig1c,
-    "fig3a": fig3a,
-    "fig3b": fig3b,
-    "fig5": fig5,
+    "fig3": fig3,
+    "fig3a": _fixed_protocol(fig3a),
+    "fig3b": _fixed_protocol(fig3b),
+    "fig5": _fixed_protocol(fig5),
 }

@@ -20,22 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.can.bits import DOMINANT, RECESSIVE
-from repro.can.controller import STATE_ERROR_FLAG
-from repro.can.fields import EOF
-from repro.faults.injector import (
-    CrashFault,
-    ScriptedInjector,
-    Trigger,
-    ViewFault,
-)
-from repro.faults.scenarios import SCENARIOS, make_controller
+from repro.faults.scenarios import SCRIPTS, make_controller, run_script
 from repro.properties.broadcast import check_atomic_broadcast
 from repro.properties.ledger import SystemLedger
 from repro.protocols.base import app_ledger, build_protocol_network
 from repro.protocols import PROTOCOL_FACTORIES
 
-#: Scenario labels accepted by the matrix runners.
+#: The :data:`~repro.faults.scenarios.SCRIPTS` rows each matrix runs.
 CORE_SCENARIOS = ("clean", "fig1a", "fig1b", "fig1c", "fig3")
 HLP_SCENARIOS = ("clean", "fig1c", "fig3")
 
@@ -72,46 +63,26 @@ def _ledger_properties(ledger: SystemLedger) -> Dict[str, bool]:
 def run_core_cell(protocol: str, scenario: str, m: int = 5) -> MatrixCell:
     """Run one (link-layer protocol, scenario) cell.
 
-    The ``fig3`` label uses the two-disturbance pattern of Fig. 3a/3b;
-    ``clean`` runs the same network without faults as a control.
+    ``scenario`` names a row of :data:`~repro.faults.scenarios.SCRIPTS`:
+    ``fig3`` is the two-disturbance pattern of Fig. 3a/3b, ``clean``
+    the same network without faults as a control.
     """
-    if scenario == "clean":
-        transmitter = make_controller(protocol, "tx", m=m)
-        nodes = [
-            transmitter,
-            make_controller(protocol, "x", m=m),
-            make_controller(protocol, "y", m=m),
-        ]
-        from repro.faults.scenarios import run_single_frame_scenario
-
-        outcome = run_single_frame_scenario("clean", nodes, ScriptedInjector())
-    elif scenario == "fig3":
-        from repro.faults.scenarios import fig3
-
-        outcome = fig3(protocol, m=m)
-    else:
-        outcome = SCENARIOS[scenario](protocol, m=m)
-    controllers = outcome.engine.nodes
-    ledger = SystemLedger.from_controllers(controllers)
-    cell = MatrixCell(
+    outcome = run_script(scenario, SCRIPTS[scenario], protocol, m=m)
+    ledger = SystemLedger.from_controllers(outcome.engine.nodes)
+    return MatrixCell(
         protocol=outcome.protocol,
         scenario=scenario,
         properties=_ledger_properties(ledger),
-        deliveries={name: count for name, count in outcome.deliveries.items()},
+        deliveries=dict(outcome.deliveries),
     )
-    return cell
 
 
-def core_matrix(
-    protocols: Sequence[str] = ("can", "minorcan", "majorcan"),
-    scenarios: Sequence[str] = CORE_SCENARIOS,
-    m: int = 5,
-) -> List[MatrixCell]:
+def core_matrix(m: int = 5) -> List[MatrixCell]:
     """The full link-layer property matrix."""
     return [
         run_core_cell(protocol, scenario, m=m)
-        for protocol in protocols
-        for scenario in scenarios
+        for protocol in ("can", "minorcan", "majorcan")
+        for scenario in CORE_SCENARIOS
     ]
 
 
@@ -119,57 +90,29 @@ def core_matrix(
 # Higher-level protocols
 # ---------------------------------------------------------------------------
 
-
-def _hlp_injector(scenario: str, eof_length: int) -> ScriptedInjector:
-    """Faults for the higher-level runs, targeting the first data frame.
-
-    ``n0`` transmits the affected message, ``n1`` plays the X set and
-    ``n2`` the Y set.
-    """
-    last = eof_length - 1
-    if scenario == "clean":
-        return ScriptedInjector()
-    if scenario == "fig1c":
-        return ScriptedInjector(
-            view_faults=[
-                ViewFault("n1", Trigger(field=EOF, index=last - 1), force=DOMINANT)
-            ],
-            crash_faults=[CrashFault("n0", Trigger(state=STATE_ERROR_FLAG))],
-        )
-    if scenario == "fig3":
-        return ScriptedInjector(
-            view_faults=[
-                ViewFault("n1", Trigger(field=EOF, index=last - 1), force=DOMINANT),
-                ViewFault("n0", Trigger(field=EOF, index=last), force=RECESSIVE),
-            ]
-        )
-    raise KeyError("unknown higher-level scenario %r" % scenario)
+#: The script roles in the higher-level runs, which target the first
+#: data frame: ``n0`` transmits the affected message, ``n1`` plays the
+#: X set and ``n2`` the Y set.
+_HLP_ROLES = {"tx": ["n0"], "x": ["n1"], "y": ["n2"]}
 
 
-def run_hlp_cell(
-    protocol: str,
-    scenario: str,
-    n_nodes: int = 4,
-    second_broadcast: bool = True,
-    run_bits: int = 4000,
-) -> MatrixCell:
-    """Run one (higher-level protocol, scenario) cell.
+def run_hlp_cell(protocol: str, scenario: str) -> MatrixCell:
+    """Run one (higher-level protocol, scenario) cell on four nodes.
 
-    ``second_broadcast`` has node ``n3`` broadcast a second message
-    immediately, which exposes total-order violations: a node that
-    missed the first message's original transmission may deliver the
-    recovery copy after the second message.
+    Node ``n3`` broadcasts a second message immediately, which exposes
+    total-order violations: a node that missed the first message's
+    original transmission may deliver the recovery copy after the
+    second message.
     """
     factory = PROTOCOL_FACTORIES[protocol.lower()]
-    probe = make_controller("can", "probe")
-    injector = _hlp_injector(scenario, probe.config.eof_length)
+    eof_length = make_controller("can", "probe").config.eof_length
+    injector = SCRIPTS[scenario].injector(_HLP_ROLES, eof_length)
     engine, nodes = build_protocol_network(
-        factory, n_nodes, engine_kwargs={"injector": injector, "record_bits": False}
+        factory, 4, engine_kwargs={"injector": injector, "record_bits": False}
     )
     nodes[0].broadcast(b"\xaa")
-    if second_broadcast and n_nodes > 3:
-        nodes[3].broadcast(b"\xbb")
-    engine.run(run_bits)
+    nodes[3].broadcast(b"\xbb")
+    engine.run(4000)
     engine.run_until_idle(60000)
     ledger = app_ledger(nodes)
     return MatrixCell(
@@ -180,15 +123,12 @@ def run_hlp_cell(
     )
 
 
-def hlp_matrix(
-    protocols: Sequence[str] = ("edcan", "relcan", "totcan"),
-    scenarios: Sequence[str] = HLP_SCENARIOS,
-) -> List[MatrixCell]:
+def hlp_matrix() -> List[MatrixCell]:
     """The full higher-level-protocol property matrix."""
     return [
         run_hlp_cell(protocol, scenario)
-        for protocol in protocols
-        for scenario in scenarios
+        for protocol in ("edcan", "relcan", "totcan")
+        for scenario in HLP_SCENARIOS
     ]
 
 

@@ -49,7 +49,6 @@ def measure_hlp_bandwidth(
     protocol: str,
     n_nodes: int = 4,
     payload: bytes = b"\xaa",
-    run_bits: int = 4000,
 ) -> BandwidthReport:
     """Measure one broadcast's bus cost under a higher-level protocol."""
     key = protocol.lower()
@@ -62,7 +61,7 @@ def measure_hlp_bandwidth(
         _FACTORIES[key], n_nodes, engine_kwargs={"record_bits": False}
     )
     nodes[0].broadcast(payload)
-    engine.run(run_bits)
+    engine.run(4000)
     engine.run_until_idle(60000)
     frames = 0
     frame_bits = 0
@@ -92,18 +91,19 @@ def measure_majorcan_bandwidth(
     frame tail.
     """
     from repro.can.frame import data_frame
+    from repro.faults.scenarios import run_single_frame_scenario
 
     controllers = [MajorCanController("n%d" % i, m=m) for i in range(n_nodes)]
-    engine = SimulationEngine(controllers, record_bits=False)
     frame = data_frame(0x100, payload)
-    controllers[0].submit(frame)
-    engine.run_until_idle(20000)
+    outcome = run_single_frame_scenario(
+        "bandwidth", controllers, None, frame=frame, record_bits=False
+    )
     return BandwidthReport(
         protocol="MajorCAN_%d" % m,
         n_nodes=n_nodes,
         frames_on_bus=len(controllers[0].tx_successes),
         frame_bits_total=nominal_frame_length(frame, eof_length=2 * m),
-        bus_busy_bits=_busy_bits(engine),
+        bus_busy_bits=_busy_bits(outcome.engine),
     )
 
 

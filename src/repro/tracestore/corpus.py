@@ -3,9 +3,9 @@
 A corpus directory holds one recording per canonical scenario — the
 paper's Fig. 1b/1c (double reception, inconsistent omission) and the
 new Fig. 3 scenario for each of standard CAN, MinorCAN and MajorCAN_m,
-plus EOF/overload edge cases that pin exact wire patterns (the MinorCAN
-primary-error overload choreography and the MajorCAN extended error
-flag).
+plus EOF/overload edge cases that pin exact wire patterns (Fig. 1a
+under MinorCAN, its primary-error overload choreography, and Fig. 4's
+"error in EOF bit 6" row under MajorCAN_5, the extended error flag).
 
 Two operations maintain it:
 
@@ -38,84 +38,43 @@ DEFAULT_CORPUS_DIR = "corpus"
 
 
 def _scenario(name: str, protocol: str):
-    from repro.faults.scenarios import SCENARIOS, fig3, fig5
+    from repro.faults.scenarios import SCENARIOS
 
-    if name == "fig3":
-        return fig3(protocol)
-    if name == "fig5":
-        return fig5(protocol=protocol)
     return SCENARIOS[name](protocol)
 
 
-def _eof_extended_flag():
-    """MajorCAN_5 extended-flag wire pattern (was an inline golden test)."""
-    from repro.can.bits import DOMINANT
-    from repro.can.fields import EOF
-    from repro.can.frame import data_frame
-    from repro.core.majorcan import MajorCanController
-    from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-    from repro.faults.scenarios import run_single_frame_scenario
-
-    m = 5
-    nodes = [MajorCanController(name, m=m) for name in ("tx", "x", "y")]
-    injector = ScriptedInjector(
-        view_faults=[ViewFault("x", Trigger(field=EOF, index=m), force=DOMINANT)]
-    )
-    return run_single_frame_scenario(
-        "eof-extended-flag",
-        nodes,
-        injector,
-        frame=data_frame(0x123, b"\x55", message_id="m"),
-    )
-
-
 def _overload_primary():
-    """MinorCAN primary-error overload choreography (was an inline golden test)."""
-    from repro.can.bits import DOMINANT
-    from repro.can.fields import EOF
-    from repro.can.frame import data_frame
-    from repro.core.minorcan import MinorCanController
-    from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-    from repro.faults.scenarios import run_single_frame_scenario
+    """Fig. 1a under MinorCAN: its primary-error overload choreography."""
+    from repro.faults.scenarios import SCRIPTS, run_script
 
-    nodes = [MinorCanController(name) for name in ("tx", "x", "y")]
-    injector = ScriptedInjector(
-        view_faults=[ViewFault("x", Trigger(field=EOF, index=6), force=DOMINANT)]
-    )
-    return run_single_frame_scenario(
-        "overload-primary",
-        nodes,
-        injector,
-        frame=data_frame(0x123, b"\x55", message_id="m"),
-    )
+    return run_script("overload-primary", SCRIPTS["fig1a"], "minorcan")
 
 
-def _golden_builders() -> Dict[str, Callable[[], object]]:
-    builders: Dict[str, Callable[[], object]] = {}
-    for scenario in ("fig1b", "fig1c"):
-        for protocol in ("can", "minorcan", "majorcan"):
-            name = "%s-%s" % (scenario, protocol)
-            builders[name] = (
-                lambda scenario=scenario, protocol=protocol: _scenario(
-                    scenario, protocol
-                )
-            )
-    # The Fig. 3 scenario family: the paper labels the standard-CAN run
-    # Fig. 3a and the MinorCAN run Fig. 3b; the MajorCAN run of the same
-    # fault script has no figure letter of its own.
-    builders["fig3a-can"] = lambda: _scenario("fig3", "can")
-    builders["fig3b-minorcan"] = lambda: _scenario("fig3", "minorcan")
-    builders["fig3-majorcan"] = lambda: _scenario("fig3", "majorcan")
-    # EOF / overload edge cases beyond the core figure set.
-    builders["fig1a-can"] = lambda: _scenario("fig1a", "can")
-    builders["fig5-majorcan"] = lambda: _scenario("fig5", "majorcan")
-    builders["eof-extended-flag-majorcan"] = _eof_extended_flag
-    builders["overload-primary-minorcan"] = _overload_primary
-    return builders
+def _eof_extended_flag():
+    """Fig. 4's "error in EOF bit 6" row under MajorCAN_5: the extended
+    error flag."""
+    from repro.faults.scenarios import run_script, x_eof_error
+
+    return run_script("eof-extended-flag", x_eof_error(5), "majorcan")
 
 
 #: Entry name -> builder returning a fresh ``ScenarioOutcome``.
-GOLDEN_BUILDERS = _golden_builders()
+GOLDEN_BUILDERS: Dict[str, Callable[[], object]] = {
+    "%s-%s" % (scenario, protocol): partial(_scenario, scenario, protocol)
+    for scenario in ("fig1b", "fig1c")
+    for protocol in ("can", "minorcan", "majorcan")
+}
+# The Fig. 3 scenario family: the paper labels the standard-CAN run
+# Fig. 3a and the MinorCAN run Fig. 3b; the MajorCAN run of the same
+# fault script has no figure letter of its own.
+GOLDEN_BUILDERS["fig3a-can"] = partial(_scenario, "fig3", "can")
+GOLDEN_BUILDERS["fig3b-minorcan"] = partial(_scenario, "fig3", "minorcan")
+GOLDEN_BUILDERS["fig3-majorcan"] = partial(_scenario, "fig3", "majorcan")
+# EOF / overload edge cases beyond the core figure set.
+GOLDEN_BUILDERS["fig1a-can"] = partial(_scenario, "fig1a", "can")
+GOLDEN_BUILDERS["fig5-majorcan"] = partial(_scenario, "fig5", "majorcan")
+GOLDEN_BUILDERS["eof-extended-flag-majorcan"] = _eof_extended_flag
+GOLDEN_BUILDERS["overload-primary-minorcan"] = _overload_primary
 
 
 def _traffic_spec(name: str):

@@ -73,6 +73,7 @@ class TestSubpackageAllLists:
             "fig1a",
             "fig1b",
             "fig1c",
+            "fig3",
             "fig3a",
             "fig3b",
             "fig5",
