@@ -54,13 +54,40 @@ from repro.can.stuffing import STUFF_WIDTH
 
 @dataclass(frozen=True)
 class WireBit:
-    """One bit of a serialised frame, as driven by the transmitter."""
+    """One bit of a serialised frame, as driven by the transmitter.
+
+    ``entry`` is the bit's row of a compiled :class:`WireProgram`: the
+    ``(level, value, position, op)`` tuple :func:`compile_wire` reads.
+    It is derived from the five fields and is not a field itself, so
+    equality, hashing and ``repr`` are those of the five fields.
+    :func:`encode_frame` interns its bits, so each distinct bit is
+    built, and its entry derived, once per process.
+    """
 
     level: Level
     field: str
     index: int
     is_stuff: bool
     in_arbitration: bool
+
+    def __post_init__(self) -> None:
+        if self.field == EOF:
+            op = OP_EOF
+        elif self.field == ACK_SLOT:
+            op = OP_ACK
+        elif (
+            self.in_arbitration
+            and self.level is Level.RECESSIVE
+            and not self.is_stuff
+        ):
+            op = OP_ARB
+        else:
+            op = OP_MATCH
+        object.__setattr__(
+            self,
+            "entry",
+            (self.level, int(self.level), (self.field, self.index), op),
+        )
 
 
 @dataclass(frozen=True)
@@ -74,21 +101,18 @@ class WireFrame:
     def __len__(self) -> int:
         return len(self.bits)
 
+    # Every frame ends in the same unstuffed tail: CRC delimiter, ACK
+    # slot, ACK delimiter, then ``eof_length`` EOF bits.
+
     @property
     def ack_slot_position(self) -> int:
         """Index of the ACK slot within :attr:`bits`."""
-        for position, wire_bit in enumerate(self.bits):
-            if wire_bit.field == ACK_SLOT:
-                return position
-        raise AssertionError("every wire frame has an ACK slot")
+        return len(self.bits) - self.eof_length - 2
 
     @property
     def eof_start(self) -> int:
         """Index of the first EOF bit within :attr:`bits`."""
-        for position, wire_bit in enumerate(self.bits):
-            if wire_bit.field == EOF:
-                return position
-        raise AssertionError("every wire frame has an EOF field")
+        return len(self.bits) - self.eof_length
 
     def field_positions(self, field: str) -> List[int]:
         """All stream positions whose field name equals ``field``."""
@@ -103,6 +127,34 @@ class WireFrame:
         return [wire_bit.level for wire_bit in self.bits]
 
 
+#: Interned :class:`WireBit` values by ``(value, field, index, is_stuff,
+#: in_arbitration)``; bounded by the frame layout (a few hundred keys).
+_WIRE_BITS: Dict[Tuple[int, str, int, bool, bool], WireBit] = {}
+
+_LEVELS = (Level.DOMINANT, Level.RECESSIVE)
+
+
+def _intern(key: Tuple[int, str, int, bool, bool]) -> WireBit:
+    """The one :class:`WireBit` for ``key``, built on first use."""
+    wire_bit = _WIRE_BITS.get(key)
+    if wire_bit is None:
+        value, field, index, is_stuff, in_arbitration = key
+        wire_bit = _WIRE_BITS[key] = WireBit(
+            _LEVELS[value], field, index, is_stuff, in_arbitration
+        )
+    return wire_bit
+
+
+@lru_cache(maxsize=64)
+def _tail_bits(eof_length: int) -> Tuple[WireBit, ...]:
+    """The unstuffed tail every frame shares, CRC delimiter through EOF."""
+    return tuple(
+        _intern((bit, segment.name, index, False, False))
+        for segment in tail_segments(eof_length)
+        for index, bit in enumerate(segment.bits)
+    )
+
+
 def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFrame:
     """Serialise ``frame`` into the bit sequence driven on the bus.
 
@@ -110,21 +162,17 @@ def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFra
     stuff bit when the final five CRC bits form a run (the encoder and
     the parser agree on this convention; see DESIGN.md).
     """
+    interned = _WIRE_BITS.get
     wire_bits: List[WireBit] = []
+    append = wire_bits.append
     run_value: Optional[int] = None
     run_length = 0
     for segment in header_segments(frame):
-        in_arbitration = segment.name in ARBITRATION_FIELDS
+        name = segment.name
+        in_arbitration = name in ARBITRATION_FIELDS
         for index, bit in enumerate(segment.bits):
-            wire_bits.append(
-                WireBit(
-                    level=Level(bit),
-                    field=segment.name,
-                    index=index,
-                    is_stuff=False,
-                    in_arbitration=in_arbitration,
-                )
-            )
+            key = (bit, name, index, False, in_arbitration)
+            append(interned(key) or _intern(key))
             if bit == run_value:
                 run_length += 1
             else:
@@ -132,28 +180,11 @@ def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFra
                 run_length = 1
             if run_length == STUFF_WIDTH:
                 stuff_bit = 1 - bit
-                wire_bits.append(
-                    WireBit(
-                        level=Level(stuff_bit),
-                        field=segment.name,
-                        index=index,
-                        is_stuff=True,
-                        in_arbitration=in_arbitration,
-                    )
-                )
+                key = (stuff_bit, name, index, True, in_arbitration)
+                append(interned(key) or _intern(key))
                 run_value = stuff_bit
                 run_length = 1
-    for segment in tail_segments(eof_length):
-        for index, bit in enumerate(segment.bits):
-            wire_bits.append(
-                WireBit(
-                    level=Level(bit),
-                    field=segment.name,
-                    index=index,
-                    is_stuff=False,
-                    in_arbitration=False,
-                )
-            )
+    wire_bits.extend(_tail_bits(eof_length))
     return WireFrame(frame=frame, bits=tuple(wire_bits), eof_length=eof_length)
 
 
@@ -193,32 +224,15 @@ class WireProgram:
 
 def compile_wire(wire: WireFrame) -> WireProgram:
     """Flatten ``wire`` into the parallel arrays of a :class:`WireProgram`."""
-    levels: List[Level] = []
-    bit_values: List[int] = []
-    positions: List[Tuple[str, int]] = []
-    ops: List[int] = []
-    for wire_bit in wire.bits:
-        levels.append(wire_bit.level)
-        bit_values.append(int(wire_bit.level))
-        positions.append((wire_bit.field, wire_bit.index))
-        if wire_bit.field == EOF:
-            ops.append(OP_EOF)
-        elif wire_bit.field == ACK_SLOT:
-            ops.append(OP_ACK)
-        elif (
-            wire_bit.in_arbitration
-            and wire_bit.level is Level.RECESSIVE
-            and not wire_bit.is_stuff
-        ):
-            ops.append(OP_ARB)
-        else:
-            ops.append(OP_MATCH)
+    levels, bit_values, positions, ops = zip(
+        *[wire_bit.entry for wire_bit in wire.bits]
+    )
     return WireProgram(
         wire=wire,
-        levels=tuple(levels),
-        bit_values=tuple(bit_values),
-        positions=tuple(positions),
-        ops=tuple(ops),
+        levels=levels,
+        bit_values=bit_values,
+        positions=positions,
+        ops=ops,
         length=len(wire.bits),
     )
 
@@ -424,10 +438,8 @@ def bus_image(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> BusImage:
     """The cached :class:`BusImage` of ``frame`` (see the class docs)."""
     program = wire_program(frame, eof_length=eof_length)
     ack = program.wire.ack_slot_position
-    symbols = "".join(
-        "d" if (value == 0 or position == ack) else "r"
-        for position, value in enumerate(program.bit_values)
-    )
+    driven = "".join(map("dr".__getitem__, program.bit_values))
+    symbols = driven[:ack] + "d" + driven[ack + 1 :]
     return BusImage(program=program, symbols=symbols, length=program.length)
 
 

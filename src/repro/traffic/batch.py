@@ -17,9 +17,10 @@ closed form, followed by an engine suffix from cut tick ``s``
   in between.  A priority-queue scheduler at bus-idle instants
   (:func:`_plan_frames`) lays out the frames and :func:`_render_prefix`
   reproduces the engine's observable surface *exactly* — bus string,
-  per-node deliveries, event stream (times, payloads and merge order),
-  backlog samples and busy-bit count; :func:`_evaluate_window` adds
-  the drain-parity ``SimulationError``.
+  per-node deliveries, event stream (times, payloads and merge order;
+  built only when the spec records events, counted in closed form
+  otherwise), backlog samples and busy-bit count;
+  :func:`_evaluate_window` adds the drain-parity ``SimulationError``.
 - ``"resume"`` — both halves: :func:`_resume_window` commits the clean
   frames that end before the first fault, renders them with the same
   renderer and runs the engine suffix from the cut.
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.can.bits import count_busy_bits
 from repro.can.events import Event, EventKind
@@ -159,15 +160,23 @@ def _max_sampled_backlog(
 
 
 class _FramePlan:
-    """One planned frame on the clean timeline (plan/render split)."""
+    """One planned frame on the clean timeline (plan/render split).
 
-    __slots__ = ("t0", "t_end", "winner", "contenders")
+    ``image`` is the winner's :class:`repro.can.encoding.BusImage`, so
+    the render never looks the frame up again: each frame is encoded
+    once per window, however many frames the window holds.
+    """
 
-    def __init__(self, t0: int, t_end: int, winner: int, contenders: Tuple[int, ...]):
+    __slots__ = ("t0", "t_end", "winner", "contenders", "image")
+
+    def __init__(
+        self, t0: int, t_end: int, winner: int, contenders: Tuple[int, ...], image
+    ):
         self.t0 = t0
         self.t_end = t_end
         self.winner = winner
         self.contenders = contenders
+        self.image = image
 
 
 def _local_queues(
@@ -219,7 +228,7 @@ def _plan_frames(
         winner = contenders[0]
         image = bus_image(queues[winner][heads[winner]][1], eof_length)
         t_end = t0 + image.length - 1
-        plans.append(_FramePlan(t0, t_end, winner, contenders))
+        plans.append(_FramePlan(t0, t_end, winner, contenders, image))
         heads[winner] += 1
         remaining -= 1
         idle_from = t_end + _TURNAROUND
@@ -230,6 +239,86 @@ def _plan_frames(
             max(spec.window_bits, plans[-1].t_end + _TURNAROUND - 1) + _SETTLE_BITS
         )
     return plans, total_bits
+
+
+def _frame_events(
+    plan: _FramePlan,
+    queues: List[List[Tuple[int, object, Submission]]],
+    heads: List[int],
+    attempts: List[int],
+    names: Tuple[str, ...],
+    eof_length: int,
+    rx_time: int,
+    self_delivery: bool,
+) -> Iterator[Tuple[int, Event]]:
+    """The engine's events of one planned frame, as ``(node, event)``.
+
+    Each node's events come in its own time order; ``heads`` and
+    ``attempts`` are read as they stand before the frame completes.
+    """
+    from repro.can.encoding import bus_image
+    from repro.can.frame import Frame
+    from repro.can.identifiers import CanId
+
+    t0 = plan.t0
+    winner = plan.winner
+    contending = set(plan.contenders)
+    for index, name in enumerate(names):
+        if index in contending:
+            frame = queues[index][heads[index]][1]
+            yield index, Event(
+                time=t0,
+                node=name,
+                kind=EventKind.TX_START,
+                data={
+                    "frame": str(frame),
+                    "attempt": attempts[index],
+                    "message_id": frame.message_id,
+                },
+            )
+        else:
+            yield index, Event(time=t0, node=name, kind=EventKind.RX_START, data={})
+    winner_values = plan.image.program.bit_values
+    for index in plan.contenders[1:]:
+        loser_program = bus_image(queues[index][heads[index]][1], eof_length).program
+        position = _arbitration_divergence(loser_program.bit_values, winner_values)
+        field, field_index = loser_program.positions[position]
+        yield index, Event(
+            time=t0 + position,
+            node=names[index],
+            kind=EventKind.ARBITRATION_LOST,
+            data={"field": field, "index": field_index},
+        )
+
+    _, winner_frame, winner_sub = queues[winner][heads[winner]]
+    received = str(Frame(can_id=CanId(winner_sub.identifier), data=winner_sub.payload))
+    for index, name in enumerate(names):
+        if index != winner:
+            yield index, Event(
+                time=rx_time,
+                node=name,
+                kind=EventKind.FRAME_DELIVERED,
+                data={"frame": received, "message_id": None, "attempt": None},
+            )
+    sent = {
+        "frame": str(winner_frame),
+        "attempt": attempts[winner],
+        "message_id": winner_frame.message_id,
+    }
+    yield winner, Event(
+        time=plan.t_end, node=names[winner], kind=EventKind.TX_SUCCESS, data=sent
+    )
+    if self_delivery:
+        yield winner, Event(
+            time=plan.t_end,
+            node=names[winner],
+            kind=EventKind.FRAME_DELIVERED,
+            data={
+                "frame": sent["frame"],
+                "message_id": sent["message_id"],
+                "attempt": sent["attempt"],
+            },
+        )
 
 
 def _render_prefix(
@@ -247,14 +336,17 @@ def _render_prefix(
     arbitration attempt counters left standing after the last plan:
     losers of committed rounds carry them into the engine suffix so
     their next TX_START numbers identically.
-    """
-    from repro.can.frame import Frame
-    from repro.can.encoding import bus_image
-    from repro.can.identifiers import CanId
-    from repro.tracestore.recorder import event_record
 
+    Events are built only when the spec records them.  Otherwise
+    ``event_counts`` is summed in closed form: per frame, one TX_START
+    per contender and one RX_START per other node, an
+    ARBITRATION_LOST per loser, a FRAME_DELIVERED per receiver (and
+    the winner's own under self-delivery) and one TX_SUCCESS.
+    """
+    record = spec.record_events
     config = _controller_config(spec)
     eof_length = config.eof_length
+    self_delivery = config.self_delivery
     names = spec.node_names
     n_nodes = spec.n_nodes
     # Receivers of a standard CAN frame deliver at the last-but-one EOF
@@ -266,113 +358,73 @@ def _render_prefix(
     node_events: List[List[Event]] = [[] for _ in range(n_nodes)]
     deliveries: List[List[Tuple[str, int, int]]] = [[] for _ in range(n_nodes)]
     completions: List[List[int]] = [[] for _ in range(n_nodes)]
-    symbols = ["r"] * bits
+    pieces: List[str] = []
+    cursor = 0
+    contended = 0
 
     for plan in plans:
         t0 = plan.t0
         t_end = plan.t_end
         winner = plan.winner
         contenders = plan.contenders
-        _, winner_frame, winner_sub = queues[winner][heads[winner]]
-        image = bus_image(winner_frame, eof_length)
-
-        contending = set(contenders)
-        for index in range(n_nodes):
-            if index in contending:
-                attempts[index] += 1
-                frame = queues[index][heads[index]][1]
-                node_events[index].append(
-                    Event(
-                        time=t0,
-                        node=names[index],
-                        kind=EventKind.TX_START,
-                        data={
-                            "frame": str(frame),
-                            "attempt": attempts[index],
-                            "message_id": frame.message_id,
-                        },
-                    )
-                )
-            else:
-                node_events[index].append(
-                    Event(time=t0, node=names[index], kind=EventKind.RX_START, data={})
-                )
-        for index in contenders[1:]:
-            loser_program = bus_image(queues[index][heads[index]][1], eof_length).program
-            position = _arbitration_divergence(
-                loser_program.bit_values, image.program.bit_values
-            )
-            field, field_index = loser_program.positions[position]
-            node_events[index].append(
-                Event(
-                    time=t0 + position,
-                    node=names[index],
-                    kind=EventKind.ARBITRATION_LOST,
-                    data={"field": field, "index": field_index},
-                )
-            )
+        image = plan.image
+        winner_sub = queues[winner][heads[winner]][2]
+        for index in contenders:
+            attempts[index] += 1
+        contended += len(contenders)
 
         origin = names[winner]
         seq = winner_sub.payload[0] | (winner_sub.payload[1] << 8)
-        received = Frame(
-            can_id=CanId(winner_sub.identifier), data=winner_sub.payload
-        )
-        received_str = str(received)
         rx_time = t_end - rx_lag
+        received_row = (origin, seq, rx_time)
         for index in range(n_nodes):
-            if index == winner:
-                continue
-            node_events[index].append(
-                Event(
-                    time=rx_time,
-                    node=names[index],
-                    kind=EventKind.FRAME_DELIVERED,
-                    data={"frame": received_str, "message_id": None, "attempt": None},
-                )
-            )
-            deliveries[index].append((origin, seq, rx_time))
-        node_events[winner].append(
-            Event(
-                time=t_end,
-                node=names[winner],
-                kind=EventKind.TX_SUCCESS,
-                data={
-                    "frame": str(winner_frame),
-                    "attempt": attempts[winner],
-                    "message_id": winner_frame.message_id,
-                },
-            )
-        )
-        if config.self_delivery:
-            node_events[winner].append(
-                Event(
-                    time=t_end,
-                    node=names[winner],
-                    kind=EventKind.FRAME_DELIVERED,
-                    data={
-                        "frame": str(winner_frame),
-                        "message_id": winner_frame.message_id,
-                        "attempt": attempts[winner],
-                    },
-                )
-            )
+            if index != winner:
+                deliveries[index].append(received_row)
+        if self_delivery:
             deliveries[winner].append((origin, seq, t_end))
+        if record:
+            for index, event in _frame_events(
+                plan,
+                queues,
+                heads,
+                attempts,
+                names,
+                eof_length,
+                rx_time,
+                self_delivery,
+            ):
+                node_events[index].append(event)
         completions[winner].append(t_end)
         heads[winner] += 1
         attempts[winner] = 0
-        symbols[t0 : t0 + image.length] = image.symbols
+        pieces.append("r" * (t0 - cursor))
+        pieces.append(image.symbols)
+        cursor = t0 + image.length
 
-    bus = "".join(symbols)
+    pieces.append("r" * (bits - cursor))
+    bus = "".join(pieces)
 
-    merged = list(heapq.merge(*node_events, key=lambda event: event.time))
+    events: Optional[Tuple[dict, ...]] = None
     event_counts: Dict[str, int] = {}
-    for event in merged:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    events: Optional[Tuple[dict, ...]] = (
-        tuple(event_record(event) for event in merged)
-        if spec.record_events
-        else None
-    )
+    if record:
+        from repro.tracestore.recorder import event_record
+
+        merged = list(heapq.merge(*node_events, key=lambda event: event.time))
+        for event in merged:
+            event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
+        events = tuple(event_record(event) for event in merged)
+    else:
+        frames = len(plans)
+        receivers = n_nodes - 1 + (1 if self_delivery else 0)
+        for kind, count in (
+            (EventKind.TX_START, contended),
+            (EventKind.RX_START, frames * n_nodes - contended),
+            (EventKind.ARBITRATION_LOST, contended - frames),
+            (EventKind.FRAME_DELIVERED, frames * receivers),
+            (EventKind.TX_SUCCESS, frames),
+        ):
+            if count:
+                event_counts[kind] = count
 
     # Arrivals at or after ``bits`` belong to the engine suffix, which
     # samples them itself; the closed-form walk stops at its horizon.

@@ -19,6 +19,7 @@ identity is what makes ``--jobs 1`` and ``--jobs N`` bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, TraceStoreError
@@ -103,6 +104,12 @@ class Submission:
     @property
     def key(self) -> Tuple[str, int]:
         return (self.node, self.seq)
+
+
+@lru_cache(maxsize=None)
+def _node_names(n_nodes: int) -> Tuple[str, ...]:
+    """``("n0", "n1", ...)``, built once per node count (at most 255)."""
+    return tuple("n%d" % index for index in range(n_nodes))
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,7 @@ class TrafficSpec:
 
     @property
     def node_names(self) -> Tuple[str, ...]:
-        return tuple("n%d" % index for index in range(self.n_nodes))
+        return _node_names(self.n_nodes)
 
     @property
     def total_active_bits(self) -> int:
