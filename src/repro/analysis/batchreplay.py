@@ -34,12 +34,12 @@ idle node outside the orchestrated retransmission restart, or a
 step-budget overflow bails, and the placement goes to the engine (the
 oracle).
 
-**Two drivers.**  An array driver steps one code per ``(placement,
-node)`` through lockstep numpy passes; a scalar driver replays a
+**Two drivers.**  An array driver steps one code per ``(node,
+placement)`` through lockstep numpy passes; a scalar driver replays a
 single placement over tuple copies of the same table.  Each fresh
-batch goes to one of them by size (:data:`_ARRAY_BREAK_EVEN`), and a
-placement that overflows its step budget retries once on the scalar
-driver with a widened budget.
+batch goes to one of them by size (:data:`_ARRAY_BREAK_EVEN`).  The
+scalar driver runs on a widened step budget, and a placement that
+overflows the array driver's budget retries once on it.
 
 Placements touching header sites (the F1 desync universe: SOF through
 the CRC sequence) instead take cached *reduced* engine runs, one per
@@ -60,6 +60,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -518,8 +519,8 @@ class BatchReplayEvaluator(EngineClassifier):
         outside every model the engine.  Pure tail placements replay on
         the transition table: on the array driver from
         :data:`_ARRAY_BREAK_EVEN` fresh placements up, on the scalar one
-        below, whose per-placement cost beats the array loop's fixed
-        per-call cost on narrow batches.
+        below (its per-placement cost beats the array loop's fixed
+        per-call cost on narrow batches) and for the array's bails.
         """
         if not len(codes):
             return []
@@ -538,35 +539,31 @@ class BatchReplayEvaluator(EngineClassifier):
         n = len(self.node_names)
         nodes, keys = nodes[fast], keys[fast]
         flips = (keys >= 0).sum(axis=1).tolist()
+        scalar = range(len(fast))
         if len(fast) >= _ARRAY_BREAK_EVEN:
-            replays = _replay_array(
+            deliveries, attempts, finished = _replay_array(
                 table, n, nodes, keys, _step_cap(self.shape, max(flips))
             )
-            label = BATCH
-        else:
-            replays = [
-                _replay_scalar(
-                    table, n, _arm(nodes[i], keys[i]), _step_cap(self.shape, flips[i])
-                )
-                for i in range(len(fast))
-            ]
-            label = SCALAR
-        for i, (row, replay) in enumerate(zip(fast.tolist(), replays)):
-            if replay is not None:
-                verdicts[row] = replay[0] + (replay[1], label)
-                continue
+            # Column lists zip straight into the verdict tuples: a list per
+            # row would raise the peak RSS of wide runs (~0.3 MB on verify_m5).
+            found = deliveries[finished].T.tolist() + [attempts[finished].tolist()]
+            for row, verdict in zip(fast[finished].tolist(), zip(*found, repeat(BATCH))):
+                verdicts[row] = verdict
+            scalar = np.flatnonzero(~finished).tolist()
+        rows = fast.tolist()
+        for i in scalar:
             # The common bail on dense placements is the step budget:
             # every flip can restart the frame and the cascade outruns
-            # the nominal cap.  A single scalar retry with a widened
-            # budget stays exact (same transition table, more steps)
-            # and keeps these off the engine; genuine envelope
-            # violations bail again and fall through to the oracle.
+            # the nominal cap.  The scalar driver's widened budget stays
+            # exact (same transition table, more steps) and keeps these
+            # off the engine; genuine envelope violations bail at the
+            # same step under any budget and fall through to the oracle.
             arm = _arm(nodes[i], keys[i])
             replay = _replay_scalar(table, n, arm, _step_cap(self.shape, flips[i], 8))
             if replay is not None:
-                verdicts[row] = replay[0] + (replay[1], SCALAR)
+                verdicts[rows[i]] = replay[0] + (replay[1], SCALAR)
             else:
-                verdicts[row] = self._engine_outcome(self._named(_index_sites(codes[row])))
+                verdicts[rows[i]] = self._engine_outcome(self._named(_index_sites(codes[rows[i]])))
         return verdicts
 
     def _named(self, sites: Sequence[IndexSite]) -> Tuple[Site, ...]:
@@ -800,8 +797,9 @@ _ROW_CACHE: Dict[Tuple, Dict[Tuple[Site, ...], Verdict]] = {}
 
 #: Minimum fresh-placement batch for the array pass; below this the
 #: scalar driver (~15-30 us/placement) beats the array loop's fixed
-#: per-call cost.  The measured crossover is ~48-128 placements
-#: (MajorCAN_5 over five nodes to CAN over three, 2-vCPU Xeon VM).
+#: per-call cost.  The measured crossover of the node-major driver is
+#: ~48-128 placements (MajorCAN_5 over five nodes to CAN over three,
+#: 2-vCPU Xeon VM; ~64-192 for the placement-major one it replaced).
 #: The value stays 96 because the route label it picks is persisted
 #: (sweep ``backend_stats``, ``verify`` stdout, benchmark fingerprints).
 _ARRAY_BREAK_EVEN = 96
@@ -1128,8 +1126,8 @@ def transition_table(geometry: TailGeometry) -> TransitionTable:
                 state.st == IDLE
                 or (state.st == INTER and state.ipos == INTERMISSION_LENGTH - 1)
             )
-    code_type = np.min_scalar_type(2 * len(pairs))
-    dtypes = (code_type, np.uint8, bool, bool, np.min_scalar_type(none), bool, bool)
+    # ``next`` is intp: the array driver indexes with its codes every pass.
+    dtypes = (np.intp, np.uint8, bool, bool, np.min_scalar_type(none), bool, bool)
     arrays = [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
     for array in arrays:
         array.setflags(write=False)  # one cached table serves every caller
@@ -1202,60 +1200,64 @@ def _replay_array(
     nodes: np.ndarray,
     keys: np.ndarray,
     cap: int,
-) -> List[Optional[Tuple[Tuple[int, ...], int]]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay a batch of placements in lockstep array passes.
 
     Placement ``b`` arms ``(nodes[b, j], keys[b, j])`` for every ``j``
     with ``keys[b, j] >= 0``.  The same table lookups as
-    :func:`_replay_scalar`, over one code per ``(placement, node)``:
-    each pass advances every live placement by one bus bit, and
-    finished placements are compacted out.  ``cap`` bounds the passes
-    of the whole batch.
+    :func:`_replay_scalar`, over one code per ``(node, placement)``:
+    node-major, so each pass reduces over the short node axis.  A pass
+    advances every live placement by one bus bit, and finished
+    placements are compacted out.  ``cap`` bounds the passes of the
+    whole batch.  Returns the ``[batch, n_nodes]`` deliveries, the
+    attempts and the ``finished`` mask; the other placements bailed.
     """
     batch = len(keys)
-    results: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * batch
-    if batch == 0:
-        return results
+    deliveries = np.zeros((batch, n_nodes), dtype=np.int64)
+    attempts = np.zeros(batch, dtype=np.int64)  # stays 0 where it bails
     width = table.key_count + 1  # the last column is the "no key" sentinel
-    armed = np.zeros((batch, n_nodes, width), dtype=bool)
+    armed = np.zeros((n_nodes, batch, width), dtype=bool)
     at = np.nonzero(keys >= 0)
-    armed[at[0], nodes[at], keys[at]] = True
-    start = np.full(n_nodes, _RX_START, dtype=np.intp)
+    armed[nodes[at], at[0], keys[at]] = True
+    start = np.full((n_nodes, 1), _RX_START, dtype=np.intp)
     start[0] = _TX_START
-    codes = np.tile(start, (batch, 1))
-    deliver = np.zeros((batch, n_nodes), dtype=np.int32)
-    attempts = np.ones(batch, dtype=np.int32)
+    codes = np.repeat(start, batch, axis=1)
+    deliver = np.zeros((n_nodes, batch), dtype=np.int32)
+    tries = np.ones(batch, dtype=np.int32)
     rows = np.arange(batch)
-    slots = np.arange(batch * n_nodes).reshape(batch, n_nodes) * width
-    for _ in range(cap):
-        flat = armed.reshape(-1)
+    slots = np.arange(codes.size).reshape(codes.shape) * width
+    # Only a step that bails or leaves a node idle can end an attempt.
+    halt = table.bail | table.is_idle[table.next]
+    for _ in range(cap if batch else 0):
+        flat = armed.reshape(-1)  # a view: ``armed`` stays C-contiguous
         at = slots + table.key[codes]
         fired = flat[at]
         flat[at] = False
-        entry = codes + (fired ^ table.drives[codes].any(axis=1)[:, None])
-        codes = table.next[entry].astype(np.intp)
+        entry = codes + (fired ^ table.drives[codes].any(axis=0))
+        codes = table.next[entry]
         deliver += table.delivered[entry]
-        bailed = table.bail[entry].any(axis=1)
-        tx_idle = table.is_idle[codes[:, 0]]
-        if not (tx_idle.any() or bailed.any()):
+        if not halt[entry].any():
             continue
         # End of step: finished, or an orchestrated retransmission.
-        pending = deliver[:, 0] == 0
-        done = tx_idle & ~pending & table.is_idle[codes].all(axis=1) & ~bailed
+        bailed = table.bail[entry].any(axis=0)
+        tx_idle = table.is_idle[codes[0]]
+        pending = deliver[0] == 0
+        done = tx_idle & ~pending & table.is_idle[codes].all(axis=0) & ~bailed
         restart = tx_idle & pending & ~bailed
-        ok = restart & table.ready[codes[:, 1:]].all(axis=1)
+        ok = restart & table.ready[codes[1:]].all(axis=0)
         bailed |= restart & ~ok
-        attempts[ok] += 1
-        codes[ok] = start
+        tries[ok] += 1
+        codes[:, ok] = start
         keep = ~(done | bailed)
         if keep.all():
             continue
-        for b in np.flatnonzero(done):
-            results[rows[b]] = (tuple(deliver[b].tolist()), int(attempts[b]))
+        deliveries[rows[done]] = deliver[:, done].T
+        attempts[rows[done]] = tries[done]
         if not keep.any():
             break
-        codes, deliver, attempts, rows, armed = (
-            codes[keep], deliver[keep], attempts[keep], rows[keep], armed[keep]
+        codes, deliver, armed = (
+            np.compress(keep, state, axis=1) for state in (codes, deliver, armed)
         )
-        slots = slots[: len(rows)]
-    return results
+        tries, rows = tries[keep], rows[keep]
+        slots = np.arange(codes.size).reshape(codes.shape) * width
+    return deliveries, attempts, attempts > 0

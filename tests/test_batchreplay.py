@@ -14,6 +14,11 @@ the engine.  These tests enforce that contract:
 * over **generated armed placements** (Hypothesis, 1-6 flips, m = 3..8,
   2-6 nodes): the array and scalar drivers of the transition table
   agree with each other under every step cap, and with the engine;
+* over **wide armed batches** (96-400 placements finishing at staggered
+  passes, 2-8 nodes and 32, m = 3..13 so the key count passes 64): the
+  node-major array driver matches a verbatim copy of the
+  placement-major driver it replaced, bails included, and the scalar
+  driver;
 * over **generated placements** (Hypothesis, 1-4 tail, sampling and
   header sites, 3-5 nodes): receiver permutations, reorderings and
   cancelling site pairs share one canonical form and permute the
@@ -43,6 +48,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.batchreplay import (
     _FAST,
+    _RX_START,
+    _TX_START,
     ENGINE,
     BatchReplayEvaluator,
     EngineClassifier,
@@ -220,7 +227,7 @@ class TestSeededRandomSweep:
         shape = evaluator.shape
         table = transition_table(shape.geometry)
         cap = _step_cap(shape, max(map(len, arms)))
-        array = _replay_array(table, len(node_names), nodes, keys, cap)
+        array = replays(_replay_array(table, len(node_names), nodes, keys, cap))
         scalar = [
             _replay_scalar(table, len(node_names), arm, _step_cap(shape, len(arm)))
             for arm in arms
@@ -253,6 +260,97 @@ def armed_matrices(placements):
         for column, (node, key) in enumerate(pairs):
             nodes[row, column], keys[row, column] = node, key
     return nodes, keys
+
+
+def replays(columns):
+    """``_replay_array``'s columns as the scalar driver's results: one
+    ``(deliveries, attempts)`` per placement, None where it bailed."""
+    deliveries, attempts, finished = columns
+    return [
+        (tuple(row), count) if ok else None
+        for row, count, ok in zip(deliveries.tolist(), attempts.tolist(), finished.tolist())
+    ]
+
+
+def placement_major_replay(table, n_nodes, nodes, keys, cap):
+    """The placement-major array driver the node-major one replaced,
+    verbatim but for its name: the wide-batch oracle."""
+    batch = len(keys)
+    results = [None] * batch
+    if batch == 0:
+        return results
+    width = table.key_count + 1  # the last column is the "no key" sentinel
+    armed = np.zeros((batch, n_nodes, width), dtype=bool)
+    at = np.nonzero(keys >= 0)
+    armed[at[0], nodes[at], keys[at]] = True
+    start = np.full(n_nodes, _RX_START, dtype=np.intp)
+    start[0] = _TX_START
+    codes = np.tile(start, (batch, 1))
+    deliver = np.zeros((batch, n_nodes), dtype=np.int32)
+    attempts = np.ones(batch, dtype=np.int32)
+    rows = np.arange(batch)
+    slots = np.arange(batch * n_nodes).reshape(batch, n_nodes) * width
+    for _ in range(cap):
+        flat = armed.reshape(-1)
+        at = slots + table.key[codes]
+        fired = flat[at]
+        flat[at] = False
+        entry = codes + (fired ^ table.drives[codes].any(axis=1)[:, None])
+        codes = table.next[entry].astype(np.intp)
+        deliver += table.delivered[entry]
+        bailed = table.bail[entry].any(axis=1)
+        tx_idle = table.is_idle[codes[:, 0]]
+        if not (tx_idle.any() or bailed.any()):
+            continue
+        # End of step: finished, or an orchestrated retransmission.
+        pending = deliver[:, 0] == 0
+        done = tx_idle & ~pending & table.is_idle[codes].all(axis=1) & ~bailed
+        restart = tx_idle & pending & ~bailed
+        ok = restart & table.ready[codes[:, 1:]].all(axis=1)
+        bailed |= restart & ~ok
+        attempts[ok] += 1
+        codes[ok] = start
+        keep = ~(done | bailed)
+        if keep.all():
+            continue
+        for b in np.flatnonzero(done):
+            results[rows[b]] = (tuple(deliver[b].tolist()), int(attempts[b]))
+        if not keep.any():
+            break
+        codes, deliver, attempts, rows, armed = (
+            codes[keep], deliver[keep], attempts[keep], rows[keep], armed[keep]
+        )
+        slots = slots[: len(rows)]
+    return results
+
+
+def wide_batch(rng, key_count, n_nodes, size):
+    """``size`` placements of 0-6 distinct armed pairs, scattered over
+    the nodes or stacked on one: clean placements finish on the first
+    attempt, flipped ones at staggered passes."""
+    placements = []
+    for _ in range(size):
+        flips = rng.randint(0, 6)
+        node = rng.randrange(n_nodes) if rng.random() < 0.3 else None
+        pairs = set()
+        while len(pairs) < flips:
+            pairs.add((rng.randrange(n_nodes) if node is None else node, rng.randrange(key_count)))
+        placements.append(sorted(pairs))
+    return placements
+
+
+@st.composite
+def wide_batches(draw):
+    """A tail geometry up to m = 13, 2-8 nodes and 96-400 placements,
+    the per-attempt budget shrunk half the time so some bail."""
+    protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
+    shape = tail_shape(protocol, draw(st.integers(3, 13)), FRAME)
+    n_nodes = draw(st.integers(2, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    placements = wide_batch(rng, shape.key_count, n_nodes, draw(st.integers(96, 400)))
+    if draw(st.booleans()):
+        shape = replace(shape, attempt_cap=draw(st.integers(1, shape.attempt_cap)))
+    return shape, n_nodes, placements
 
 
 def key_site(shape, key):
@@ -304,7 +402,9 @@ class TestGeneratedTailDifferential:
         shape, n_nodes, placements = case
         table = transition_table(shape.geometry)
         batch_cap = _step_cap(shape, max(map(len, placements)))
-        array = _replay_array(table, n_nodes, *armed_matrices(placements), batch_cap)
+        array = replays(
+            _replay_array(table, n_nodes, *armed_matrices(placements), batch_cap)
+        )
         for placement, verdict in zip(placements, array):
             nominal = _replay_scalar(
                 table, n_nodes, placement, _step_cap(shape, len(placement))
@@ -330,8 +430,10 @@ class TestGeneratedTailDifferential:
             table, n_nodes, placement, _step_cap(shape, len(placement), 8)
         )
         assert verdict is not None
-        (array,) = _replay_array(
-            table, n_nodes, *armed_matrices([placement]), _step_cap(shape, len(placement))
+        (array,) = replays(
+            _replay_array(
+                table, n_nodes, *armed_matrices([placement]), _step_cap(shape, len(placement))
+            )
         )
         assert array == verdict
         names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
@@ -341,6 +443,55 @@ class TestGeneratedTailDifferential:
             tuple(outcome.deliveries[name] for name in names),
             outcome.attempts,
         ), combo
+
+    @staticmethod
+    def wide_differential(shape, n_nodes, placements):
+        """The array driver's verdicts on one batch, checked row by row
+        against the placement-major oracle and the scalar driver at the
+        batch cap."""
+        table = transition_table(shape.geometry)
+        batch_cap = _step_cap(shape, max(map(len, placements)))
+        nodes, keys = armed_matrices(placements)
+        array = replays(_replay_array(table, n_nodes, nodes, keys, batch_cap))
+        assert array == placement_major_replay(table, n_nodes, nodes, keys, batch_cap)
+        for placement, verdict in zip(placements, array):
+            assert verdict == _replay_scalar(table, n_nodes, placement, batch_cap)
+        return array
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_batches())
+    def test_wide_batches_equal_the_placement_major_driver(self, case):
+        self.wide_differential(*case)
+
+    @pytest.mark.parametrize(
+        "m,n_nodes,attempt_cap", [(12, 32, None), (13, 5, None), (13, 8, 20)]
+    )
+    def test_seeded_wide_batches_past_64_keys(self, m, n_nodes, attempt_cap):
+        shape = tail_shape("majorcan", m, FRAME)
+        assert shape.key_count > 64
+        if attempt_cap is not None:
+            shape = replace(shape, attempt_cap=attempt_cap)
+        placements = wide_batch(random.Random(m * n_nodes), shape.key_count, n_nodes, 400)
+        array = self.wide_differential(shape, n_nodes, placements)
+        # Placements finish after different attempt counts, so the batch
+        # compacts while others still run.
+        assert len({verdict[1] for verdict in array if verdict is not None}) > 1
+        assert (None in array) == (attempt_cap is not None)
+
+    def test_keys_fire_once_after_compaction(self):
+        # The clean placement finishes on the first attempt and is
+        # compacted out.  The other two flip the transmitter's ACK slot,
+        # so their EOF key is first announced, and fires, in the second
+        # attempt, after that compaction.  Cleared there, it does not fire
+        # again in the third; left armed, it restarts the frame every
+        # attempt until the step budget runs out.
+        shape = tail_shape("majorcan", 5, FRAME)
+        table = transition_table(shape.geometry)
+        placements = [[], [(0, 1), (0, 3)], [(0, 1), (0, 4)]]
+        cap = _step_cap(shape, 2)
+        array = replays(_replay_array(table, 3, *armed_matrices(placements), cap))
+        assert [verdict[1] for verdict in array] == [1, 3, 3]
+        assert array == [_replay_scalar(table, 3, placement, cap) for placement in placements]
 
     def test_route_step_caps(self):
         # With the per-attempt budget shrunk, placements overflow their
