@@ -21,10 +21,8 @@ Run with::
 """
 
 from repro.can import CanController, data_frame
-from repro.can.bits import DOMINANT, RECESSIVE
-from repro.can.fields import EOF
 from repro.core import MajorCanController, MinorCanController
-from repro.faults import ScriptedInjector, Trigger, ViewFault
+from repro.faults.scenarios import SCRIPTS
 from repro.metrics import render_table
 from repro.simulation import SimulationEngine, make_rng
 
@@ -48,16 +46,10 @@ def run_round(controller_class, attacked, victim):
     """One round: the brake command plus background traffic."""
     controllers = [controller_class(name) for name in ECU_NAMES]
     brakes = controllers[0]
-    eof_last = brakes.config.eof_length - 1
-    faults = []
-    if attacked:
-        faults = [
-            ViewFault(victim, Trigger(field=EOF, index=eof_last - 1), force=DOMINANT),
-            ViewFault("brakes", Trigger(field=EOF, index=eof_last), force=RECESSIVE),
-        ]
-    engine = SimulationEngine(
-        controllers, injector=ScriptedInjector(view_faults=faults), record_bits=False
+    injector = SCRIPTS["fig3" if attacked else "clean"].injector(
+        {"tx": ["brakes"], "x": [victim]}, brakes.config.eof_length
     )
+    engine = SimulationEngine(controllers, injector=injector, record_bits=False)
     command = data_frame(0x010, b"\xb0\x01", message_id="brake-cmd")
     brakes.submit(command)
     for index, controller in enumerate(controllers[1:], start=1):

@@ -16,24 +16,15 @@ Run with::
     python examples/dual_bus.py
 """
 
-from repro.can.bits import DOMINANT, RECESSIVE
-from repro.can.fields import EOF
 from repro.can.frame import data_frame
-from repro.faults import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import fig3
+from repro.faults.scenarios import SCRIPTS, fig3
 from repro.redundancy import DualBusSystem
 
 FRAME = data_frame(0x123, b"\x55", message_id="cmd")
 
 
 def fig3_injector(x_port, tx_port, eof_length=7):
-    last = eof_length - 1
-    return ScriptedInjector(
-        view_faults=[
-            ViewFault(x_port, Trigger(field=EOF, index=last - 1), force=DOMINANT),
-            ViewFault(tx_port, Trigger(field=EOF, index=last), force=RECESSIVE),
-        ]
-    )
+    return SCRIPTS["fig3"].injector({"tx": [tx_port], "x": [x_port]}, eof_length)
 
 
 def dual_bus_run(injectors, label):

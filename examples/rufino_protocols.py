@@ -12,10 +12,7 @@ Run with::
     python examples/rufino_protocols.py
 """
 
-from repro.can.bits import DOMINANT, RECESSIVE
-from repro.can.controller import STATE_ERROR_FLAG
-from repro.can.fields import EOF
-from repro.faults import CrashFault, ScriptedInjector, Trigger, ViewFault
+from repro.faults.scenarios import SCRIPTS
 from repro.protocols import (
     EdcanProtocol,
     RelcanProtocol,
@@ -26,35 +23,15 @@ from repro.protocols import (
 
 KIND_NAMES = {0: "DATA", 1: "CONFIRM", 2: "ACCEPT", 3: "RETRANS"}
 
-
-def injector_for(scenario):
-    if scenario == "clean":
-        return None
-    if scenario == "fig1c":
-        return ScriptedInjector(
-            view_faults=[
-                ViewFault("n1", Trigger(field=EOF, index=5), force=DOMINANT)
-            ],
-            crash_faults=[CrashFault("n0", Trigger(state=STATE_ERROR_FLAG))],
-        )
-    if scenario == "fig3":
-        return ScriptedInjector(
-            view_faults=[
-                ViewFault("n1", Trigger(field=EOF, index=5), force=DOMINANT),
-                ViewFault("n0", Trigger(field=EOF, index=6), force=RECESSIVE),
-            ]
-        )
-    raise KeyError(scenario)
+#: The figure scripts' roles: n0 broadcasts, n1 is the X set.
+ROLES = {"tx": ["n0"], "x": ["n1"]}
 
 
 def narrate(factory, scenario):
-    injector = injector_for(scenario)
+    # The protocols run above standard CAN controllers: a 7-bit EOF.
+    injector = SCRIPTS[scenario].injector(ROLES, eof_length=7)
     engine, nodes = build_protocol_network(
-        factory,
-        4,
-        engine_kwargs={"injector": injector, "record_bits": False}
-        if injector
-        else {"record_bits": False},
+        factory, 4, engine_kwargs={"injector": injector, "record_bits": False}
     )
     nodes[0].broadcast(b"\xaa")
     engine.run(4000)

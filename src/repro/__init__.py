@@ -53,64 +53,26 @@ The package is organised in layers:
     content-addressed cell keys, an append-only JSONL result store
     with byte-deterministic compaction, and a driver that skips stored
     cells and streams the rest over the worker pool.
+
+Every package declares its public names once, in the table passed to
+:func:`repro._namespace.lazy_namespace`; a name's module is imported
+on first use, so ``import repro`` loads no layer.
 """
 
-from repro._version import __version__
-from repro.can import (
-    CanController,
-    CanId,
-    ControllerConfig,
-    Frame,
-)
-from repro.core import MajorCanController, MinorCanController
-from repro.simulation import Bus, SimulationEngine, Trace
-from repro.tracestore import (
-    RecordedTrace,
-    ScenarioSpec,
-    TraceDiff,
-    check_corpus,
-    diff_traces,
-    load_trace,
-    record_outcome,
-    replay_trace,
-    update_corpus,
-)
-from repro.sweep import ResultStore, SweepCell, SweepSpec, run_sweep
-from repro.traffic import (
-    BurstSpec,
-    TrafficOutcome,
-    TrafficSpec,
-    record_traffic,
-    run_traffic,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "__version__",
-    "BurstSpec",
-    "Bus",
-    "CanController",
-    "CanId",
-    "ControllerConfig",
-    "Frame",
-    "MajorCanController",
-    "MinorCanController",
-    "RecordedTrace",
-    "ResultStore",
-    "ScenarioSpec",
-    "SimulationEngine",
-    "SweepCell",
-    "SweepSpec",
-    "Trace",
-    "TraceDiff",
-    "TrafficOutcome",
-    "TrafficSpec",
-    "check_corpus",
-    "diff_traces",
-    "load_trace",
-    "record_outcome",
-    "record_traffic",
-    "replay_trace",
-    "run_sweep",
-    "run_traffic",
-    "update_corpus",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "_version": ("__version__",),
+        "can": ("CanController", "CanId", "ControllerConfig", "Frame"),
+        "core": ("MajorCanController", "MinorCanController"),
+        "simulation": ("Bus", "SimulationEngine", "Trace"),
+        "tracestore": (
+            "RecordedTrace", "ScenarioSpec", "TraceDiff", "check_corpus", "diff_traces",
+            "load_trace", "record_outcome", "replay_trace", "update_corpus",
+        ),
+        "sweep": ("ResultStore", "SweepCell", "SweepSpec", "run_sweep"),
+        "traffic": ("BurstSpec", "TrafficOutcome", "TrafficSpec", "record_traffic", "run_traffic"),
+    },
+)

@@ -810,6 +810,7 @@ def clear_caches() -> None:
     including the per-universe tail-pattern verdicts of
     :mod:`repro.analysis.enumeration` and the compiled transition
     tables."""
+    # Local import: the enumeration module imports this one.
     from repro.analysis.enumeration import tail_verdicts
 
     _REDUCED_CACHE.clear()

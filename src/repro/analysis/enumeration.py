@@ -36,10 +36,12 @@ An enumeration runs in two steps:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.analysis.batchreplay import placement_classifier
 from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.errors import AnalysisError
@@ -277,8 +279,6 @@ def tail_verdicts(
         if max_flips is not None and size > max_flips:
             break
         patterns.extend(itertools.combinations(sites, size))
-    from repro.analysis.batchreplay import placement_classifier
-
     classifier = placement_classifier(protocol, m, node_names, backend, payload)
     combos = [
         tuple(
@@ -311,8 +311,6 @@ def tail_verdicts(
 def equation4_tail_prediction(ber_star: float, n_nodes: int, tau_data: int) -> float:
     """Equation 4 recomputed from ``ber*`` directly (helper for
     comparing against :class:`EnumerationResult` values)."""
-    import math
-
     b = ber_star
     total = 0.0
     affected = ((1 - b) ** (tau_data - 2)) * b

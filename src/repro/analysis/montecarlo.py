@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
+from repro.analysis.batchreplay import placement_classifier
 from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
@@ -174,8 +175,6 @@ def tail_chunk(
     trial_combos = [tuple(group) for group in groups]
     if not trial_combos:
         return counts
-    from repro.analysis.batchreplay import placement_classifier
-
     classifier = placement_classifier(protocol, m, node_names, backend)
     counts.absorb(delivery_flags(classifier.evaluate(trial_combos).deliveries))
     counts.backend_stats = classifier.stats
@@ -322,6 +321,8 @@ def monte_carlo_full(
     ``chunk_trials=None`` default): ``jobs`` never changes the counts,
     only the wall-clock time.
     """
+    if n_nodes < 2:
+        raise AnalysisError("need at least two nodes")
     node_names = placement_node_names(n_nodes)
     if chunk_trials is None:
         chunk_trials = _adaptive_chunk_trials(n_nodes)

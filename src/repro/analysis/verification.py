@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.batchreplay import placement_classifier
 from repro.can.fields import (
     ACK_DELIM,
     ACK_SLOT,
@@ -267,8 +268,6 @@ def verify_chunk(
     (``None`` on the engine backend).  The delivery rule runs over the
     whole delivery matrix, and only the rows that hit become hit tuples.
     """
-    from repro.analysis.batchreplay import placement_classifier
-
     classifier = placement_classifier(protocol, m, node_names, backend, payload)
     placed = classifier.evaluate(combos)
     kinds = delivery_flags(placed.deliveries).kinds()

@@ -13,62 +13,24 @@ Public entry points:
   format building blocks.
 """
 
-from repro.can.bits import DOMINANT, RECESSIVE, Level, wired_and
-from repro.can.controller import (
-    CanController,
-    STATE_BUS_OFF,
-    STATE_ERROR_DELIM,
-    STATE_ERROR_FLAG,
-    STATE_ERROR_WAIT,
-    STATE_IDLE,
-    STATE_INTERMISSION,
-    STATE_OVERLOAD_FLAG,
-    STATE_RECEIVING,
-    STATE_SUSPEND,
-    STATE_TRANSMITTING,
-    TxJob,
-)
-from repro.can.controller_config import ControllerConfig
-from repro.can.encoding import WireFrame, encode_frame
-from repro.can.error_counters import ConfinementState, ErrorCounters
-from repro.can.events import Delivery, ErrorReason, Event, EventKind
-from repro.can.frame import Frame, data_frame, remote_frame
-from repro.can.identifiers import CanId
-from repro.can.parser import FrameParser
-from repro.can.timing import BitTiming, classic_1mbps, timing_for_bit_rate
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "BitTiming",
-    "CanController",
-    "CanId",
-    "ConfinementState",
-    "ControllerConfig",
-    "Delivery",
-    "DOMINANT",
-    "ErrorCounters",
-    "ErrorReason",
-    "Event",
-    "EventKind",
-    "Frame",
-    "FrameParser",
-    "Level",
-    "RECESSIVE",
-    "STATE_BUS_OFF",
-    "STATE_ERROR_DELIM",
-    "STATE_ERROR_FLAG",
-    "STATE_ERROR_WAIT",
-    "STATE_IDLE",
-    "STATE_INTERMISSION",
-    "STATE_OVERLOAD_FLAG",
-    "STATE_RECEIVING",
-    "STATE_SUSPEND",
-    "STATE_TRANSMITTING",
-    "TxJob",
-    "WireFrame",
-    "classic_1mbps",
-    "data_frame",
-    "encode_frame",
-    "remote_frame",
-    "timing_for_bit_rate",
-    "wired_and",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "bits": ("DOMINANT", "RECESSIVE", "Level", "wired_and"),
+        "controller": (
+            "CanController", "STATE_BUS_OFF", "STATE_ERROR_DELIM", "STATE_ERROR_FLAG",
+            "STATE_ERROR_WAIT", "STATE_IDLE", "STATE_INTERMISSION", "STATE_OVERLOAD_FLAG",
+            "STATE_RECEIVING", "STATE_SUSPEND", "STATE_TRANSMITTING", "TxJob",
+        ),
+        "controller_config": ("ControllerConfig",),
+        "encoding": ("WireFrame", "encode_frame"),
+        "error_counters": ("ConfinementState", "ErrorCounters"),
+        "events": ("Delivery", "ErrorReason", "Event", "EventKind"),
+        "frame": ("Frame", "data_frame", "remote_frame"),
+        "identifiers": ("CanId",),
+        "parser": ("FrameParser",),
+        "timing": ("BitTiming", "classic_1mbps", "timing_for_bit_rate"),
+    },
+)

@@ -1,21 +1,14 @@
 """The paper's protocol modifications: MinorCAN and MajorCAN_m."""
 
-from repro.core.majorcan import (
-    DEFAULT_M,
-    MajorCanController,
-    STATE_MAJOR_EXTENDED_FLAG,
-    STATE_MAJOR_FLAG,
-    STATE_MAJOR_QUIET,
-    majorcan_config,
-)
-from repro.core.minorcan import MinorCanController
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "DEFAULT_M",
-    "MajorCanController",
-    "MinorCanController",
-    "STATE_MAJOR_EXTENDED_FLAG",
-    "STATE_MAJOR_FLAG",
-    "STATE_MAJOR_QUIET",
-    "majorcan_config",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "majorcan": (
+            "DEFAULT_M", "MajorCanController", "STATE_MAJOR_EXTENDED_FLAG", "STATE_MAJOR_FLAG",
+            "STATE_MAJOR_QUIET", "majorcan_config",
+        ),
+        "minorcan": ("MinorCanController",),
+    },
+)

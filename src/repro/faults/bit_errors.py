@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.noisebatch import advance, generator_state, restore_state
 from repro.can.bits import Level
 from repro.can.controller import CanController
 from repro.errors import ConfigurationError, SimulationError
@@ -131,8 +132,6 @@ class RandomViewErrorInjector(FaultInjector):
         """
         start = self._stream_tick
         if self._ranks is not None and time != start:
-            from repro.analysis.noisebatch import advance, restore_state
-
             if time < self._block_tick:
                 raise SimulationError(
                     "view noise cannot rewind to tick %d, before its block at "
@@ -150,8 +149,6 @@ class RandomViewErrorInjector(FaultInjector):
 
     def _draw_block(self, time: int) -> None:
         """Draw the block of uniforms starting at tick ``time``."""
-        from repro.analysis.noisebatch import generator_state
-
         if self._bound_ranks is None:
             raise SimulationError(
                 "RandomViewErrorInjector is used before an engine bound it"

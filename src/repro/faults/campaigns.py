@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.batchreplay import BatchReplayEvaluator
+from repro.analysis.noisebatch import first_flip, generator_state, restore_state
 from repro.can.frame import data_frame
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.bit_errors import RandomViewErrorInjector
@@ -216,9 +218,6 @@ def run_rounds(
     # classifies each round up front and only the rounds whose mask
     # fires rerun on the engine, from the rewound generator
     # (bit-identical to the engine path).
-    from repro.analysis.batchreplay import BatchReplayEvaluator
-    from repro.analysis.noisebatch import first_flip, generator_state, restore_state
-
     # Built directly rather than through ``placement_classifier``: the
     # engine side of a round runs the whole round with background
     # traffic and noise (``engine_row``), not one placement of the

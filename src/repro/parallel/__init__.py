@@ -22,15 +22,12 @@ regardless of ``jobs`` and merge partial results in chunk order, so
 ``jobs`` only decides *where* a chunk runs, never *what* it computes.
 """
 
-from repro.parallel.pool import effective_jobs, imap_tasks, merge_stats, run_tasks
-from repro.parallel.seeds import adaptive_chunk, rng_from, spawn_seeds
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "adaptive_chunk",
-    "effective_jobs",
-    "imap_tasks",
-    "merge_stats",
-    "run_tasks",
-    "rng_from",
-    "spawn_seeds",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "pool": ("effective_jobs", "imap_tasks", "merge_stats", "run_tasks"),
+        "seeds": ("adaptive_chunk", "rng_from", "spawn_seeds"),
+    },
+)

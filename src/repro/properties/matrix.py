@@ -24,7 +24,7 @@ from repro.faults.scenarios import SCRIPTS, make_controller, run_script
 from repro.properties.broadcast import check_atomic_broadcast
 from repro.properties.ledger import SystemLedger
 from repro.protocols.base import app_ledger, build_protocol_network
-from repro.protocols import PROTOCOL_FACTORIES
+from repro.protocols.registry import PROTOCOL_FACTORIES
 
 #: The :data:`~repro.faults.scenarios.SCRIPTS` rows each matrix runs.
 CORE_SCENARIOS = ("clean", "fig1a", "fig1b", "fig1c", "fig3")

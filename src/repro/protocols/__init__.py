@@ -1,55 +1,22 @@
 """The FTCS'98 higher-level broadcast protocols (the paper's baselines)."""
 
-from repro.protocols.base import (
-    AppMessage,
-    AppNode,
-    BroadcastProtocol,
-    KIND_ACCEPT,
-    KIND_CONFIRM,
-    KIND_DATA,
-    KIND_RETRANS,
-    app_ledger,
-    build_protocol_network,
-    decode_message,
-    encode_message,
-    message_ledger_key,
-)
-from repro.protocols.edcan import EdcanProtocol
-from repro.protocols.relcan import RelcanProtocol
-from repro.protocols.stats import (
-    BandwidthReport,
-    bandwidth_comparison,
-    measure_hlp_bandwidth,
-    measure_majorcan_bandwidth,
-)
-from repro.protocols.totcan import TotcanProtocol
+from repro._namespace import lazy_namespace
 
-#: Name -> protocol factory registry.
-PROTOCOL_FACTORIES = {
-    "edcan": EdcanProtocol,
-    "relcan": RelcanProtocol,
-    "totcan": TotcanProtocol,
-}
-
-__all__ = [
-    "AppMessage",
-    "BandwidthReport",
-    "AppNode",
-    "BroadcastProtocol",
-    "EdcanProtocol",
-    "KIND_ACCEPT",
-    "KIND_CONFIRM",
-    "KIND_DATA",
-    "KIND_RETRANS",
-    "PROTOCOL_FACTORIES",
-    "RelcanProtocol",
-    "TotcanProtocol",
-    "app_ledger",
-    "bandwidth_comparison",
-    "build_protocol_network",
-    "decode_message",
-    "encode_message",
-    "measure_hlp_bandwidth",
-    "measure_majorcan_bandwidth",
-    "message_ledger_key",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "base": (
+            "AppMessage", "AppNode", "BroadcastProtocol", "KIND_ACCEPT", "KIND_CONFIRM",
+            "KIND_DATA", "KIND_RETRANS", "app_ledger", "build_protocol_network", "decode_message",
+            "encode_message", "message_ledger_key",
+        ),
+        "edcan": ("EdcanProtocol",),
+        "relcan": ("RelcanProtocol",),
+        "stats": (
+            "BandwidthReport", "bandwidth_comparison", "measure_hlp_bandwidth",
+            "measure_majorcan_bandwidth",
+        ),
+        "totcan": ("TotcanProtocol",),
+        "registry": ("PROTOCOL_FACTORIES",),
+    },
+)

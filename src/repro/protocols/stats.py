@@ -13,20 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.can.fields import nominal_frame_length
+from repro.can.frame import data_frame
 from repro.core.majorcan import DEFAULT_M, MajorCanController
 from repro.errors import ProtocolError
+from repro.faults.scenarios import run_single_frame_scenario
 from repro.protocols.base import build_protocol_network, decode_message
-from repro.protocols.edcan import EdcanProtocol
-from repro.protocols.relcan import RelcanProtocol
-from repro.protocols.totcan import TotcanProtocol
+from repro.protocols.registry import PROTOCOL_FACTORIES
 from repro.simulation.engine import SimulationEngine
-
-#: Local registry (the package-level one would be a circular import).
-_FACTORIES = {
-    "edcan": EdcanProtocol,
-    "relcan": RelcanProtocol,
-    "totcan": TotcanProtocol,
-}
 
 
 @dataclass(frozen=True)
@@ -52,13 +45,13 @@ def measure_hlp_bandwidth(
 ) -> BandwidthReport:
     """Measure one broadcast's bus cost under a higher-level protocol."""
     key = protocol.lower()
-    if key not in _FACTORIES:
+    if key not in PROTOCOL_FACTORIES:
         raise ProtocolError(
             "unknown protocol %r (choose from %s)"
-            % (protocol, sorted(_FACTORIES))
+            % (protocol, sorted(PROTOCOL_FACTORIES))
         )
     engine, nodes = build_protocol_network(
-        _FACTORIES[key], n_nodes, engine_kwargs={"record_bits": False}
+        PROTOCOL_FACTORIES[key], n_nodes, engine_kwargs={"record_bits": False}
     )
     nodes[0].broadcast(payload)
     engine.run(4000)
@@ -72,7 +65,7 @@ def measure_hlp_bandwidth(
             frames += 1
             frame_bits += nominal_frame_length(frame)
     return BandwidthReport(
-        protocol=_FACTORIES[key].name,
+        protocol=PROTOCOL_FACTORIES[key].name,
         n_nodes=n_nodes,
         frames_on_bus=frames,
         frame_bits_total=frame_bits,
@@ -90,9 +83,6 @@ def measure_majorcan_bandwidth(
     One frame, no control traffic: the entire overhead is the longer
     frame tail.
     """
-    from repro.can.frame import data_frame
-    from repro.faults.scenarios import run_single_frame_scenario
-
     controllers = [MajorCanController("n%d" % i, m=m) for i in range(n_nodes)]
     frame = data_frame(0x100, payload)
     outcome = run_single_frame_scenario(
@@ -111,7 +101,7 @@ def bandwidth_comparison(n_nodes: int = 4, payload: bytes = b"\xaa") -> Dict[str
     """One broadcast through every protocol, measured on the bus."""
     reports = {
         name: measure_hlp_bandwidth(name, n_nodes=n_nodes, payload=payload)
-        for name in _FACTORIES
+        for name in PROTOCOL_FACTORIES
     }
     majorcan = measure_majorcan_bandwidth(n_nodes=n_nodes, payload=payload)
     reports["majorcan"] = majorcan

@@ -1,15 +1,10 @@
 """Media redundancy: the dual-CAN architecture of the paper's ref. [2]."""
 
-from repro.redundancy.dualbus import (
-    CHANNELS,
-    DualBusNode,
-    DualBusOutcome,
-    DualBusSystem,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "CHANNELS",
-    "DualBusNode",
-    "DualBusOutcome",
-    "DualBusSystem",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "dualbus": ("CHANNELS", "DualBusNode", "DualBusOutcome", "DualBusSystem"),
+    },
+)

@@ -1,16 +1,13 @@
 """Bit-synchronous bus simulation substrate."""
 
-from repro.simulation.bus import Bus
-from repro.simulation.engine import FaultInjector, SimulationEngine
-from repro.simulation.rng import make_rng, spawn
-from repro.simulation.trace import BitRecord, Trace
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "BitRecord",
-    "Bus",
-    "FaultInjector",
-    "SimulationEngine",
-    "Trace",
-    "make_rng",
-    "spawn",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "bus": ("Bus",),
+        "engine": ("FaultInjector", "SimulationEngine"),
+        "rng": ("make_rng", "spawn"),
+        "trace": ("BitRecord", "Trace"),
+    },
+)

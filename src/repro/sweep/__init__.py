@@ -24,40 +24,16 @@ CLI: ``repro sweep plan|run|status|export``; integrity test:
 ``tests/test_sweep.py::TestRunSweep::test_interrupted_resume_across_jobs_is_byte_identical``.
 """
 
-from repro.sweep.cell import (
-    cell_constants,
-    cell_key,
-    cell_record,
-    evaluate_cell,
-    evaluate_traffic_cell,
-)
-from repro.sweep.run import SweepRunReport, pending_cells, run_sweep, surface_rows
-from repro.sweep.spec import (
-    PROTOCOLS,
-    SURFACES,
-    SweepCell,
-    SweepSpec,
-    TrafficCell,
-    expand_cells,
-)
-from repro.sweep.store import ResultStore, StoreStatus
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "PROTOCOLS",
-    "ResultStore",
-    "SURFACES",
-    "StoreStatus",
-    "SweepCell",
-    "SweepRunReport",
-    "SweepSpec",
-    "TrafficCell",
-    "cell_constants",
-    "cell_key",
-    "cell_record",
-    "evaluate_cell",
-    "evaluate_traffic_cell",
-    "expand_cells",
-    "pending_cells",
-    "run_sweep",
-    "surface_rows",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "cell": (
+            "cell_constants", "cell_key", "cell_record", "evaluate_cell", "evaluate_traffic_cell",
+        ),
+        "run": ("SweepRunReport", "pending_cells", "run_sweep", "surface_rows"),
+        "spec": ("PROTOCOLS", "SURFACES", "SweepCell", "SweepSpec", "TrafficCell", "expand_cells"),
+        "store": ("ResultStore", "StoreStatus"),
+    },
+)

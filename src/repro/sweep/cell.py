@@ -23,10 +23,19 @@ import hashlib
 import math
 from typing import Any, Callable, Dict, Optional
 
+from repro.analysis import enumeration
+from repro.analysis.overhead import best_case_overhead_bits
+from repro.analysis.probability import p_new_scenario_per_frame, p_old_scenario_per_frame
+from repro.analysis.rates import incidents_per_hour
+from repro.can.encoding import wire_program
+from repro.can.frame import data_frame
+from repro.can.timing import PROPAGATION_SPEED_M_PER_S, timing_for_bit_rate
 from repro.errors import AnalysisError, ConfigurationError
+from repro.faults.models import ber_star
 from repro.metrics.export import json_line
 from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
 from repro.sweep.spec import SURFACES, SweepCell, SweepSpec, TrafficCell
+from repro.workload.profiles import NetworkProfile
 
 #: Version of the key schema.  Bump whenever the evaluation semantics
 #: change in a way that invalidates stored results (new result fields
@@ -134,8 +143,6 @@ def cell_key(cell: SweepCell, constants: Dict[str, Any]) -> str:
 
 def _bus_feasibility(cell: SweepCell) -> Dict[str, Any]:
     """ISO 11898 feasibility of the cell's (bit rate, bus length) point."""
-    from repro.can.timing import PROPAGATION_SPEED_M_PER_S, timing_for_bit_rate
-
     propagation_delay_s = cell.bus_length_m / PROPAGATION_SPEED_M_PER_S
     try:
         timing = timing_for_bit_rate(cell.bit_rate)
@@ -170,10 +177,6 @@ def cell_tau_data(cell: SweepCell) -> int:
     nominal 110 bits) keeps the per-frame probabilities and the frame
     rate of the traffic profile consistent with the simulated frame.
     """
-    from repro.analysis.overhead import best_case_overhead_bits
-    from repro.can.encoding import wire_program
-    from repro.can.frame import data_frame
-
     frame = data_frame(0x123, cell.payload_bytes, message_id="m")
     tau = len(wire_program(frame).levels)
     if cell.protocol == "majorcan":
@@ -195,15 +198,6 @@ def evaluate_cell(
     relies on: any process evaluating the same key writes the same
     bytes.
     """
-    from repro.analysis.enumeration import enumerate_tail_patterns
-    from repro.analysis.probability import (
-        p_new_scenario_per_frame,
-        p_old_scenario_per_frame,
-    )
-    from repro.analysis.rates import incidents_per_hour
-    from repro.faults.models import ber_star
-    from repro.workload.profiles import NetworkProfile
-
     tau = cell_tau_data(cell)
     profile = NetworkProfile(
         bit_rate=cell.bit_rate,
@@ -212,7 +206,9 @@ def evaluate_cell(
         frame_bits=tau,
     )
     star = ber_star(cell.ber, cell.n_nodes)
-    enumerated = enumerate_tail_patterns(
+    # Called through its module, so a wrapper installed there after this
+    # import (bench/tracing.py's spans) still sees every call.
+    enumerated = enumeration.enumerate_tail_patterns(
         protocol=cell.protocol,
         n_nodes=cell.n_nodes,
         window=window,

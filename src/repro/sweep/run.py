@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.parallel import imap_tasks, merge_stats
+from repro.parallel.pool import effective_jobs, imap_tasks, merge_stats
 from repro.sweep.cell import cell_key, cell_record, constants_planner, stats_of
 from repro.sweep.spec import SweepSpec, expand_cells
 from repro.sweep.store import ResultStore
@@ -136,8 +136,6 @@ def run_sweep(
     throughout, so a second run on a live store raises
     :class:`repro.errors.ReproError` and leaves it untouched.
     """
-    from repro.parallel.pool import effective_jobs
-
     with store.locked():
         pending, skipped = pending_cells(spec, store, backend=backend)
         deferred = 0

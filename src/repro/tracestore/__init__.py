@@ -39,63 +39,22 @@ validator and :func:`replay_trace` dispatch on the manifest's
 CLI: ``majorcan-repro record | replay | diff | corpus | traffic``.
 """
 
-from repro.tracestore.corpus import (
-    DEFAULT_CORPUS_DIR,
-    CorpusCheckResult,
-    CorpusReport,
-    GOLDEN_BUILDERS,
-    GOLDEN_TRAFFIC_ENTRIES,
-    check_corpus,
-    check_recording,
-    corpus_entries,
-    update_corpus,
-)
-from repro.tracestore.recorder import outcome_records, record_outcome
-from repro.tracestore.replay import (
-    RecordedTrace,
-    ReplayResult,
-    TraceDiff,
-    diff_traces,
-    load_trace,
-    replay_trace,
-)
-from repro.tracestore.schema import (
-    SCHEMA_VERSION,
-    TRAFFIC_SCHEMA_VERSION,
-    require_valid,
-    validate_records,
-)
-from repro.tracestore.spec import (
-    ScenarioSpec,
-    frame_from_dict,
-    frame_to_dict,
-    spec_from_outcome,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "CorpusCheckResult",
-    "CorpusReport",
-    "DEFAULT_CORPUS_DIR",
-    "GOLDEN_BUILDERS",
-    "GOLDEN_TRAFFIC_ENTRIES",
-    "RecordedTrace",
-    "ReplayResult",
-    "SCHEMA_VERSION",
-    "ScenarioSpec",
-    "TRAFFIC_SCHEMA_VERSION",
-    "TraceDiff",
-    "check_corpus",
-    "check_recording",
-    "corpus_entries",
-    "diff_traces",
-    "frame_from_dict",
-    "frame_to_dict",
-    "load_trace",
-    "outcome_records",
-    "record_outcome",
-    "replay_trace",
-    "require_valid",
-    "spec_from_outcome",
-    "update_corpus",
-    "validate_records",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "corpus": (
+            "DEFAULT_CORPUS_DIR", "CorpusCheckResult", "CorpusReport", "GOLDEN_BUILDERS",
+            "GOLDEN_TRAFFIC_ENTRIES", "check_corpus", "check_recording", "corpus_entries",
+            "update_corpus",
+        ),
+        "recorder": ("outcome_records", "record_outcome"),
+        "replay": (
+            "RecordedTrace", "ReplayResult", "TraceDiff", "diff_traces", "load_trace",
+            "replay_trace",
+        ),
+        "schema": ("SCHEMA_VERSION", "TRAFFIC_SCHEMA_VERSION", "require_valid", "validate_records"),
+        "spec": ("ScenarioSpec", "frame_from_dict", "frame_to_dict", "spec_from_outcome"),
+    },
+)

@@ -27,6 +27,14 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import TraceStoreError
+from repro.faults.scenarios import SCENARIOS, SCRIPTS, run_script, x_eof_error
+from repro.parallel.pool import run_tasks
+from repro.tracestore.recorder import record_outcome
+from repro.tracestore.replay import replay_trace
+from repro.tracestore.spec import spec_from_outcome
+from repro.traffic.recording import record_traffic
+from repro.traffic.run import run_traffic
+from repro.traffic.spec import BurstSpec, TrafficSpec
 
 #: Default corpus directory (repo-root relative).
 DEFAULT_CORPUS_DIR = "corpus"
@@ -38,23 +46,17 @@ DEFAULT_CORPUS_DIR = "corpus"
 
 
 def _scenario(name: str, protocol: str):
-    from repro.faults.scenarios import SCENARIOS
-
     return SCENARIOS[name](protocol)
 
 
 def _overload_primary():
     """Fig. 1a under MinorCAN: its primary-error overload choreography."""
-    from repro.faults.scenarios import SCRIPTS, run_script
-
     return run_script("overload-primary", SCRIPTS["fig1a"], "minorcan")
 
 
 def _eof_extended_flag():
     """Fig. 4's "error in EOF bit 6" row under MajorCAN_5: the extended
     error flag."""
-    from repro.faults.scenarios import run_script, x_eof_error
-
     return run_script("eof-extended-flag", x_eof_error(5), "majorcan")
 
 
@@ -85,8 +87,6 @@ def _traffic_spec(name: str):
     the recording from its own manifest, so the spec here only matters
     when re-recording.
     """
-    from repro.traffic import BurstSpec, TrafficSpec
-
     specs = {
         # Four nodes at the paper's 90% load factor: sustained
         # arbitration under contention across two spliced windows.
@@ -248,9 +248,6 @@ def update_corpus(
     a sub-second single-frame run — in sorted name order, so the output
     is deterministic file by file.
     """
-    from repro.tracestore.recorder import record_outcome
-    from repro.tracestore.spec import spec_from_outcome
-
     selected = corpus_entries() if names is None else list(names)
     unknown = [
         name
@@ -266,8 +263,6 @@ def update_corpus(
     for name in selected:
         path = entry_path(directory, name)
         if name in GOLDEN_TRAFFIC_ENTRIES:
-            from repro.traffic import record_traffic, run_traffic
-
             record_traffic(
                 path,
                 run_traffic(_traffic_spec(name), jobs=1),
@@ -332,8 +327,6 @@ def check_recording(path: str) -> CorpusCheckResult:
     """Validate and replay one recording; compare against itself."""
     entry = os.path.splitext(os.path.basename(path))[0]
     try:
-        from repro.tracestore.replay import replay_trace
-
         result = replay_trace(path)
     except TraceStoreError as exc:
         return CorpusCheckResult(entry=entry, path=path, ok=False, detail=str(exc))
@@ -357,8 +350,6 @@ def check_corpus(
     ``require_golden`` (the default) a missing canonical entry is
     reported as a failure.
     """
-    from repro.parallel.pool import run_tasks
-
     if not os.path.isdir(directory):
         raise TraceStoreError("corpus directory %r does not exist" % directory)
     paths = sorted(glob.glob(os.path.join(directory, "*.jsonl")))

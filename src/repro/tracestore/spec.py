@@ -6,10 +6,6 @@ single-frame scenario run: the node set (per-node protocol variant and
 and the engine configuration.  It is exactly what a recording's
 manifest stores, and :meth:`ScenarioSpec.run` is how the replayer turns
 a manifest back into live behaviour.
-
-The heavy domain modules (controllers, the scenario harness) are
-imported lazily inside the methods, keeping ``import repro.tracestore``
-cheap and cycle-free.
 """
 
 from __future__ import annotations
@@ -18,7 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.can.frame import Frame
+from repro.can.identifiers import CanId
+from repro.core.majorcan import DEFAULT_M
 from repro.errors import TraceStoreError
+from repro.faults.injector import ScriptedInjector, injector_from_dict
+from repro.faults import scenarios
 from repro.tracestore.schema import SCHEMA_VERSION
 
 
@@ -37,8 +37,6 @@ def frame_to_dict(frame: Frame) -> Dict[str, Any]:
 
 def frame_from_dict(data: Dict[str, Any]) -> Frame:
     """Rebuild a frame from :func:`frame_to_dict` output."""
-    from repro.can.identifiers import CanId
-
     return Frame(
         can_id=CanId(data["id"], extended=bool(data.get("extended", False))),
         data=bytes.fromhex(data.get("data", "")),
@@ -119,9 +117,6 @@ class ScenarioSpec:
 
     def build_nodes(self):
         """Instantiate fresh controllers (first entry is the transmitter)."""
-        from repro.core.majorcan import DEFAULT_M
-        from repro.faults import scenarios
-
         return [
             scenarios.make_controller(
                 protocol, name, m=m if m is not None else DEFAULT_M
@@ -131,19 +126,13 @@ class ScenarioSpec:
 
     def build_injector(self):
         """Instantiate a fresh (unfired) injector from the stored script."""
-        from repro.faults.injector import injector_from_dict
-
         if not self.injector:
-            from repro.faults.injector import ScriptedInjector
-
             return ScriptedInjector()
         return injector_from_dict(self.injector)
 
     def run(self):
         """Re-run the scenario; returns a fresh ``ScenarioOutcome``."""
-        from repro.faults.scenarios import run_single_frame_scenario
-
-        return run_single_frame_scenario(
+        return scenarios.run_single_frame_scenario(
             self.name,
             self.build_nodes(),
             self.build_injector(),

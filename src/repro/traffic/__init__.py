@@ -8,55 +8,25 @@ it over ``repro.parallel`` with bit-identical results for any
 the tracestore replays and diffs like the golden corpus.
 """
 
-from repro.traffic.batch import run_window_batch
-from repro.traffic.recording import (
-    frame_verdict_record,
-    record_traffic,
-    submission_record,
-    traffic_records,
-    traffic_verdict_record,
-)
-from repro.traffic.run import (
-    MessageVerdict,
-    TrafficOutcome,
-    TrafficStats,
-    WindowResult,
-    run_traffic,
-    run_window,
-    splice_windows,
-)
-from repro.traffic.schedule import build_schedule, traffic_seed_tree
-from repro.traffic.spec import (
-    CAN_SEQ_CAP,
-    HLP_SEQ_CAP,
-    ID_BASE,
-    TRAFFIC_SCHEMA_VERSION,
-    BurstSpec,
-    Submission,
-    TrafficSpec,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "BurstSpec",
-    "CAN_SEQ_CAP",
-    "HLP_SEQ_CAP",
-    "ID_BASE",
-    "MessageVerdict",
-    "Submission",
-    "TRAFFIC_SCHEMA_VERSION",
-    "TrafficOutcome",
-    "TrafficSpec",
-    "TrafficStats",
-    "WindowResult",
-    "build_schedule",
-    "frame_verdict_record",
-    "record_traffic",
-    "run_traffic",
-    "run_window",
-    "run_window_batch",
-    "splice_windows",
-    "submission_record",
-    "traffic_records",
-    "traffic_seed_tree",
-    "traffic_verdict_record",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "batch": ("run_window_batch",),
+        "recording": (
+            "frame_verdict_record", "record_traffic", "submission_record", "traffic_records",
+            "traffic_verdict_record",
+        ),
+        "run": (
+            "MessageVerdict", "TrafficOutcome", "TrafficStats", "run_traffic", "run_window",
+            "splice_windows",
+        ),
+        "schedule": ("build_schedule", "traffic_seed_tree"),
+        "spec": (
+            "CAN_SEQ_CAP", "HLP_SEQ_CAP", "ID_BASE", "TRAFFIC_SCHEMA_VERSION", "BurstSpec",
+            "Submission", "TrafficSpec",
+        ),
+        "window": ("WindowResult",),
+    },
+)

@@ -2,7 +2,7 @@
 
 Every traffic window is a committed clean prefix, rendered here in
 closed form, followed by an engine suffix from cut tick ``s``
-(:func:`repro.traffic.run._run_engine_suffix`).  The window's
+(:func:`repro.traffic.window._run_engine_suffix`).  The window's
 ``backend`` label names which half is empty:
 
 - ``"batch"`` — no suffix: a window free of higher-level protocols
@@ -19,11 +19,10 @@ closed form, followed by an engine suffix from cut tick ``s``
   reproduces the engine's observable surface *exactly* — bus string,
   per-node deliveries, event stream (times, payloads and merge order;
   built only when the spec records events, counted in closed form
-  otherwise), backlog samples and busy-bit count;
-  :func:`_evaluate_window` adds the drain-parity ``SimulationError``.
+  otherwise), backlog samples and busy-bit count.
 - ``"resume"`` — both halves: :func:`_resume_window` commits the clean
-  frames that end before the first fault, renders them with the same
-  renderer and runs the engine suffix from the cut.
+  frames of the same plan that end before the first fault, renders
+  them with the same renderer and runs the engine suffix from the cut.
 - ``"engine"`` — no prefix (``s = 0``): nothing commits before the
   first fault, the clean timeline overflows its drain budget, the
   window runs a higher-level protocol, or the run asked for the engine
@@ -48,8 +47,9 @@ resolve, ``on_bit``, tick hooks, ``time += 1``):
 - the drained window ends after twelve quiet bits:
   ``total = max(window_bits, t_last_end + 3) + 12``.
 
-:func:`run_window_batch` is the one entry point: it renders the clean
-timeline, scans it for the first fault and picks the cut.  Windows are
+:func:`run_window_batch` is the one entry point: it plans the clean
+timeline once, scans its length for the first fault and either renders
+it whole or hands the plan to the resume path.  Windows are
 not memoised: periodic workloads advance their sequence numbers every
 window, so distinct windows of one run rarely collide, and a measured
 memo saved ~1% of a noisy sweep.
@@ -61,10 +61,17 @@ import heapq
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.noisebatch import advance, first_flip, generator_state, restore_state
 from repro.can.bits import count_busy_bits
+from repro.can.encoding import bus_image
 from repro.can.events import Event, EventKind
+from repro.can.frame import Frame
+from repro.can.identifiers import CanId
 from repro.errors import SimulationError
-from repro.traffic.run import (
+from repro.faults.bit_errors import view_noise_ranks
+from repro.parallel.seeds import rng_from
+from repro.traffic.spec import Submission, TrafficSpec
+from repro.traffic.window import (
     _BACKLOG_STRIDE,
     _SETTLE_BITS,
     WindowResult,
@@ -72,7 +79,6 @@ from repro.traffic.run import (
     _run_engine_suffix,
     _submission_frame,
 )
-from repro.traffic.spec import Submission, TrafficSpec
 
 #: Bit times between a frame's last EOF bit and the next possible SOF:
 #: three intermission bits consumed, then the first idle drive instant.
@@ -204,8 +210,6 @@ def _plan_frames(
     Returns the time-ordered frame plans and the window's total bit
     length (active + drain) on the clean timeline.
     """
-    from repro.can.encoding import bus_image
-
     eof_length = _controller_config(spec).eof_length
     n_nodes = spec.n_nodes
     heads = [0] * n_nodes
@@ -256,10 +260,6 @@ def _frame_events(
     Each node's events come in its own time order; ``heads`` and
     ``attempts`` are read as they stand before the frame completes.
     """
-    from repro.can.encoding import bus_image
-    from repro.can.frame import Frame
-    from repro.can.identifiers import CanId
-
     t0 = plan.t0
     winner = plan.winner
     contending = set(plan.contenders)
@@ -448,23 +448,6 @@ def _render_prefix(
     ), attempts
 
 
-def _evaluate_window(
-    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-) -> WindowResult:
-    """Closed-form replay of one clean window: all prefix, no suffix.
-
-    Raises the engine's drain-parity ``SimulationError`` when the clean
-    timeline alone overflows the window's drain budget.
-    """
-    queues = _local_queues(spec, window, submissions)
-    plans, total_bits = _plan_frames(spec, queues, len(submissions))
-    if total_bits - spec.window_bits > spec.max_window_bits:
-        raise SimulationError(
-            "bus did not become idle within %d bits" % spec.max_window_bits
-        )
-    return _render_prefix(spec, window, queues, plans, total_bits)[0]
-
-
 def _noise_draw_width(spec: TrafficSpec) -> int:
     """Uniform draws the noise injector consumes per engine tick.
 
@@ -473,8 +456,6 @@ def _noise_draw_width(spec: TrafficSpec) -> int:
     """
     if spec.noise_ber <= 0.0:
         return 0
-    from repro.faults.bit_errors import view_noise_ranks
-
     return len(view_noise_ranks(spec.node_names, spec.noise_nodes))
 
 
@@ -486,78 +467,67 @@ def run_window_batch(
 ) -> WindowResult:
     """Evaluate one non-HLP window: clean prefix, then the engine suffix.
 
-    Renders the clean timeline in closed form, then draws the window's
-    whole noise mask in the engine's stream order (one uniform per
-    noise-eligible node per tick over that timeline) and thresholds it
-    against the BER.  A window with no flip and no scheduled burst
-    inside the clean timeline *is* the clean window (``"batch"``, no
-    suffix); otherwise it goes to :func:`_resume_window` with its first
-    fault tick.  When the clean timeline overflows the drain budget,
-    the window resumes from tick 0 (an empty prefix), so the engine
-    raises its own ``SimulationError``.
+    Plans the clean timeline once, then draws the window's whole noise
+    mask in the engine's stream order (one uniform per noise-eligible
+    node per tick over that timeline) and thresholds it against the
+    BER.  A window with no flip and no scheduled burst inside the clean
+    timeline *is* the clean window: the plan is rendered whole
+    (``"batch"``, no suffix).  Otherwise the plan goes to
+    :func:`_resume_window` with its first fault tick.  When the clean
+    timeline overflows the drain budget, the window resumes from tick 0
+    (an empty prefix), so the engine raises its own ``SimulationError``.
     """
-    rng = None
-    if spec.noise_ber > 0.0:
-        from repro.parallel.seeds import rng_from
-
-        rng = rng_from(noise_seed)
+    rng = rng_from(noise_seed) if spec.noise_ber > 0.0 else None
     draw_width = _noise_draw_width(spec)
-    try:
-        clean = _evaluate_window(spec, window, submissions)
-    except SimulationError:
-        return _resume_window(spec, window, submissions, rng, draw_width, 0)
+    queues = _local_queues(spec, window, submissions)
+    plans, total_bits = _plan_frames(spec, queues, len(submissions))
+    if total_bits - spec.window_bits > spec.max_window_bits:
+        return _resume_window(spec, window, queues, plans, rng, draw_width, 0)
     fault_tick = None
     if draw_width:
-        from repro.analysis.noisebatch import (
-            first_flip,
-            generator_state,
-            restore_state,
-        )
-
         state = generator_state(rng)
-        flip = first_flip(rng, clean.bits * draw_width, spec.noise_ber)
+        flip = first_flip(rng, total_bits * draw_width, spec.noise_ber)
         restore_state(rng, state)
         if flip is not None:
             fault_tick = flip // draw_width
     for burst in spec.bursts_for_window(window):
-        if burst.start < clean.bits and (
+        if burst.start < total_bits and (
             fault_tick is None or burst.start < fault_tick
         ):
             fault_tick = burst.start
     if fault_tick is None:
-        return clean
-    return _resume_window(spec, window, submissions, rng, draw_width, fault_tick)
+        return _render_prefix(spec, window, queues, plans, total_bits)[0]
+    return _resume_window(spec, window, queues, plans, rng, draw_width, fault_tick)
 
 
 def _resume_window(
     spec: TrafficSpec,
     window: int,
-    submissions: Tuple[Submission, ...],
+    queues: List[List[Tuple[int, object, Submission]]],
+    plans: List[_FramePlan],
     rng,
     draw_width: int,
     fault_tick: int,
 ) -> WindowResult:
     """A faulted window: the clean prefix up to the cut, then the engine.
 
-    The clean timeline is committed frame by frame while a frame's
-    whole extent *including its three intermission bits* ends strictly
-    before the first fault tick — so the frame carrying the fault (in
-    body or intermission) is never committed, no frame is mid-flight
-    at the cut, and every committed tick is provably fault-free.  The
-    cut ``s`` is the latest tick with those guarantees: the first
-    fault tick itself, clamped below the next uncommitted frame's SOF.
-    The engine suffix then runs window ticks ``s..`` with (a) the
-    generator fast-forwarded ``s * draw_width`` draws, (b) uncommitted
-    submissions re-queued at ``max(0, arrival - s)``, (c) carried
-    arbitration attempt counters restored and (d) bursts shifted by
-    ``s``.  The halves are spliced (prefix events strictly precede tick
-    ``s``, so concatenation is the engine's heap merge).  At ``s = 0``
-    nothing commits and the suffix is the whole window (``"engine"``).
+    ``queues`` and ``plans`` are the window's clean plan from
+    :func:`run_window_batch`.  The plan is committed frame by frame
+    while a frame's whole extent *including its three intermission
+    bits* ends strictly before the first fault tick — so the frame
+    carrying the fault (in body or intermission) is never committed,
+    no frame is mid-flight at the cut, and every committed tick is
+    provably fault-free.  The cut ``s`` is the latest tick with those
+    guarantees: the first fault tick itself, clamped below the next
+    uncommitted frame's SOF.  The engine suffix then runs window ticks
+    ``s..`` with (a) the generator fast-forwarded ``s * draw_width``
+    draws, (b) uncommitted submissions re-queued at
+    ``max(0, arrival - s)``, (c) carried arbitration attempt counters
+    restored and (d) bursts shifted by ``s``.  The halves are spliced
+    (prefix events strictly precede tick ``s``, so concatenation is the
+    engine's heap merge).  At ``s = 0`` nothing commits and the suffix
+    is the whole window (``"engine"``).
     """
-    from repro.analysis.noisebatch import advance
-
-    queues = _local_queues(spec, window, submissions)
-    plans, _ = _plan_frames(spec, queues, len(submissions))
     committed = 0
     while (
         committed < len(plans)

@@ -21,8 +21,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.parallel.seeds import rng_from, spawn_seeds
 from repro.traffic.spec import ID_BASE, Submission, TrafficSpec
+from repro.workload.generator import PeriodicSource, PoissonSource
 
 #: Uniforms per generator call of :func:`submit_poisson`.
 POISSON_CHUNK = 65536
@@ -53,8 +57,6 @@ def traffic_seed_tree(spec: TrafficSpec) -> Tuple[list, list]:
     noise injectors draw from disjoint children of ``spec.seed``, so
     enabling one never perturbs the other.
     """
-    from repro.parallel.seeds import spawn_seeds
-
     top = spawn_seeds(spec.seed, 2)
     return spawn_seeds(top[0], spec.n_nodes), spawn_seeds(top[1], spec.windows)
 
@@ -69,8 +71,6 @@ def submit_poisson(source, bits: int) -> None:
     controller's (a schedule probe's) ``now`` first.  Draws past the
     cap are never read, since every source owns its generator.
     """
-    import numpy as np
-
     offset = 0
     while offset < bits and not source.exhausted:
         draws = source.rng.random(min(POISSON_CHUNK, bits - offset))
@@ -84,8 +84,6 @@ def submit_poisson(source, bits: int) -> None:
 
 def build_schedule(spec: TrafficSpec) -> Tuple[Submission, ...]:
     """The complete submission schedule of ``spec``, in time order."""
-    from repro.workload.generator import PeriodicSource, PoissonSource
-
     probes = [_ScheduleProbe(name) for name in spec.node_names]
     total = spec.total_active_bits
     if spec.source == "periodic":
@@ -102,8 +100,6 @@ def build_schedule(spec: TrafficSpec) -> Tuple[Submission, ...]:
                 probe.now = time
                 source.tick(time)
     else:
-        from repro.parallel.seeds import rng_from
-
         source_children, _ = traffic_seed_tree(spec)
         for index, probe in enumerate(probes):
             source = PoissonSource(

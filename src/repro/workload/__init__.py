@@ -1,20 +1,14 @@
 """Workload generation and the paper's evaluation profile."""
 
-from repro.workload.generator import (
-    PeriodicSource,
-    PoissonSource,
-    attach_sources,
-    measured_bus_load,
-    periodic_sources_for_profile,
-)
-from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "NetworkProfile",
-    "PAPER_PROFILE",
-    "PeriodicSource",
-    "PoissonSource",
-    "attach_sources",
-    "measured_bus_load",
-    "periodic_sources_for_profile",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "generator": (
+            "PeriodicSource", "PoissonSource", "attach_sources", "measured_bus_load",
+            "periodic_sources_for_profile",
+        ),
+        "profiles": ("PAPER_PROFILE", "NetworkProfile"),
+    },
+)

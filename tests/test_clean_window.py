@@ -48,7 +48,7 @@ from repro.can.frame import Frame
 from repro.can.identifiers import CanId
 from repro.can.stuffing import STUFF_WIDTH
 from repro.traffic import TrafficSpec, build_schedule, run_window
-from repro.traffic.run import _submission_frame
+from repro.traffic.window import _submission_frame
 
 # ---------------------------------------------------------------------------
 # Events off ≡ events on, except the events

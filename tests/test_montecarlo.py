@@ -66,6 +66,10 @@ class TestTailMonteCarlo:
         with pytest.raises(AnalysisError):
             monte_carlo_tail("can", n_nodes=1)
 
+    def test_full_validation(self):
+        with pytest.raises(AnalysisError, match="two nodes"):
+            monte_carlo_full("can", n_nodes=1, trials=2, seed=1)
+
 
 class TestFullMonteCarlo:
     def test_runs_and_counts(self):

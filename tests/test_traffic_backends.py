@@ -199,7 +199,7 @@ class TestFallbackAccounting:
         # off the stride and the deepest queue (2) is held between two
         # suffix-clock sample ticks, so a phase slip would report 1.
         import repro.traffic.batch as traffic_batch
-        from repro.traffic.run import _BACKLOG_STRIDE
+        from repro.traffic.window import _BACKLOG_STRIDE
 
         spec = TrafficSpec(
             name="backlog-phase",

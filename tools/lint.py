@@ -8,9 +8,7 @@ covers the highest-value error classes from the same selection:
 
 * **E9** — files that fail to compile (syntax / tab errors);
 * **F401** — module-level imports that are never used (honouring
-  ``# noqa`` comments, ``__all__`` re-exports, and skipping package
-  ``__init__.py`` files, matching the per-file-ignores in
-  ``pyproject.toml``);
+  ``# noqa`` comments and ``__all__`` re-exports);
 * **F811** — a module-level import redefined by a later import.
 
 CI installs real ruff, so the full E4/E7/F/I selection gates every PR;
@@ -113,9 +111,6 @@ def check_file(path: str) -> List[Tuple[int, str, str]]:
         return [(line, "E999", "cannot compile: %s" % exc)]
 
     findings: List[Tuple[int, str, str]] = []
-    if os.path.basename(path) == "__init__.py":
-        return findings
-
     noqa = _noqa_lines(source)
     exported = _exported_names(tree)
     used = _used_names(tree)
