@@ -165,22 +165,22 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
     window_start = getattr(probe, "window_start", 0) or 0
     window_end = getattr(probe, "window_end", 0)
     majority = getattr(probe, "majority", 0) or 0
-    program = wire_program(frame, eof_length)
+    wire = wire_program(frame, eof_length)
     supported = proto is not None
     tail_offset = 0
     expected_positions = [(CRC_DELIM, 0), (ACK_SLOT, 0), (ACK_DELIM, 0)]
     expected_positions += [(EOF, index) for index in range(eof_length)]
     expected_ops = [OP_MATCH, OP_ACK, OP_MATCH] + [OP_EOF] * eof_length
     try:
-        tail_offset = program.positions.index((CRC_DELIM, 0))
+        tail_offset = wire.positions.index((CRC_DELIM, 0))
     except ValueError:
         supported = False
     if supported:
         tail = slice(tail_offset, None)
         supported = (
-            list(program.positions[tail]) == expected_positions
-            and list(program.ops[tail]) == expected_ops
-            and all(value == 1 for value in program.bit_values[tail])
+            list(wire.positions[tail]) == expected_positions
+            and list(wire.ops[tail]) == expected_ops
+            and all(value == 1 for value in wire.bit_values[tail])
         )
     key_count = 3 + eof_length
     if proto == P_MAJOR:

@@ -39,7 +39,6 @@ from repro.can.encoding import (
     OP_MATCH,
     SignalTable,
     WireFrame,
-    WireProgram,
     encode_frame,
     signal_table,
     wire_program,
@@ -139,7 +138,6 @@ class CanController:
 
         self._state = STATE_IDLE
         self._wire: Optional[WireFrame] = None
-        self._program: Optional[WireProgram] = None
         self._tx_pos = 0
         #: Reference parser or its fast-path equivalent, depending on
         #: ``config.fast_path`` (both expose the same verdict surface).
@@ -197,7 +195,7 @@ class CanController:
         }
         if self.config.fast_path:
             # Table-driven hot loop: the steady transmit/receive states
-            # walk the compiled wire program and the fast receive
+            # walk the cached wire opcodes and the fast receive
             # parser.  Every other handler is shared with the reference
             # machine, so every protocol extension point
             # (_after_flag_complete, _resolve_deferred, the counters)
@@ -308,16 +306,12 @@ class CanController:
 
     def _drive_transmitting(self) -> Level:
         assert self._wire is not None
-        wire_bit = self._wire.bits[self._tx_pos]
-        self.position = (wire_bit.field, wire_bit.index)
-        return wire_bit.level
+        self.position = self._wire.positions[self._tx_pos]
+        return self._wire.levels[self._tx_pos]
 
     # ------------------------------------------------------------------
     # Bit handlers
     # ------------------------------------------------------------------
-
-    def _bit_noop(self, seen: Level) -> None:
-        return
 
     def _bit_bus_off(self, seen: Level) -> None:
         """Optionally monitor the recovery sequence while bus-off.
@@ -364,37 +358,36 @@ class CanController:
 
     def _bit_transmitting(self, seen: Level) -> None:
         assert self._wire is not None
-        wire_bit = self._wire.bits[self._tx_pos]
+        wire = self._wire
+        position = self._tx_pos
+        field, index = wire.positions[position]
+        level = wire.levels[position]
         self._feed_parser_quietly(seen)
-        if wire_bit.field == EOF:
-            if self._tx_eof_bit(wire_bit.index, seen):
+        if field == EOF:
+            if self._tx_eof_bit(index, seen):
                 return
             self._advance_tx()
             return
-        if wire_bit.field == ACK_SLOT:
+        if field == ACK_SLOT:
             if seen is not DOMINANT:
                 self._enter_error(ErrorReason.ACK)
                 return
             self._advance_tx()
             return
-        if seen is not wire_bit.level:
+        if seen is not level:
             lost_arbitration = (
-                wire_bit.in_arbitration
-                and wire_bit.level is RECESSIVE
+                wire.in_arbitration[position]
+                and level is RECESSIVE
                 and seen is DOMINANT
-                and not wire_bit.is_stuff
+                and not wire.is_stuff[position]
             )
             if lost_arbitration:
-                self._log(
-                    EventKind.ARBITRATION_LOST,
-                    field=wire_bit.field,
-                    index=wire_bit.index,
-                )
+                self._log(EventKind.ARBITRATION_LOST, field=field, index=index)
                 self.is_transmitter = False
                 self._wire = None
                 self._state = STATE_RECEIVING
                 return
-            self._enter_error(ErrorReason.BIT, field=wire_bit.field)
+            self._enter_error(ErrorReason.BIT, field=field)
             return
         self._advance_tx()
 
@@ -513,10 +506,10 @@ class CanController:
         return RECESSIVE
 
     def _drive_transmitting_fast(self) -> Level:
-        program = self._program
+        wire = self._wire
         position = self._tx_pos
-        self.position = program.positions[position]
-        return program.levels[position]
+        self.position = wire.positions[position]
+        return wire.levels[position]
 
     def _bit_receiving_fast(self, seen: Level) -> None:
         parser = self._parser
@@ -536,22 +529,22 @@ class CanController:
             self._enter_error(ErrorReason.CRC)
 
     def _bit_transmitting_fast(self, seen: Level) -> None:
-        program = self._program
+        wire = self._wire
         position = self._tx_pos
-        op = program.ops[position]
+        op = wire.ops[position]
         if op == OP_MATCH:  # any mismatch is a bit error
-            if seen is program.levels[position]:
+            if seen is wire.levels[position]:
                 self._tx_pos = position + 1
-                if position + 1 >= program.length:  # pragma: no cover - EOF ends frames
+                if position + 1 >= wire.length:  # pragma: no cover - EOF ends frames
                     self._tx_success()
                 return
-            self._enter_error(ErrorReason.BIT, field=program.positions[position][0])
+            self._enter_error(ErrorReason.BIT, field=wire.positions[position][0])
             return
         if op == OP_EOF:
-            if self._tx_eof_bit(program.positions[position][1], seen):
+            if self._tx_eof_bit(wire.positions[position][1], seen):
                 return
             self._tx_pos = position + 1
-            if position + 1 >= program.length:
+            if position + 1 >= wire.length:
                 self._tx_success()
             return
         if op == OP_ACK:
@@ -562,15 +555,14 @@ class CanController:
             return
         # OP_ARB: recessive non-stuff arbitration bit; a dominant view
         # means the arbitration is lost and the node turns receiver.
-        if seen is program.levels[position]:
+        if seen is wire.levels[position]:
             self._tx_pos = position + 1
             return
         self._materialize_rx_parser(position, seen)
-        field, index = program.positions[position]
+        field, index = wire.positions[position]
         self._log(EventKind.ARBITRATION_LOST, field=field, index=index)
         self.is_transmitter = False
         self._wire = None
-        self._program = None
         self._state = STATE_RECEIVING
 
     def _materialize_rx_parser(self, upto: int, seen: Level) -> None:
@@ -580,15 +572,15 @@ class CanController:
         sync on every transmitted bit (:meth:`_feed_parser_quietly`) so
         a node that loses arbitration can continue as a receiver.  On
         the fast path that per-bit work is elided: until the first
-        divergence the observed levels equal the precompiled wire
-        levels exactly (any earlier mismatch would have ended the
+        divergence the observed levels equal the encoded wire levels
+        exactly (any earlier mismatch would have ended the
         transmission), so the parser state is reconstructed here, once,
-        by replaying the first ``upto`` program bits plus the observed
-        bit that lost the arbitration.
+        by replaying the first ``upto`` wire bits plus the observed bit
+        that lost the arbitration.
         """
         parser = FastFrameParser(eof_length=self.config.eof_length)
         feed = parser.feed_code
-        for value in self._program.bit_values[:upto]:
+        for value in self._wire.bit_values[:upto]:
             feed(value)
         feed(seen)
         self._parser = parser
@@ -669,11 +661,10 @@ class CanController:
         job.attempts += 1
         self._tx_pos = 1 if skip_sof else 0
         if self.config.fast_path:
-            # Compiled program; the parallel receive parser stays
+            # Cached encoding; the parallel receive parser stays
             # unmaterialized until an arbitration loss needs it (see
             # _materialize_rx_parser).
-            self._program = wire_program(job.frame, self.config.eof_length)
-            self._wire = self._program.wire
+            self._wire = wire_program(job.frame, self.config.eof_length)
             self._parser = None
             self._parser_failed = False
         else:
@@ -692,9 +683,8 @@ class CanController:
             attempt=job.attempts,
             message_id=job.frame.message_id,
         )
-        wire_bit = self._wire.bits[self._tx_pos]
-        self.position = (wire_bit.field, wire_bit.index)
-        return wire_bit.level
+        self.position = self._wire.positions[self._tx_pos]
+        return self._wire.levels[self._tx_pos]
 
     def _start_reception(self, sof_level: Level) -> None:
         if self.config.fast_path:
@@ -713,7 +703,7 @@ class CanController:
     def _advance_tx(self) -> None:
         assert self._wire is not None
         self._tx_pos += 1
-        if self._tx_pos >= len(self._wire.bits):
+        if self._tx_pos >= self._wire.length:
             self._tx_success()
 
     def _tx_success(self) -> None:
@@ -730,7 +720,6 @@ class CanController:
         if self.config.self_delivery:
             self._record_delivery(job.frame, attempt=job.attempts)
         self._wire = None
-        self._program = None
         self._enter_intermission()
 
     def _should_ack(self) -> bool:
@@ -886,7 +875,6 @@ class CanController:
         if self.config.self_delivery:
             self._record_delivery(job.frame, attempt=job.attempts)
         self._wire = None
-        self._program = None
 
     def _enter_overload(self, reactive: bool) -> None:
         self._log(EventKind.OVERLOAD_FLAG_START, reactive=reactive)

@@ -5,7 +5,10 @@
 drives, each annotated with its field name, its index within the field,
 whether it is a stuff bit, and whether it belongs to the arbitration
 region (where observing dominant while driving recessive means a lost
-arbitration instead of a bit error).
+arbitration instead of a bit error).  :class:`WireFrame` is the one
+encoding every reader shares — both controllers, the batch tail and
+header replays, the traffic renderer and the sweep — and
+:func:`wire_program` its one cache.
 """
 
 from __future__ import annotations
@@ -52,107 +55,85 @@ from repro.can.frame import Frame
 from repro.can.stuffing import STUFF_WIDTH
 
 
-@dataclass(frozen=True)
-class WireBit:
-    """One bit of a serialised frame, as driven by the transmitter.
+#: Per-bit transmit opcodes (:attr:`WireFrame.ops`).  The transmitter's
+#: steady state reduces to "compare the observed level against the
+#: encoded one and advance"; the opcode tells the controller which
+#: *exception* rule applies on this bit, so the hot loop never inspects
+#: field names.
+OP_MATCH = 0  #: mismatch is a bit error
+OP_ARB = 1  #: recessive non-stuff arbitration bit: mismatch is a lost arbitration
+OP_ACK = 2  #: ACK slot: a recessive bus is an ACK error
+OP_EOF = 3  #: EOF bit: delegate to the protocol's ``_tx_eof_bit`` policy
 
-    ``entry`` is the bit's row of a compiled :class:`WireProgram`: the
-    ``(level, value, position, op)`` tuple :func:`compile_wire` reads.
-    It is derived from the five fields and is not a field itself, so
-    equality, hashing and ``repr`` are those of the five fields.
-    :func:`encode_frame` interns its bits, so each distinct bit is
-    built, and its entry derived, once per process.
-    """
-
-    level: Level
-    field: str
-    index: int
-    is_stuff: bool
-    in_arbitration: bool
-
-    def __post_init__(self) -> None:
-        if self.field == EOF:
-            op = OP_EOF
-        elif self.field == ACK_SLOT:
-            op = OP_ACK
-        elif (
-            self.in_arbitration
-            and self.level is Level.RECESSIVE
-            and not self.is_stuff
-        ):
-            op = OP_ARB
-        else:
-            op = OP_MATCH
-        object.__setattr__(
-            self,
-            "entry",
-            (self.level, int(self.level), (self.field, self.index), op),
-        )
+_LEVELS = (Level.DOMINANT, Level.RECESSIVE)
+#: Bit value -> trace symbol, for ``bytes.translate``.
+_SYMBOLS = bytes.maketrans(b"\x00\x01", b"dr")
 
 
 @dataclass(frozen=True)
 class WireFrame:
-    """A fully serialised frame ready for bit-by-bit transmission."""
+    """A fully serialised frame: the one on-the-wire encoding.
+
+    Every column is a tuple with one entry per on-the-wire bit, in
+    transmission order:
+
+    - ``levels`` / ``bit_values``: the driven :class:`Level`, and the
+      same level as a plain int;
+    - ``positions``: the ``(field, index)`` position the transmitter
+      publishes (a stuff bit shares the position of the bit it
+      follows);
+    - ``is_stuff`` / ``in_arbitration``: whether the bit is a stuff bit,
+      and whether it lies in the arbitration region (where observing
+      dominant while driving recessive means a lost arbitration instead
+      of a bit error);
+    - ``ops``: the :data:`OP_MATCH`-family transmit opcode.
+
+    ``symbols`` is the bus trace of the frame uncontested and
+    acknowledged, in the one-character trace alphabet (``d``/``r``):
+    the driven levels with the ACK slot forced dominant, because any
+    online receiver with a complete, CRC-clean header acknowledges.
+    On a bus free of injected faults this *is* the observed trace even
+    under contention — an arbitration loser's dominant prefix coincides
+    with the winner's up to the first divergent identifier bit, where
+    the loser withdraws — which is what lets the traffic batch backend
+    synthesize a window's bus history by concatenating frames' symbols
+    instead of stepping the engine.
+    """
 
     frame: Frame
-    bits: Tuple[WireBit, ...]
     eof_length: int
+    levels: Tuple[Level, ...]
+    bit_values: Tuple[int, ...]
+    positions: Tuple[Tuple[str, int], ...]
+    is_stuff: Tuple[bool, ...]
+    in_arbitration: Tuple[bool, ...]
+    ops: Tuple[int, ...]
+    length: int
+    symbols: str
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     # Every frame ends in the same unstuffed tail: CRC delimiter, ACK
     # slot, ACK delimiter, then ``eof_length`` EOF bits.
 
     @property
     def ack_slot_position(self) -> int:
-        """Index of the ACK slot within :attr:`bits`."""
-        return len(self.bits) - self.eof_length - 2
+        """Stream index of the ACK slot."""
+        return self.length - self.eof_length - 2
 
     @property
     def eof_start(self) -> int:
-        """Index of the first EOF bit within :attr:`bits`."""
-        return len(self.bits) - self.eof_length
+        """Stream index of the first EOF bit."""
+        return self.length - self.eof_length
 
     def field_positions(self, field: str) -> List[int]:
         """All stream positions whose field name equals ``field``."""
         return [
-            position
-            for position, wire_bit in enumerate(self.bits)
-            if wire_bit.field == field
+            stream_index
+            for stream_index, (name, _) in enumerate(self.positions)
+            if name == field
         ]
-
-    def levels(self) -> List[Level]:
-        """The raw level sequence (useful for tests and traces)."""
-        return [wire_bit.level for wire_bit in self.bits]
-
-
-#: Interned :class:`WireBit` values by ``(value, field, index, is_stuff,
-#: in_arbitration)``; bounded by the frame layout (a few hundred keys).
-_WIRE_BITS: Dict[Tuple[int, str, int, bool, bool], WireBit] = {}
-
-_LEVELS = (Level.DOMINANT, Level.RECESSIVE)
-
-
-def _intern(key: Tuple[int, str, int, bool, bool]) -> WireBit:
-    """The one :class:`WireBit` for ``key``, built on first use."""
-    wire_bit = _WIRE_BITS.get(key)
-    if wire_bit is None:
-        value, field, index, is_stuff, in_arbitration = key
-        wire_bit = _WIRE_BITS[key] = WireBit(
-            _LEVELS[value], field, index, is_stuff, in_arbitration
-        )
-    return wire_bit
-
-
-@lru_cache(maxsize=64)
-def _tail_bits(eof_length: int) -> Tuple[WireBit, ...]:
-    """The unstuffed tail every frame shares, CRC delimiter through EOF."""
-    return tuple(
-        _intern((bit, segment.name, index, False, False))
-        for segment in tail_segments(eof_length)
-        for index, bit in enumerate(segment.bits)
-    )
 
 
 def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFrame:
@@ -162,79 +143,75 @@ def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFra
     stuff bit when the final five CRC bits form a run (the encoder and
     the parser agree on this convention; see DESIGN.md).
     """
-    interned = _WIRE_BITS.get
-    wire_bits: List[WireBit] = []
-    append = wire_bits.append
+    values: List[int] = []
+    positions: List[Tuple[str, int]] = []
+    is_stuff: List[bool] = []
+    in_arbitration: List[bool] = []
+    ops: List[int] = []
     run_value: Optional[int] = None
     run_length = 0
     for segment in header_segments(frame):
         name = segment.name
-        in_arbitration = name in ARBITRATION_FIELDS
+        arbitration = name in ARBITRATION_FIELDS
         for index, bit in enumerate(segment.bits):
-            key = (bit, name, index, False, in_arbitration)
-            append(interned(key) or _intern(key))
+            position = (name, index)
+            values.append(bit)
+            positions.append(position)
+            is_stuff.append(False)
+            in_arbitration.append(arbitration)
+            ops.append(OP_ARB if arbitration and bit else OP_MATCH)
             if bit == run_value:
                 run_length += 1
             else:
                 run_value = bit
                 run_length = 1
             if run_length == STUFF_WIDTH:
-                stuff_bit = 1 - bit
-                key = (stuff_bit, name, index, True, in_arbitration)
-                append(interned(key) or _intern(key))
-                run_value = stuff_bit
+                run_value = 1 - bit
                 run_length = 1
-    wire_bits.extend(_tail_bits(eof_length))
-    return WireFrame(frame=frame, bits=tuple(wire_bits), eof_length=eof_length)
+                values.append(run_value)
+                positions.append(position)
+                is_stuff.append(True)
+                in_arbitration.append(arbitration)
+                ops.append(OP_MATCH)
+    for segment in tail_segments(eof_length):
+        name = segment.name
+        op = OP_EOF if name == EOF else OP_ACK if name == ACK_SLOT else OP_MATCH
+        for index, bit in enumerate(segment.bits):
+            values.append(bit)
+            positions.append((name, index))
+            is_stuff.append(False)
+            in_arbitration.append(False)
+            ops.append(op)
+    length = len(values)
+    ack = length - eof_length - 2
+    driven = bytes(values).translate(_SYMBOLS).decode()
+    return WireFrame(
+        frame=frame,
+        eof_length=eof_length,
+        levels=tuple([_LEVELS[value] for value in values]),
+        bit_values=tuple(values),
+        positions=tuple(positions),
+        is_stuff=tuple(is_stuff),
+        in_arbitration=tuple(in_arbitration),
+        ops=tuple(ops),
+        length=length,
+        symbols=driven[:ack] + "d" + driven[ack + 1 :],
+    )
 
 
-# ---------------------------------------------------------------------------
-# Precompiled transmit programs (the controller fast path)
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=512)
+def wire_program(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFrame:
+    """The cached :func:`encode_frame` of ``frame``: the one frame cache.
 
-#: Per-bit opcodes of a :class:`WireProgram`.  The transmitter's steady
-#: state reduces to "compare the observed level against the precompiled
-#: one and advance"; the opcode tells the controller which *exception*
-#: rule applies on this bit, so the hot loop never inspects field names.
-OP_MATCH = 0  #: mismatch is a bit error
-OP_ARB = 1  #: recessive non-stuff arbitration bit: mismatch is a lost arbitration
-OP_ACK = 2  #: ACK slot: a recessive bus is an ACK error
-OP_EOF = 3  #: EOF bit: delegate to the protocol's ``_tx_eof_bit`` policy
-
-
-@dataclass(frozen=True)
-class WireProgram:
-    """A :class:`WireFrame` flattened for index-driven transmission.
-
-    ``levels``, ``positions`` and ``ops`` are parallel tuples, one entry
-    per on-the-wire bit: the driven :class:`Level`, the prebuilt
-    ``(field, index)`` position tuple the controller publishes, and the
-    :data:`OP_MATCH`-family opcode consumed by the transmit bit handler.
-    ``bit_values`` carries the same levels as plain ints for the lazy
-    receive-parser replay after a lost arbitration.
+    Retransmissions re-enter :meth:`CanController._start_transmission`
+    once per attempt; the cache makes every attempt after the first —
+    and every identical frame in a workload — reuse one encoding.
+    :class:`Frame` is frozen and hashable, and the encoding is
+    immutable, so sharing it across controllers, the traffic renderer,
+    the batch replay and protocol variants with equal ``eof_length`` is
+    safe.
     """
-
-    wire: WireFrame
-    levels: Tuple[Level, ...]
-    bit_values: Tuple[int, ...]
-    positions: Tuple[Tuple[str, int], ...]
-    ops: Tuple[int, ...]
-    length: int
-
-
-def compile_wire(wire: WireFrame) -> WireProgram:
-    """Flatten ``wire`` into the parallel arrays of a :class:`WireProgram`."""
-    levels, bit_values, positions, ops = zip(
-        *[wire_bit.entry for wire_bit in wire.bits]
-    )
-    return WireProgram(
-        wire=wire,
-        levels=levels,
-        bit_values=bit_values,
-        positions=positions,
-        ops=ops,
-        length=len(wire.bits),
-    )
+    return encode_frame(frame, eof_length=eof_length)
 
 
 @dataclass(frozen=True)
@@ -246,9 +223,8 @@ class SignalTable:
     configuration, never on the frame.  The controller's signalling
     drive handlers publish one ``(field, index)`` position per bit by
     indexing these tuples with the state's own run counter — the
-    signalling counterpart of :class:`WireProgram`'s per-bit
-    ``positions`` array.  All entries are tuples shared by every
-    controller of the same configuration.
+    signalling counterpart of :attr:`WireFrame.positions`.  All entries
+    are tuples shared by every controller of the same configuration.
 
     ``sampling`` and ``extended_flag`` cover MajorCAN_m's agreement
     window, indexed by the EOF-relative clock (positions ``0 ..
@@ -398,60 +374,15 @@ def header_shape(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> HeaderS
     by the batch backend to share classification work between
     equivalent sites.
     """
-    program = wire_program(frame, eof_length=eof_length)
-    tail_offset = program.positions.index((CRC_DELIM, 0))
+    wire = wire_program(frame, eof_length=eof_length)
+    tail_offset = wire.positions.index((CRC_DELIM, 0))
     by_site: Dict[Tuple[str, int], HeaderSiteRow] = {}
     for position in range(tail_offset):
-        site = program.positions[position]
+        site = wire.positions[position]
         if site in by_site or site[0] not in HEADER_SITE_FIELDS:
             continue
-        kind, signature = _replay_flipped(program.bit_values, position, eof_length)
+        kind, signature = _replay_flipped(wire.bit_values, position, eof_length)
         by_site[site] = HeaderSiteRow(kind=kind, signature=signature)
     return HeaderShape(
-        announced=frozenset(program.positions[:tail_offset]), by_site=by_site
+        announced=frozenset(wire.positions[:tail_offset]), by_site=by_site
     )
-
-
-@dataclass(frozen=True)
-class BusImage:
-    """The bus-level waveform of an uncontested, acknowledged frame.
-
-    ``symbols`` is the wired-AND bus trace over the frame's span as the
-    one-character trace alphabet (``d``/``r``): the transmitter's driven
-    levels with the ACK slot forced dominant, because any online
-    receiver with a complete, CRC-clean header acknowledges.  On a bus
-    free of injected faults this *is* the observed trace even under
-    contention — an arbitration loser's dominant prefix coincides with
-    the winner's (identical stuffed prefixes up to the first divergent
-    identifier bit, where the loser observes dominant and withdraws) —
-    which is what lets the traffic batch backend synthesize a window's
-    bus history by concatenating images instead of stepping the engine.
-    """
-
-    program: WireProgram
-    symbols: str
-    length: int
-
-
-@lru_cache(maxsize=512)
-def bus_image(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> BusImage:
-    """The cached :class:`BusImage` of ``frame`` (see the class docs)."""
-    program = wire_program(frame, eof_length=eof_length)
-    ack = program.wire.ack_slot_position
-    driven = "".join(map("dr".__getitem__, program.bit_values))
-    symbols = driven[:ack] + "d" + driven[ack + 1 :]
-    return BusImage(program=program, symbols=symbols, length=program.length)
-
-
-@lru_cache(maxsize=512)
-def wire_program(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireProgram:
-    """Encode ``frame`` and compile it, caching by frame identity.
-
-    Retransmissions re-enter :meth:`CanController._start_transmission`
-    once per attempt; the cache makes every attempt after the first —
-    and every identical frame in a workload — reuse one encoded and
-    compiled program.  :class:`Frame` is frozen and hashable, and the
-    compiled arrays are immutable, so sharing across controllers (and
-    protocol variants with equal ``eof_length``) is safe.
-    """
-    return compile_wire(encode_frame(frame, eof_length=eof_length))

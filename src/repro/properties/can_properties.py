@@ -14,11 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.properties.broadcast import (
-    PropertyResult,
-    check_non_triviality,
-    check_validity,
-)
+from repro.properties.broadcast import PropertyResult
 from repro.properties.ledger import MessageKey, SystemLedger, delivery_flags
 
 CAN1 = "CAN1-validity"
@@ -71,12 +67,6 @@ def classify_omissions(ledger: SystemLedger) -> OmissionClassification:
     return result
 
 
-def check_can1_validity(ledger: SystemLedger) -> PropertyResult:
-    """CAN1 is the same validity statement as AB1."""
-    result = check_validity(ledger)
-    return PropertyResult(CAN1, result.holds, result.violations)
-
-
 def check_can2_best_effort_agreement(ledger: SystemLedger) -> PropertyResult:
     """CAN2: agreement holds *provided the transmitter remains correct*.
 
@@ -94,23 +84,6 @@ def check_can2_best_effort_agreement(ledger: SystemLedger) -> PropertyResult:
                     "of the correct nodes" % (key, node.name)
                 )
     return PropertyResult(CAN2, not violations, violations)
-
-
-def check_can3_at_least_once(ledger: SystemLedger) -> PropertyResult:
-    """CAN3: delivered messages are delivered at least once.
-
-    This is trivially true of any ledger (a delivery count cannot be
-    positive and zero at once); the checker exists to document that,
-    unlike AB3, CAN makes no at-most-once promise — duplicates are
-    reported as informational violations of *AB3*, not CAN3.
-    """
-    return PropertyResult(CAN3, True, [])
-
-
-def check_can4_non_triviality(ledger: SystemLedger) -> PropertyResult:
-    """CAN4 is the same non-triviality statement as AB4."""
-    result = check_non_triviality(ledger)
-    return PropertyResult(CAN4, result.holds, result.violations)
 
 
 @dataclass

@@ -178,7 +178,7 @@ def cell_tau_data(cell: SweepCell) -> int:
     rate of the traffic profile consistent with the simulated frame.
     """
     frame = data_frame(0x123, cell.payload_bytes, message_id="m")
-    tau = len(wire_program(frame).levels)
+    tau = wire_program(frame).length
     if cell.protocol == "majorcan":
         tau += max(0, best_case_overhead_bits(cell.m))
     return tau

@@ -13,8 +13,8 @@ closed form, followed by an engine suffix from cut tick ``s``
   (lowest identifier = lowest node index wins), every frame is
   acknowledged, no error flag ever fires, and the bus trace is the
   concatenation of the winners' cached
-  :class:`repro.can.encoding.BusImage` wire images with recessive gaps
-  in between.  A priority-queue scheduler at bus-idle instants
+  :attr:`repro.can.encoding.WireFrame.symbols` with recessive gaps in
+  between.  A priority-queue scheduler at bus-idle instants
   (:func:`_plan_frames`) lays out the frames and :func:`_render_prefix`
   reproduces the engine's observable surface *exactly* — bus string,
   per-node deliveries, event stream (times, payloads and merge order;
@@ -63,7 +63,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.noisebatch import advance, first_flip, generator_state, restore_state
 from repro.can.bits import count_busy_bits
-from repro.can.encoding import bus_image
+from repro.can.encoding import wire_program
 from repro.can.events import Event, EventKind
 from repro.can.frame import Frame
 from repro.can.identifiers import CanId
@@ -95,9 +95,9 @@ def window_cache_stats() -> Dict[str, int]:
 
 
 def _arbitration_divergence(loser_values, winner_values) -> int:
-    """First wire position where the loser's program leaves the bus.
+    """First wire position where the loser's frame leaves the bus.
 
-    Both programs share SOF and every stuffed prefix bit up to the
+    Both frames share SOF and every stuffed prefix bit up to the
     first identifier bit where the winner drives dominant and the loser
     recessive (stuff decisions depend only on the identical prefix), so
     the first level difference is the loser's arbitration-loss
@@ -168,21 +168,21 @@ def _max_sampled_backlog(
 class _FramePlan:
     """One planned frame on the clean timeline (plan/render split).
 
-    ``image`` is the winner's :class:`repro.can.encoding.BusImage`, so
+    ``wire`` is the winner's :class:`repro.can.encoding.WireFrame`, so
     the render never looks the frame up again: each frame is encoded
     once per window, however many frames the window holds.
     """
 
-    __slots__ = ("t0", "t_end", "winner", "contenders", "image")
+    __slots__ = ("t0", "t_end", "winner", "contenders", "wire")
 
     def __init__(
-        self, t0: int, t_end: int, winner: int, contenders: Tuple[int, ...], image
+        self, t0: int, t_end: int, winner: int, contenders: Tuple[int, ...], wire
     ):
         self.t0 = t0
         self.t_end = t_end
         self.winner = winner
         self.contenders = contenders
-        self.image = image
+        self.wire = wire
 
 
 def _local_queues(
@@ -230,9 +230,9 @@ def _plan_frames(
             and queues[index][heads[index]][0] < t0
         )
         winner = contenders[0]
-        image = bus_image(queues[winner][heads[winner]][1], eof_length)
-        t_end = t0 + image.length - 1
-        plans.append(_FramePlan(t0, t_end, winner, contenders, image))
+        wire = wire_program(queues[winner][heads[winner]][1], eof_length)
+        t_end = t0 + wire.length - 1
+        plans.append(_FramePlan(t0, t_end, winner, contenders, wire))
         heads[winner] += 1
         remaining -= 1
         idle_from = t_end + _TURNAROUND
@@ -278,11 +278,11 @@ def _frame_events(
             )
         else:
             yield index, Event(time=t0, node=name, kind=EventKind.RX_START, data={})
-    winner_values = plan.image.program.bit_values
+    winner_values = plan.wire.bit_values
     for index in plan.contenders[1:]:
-        loser_program = bus_image(queues[index][heads[index]][1], eof_length).program
-        position = _arbitration_divergence(loser_program.bit_values, winner_values)
-        field, field_index = loser_program.positions[position]
+        loser = wire_program(queues[index][heads[index]][1], eof_length)
+        position = _arbitration_divergence(loser.bit_values, winner_values)
+        field, field_index = loser.positions[position]
         yield index, Event(
             time=t0 + position,
             node=names[index],
@@ -367,7 +367,7 @@ def _render_prefix(
         t_end = plan.t_end
         winner = plan.winner
         contenders = plan.contenders
-        image = plan.image
+        wire = plan.wire
         winner_sub = queues[winner][heads[winner]][2]
         for index in contenders:
             attempts[index] += 1
@@ -398,8 +398,8 @@ def _render_prefix(
         heads[winner] += 1
         attempts[winner] = 0
         pieces.append("r" * (t0 - cursor))
-        pieces.append(image.symbols)
-        cursor = t0 + image.length
+        pieces.append(wire.symbols)
+        cursor = t0 + wire.length
 
     pieces.append("r" * (bits - cursor))
     bus = "".join(pieces)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -187,6 +188,10 @@ def frame_statuses(counts) -> List[str]:
     ]
 
 
+#: ``first_delivered`` sentinel of a message no node delivered.
+_NEVER = np.iinfo(np.int64).max
+
+
 def splice_windows(
     spec: TrafficSpec,
     schedule: Tuple[Submission, ...],
@@ -214,46 +219,58 @@ def splice_windows(
     for result in results:
         ever_offline.update(result.ever_offline)
 
-    # Global per-node delivery streams (times offset into spliced time).
-    delivered: Dict[str, List[Tuple[str, int]]] = {
-        name: [] for name in spec.node_names
-    }
-    delivery_times: Dict[str, List[int]] = {name: [] for name in spec.node_names}
-    counts: Dict[str, Dict[Tuple[str, int], int]] = {
-        name: {} for name in spec.node_names
-    }
-    first_time: Dict[Tuple[str, int], int] = {}
+    # Global per-node delivery streams (times offset into spliced time),
+    # and every delivery as a (message, node, time) row, where message
+    # is the delivered key's row in the count matrix (-1: unscheduled).
+    names = spec.node_names
+    node_of = {name: node for node, name in enumerate(names)}
+    message_of: Dict[Tuple[str, int], int] = {}
+    for sub in schedule:
+        message_of.setdefault(sub.key, len(message_of))
+    delivered: Dict[str, List[Tuple[str, int]]] = {name: [] for name in names}
+    delivery_times: Dict[str, List[int]] = {name: [] for name in names}
+    row_messages: List[int] = []
+    row_nodes: List[int] = []
+    row_times: List[int] = []
     for result, offset in zip(results, offsets):
         for name, rows in result.deliveries.items():
-            for origin, seq, local_time in rows:
-                key = (origin, seq)
-                time = local_time + offset
-                delivered[name].append(key)
-                delivery_times[name].append(time)
-                counts[name][key] = counts[name].get(key, 0) + 1
-                if key not in first_time or time < first_time[key]:
-                    first_time[key] = time
+            keys = [(origin, seq) for origin, seq, _ in rows]
+            times = [local_time + offset for _, _, local_time in rows]
+            delivered[name].extend(keys)
+            delivery_times[name].extend(times)
+            row_messages.extend(map(message_of.get, keys, repeat(-1)))
+            row_nodes.extend(repeat(node_of[name], len(rows)))
+            row_times.extend(times)
 
-    broadcasts: Dict[str, List[Tuple[str, int]]] = {
-        name: [] for name in spec.node_names
-    }
+    messages = np.array(row_messages, dtype=np.int64)
+    scheduled = messages >= 0
+    messages = messages[scheduled]
+    counts = np.zeros((len(message_of), len(names)), dtype=np.int64)
+    np.add.at(counts, (messages, np.array(row_nodes, dtype=np.int64)[scheduled]), 1)
+    first_times = np.full(len(message_of), _NEVER, dtype=np.int64)
+    np.minimum.at(first_times, messages, np.array(row_times, dtype=np.int64)[scheduled])
+
+    broadcasts: Dict[str, List[Tuple[str, int]]] = {name: [] for name in names}
     for sub in schedule:
         broadcasts[sub.node].append(sub.key)
 
     ledger = SystemLedger()
-    for name in spec.node_names:
+    for name in names:
         node = NodeLedger(name=name, correct=name not in ever_offline)
         node.broadcasts = broadcasts[name]
         node.deliveries = delivered[name]
         node.delivery_times = delivery_times[name]
         ledger.nodes[name] = node
 
-    rows = [[counts[name].get(sub.key, 0) for name in spec.node_names] for sub in schedule]
-    correct = [i for i, name in enumerate(spec.node_names) if name not in ever_offline]
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(spec.node_names))
+    order = [message_of[sub.key] for sub in schedule]
+    matrix = counts[order]
+    firsts = first_times[order].tolist()
+    correct = [i for i, name in enumerate(names) if name not in ever_offline]
     verdicts: List[MessageVerdict] = []
     tally = {"delivered": 0, "duplicated": 0, "omitted": 0, "lost": 0}
-    for sub, row, status in zip(schedule, rows, frame_statuses(matrix[:, correct])):
+    for sub, row, first, status in zip(
+        schedule, matrix.tolist(), firsts, frame_statuses(matrix[:, correct])
+    ):
         tally[status] += 1
         verdicts.append(
             MessageVerdict(
@@ -262,8 +279,8 @@ def splice_windows(
                 window=sub.window,
                 submitted_at=sub.time,
                 status=status,
-                counts=dict(zip(spec.node_names, row)),
-                first_delivered=first_time.get(sub.key),
+                counts=dict(zip(names, row)),
+                first_delivered=None if first == _NEVER else first,
             )
         )
 

@@ -5,8 +5,10 @@ Three contracts of the traffic batch path's clean windows:
 - a window's ``event_counts`` summed in closed form (events off) equal
   the counts of the event stream it renders with events on, and every
   other observable is the same;
-- the interned encoder and the entry-reading compiler equal the
-  per-bit encoder they replaced, kept below verbatim as the oracle;
+- every column of the one-pass encoding (levels, bit values,
+  positions, stuff and arbitration flags, opcodes and the ACK-forced
+  bus symbols) equals the per-bit encoder and compiler it replaced,
+  kept below as the oracle (their per-bit logic unchanged);
 - a window encodes each of its frames once, however many frames it
   holds.
 """
@@ -15,24 +17,22 @@ from __future__ import annotations
 
 import pickle
 from collections import Counter
-from dataclasses import asdict, fields, replace
-from typing import List, Optional
+from dataclasses import asdict, replace
+from typing import List, NamedTuple, Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.can.encoding as encoding
 from repro.can.bits import Level
+from repro.can.controller import CanController
 from repro.can.encoding import (
     OP_ACK,
     OP_ARB,
     OP_EOF,
     OP_MATCH,
-    WireBit,
     WireFrame,
-    WireProgram,
-    bus_image,
-    compile_wire,
     encode_frame,
     wire_program,
 )
@@ -47,6 +47,8 @@ from repro.can.fields import (
 from repro.can.frame import Frame
 from repro.can.identifiers import CanId
 from repro.can.stuffing import STUFF_WIDTH
+from repro.core.majorcan import majorcan_config
+from repro.faults.scenarios import make_controller
 from repro.traffic import TrafficSpec, build_schedule, run_window
 from repro.traffic.window import _submission_frame
 
@@ -92,21 +94,31 @@ def test_window_without_events_equals_window_with_events(spec):
 
 
 # ---------------------------------------------------------------------------
-# The per-bit encoder, verbatim, as the oracle
+# The per-bit encoder and compiler, logic unchanged, as the oracle
 # ---------------------------------------------------------------------------
 
 
-def oracle_encode_frame(
+class OracleBit(NamedTuple):
+    """One bit of the per-bit encoder's stream."""
+
+    level: Level
+    field: str
+    index: int
+    is_stuff: bool
+    in_arbitration: bool
+
+
+def oracle_encode_bits(
     frame: Frame, eof_length: int = STANDARD_EOF_LENGTH
-) -> WireFrame:
-    wire_bits: List[WireBit] = []
+) -> List[OracleBit]:
+    wire_bits: List[OracleBit] = []
     run_value: Optional[int] = None
     run_length = 0
     for segment in header_segments(frame):
         in_arbitration = segment.name in ARBITRATION_FIELDS
         for index, bit in enumerate(segment.bits):
             wire_bits.append(
-                WireBit(
+                OracleBit(
                     level=Level(bit),
                     field=segment.name,
                     index=index,
@@ -122,7 +134,7 @@ def oracle_encode_frame(
             if run_length == STUFF_WIDTH:
                 stuff_bit = 1 - bit
                 wire_bits.append(
-                    WireBit(
+                    OracleBit(
                         level=Level(stuff_bit),
                         field=segment.name,
                         index=index,
@@ -135,7 +147,7 @@ def oracle_encode_frame(
     for segment in tail_segments(eof_length):
         for index, bit in enumerate(segment.bits):
             wire_bits.append(
-                WireBit(
+                OracleBit(
                     level=Level(bit),
                     field=segment.name,
                     index=index,
@@ -143,18 +155,16 @@ def oracle_encode_frame(
                     in_arbitration=False,
                 )
             )
-    return WireFrame(frame=frame, bits=tuple(wire_bits), eof_length=eof_length)
+    return wire_bits
 
 
-def oracle_compile_wire(wire: WireFrame) -> WireProgram:
-    levels: List[Level] = []
-    bit_values: List[int] = []
-    positions = []
+def oracle_encode_frame(
+    frame: Frame, eof_length: int = STANDARD_EOF_LENGTH
+) -> WireFrame:
+    """Every column of the encoding, derived bit by bit from the stream."""
+    wire_bits = oracle_encode_bits(frame, eof_length)
     ops: List[int] = []
-    for wire_bit in wire.bits:
-        levels.append(wire_bit.level)
-        bit_values.append(int(wire_bit.level))
-        positions.append((wire_bit.field, wire_bit.index))
+    for wire_bit in wire_bits:
         if wire_bit.field == EOF:
             ops.append(OP_EOF)
         elif wire_bit.field == ACK_SLOT:
@@ -167,20 +177,37 @@ def oracle_compile_wire(wire: WireFrame) -> WireProgram:
             ops.append(OP_ARB)
         else:
             ops.append(OP_MATCH)
-    return WireProgram(
-        wire=wire,
-        levels=tuple(levels),
-        bit_values=tuple(bit_values),
-        positions=tuple(positions),
+    # The bus of an uncontested frame: receivers acknowledge.
+    symbols = "".join(
+        "d" if wire_bit.level is Level.DOMINANT or wire_bit.field == ACK_SLOT else "r"
+        for wire_bit in wire_bits
+    )
+    return WireFrame(
+        frame=frame,
+        eof_length=eof_length,
+        levels=tuple(wire_bit.level for wire_bit in wire_bits),
+        bit_values=tuple(int(wire_bit.level) for wire_bit in wire_bits),
+        positions=tuple((wire_bit.field, wire_bit.index) for wire_bit in wire_bits),
+        is_stuff=tuple(wire_bit.is_stuff for wire_bit in wire_bits),
+        in_arbitration=tuple(wire_bit.in_arbitration for wire_bit in wire_bits),
         ops=tuple(ops),
-        length=len(wire.bits),
+        length=len(wire_bits),
+        symbols=symbols,
     )
 
 
-def _first_position(wire: WireFrame, field: str) -> int:
+def _first_position(wire_bits: List[OracleBit], field: str) -> int:
     return next(
-        position for position, bit in enumerate(wire.bits) if bit.field == field
+        position for position, bit in enumerate(wire_bits) if bit.field == field
     )
+
+
+#: Every EOF length a protocol uses: standard CAN and MinorCAN keep the
+#: 7-bit EOF, MajorCAN_m has ``2m`` bits.
+EOF_LENGTHS = (
+    CanController("eof").config.eof_length,
+    make_controller("minorcan", "eof").config.eof_length,
+) + tuple(majorcan_config(m).eof_length for m in range(3, 11))
 
 
 @st.composite
@@ -201,46 +228,72 @@ def frames(draw):
     return Frame(can_id=can_id, data=data)
 
 
-@settings(max_examples=300, deadline=None)
-@given(frames(), st.sampled_from((STANDARD_EOF_LENGTH, 6, 10, 16)))
-def test_encoder_and_compiler_equal_the_per_bit_oracle(frame, eof_length):
+def _assert_encoding_equals_oracle(frame: Frame, eof_length: int) -> None:
+    wire_bits = oracle_encode_bits(frame, eof_length)
     expected = oracle_encode_frame(frame, eof_length)
     wire = encode_frame(frame, eof_length)
     assert wire == expected
-    assert [bit.level for bit in wire.bits] == [bit.level for bit in expected.bits]
-    assert all(type(bit.level) is Level for bit in wire.bits)
-    assert wire.ack_slot_position == _first_position(expected, ACK_SLOT)
-    assert wire.eof_start == _first_position(expected, EOF)
-
-    program = oracle_compile_wire(expected)
-    for compiled in (compile_wire(wire), compile_wire(expected)):
-        assert compiled == program
-        for name in ("levels", "bit_values", "positions", "ops"):
-            assert type(getattr(compiled, name)) is tuple
-        assert all(type(level) is Level for level in compiled.levels)
-        assert all(type(value) is int for value in compiled.bit_values)
-    assert wire_program(frame, eof_length) == program
-    image = bus_image(frame, eof_length)
-    assert image.symbols == "".join(
-        "d" if value == 0 or position == program.wire.ack_slot_position else "r"
-        for position, value in enumerate(program.bit_values)
-    )
-
-
-def test_encoder_shares_one_wire_bit_per_value():
-    first = encode_frame(Frame(can_id=CanId(0x123), data=b"\x00\xff"))
-    second = encode_frame(Frame(can_id=CanId(0x123), data=b"\x00\xff"))
-    assert first == second
-    assert all(a is b for a, b in zip(first.bits, second.bits))
-    # The entry is derived, not a field: equality and repr ignore it.
-    assert [field.name for field in fields(WireBit)] == [
-        "level",
-        "field",
-        "index",
+    for name in (
+        "levels",
+        "bit_values",
+        "positions",
         "is_stuff",
         "in_arbitration",
-    ]
-    assert "entry" not in repr(first.bits[0])
+        "ops",
+        "symbols",
+    ):
+        assert getattr(wire, name) == getattr(expected, name), name
+        assert len(getattr(wire, name)) == wire.length == len(wire)
+    for name in ("levels", "bit_values", "positions", "is_stuff", "in_arbitration", "ops"):
+        assert type(getattr(wire, name)) is tuple
+    assert type(wire.symbols) is str
+    assert all(type(level) is Level for level in wire.levels)
+    assert all(type(value) is int for value in wire.bit_values)
+    assert all(type(flag) is bool for flag in wire.is_stuff + wire.in_arbitration)
+    assert wire.ack_slot_position == _first_position(wire_bits, ACK_SLOT)
+    assert wire.eof_start == _first_position(wire_bits, EOF)
+    assert wire.symbols[wire.ack_slot_position] == "d"
+    assert wire.field_positions(EOF) == list(
+        range(wire.eof_start, wire.eof_start + eof_length)
+    )
+    assert wire_program(frame, eof_length) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames(), st.sampled_from(EOF_LENGTHS))
+def test_encoding_equals_the_per_bit_oracle(frame, eof_length):
+    _assert_encoding_equals_oracle(frame, eof_length)
+
+
+@pytest.mark.parametrize("eof_length", sorted(set(EOF_LENGTHS)))
+@pytest.mark.parametrize("extended", [False, True])
+def test_every_dlc_and_frame_kind_equals_the_oracle(extended, eof_length):
+    identifier = 0x1555_5555 if extended else 0x555
+    for dlc in range(9):
+        can_id = CanId(identifier, extended)
+        _assert_encoding_equals_oracle(
+            Frame(can_id=can_id, remote=True, dlc=dlc), eof_length
+        )
+        for fill in (0x00, 0xFF, 0x5A):
+            _assert_encoding_equals_oracle(
+                Frame(can_id=can_id, data=bytes([fill] * dlc)), eof_length
+            )
+
+
+def test_one_encoding_type_and_one_frame_cache():
+    frame = Frame(can_id=CanId(0x123), data=b"\x00\xff")
+    assert encode_frame(frame) == encode_frame(frame)
+    assert wire_program(frame) is wire_program(frame)
+    caches = {
+        name
+        for name, value in vars(encoding).items()
+        if hasattr(value, "cache_info")
+    }
+    # One frame cache; the other two are keyed by configuration and by
+    # frame *under a flip*, not by the encoding.
+    assert caches == {"wire_program", "header_shape", "signal_table"}
+    controller = CanController("n")
+    assert [name for name in vars(controller) if "wire" in name] == ["_wire"]
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +314,7 @@ def test_clean_window_encodes_each_frame_once(monkeypatch):
     )
     submissions = build_schedule(spec)
     frames_sent = Counter(_submission_frame(spec, sub) for sub in submissions)
-    # More frames than the bus_image and wire_program caches hold.
-    assert len(frames_sent) > bus_image.cache_info().maxsize
+    # More frames than the wire_program cache holds.
     assert len(frames_sent) > wire_program.cache_info().maxsize
 
     encoded: Counter = Counter()
@@ -272,7 +324,6 @@ def test_clean_window_encodes_each_frame_once(monkeypatch):
         encoded[frame] += 1
         return real_encode(frame, eof_length)
 
-    bus_image.cache_clear()
     wire_program.cache_clear()
     monkeypatch.setattr(encoding, "encode_frame", counting_encode)
     result = run_window(spec, 0, submissions, backend="batch")

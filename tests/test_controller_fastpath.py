@@ -273,13 +273,13 @@ def test_parsers_agree_bit_for_bit(frame, eof_length):
     wire = encode_frame(frame, eof_length=eof_length)
     reference = FrameParser(eof_length=eof_length)
     fast = FastFrameParser(eof_length=eof_length)
-    for wire_bit in wire.bits:  # both parsers start at SOF
+    for level in wire.levels:  # both parsers start at SOF
         upcoming_ref = reference.upcoming
         upcoming_fast = (fast.next_field, fast.next_index, fast.next_is_stuff)
         assert upcoming_fast == upcoming_ref
         assert fast.next_position == (upcoming_ref[0], upcoming_ref[1])
-        step = reference.feed(wire_bit.level)
-        code = fast.feed_code(wire_bit.level)
+        step = reference.feed(level)
+        code = fast.feed_code(level)
         assert not step.stuff_violation and not step.form_violation
         assert code in (STEP_OK, STEP_EOF, STEP_ACK_DELIM)
         assert fast.header_complete == reference.header_complete

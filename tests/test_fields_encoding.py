@@ -100,28 +100,33 @@ class TestEncodeFrame:
         frame = data_frame(0x2AA, b"\x0f\xf0")
         wire = encode_frame(frame)
         expected = stuff(unstuffed_header_bits(frame)) + [1] * 10
-        assert [int(bit.level) for bit in wire.bits] == expected
+        assert [int(level) for level in wire.levels] == expected
+        assert list(wire.bit_values) == expected
 
     def test_stuff_bits_flagged(self):
         # Identifier 0 produces runs of dominant bits needing stuffing.
         wire = encode_frame(data_frame(0, b""))
-        assert any(bit.is_stuff for bit in wire.bits)
+        assert any(wire.is_stuff)
 
     def test_arbitration_region_marked(self):
         wire = encode_frame(data_frame(0x123, b"\x01"))
-        arbitration_fields = {bit.field for bit in wire.bits if bit.in_arbitration}
+        arbitration_fields = {
+            field
+            for (field, _), in_arbitration in zip(wire.positions, wire.in_arbitration)
+            if in_arbitration
+        }
         assert ID_A in arbitration_fields
         assert RTR in arbitration_fields
         assert DATA not in arbitration_fields
 
     def test_ack_slot_position(self):
         wire = encode_frame(data_frame(0x123, b"\x01"))
-        assert wire.bits[wire.ack_slot_position].field == ACK_SLOT
+        assert wire.positions[wire.ack_slot_position] == (ACK_SLOT, 0)
 
     def test_eof_start(self):
         wire = encode_frame(data_frame(0x123, b"\x01"))
-        assert wire.bits[wire.eof_start].field == EOF
-        assert wire.bits[wire.eof_start - 1].field == ACK_DELIM
+        assert wire.positions[wire.eof_start] == (EOF, 0)
+        assert wire.positions[wire.eof_start - 1] == (ACK_DELIM, 0)
 
     def test_field_positions(self):
         wire = encode_frame(data_frame(0x123, b"\x01"), eof_length=7)
@@ -144,8 +149,8 @@ class TestEncodeFrame:
 
     def test_no_six_bit_runs_before_tail(self):
         wire = encode_frame(data_frame(0, bytes(8)))
-        header = [int(bit.level) for bit in wire.bits if bit.field not in
-                  (CRC_DELIM, ACK_SLOT, ACK_DELIM, EOF)]
+        header = [int(level) for level, (field, _) in zip(wire.levels, wire.positions)
+                  if field not in (CRC_DELIM, ACK_SLOT, ACK_DELIM, EOF)]
         run, last = 0, None
         for bit in header:
             run = run + 1 if bit == last else 1

@@ -26,15 +26,16 @@ class TestCleanFrameOnBus:
         nodes = [CanController(n) for n in ("tx", "x", "y")]
         outcome = run_one_frame(nodes, FRAME)
         wire = encode_frame(FRAME)
-        expected = [int(b.level) for b in wire.bits]
+        expected = [int(level) for level in wire.levels]
         expected[wire.ack_slot_position] = 0  # receivers acknowledge
         observed = [int(level) for level in outcome.engine.bus.history[: len(expected)]]
         assert observed == expected
+        assert outcome.engine.bus.as_string(0, wire.length) == wire.symbols
 
     def test_frame_followed_by_recessive_idle(self):
         nodes = [CanController(n) for n in ("tx", "x")]
         outcome = run_one_frame(nodes, FRAME)
-        wire_length = len(encode_frame(FRAME).bits)
+        wire_length = encode_frame(FRAME).length
         tail = outcome.engine.bus.history[wire_length:]
         assert all(int(level) == 1 for level in tail)
 

@@ -65,8 +65,8 @@ class TestConfigValidation:
 class TestWireFrameHelpers:
     def test_levels_sequence(self):
         wire = encode_frame(data_frame(0x123, b"\x01"))
-        levels = wire.levels()
-        assert len(levels) == len(wire.bits)
+        levels = wire.levels
+        assert len(levels) == len(wire) == wire.length
         assert levels[0].value == 0  # SOF is dominant
 
 

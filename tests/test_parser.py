@@ -19,8 +19,7 @@ extended_ids = st.integers(0, 0x1FFFFFFF)
 def feed_whole_frame(parser, wire, ack=True):
     """Feed a wire frame as seen on the bus (ACK slot pulled dominant)."""
     steps = []
-    for position, wire_bit in enumerate(wire.bits):
-        level = wire_bit.level
+    for position, level in enumerate(wire.levels):
         if ack and position == wire.ack_slot_position:
             level = DOMINANT
         steps.append(parser.feed(level))
@@ -60,10 +59,10 @@ class TestHappyPath:
         frame = data_frame(0x123, b"\x01")
         wire = encode_frame(frame)
         parser = FrameParser()
-        for position, wire_bit in enumerate(wire.bits):
-            level = DOMINANT if position == wire.ack_slot_position else wire_bit.level
+        for position, (field, _) in enumerate(wire.positions):
+            level = DOMINANT if position == wire.ack_slot_position else wire.levels[position]
             parser.feed(level)
-            if wire_bit.field == CRC_DELIM:
+            if field == CRC_DELIM:
                 assert parser.header_complete
                 break
 
@@ -132,9 +131,8 @@ class TestViolations:
         wire = encode_frame(frame)
         parser = FrameParser()
         violation = None
-        for wire_bit in wire.bits:
-            level = wire_bit.level
-            if wire_bit.field == CRC_DELIM:
+        for level, (field, _) in zip(wire.levels, wire.positions):
+            if field == CRC_DELIM:
                 level = DOMINANT
             step = parser.feed(level)
             if step.form_violation:
@@ -148,9 +146,8 @@ class TestViolations:
         wire = encode_frame(frame)
         parser = FrameParser()
         flipped = False
-        for wire_bit in wire.bits:
-            level = wire_bit.level
-            if wire_bit.field == "DATA" and not wire_bit.is_stuff and not flipped:
+        for level, (field, _), is_stuff in zip(wire.levels, wire.positions, wire.is_stuff):
+            if field == "DATA" and not is_stuff and not flipped:
                 level = level.flipped()
                 flipped = True
             parser.feed(level)
@@ -178,10 +175,10 @@ class TestUpcoming:
         wire = encode_frame(frame)
         parser = FrameParser()
         predicted_ack_at = None
-        for position, wire_bit in enumerate(wire.bits):
+        for position, level in enumerate(wire.levels):
             if parser.upcoming[0] == ACK_SLOT:
                 predicted_ack_at = position
-            level = DOMINANT if position == wire.ack_slot_position else wire_bit.level
+            level = DOMINANT if position == wire.ack_slot_position else level
             parser.feed(level)
         assert predicted_ack_at == wire.ack_slot_position
 
@@ -190,10 +187,10 @@ class TestUpcoming:
         wire = encode_frame(frame)
         parser = FrameParser()
         seen_eof_indices = []
-        for position, wire_bit in enumerate(wire.bits):
+        for position, level in enumerate(wire.levels):
             if parser.upcoming[0] == EOF:
                 seen_eof_indices.append(parser.upcoming[1])
-            level = DOMINANT if position == wire.ack_slot_position else wire_bit.level
+            level = DOMINANT if position == wire.ack_slot_position else level
             parser.feed(level)
         assert seen_eof_indices == list(range(7))
 

@@ -418,6 +418,62 @@ class TestVerdictClassification:
         assert outcome.verdicts[0].status == "delivered"
         assert not outcome.ledger.nodes["n2"].correct
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(("n0", "n1", "n2")),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from((("n0", 0), ("n0", 1), ("n0", 3), ("n1", 9))),
+                        st.integers(0, 199),
+                    ),
+                    max_size=6,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_counts_and_first_times_equal_the_per_row_loop(self, windows):
+        """The array-built count matrix against the per-row dict loop,
+        over several windows, with duplicates, out-of-order times and a
+        delivered key (``("n1", 9)``) that is not scheduled."""
+        spec = self._spec()
+        schedule = self._schedule(spec)
+        results = [
+            self._result(
+                {
+                    name: tuple((origin, seq, t) for (origin, seq), t in rows)
+                    for name, rows in window.items()
+                }
+            )
+            for window in windows
+        ]
+        outcome = splice_windows(spec, schedule, results)
+
+        counts = {name: {} for name in spec.node_names}
+        first_time = {}
+        delivered = {name: [] for name in spec.node_names}
+        for offset, result in zip(range(0, 200 * len(results), 200), results):
+            for name, rows in result.deliveries.items():
+                for origin, seq, local_time in rows:
+                    key = (origin, seq)
+                    time = local_time + offset
+                    delivered[name].append((key, time))
+                    counts[name][key] = counts[name].get(key, 0) + 1
+                    if key not in first_time or time < first_time[key]:
+                        first_time[key] = time
+        for sub, verdict in zip(schedule, outcome.verdicts):
+            expected = {name: counts[name].get(sub.key, 0) for name in spec.node_names}
+            assert verdict.counts == expected
+            assert all(type(count) is int for count in verdict.counts.values())
+            assert verdict.first_delivered == first_time.get(sub.key)
+            assert type(verdict.first_delivered) in (int, type(None))
+        for name, node in outcome.ledger.nodes.items():
+            assert list(zip(node.deliveries, node.delivery_times)) == delivered[name]
+            assert all(type(time) is int for time in node.delivery_times)
+
 
 class TestHlpTraffic:
     def test_edcan_stream_is_atomic(self):
