@@ -7,7 +7,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(
     {
         "batchreplay": (
             "BatchReplayEvaluator", "EngineClassifier", "Placements", "placement_classifier",
-            "tail_shape",
         ),
         "enumeration": (
             "EnumerationResult", "PatternOutcome", "enumerate_tail_patterns",

@@ -26,13 +26,13 @@ codes, with the relabelling undone by one gather.
 delimiter, EOF and the MajorCAN sampling window) follow a tail-only
 micro-model of the controller state machine.  Its transition relation
 is written once, as the per-node step :func:`_node_step`, and compiled
-per tail geometry into a :class:`TransitionTable` over its reachable
-``(state, tail time)`` pairs.  The micro-model is exact on the
-placements it understands and refuses the rest: an unexpected program
-layout, a fault field it does not announce, a dominant bit reaching an
-idle node outside the orchestrated retransmission restart, or a
-step-budget overflow bails, and the placement goes to the engine (the
-oracle).
+per frame-end geometry (:mod:`repro.can.geometry`) into a
+:class:`TransitionTable` over its reachable ``(state, tail time)``
+pairs.  The micro-model is exact on the placements it understands and
+refuses the rest: a fault field it does not announce, a dominant bit
+reaching an idle node outside the orchestrated retransmission restart,
+or a step-budget overflow bails, and the placement goes to the engine
+(the oracle).
 
 **Two drivers.**  An array driver steps one code per ``(node,
 placement)`` through lockstep numpy passes; a scalar driver replays a
@@ -66,10 +66,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.can.fields import (
-    ACK_DELIM,
-    ACK_SLOT,
     CRC,
-    CRC_DELIM,
     DATA,
     EOF,
     FLAG_LENGTH,
@@ -77,17 +74,10 @@ from repro.can.fields import (
     SAMPLING,
 )
 from repro.can.frame import Frame, data_frame
-from repro.can.encoding import (
-    HEADER_KIND_OVERRUN,
-    HEADER_SITE_FIELDS,
-    OP_ACK,
-    OP_EOF,
-    OP_MATCH,
-    header_shape,
-    wire_program,
-)
+from repro.can.encoding import HEADER_KIND_OVERRUN, HEADER_SITE_FIELDS, header_shape
+from repro.can.geometry import ACK_SLOT_OFFSET, EOF_OFFSET, TAIL_PREFIX, FrameEnd, frame_end
 from repro.errors import AnalysisError
-from repro.faults.scenarios import make_controller, run_placement
+from repro.faults.scenarios import run_placement
 
 logger = logging.getLogger(__name__)
 
@@ -111,127 +101,37 @@ MAJ_FLAG = 10
 MAJ_QUIET = 11
 MAJ_EXT = 12
 
-P_CAN = 0
-P_MINOR = 1
-P_MAJOR = 2
-
-_PROTO_CODES = {"can": P_CAN, "minorcan": P_MINOR, "majorcan": P_MAJOR}
-
 #: Site-key sentinels: inert sites can never fire (the engine never
 #: announces their position either), unsupported ones force the engine.
 _INERT = -1
 _UNSUPPORTED = -2
 
-
-@dataclass(frozen=True)
-class TailShape:
-    """Precompiled tail geometry for one (protocol, m, frame)."""
-
-    protocol: str
-    proto: int
-    m: int
-    eof_length: int
-    delimiter_length: int
-    window_start: int
-    window_end: int
-    majority: int
-    #: Keys per node: 3 pre-EOF bits + EOF + (MajorCAN) sampling window.
-    key_count: int
-    #: Generous per-attempt step bound; overflow bails to the engine.
-    attempt_cap: int
-    supported: bool
-
-    @property
-    def geometry(self) -> "TailGeometry":
-        """The fields the tail micro-model reads: the table's key."""
-        return TailGeometry(
-            self.proto,
-            self.eof_length,
-            self.delimiter_length,
-            self.window_start,
-            self.window_end,
-            self.majority,
-            self.key_count,
-        )
+#: Fields of the tail positions: a site of one of these fields that is
+#: not in the geometry's :attr:`~repro.can.geometry.FrameEnd.sites` is
+#: never announced.
+_TAIL_FIELDS = frozenset(field for field, _ in TAIL_PREFIX) | {EOF, SAMPLING}
 
 
-@lru_cache(maxsize=256)
-def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
-    """Build (and cache) the tail shape for one protocol + frame."""
-    proto = _PROTO_CODES.get(protocol)
-    probe = make_controller(protocol, "shape-probe", m=m)
-    eof_length = probe.config.eof_length
-    delimiter_length = probe.config.delimiter_length
-    window_start = getattr(probe, "window_start", 0) or 0
-    window_end = getattr(probe, "window_end", 0)
-    majority = getattr(probe, "majority", 0) or 0
-    wire = wire_program(frame, eof_length)
-    supported = proto is not None
-    tail_offset = 0
-    expected_positions = [(CRC_DELIM, 0), (ACK_SLOT, 0), (ACK_DELIM, 0)]
-    expected_positions += [(EOF, index) for index in range(eof_length)]
-    expected_ops = [OP_MATCH, OP_ACK, OP_MATCH] + [OP_EOF] * eof_length
-    try:
-        tail_offset = wire.positions.index((CRC_DELIM, 0))
-    except ValueError:
-        supported = False
-    if supported:
-        tail = slice(tail_offset, None)
-        supported = (
-            list(wire.positions[tail]) == expected_positions
-            and list(wire.ops[tail]) == expected_ops
-            and all(value == 1 for value in wire.bit_values[tail])
-        )
-    key_count = 3 + eof_length
-    if proto == P_MAJOR:
-        key_count += window_end + 1
-    attempt_cap = (
-        (3 + eof_length)
-        + (window_end + 2)
-        + FLAG_LENGTH
-        + 4 * delimiter_length
-        + INTERMISSION_LENGTH
-        + 32
-    )
-    return TailShape(
-        protocol=protocol,
-        proto=proto if proto is not None else -1,
-        m=m,
-        eof_length=eof_length,
-        delimiter_length=delimiter_length,
-        window_start=window_start,
-        window_end=window_end,
-        majority=majority,
-        key_count=key_count,
-        attempt_cap=attempt_cap,
-        supported=supported,
-    )
+@lru_cache(maxsize=64)
+def _site_keys(geometry: FrameEnd) -> Dict[Tuple[str, int], int]:
+    """Tail position -> tail key: its index in ``geometry.sites``."""
+    return {position: key for key, position in enumerate(geometry.sites)}
 
 
-def _site_key(shape: TailShape, field: str, index: int) -> int:
+def _site_key(geometry: FrameEnd, field: str, index: int) -> int:
     """Map a fault site to its tail key (or a sentinel).
 
-    Keys 0..2 are the CRC delimiter / ACK slot / ACK delimiter bits,
-    3+i the EOF bits, and (MajorCAN only) 3+E+p the sampling position
-    ``p`` that quiet nodes announce.  Sites the tail never announces
-    (out-of-range EOF indices, SAMPLING under CAN/MinorCAN) are inert:
-    their trigger can never fire, exactly as in the engine.
+    The keys number the geometry's tail sites in order: the tail table,
+    then (MajorCAN only) the sampled window bits.  Tail sites outside
+    them (out-of-range EOF indices, SAMPLING outside the window, which
+    no node reads, and all SAMPLING under CAN/MinorCAN) are inert: their
+    trigger never fires or flips a bit nobody reads, exactly as in the
+    engine.
     """
-    if field == CRC_DELIM:
-        return 0 if index == 0 else _INERT
-    if field == ACK_SLOT:
-        return 1 if index == 0 else _INERT
-    if field == ACK_DELIM:
-        return 2 if index == 0 else _INERT
-    if field == EOF:
-        if 0 <= index < shape.eof_length:
-            return 3 + index
-        return _INERT
-    if field == SAMPLING:
-        if shape.proto == P_MAJOR and 0 <= index <= shape.window_end:
-            return 3 + shape.eof_length + index
-        return _INERT
-    return _UNSUPPORTED
+    key = _site_keys(geometry).get((field, index))
+    if key is not None:
+        return key
+    return _INERT if field in _TAIL_FIELDS else _UNSUPPORTED
 
 
 #: Route labels of the ``stats`` counters, in the order of their codes:
@@ -388,16 +288,18 @@ class BatchReplayEvaluator(EngineClassifier):
     """Classify batches of error placements, mostly without engine runs.
 
     Placements the micro-model cannot represent (unsupported fields,
-    unexpected program layout, bailed simulations) transparently fall
-    back to the engine, so every returned outcome is exact.
+    bailed simulations) transparently fall back to the engine, so every
+    returned outcome is exact.
     """
 
     def __init__(
         self, protocol: str, m: int, node_names: Sequence[str], frame: Frame
     ) -> None:
         super().__init__(protocol, m, node_names, frame)
-        self.shape = tail_shape(protocol, m, frame)
-        self._config = (protocol, m, frame, len(self.node_names))
+        self.geometry = frame_end(protocol, m)
+        self.protocol = self.geometry.protocol
+        self.attempt_cap = _attempt_cap(self.geometry)
+        self._config = (self.protocol, m, frame, len(self.node_names))
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
         self._site_codes = _SiteCodes(self._node_index)
         #: Outcome provenance counters, one per :data:`ROUTES` label.
@@ -524,8 +426,6 @@ class BatchReplayEvaluator(EngineClassifier):
         """
         if not len(codes):
             return []
-        if not self.shape.supported:
-            return [self._engine_outcome(self._named(_index_sites(row))) for row in codes]
         verdicts: List[Optional[Verdict]] = [None] * len(codes)
         routes, nodes, keys, live = self._resolve(codes)
         for row in np.flatnonzero(routes == _REDUCED).tolist():
@@ -535,14 +435,14 @@ class BatchReplayEvaluator(EngineClassifier):
         fast = np.flatnonzero(routes == _FAST)
         if not len(fast):
             return verdicts
-        table = transition_table(self.shape.geometry)
+        table = transition_table(self.geometry)
         n = len(self.node_names)
         nodes, keys = nodes[fast], keys[fast]
         flips = (keys >= 0).sum(axis=1).tolist()
         scalar = range(len(fast))
         if len(fast) >= _ARRAY_BREAK_EVEN:
             deliveries, attempts, finished = _replay_array(
-                table, n, nodes, keys, _step_cap(self.shape, max(flips))
+                table, n, nodes, keys, _step_cap(self.attempt_cap, max(flips))
             )
             # Column lists zip straight into the verdict tuples: a list per
             # row would raise the peak RSS of wide runs (~0.3 MB on verify_m5).
@@ -559,7 +459,7 @@ class BatchReplayEvaluator(EngineClassifier):
             # off the engine; genuine envelope violations bail at the
             # same step under any budget and fall through to the oracle.
             arm = _arm(nodes[i], keys[i])
-            replay = _replay_scalar(table, n, arm, _step_cap(self.shape, flips[i], 8))
+            replay = _replay_scalar(table, n, arm, _step_cap(self.attempt_cap, flips[i], 8))
             if replay is not None:
                 verdicts[rows[i]] = replay[0] + (replay[1], SCALAR)
             else:
@@ -570,13 +470,13 @@ class BatchReplayEvaluator(EngineClassifier):
         return tuple((self.node_names[node], f, i) for node, f, i in sites)
 
     def _header_shape(self):
-        return header_shape(self.frame, self.shape.eof_length)
+        return header_shape(self.frame, self.geometry.eof_length)
 
     def _position_route(self, field_name: str, index: int) -> int:
         if field_name in HEADER_SITE_FIELDS:
             announced = (field_name, index) in self._header_shape().announced
             return _ANNOUNCED if announced else _SILENT
-        return _site_key(self.shape, field_name, index)
+        return _site_key(self.geometry, field_name, index)
 
     def _resolve(
         self, codes: np.ndarray
@@ -586,7 +486,7 @@ class BatchReplayEvaluator(EngineClassifier):
         Returns ``(routes, nodes, keys, live)``: per row ``_FAST`` for
         a pure tail placement, ``_REDUCED`` for one touching an
         announced header site, ``_FULL`` for anything outside the
-        modelled envelope (unknown fields, unexpected program layouts);
+        modelled envelope (unknown fields);
         per site its node, its tail key where it arms the micro-model
         (-1 elsewhere), and whether it rides into a reduced run.
 
@@ -851,7 +751,7 @@ def _reduced_class_run(
 
 
 def warm_shapes() -> None:
-    """Pre-populate the wire/tail/header shape caches in this process.
+    """Pre-populate the wire and header shape caches in this process.
 
     An untimed warm-up for benchmarks that time warm-cache passes.
     Covers the one-byte placement frame under the protocols and ``m``
@@ -865,8 +765,7 @@ def warm_shapes() -> None:
         ("majorcan", (3, 4, 5, 6, 7)),
     ):
         for m in ms:
-            shape = tail_shape(protocol, m, frame)
-            header_shape(frame, shape.eof_length)
+            header_shape(frame, frame_end(protocol, m).eof_length)
 
 
 #: Display order of the provenance counters in stats lines.
@@ -909,22 +808,6 @@ def engine_share_notice(stats: Dict[str, int]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-class TailGeometry(NamedTuple):
-    """The tail-shape fields the transition relation reads.
-
-    Frame-independent, so every payload of one (protocol, m) shares a
-    :func:`transition_table`.
-    """
-
-    proto: int
-    eof_length: int
-    delimiter_length: int
-    window_start: int
-    window_end: int
-    majority: int
-    key_count: int
-
-
 class _NodeState(NamedTuple):
     """One node's micro-model state.
 
@@ -949,24 +832,28 @@ def _drives(state: _NodeState, t: int) -> bool:
     """Whether a node drives the bus dominant at tail time ``t``:
     active flags, and receivers acknowledging in the ACK slot."""
     return state.st in (FLAG, OVL_FLAG, MAJ_FLAG, MAJ_EXT) or (
-        state.st == RX_PROG and t == 1
+        state.st == RX_PROG and t == ACK_SLOT_OFFSET
     )
 
 
-def _announced_key(
-    geometry: TailGeometry, state: _NodeState, t: int
-) -> Optional[int]:
+def _clock(t: int) -> int:
+    """The EOF-relative clock at tail time ``t`` (EOF bit ``k`` is ``k``)."""
+    return t - EOF_OFFSET + 1
+
+
+def _announced_key(geometry: FrameEnd, state: _NodeState, t: int) -> Optional[int]:
     """The tail key a node announces at time ``t`` (see :func:`_site_key`):
-    its program position, or a MajorCAN sampling position while quiet."""
+    its program position — the tail table leads the geometry's sites, so
+    the key is ``t`` — or a sampled window bit while quiet."""
     if state.st in (TX_PROG, RX_PROG):
         return t
-    if state.st == MAJ_QUIET and 0 <= t - 2 <= geometry.window_end:
-        return 3 + geometry.eof_length + t - 2
+    if state.st == MAJ_QUIET:
+        return _site_keys(geometry).get((SAMPLING, _clock(t)))
     return None
 
 
 def _node_step(
-    geometry: TailGeometry, state: _NodeState, t: int, seen: bool
+    geometry: FrameEnd, state: _NodeState, t: int, seen: bool
 ) -> Tuple[_NodeState, int, bool]:
     """One node's bit phase: the micro-model's transition relation.
 
@@ -980,17 +867,18 @@ def _node_step(
     st = state.st
     if st == TX_PROG or st == RX_PROG:
         is_tx = st == TX_PROG
-        if t < 3:
-            if (t != 1 and seen) or (t == 1 and is_tx and not seen):
+        if t < EOF_OFFSET:
+            ack = t == ACK_SLOT_OFFSET
+            if (not ack and seen) or (ack and is_tx and not seen):
                 # Dominant delimiter bit, or a missing ACK: an error
                 # whose flag starts inside the frame tail.
-                if geometry.proto == P_MAJOR:
+                if geometry.protocol == "majorcan":
                     return S(MAJ_FLAG, FLAG_LENGTH), 0, False
                 return S(FLAG, FLAG_LENGTH, first=True), 0, False
             return state, 0, False
-        index = t - 3
+        index = t - EOF_OFFSET
         last = geometry.eof_length - 1
-        if geometry.proto == P_CAN:
+        if geometry.protocol == "can":
             if is_tx or index < last:
                 if seen:
                     return S(FLAG, FLAG_LENGTH, first=True), 0, False
@@ -1002,7 +890,7 @@ def _node_step(
                 return S(OVL_FLAG, FLAG_LENGTH), 0, False
             return S(INTER), 0, False
         if seen:
-            if geometry.proto == P_MINOR:
+            if geometry.protocol == "minorcan":
                 return S(FLAG, FLAG_LENGTH, first=True, defer=index == last), 0, False
             if index + 1 <= geometry.majority:
                 return S(MAJ_FLAG, FLAG_LENGTH, samp=True), 0, False
@@ -1048,7 +936,7 @@ def _node_step(
         return S(INTER, ipos=state.ipos + 1), 0, False
     if st == IDLE:
         return state, 0, seen  # reception outside the restart
-    clock = t - 2
+    clock = _clock(t)
     if st == MAJ_QUIET:
         votes = state.votes
         if state.samp and geometry.window_start <= clock <= geometry.window_end and seen:
@@ -1094,17 +982,19 @@ _RX_START = 2
 
 
 @lru_cache(maxsize=64)
-def transition_table(geometry: TailGeometry) -> TransitionTable:
+def transition_table(geometry: FrameEnd) -> TransitionTable:
     """Compile :func:`_node_step` into a :class:`TransitionTable`.
 
-    A breadth-first search from the two program starts enumerates the
-    reachable ``(state, t)`` pairs under both sampled bits.  ``t`` is
-    clamped at ``max(3 + eof, window_end + 3)``: past the EOF no node
-    is in a program state and past the window no quiet or extended
-    MajorCAN node reads the clock, so later times step identically.
+    The table depends on the frame-end geometry only, so every payload
+    of one (protocol, m) shares it.  A breadth-first search from the two
+    program starts enumerates the reachable ``(state, t)`` pairs under
+    both sampled bits.  ``t`` is clamped one step past the EOF and past
+    the window end: there no node is in a program state and no quiet or
+    extended MajorCAN node reads the clock, so later times step
+    identically.
     """
-    tmax = max(3 + geometry.eof_length, geometry.window_end + 3)
-    none = geometry.key_count
+    tmax = EOF_OFFSET + max(geometry.eof_length, geometry.window_end)
+    none = len(geometry.sites)
     pairs = [(_NodeState(TX_PROG), 0), (_NodeState(RX_PROG), 0)]
     index = {pair: i for i, pair in enumerate(pairs)}
     columns: Tuple[List, ...] = tuple([] for _ in range(7))
@@ -1137,10 +1027,24 @@ def transition_table(geometry: TailGeometry) -> TransitionTable:
     )
 
 
-def _step_cap(shape: TailShape, flips: int, scale: int = 1) -> int:
-    """Step budget for replaying ``flips`` armed sites (``scale`` widens
-    it for the cascade-overflow retry); overflow bails to the engine."""
-    return ((flips + 2) * shape.attempt_cap + 16) * scale
+def _attempt_cap(geometry: FrameEnd) -> int:
+    """A generous per-attempt step bound: the tail, the window, a flag,
+    four delimiters, the intermission and some slack."""
+    return (
+        (EOF_OFFSET + geometry.eof_length)
+        + (geometry.window_end + 2)
+        + FLAG_LENGTH
+        + 4 * geometry.delimiter_length
+        + INTERMISSION_LENGTH
+        + 32
+    )
+
+
+def _step_cap(attempt_cap: int, flips: int, scale: int = 1) -> int:
+    """Step budget for replaying ``flips`` armed sites at ``attempt_cap``
+    steps per attempt (``scale`` widens it for the cascade-overflow
+    retry); overflow bails to the engine."""
+    return ((flips + 2) * attempt_cap + 16) * scale
 
 
 def _replay_scalar(

@@ -44,8 +44,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.analysis.batchreplay import placement_classifier
 from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
+from repro.can.geometry import frame_end
 from repro.errors import AnalysisError
-from repro.faults.scenarios import make_controller
 from repro.properties.ledger import delivery_flags
 
 #: A pattern assigns flipped view bits as (node_index, eof_index) pairs.
@@ -262,8 +262,7 @@ def tail_verdicts(
     """
     if n_nodes < 2:
         raise AnalysisError("need at least a transmitter and a receiver")
-    probe = make_controller(protocol, "probe", m=m)
-    eof_length = probe.config.eof_length
+    eof_length = frame_end(protocol, m).eof_length
     if window > eof_length:
         raise AnalysisError(
             "window of %d bits exceeds the %d-bit EOF" % (window, eof_length)

@@ -2,9 +2,10 @@
 
 Section 5 derives each constant of MajorCAN_m from worst-case error
 budgets.  This module restates that derivation as executable
-invariants, so the geometry embedded in
-:class:`~repro.core.majorcan.MajorCanController` can never silently
-drift from the design argument:
+invariants, so the geometry the implementation declares
+(:func:`repro.can.geometry.frame_end`, which the controllers, the
+encoder and the batch replay all read) can never silently drift from
+the design argument:
 
 * a node whose error flag starts at the first EOF bit (CRC class) must
   never be first detected inside the second sub-field, even when
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.majorcan import MajorCanController
+from repro.can.geometry import frame_end
 from repro.errors import AnalysisError
 
 
@@ -64,28 +65,28 @@ def derive_geometry(m: int) -> dict:
 def verify_geometry(m: int) -> List[GeometryCheck]:
     """Check the implementation and the design argument for one m."""
     derived = derive_geometry(m)
-    node = MajorCanController("probe", m=m)
+    declared = frame_end("majorcan", m)
     checks = [
         GeometryCheck(
             "implementation matches derived EOF length",
-            node.config.eof_length == derived["eof_bits"],
-            "eof=%d" % node.config.eof_length,
+            declared.eof_length == derived["eof_bits"],
+            "eof=%d" % declared.eof_length,
         ),
         GeometryCheck(
             "implementation matches derived window",
-            (node.window_start, node.window_end)
+            (declared.window_start, declared.window_end)
             == (derived["window_start"], derived["window_end"]),
-            "window=[%d, %d]" % (node.window_start, node.window_end),
+            "window=[%d, %d]" % (declared.window_start, declared.window_end),
         ),
         GeometryCheck(
             "implementation matches derived majority",
-            node.majority == derived["majority"],
-            "majority=%d of %d" % (node.majority, derived["window_samples"]),
+            declared.majority == derived["majority"],
+            "majority=%d of %d" % (declared.majority, derived["window_samples"]),
         ),
         GeometryCheck(
             "delimiter mirrors the frame tail",
-            node.config.delimiter_length == derived["frame_tail_recessive_bits"],
-            "delimiter=%d" % node.config.delimiter_length,
+            declared.delimiter_length == derived["frame_tail_recessive_bits"],
+            "delimiter=%d" % declared.delimiter_length,
         ),
         # --- the worst-case error-budget arguments themselves ---
         GeometryCheck(

@@ -33,6 +33,7 @@ from repro.analysis.batchreplay import placement_classifier
 from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
+from repro.can.geometry import frame_end
 from repro.errors import AnalysisError
 from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
@@ -268,8 +269,7 @@ def monte_carlo_tail(
         raise AnalysisError("need at least two nodes")
     if backend not in ("engine", "batch"):
         raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
-    probe = make_controller(protocol, "probe", m=m)
-    eof_length = probe.config.eof_length
+    eof_length = frame_end(protocol, m).eof_length
     if window > eof_length:
         raise AnalysisError("window exceeds the EOF length")
     node_names = placement_node_names(n_nodes)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.rates import incidents_per_hour
+from repro.can.geometry import frame_end
 from repro.errors import AnalysisError
 from repro.faults.models import ber_star
 from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
@@ -82,7 +83,7 @@ def residual_rate_upper_bound(
     Exposure: every bit of the frame plus the MajorCAN agreement
     window (EOF-relative bits up to 3m+5).
     """
-    exposed = profile.frame_bits + (3 * m + 5)
+    exposed = profile.frame_bits + frame_end("majorcan", m).window_end
     per_frame = p_more_than_m_errors(ber, m, profile.n_nodes, exposed)
     return incidents_per_hour(per_frame, profile)
 
@@ -98,7 +99,7 @@ def residual_rate_tail_bound(
     EOF bits and the sampling window through bit 3m+5 (a further ~3
     bits of delimiter margin included).
     """
-    exposed = 2 + (3 * m + 5) + 3
+    exposed = 2 + frame_end("majorcan", m).window_end + 3
     per_frame = p_more_than_m_errors(ber, m, profile.n_nodes, exposed)
     return incidents_per_hour(per_frame, profile)
 

@@ -28,17 +28,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.batchreplay import placement_classifier
-from repro.can.fields import (
-    ACK_DELIM,
-    ACK_SLOT,
-    CRC_DELIM,
-    DATA,
-    DLC,
-    EOF,
-    SAMPLING,
-)
+from repro.can.fields import DATA, DLC
+from repro.can.geometry import FrameEnd, frame_end
 from repro.errors import AnalysisError
-from repro.faults.scenarios import make_controller
 from repro.parallel.pool import effective_jobs, imap_tasks, merge_stats
 from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
 from repro.properties.ledger import KINDS, delivery_flags
@@ -124,30 +116,15 @@ class VerificationResult:
         )
 
 
-def tail_sites(
-    node_names: Sequence[str],
-    eof_length: int,
-    window_start: Optional[int] = None,
-    window_end: Optional[int] = None,
-) -> List[Site]:
+def tail_sites(node_names: Sequence[str], geometry: FrameEnd) -> List[Site]:
     """The paper's error universe: the frame tail and agreement window.
 
-    Covers the CRC/ACK delimiters and the ACK slot (errors whose flags
-    start at the first EOF bit), every EOF bit, and — when a sampling
-    window is given — every window bit (reached through the SAMPLING
-    position that MajorCAN nodes announce while quiet).
+    Every node's :attr:`~repro.can.geometry.FrameEnd.sites`: the CRC/ACK
+    delimiters and the ACK slot (errors whose flags start at the first
+    EOF bit), every EOF bit and — under MajorCAN — every window bit
+    (reached through the SAMPLING position that quiet nodes announce).
     """
-    sites: List[Site] = []
-    for name in node_names:
-        sites.append((name, CRC_DELIM, 0))
-        sites.append((name, ACK_SLOT, 0))
-        sites.append((name, ACK_DELIM, 0))
-        for index in range(eof_length):
-            sites.append((name, EOF, index))
-        if window_start is not None and window_end is not None:
-            for position in range(window_start, window_end + 1):
-                sites.append((name, SAMPLING, position))
-    return sites
+    return [(name,) + position for name in node_names for position in geometry.sites]
 
 
 def placement_node_names(n_nodes: int) -> Tuple[str, ...]:
@@ -214,13 +191,7 @@ def verify_consistency(
     if backend not in ("engine", "batch"):
         raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
     node_names = placement_node_names(n_nodes)
-    probe = make_controller(protocol, "probe", m=m)
-    sites = tail_sites(
-        node_names,
-        probe.config.eof_length,
-        window_start=getattr(probe, "window_start", None),
-        window_end=getattr(probe, "window_end", None),
-    )
+    sites = tail_sites(node_names, frame_end(protocol, m))
     sites.extend(extra_sites)
     cost_units = n_nodes / 3.0
     if backend == "batch":

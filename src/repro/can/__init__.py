@@ -10,7 +10,10 @@ Public entry points:
   configuration (EOF/delimiter lengths, dependability options);
 * :mod:`~repro.can.crc`, :mod:`~repro.can.stuffing`,
   :mod:`~repro.can.encoding`, :mod:`~repro.can.parser` — the wire
-  format building blocks.
+  format building blocks;
+* :mod:`~repro.can.geometry` — the frame-end geometry of every
+  protocol variant (tail layout, EOF and delimiter lengths, MajorCAN's
+  sampling window), declared once.
 """
 
 from repro._namespace import lazy_namespace
@@ -29,6 +32,7 @@ __all__, __getattr__, __dir__ = lazy_namespace(
         "error_counters": ("ConfinementState", "ErrorCounters"),
         "events": ("Delivery", "ErrorReason", "Event", "EventKind"),
         "frame": ("Frame", "data_frame", "remote_frame"),
+        "geometry": ("FrameEnd", "frame_end", "tail_positions"),
         "identifiers": ("CanId",),
         "parser": ("FrameParser",),
         "timing": ("BitTiming", "classic_1mbps", "timing_for_bit_rate"),

@@ -22,7 +22,6 @@ from repro.can.fields import (
     ACK_SLOT,
     ARBITRATION_FIELDS,
     CRC,
-    CRC_DELIM,
     DATA,
     DLC,
     EOF,
@@ -49,9 +48,9 @@ from repro.can.fields import (
     SUSPEND,
     SUSPEND_LENGTH,
     header_segments,
-    tail_segments,
 )
 from repro.can.frame import Frame
+from repro.can.geometry import ACK_SLOT_OFFSET, EOF_OFFSET, tail_positions
 from repro.can.stuffing import STUFF_WIDTH
 
 
@@ -64,6 +63,9 @@ OP_MATCH = 0  #: mismatch is a bit error
 OP_ARB = 1  #: recessive non-stuff arbitration bit: mismatch is a lost arbitration
 OP_ACK = 2  #: ACK slot: a recessive bus is an ACK error
 OP_EOF = 3  #: EOF bit: delegate to the protocol's ``_tx_eof_bit`` policy
+
+#: The tail fields whose opcode is not :data:`OP_MATCH`.
+_TAIL_OPS = {ACK_SLOT: OP_ACK, EOF: OP_EOF}
 
 _LEVELS = (Level.DOMINANT, Level.RECESSIVE)
 #: Bit value -> trace symbol, for ``bytes.translate``.
@@ -114,18 +116,22 @@ class WireFrame:
     def __len__(self) -> int:
         return self.length
 
-    # Every frame ends in the same unstuffed tail: CRC delimiter, ACK
-    # slot, ACK delimiter, then ``eof_length`` EOF bits.
+    # Every frame ends in the same unstuffed tail (repro.can.geometry).
+
+    @property
+    def tail_start(self) -> int:
+        """Stream index of the first tail bit, the CRC delimiter."""
+        return self.length - self.eof_length - EOF_OFFSET
 
     @property
     def ack_slot_position(self) -> int:
         """Stream index of the ACK slot."""
-        return self.length - self.eof_length - 2
+        return self.tail_start + ACK_SLOT_OFFSET
 
     @property
     def eof_start(self) -> int:
         """Stream index of the first EOF bit."""
-        return self.length - self.eof_length
+        return self.tail_start + EOF_OFFSET
 
     def field_positions(self, field: str) -> List[int]:
         """All stream positions whose field name equals ``field``."""
@@ -173,17 +179,15 @@ def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFra
                 is_stuff.append(True)
                 in_arbitration.append(arbitration)
                 ops.append(OP_MATCH)
-    for segment in tail_segments(eof_length):
-        name = segment.name
-        op = OP_EOF if name == EOF else OP_ACK if name == ACK_SLOT else OP_MATCH
-        for index, bit in enumerate(segment.bits):
-            values.append(bit)
-            positions.append((name, index))
-            is_stuff.append(False)
-            in_arbitration.append(False)
-            ops.append(op)
+    # The transmitter drives the whole tail recessive, the ACK slot too.
+    tail = tail_positions(eof_length)
+    ack = len(values) + ACK_SLOT_OFFSET
+    values += [1] * len(tail)
+    positions += tail
+    is_stuff += [False] * len(tail)
+    in_arbitration += [False] * len(tail)
+    ops += [_TAIL_OPS.get(name, OP_MATCH) for name, _ in tail]
     length = len(values)
-    ack = length - eof_length - 2
     driven = bytes(values).translate(_SYMBOLS).decode()
     return WireFrame(
         frame=frame,
@@ -375,7 +379,7 @@ def header_shape(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> HeaderS
     equivalent sites.
     """
     wire = wire_program(frame, eof_length=eof_length)
-    tail_offset = wire.positions.index((CRC_DELIM, 0))
+    tail_offset = wire.tail_start
     by_site: Dict[Tuple[str, int], HeaderSiteRow] = {}
     for position in range(tail_offset):
         site = wire.positions[position]

@@ -82,10 +82,4 @@ class Delivery:
 
     def wire_key(self) -> tuple:
         """Identity of the delivered frame as observable on the wire."""
-        return (
-            self.frame.can_id.value,
-            self.frame.can_id.extended,
-            self.frame.remote,
-            self.frame.dlc,
-            self.frame.data,
-        )
+        return self.frame.wire_key()

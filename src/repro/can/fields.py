@@ -15,9 +15,9 @@ Extended-format (CAN 2.0B) replaces the arbitration/control prefix::
     SOF | ID_A(11) SRR IDE ID_B(18) RTR | r1 r0 DLC(4) | ...
 
 Bit stuffing covers SOF through the CRC sequence.  The tail (CRC
-delimiter, ACK field, EOF) has fixed form and is never stuffed.  The
-EOF length is configurable because MajorCAN replaces the 7-bit EOF with
-a 2m-bit field (see :mod:`repro.core.majorcan`).
+delimiter, ACK field, EOF) has fixed form and is never stuffed; its
+layout and the EOF length of each protocol variant are declared in
+:mod:`repro.can.geometry`.
 """
 
 from __future__ import annotations
@@ -125,38 +125,3 @@ def header_segments(frame: Frame) -> List[FieldSegment]:
         covered.extend(segment.bits)
     segments.append(FieldSegment(CRC, tuple(crc15_bits(covered))))
     return segments
-
-
-def tail_segments(eof_length: int = STANDARD_EOF_LENGTH) -> List[FieldSegment]:
-    """The fixed-form (unstuffed) tail of every frame.
-
-    The ACK slot is listed recessive because that is what the
-    *transmitter* drives; receivers overwrite it with dominant.
-    """
-    return [
-        FieldSegment(CRC_DELIM, (1,)),
-        FieldSegment(ACK_SLOT, (1,)),
-        FieldSegment(ACK_DELIM, (1,)),
-        FieldSegment(EOF, tuple([1] * eof_length)),
-    ]
-
-
-def unstuffed_header_bits(frame: Frame) -> List[int]:
-    """All stuffed-region bits of ``frame`` before stuffing, in order."""
-    bits: List[int] = []
-    for segment in header_segments(frame):
-        bits.extend(segment.bits)
-    return bits
-
-
-def nominal_frame_length(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> int:
-    """On-the-wire frame length in bits including stuff bits.
-
-    This is the error-free length; it corresponds to the paper's
-    per-frame bit count tau_data for a given payload.
-    """
-    from repro.can.stuffing import stuff  # local import to avoid a cycle
-
-    stuffed = len(stuff(unstuffed_header_bits(frame)))
-    tail = sum(len(segment) for segment in tail_segments(eof_length))
-    return stuffed + tail

@@ -91,6 +91,11 @@ class Frame:
             self.message_id,
         )
 
+    def wire_key(self) -> Tuple[int, bool, bool, int, bytes]:
+        """What receivers observe of the frame on the wire: identifier,
+        format, remote flag, DLC and payload (no application tags)."""
+        return (self.can_id.value, self.can_id.extended, self.remote, self.dlc, self.data)
+
     def tagged(self, message_id: str, origin: Optional[str] = None) -> "Frame":
         """Copy of this frame carrying application-level tags."""
         return Frame(

@@ -40,6 +40,7 @@ from repro.can.fields import (
     STANDARD_EOF_LENGTH,
 )
 from repro.can.frame import Frame
+from repro.can.geometry import tail_positions
 from repro.can.identifiers import CanId
 from repro.can.stuffing import STUFF_WIDTH, Destuffer, StuffResult
 from repro.errors import DecodingError
@@ -342,17 +343,14 @@ _CRC_MASK = 0x7FFF
 
 @lru_cache(maxsize=8)
 def _tail_positions(eof_length: int) -> Tuple[Tuple[str, int], ...]:
-    """Prebuilt ``(field, index)`` tuples for the fixed-form frame tail.
-
-    Indexed by the number of tail bits already consumed, with a final
+    """The tail table (:func:`repro.can.geometry.tail_positions`)
+    indexed by the number of tail bits already consumed, with a final
     sentinel repeating the last EOF position (what ``upcoming`` reports
     once the frame is complete).  Shared by every frame of the same
     ``eof_length``, so steady-state tail bits allocate no tuples.
     """
-    positions: List[Tuple[str, int]] = [(CRC_DELIM, 0), (ACK_SLOT, 0), (ACK_DELIM, 0)]
-    positions.extend((EOF, index) for index in range(eof_length))
-    positions.append((EOF, eof_length - 1))
-    return tuple(positions)
+    table = tail_positions(eof_length)
+    return table + table[-1:]
 
 
 class FastFrameParser:
@@ -519,35 +517,24 @@ class FastFrameParser:
                 self._finish_header()
             self._set_next()
             return STEP_OK
-        # Fixed-form tail: CRC delimiter, ACK field, EOF.
-        field = self._field
-        index = self._consumed
-        self._consumed += 1
-        self._tail_consumed += 1
+        # Fixed-form tail: CRC delimiter, ACK field, EOF, by the table.
+        consumed = self._tail_consumed
+        field, index = self._tail_table[consumed]
+        self._tail_consumed = consumed = consumed + 1
         code = STEP_OK
         if field is EOF:
             self.last_index = index
             code = STEP_EOF
-            if self._consumed == self._length:
+            if index == self.eof_length - 1:
                 self.complete = True
         elif field is ACK_DELIM:
             code = STEP_FORM_VIOLATION if bit == 0 else STEP_ACK_DELIM
-            self._field = EOF
-            self._length = self.eof_length
-            self._consumed = 0
-        elif field is ACK_SLOT:
-            self._field = ACK_DELIM
-            self._length = 1
-            self._consumed = 0
-        else:  # CRC_DELIM
+        elif field is CRC_DELIM:
             if not self.header_complete:  # pragma: no cover - defensive parity
                 self._finish_header()
             if bit == 0:
                 code = STEP_FORM_VIOLATION
-            self._field = ACK_SLOT
-            self._length = 1
-            self._consumed = 0
-        position = self._tail_table[self._tail_consumed]
+        position = self._tail_table[consumed]
         self.next_field = position[0]
         self.next_index = position[1]
         self.next_is_stuff = False

@@ -53,13 +53,9 @@ from repro.can.controller import (
 from repro.can.controller_config import ControllerConfig
 from repro.can.encoding import signal_table
 from repro.can.events import ErrorReason, EventKind
-from repro.can.fields import (
-    ACK_DELIM,
-    ACK_SLOT,
-    CRC_DELIM,
-    FLAG_LENGTH,
-)
+from repro.can.fields import FLAG_LENGTH
 from repro.can.frame import Frame
+from repro.can.geometry import DEFAULT_M, EOF_OFFSET, TAIL_PREFIX, frame_end
 from repro.errors import ConfigurationError
 
 #: MAC states added by MajorCAN.
@@ -67,25 +63,20 @@ STATE_MAJOR_FLAG = "major_flag"
 STATE_MAJOR_QUIET = "major_quiet"
 STATE_MAJOR_EXTENDED_FLAG = "major_extended_flag"
 
-#: The paper's proposed tolerance (matching the CRC-15 strength).
-DEFAULT_M = 5
+#: EOF-relative clock of each tail bit before the EOF (EOF bit ``k`` is
+#: clock ``k``, 1-based).
+_TAIL_CLOCKS = {
+    field: offset - EOF_OFFSET + 1 for offset, (field, _) in enumerate(TAIL_PREFIX)
+}
 
 
 def majorcan_config(m: int = DEFAULT_M, **overrides: object) -> ControllerConfig:
-    """Build the :class:`ControllerConfig` for MajorCAN_m.
-
-    EOF length ``2m``; delimiter length ``2m + 1`` (the frame tail,
-    ACK delimiter + EOF, is ``2m + 1`` recessive bits and the error
-    delimiter must match it to permit node synchronisation).
-    """
-    if m < 3:
-        raise ConfigurationError(
-            "MajorCAN requires m >= 3 (with m <= 2 the scenario leading to "
-            "property CAN2' can still happen), got m=%d" % m
-        )
+    """Build the :class:`ControllerConfig` for MajorCAN_m: the EOF and
+    delimiter lengths of :func:`repro.can.geometry.frame_end`."""
+    geometry = frame_end("majorcan", m)
     return ControllerConfig(
-        eof_length=2 * m,
-        delimiter_length=2 * m + 1,
+        eof_length=geometry.eof_length,
+        delimiter_length=geometry.delimiter_length,
         **overrides,  # type: ignore[arg-type]
     )
 
@@ -113,17 +104,25 @@ class MajorCanController(CanController):
         m: int = DEFAULT_M,
         config: Optional[ControllerConfig] = None,
     ) -> None:
+        geometry = frame_end("majorcan", m)
         if config is None:
             config = majorcan_config(m)
-        else:
-            expected = (2 * m, 2 * m + 1)
-            if (config.eof_length, config.delimiter_length) != expected:
-                raise ConfigurationError(
-                    "MajorCAN_%d needs eof_length=%d and delimiter_length=%d"
-                    % (m, expected[0], expected[1])
-                )
+        elif (config.eof_length, config.delimiter_length) != (
+            geometry.eof_length,
+            geometry.delimiter_length,
+        ):
+            raise ConfigurationError(
+                "MajorCAN_%d needs eof_length=%d and delimiter_length=%d"
+                % (m, geometry.eof_length, geometry.delimiter_length)
+            )
         super().__init__(name, config)
         self.m = m
+        #: The sampling window: first and last sampled EOF-relative bit
+        #: (the last is also where any extended error flag ends), and
+        #: the dominant samples needed to accept.
+        self.window_start = geometry.window_start
+        self.window_end = geometry.window_end
+        self.majority = geometry.majority
         #: EOF-relative (1-based) index of the bit most recently
         #: processed, valid while the EOF agreement schedule is active.
         self._eof_clock = 0
@@ -144,26 +143,6 @@ class MajorCanController(CanController):
         self._bit_handlers[STATE_MAJOR_FLAG] = self._bit_major_flag
         self._bit_handlers[STATE_MAJOR_QUIET] = self._bit_major_quiet
         self._bit_handlers[STATE_MAJOR_EXTENDED_FLAG] = self._bit_extended_flag
-
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-
-    @property
-    def window_start(self) -> int:
-        """First sampled EOF-relative bit: ``m + 7``."""
-        return self.m + 7
-
-    @property
-    def window_end(self) -> int:
-        """Last sampled EOF-relative bit (and the last bit of any
-        extended error flag): ``3m + 5``."""
-        return 3 * self.m + 5
-
-    @property
-    def majority(self) -> int:
-        """Dominant samples needed to accept: majority of ``2m - 1``."""
-        return self.m
 
     # ------------------------------------------------------------------
     # EOF policies
@@ -228,16 +207,15 @@ class MajorCanController(CanController):
         acceptance flag).  Errors detected before the frame tail use
         the plain error-frame schedule, which every node then shares.
         """
-        tail_clocks = {CRC_DELIM: -2, ACK_SLOT: -1, ACK_DELIM: 0}
         position_field = self.position[0]
         at_frame_tail = (
             reason in (ErrorReason.CRC, ErrorReason.ACK)
-            or position_field in tail_clocks
+            or position_field in _TAIL_CLOCKS
         )
         super()._enter_error(reason, deferred=deferred, **extra)
         if at_frame_tail and self._state == "error_flag":
             self._eof_schedule = True
-            self._eof_clock = tail_clocks.get(position_field, 0)
+            self._eof_clock = _TAIL_CLOCKS.get(position_field, 0)
             self._sampling = False
             self._state = STATE_MAJOR_FLAG
 

@@ -232,7 +232,7 @@ def run_rounds(
         victim: tuple(
             site[:3]
             for site in SCRIPTS["fig3"].resolve(
-                _round_roles(node_names, victim), evaluator.shape.eof_length
+                _round_roles(node_names, victim), evaluator.geometry.eof_length
             )
         )
         for victim in node_names[1:]
@@ -387,13 +387,7 @@ def run_round(
     engine = SimulationEngine(controllers, injector=injector, record_bits=False)
     command = _submit_round(controllers, background_frames)
     _drain(engine)  # extreme noise may keep a node retrying; classify anyway
-    key = (
-        command.can_id.value,
-        command.can_id.extended,
-        command.remote,
-        command.dlc,
-        command.data,
-    )
+    key = command.wire_key()
     counts = [
         sum(1 for d in controller.deliveries if d.wire_key() == key)
         for controller in controllers

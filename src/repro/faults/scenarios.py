@@ -41,9 +41,9 @@ from repro.can.controller_config import ControllerConfig
 from repro.can.events import EventKind
 from repro.can.fields import DATA, EOF, SAMPLING
 from repro.can.frame import Frame, data_frame
+from repro.can.geometry import frame_end
 from repro.core.majorcan import DEFAULT_M, MajorCanController
 from repro.core.minorcan import MinorCanController
-from repro.errors import ConfigurationError
 from repro.faults.injector import CrashFault, ScriptedInjector, Trigger, ViewFault
 from repro.properties.ledger import DeliveryFlags, delivery_flags
 from repro.simulation.engine import FaultInjector, SimulationEngine
@@ -63,12 +63,9 @@ def make_controller(
     m: int = DEFAULT_M,
     config: Optional[ControllerConfig] = None,
 ) -> CanController:
-    """Instantiate a controller of the named protocol variant."""
-    key = protocol.lower()
-    if key not in PROTOCOLS:
-        raise ConfigurationError(
-            "unknown protocol %r (choose from %s)" % (protocol, sorted(PROTOCOLS))
-        )
+    """Instantiate a controller of the named protocol variant (any
+    letter case; :func:`repro.can.geometry.frame_end` checks the name)."""
+    key = frame_end(protocol, m).protocol
     if key == "majorcan":
         return MajorCanController(name, m=m, config=config)
     return PROTOCOLS[key](name, config=config)
@@ -162,7 +159,7 @@ def run_single_frame_scenario(
     engine = SimulationEngine(nodes, injector=injector, record_bits=record_bits)
     engine.run_until_idle(max_bits)
     trace = engine.collect_events()
-    key = (frame.can_id.value, frame.can_id.extended, frame.remote, frame.dlc, frame.data)
+    key = frame.wire_key()
     deliveries = {
         node.name: sum(1 for d in node.deliveries if d.wire_key() == key)
         for node in nodes
@@ -335,9 +332,12 @@ def run_script(
     nodes = [
         make_controller(protocol, node, m=m) for names in roles.values() for node in names
     ]
-    # SAMPLING sites count from the MajorCAN_m window's first bit, m + 7;
-    # the other protocols never sample, so theirs never fire.
-    injector = script.injector(roles, nodes[0].config.eof_length, m + 7)
+    # SAMPLING sites count from MajorCAN_m's first sampled bit whatever
+    # the protocol, so a script is one injector; only MajorCAN nodes
+    # announce them, so under the other protocols they never fire.
+    sampled = any(field_name == SAMPLING for _, field_name, _, _ in script.views)
+    window_start = frame_end("majorcan", m).window_start if sampled else 0
+    injector = script.injector(roles, nodes[0].config.eof_length, window_start)
     return run_single_frame_scenario(name, nodes, injector)
 
 
@@ -440,7 +440,7 @@ def fig4_behaviour(m: int = DEFAULT_M) -> List[BehaviourRow]:
     for a CRC error and for an error in each of the 2m EOF bits."""
     return [_fig4_probe(m, _CRC_ERROR, "CRC error")] + [
         _fig4_probe(m, x_eof_error(eof_index), "Error in EOF bit %d" % (eof_index + 1))
-        for eof_index in range(2 * m)
+        for eof_index in range(frame_end("majorcan", m).eof_length)
     ]
 
 

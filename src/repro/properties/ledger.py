@@ -65,21 +65,14 @@ def delivery_flags(counts) -> DeliveryFlags:
 
 
 def wire_key(frame: Frame) -> MessageKey:
-    """Default message identity: what receivers can observe on the wire.
+    """Default message identity: what receivers can observe on the wire
+    (:meth:`~repro.can.frame.Frame.wire_key`).
 
-    When the application tags frames with ``message_id`` the tag wins
-    (the transmitter knows it; receivers reconstruct untagged frames,
-    so for them the remaining wire fields are used).  Scenario
-    harnesses use distinct payloads per message, making the two
-    representations equivalent.
+    The application's ``message_id`` tag is not part of it: receivers
+    reconstruct untagged frames.  Scenario harnesses use distinct
+    payloads per message, so the wire fields identify each message.
     """
-    return (
-        frame.can_id.value,
-        frame.can_id.extended,
-        frame.remote,
-        frame.dlc,
-        frame.data,
-    )
+    return frame.wire_key()
 
 
 @dataclass

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.faults.scenarios import SCRIPTS, make_controller, run_script
+from repro.can.geometry import frame_end
+from repro.faults.scenarios import SCRIPTS, run_script
 from repro.properties.broadcast import check_atomic_broadcast
 from repro.properties.ledger import SystemLedger
 from repro.protocols.base import app_ledger, build_protocol_network
@@ -105,8 +106,7 @@ def run_hlp_cell(protocol: str, scenario: str) -> MatrixCell:
     second message.
     """
     factory = PROTOCOL_FACTORIES[protocol.lower()]
-    eof_length = make_controller("can", "probe").config.eof_length
-    injector = SCRIPTS[scenario].injector(_HLP_ROLES, eof_length)
+    injector = SCRIPTS[scenario].injector(_HLP_ROLES, frame_end("can").eof_length)
     engine, nodes = build_protocol_network(
         factory, 4, engine_kwargs={"injector": injector, "record_bits": False}
     )

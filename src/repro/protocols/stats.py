@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.can.fields import nominal_frame_length
+from repro.can.encoding import wire_program
 from repro.can.frame import data_frame
 from repro.core.majorcan import DEFAULT_M, MajorCanController
 from repro.errors import ProtocolError
@@ -63,7 +63,7 @@ def measure_hlp_bandwidth(
             if decode_message(frame) is None:
                 continue
             frames += 1
-            frame_bits += nominal_frame_length(frame)
+            frame_bits += wire_program(frame).length
     return BandwidthReport(
         protocol=PROTOCOL_FACTORIES[key].name,
         n_nodes=n_nodes,
@@ -92,7 +92,7 @@ def measure_majorcan_bandwidth(
         protocol="MajorCAN_%d" % m,
         n_nodes=n_nodes,
         frames_on_bus=len(controllers[0].tx_successes),
-        frame_bits_total=nominal_frame_length(frame, eof_length=2 * m),
+        frame_bits_total=wire_program(frame, controllers[0].config.eof_length).length,
         bus_busy_bits=_busy_bits(outcome.engine),
     )
 

@@ -23,10 +23,8 @@ from dataclasses import asdict, dataclass, fields
 from itertools import product
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
+from repro.can.geometry import PROTOCOL_NAMES as PROTOCOLS
 from repro.errors import ConfigurationError
-
-#: Protocols a cell may name (the simulator's registry keys).
-PROTOCOLS = ("can", "minorcan", "majorcan")
 
 #: Largest classic-CAN payload, bytes.
 MAX_PAYLOAD_BYTES = 8

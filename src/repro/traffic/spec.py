@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
+from repro.can.geometry import PROTOCOL_NAMES
 from repro.errors import ConfigurationError, TraceStoreError
 from repro.tracestore.schema import TRAFFIC_SCHEMA_VERSION
 
@@ -30,7 +31,6 @@ from repro.tracestore.schema import TRAFFIC_SCHEMA_VERSION
 #: origin node index is always ``identifier - ID_BASE``.
 ID_BASE = 0x100
 
-_PROTOCOLS = ("can", "minorcan", "majorcan")
 _SOURCES = ("periodic", "poisson")
 _HLPS = ("edcan", "relcan", "totcan")
 
@@ -141,10 +141,10 @@ class TrafficSpec:
         object.__setattr__(self, "bursts", tuple(self.bursts))
         if self.noise_nodes is not None:
             object.__setattr__(self, "noise_nodes", tuple(self.noise_nodes))
-        if self.protocol not in _PROTOCOLS:
+        if self.protocol not in PROTOCOL_NAMES:
             raise ConfigurationError(
                 "unknown protocol %r (choose from %s)"
-                % (self.protocol, list(_PROTOCOLS))
+                % (self.protocol, list(PROTOCOL_NAMES))
             )
         if self.source not in _SOURCES:
             raise ConfigurationError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.can.controller import CanController
+from repro.can.fields import header_segments
 from repro.can.frame import Frame
 from repro.faults.injector import ScriptedInjector
 from repro.faults.scenarios import ScenarioOutcome, run_single_frame_scenario
@@ -29,3 +30,9 @@ def run_one_frame(
 def delivered_payloads(controller: CanController) -> List[bytes]:
     """Payload bytes of everything a controller delivered, in order."""
     return [delivery.frame.data for delivery in controller.deliveries]
+
+
+def header_bits(frame: Frame) -> List[int]:
+    """All stuffed-region bits of ``frame`` (SOF through CRC) before
+    stuffing, in order."""
+    return [bit for segment in header_segments(frame) for bit in segment.bits]

@@ -40,6 +40,7 @@ import json
 import random
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -57,11 +58,11 @@ from repro.analysis.batchreplay import (
     _index_sites,
     _replay_array,
     _replay_scalar,
+    _attempt_cap,
     _step_cap,
     _row_keys,
     clear_caches,
     placement_classifier,
-    tail_shape,
     transition_table,
 )
 from repro.analysis.enumeration import enumerate_tail_patterns
@@ -73,8 +74,9 @@ from repro.analysis.verification import (
     verify_chunk,
     verify_consistency,
 )
-from repro.can.fields import ACK_DELIM, ACK_SLOT, CRC, CRC_DELIM, EOF, SAMPLING
+from repro.can.fields import CRC, EOF
 from repro.can.frame import data_frame
+from repro.can.geometry import FrameEnd, frame_end
 from repro.cli import main
 from repro.errors import AnalysisError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
@@ -146,13 +148,26 @@ def off_engine(evaluator):
 
 def universe(protocol, m, node_names):
     """The paper's tail-site universe for one config."""
-    probe = make_controller(protocol, "probe", m=m)
-    return tail_sites(
-        node_names,
-        probe.config.eof_length,
-        window_start=getattr(probe, "window_start", None),
-        window_end=getattr(probe, "window_end", None),
-    )
+    return tail_sites(node_names, frame_end(protocol, m))
+
+
+class Shape(NamedTuple):
+    """A config's tail geometry and the per-attempt step budget to
+    replay it at."""
+
+    m: int
+    geometry: FrameEnd
+    attempt_cap: int
+
+    @property
+    def key_count(self):
+        return len(self.geometry.sites)
+
+
+def tail_shape(protocol, m):
+    """The geometry of one config at the evaluator's own step budget."""
+    geometry = frame_end(protocol, m)
+    return Shape(m, geometry, _attempt_cap(geometry))
 
 
 class TestCorpusDifferential:
@@ -224,12 +239,13 @@ class TestSeededRandomSweep:
         routes, nodes, keys, _ = evaluator._resolve(evaluator._canonical(combos).codes)
         assert (routes == _FAST).all(), [c for c, r in zip(combos, routes) if r != _FAST]
         arms = [_arm(row_nodes, row_keys) for row_nodes, row_keys in zip(nodes, keys)]
-        shape = evaluator.shape
-        table = transition_table(shape.geometry)
-        cap = _step_cap(shape, max(map(len, arms)))
+        table = transition_table(evaluator.geometry)
+        cap = _step_cap(evaluator.attempt_cap, max(map(len, arms)))
         array = replays(_replay_array(table, len(node_names), nodes, keys, cap))
         scalar = [
-            _replay_scalar(table, len(node_names), arm, _step_cap(shape, len(arm)))
+            _replay_scalar(
+                table, len(node_names), arm, _step_cap(evaluator.attempt_cap, len(arm))
+            )
             for arm in arms
         ]
         assert array == scalar
@@ -344,22 +360,13 @@ def wide_batches(draw):
     """A tail geometry up to m = 13, 2-8 nodes and 96-400 placements,
     the per-attempt budget shrunk half the time so some bail."""
     protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
-    shape = tail_shape(protocol, draw(st.integers(3, 13)), FRAME)
+    shape = tail_shape(protocol, draw(st.integers(3, 13)))
     n_nodes = draw(st.integers(2, 8))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     placements = wide_batch(rng, shape.key_count, n_nodes, draw(st.integers(96, 400)))
     if draw(st.booleans()):
-        shape = replace(shape, attempt_cap=draw(st.integers(1, shape.attempt_cap)))
+        shape = shape._replace(attempt_cap=draw(st.integers(1, shape.attempt_cap)))
     return shape, n_nodes, placements
-
-
-def key_site(shape, key):
-    """The fault site behind a tail key (the inverse of the site map)."""
-    if key < 3:
-        return (CRC_DELIM, ACK_SLOT, ACK_DELIM)[key], 0
-    if key < 3 + shape.eof_length:
-        return EOF, key - 3
-    return SAMPLING, key - 3 - shape.eof_length
 
 
 @st.composite
@@ -374,7 +381,7 @@ def armed_batches(draw, tight=True):
     protocol = draw(st.sampled_from(("can", "minorcan", "majorcan")))
     m = draw(st.integers(3, 8))
     n_nodes = draw(st.integers(2, 6))
-    shape = tail_shape(protocol, m, FRAME)
+    shape = tail_shape(protocol, m)
     nodes = st.integers(0, n_nodes - 1)
     keys = st.integers(0, shape.key_count - 1)
     scattered = st.lists(
@@ -387,9 +394,7 @@ def armed_batches(draw, tight=True):
         st.lists(st.one_of(scattered, stacked), min_size=1, max_size=8)
     )
     if tight and draw(st.booleans()):
-        shape = replace(
-            shape, attempt_cap=draw(st.integers(1, shape.attempt_cap))
-        )
+        shape = shape._replace(attempt_cap=draw(st.integers(1, shape.attempt_cap)))
     return shape, n_nodes, placements
 
 
@@ -401,16 +406,16 @@ class TestGeneratedTailDifferential:
     def test_array_driver_equals_scalar_driver(self, case):
         shape, n_nodes, placements = case
         table = transition_table(shape.geometry)
-        batch_cap = _step_cap(shape, max(map(len, placements)))
+        batch_cap = _step_cap(shape.attempt_cap, max(map(len, placements)))
         array = replays(
             _replay_array(table, n_nodes, *armed_matrices(placements), batch_cap)
         )
         for placement, verdict in zip(placements, array):
             nominal = _replay_scalar(
-                table, n_nodes, placement, _step_cap(shape, len(placement))
+                table, n_nodes, placement, _step_cap(shape.attempt_cap, len(placement))
             )
             widened = _replay_scalar(
-                table, n_nodes, placement, _step_cap(shape, len(placement), 8)
+                table, n_nodes, placement, _step_cap(shape.attempt_cap, len(placement), 8)
             )
             # The batch cap is at least the placement's own cap and at
             # most eight times it.
@@ -427,18 +432,19 @@ class TestGeneratedTailDifferential:
         placement = placements[0]
         table = transition_table(shape.geometry)
         verdict = _replay_scalar(
-            table, n_nodes, placement, _step_cap(shape, len(placement), 8)
+            table, n_nodes, placement, _step_cap(shape.attempt_cap, len(placement), 8)
         )
         assert verdict is not None
         (array,) = replays(
             _replay_array(
-                table, n_nodes, *armed_matrices([placement]), _step_cap(shape, len(placement))
+                table, n_nodes, *armed_matrices([placement]), _step_cap(shape.attempt_cap, len(placement))
             )
         )
         assert array == verdict
         names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
-        combo = [(names[node], *key_site(shape, key)) for node, key in placement]
-        outcome = run_placement(shape.protocol, shape.m, names, combo, FRAME)
+        # A tail key indexes the geometry's sites.
+        combo = [(names[node], *shape.geometry.sites[key]) for node, key in placement]
+        outcome = run_placement(shape.geometry.protocol, shape.m, names, combo, FRAME)
         assert verdict == (
             tuple(outcome.deliveries[name] for name in names),
             outcome.attempts,
@@ -450,7 +456,7 @@ class TestGeneratedTailDifferential:
         against the placement-major oracle and the scalar driver at the
         batch cap."""
         table = transition_table(shape.geometry)
-        batch_cap = _step_cap(shape, max(map(len, placements)))
+        batch_cap = _step_cap(shape.attempt_cap, max(map(len, placements)))
         nodes, keys = armed_matrices(placements)
         array = replays(_replay_array(table, n_nodes, nodes, keys, batch_cap))
         assert array == placement_major_replay(table, n_nodes, nodes, keys, batch_cap)
@@ -464,13 +470,13 @@ class TestGeneratedTailDifferential:
         self.wide_differential(*case)
 
     @pytest.mark.parametrize(
-        "m,n_nodes,attempt_cap", [(12, 32, None), (13, 5, None), (13, 8, 20)]
+        "m,n_nodes,attempt_cap", [(16, 32, None), (17, 5, None), (17, 8, 20)]
     )
     def test_seeded_wide_batches_past_64_keys(self, m, n_nodes, attempt_cap):
-        shape = tail_shape("majorcan", m, FRAME)
+        shape = tail_shape("majorcan", m)
         assert shape.key_count > 64
         if attempt_cap is not None:
-            shape = replace(shape, attempt_cap=attempt_cap)
+            shape = shape._replace(attempt_cap=attempt_cap)
         placements = wide_batch(random.Random(m * n_nodes), shape.key_count, n_nodes, 400)
         array = self.wide_differential(shape, n_nodes, placements)
         # Placements finish after different attempt counts, so the batch
@@ -485,10 +491,10 @@ class TestGeneratedTailDifferential:
         # attempt, after that compaction.  Cleared there, it does not fire
         # again in the third; left armed, it restarts the frame every
         # attempt until the step budget runs out.
-        shape = tail_shape("majorcan", 5, FRAME)
+        shape = tail_shape("majorcan", 5)
         table = transition_table(shape.geometry)
         placements = [[], [(0, 1), (0, 3)], [(0, 1), (0, 4)]]
-        cap = _step_cap(shape, 2)
+        cap = _step_cap(shape.attempt_cap, 2)
         array = replays(_replay_array(table, 3, *armed_matrices(placements), cap))
         assert [verdict[1] for verdict in array] == [1, 3, 3]
         assert array == [_replay_scalar(table, 3, placement, cap) for placement in placements]
@@ -502,7 +508,8 @@ class TestGeneratedTailDifferential:
         names = ["tx", "r1", "r2"]
         clear_caches()
         evaluator = BatchReplayEvaluator("majorcan", 5, names, FRAME)
-        evaluator.shape = shape = replace(evaluator.shape, attempt_cap=12)
+        evaluator.attempt_cap = 12
+        shape = Shape(5, evaluator.geometry, evaluator.attempt_cap)
         # Transmitter sites only: every combo is its own canonical form.
         tx_sites = [s for s in universe("majorcan", 5, names) if s[0] == "tx"]
         combos = [(site,) for site in tx_sites]
@@ -513,15 +520,15 @@ class TestGeneratedTailDifferential:
         arms = [_arm(row_nodes, row_keys) for row_nodes, row_keys in zip(nodes, keys)]
         assert len(arms) >= 96 and max(map(len, arms)) == 6
         table = transition_table(shape.geometry)
-        batch_cap = _step_cap(shape, 6)
+        batch_cap = _step_cap(shape.attempt_cap, 6)
         expected = {"batch": 0, "scalar": 0, "header": 0, "engine": 0}
         past_own_cap = 0
         for arm in arms:
             if _replay_scalar(table, 3, arm, batch_cap) is not None:
                 expected["batch"] += 1
-                own = _replay_scalar(table, 3, arm, _step_cap(shape, len(arm)))
+                own = _replay_scalar(table, 3, arm, _step_cap(shape.attempt_cap, len(arm)))
                 past_own_cap += own is None
-            elif _replay_scalar(table, 3, arm, _step_cap(shape, len(arm), 8)):
+            elif _replay_scalar(table, 3, arm, _step_cap(shape.attempt_cap, len(arm), 8)):
                 expected["scalar"] += 1
             else:
                 expected["engine"] += 1
@@ -540,13 +547,15 @@ class TestGeneratedTailDifferential:
         assert transition_table.cache_info().currsize == 0
 
     def test_payloads_share_one_table(self):
-        shapes = [
-            tail_shape("majorcan", 5, data_frame(0x123, payload, message_id="m"))
+        evaluators = [
+            BatchReplayEvaluator(
+                "majorcan", 5, ["tx", "r1"], data_frame(0x123, payload, message_id="m")
+            )
             for payload in (b"", b"\x55", b"\x00\xff\x00\xff", bytes(8))
         ]
-        assert len({shape.geometry for shape in shapes}) == 1
-        assert transition_table(shapes[0].geometry) is transition_table(
-            shapes[-1].geometry
+        assert len({evaluator.geometry for evaluator in evaluators}) == 1
+        assert transition_table(evaluators[0].geometry) is transition_table(
+            evaluators[-1].geometry
         )
 
 
@@ -587,7 +596,7 @@ class TestHeaderDifferential:
         node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
         for protocol, m in (("can", 5), ("majorcan", 3)):
             evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
-            shape = header_shape(evaluator.frame, evaluator.shape.eof_length)
+            shape = header_shape(evaluator.frame, evaluator.geometry.eof_length)
             combos = [
                 ((name, field_name, index),)
                 for (field_name, index) in sorted(shape.announced)
@@ -1210,28 +1219,34 @@ class TestPlacementClassifier:
         ]
 
 
+def off_engine_geometry(protocol, m):
+    """The evaluator's geometry, after checking a tail placement runs
+    off the engine under it."""
+    evaluator = BatchReplayEvaluator(protocol, m, ["tx", "r1"], FRAME)
+    evaluator.evaluate([(("r1", EOF, 0),)])
+    assert evaluator.stats["engine"] == 0
+    return evaluator.geometry
+
+
 class TestTailShapeSignalling:
     """The signalling geometry the tail micro-model reads, per protocol."""
 
     def test_can_tail_shape(self):
-        shape = tail_shape("can", 5, FRAME)
-        assert shape.delimiter_length == 8
-        assert shape.window_end == 0
-        assert shape.supported
+        geometry = off_engine_geometry("can", 5)
+        assert geometry.delimiter_length == 8
+        assert geometry.window_end == 0
 
     def test_majorcan_tail_shape_tracks_m(self):
         for m in (3, 5, 7):
-            probe = make_controller("majorcan", "probe", m=m)
-            shape = tail_shape("majorcan", m, FRAME)
-            assert shape.delimiter_length == probe.config.delimiter_length
-            assert shape.window_end == probe.window_end == 3 * m + 5
-            assert shape.supported
+            node = make_controller("majorcan", "n", m=m)
+            geometry = off_engine_geometry("majorcan", m)
+            assert geometry.delimiter_length == node.config.delimiter_length
+            assert geometry.window_end == node.window_end == 3 * m + 5
 
     def test_majorcan_5_window(self):
-        shape = tail_shape("majorcan", 5, FRAME)
-        assert shape.window_end == 20
-        assert shape.delimiter_length == 11
-        assert shape.supported
+        geometry = off_engine_geometry("majorcan", 5)
+        assert geometry.window_end == 20
+        assert geometry.delimiter_length == 11
 
 
 class TestStatsHelpers:
@@ -1262,11 +1277,12 @@ class TestStatsHelpers:
         from repro.can.encoding import header_shape
 
         warm_shapes()
-        frame = data_frame(0x123, b"\x55", message_id="m")
-        assert tail_shape.cache_info().currsize >= 7
+        assert frame_end.cache_info().currsize >= 7
         assert header_shape.cache_info().currsize >= 1
         # The warmed entries cover the sweep protocols for this frame.
-        assert tail_shape("majorcan", 3, frame).supported
+        hits = header_shape.cache_info().hits
+        header_shape(FRAME, frame_end("majorcan", 3).eof_length)
+        assert header_shape.cache_info().hits == hits + 1
 
 
 def _strip_stats(output):

@@ -42,9 +42,9 @@ from repro.can.fields import (
     EOF,
     STANDARD_EOF_LENGTH,
     header_segments,
-    tail_segments,
 )
 from repro.can.frame import Frame
+from repro.can.geometry import tail_positions
 from repro.can.identifiers import CanId
 from repro.can.stuffing import STUFF_WIDTH
 from repro.core.majorcan import majorcan_config
@@ -144,17 +144,16 @@ def oracle_encode_bits(
                 )
                 run_value = stuff_bit
                 run_length = 1
-    for segment in tail_segments(eof_length):
-        for index, bit in enumerate(segment.bits):
-            wire_bits.append(
-                OracleBit(
-                    level=Level(bit),
-                    field=segment.name,
-                    index=index,
-                    is_stuff=False,
-                    in_arbitration=False,
-                )
+    for field, index in tail_positions(eof_length):
+        wire_bits.append(
+            OracleBit(
+                level=Level.RECESSIVE,
+                field=field,
+                index=index,
+                is_stuff=False,
+                in_arbitration=False,
             )
+        )
     return wire_bits
 
 
@@ -287,10 +286,11 @@ def test_one_encoding_type_and_one_frame_cache():
     caches = {
         name
         for name, value in vars(encoding).items()
-        if hasattr(value, "cache_info")
+        if hasattr(value, "cache_info") and value.__module__ == encoding.__name__
     }
     # One frame cache; the other two are keyed by configuration and by
-    # frame *under a flip*, not by the encoding.
+    # frame *under a flip*, not by the encoding.  (The tail table's
+    # cache, keyed by EOF length, belongs to repro.can.geometry.)
     assert caches == {"wire_program", "header_shape", "signal_table"}
     controller = CanController("n")
     assert [name for name in vars(controller) if "wire" in name] == ["_wire"]

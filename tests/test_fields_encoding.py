@@ -22,12 +22,12 @@ from repro.can.fields import (
     SOF,
     SRR,
     header_segments,
-    nominal_frame_length,
-    tail_segments,
-    unstuffed_header_bits,
 )
 from repro.can.frame import data_frame, remote_frame
+from repro.can.geometry import tail_positions
 from repro.can.stuffing import stuff
+
+from helpers import header_bits
 
 payloads = st.binary(max_size=8)
 standard_ids = st.integers(0, 0x7FF)
@@ -71,7 +71,7 @@ class TestHeaderSegments:
 
     def test_crc_covers_header(self):
         frame = data_frame(0x123, b"\xde\xad")
-        bits = unstuffed_header_bits(frame)
+        bits = header_bits(frame)
         crc_segment = header_segments(frame)[-1]
         covered = bits[: -len(crc_segment)]
         from repro.can.bits import int_from_bits
@@ -81,25 +81,24 @@ class TestHeaderSegments:
 
 class TestTail:
     def test_tail_order_and_values(self):
-        segments = tail_segments()
-        assert [segment.name for segment in segments] == [
-            CRC_DELIM,
-            ACK_SLOT,
-            ACK_DELIM,
-            EOF,
-        ]
-        assert all(all(bit == 1 for bit in segment.bits) for segment in segments)
+        assert tail_positions() == (
+            (CRC_DELIM, 0),
+            (ACK_SLOT, 0),
+            (ACK_DELIM, 0),
+        ) + tuple((EOF, index) for index in range(7))
+        wire = encode_frame(data_frame(0x123, b"\x01"))
+        assert set(wire.bit_values[wire.tail_start :]) == {1}
 
     def test_eof_length_configurable(self):
-        segments = {segment.name: segment for segment in tail_segments(eof_length=10)}
-        assert len(segments[EOF]) == 10
+        positions = tail_positions(eof_length=10)
+        assert len([field for field, _ in positions if field == EOF]) == 10
 
 
 class TestEncodeFrame:
     def test_levels_match_stuffed_header_plus_tail(self):
         frame = data_frame(0x2AA, b"\x0f\xf0")
         wire = encode_frame(frame)
-        expected = stuff(unstuffed_header_bits(frame)) + [1] * 10
+        expected = stuff(header_bits(frame)) + [1] * 10
         assert [int(level) for level in wire.levels] == expected
         assert list(wire.bit_values) == expected
 
@@ -140,12 +139,12 @@ class TestEncodeFrame:
     @given(identifier=standard_ids, payload=payloads)
     def test_wire_length_equals_nominal(self, identifier, payload):
         frame = data_frame(identifier, payload)
-        assert len(encode_frame(frame)) == nominal_frame_length(frame)
+        assert len(encode_frame(frame)) == len(stuff(header_bits(frame))) + 10
 
     @given(identifier=extended_ids, payload=payloads)
     def test_extended_wire_length_equals_nominal(self, identifier, payload):
         frame = data_frame(identifier, payload, extended=True)
-        assert len(encode_frame(frame)) == nominal_frame_length(frame)
+        assert len(encode_frame(frame)) == len(stuff(header_bits(frame))) + 10
 
     def test_no_six_bit_runs_before_tail(self):
         wire = encode_frame(data_frame(0, bytes(8)))
@@ -164,20 +163,18 @@ class TestNominalLength:
         # bits + 10 tail bits, plus the stuffing the zero control/DLC
         # run requires (one stuff bit for id 0x555 with dlc 0).
         frame = data_frame(0x555, b"")
-        assert nominal_frame_length(frame) == 34 + 10 + 1
-        assert nominal_frame_length(frame) == len(
-            stuff(unstuffed_header_bits(frame))
-        ) + 10
+        assert len(encode_frame(frame)) == 34 + 10 + 1
+        assert len(encode_frame(frame)) == len(stuff(header_bits(frame))) + 10
 
     def test_full_payload_near_paper_length(self):
         # The paper's tau_data = 110 bits corresponds to an 8-byte frame
         # including typical stuffing; the unstuffed length is 108.
         frame = data_frame(0x555, bytes(range(1, 9)))
-        assert 108 <= nominal_frame_length(frame) <= 125
+        assert 108 <= len(encode_frame(frame)) <= 125
 
     def test_length_grows_with_payload(self):
         lengths = [
-            nominal_frame_length(data_frame(0x555, bytes([0x55] * size)))
+            len(encode_frame(data_frame(0x555, bytes([0x55] * size))))
             for size in range(9)
         ]
         assert lengths == sorted(lengths)

@@ -89,12 +89,12 @@ class TestHappyPath:
 class TestTrailingStuffBit:
     def _frame_with_trailing_stuff(self):
         """Find a payload whose CRC ends in a five-bit run."""
-        from repro.can.fields import unstuffed_header_bits
+        from helpers import header_bits
 
         for value in range(0, 4096):
             payload = bytes([value & 0xFF, (value >> 8) & 0xFF])
             frame = data_frame(0x123, payload)
-            bits = unstuffed_header_bits(frame)
+            bits = header_bits(frame)
             if len(set(bits[-5:])) == 1:
                 return frame
         raise AssertionError("no trailing-stuff payload found")

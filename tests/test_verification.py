@@ -12,6 +12,7 @@ from repro.analysis.verification import (
     tail_sites,
     verify_consistency,
 )
+from repro.can.geometry import frame_end
 from repro.errors import AnalysisError
 
 
@@ -27,15 +28,16 @@ def can_two_flips():
 
 class TestSiteUniverses:
     def test_tail_sites_cover_delimiters_and_eof(self):
-        sites = tail_sites(["a"], eof_length=7)
+        sites = tail_sites(["a"], frame_end("can"))
         fields = {field for _, field, _ in sites}
         assert fields == {"CRC_DELIM", "ACK_SLOT", "ACK_DELIM", "EOF"}
         assert len([s for s in sites if s[1] == "EOF"]) == 7
 
     def test_tail_sites_with_window(self):
-        sites = tail_sites(["a"], eof_length=10, window_start=12, window_end=20)
+        sites = tail_sites(["a"], frame_end("majorcan", 5))
         window = [s for s in sites if s[1] == "SAMPLING"]
         assert len(window) == 9
+        assert [s[2] for s in window] == list(range(12, 21))
 
     def test_header_sites(self):
         sites = header_sites(["a", "b"], data_bits=8)
