@@ -35,18 +35,18 @@ The package is organised in layers:
     generator, exact pattern enumeration, and the overhead formulas.
 
 ``repro.workload`` / ``repro.metrics``
-    Traffic generation matching the paper's evaluation profile, and
-    result collection/reporting.
+    The paper's evaluation profile (bit rate, node count, load, frame
+    length), and result collection/reporting.
 
 ``repro.tracestore``
     Persistent trace capture (versioned JSONL), deterministic replay
     with structured diffing, and the golden-scenario regression corpus.
 
 ``repro.traffic``
-    Steady-state multi-frame traffic runs: workload generators feeding
-    a multi-node bus, a per-frame message ledger with
-    delivered/omitted/duplicated verdicts, window-sharded parallel
-    execution, and schema-v2 replayable recordings.
+    Steady-state multi-frame traffic runs: periodic or Poisson
+    submission schedules feeding a multi-node bus, a per-frame message
+    ledger with delivered/omitted/duplicated verdicts, window-sharded
+    parallel execution, and schema-v2 replayable recordings.
 
 ``repro.sweep``
     Resumable design-space sweeps: validated specs over seven axes,

@@ -164,46 +164,8 @@ class CanController:
         #: Precompiled signalling positions for this configuration
         #: (shared across controllers via the ``signal_table`` cache).
         self._signal_table: SignalTable = signal_table(self.config.delimiter_length)
-        self._drive_handlers: Dict[str, Callable[[], Level]] = {
-            STATE_IDLE: self._drive_idle,
-            STATE_RECEIVING: self._drive_receiving,
-            STATE_TRANSMITTING: self._drive_transmitting,
-            STATE_ERROR_FLAG: self._drive_error_flag,
-            STATE_PASSIVE_ERROR_FLAG: self._drive_passive_error_flag,
-            STATE_ERROR_WAIT: self._drive_error_wait,
-            STATE_ERROR_DELIM: self._drive_error_delim,
-            STATE_OVERLOAD_FLAG: self._drive_overload_flag,
-            STATE_OVERLOAD_WAIT: self._drive_overload_wait,
-            STATE_OVERLOAD_DELIM: self._drive_overload_delim,
-            STATE_INTERMISSION: self._drive_intermission,
-            STATE_SUSPEND: self._drive_suspend,
-        }
-        self._bit_handlers: Dict[str, Callable[[Level], None]] = {
-            STATE_IDLE: self._bit_idle,
-            STATE_RECEIVING: self._bit_receiving,
-            STATE_TRANSMITTING: self._bit_transmitting,
-            STATE_ERROR_FLAG: self._bit_flag,
-            STATE_PASSIVE_ERROR_FLAG: self._bit_flag,
-            STATE_ERROR_WAIT: self._bit_error_wait,
-            STATE_ERROR_DELIM: self._bit_error_delim,
-            STATE_OVERLOAD_FLAG: self._bit_flag,
-            STATE_OVERLOAD_WAIT: self._bit_overload_wait,
-            STATE_OVERLOAD_DELIM: self._bit_overload_delim,
-            STATE_INTERMISSION: self._bit_intermission,
-            STATE_SUSPEND: self._bit_suspend,
-            STATE_BUS_OFF: self._bit_bus_off,
-        }
-        if self.config.fast_path:
-            # Table-driven hot loop: the steady transmit/receive states
-            # walk the cached wire opcodes and the fast receive
-            # parser.  Every other handler is shared with the reference
-            # machine, so every protocol extension point
-            # (_after_flag_complete, _resolve_deferred, the counters)
-            # is invoked identically.
-            self._drive_handlers[STATE_RECEIVING] = self._drive_receiving_fast
-            self._drive_handlers[STATE_TRANSMITTING] = self._drive_transmitting_fast
-            self._bit_handlers[STATE_RECEIVING] = self._bit_receiving_fast
-            self._bit_handlers[STATE_TRANSMITTING] = self._bit_transmitting_fast
+        #: This configuration's (drive, on_bit) state -> handler tables.
+        self._drive_handlers, self._bit_handlers = self._HANDLERS[bool(self.config.fast_path)]
 
     # ------------------------------------------------------------------
     # Public API
@@ -272,7 +234,7 @@ class CanController:
         handler = self._drive_handlers.get(self._state)
         if handler is None:  # pragma: no cover - defensive
             raise SimulationError("no drive handler for state %r" % self._state)
-        self._driven = handler()
+        self._driven = handler(self)
         return self._driven
 
     def on_bit(self, seen: Level) -> None:
@@ -284,7 +246,7 @@ class CanController:
         handler = self._bit_handlers.get(self._state)
         if handler is None:  # pragma: no cover - defensive
             raise SimulationError("no bit handler for state %r" % self._state)
-        handler(seen)
+        handler(self, seen)
 
     # ------------------------------------------------------------------
     # Drive handlers
@@ -975,3 +937,60 @@ class CanController:
             self.counters.tec,
             self.counters.rec,
         )
+
+    # ------------------------------------------------------------------
+    # State -> handler tables
+    # ------------------------------------------------------------------
+
+    _REFERENCE_DRIVE: Dict[str, Callable[["CanController"], Level]] = {
+        STATE_IDLE: _drive_idle,
+        STATE_RECEIVING: _drive_receiving,
+        STATE_TRANSMITTING: _drive_transmitting,
+        STATE_ERROR_FLAG: _drive_error_flag,
+        STATE_PASSIVE_ERROR_FLAG: _drive_passive_error_flag,
+        STATE_ERROR_WAIT: _drive_error_wait,
+        STATE_ERROR_DELIM: _drive_error_delim,
+        STATE_OVERLOAD_FLAG: _drive_overload_flag,
+        STATE_OVERLOAD_WAIT: _drive_overload_wait,
+        STATE_OVERLOAD_DELIM: _drive_overload_delim,
+        STATE_INTERMISSION: _drive_intermission,
+        STATE_SUSPEND: _drive_suspend,
+    }
+    _REFERENCE_BIT: Dict[str, Callable[["CanController", Level], None]] = {
+        STATE_IDLE: _bit_idle,
+        STATE_RECEIVING: _bit_receiving,
+        STATE_TRANSMITTING: _bit_transmitting,
+        STATE_ERROR_FLAG: _bit_flag,
+        STATE_PASSIVE_ERROR_FLAG: _bit_flag,
+        STATE_ERROR_WAIT: _bit_error_wait,
+        STATE_ERROR_DELIM: _bit_error_delim,
+        STATE_OVERLOAD_FLAG: _bit_flag,
+        STATE_OVERLOAD_WAIT: _bit_overload_wait,
+        STATE_OVERLOAD_DELIM: _bit_overload_delim,
+        STATE_INTERMISSION: _bit_intermission,
+        STATE_SUSPEND: _bit_suspend,
+        STATE_BUS_OFF: _bit_bus_off,
+    }
+    #: ``(drive, on_bit)`` tables indexed by ``config.fast_path``: plain
+    #: functions shared by every instance, so a controller holds no
+    #: bound method of itself and dies by reference count.  The fast
+    #: path swaps in the table-driven transmit/receive handlers (cached
+    #: wire opcodes, fast receive parser); every other handler is the
+    #: reference machine's, so every protocol extension point
+    #: (_after_flag_complete, _resolve_deferred, the counters) is
+    #: invoked identically.
+    _HANDLERS = (
+        (_REFERENCE_DRIVE, _REFERENCE_BIT),
+        (
+            {
+                **_REFERENCE_DRIVE,
+                STATE_RECEIVING: _drive_receiving_fast,
+                STATE_TRANSMITTING: _drive_transmitting_fast,
+            },
+            {
+                **_REFERENCE_BIT,
+                STATE_RECEIVING: _bit_receiving_fast,
+                STATE_TRANSMITTING: _bit_transmitting_fast,
+            },
+        ),
+    )

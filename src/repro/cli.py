@@ -689,12 +689,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--source", choices=["periodic", "poisson"], default="periodic",
-        help="workload generator family",
+        help="workload family",
     )
     p.add_argument(
         "--load", type=float, default=0.5,
         help="target bus load of the periodic workload (values > 1 "
-        "model overload)",
+        "model overload); the poisson workload ignores it and reads "
+        "--rate",
     )
     p.add_argument(
         "--frame-bits", type=int, default=110, dest="frame_bits",
@@ -702,7 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rate", type=float, default=0.0,
-        help="per-bit submission probability of the poisson workload",
+        help="per-bit submission probability of the poisson workload "
+        "(default 0: no frames; sweep traffic cells never set it, so "
+        "their poisson cells are empty)",
     )
     p.add_argument(
         "--messages", type=int, default=None,

@@ -70,6 +70,14 @@ _TAIL_CLOCKS = {
 }
 
 
+def _with_states(handlers, drive, bit):
+    """Each ``(drive, on_bit)`` table pair of ``handlers`` extended by
+    the ``drive`` and ``bit`` entries."""
+    return tuple(
+        ({**base_drive, **drive}, {**base_bit, **bit}) for base_drive, base_bit in handlers
+    )
+
+
 def majorcan_config(m: int = DEFAULT_M, **overrides: object) -> ControllerConfig:
     """Build the :class:`ControllerConfig` for MajorCAN_m: the EOF and
     delimiter lengths of :func:`repro.can.geometry.frame_end`."""
@@ -86,8 +94,8 @@ class MajorCanController(CanController):
 
     The agreement machinery plugs into the base class exclusively
     through the ``_rx_eof_bit`` / ``_tx_eof_bit`` extension points, the
-    ``_enter_error`` override, and the extra MAC states registered in
-    ``__init__`` — all of which the table-driven fast path
+    ``_enter_error`` override, and the extra MAC states its class adds
+    to both handler tables — all of which the table-driven fast path
     (``ControllerConfig.fast_path``) reaches exactly as the reference
     transmit/receive path does.  ``_handle_eof_error`` reads only the
     ``header_complete`` / ``frame()`` surface of the receive parser,
@@ -136,13 +144,6 @@ class MajorCanController(CanController):
         self._signal_table = signal_table(
             self.config.delimiter_length, extended_flag_end=self.window_end
         )
-        # The agreement schedule's first flag is a plain 6-bit error flag.
-        self._drive_handlers[STATE_MAJOR_FLAG] = self._drive_error_flag
-        self._drive_handlers[STATE_MAJOR_QUIET] = self._drive_major_quiet
-        self._drive_handlers[STATE_MAJOR_EXTENDED_FLAG] = self._drive_extended_flag
-        self._bit_handlers[STATE_MAJOR_FLAG] = self._bit_major_flag
-        self._bit_handlers[STATE_MAJOR_QUIET] = self._bit_major_quiet
-        self._bit_handlers[STATE_MAJOR_EXTENDED_FLAG] = self._bit_extended_flag
 
     # ------------------------------------------------------------------
     # EOF policies
@@ -302,3 +303,18 @@ class MajorCanController(CanController):
             self._state = STATE_MAJOR_QUIET
             return
         super()._after_flag_complete()
+
+    # The agreement schedule's first flag is a plain 6-bit error flag.
+    _HANDLERS = _with_states(
+        CanController._HANDLERS,
+        drive={
+            STATE_MAJOR_FLAG: CanController._drive_error_flag,
+            STATE_MAJOR_QUIET: _drive_major_quiet,
+            STATE_MAJOR_EXTENDED_FLAG: _drive_extended_flag,
+        },
+        bit={
+            STATE_MAJOR_FLAG: _bit_major_flag,
+            STATE_MAJOR_QUIET: _bit_major_quiet,
+            STATE_MAJOR_EXTENDED_FLAG: _bit_extended_flag,
+        },
+    )

@@ -25,13 +25,10 @@ from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.can.geometry import PROTOCOL_NAMES as PROTOCOLS
 from repro.errors import ConfigurationError
+from repro.traffic.spec import SOURCES
 
 #: Largest classic-CAN payload, bytes.
 MAX_PAYLOAD_BYTES = 8
-
-#: Workload families a traffic-surface cell may name
-#: (:class:`repro.traffic.spec.TrafficSpec` sources).
-TRAFFIC_SOURCES = ("periodic", "poisson")
 
 #: The range rule of every cell field: ``(holds, message)`` per field
 #: name.  :class:`SweepCell` and :class:`TrafficCell` check their
@@ -56,8 +53,8 @@ _RULES: Dict[str, Tuple[Callable[[Any], bool], Callable[[Any], str]]] = {
     "n_nodes": (lambda v: v >= 2, lambda v: "a broadcast network needs >= 2 nodes, got %d" % v),
     "load": (lambda v: 0.0 < v <= 4.0, lambda v: "traffic load must be in (0, 4], got %r" % (v,)),
     "source": (
-        lambda v: v in TRAFFIC_SOURCES,
-        lambda v: "unknown traffic source %r (use one of %s)" % (v, ", ".join(TRAFFIC_SOURCES)),
+        lambda v: v in SOURCES,
+        lambda v: "unknown traffic source %r (use one of %s)" % (v, ", ".join(SOURCES)),
     ),
     "noise_ber": (lambda v: 0.0 <= v < 1.0, lambda v: "noise_ber must be in [0, 1), got %r" % (v,)),
 }

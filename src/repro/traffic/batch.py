@@ -195,7 +195,7 @@ def _local_queues(
     ]
     for sub in submissions:
         queues[sub.node_index].append(
-            (sub.time - offset, _submission_frame(spec, sub), sub)
+            (sub.time - offset, _submission_frame(sub), sub)
         )
     return queues
 
@@ -373,8 +373,7 @@ def _render_prefix(
             attempts[index] += 1
         contended += len(contenders)
 
-        origin = names[winner]
-        seq = winner_sub.payload[0] | (winner_sub.payload[1] << 8)
+        origin, seq = winner_sub.key
         rx_time = t_end - rx_lag
         received_row = (origin, seq, rx_time)
         for index in range(n_nodes):

@@ -1,13 +1,13 @@
 """Specification of a steady-state traffic run.
 
 A :class:`TrafficSpec` is the complete experiment identity of a
-multi-frame run: the node/protocol matrix, the workload-generator
-parameters, the time-window partition used for sharding, and the
-sustained fault regime.  Every observable of the run — the submission
-schedule, the spliced bus trace, the message ledger, the AB1–AB5
-verdicts — is a deterministic function of this spec, which is why the
-v2 trace manifest embeds it verbatim: a recording replays bit-
-identically from the manifest alone (``repro.traffic.recording``).
+multi-frame run: the node/protocol matrix, the workload parameters,
+the time-window partition used for sharding, and the sustained fault
+regime.  Every observable of the run — the submission schedule, the
+spliced bus trace, the message ledger, the AB1–AB5 verdicts — is a
+deterministic function of this spec, which is why the v2 trace
+manifest embeds it verbatim: a recording replays bit-identically from
+the manifest alone (``repro.traffic.recording``).
 
 The window partition is deliberately part of the spec rather than a
 runtime tuning knob: windows are the unit of sharding over
@@ -26,15 +26,16 @@ from repro.can.geometry import PROTOCOL_NAMES
 from repro.errors import ConfigurationError, TraceStoreError
 from repro.tracestore.schema import TRAFFIC_SCHEMA_VERSION
 
-#: CAN-identifier base for traffic data frames.  Matches both the
-#: workload generator's assignment and the HLP DATA id base, so the
-#: origin node index is always ``identifier - ID_BASE``.
+#: CAN-identifier base for traffic data frames.  Matches the HLP DATA
+#: id base, so the origin node index is always ``identifier - ID_BASE``.
 ID_BASE = 0x100
 
-_SOURCES = ("periodic", "poisson")
+#: Workload families: fixed-period submissions, or a Bernoulli trial
+#: per bit time (Poisson-like).
+SOURCES = ("periodic", "poisson")
 _HLPS = ("edcan", "relcan", "totcan")
 
-#: Wire-encoding sequence-number capacities: the generator payload
+#: Wire-encoding sequence-number capacities: the traffic payload
 #: carries a 16-bit little-endian sequence, the HLP header a mod-256
 #: byte.  ``build_schedule`` refuses schedules that would wrap.
 CAN_SEQ_CAP = 1 << 16
@@ -90,6 +91,11 @@ class Submission:
     ``time`` is the *global nominal* bit time: the position within the
     concatenated active windows, before drain bits stretch the spliced
     trace.  ``(node, seq)`` is the message key the ledger tracks.
+
+    The traffic message encoding is declared here, once: message
+    ``(n<index>, seq)`` travels as identifier ``ID_BASE + index`` with
+    ``seq`` as a 2-byte little-endian payload, tagged
+    ``"n<index>#<seq>"``; :func:`decode_wire_key` reads it back.
     """
 
     time: int
@@ -97,13 +103,31 @@ class Submission:
     node: str
     node_index: int
     seq: int
-    identifier: int
-    payload: bytes
-    message_id: str
 
     @property
     def key(self) -> Tuple[str, int]:
         return (self.node, self.seq)
+
+    @property
+    def identifier(self) -> int:
+        return ID_BASE + self.node_index
+
+    @property
+    def payload(self) -> bytes:
+        return self.seq.to_bytes(2, "little")
+
+    @property
+    def message_id(self) -> str:
+        return "%s#%d" % (self.node, self.seq)
+
+
+def decode_wire_key(frame, n_nodes: int) -> Optional[Tuple[str, int]]:
+    """(origin, seq) of a traffic data frame; None for foreign frames."""
+    index = frame.can_id.value - ID_BASE
+    data = frame.data
+    if frame.remote or not 0 <= index < n_nodes or len(data) < 2:
+        return None
+    return (_node_names(n_nodes)[index], data[0] | (data[1] << 8))
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +170,9 @@ class TrafficSpec:
                 "unknown protocol %r (choose from %s)"
                 % (self.protocol, list(PROTOCOL_NAMES))
             )
-        if self.source not in _SOURCES:
+        if self.source not in SOURCES:
             raise ConfigurationError(
-                "unknown source %r (choose from %s)" % (self.source, list(_SOURCES))
+                "unknown source %r (choose from %s)" % (self.source, list(SOURCES))
             )
         if self.hlp is not None and self.hlp not in _HLPS:
             raise ConfigurationError(
@@ -213,8 +237,9 @@ class TrafficSpec:
     def period_bits(self) -> int:
         """Per-node submission period of the periodic workload.
 
-        Same arithmetic as
-        :func:`repro.workload.generator.periodic_sources_for_profile`,
+        ``n_nodes`` nodes sharing the aggregate frame rate
+        ``load / frame_bits`` per bit time (the
+        :class:`repro.workload.profiles.NetworkProfile` arithmetic),
         extended to overload factors (``load > 1``) the profile class
         refuses.
         """

@@ -23,7 +23,7 @@ from repro.faults.bit_errors import BurstViewErrorInjector, RandomViewErrorInjec
 from repro.faults.injector import CompositeInjector
 from repro.faults.scenarios import make_controller
 from repro.simulation.engine import SimulationEngine
-from repro.traffic.spec import ID_BASE, Submission, TrafficSpec
+from repro.traffic.spec import Submission, TrafficSpec, decode_wire_key
 
 #: Extra quiet bits required before a window counts as drained.  HLP
 #: runs settle longer so protocol timeouts (retransmission timers) get
@@ -74,22 +74,10 @@ def _controller_config(spec: TrafficSpec):
     )
 
 
-def _decode_wire_key(frame, n_nodes: int) -> Optional[Tuple[str, int]]:
-    """(origin, seq) of a traffic data frame; None for foreign frames."""
-    index = frame.can_id.value - ID_BASE
-    data = frame.data
-    if frame.remote or not 0 <= index < n_nodes or len(data) < 2:
-        return None
-    return ("n%d" % index, data[0] | (data[1] << 8))
-
-
-def _submission_frame(spec: TrafficSpec, sub: Submission):
+def _submission_frame(sub: Submission):
     """The data frame a node submits for ``sub``."""
     return data_frame(
-        sub.identifier,
-        sub.payload,
-        message_id=sub.message_id,
-        origin=spec.node_names[sub.node_index],
+        sub.identifier, sub.payload, message_id=sub.message_id, origin=sub.node
     )
 
 
@@ -164,7 +152,7 @@ def _run_engine_suffix(
         while index < len(pending) and pending[index][0] == now:
             sub = pending[index][1]
             if app_nodes is None:
-                controllers[sub.node_index].submit(_submission_frame(spec, sub))
+                controllers[sub.node_index].submit(_submission_frame(sub))
             else:
                 message = app_nodes[sub.node_index].broadcast(sub.payload)
                 if message.seq != sub.seq:
@@ -227,7 +215,7 @@ def _run_engine_suffix(
         for controller in controllers:
             rows = []
             for delivery in controller.deliveries:
-                key = _decode_wire_key(delivery.frame, spec.n_nodes)
+                key = decode_wire_key(delivery.frame, spec.n_nodes)
                 if key is not None:
                     rows.append((key[0], key[1], delivery.time + cut))
             deliveries[controller.name] = tuple(rows)

@@ -313,7 +313,7 @@ def test_clean_window_encodes_each_frame_once(monkeypatch):
         record_events=False,
     )
     submissions = build_schedule(spec)
-    frames_sent = Counter(_submission_frame(spec, sub) for sub in submissions)
+    frames_sent = Counter(_submission_frame(sub) for sub in submissions)
     # More frames than the wire_program cache holds.
     assert len(frames_sent) > wire_program.cache_info().maxsize
 

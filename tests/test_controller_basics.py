@@ -1,5 +1,8 @@
 """Controller tests: error-free transmission, reception, delivery."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.can.controller import (
@@ -11,7 +14,9 @@ from repro.can.controller import (
 from repro.can.controller_config import ControllerConfig
 from repro.can.events import EventKind
 from repro.can.frame import data_frame, remote_frame
+from repro.core.majorcan import majorcan_config
 from repro.errors import SimulationError
+from repro.faults.scenarios import make_controller
 from repro.simulation.engine import SimulationEngine
 
 from helpers import delivered_payloads
@@ -171,3 +176,27 @@ class TestEngineGuards:
         tx.submit(data_frame(0x100, b"\x01"))  # never acked, never idle
         with pytest.raises(SimulationError):
             engine.run_until_idle(500)
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+@pytest.mark.parametrize("protocol", ["can", "minorcan", "majorcan"])
+def test_dropped_controller_dies_by_refcount(protocol, fast_path):
+    """A controller holds no reference cycle (its handler tables are
+    class-level functions), so finished runs free their controllers
+    without waiting for the cyclic collector."""
+    config = (
+        majorcan_config(5, fast_path=fast_path)
+        if protocol == "majorcan"
+        else ControllerConfig(fast_path=fast_path)
+    )
+    gc.disable()
+    try:
+        controllers = [make_controller(protocol, name, config=config) for name in ("tx", "rx")]
+        controllers[0].submit(data_frame(0x123, b"\x01\x02"))
+        engine = SimulationEngine(controllers, record_bits=False)
+        engine.run(40)  # mid-frame: both parsers and the wire program live
+        refs = [weakref.ref(controller) for controller in controllers]
+        del controllers, engine
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

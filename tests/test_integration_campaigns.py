@@ -1,6 +1,6 @@
 """Integration tests: multi-frame traffic under random fault injection.
 
-These close the loop across every subsystem: workload generation, the
+These close the loop across every subsystem: the traffic schedule, the
 bit-level controllers, random view-error injection, ledgers, and the
 Atomic Broadcast checkers.
 """
@@ -8,6 +8,7 @@ Atomic Broadcast checkers.
 import pytest
 
 from repro.can.controller import CanController
+from repro.can.frame import data_frame
 from repro.core.majorcan import MajorCanController
 from repro.core.minorcan import MinorCanController
 from repro.faults.bit_errors import RandomViewErrorInjector
@@ -15,29 +16,33 @@ from repro.properties.broadcast import check_atomic_broadcast
 from repro.properties.can_properties import classify_omissions
 from repro.properties.ledger import SystemLedger
 from repro.simulation.engine import SimulationEngine
-from repro.workload.generator import (
-    PeriodicSource,
-    attach_sources,
+from repro.traffic import TrafficSpec, build_schedule
+
+#: Four nodes, one message each every 260 bits (phases 65 bits apart),
+#: six messages per node over a 16,000-bit run.
+CAMPAIGN = TrafficSpec(
+    n_nodes=4, window_bits=16000, load=1.0, frame_bits=65, messages_per_node=6
 )
 
 
-def run_campaign(controller_factory, ber_star, seed, n_nodes=4, messages=6,
-                 period=260, bits=16000):
-    controllers = [controller_factory("n%d" % i) for i in range(n_nodes)]
+def run_campaign(controller_factory, ber_star, seed):
+    controllers = [controller_factory(name) for name in CAMPAIGN.node_names]
     injector = RandomViewErrorInjector(ber_star, seed=seed)
     engine = SimulationEngine(controllers, injector=injector, record_bits=False)
-    sources = [
-        PeriodicSource(
-            controller=controller,
-            period_bits=period,
-            identifier=0x100 + index,
-            phase=index * (period // n_nodes),
-            max_messages=messages,
-        )
-        for index, controller in enumerate(controllers)
-    ]
-    attach_sources(engine, sources)
-    engine.run(bits)
+    due = {}
+    for sub in build_schedule(CAMPAIGN):
+        due.setdefault(sub.time, []).append(sub)
+
+    def submit(now):
+        for sub in due.get(now, ()):
+            controllers[sub.node_index].submit(
+                data_frame(
+                    sub.identifier, sub.payload, message_id=sub.message_id, origin=sub.node
+                )
+            )
+
+    engine.add_tick_hook(submit)
+    engine.run(CAMPAIGN.window_bits)
     try:
         engine.run_until_idle(120000)
     except Exception:

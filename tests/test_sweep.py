@@ -985,6 +985,22 @@ class TestTrafficSurface:
             assert row["atomic"] is True
             assert 0.0 < row["bus_load"] <= 1.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="evaluate_traffic_cell never derives a Poisson rate from the "
+        "cell's load, so every Poisson cell runs at rate 0 and submits no "
+        "frame. The fix moves the sweep store bytes and the noisy_sweep "
+        "benchmark fingerprint, so it waits for the benchmark "
+        "re-fingerprint (ROADMAP direction 3, stage B).",
+    )
+    def test_poisson_cell_at_load_submits_frames(self):
+        from repro.sweep import TrafficCell
+        from repro.sweep.cell import evaluate_traffic_cell
+
+        cell = TrafficCell("can", 5, 3, 0.9, "poisson")
+        result = evaluate_traffic_cell(cell, windows=1, window_bits=2000, seed=1)
+        assert result["frames_submitted"] > 0
+
     def test_noisy_fresh_runs_across_jobs_are_byte_identical(self, tmp_path):
         # Each store is filled from scratch: serially, then on the pool.
         spec = traffic_spec(

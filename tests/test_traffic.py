@@ -1,12 +1,13 @@
 """Tests for the steady-state traffic engine (:mod:`repro.traffic`)."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import ConfigurationError, ProtocolError, TraceStoreError
 from repro.metrics.export import json_line
+from repro.parallel.seeds import rng_from
 from repro.tracestore import load_trace, replay_trace, validate_records
 from repro.traffic import (
     BurstSpec,
@@ -19,9 +20,9 @@ from repro.traffic import (
     traffic_records,
 )
 from repro.traffic.run import WindowResult
-from repro.traffic.schedule import POISSON_CHUNK, _ScheduleProbe, submit_poisson
+from repro.traffic.recording import submission_record
+from repro.traffic.schedule import POISSON_CHUNK, traffic_seed_tree
 from repro.traffic.spec import Submission
-from repro.workload.generator import PoissonSource
 from repro.workload.profiles import NetworkProfile
 
 
@@ -198,59 +199,99 @@ class TestSchedule:
             build_schedule(spec)
 
 
-def poisson_run(rate, cap, seed, bits, scalar=False):
-    """Submissions of one Poisson source over ``bits`` ticks: scalar
-    ``tick`` calls or ``submit_poisson``."""
-    probe = _ScheduleProbe("n0")
-    source = PoissonSource(
-        controller=probe, rate_per_bit=rate, identifier=0x100, rng=seed, max_messages=cap
+def reference_schedule(spec):
+    """``build_schedule`` written per tick: a periodic node submits
+    where ``(t - phase) % period == 0``, a Poisson node draws one
+    scalar uniform per tick until it reaches its cap."""
+    cap = spec.messages_per_node
+    children, _ = traffic_seed_tree(spec)
+    rows = []
+    for index, name in enumerate(spec.node_names):
+        rng = rng_from(children[index])
+        period = spec.period_bits
+        phase = (index * period) // spec.n_nodes
+        seq = 0
+        for time in range(spec.total_active_bits):
+            if cap is not None and seq >= cap:
+                break
+            if spec.source == "periodic":
+                hit = time >= phase and (time - phase) % period == 0
+            else:
+                hit = rng.random() < spec.rate_per_bit
+            if hit:
+                rows.append((time, index, name, seq, time // spec.window_bits))
+                seq += 1
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return [
+        {
+            "t": time,
+            "window": window,
+            "node": name,
+            "seq": seq,
+            "id": 0x100 + index,
+            "payload": bytes([seq & 0xFF, seq >> 8]).hex(),
+            "message_id": "%s#%d" % (name, seq),
+        }
+        for time, index, name, seq, window in rows
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    source=st.sampled_from(["periodic", "poisson"]),
+    cap=st.sampled_from([None, 1, 4]),
+    n_nodes=st.integers(2, 8),
+    windows=st.integers(1, 3),
+    window_bits=st.integers(64, 300),
+    load=st.sampled_from([0.3, 0.9, 2.5]),
+    rate=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    chunk=st.sampled_from([1, 7, 40, POISSON_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schedule_matches_per_tick_reference(
+    source, cap, n_nodes, windows, window_bits, load, rate, chunk, seed
+):
+    """Periodic ticks by modulus and Poisson hits drawn one uniform per
+    tick give the schedule ``build_schedule`` computes arithmetically
+    and in chunks, across chunk boundaries and the message cap."""
+    spec = TrafficSpec(
+        n_nodes=n_nodes,
+        windows=windows,
+        window_bits=window_bits,
+        source=source,
+        load=load,
+        frame_bits=20,
+        rate_per_bit=rate,
+        messages_per_node=cap,
+        seed=seed,
     )
-    if scalar:
-        for time in range(bits):
-            probe.now = time
-            source.tick(time)
-    else:
-        submit_poisson(source, bits)
-    return [(time, frame.message_id, frame.data) for time, frame in probe.submissions]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schedule, "POISSON_CHUNK", chunk)
+        built = [
+            {key: value for key, value in submission_record(sub).items() if key != "type"}
+            for sub in build_schedule(spec)
+        ]
+    assert built == reference_schedule(spec)
 
 
 class TestPoissonChunks:
-    """``submit_poisson`` draws a source's uniforms in chunks; scalar
-    ``PoissonSource.tick`` draws one per tick.  Same submissions."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        rate=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
-        cap=st.sampled_from([None, 1, 4]),
-        chunk=st.integers(1, 40),
-        bits=st.integers(0, 200),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_small_chunks(self, rate, cap, chunk, bits, seed):
-        scalar = poisson_run(rate, cap, seed, bits, scalar=True)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(schedule, "POISSON_CHUNK", chunk)
-            assert poisson_run(rate, cap, seed, bits) == scalar
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        rate=st.sampled_from([0.0, 0.002, 1.0]),
-        cap=st.sampled_from([None, 3]),
-        offset=st.integers(-30, 30),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_across_the_chunk_boundary(self, rate, cap, offset, seed):
-        # rate 1 without a cap submits on every tick: the test below.
-        assume(rate < 1.0 or cap is not None)
-        bits = POISSON_CHUNK + offset
-        scalar = poisson_run(rate, cap, seed, bits, scalar=True)
-        assert poisson_run(rate, cap, seed, bits) == scalar
-
-    def test_every_tick_across_the_chunk_boundary(self):
-        bits = POISSON_CHUNK + 2
-        scalar = poisson_run(1.0, None, 5, bits, scalar=True)
-        assert len(scalar) == bits
-        assert poisson_run(1.0, None, 5, bits) == scalar
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 30])
+    def test_across_the_chunk_boundary(self, offset):
+        """At the real :data:`POISSON_CHUNK`, a run ending on either
+        side of a block boundary submits what per-tick draws submit."""
+        spec = TrafficSpec(
+            n_nodes=2,
+            window_bits=POISSON_CHUNK + offset,
+            source="poisson",
+            rate_per_bit=0.002,
+            seed=11,
+        )
+        built = [
+            {key: value for key, value in submission_record(sub).items() if key != "type"}
+            for sub in build_schedule(spec)
+        ]
+        assert built
+        assert built == reference_schedule(spec)
 
 
 class TestJobsInvariance:
@@ -351,16 +392,7 @@ class TestVerdictClassification:
 
     def _schedule(self, spec):
         return tuple(
-            Submission(
-                time=t,
-                window=0,
-                node="n0",
-                node_index=0,
-                seq=seq,
-                identifier=0x100,
-                payload=bytes([seq, 0]),
-                message_id="n0#%d" % seq,
-            )
+            Submission(time=t, window=0, node="n0", node_index=0, seq=seq)
             for seq, t in enumerate((0, 10, 20, 30))
         )
 

@@ -1,18 +1,17 @@
-"""Tests for workload generation."""
+"""Tests for workload generation: the network profile
+(:mod:`repro.workload.profiles`) and the traffic schedule built from a
+:class:`~repro.traffic.TrafficSpec`."""
 
 import pytest
 
-from repro.can.controller import CanController
+from repro.can.bits import BUSY_RECESSIVE_BITS, count_busy_bits
 from repro.errors import ConfigurationError
-from repro.simulation.engine import SimulationEngine
-from repro.workload.generator import (
-    PeriodicSource,
-    PoissonSource,
-    attach_sources,
-    measured_bus_load,
-    periodic_sources_for_profile,
-)
+from repro.traffic import TrafficSpec, build_schedule, run_traffic
 from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
+
+
+def _times(schedule, node):
+    return [sub.time for sub in schedule if sub.node == node]
 
 
 class TestProfileValidation:
@@ -32,106 +31,107 @@ class TestProfileValidation:
 
 
 class TestPeriodicSource:
-    def _setup(self, period=200, max_messages=None):
-        controller = CanController("n0")
-        engine = SimulationEngine([controller, CanController("sink")])
-        source = PeriodicSource(
-            controller=controller,
-            period_bits=period,
-            identifier=0x100,
-            max_messages=max_messages,
+    def _spec(self, window_bits, messages_per_node=None, frame_bits=50):
+        # Two nodes at load 1: period = 2 * frame_bits.
+        return TrafficSpec(
+            n_nodes=2,
+            window_bits=window_bits,
+            load=1.0,
+            frame_bits=frame_bits,
+            messages_per_node=messages_per_node,
         )
-        engine.add_tick_hook(source.tick)
-        return engine, controller, source
 
     def test_submits_on_period(self):
-        engine, controller, source = self._setup(period=100)
-        engine.run(301)
-        assert source.sent == 4  # t = 0, 100, 200, 300
+        spec = self._spec(window_bits=301)
+        assert spec.period_bits == 100
+        schedule = build_schedule(spec)
+        assert _times(schedule, "n0") == [0, 100, 200, 300]
+        assert _times(schedule, "n1") == [50, 150, 250]
 
     def test_max_messages_caps(self):
-        engine, controller, source = self._setup(period=50, max_messages=2)
-        engine.run(500)
-        assert source.sent == 2
+        schedule = build_schedule(self._spec(window_bits=500, messages_per_node=2, frame_bits=25))
+        assert _times(schedule, "n0") == [0, 50]
+        assert _times(schedule, "n1") == [25, 75]
 
     def test_message_ids_are_unique(self):
-        engine, controller, source = self._setup(period=100)
-        engine.run(301)
-        tags = [frame.message_id for frame in controller.submitted]
+        schedule = build_schedule(self._spec(window_bits=301))
+        tags = [sub.message_id for sub in schedule]
         assert len(set(tags)) == len(tags)
+        assert len({sub.key for sub in schedule}) == len(tags)
 
     def test_period_validated(self):
         with pytest.raises(ConfigurationError):
-            PeriodicSource(CanController("x"), period_bits=0, identifier=1)
+            TrafficSpec(frame_bits=0)
+        # Loads that would round the period to zero still submit once
+        # per bit at most.
+        assert TrafficSpec(n_nodes=2, frame_bits=1, load=4.0).period_bits == 1
 
 
 class TestPoissonSource:
     def test_rate_validated(self):
         with pytest.raises(ConfigurationError):
-            PoissonSource(CanController("x"), rate_per_bit=2.0, identifier=1)
+            TrafficSpec(source="poisson", rate_per_bit=2.0)
+        with pytest.raises(ConfigurationError):
+            TrafficSpec(source="poisson", rate_per_bit=-0.1)
 
     def test_seeded_rate_approximation(self):
-        controller = CanController("n0")
-        engine = SimulationEngine([controller, CanController("sink")])
-        source = PoissonSource(
-            controller=controller, rate_per_bit=0.01, identifier=0x100, rng=42
+        spec = TrafficSpec(
+            n_nodes=2, window_bits=5000, source="poisson", rate_per_bit=0.01, seed=42
         )
-        engine.add_tick_hook(source.tick)
-        engine.run(5000)
-        assert 20 <= source.sent <= 80  # ~50 expected
+        schedule = build_schedule(spec)
+        for node in spec.node_names:
+            assert 20 <= len(_times(schedule, node)) <= 80  # ~50 expected
 
 
 class TestProfileSources:
-    def test_sources_for_paper_profile(self):
-        controllers = [CanController("n%d" % i) for i in range(4)]
-        sources = periodic_sources_for_profile(
-            controllers, PAPER_PROFILE, messages_per_node=3
+    def _spec(self, messages_per_node, window_bits):
+        profile = PAPER_PROFILE.scaled(n_nodes=4)
+        return TrafficSpec(
+            n_nodes=profile.n_nodes,
+            window_bits=window_bits,
+            load=profile.load,
+            frame_bits=profile.frame_bits,
+            messages_per_node=messages_per_node,
         )
-        assert len(sources) == 4
-        periods = {source.period_bits for source in sources}
-        assert len(periods) == 1
-        identifiers = {source.identifier for source in sources}
-        assert len(identifiers) == 4
+
+    def test_sources_for_paper_profile(self):
+        spec = self._spec(messages_per_node=3, window_bits=2000)
+        schedule = build_schedule(spec)
+        assert len(schedule) == 12
+        gaps = set()
+        for node in spec.node_names:
+            times = _times(schedule, node)
+            assert len(times) == 3
+            gaps.update(b - a for a, b in zip(times, times[1:]))
+        assert gaps == {spec.period_bits}
+        assert len({sub.identifier for sub in schedule}) == 4
 
     def test_empty_controllers_rejected(self):
         with pytest.raises(ConfigurationError):
-            periodic_sources_for_profile([], PAPER_PROFILE)
+            TrafficSpec(n_nodes=0)
 
     def test_generated_load_is_high(self):
         """Four nodes at the paper's 90% profile keep the bus busy."""
-        controllers = [CanController("n%d" % i) for i in range(4)]
-        engine = SimulationEngine(controllers, record_bits=False)
-        sources = periodic_sources_for_profile(
-            controllers, PAPER_PROFILE.scaled(n_nodes=4), messages_per_node=20
-        )
-        attach_sources(engine, sources)
-        engine.run(8000)
-        load = measured_bus_load(engine, start=100)
-        assert load > 0.5
+        stats = run_traffic(self._spec(messages_per_node=20, window_bits=8000), jobs=1).stats
+        assert stats.bus_load > 0.5
 
     def test_all_messages_delivered_under_load(self):
-        controllers = [CanController("n%d" % i) for i in range(4)]
-        engine = SimulationEngine(controllers, record_bits=False)
-        sources = periodic_sources_for_profile(
-            controllers, PAPER_PROFILE.scaled(n_nodes=4), messages_per_node=5
-        )
-        attach_sources(engine, sources)
-        engine.run(20000)
-        engine.run_until_idle(60000)
-        # Every node delivered every other node's 5 messages.
-        for controller in controllers:
-            foreign = [
-                d for d in controller.deliveries if d.frame.message_id is None
-            ]
-            assert len(foreign) == 15
+        outcome = run_traffic(self._spec(messages_per_node=5, window_bits=3000), jobs=1)
+        # Every node delivered every node's 5 messages exactly once.
+        assert len(outcome.verdicts) == 20
+        assert {verdict.status for verdict in outcome.verdicts} == {"delivered"}
+        assert outcome.stats.delivered == 20
 
 
 class TestMeasuredLoad:
     def test_empty_history(self):
-        engine = SimulationEngine([CanController("a")])
-        assert measured_bus_load(engine) == 0.0
+        assert count_busy_bits("") == 0
 
     def test_idle_bus_is_zero_load(self):
-        engine = SimulationEngine([CanController("a")])
-        engine.run(100)
-        assert measured_bus_load(engine, start=20) < 0.2
+        """Not exactly zero: the load counts the first 12 bits of every
+        recessive run, the leading one included."""
+        assert count_busy_bits("r" * 100) == BUSY_RECESSIVE_BITS
+        spec = TrafficSpec(n_nodes=2, window_bits=500, messages_per_node=0)
+        stats = run_traffic(spec, jobs=1).stats
+        assert stats.frames_submitted == 0
+        assert stats.bus_load < 0.05

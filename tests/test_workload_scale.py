@@ -1,10 +1,10 @@
-"""Workload generators at traffic scale (PR 7 satellite).
+"""Traffic workloads at scale.
 
-The unit tests in ``test_workload.py`` check the generators against a
-bare engine; these check them through :mod:`repro.traffic` — sustained
-multi-window runs, seed handoff across the worker pool, the load
-arithmetic against :class:`NetworkProfile`, and queue behaviour when
-submissions outpace what arbitration can serve.
+``test_traffic.py`` checks the submission schedule against a per-tick
+reference; these check whole runs through :mod:`repro.traffic` —
+sustained multi-window runs, seed handoff across the worker pool, the
+load arithmetic against :class:`NetworkProfile`, and queue behaviour
+when submissions outpace what arbitration can serve.
 """
 
 import pytest
@@ -69,10 +69,9 @@ class TestLoadArithmetic:
     def test_submission_rate_matches_profile(self):
         """The periodic schedule realises ``frames_per_second``.
 
-        The spec's period arithmetic is the same as
-        ``periodic_sources_for_profile``; over a long window the
-        submission count must match the profile's frame rate applied
-        to the active simulated time.
+        The spec's period arithmetic is the profile's; over a long
+        window the submission count must match the profile's frame
+        rate applied to the active simulated time.
         """
         profile = NetworkProfile(
             bit_rate=1_000_000.0, n_nodes=4, load=0.5, frame_bits=110
