@@ -147,6 +147,15 @@ class RandomViewErrorInjector(FaultInjector):
         self._block_end = time
         self.next_view_tick = time
 
+    def drawn_flip(self) -> Optional[int]:
+        """The tick of the next flip already drawn, or None.
+
+        Read between engine ticks, it is the first flip after the last
+        tick run.  None means the lookahead holds no further flip: the
+        next one, if any, lies beyond it (:meth:`settle`, then scan).
+        """
+        return self._flips[-1][0] if self._flips else None
+
     def _draw_block(self, time: int) -> None:
         """Draw the block of uniforms starting at tick ``time``."""
         if self._bound_ranks is None:

@@ -1,13 +1,13 @@
-"""Closed-form rendering of traffic windows: the clean prefix.
+"""Closed-form rendering of traffic windows, between engine segments.
 
-Every traffic window is a committed clean prefix, rendered here in
-closed form, followed by an engine suffix from cut tick ``s``
-(:func:`repro.traffic.window._run_engine_suffix`).  The window's
-``backend`` label names which half is empty:
+A traffic window is a sequence of segments on one clock: clean frames
+rendered here in closed form, and engine segments run by
+:class:`repro.traffic.window._EngineWindow` from cut ticks ``s``.  The
+window's ``backend`` label says how it started:
 
-- ``"batch"`` — no suffix: a window free of higher-level protocols
-  whose noise mask never fires and whose bursts miss the clean
-  timeline (a noise-free window is the zero-flip case) is fully
+- ``"batch"`` — no engine segment: a window free of higher-level
+  protocols whose noise mask never fires and whose bursts miss the
+  clean timeline (a noise-free window is the zero-flip case) is fully
   determined by its submission schedule.  Identifiers are fixed
   per node, so arbitration under contention resolves deterministically
   (lowest identifier = lowest node index wins), every frame is
@@ -15,18 +15,20 @@ closed form, followed by an engine suffix from cut tick ``s``
   concatenation of the winners' cached
   :attr:`repro.can.encoding.WireFrame.symbols` with recessive gaps in
   between.  A priority-queue scheduler at bus-idle instants
-  (:func:`_plan_frames`) lays out the frames and :func:`_render_prefix`
+  (:func:`_plan_frames`) lays out the frames and :func:`_render_segment`
   reproduces the engine's observable surface *exactly* — bus string,
   per-node deliveries, event stream (times, payloads and merge order;
   built only when the spec records events, counted in closed form
   otherwise), backlog samples and busy-bit count.
-- ``"resume"`` — both halves: :func:`_resume_window` commits the clean
-  frames of the same plan that end before the first fault, renders
-  them with the same renderer and runs the engine suffix from the cut.
-- ``"engine"`` — no prefix (``s = 0``): nothing commits before the
-  first fault, the clean timeline overflows its drain budget, the
-  window runs a higher-level protocol, or the run asked for the engine
-  backend, which never plans or scans.
+- ``"resume"`` — :func:`_resume_window` commits the clean frames that
+  end before the first fault, renders them with the same renderer and
+  runs the engine from the cut.  Once the bus has recovered, the engine
+  hands the window back: the rest is planned again from that tick and
+  rendered up to the next fault, and so on to the window's end.
+- ``"engine"`` — the same, but nothing commits before the first fault
+  (``s = 0``) or the clean timeline overflows its drain budget.  HLP
+  windows and the engine backend run one engine segment from tick 0
+  and never plan or scan.
 
 Timing model (verified against the engine's step order — drive, bus
 resolve, ``on_bit``, tick hooks, ``time += 1``):
@@ -35,8 +37,8 @@ resolve, ``on_bit``, tick hooks, ``time += 1``):
   of that tick, so the earliest SOF it can drive is ``a + 1``;
 - a frame's SOF lands at ``t0 = max(idle_from, a_min + 1)`` where
   ``idle_from`` is the first drive instant after the previous frame's
-  intermission (``t_end + 4``; ``0`` at the window start) and
-  ``a_min`` the earliest queued arrival;
+  intermission (``t_end + 4``; the segment's first tick at its start)
+  and ``a_min`` the earliest queued arrival;
 - the contenders are the nodes whose head-of-queue arrival is
   ``<= t0 - 1``; the winner is the lowest node index; each loser
   withdraws at its first wire-level divergence from the winner (an
@@ -44,12 +46,14 @@ resolve, ``on_bit``, tick hooks, ``time += 1``):
 - receivers deliver at the protocol's EOF rule — standard CAN at the
   last-but-one EOF bit, MinorCAN and MajorCAN at the last — and the
   winner self-delivers at ``t_end``;
+- every frame lowers its winner's TEC and every other node's REC by
+  one, floored at 0;
 - the drained window ends after twelve quiet bits:
   ``total = max(window_bits, t_last_end + 3) + 12``.
 
 :func:`run_window_batch` is the one entry point: it plans the clean
 timeline once, scans its length for the first fault and either renders
-it whole or hands the plan to the resume path.  Windows are
+it whole or hands the plan to the segment loop.  Windows are
 not memoised: periodic workloads advance their sequence numbers every
 window, so distinct windows of one run rarely collide, and a measured
 memo saved ~1% of a noisy sweep.
@@ -63,20 +67,23 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.noisebatch import advance, first_flip, generator_state, restore_state
 from repro.can.bits import count_busy_bits
-from repro.can.encoding import wire_program
+from repro.can.encoding import WireFrame, wire_program
+from repro.can.error_counters import ErrorCounters
 from repro.can.events import Event, EventKind
 from repro.can.frame import Frame
 from repro.can.identifiers import CanId
 from repro.errors import SimulationError
 from repro.faults.bit_errors import view_noise_ranks
 from repro.parallel.seeds import rng_from
+from repro.simulation.engine import NEVER
 from repro.traffic.spec import Submission, TrafficSpec
 from repro.traffic.window import (
     _BACKLOG_STRIDE,
     _SETTLE_BITS,
+    Boundary,
     WindowResult,
     _controller_config,
-    _run_engine_suffix,
+    _EngineWindow,
     _submission_frame,
 )
 
@@ -168,9 +175,8 @@ def _max_sampled_backlog(
 class _FramePlan:
     """One planned frame on the clean timeline (plan/render split).
 
-    ``wire`` is the winner's :class:`repro.can.encoding.WireFrame`, so
-    the render never looks the frame up again: each frame is encoded
-    once per window, however many frames the window holds.
+    ``wire`` is the winner's :class:`repro.can.encoding.WireFrame`,
+    taken from its queue entry, so the render never looks it up again.
     """
 
     __slots__ = ("t0", "t_end", "winner", "contenders", "wire")
@@ -185,73 +191,81 @@ class _FramePlan:
         self.wire = wire
 
 
+#: Per node, ``(window-local arrival, frame, submission, wire frame)``
+#: in submission order.
+_Queues = List[List[Tuple[int, Frame, Submission, WireFrame]]]
+
+
 def _local_queues(
     spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-) -> List[List[Tuple[int, object, Submission]]]:
-    """Per-node (window-local arrival, frame, submission) queues."""
+) -> _Queues:
+    """The window's per-node queues, each frame encoded once.
+
+    Every segment plans from these entries, so a window that is
+    planned again after each engine segment still encodes each frame
+    once, however many frames it holds.
+    """
     offset = window * spec.window_bits
-    queues: List[List[Tuple[int, object, Submission]]] = [
-        [] for _ in range(spec.n_nodes)
-    ]
+    eof_length = _controller_config(spec).eof_length
+    queues: _Queues = [[] for _ in range(spec.n_nodes)]
     for sub in submissions:
+        frame = _submission_frame(sub)
         queues[sub.node_index].append(
-            (sub.time - offset, _submission_frame(sub), sub)
+            (sub.time - offset, frame, sub, wire_program(frame, eof_length))
         )
     return queues
 
 
 def _plan_frames(
     spec: TrafficSpec,
-    queues: List[List[Tuple[int, object, Submission]]],
-    count: int,
+    queues: _Queues,
+    heads: List[int],
+    start: int = 0,
 ) -> Tuple[List[_FramePlan], int]:
     """Lay the window's frames on the clean timeline; no rendering.
 
-    Returns the time-ordered frame plans and the window's total bit
-    length (active + drain) on the clean timeline.
+    Plans the entries of each node's queue from its head on, with the
+    bus idle from window tick ``start``.  A heap of head-of-queue
+    arrivals yields each frame's earliest arrival and its contenders,
+    so a frame costs O(contenders), not a scan of every node.  Returns
+    the time-ordered frame plans and the window's total bit length
+    (active + drain) on the clean timeline.
     """
-    eof_length = _controller_config(spec).eof_length
-    n_nodes = spec.n_nodes
-    heads = [0] * n_nodes
+    heads = list(heads)
+    arrivals = [
+        (queue[head][0], index)
+        for index, (queue, head) in enumerate(zip(queues, heads))
+        if head < len(queue)
+    ]
+    heapq.heapify(arrivals)
     plans: List[_FramePlan] = []
-    idle_from = 0
-    remaining = count
-    while remaining:
-        a_min = min(
-            queues[index][heads[index]][0]
-            for index in range(n_nodes)
-            if heads[index] < len(queues[index])
-        )
-        t0 = max(idle_from, a_min + 1)
-        contenders = tuple(
-            index
-            for index in range(n_nodes)
-            if heads[index] < len(queues[index])
-            and queues[index][heads[index]][0] < t0
-        )
+    idle_from = start
+    while arrivals:
+        t0 = max(idle_from, arrivals[0][0] + 1)
+        contenders = []
+        while arrivals and arrivals[0][0] < t0:
+            contenders.append(heapq.heappop(arrivals)[1])
+        contenders.sort()
         winner = contenders[0]
-        wire = wire_program(queues[winner][heads[winner]][1], eof_length)
+        wire = queues[winner][heads[winner]][3]
         t_end = t0 + wire.length - 1
-        plans.append(_FramePlan(t0, t_end, winner, contenders, wire))
+        plans.append(_FramePlan(t0, t_end, winner, tuple(contenders), wire))
         heads[winner] += 1
-        remaining -= 1
+        if heads[winner] == len(queues[winner]):
+            del contenders[0]
+        for index in contenders:
+            heapq.heappush(arrivals, (queues[index][heads[index]][0], index))
         idle_from = t_end + _TURNAROUND
-    if not plans:
-        total_bits = spec.window_bits + _SETTLE_BITS
-    else:
-        total_bits = (
-            max(spec.window_bits, plans[-1].t_end + _TURNAROUND - 1) + _SETTLE_BITS
-        )
-    return plans, total_bits
+    quiet_from = plans[-1].t_end + _TURNAROUND - 1 if plans else 0
+    return plans, max(spec.window_bits, quiet_from) + _SETTLE_BITS
 
 
 def _frame_events(
     plan: _FramePlan,
-    queues: List[List[Tuple[int, object, Submission]]],
+    queues: _Queues,
     heads: List[int],
     attempts: List[int],
     names: Tuple[str, ...],
-    eof_length: int,
     rx_time: int,
     self_delivery: bool,
 ) -> Iterator[Tuple[int, Event]]:
@@ -280,7 +294,7 @@ def _frame_events(
             yield index, Event(time=t0, node=name, kind=EventKind.RX_START, data={})
     winner_values = plan.wire.bit_values
     for index in plan.contenders[1:]:
-        loser = wire_program(queues[index][heads[index]][1], eof_length)
+        loser = queues[index][heads[index]][3]
         position = _arbitration_divergence(loser.bit_values, winner_values)
         field, field_index = loser.positions[position]
         yield index, Event(
@@ -290,7 +304,7 @@ def _frame_events(
             data={"field": field, "index": field_index},
         )
 
-    _, winner_frame, winner_sub = queues[winner][heads[winner]]
+    _, winner_frame, winner_sub, _ = queues[winner][heads[winner]]
     received = str(Frame(can_id=CanId(winner_sub.identifier), data=winner_sub.payload))
     for index, name in enumerate(names):
         if index != winner:
@@ -321,21 +335,26 @@ def _frame_events(
         )
 
 
-def _render_prefix(
+def _render_segment(
     spec: TrafficSpec,
     window: int,
-    queues: List[List[Tuple[int, object, Submission]]],
+    queues: _Queues,
+    heads: List[int],
+    attempts: List[int],
     plans: List[_FramePlan],
+    start: int,
     bits: int,
-) -> Tuple[WindowResult, List[int]]:
-    """Engine-exact surface of the planned frames over ticks ``0..bits``.
+) -> WindowResult:
+    """Engine-exact surface of the planned frames over ticks ``start..bits``.
 
     The one closed-form renderer: the whole drained window on the clean
-    path, the committed prefix up to the cut on the resume path.
-    Returns the result (labelled ``"batch"``) and the per-node
-    arbitration attempt counters left standing after the last plan:
-    losers of committed rounds carry them into the engine suffix so
-    their next TX_START numbers identically.
+    path, each committed segment between engine segments on the resume
+    path.  ``heads`` and ``attempts`` are the per-node queue heads and
+    head-of-queue arbitration attempt counters at ``start``; they are
+    advanced in place past the planned frames, so losers of committed
+    rounds carry their counters into the next engine segment and their
+    next TX_START numbers identically.  The result is labelled
+    ``"batch"``.
 
     Events are built only when the spec records them.  Otherwise
     ``event_counts`` is summed in closed form: per frame, one TX_START
@@ -344,22 +363,24 @@ def _render_prefix(
     the winner's own under self-delivery) and one TX_SUCCESS.
     """
     record = spec.record_events
-    config = _controller_config(spec)
-    eof_length = config.eof_length
-    self_delivery = config.self_delivery
+    self_delivery = _controller_config(spec).self_delivery
     names = spec.node_names
     n_nodes = spec.n_nodes
     # Receivers of a standard CAN frame deliver at the last-but-one EOF
     # bit; MinorCAN and MajorCAN postpone delivery to the last.
     rx_lag = 1 if spec.protocol == "can" else 0
 
-    heads = [0] * n_nodes
-    attempts = [0] * n_nodes
+    # Arrivals at or after ``bits`` belong to the next engine segment,
+    # which samples them itself; queued frames count from ``start``.
+    arrivals = [
+        [max(entry[0], start) for entry in node_queue[head:] if entry[0] < bits]
+        for node_queue, head in zip(queues, heads)
+    ]
     node_events: List[List[Event]] = [[] for _ in range(n_nodes)]
     deliveries: List[List[Tuple[str, int, int]]] = [[] for _ in range(n_nodes)]
     completions: List[List[int]] = [[] for _ in range(n_nodes)]
     pieces: List[str] = []
-    cursor = 0
+    cursor = start
     contended = 0
 
     for plan in plans:
@@ -388,7 +409,6 @@ def _render_prefix(
                 heads,
                 attempts,
                 names,
-                eof_length,
                 rx_time,
                 self_delivery,
             ):
@@ -425,14 +445,9 @@ def _render_prefix(
             if count:
                 event_counts[kind] = count
 
-    # Arrivals at or after ``bits`` belong to the engine suffix, which
-    # samples them itself; the closed-form walk stops at its horizon.
-    arrivals = [
-        [entry[0] for entry in node_queue if entry[0] < bits] for node_queue in queues
-    ]
     return WindowResult(
         window=window,
-        bits=bits,
+        bits=bits - start,
         bus=bus,
         deliveries={
             names[index]: tuple(deliveries[index]) for index in range(n_nodes)
@@ -444,7 +459,7 @@ def _render_prefix(
         busy_bits=count_busy_bits(bus),
         errors_injected=0,
         backend="batch",
-    ), attempts
+    )
 
 
 def _noise_draw_width(spec: TrafficSpec) -> int:
@@ -458,74 +473,194 @@ def _noise_draw_width(spec: TrafficSpec) -> int:
     return len(view_noise_ranks(spec.node_names, spec.noise_nodes))
 
 
+def _next_fault(
+    spec: TrafficSpec,
+    window: int,
+    rng,
+    draw_width: int,
+    start: int,
+    end: int,
+    flip: Optional[int] = None,
+) -> Optional[int]:
+    """The first window tick in ``start..end`` where a fault can act.
+
+    That is the tick of the first noise flip — ``flip`` when the caller
+    knows it, else drawn in the engine's stream order from ``rng``,
+    which must sit at tick ``start`` and is left there — or of a burst
+    that is still active, whichever comes first; None when neither
+    falls before ``end``.
+    """
+    fault_tick = None
+    if flip is not None:
+        fault_tick = flip if flip < end else None
+    elif draw_width and end > start:
+        state = generator_state(rng)
+        flip = first_flip(rng, (end - start) * draw_width, spec.noise_ber)
+        restore_state(rng, state)
+        if flip is not None:
+            fault_tick = start + flip // draw_width
+    for burst in spec.bursts_for_window(window):
+        tick = max(burst.start, start)
+        if tick < min(end, burst.start + burst.length) and (
+            fault_tick is None or tick < fault_tick
+        ):
+            fault_tick = tick
+    return fault_tick
+
+
 def run_window_batch(
     spec: TrafficSpec,
     window: int,
     submissions: Tuple[Submission, ...],
     noise_seed=None,
 ) -> WindowResult:
-    """Evaluate one non-HLP window: clean prefix, then the engine suffix.
+    """Evaluate one non-HLP window in closed-form and engine segments.
 
-    Plans the clean timeline once, then draws the window's whole noise
-    mask in the engine's stream order (one uniform per noise-eligible
-    node per tick over that timeline) and thresholds it against the
-    BER.  A window with no flip and no scheduled burst inside the clean
-    timeline *is* the clean window: the plan is rendered whole
-    (``"batch"``, no suffix).  Otherwise the plan goes to
-    :func:`_resume_window` with its first fault tick.  When the clean
-    timeline overflows the drain budget, the window resumes from tick 0
-    (an empty prefix), so the engine raises its own ``SimulationError``.
+    Plans the clean timeline once, then draws the window's noise mask
+    in the engine's stream order (one uniform per noise-eligible node
+    per tick over that timeline) up to its first flip.  A window with
+    no flip and no scheduled burst inside the clean timeline *is* the
+    clean window: the plan is rendered whole (``"batch"``).  Otherwise
+    the plan goes to :func:`_resume_window` with its first fault tick.
+    When the clean timeline overflows the drain budget, the window
+    resumes from tick 0, so the engine raises its own
+    ``SimulationError``.
     """
     rng = rng_from(noise_seed) if spec.noise_ber > 0.0 else None
     draw_width = _noise_draw_width(spec)
     queues = _local_queues(spec, window, submissions)
-    plans, total_bits = _plan_frames(spec, queues, len(submissions))
+    heads = [0] * spec.n_nodes
+    plans, total_bits = _plan_frames(spec, queues, heads)
     if total_bits - spec.window_bits > spec.max_window_bits:
-        return _resume_window(spec, window, queues, plans, rng, draw_width, 0)
-    fault_tick = None
-    if draw_width:
-        state = generator_state(rng)
-        flip = first_flip(rng, total_bits * draw_width, spec.noise_ber)
-        restore_state(rng, state)
-        if flip is not None:
-            fault_tick = flip // draw_width
-    for burst in spec.bursts_for_window(window):
-        if burst.start < total_bits and (
-            fault_tick is None or burst.start < fault_tick
-        ):
-            fault_tick = burst.start
+        fault_tick = 0
+    else:
+        fault_tick = _next_fault(spec, window, rng, draw_width, 0, total_bits)
     if fault_tick is None:
-        return _render_prefix(spec, window, queues, plans, total_bits)[0]
+        return _render_segment(
+            spec, window, queues, heads, [0] * spec.n_nodes, plans, 0, total_bits
+        )
     return _resume_window(spec, window, queues, plans, rng, draw_width, fault_tick)
 
 
 def _resume_window(
     spec: TrafficSpec,
     window: int,
-    queues: List[List[Tuple[int, object, Submission]]],
+    queues: _Queues,
     plans: List[_FramePlan],
     rng,
     draw_width: int,
     fault_tick: int,
 ) -> WindowResult:
-    """A faulted window: the clean prefix up to the cut, then the engine.
+    """A faulted window: closed-form and engine segments, alternating.
 
     ``queues`` and ``plans`` are the window's clean plan from
-    :func:`run_window_batch`.  The plan is committed frame by frame
-    while a frame's whole extent *including its three intermission
-    bits* ends strictly before the first fault tick — so the frame
-    carrying the fault (in body or intermission) is never committed,
-    no frame is mid-flight at the cut, and every committed tick is
-    provably fault-free.  The cut ``s`` is the latest tick with those
-    guarantees: the first fault tick itself, clamped below the next
-    uncommitted frame's SOF.  The engine suffix then runs window ticks
-    ``s..`` with (a) the generator fast-forwarded ``s * draw_width``
-    draws, (b) uncommitted submissions re-queued at
-    ``max(0, arrival - s)``, (c) carried arbitration attempt counters
-    restored and (d) bursts shifted by ``s``.  The halves are spliced
-    (prefix events strictly precede tick ``s``, so concatenation is the
-    engine's heap merge).  At ``s = 0`` nothing commits and the suffix
-    is the whole window (``"engine"``).
+    :func:`run_window_batch`.  Each round commits the plan frame by
+    frame while a frame's whole extent *including its three
+    intermission bits* ends strictly before the next fault tick — so
+    the frame carrying the fault (in body or intermission) is never
+    committed, no frame is mid-flight at the cut, and every committed
+    tick is provably fault-free.  The cut ``s`` is the latest tick with
+    those guarantees: the fault tick itself, clamped below the next
+    uncommitted frame's SOF.  The committed frames are rendered over
+    ticks ``start..s``, their TEC/REC decrements are applied, and the
+    window's one engine runs from ``s`` with the uncommitted
+    submissions re-queued at ``max(arrival, s)`` and the carried
+    arbitration attempt counters restored.  Before the first engine
+    segment the generator is fast-forwarded to ``s``; afterwards the
+    engine's injector keeps it, and bursts stay on the window clock.
+
+    The engine segment hands the window back at the first tick ``h``
+    after the fault where every controller is idle, error-active and
+    online and the bus is recessive, *if* the commit rule, applied to
+    the plan from ``h`` and the next fault, cuts after ``h`` (a burst
+    still active is a fault at ``h``); otherwise it runs on to that
+    fault and asks again.  The next round starts at ``h`` with the
+    engine's queues and counters.  Segments are spliced in order (each
+    one's events lie strictly within its ticks, so concatenation is the
+    engine's heap merge).  The label is ``"engine"`` when the first cut
+    is at 0, ``"resume"`` otherwise.
+    """
+    n_nodes = spec.n_nodes
+    heads = [0] * n_nodes
+    attempts = [0] * n_nodes
+    counters: Tuple[ErrorCounters, ...] = ()
+    start = 0
+    total_bits = 0
+    segments: List[WindowResult] = []
+    engine = None
+    handed: list = []
+
+    def offer(boundary: Boundary) -> Optional[int]:
+        tick = boundary.tick
+        next_heads = [head + done for head, done in zip(heads, boundary.finished)]
+        next_plans, next_total = _plan_frames(spec, queues, next_heads, tick)
+        if next_total - spec.window_bits > spec.max_window_bits or (
+            not next_plans and tick > spec.window_bits
+        ):
+            # The engine raises the drain error itself, or ends a drain
+            # whose quiet run may have begun before ``tick``.
+            return NEVER
+        next_fault = _next_fault(
+            spec, window, rng, draw_width, tick, next_total, boundary.next_flip
+        )
+        if next_fault is not None and _cut(next_plans, next_fault)[1] <= tick:
+            return next_fault
+        handed[:] = [next_heads, next_plans, next_total, next_fault]
+        return None
+
+    while True:
+        if fault_tick is None:
+            # Fault-free to the end: the rest of the window is closed form.
+            segments.append(
+                _render_segment(
+                    spec, window, queues, heads, attempts, plans, start, total_bits
+                )
+            )
+            break
+        committed, cut = _cut(plans, fault_tick)
+        if cut > start:
+            _settle_counters(counters, plans[:committed])
+            segments.append(
+                _render_segment(
+                    spec, window, queues, heads, attempts, plans[:committed],
+                    start, cut,
+                )
+            )
+        if engine is None:
+            if rng is not None:
+                advance(rng, cut * draw_width)
+            engine = _EngineWindow(spec, window, rng)
+            backend = "resume" if cut else "engine"
+
+        # Uncommitted submissions re-enter the engine; those that arrived
+        # before the cut are queued at it.
+        pending = sorted(
+            (
+                (arrival, sub)
+                for node_queue, head in zip(queues, heads)
+                for arrival, _, sub, _ in node_queue[head:]
+            ),
+            key=lambda item: (item[0], item[1].node_index),
+        )
+        result, boundary = engine.run_segment(
+            cut, pending, tuple(attempts), fault_tick, offer
+        )
+        segments.append(result)
+        if boundary is None:
+            break
+        heads, plans, total_bits, fault_tick = handed
+        start = boundary.tick
+        attempts = list(boundary.attempts)
+        counters = boundary.counters
+    return _splice(segments, backend)
+
+
+def _cut(plans: List[_FramePlan], fault_tick: int) -> Tuple[int, int]:
+    """The commit rule: how many plans commit before ``fault_tick``, and the cut.
+
+    A frame commits while its whole extent, intermission included,
+    ends strictly before the fault; the cut is the fault tick, clamped
+    below the first uncommitted frame's SOF.
     """
     committed = 0
     while (
@@ -536,43 +671,56 @@ def _resume_window(
     cut = fault_tick
     if committed < len(plans):
         cut = min(cut, plans[committed].t0 - 1)
-    prefix, attempts = _render_prefix(spec, window, queues, plans[:committed], cut)
+    return committed, cut
 
-    # Uncommitted submissions re-enter the suffix at shifted times; a
-    # stable (time, node) sort preserves each node's queue order, which
-    # is all the per-node controllers can observe.
-    heads = [0] * spec.n_nodes
-    for plan in plans[:committed]:
-        heads[plan.winner] += 1
-    pending = sorted(
-        (
-            (max(0, arrival - cut), sub)
-            for node_queue, head in zip(queues, heads)
-            for arrival, _, sub in node_queue[head:]
-        ),
-        key=lambda item: (item[0], item[1].node_index),
-    )
-    if rng is not None:
-        advance(rng, cut * draw_width)
-    suffix = _run_engine_suffix(spec, window, pending, rng, cut, tuple(attempts))
-    if not cut:
-        return suffix
 
-    bus = prefix.bus + suffix.bus
-    event_counts = dict(prefix.event_counts)
-    for kind, count in suffix.event_counts.items():
-        event_counts[kind] = event_counts.get(kind, 0) + count
-    return replace(
-        suffix,
-        bits=cut + suffix.bits,
+def _settle_counters(
+    counters: Tuple[ErrorCounters, ...], plans: List[_FramePlan]
+) -> None:
+    """Apply the clean frames' TEC/REC decrements to ``counters`` in place.
+
+    Every frame decrements its winner's TEC and every other node's REC
+    (losers of arbitration receive it), each floored at 0; with no
+    increments in between, ``k`` frames lower a counter by ``k``.
+    Before the first engine segment there are no counters to settle.
+    """
+    if not counters:
+        return
+    won = [0] * len(counters)
+    for plan in plans:
+        won[plan.winner] += 1
+    for index, counter in enumerate(counters):
+        counter.tec = max(0, counter.tec - won[index])
+        counter.rec = max(0, counter.rec - (len(plans) - won[index]))
+
+
+def _splice(segments: List[WindowResult], backend: str) -> WindowResult:
+    """One window's result from its segments, in tick order."""
+    if len(segments) == 1:
+        return replace(segments[0], backend=backend)
+    bus = "".join(segment.bus for segment in segments)
+    event_counts: Dict[str, int] = {}
+    deliveries: Dict[str, Tuple[Tuple[str, int, int], ...]] = {}
+    for segment in segments:
+        for kind, count in segment.event_counts.items():
+            event_counts[kind] = event_counts.get(kind, 0) + count
+        for name, rows in segment.deliveries.items():
+            deliveries[name] = deliveries.get(name, ()) + rows
+    events = None
+    if segments[0].events is not None:
+        events = tuple(event for segment in segments for event in segment.events)
+    return WindowResult(
+        window=segments[0].window,
+        bits=sum(segment.bits for segment in segments),
         bus=bus,
-        deliveries={
-            name: prefix.deliveries[name] + rows
-            for name, rows in suffix.deliveries.items()
-        },
+        deliveries=deliveries,
         event_counts=event_counts,
-        events=None if suffix.events is None else prefix.events + suffix.events,
-        max_backlog=max(prefix.max_backlog, suffix.max_backlog),
+        events=events,
+        ever_offline=tuple(
+            sorted({name for segment in segments for name in segment.ever_offline})
+        ),
+        max_backlog=max(segment.max_backlog for segment in segments),
         busy_bits=count_busy_bits(bus),
-        backend="resume",
+        errors_injected=sum(segment.errors_injected for segment in segments),
+        backend=backend,
     )

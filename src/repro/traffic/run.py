@@ -7,10 +7,10 @@ A run is ``spec.windows`` independent time segments.  Each window
 starts from idle, submits its slice of the global schedule at
 window-local bit times before ``spec.window_bits``, then *drains*: the
 bus stays alive until every online controller is quiet, so no message
-is cut off at a window boundary.  A window is a clean prefix rendered
-in closed form (:mod:`repro.traffic.batch`) followed by an engine
-suffix from cut tick ``s`` (:mod:`repro.traffic.window`); the engine
-backend runs the suffix from ``s = 0``.
+is cut off at a window boundary.  A window alternates clean frames
+rendered in closed form (:mod:`repro.traffic.batch`) with engine
+segments from cut ticks ``s`` (:mod:`repro.traffic.window`); the engine
+backend runs one engine segment from ``s = 0``.
 The spliced global trace concatenates the windows' actual bit streams
 (active + drain), offsetting every event and delivery time by the
 cumulative length of the preceding windows.
@@ -39,7 +39,7 @@ from repro.properties.ledger import NodeLedger, SystemLedger, delivery_flags
 from repro.traffic.batch import run_window_batch
 from repro.traffic.schedule import build_schedule, traffic_seed_tree
 from repro.traffic.spec import Submission, TrafficSpec
-from repro.traffic.window import WindowResult, _run_engine_suffix
+from repro.traffic.window import WindowResult, _EngineWindow
 
 
 @dataclass(frozen=True)
@@ -151,25 +151,24 @@ def run_window(
     carrying global nominal times); ``noise_seed`` the spawned child
     seed for this window's noise injector (None when noise is off).
 
-    Every window is a committed clean prefix, rendered in closed form,
-    followed by an engine suffix from cut tick ``s``; the result's
-    ``backend`` names which half is empty.  ``backend="engine"`` runs
-    the suffix from ``s = 0`` (empty prefix, labelled ``"engine"``).
-    ``backend="batch"`` hands every non-HLP window to
-    :func:`repro.traffic.batch.run_window_batch`, which renders windows
-    that see no fault as prefix only (``"batch"``) and otherwise cuts
-    before the first fault (``"resume"``, or ``"engine"`` when nothing
-    commits before it).  HLP windows always run from ``s = 0``: HLP
-    timers submit frames mid-run, so the clean timeline is not known
-    in advance.
+    ``backend="engine"`` runs the whole window as one engine segment
+    from tick 0 (labelled ``"engine"``).  ``backend="batch"`` hands
+    every non-HLP window to :func:`repro.traffic.batch.run_window_batch`,
+    which renders windows that see no fault in closed form
+    (``"batch"``) and otherwise alternates closed-form and engine
+    segments, cutting before each fault and taking the window back
+    once the bus has recovered (``"resume"``, or ``"engine"`` when
+    nothing commits before the first fault).  HLP windows always run
+    on the engine from tick 0: HLP timers submit frames mid-run, so
+    the clean timeline is not known in advance.
     """
     if backend == "batch" and spec.hlp is None:
         return run_window_batch(spec, window, submissions, noise_seed)
     offset = window * spec.window_bits
     rng = rng_from(noise_seed) if spec.noise_ber > 0.0 else None
-    return _run_engine_suffix(
-        spec, window, [(sub.time - offset, sub) for sub in submissions], rng
-    )
+    return _EngineWindow(spec, window, rng).run_segment(
+        0, [(sub.time - offset, sub) for sub in submissions]
+    )[0]
 
 
 def frame_statuses(counts) -> List[str]:

@@ -1,16 +1,18 @@
 """The clean-window render and the frame encoder it builds on.
 
-Three contracts of the traffic batch path's clean windows:
+Four contracts of the traffic batch path's clean windows:
 
 - a window's ``event_counts`` summed in closed form (events off) equal
   the counts of the event stream it renders with events on, and every
   other observable is the same;
+- the heap planner lays out exactly the frames of the per-frame scan
+  of every node it replaced, kept below as the oracle;
 - every column of the one-pass encoding (levels, bit values,
   positions, stuff and arbitration flags, opcodes and the ACK-forced
   bus symbols) equals the per-bit encoder and compiler it replaced,
   kept below as the oracle (their per-bit logic unchanged);
 - a window encodes each of its frames once, however many frames it
-  holds.
+  holds and however often a faulted window is planned again.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from repro.can.stuffing import STUFF_WIDTH
 from repro.core.majorcan import majorcan_config
 from repro.faults.scenarios import make_controller
 from repro.traffic import TrafficSpec, build_schedule, run_window
-from repro.traffic.window import _submission_frame
+from repro.traffic.batch import _local_queues, _plan_frames
+from repro.traffic.window import _controller_config, _submission_frame
 
 # ---------------------------------------------------------------------------
 # Events off ≡ events on, except the events
@@ -91,6 +94,54 @@ def test_window_without_events_equals_window_with_events(spec):
         assert sum(rendered.event_counts.values()) == len(rendered.events)
         assert dict(counted.event_counts) == dict(rendered.event_counts)
         assert replace(counted, events=rendered.events) == rendered
+
+
+# ---------------------------------------------------------------------------
+# The heap planner ≡ the per-frame scan of every node it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_plan(spec, queues, heads, start):
+    """The planner before the heap: every frame rescans every node."""
+    eof_length = _controller_config(spec).eof_length
+    heads = list(heads)
+    plans = []
+    idle_from = start
+    nodes = range(spec.n_nodes)
+    while any(heads[i] < len(queues[i]) for i in nodes):
+        a_min = min(queues[i][heads[i]][0] for i in nodes if heads[i] < len(queues[i]))
+        t0 = max(idle_from, a_min + 1)
+        contenders = tuple(
+            i for i in nodes if heads[i] < len(queues[i]) and queues[i][heads[i]][0] < t0
+        )
+        winner = contenders[0]
+        wire = wire_program(queues[winner][heads[winner]][1], eof_length)
+        t_end = t0 + wire.length - 1
+        plans.append((t0, t_end, winner, contenders))
+        heads[winner] += 1
+        idle_from = t_end + 4
+    return plans
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(clean_specs(), st.data())
+def test_heap_planner_equals_the_node_scan(spec, data):
+    # From the window start, and from a later tick with some frames of
+    # each queue already gone, as after an engine segment hands back.
+    submissions = tuple(sub for sub in build_schedule(spec) if sub.window == 0)
+    queues = _local_queues(spec, 0, submissions)
+    starts = [(0, [0] * spec.n_nodes)]
+    starts.append((
+        data.draw(st.integers(0, spec.window_bits)),
+        [data.draw(st.integers(0, len(queue))) for queue in queues],
+    ))
+    for start, heads in starts:
+        plans, _ = _plan_frames(spec, queues, heads, start)
+        assert [
+            (plan.t0, plan.t_end, plan.winner, plan.contenders) for plan in plans
+        ] == oracle_plan(spec, queues, heads, start)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +380,48 @@ def test_clean_window_encodes_each_frame_once(monkeypatch):
     result = run_window(spec, 0, submissions, backend="batch")
     assert result.backend == "batch"
     assert encoded == Counter(frames_sent.keys())
+
+
+def test_noisy_window_plans_each_frame_encoding_once(monkeypatch):
+    # A faulted window is planned again from every boundary an engine
+    # segment hands back; the plans reuse the queues' encodings, so the
+    # batch side asks for each frame's encoding once.  (The engine's
+    # controllers encode what they transmit themselves.)
+    import repro.traffic.batch as traffic_batch
+    from repro.traffic.window import _EngineWindow
+
+    spec = TrafficSpec(
+        name="long-noisy-window",
+        protocol="majorcan",
+        m=5,
+        n_nodes=4,
+        window_bits=70_000,
+        load=0.9,
+        seed=3,
+        noise_ber=2e-5,
+        record_events=False,
+    )
+    submissions = tuple(sub for sub in build_schedule(spec) if sub.window == 0)
+    asked: Counter = Counter()
+    real_wire_program = traffic_batch.wire_program
+
+    def counting_wire_program(frame, eof_length=STANDARD_EOF_LENGTH):
+        asked[frame] += 1
+        return real_wire_program(frame, eof_length)
+
+    segments = []
+    run_segment = _EngineWindow.run_segment
+
+    def spy(self, cut, *args):
+        segments.append(cut)
+        return run_segment(self, cut, *args)
+
+    monkeypatch.setattr(traffic_batch, "wire_program", counting_wire_program)
+    monkeypatch.setattr(_EngineWindow, "run_segment", spy)
+    result = traffic_batch.run_window_batch(spec, 0, submissions, noise_seed=3)
+    assert result.backend == "resume"
+    assert len(segments) >= 2
+    assert asked == Counter(_submission_frame(sub) for sub in submissions)
 
 
 # ---------------------------------------------------------------------------

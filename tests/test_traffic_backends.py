@@ -171,7 +171,7 @@ class TestFallbackAccounting:
 
     def test_fault_before_the_first_frame_runs_the_window_on_the_engine(self):
         # A burst at tick 0 leaves nothing to commit (cut 0): the window
-        # is all engine suffix and must carry the engine's label.
+        # starts on the engine and must carry the engine's label.
         spec = TrafficSpec(
             name="burst-at-zero",
             protocol="majorcan",
@@ -194,12 +194,11 @@ class TestFallbackAccounting:
         )
 
     def test_resumed_backlog_samples_on_the_window_clock(self, monkeypatch):
-        # The engine suffix samples queue depth at window ticks that are
-        # multiples of the stride, not at suffix ticks.  Here the cut is
+        # The engine samples queue depth at window ticks that are
+        # multiples of the stride, not at segment ticks.  Here the cut is
         # off the stride and the deepest queue (2) is held between two
-        # suffix-clock sample ticks, so a phase slip would report 1.
-        import repro.traffic.batch as traffic_batch
-        from repro.traffic.window import _BACKLOG_STRIDE
+        # segment-clock sample ticks, so a phase slip would report 1.
+        from repro.traffic.window import _BACKLOG_STRIDE, _EngineWindow
 
         spec = TrafficSpec(
             name="backlog-phase",
@@ -214,13 +213,13 @@ class TestFallbackAccounting:
             bursts=(BurstSpec(node="n1", window=0, start=150, length=2),),
         )
         cuts = []
-        suffix = traffic_batch._run_engine_suffix
+        run_segment = _EngineWindow.run_segment
 
-        def spy(spec, window, pending, rng, cut, attempts):
+        def spy(self, cut, *args):
             cuts.append(cut)
-            return suffix(spec, window, pending, rng, cut, attempts)
+            return run_segment(self, cut, *args)
 
-        monkeypatch.setattr(traffic_batch, "_run_engine_suffix", spy)
+        monkeypatch.setattr(_EngineWindow, "run_segment", spy)
         batch = run_traffic(spec, jobs=1, backend="batch")
         assert batch.backend_stats == {"resume": 1}
         assert len(cuts) == 1 and cuts[0] % _BACKLOG_STRIDE
@@ -247,3 +246,121 @@ class TestFallbackAccounting:
         outcome = run_traffic(spec, jobs=1, backend="batch")
         assert outcome.backend_stats == {"engine": spec.windows}
 
+
+
+class TestHandBack:
+    def test_carried_state_equals_an_uninterrupted_engine_at_each_boundary(
+        self, monkeypatch
+    ):
+        # Every boundary an engine segment hands back — the first one and
+        # those after closed-form segments have settled TEC/REC — must
+        # carry exactly the state a single engine run from tick 0 has at
+        # that tick: error counters, queues with their attempt counters,
+        # and the noise generator's position in the scalar draw order.
+        from repro.analysis.noisebatch import generator_state
+        from repro.faults.bit_errors import RandomViewErrorInjector
+        from repro.faults.scenarios import make_controller
+        from repro.parallel.seeds import rng_from
+        from repro.simulation.engine import SimulationEngine
+        from repro.traffic.batch import run_window_batch
+        from repro.traffic.window import (
+            _controller_config,
+            _EngineWindow,
+            _submission_frame,
+        )
+
+        spec = TrafficSpec(
+            name="carry",
+            protocol="majorcan",
+            m=5,
+            n_nodes=4,
+            windows=1,
+            window_bits=3000,
+            load=0.9,
+            seed=2,
+            noise_ber=2e-3,
+            record_events=False,
+        )
+        noise_seed = 2
+
+        def _state(controllers, noise, tick):
+            noise.settle(tick)
+            return (
+                [(c.counters.tec, c.counters.rec) for c in controllers],
+                [[(job.frame, job.attempts) for job in c.tx_queue] for c in controllers],
+                generator_state(noise.rng),
+            )
+
+        carried = []
+        run_segment = _EngineWindow.run_segment
+
+        def spy(self, cut, *args):
+            result, boundary = run_segment(self, cut, *args)
+            if boundary is not None:
+                state = _state(self.controllers, self.noise, boundary.tick)
+                assert boundary.attempts == tuple(
+                    queue[0][1] if queue else 0 for queue in state[1]
+                )
+                carried.append((boundary.tick, state))
+            return result, boundary
+
+        monkeypatch.setattr(_EngineWindow, "run_segment", spy)
+        submissions = tuple(build_schedule(spec))
+        run_window_batch(spec, 0, submissions, noise_seed)
+        assert len(carried) >= 5
+        assert any(state[0] != [(0, 0)] * spec.n_nodes for _, state in carried)
+        assert any(attempts for _, state in carried for queue in state[1]
+                   for _, attempts in queue[:1])
+
+        config = _controller_config(spec)
+        controllers = [
+            make_controller(spec.protocol, name, m=spec.m, config=config)
+            for name in spec.node_names
+        ]
+        noise = RandomViewErrorInjector(spec.noise_ber, seed=rng_from(noise_seed))
+        engine = SimulationEngine(controllers, injector=noise, record_bits=False)
+        by_tick = {}
+        for sub in submissions:
+            by_tick.setdefault(sub.time, []).append(sub)
+
+        def submit(now):
+            for sub in by_tick.get(now, ()):
+                controllers[sub.node_index].submit(_submission_frame(sub))
+
+        engine.add_tick_hook(submit)
+        for tick, state in carried:
+            engine.run(tick - engine.time)
+            assert _state(controllers, noise, tick) == state, tick
+
+
+class TestPeriodicScheduleIsTdma:
+    @pytest.mark.parametrize(
+        "n_nodes, load, frame_bits",
+        [(3, 0.5, 110), (8, 0.9, 110), (32, 0.9, 110), (32, 1.0, 110), (32, 0.9, 67)],
+    )
+    def test_no_faults_and_load_at_most_one_never_arbitrates(
+        self, n_nodes, load, frame_bits
+    ):
+        # Node i's phase is (i * period) // n, so without faults nodes
+        # submit frame_bits / load bit times apart.  The 2-byte frames
+        # take ~67 bits plus 3 of intermission, so at load <= 1 that is
+        # at least one frame slot (at 67 bits, load 0.9 still is): the
+        # periodic workload is a TDMA schedule.  Its clean runs, the
+        # paper profile among them, never reach the arbitration paths
+        # nor put AB5's total order under contention.
+        spec = TrafficSpec(
+            name="tdma",
+            protocol="majorcan",
+            m=5,
+            n_nodes=n_nodes,
+            windows=2,
+            window_bits=4000,
+            load=load,
+            frame_bits=frame_bits,
+            seed=2026,
+            record_events=False,
+        )
+        for backend in ("engine", "batch"):
+            outcome = run_traffic(spec, jobs=1, backend=backend)
+            assert outcome.stats.frames_submitted > 0
+            assert outcome.stats.arbitration_lost == 0, backend
