@@ -89,13 +89,18 @@ def bits_from_levels(levels: Iterable[Level]) -> List[int]:
     return [int(level) for level in levels]
 
 
-def levels_to_string(levels: Iterable[Level]) -> str:
-    """Render a level sequence as a compact ``d``/``r`` string.
+#: Bit value -> trace symbol, for ``bytes.translate``.
+_SYMBOLS = bytes.maketrans(b"\x00\x01", b"dr")
+
+
+def levels_to_string(levels: Iterable[int]) -> str:
+    """Render a level (or 0/1 bit) sequence as a compact ``d``/``r`` string.
 
     This matches the notation of the figures in the paper, e.g. the
-    active error flag renders as ``"dddddd"``.
+    active error flag renders as ``"dddddd"``.  One table lookup over
+    the bytes of the sequence renders the whole of it.
     """
-    return "".join(level.symbol for level in levels)
+    return bytes(levels).translate(_SYMBOLS).decode()
 
 
 #: Recessive bits after traffic that still count as busy bus time

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from repro.can.bits import Level
+from repro.can.bits import Level, levels_to_string
 from repro.can.fields import (
     ACK_SLOT,
     ARBITRATION_FIELDS,
@@ -68,8 +68,6 @@ OP_EOF = 3  #: EOF bit: delegate to the protocol's ``_tx_eof_bit`` policy
 _TAIL_OPS = {ACK_SLOT: OP_ACK, EOF: OP_EOF}
 
 _LEVELS = (Level.DOMINANT, Level.RECESSIVE)
-#: Bit value -> trace symbol, for ``bytes.translate``.
-_SYMBOLS = bytes.maketrans(b"\x00\x01", b"dr")
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFra
     in_arbitration += [False] * len(tail)
     ops += [_TAIL_OPS.get(name, OP_MATCH) for name, _ in tail]
     length = len(values)
-    driven = bytes(values).translate(_SYMBOLS).decode()
+    driven = levels_to_string(values)
     return WireFrame(
         frame=frame,
         eof_length=eof_length,

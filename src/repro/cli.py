@@ -40,6 +40,11 @@ import argparse
 import sys
 from typing import List, Optional
 
+#: The link-layer protocols the commands accept.  Spelled here rather
+#: than imported from :mod:`repro.can.geometry`, which would load the
+#: CAN stack on every ``repro.cli`` start-up; a test keeps the two equal.
+PROTOCOLS = ("can", "minorcan", "majorcan")
+
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis.table1 import generate_table1, render_table1
@@ -51,7 +56,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.faults.scenarios import SCENARIOS
 
-    protocols = [args.protocol] if args.protocol else ["can", "minorcan", "majorcan"]
+    protocols = [args.protocol] if args.protocol else PROTOCOLS
     for name in ("fig1a", "fig1b", "fig1c", "fig3"):
         for protocol in protocols:
             print(SCENARIOS[name](protocol, m=args.m).summary())
@@ -553,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("scenarios", help="run the figure scenarios")
-    p.add_argument("--protocol", choices=["can", "minorcan", "majorcan"])
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--m", type=int, default=5)
     p.set_defaults(func=_cmd_scenarios)
 
@@ -570,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_overhead)
 
     p = sub.add_parser("enumerate", help="exact tail-pattern enumeration")
-    p.add_argument("--protocol", choices=["can", "minorcan", "majorcan"])
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--ber-star", type=float, default=1e-4, dest="ber_star")
@@ -628,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="bounded exhaustive consistency verification"
     )
-    p.add_argument("--protocol", choices=["can", "minorcan", "majorcan"])
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--flips", type=int, default=2)
@@ -646,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         choices=["fig1a", "fig1b", "fig1c", "fig3", "fig3a", "fig3b", "fig5"],
     )
-    p.add_argument("--protocol", choices=["can", "minorcan", "majorcan"])
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--out", help="output path (default: <scenario>-<protocol>.jsonl)")
     p.set_defaults(func=_cmd_record)
@@ -672,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="traffic", help="run/recording name")
     p.add_argument(
         "--protocol",
-        choices=["can", "minorcan", "majorcan"],
+        choices=PROTOCOLS,
         default="can",
         help="link-layer protocol of every node",
     )
@@ -793,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("montecarlo", help="stochastic model validation")
-    p.add_argument("--protocol", choices=["can", "minorcan", "majorcan"])
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--ber-star", type=float, default=0.05, dest="ber_star")

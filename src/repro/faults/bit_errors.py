@@ -8,11 +8,14 @@ E-MC in DESIGN.md).
 
 The realisation is defined by one uniform per noise-eligible node per
 tick, in engine node order (:func:`view_noise_ranks`), compared against
-``ber*``.  :class:`RandomViewErrorInjector` draws those uniforms in
-blocks of :data:`VIEW_BLOCK_TICKS` ticks — ``Generator.random(k)``
-fills from the same PCG64 stream as ``k`` scalar calls — and reports
-the tick of its next flip as ``next_view_tick``, so the engine only
-consults it on ticks where a view can change.
+``ber*``.  :class:`RandomViewErrorInjector` is the only code that
+knows this order.  It draws those uniforms in blocks of
+:data:`VIEW_BLOCK_TICKS` ticks — ``Generator.random(k)`` fills from the
+same PCG64 stream as ``k`` scalar calls — and reports the tick of its
+next flip as ``next_view_tick``, so the engine only consults it on
+ticks where a view can change.  The batch backends ask it for the
+first flip of a tick range (:meth:`RandomViewErrorInjector.next_flip`)
+and hand the same injector to the engine when one is found.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.noisebatch import advance, generator_state, restore_state
 from repro.can.bits import Level
 from repro.can.controller import CanController
 from repro.errors import ConfigurationError, SimulationError
@@ -31,6 +33,9 @@ from repro.simulation.rng import SeedLike, make_rng
 
 #: Ticks of view-noise uniforms drawn per generator call.
 VIEW_BLOCK_TICKS = 1024
+
+#: Uniforms discarded per generator call when the stream is settled.
+_DISCARD_CHUNK = 65536
 
 
 def view_noise_ranks(
@@ -61,14 +66,21 @@ class RandomViewErrorInjector(FaultInjector):
     only_nodes:
         Optional restriction of the fault universe to some node names
         (useful to keep a reference observer fault-free).
+    names:
+        Optional node names in engine order.  With them the injector
+        knows its draw slots before an engine binds it, so
+        :meth:`next_flip` can scan ahead of any engine run.
 
+    The injector is the one owner of the noise stream's draw order.
     The uniform of eligible node ``rank`` at tick ``t`` is draw
     ``(t - t0) * width + rank`` of the generator, ``t0`` being the
-    first tick the engine runs with the injector and ``width`` the
-    number of eligible nodes — the order of one scalar draw per
-    ``perturb_view`` call.  Draws come in blocks, so the generator runs
-    ahead of the engine; :meth:`settle` puts it back where the scalar
-    order would leave it.
+    first tick the injector is consulted or scanned at and ``width``
+    the number of eligible nodes — the order of one scalar draw per
+    ``perturb_view`` call.  Draws come in blocks and stay as the
+    injector's lookahead, so the generator runs ahead of the engine;
+    :meth:`next_flip` scans the lookahead further ahead, and
+    :meth:`settle` puts the generator back where the scalar order
+    would leave it.
     """
 
     # Declared here, so the engine trusts the value ``perturb_view``
@@ -80,6 +92,7 @@ class RandomViewErrorInjector(FaultInjector):
         ber_star: float,
         seed: SeedLike = None,
         only_nodes: Optional[Sequence[str]] = None,
+        names: Optional[Sequence[str]] = None,
     ) -> None:
         self.rng = make_rng(seed)
         self.ber_star = ber_star
@@ -89,12 +102,15 @@ class RandomViewErrorInjector(FaultInjector):
         self.injections: list = []
         self._ranks: Optional[Dict[str, int]] = None
         self._bound_ranks: Optional[Dict[str, int]] = None
+        if names is not None:
+            self._bound_ranks = view_noise_ranks(names, only_nodes)
+        self._engine_bound = False
         # The generator sits at the first draw of tick ``_stream_tick``
-        # (``_ranks`` is None until the first block).  The current
-        # block starts at tick ``_block_tick`` from generator state
-        # ``_block_state``; its flips not yet passed are ``_flips``,
-        # ``(tick, rank)`` pairs in descending order.  Ticks from
-        # ``_block_end`` on need a new block.
+        # (``_ranks`` is None until the first block).  The lookahead
+        # starts at tick ``_block_tick`` from generator state
+        # ``_block_state`` and holds one or more blocks; its flips not
+        # yet passed are ``_flips``, ``(tick, rank)`` pairs in
+        # descending order.  Ticks from ``_block_end`` on are not drawn.
         self._stream_tick = 0
         self._block_tick = 0
         self._block_state: Optional[dict] = None
@@ -113,10 +129,13 @@ class RandomViewErrorInjector(FaultInjector):
         self._redraw()
 
     def bind(self, nodes: Sequence[CanController]) -> None:
-        self._bound_ranks = view_noise_ranks(
-            [node.name for node in nodes], self.only_nodes
-        )
-        self._redraw()
+        ranks = view_noise_ranks([node.name for node in nodes], self.only_nodes)
+        # The first engine goes on from a scan drawn with its own slots;
+        # any other binding redraws from its first consulted tick.
+        if self._engine_bound or ranks != self._bound_ranks:
+            self._redraw()
+        self._bound_ranks = ranks
+        self._engine_bound = True
 
     def _redraw(self) -> None:
         """Make the next consulted tick settle the stream and redraw."""
@@ -127,40 +146,54 @@ class RandomViewErrorInjector(FaultInjector):
         """Position the generator where scalar draws would leave it at ``time``.
 
         That is after the draws of every tick before ``time``; the
-        lookahead past it is dropped, and the next consulted tick draws
-        a new block.
+        lookahead is dropped, and the next consulted tick draws a new
+        block.
         """
         start = self._stream_tick
         if self._ranks is not None and time != start:
             if time < self._block_tick:
                 raise SimulationError(
-                    "view noise cannot rewind to tick %d, before its block at "
-                    "tick %d: use one injector per engine run"
+                    "view noise cannot rewind to tick %d, before its lookahead "
+                    "at tick %d: use one injector per engine run"
                     % (time, self._block_tick)
                 )
             if time < start:
-                restore_state(self.rng, self._block_state)
+                self.rng.bit_generator.state = self._block_state
                 start = self._block_tick
-            advance(self.rng, (time - start) * len(self._ranks))
+            draws = (time - start) * len(self._ranks)
+            while draws > 0:
+                step = min(draws, _DISCARD_CHUNK)
+                self.rng.random(step)
+                draws -= step
         self._stream_tick = time
         self._flips = []
         self._block_end = time
         self.next_view_tick = time
 
-    def drawn_flip(self) -> Optional[int]:
-        """The tick of the next flip already drawn, or None.
+    def next_flip(self, start: int, end: int) -> Optional[int]:
+        """The first tick in ``start..end-1`` where an eligible view flips.
 
-        Read between engine ticks, it is the first flip after the last
-        tick run.  None means the lookahead holds no further flip: the
-        next one, if any, lies beyond it (:meth:`settle`, then scan).
+        None when no view flips there.  The scan draws further blocks
+        as it needs them, in the engine's order, into the lookahead, so
+        an engine run or a later scan goes on from its draws.  A
+        ``start`` outside the lookahead begins a new one there.
         """
-        return self._flips[-1][0] if self._flips else None
+        if not self._block_tick <= start <= self._block_end:
+            self._draw_block(start)
+        while True:
+            for tick, _ in reversed(self._flips):
+                if tick >= start:
+                    return tick if tick < end else None
+            if self._block_end >= end:
+                return None
+            self._draw_next_block()
 
     def _draw_block(self, time: int) -> None:
-        """Draw the block of uniforms starting at tick ``time``."""
+        """Begin a new lookahead with the block starting at tick ``time``."""
         if self._bound_ranks is None:
             raise SimulationError(
-                "RandomViewErrorInjector is used before an engine bound it"
+                "RandomViewErrorInjector has no draw slots: give it the node "
+                "names or bind it to an engine"
             )
         self.settle(time)
         self._ranks = ranks = self._bound_ranks
@@ -170,12 +203,19 @@ class RandomViewErrorInjector(FaultInjector):
             # ``settle`` consumes the skipped draws when it is asked to.
             self._block_end = NEVER
             return
-        width = len(ranks)
-        self._block_state = generator_state(self.rng)
+        self._block_state = self.rng.bit_generator.state
+        self._draw_next_block()
+
+    def _draw_next_block(self) -> None:
+        """Extend the lookahead by the block starting at ``_block_end``."""
+        time = self._block_end
+        width = len(self._ranks)
         draws = self.rng.random(VIEW_BLOCK_TICKS * width)
         hits = np.flatnonzero(draws < self._ber_star).tolist()
         self._stream_tick = self._block_end = time + VIEW_BLOCK_TICKS
-        self._flips = [(time + hit // width, hit % width) for hit in reversed(hits)]
+        self._flips[:0] = [
+            (time + hit // width, hit % width) for hit in reversed(hits)
+        ]
 
     def perturb_view(self, node: CanController, time: int, bus_level: Level) -> Level:
         if time >= self._block_end:

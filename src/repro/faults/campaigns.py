@@ -15,7 +15,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.batchreplay import BatchReplayEvaluator
-from repro.analysis.noisebatch import first_flip, generator_state, restore_state
 from repro.can.frame import data_frame
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.bit_errors import RandomViewErrorInjector
@@ -108,13 +107,13 @@ def run_campaign(
     of rounds out over the worker pool with identical results.
 
     ``backend="batch"`` classifies noise-free rounds with the vectorised
-    tail replay of :mod:`repro.analysis.batchreplay`, and noisy rounds
-    with the draw-order-preserving scan of
-    :mod:`repro.analysis.noisebatch` — a round whose noise mask never
-    fires resolves through the same tail replay; a round whose mask
-    fires reruns on the engine from the rewound generator.  Round rows
-    are identical either way; provenance lands in
-    ``CampaignOutcome.backend_stats``.
+    tail replay of :mod:`repro.analysis.batchreplay`.  A noisy round
+    asks its noise injector for a flip over the noise-free round's
+    ticks (:meth:`~repro.faults.bit_errors.RandomViewErrorInjector.next_flip`):
+    a round whose noise never fires resolves through the same tail
+    replay; a round whose noise fires reruns on the engine with that
+    injector.  Round rows are identical either way; provenance lands
+    in ``CampaignOutcome.backend_stats``.
     """
     if backend not in ("engine", "batch"):
         raise ConfigurationError(
@@ -181,24 +180,27 @@ def run_rounds(
     node_names = ["critical"] + ["bg%d" % i for i in range(1, n_nodes)]
     # The attack schedule is drawn up front, in the exact per-round
     # order of the engine path, so both backends consume the same
-    # generator stream and see the same attacked/victim plan.
+    # generator stream and see the same attacked/victim plan; the
+    # round's noise injector draws from the rest of its child stream.
     draws = []
     for round_index, child in rounds:
         rng = rng_from(child)
         attacked = bool(rng.random() < attack_probability)
         victim = node_names[1 + int(rng.integers(0, n_nodes - 1))]
-        draws.append((round_index, attacked, victim, rng))
+        noise = None
+        if noise_ber_star > 0.0:
+            noise = RandomViewErrorInjector(noise_ber_star, seed=rng, names=node_names)
+        draws.append((round_index, attacked, victim, noise))
 
-    def engine_row(round_index, attacked, victim, rng) -> RoundResult:
+    def engine_row(round_index, attacked, victim, noise) -> RoundResult:
         counts, injected = run_round(
             protocol=protocol,
             m=m,
             node_names=node_names,
             background_frames=background_frames,
-            noise_ber_star=noise_ber_star,
             attacked=attacked,
             victim=victim,
-            rng=rng,
+            noise=noise,
         )
         return (round_index, attacked, _category(delivery_flags([counts]))[0], injected)
 
@@ -211,13 +213,11 @@ def run_rounds(
     # transmitter's masked EOF bit dominant on the bus), so the round's
     # flip sites are the script's sites with the force dropped.  Each
     # scripted fault fires exactly once, so a round's injected count is
-    # its number of sites.  With view noise the round is *still* that pure function
-    # whenever its noise mask never fires — and the mask is a
-    # known-length prefix of the child stream (one uniform per node per
-    # bus bit of the noise-free reference round), so a vectorised scan
-    # classifies each round up front and only the rounds whose mask
-    # fires rerun on the engine, from the rewound generator
-    # (bit-identical to the engine path).
+    # its number of sites.  With view noise the round is *still* that
+    # pure function whenever no view flips during the noise-free
+    # reference round, so the round's injector scans those ticks up
+    # front and only the rounds it finds a flip in rerun on the engine,
+    # with the same injector (bit-identical to the engine path).
     # Built directly rather than through ``placement_classifier``: the
     # engine side of a round runs the whole round with background
     # traffic and noise (``engine_row``), not one placement of the
@@ -240,20 +240,16 @@ def run_rounds(
     combos = []
     combo_positions = []
     rows: Dict[int, RoundResult] = {}
-    for position, (round_index, attacked, victim, rng) in enumerate(draws):
-        flip = None
-        if noise_ber_star > 0.0:
-            state = generator_state(rng)
+    for position, (round_index, attacked, victim, noise) in enumerate(draws):
+        if noise is not None:
             bits = round_reference_bits(
                 protocol, m, node_names, background_frames, attacked, victim
             )
-            flip = first_flip(rng, bits * n_nodes, noise_ber_star)
-        if flip is None:
-            combos.append(attack_sites[victim] if attacked else ())
-            combo_positions.append(position)
-            continue
-        restore_state(rng, state)
-        rows[position] = engine_row(round_index, attacked, victim, rng)
+            if noise.next_flip(0, bits) is not None:
+                rows[position] = engine_row(round_index, attacked, victim, noise)
+                continue
+        combos.append(attack_sites[victim] if attacked else ())
+        combo_positions.append(position)
     engine_rounds = len(rows)
     categories = _category(delivery_flags(evaluator.evaluate(combos).deliveries))
     for position, combo, category in zip(combo_positions, combos, categories):
@@ -337,11 +333,9 @@ def round_reference_bits(
 ) -> int:
     """Bus bits of the noise-free (scripted-faults-only) round.
 
-    A noisy round whose per-bit noise mask never fires *is* this
-    reference round, so its bit count bounds the draws the engine's
-    noise injector would consume: exactly ``bits * n_nodes`` uniforms
-    (one per node per tick).  The vectorised campaign scan thresholds
-    that prefix to decide whether a round needs the engine at all.
+    A noisy round whose view noise never fires during these bits *is*
+    this reference round, so the batch backend scans them for a flip
+    to decide whether a round needs the engine at all.
     Cached per process — there are only ``n_nodes`` distinct rounds
     (not attacked, or attacked per victim) for a given spec.
     """
@@ -368,21 +362,20 @@ def run_round(
     m: int,
     node_names: Sequence[str],
     background_frames: int,
-    noise_ber_star: float,
     attacked: bool,
     victim: str,
-    rng,
+    noise: Optional[RandomViewErrorInjector] = None,
 ):
     """Execute one campaign round; returns (delivery counts, injected).
 
-    Pure function of its arguments (including the generator state) so
+    ``noise`` is the round's view-noise injector, fresh or holding the
+    draws of a scan over the round (None without noise).  Pure function
+    of its arguments (including the noise stream's state) so
     :func:`run_rounds` can run rounds in worker processes.
     """
     controllers, scripted = _round_network(protocol, m, node_names, attacked, victim)
     injector = scripted
-    noise: Optional[RandomViewErrorInjector] = None
-    if noise_ber_star > 0.0:
-        noise = RandomViewErrorInjector(noise_ber_star, seed=rng)
+    if noise is not None:
         injector = CompositeInjector([scripted, noise])
     engine = SimulationEngine(controllers, injector=injector, record_bits=False)
     command = _submit_round(controllers, background_frames)

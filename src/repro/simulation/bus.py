@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.can.bits import Level, wired_and
+from repro.can.bits import Level, levels_to_string, wired_and
 
 
 class Bus:
@@ -46,5 +46,4 @@ class Bus:
 
     def as_string(self, start: int = 0, end: int = None) -> str:
         """Render a slice of the bus history as a ``d``/``r`` string."""
-        levels = self.history[start:end]
-        return "".join(level.symbol for level in levels)
+        return levels_to_string(self.history[start:end])

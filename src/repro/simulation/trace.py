@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.can.bits import Level
+from repro.can.bits import Level, levels_to_string
 from repro.can.events import Event
 from repro.errors import TraceError
 
@@ -88,13 +88,13 @@ class Trace:
 
     def node_view_string(self, node: str, start: int = 0, end: Optional[int] = None) -> str:
         """The d/r string of what ``node`` observed over a time span."""
-        return "".join(
-            record.views[node].symbol for record in self.bits[start:end] if node in record.views
+        return levels_to_string(
+            record.views[node] for record in self.bits[start:end] if node in record.views
         )
 
     def bus_string(self, start: int = 0, end: Optional[int] = None) -> str:
         """The d/r string of the resolved bus level over a time span."""
-        return "".join(record.bus.symbol for record in self.bits[start:end])
+        return levels_to_string(record.bus for record in self.bits[start:end])
 
     def position_times(self, node: str, field_name: str, index: int) -> List[int]:
         """Bit times at which ``node`` was at ``(field_name, index)``."""

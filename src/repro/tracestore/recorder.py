@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional
 
+from repro.can.bits import levels_to_string
 from repro.errors import TraceStoreError
 from repro.metrics.export import normalise_value, write_jsonl
 from repro.tracestore.spec import ScenarioSpec, spec_from_outcome
@@ -82,7 +83,7 @@ def outcome_records(
         raise TraceStoreError("outcome %r carries no engine" % outcome.name)
     yield {
         "type": "bus",
-        "levels": "".join(level.symbol for level in engine.bus.history),
+        "levels": levels_to_string(engine.bus.history),
     }
     for record in outcome.trace.bits:
         yield bit_record(record)

@@ -65,7 +65,6 @@ import heapq
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.noisebatch import advance, first_flip, generator_state, restore_state
 from repro.can.bits import count_busy_bits
 from repro.can.encoding import WireFrame, wire_program
 from repro.can.error_counters import ErrorCounters
@@ -73,8 +72,7 @@ from repro.can.events import Event, EventKind
 from repro.can.frame import Frame
 from repro.can.identifiers import CanId
 from repro.errors import SimulationError
-from repro.faults.bit_errors import view_noise_ranks
-from repro.parallel.seeds import rng_from
+from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.simulation.engine import NEVER
 from repro.traffic.spec import Submission, TrafficSpec
 from repro.traffic.window import (
@@ -85,6 +83,7 @@ from repro.traffic.window import (
     _controller_config,
     _EngineWindow,
     _submission_frame,
+    window_noise,
 )
 
 #: Bit times between a frame's last EOF bit and the next possible SOF:
@@ -462,43 +461,20 @@ def _render_segment(
     )
 
 
-def _noise_draw_width(spec: TrafficSpec) -> int:
-    """Uniform draws the noise injector consumes per engine tick.
-
-    One per noise-eligible node, by the rule the injector ranks its
-    nodes with (:func:`repro.faults.bit_errors.view_noise_ranks`).
-    """
-    if spec.noise_ber <= 0.0:
-        return 0
-    return len(view_noise_ranks(spec.node_names, spec.noise_nodes))
-
-
 def _next_fault(
     spec: TrafficSpec,
     window: int,
-    rng,
-    draw_width: int,
+    noise: Optional[RandomViewErrorInjector],
     start: int,
     end: int,
-    flip: Optional[int] = None,
 ) -> Optional[int]:
     """The first window tick in ``start..end`` where a fault can act.
 
-    That is the tick of the first noise flip — ``flip`` when the caller
-    knows it, else drawn in the engine's stream order from ``rng``,
-    which must sit at tick ``start`` and is left there — or of a burst
-    that is still active, whichever comes first; None when neither
-    falls before ``end``.
+    That is the tick of the first flip of the window's ``noise``
+    injector, or of a burst that is still active, whichever comes
+    first; None when neither falls before ``end``.
     """
-    fault_tick = None
-    if flip is not None:
-        fault_tick = flip if flip < end else None
-    elif draw_width and end > start:
-        state = generator_state(rng)
-        flip = first_flip(rng, (end - start) * draw_width, spec.noise_ber)
-        restore_state(rng, state)
-        if flip is not None:
-            fault_tick = start + flip // draw_width
+    fault_tick = None if noise is None else noise.next_flip(start, end)
     for burst in spec.bursts_for_window(window):
         tick = max(burst.start, start)
         if tick < min(end, burst.start + burst.length) and (
@@ -516,30 +492,29 @@ def run_window_batch(
 ) -> WindowResult:
     """Evaluate one non-HLP window in closed-form and engine segments.
 
-    Plans the clean timeline once, then draws the window's noise mask
-    in the engine's stream order (one uniform per noise-eligible node
-    per tick over that timeline) up to its first flip.  A window with
-    no flip and no scheduled burst inside the clean timeline *is* the
-    clean window: the plan is rendered whole (``"batch"``).  Otherwise
+    Plans the clean timeline once, then asks the window's noise
+    injector (:func:`repro.traffic.window.window_noise`) for its first
+    flip on that timeline.  A window with no flip and no scheduled
+    burst inside the clean timeline *is* the clean window: the plan is
+    rendered whole (``"batch"``).  Otherwise
     the plan goes to :func:`_resume_window` with its first fault tick.
     When the clean timeline overflows the drain budget, the window
     resumes from tick 0, so the engine raises its own
     ``SimulationError``.
     """
-    rng = rng_from(noise_seed) if spec.noise_ber > 0.0 else None
-    draw_width = _noise_draw_width(spec)
+    noise = window_noise(spec, noise_seed)
     queues = _local_queues(spec, window, submissions)
     heads = [0] * spec.n_nodes
     plans, total_bits = _plan_frames(spec, queues, heads)
     if total_bits - spec.window_bits > spec.max_window_bits:
         fault_tick = 0
     else:
-        fault_tick = _next_fault(spec, window, rng, draw_width, 0, total_bits)
+        fault_tick = _next_fault(spec, window, noise, 0, total_bits)
     if fault_tick is None:
         return _render_segment(
             spec, window, queues, heads, [0] * spec.n_nodes, plans, 0, total_bits
         )
-    return _resume_window(spec, window, queues, plans, rng, draw_width, fault_tick)
+    return _resume_window(spec, window, queues, plans, noise, fault_tick)
 
 
 def _resume_window(
@@ -547,8 +522,7 @@ def _resume_window(
     window: int,
     queues: _Queues,
     plans: List[_FramePlan],
-    rng,
-    draw_width: int,
+    noise: Optional[RandomViewErrorInjector],
     fault_tick: int,
 ) -> WindowResult:
     """A faulted window: closed-form and engine segments, alternating.
@@ -565,9 +539,9 @@ def _resume_window(
     ticks ``start..s``, their TEC/REC decrements are applied, and the
     window's one engine runs from ``s`` with the uncommitted
     submissions re-queued at ``max(arrival, s)`` and the carried
-    arbitration attempt counters restored.  Before the first engine
-    segment the generator is fast-forwarded to ``s``; afterwards the
-    engine's injector keeps it, and bursts stay on the window clock.
+    arbitration attempt counters restored.  The engine runs with the
+    ``noise`` injector that found the fault, so it goes on from the
+    draws of that scan; bursts stay on the window clock.
 
     The engine segment hands the window back at the first tick ``h``
     after the fault where every controller is idle, error-active and
@@ -600,9 +574,7 @@ def _resume_window(
             # The engine raises the drain error itself, or ends a drain
             # whose quiet run may have begun before ``tick``.
             return NEVER
-        next_fault = _next_fault(
-            spec, window, rng, draw_width, tick, next_total, boundary.next_flip
-        )
+        next_fault = _next_fault(spec, window, noise, tick, next_total)
         if next_fault is not None and _cut(next_plans, next_fault)[1] <= tick:
             return next_fault
         handed[:] = [next_heads, next_plans, next_total, next_fault]
@@ -627,9 +599,7 @@ def _resume_window(
                 )
             )
         if engine is None:
-            if rng is not None:
-                advance(rng, cut * draw_width)
-            engine = _EngineWindow(spec, window, rng)
+            engine = _EngineWindow(spec, window, noise)
             backend = "resume" if cut else "engine"
 
         # Uncommitted submissions re-enter the engine; those that arrived

@@ -33,13 +33,12 @@ import numpy as np
 from repro.can.events import EventKind
 from repro.errors import ConfigurationError
 from repro.parallel.pool import run_tasks
-from repro.parallel.seeds import rng_from
 from repro.properties.broadcast import check_atomic_broadcast
 from repro.properties.ledger import NodeLedger, SystemLedger, delivery_flags
 from repro.traffic.batch import run_window_batch
 from repro.traffic.schedule import build_schedule, traffic_seed_tree
 from repro.traffic.spec import Submission, TrafficSpec
-from repro.traffic.window import WindowResult, _EngineWindow
+from repro.traffic.window import WindowResult, _EngineWindow, window_noise
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,7 @@ def run_window(
     if backend == "batch" and spec.hlp is None:
         return run_window_batch(spec, window, submissions, noise_seed)
     offset = window * spec.window_bits
-    rng = rng_from(noise_seed) if spec.noise_ber > 0.0 else None
-    return _EngineWindow(spec, window, rng).run_segment(
+    return _EngineWindow(spec, window, window_noise(spec, noise_seed)).run_segment(
         0, [(sub.time - offset, sub) for sub in submissions]
     )[0]
 

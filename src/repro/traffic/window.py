@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.can.bits import Level, count_busy_bits
+from repro.can.bits import Level, count_busy_bits, levels_to_string
 from repro.can.controller import STATE_IDLE
 from repro.can.controller_config import ControllerConfig
 from repro.can.error_counters import ConfinementState, ErrorCounters
@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.faults.bit_errors import BurstViewErrorInjector, RandomViewErrorInjector
 from repro.faults.injector import CompositeInjector
 from repro.faults.scenarios import make_controller
+from repro.parallel.seeds import rng_from
 from repro.simulation.engine import NEVER, SimulationEngine
 from repro.traffic.spec import Submission, TrafficSpec, decode_wire_key
 
@@ -81,6 +82,23 @@ def _controller_config(spec: TrafficSpec):
     )
 
 
+def window_noise(spec: TrafficSpec, noise_seed) -> Optional[RandomViewErrorInjector]:
+    """The window's one noise injector, seeded by ``noise_seed``; None
+    when noise is off.
+
+    It knows its draw slots from the spec's node names, so the batch
+    backend scans it for flips before the window's engine runs with it.
+    """
+    if spec.noise_ber <= 0.0:
+        return None
+    return RandomViewErrorInjector(
+        spec.noise_ber,
+        seed=rng_from(noise_seed),
+        only_nodes=spec.noise_nodes,
+        names=spec.node_names,
+    )
+
+
 def _submission_frame(sub: Submission):
     """The data frame a node submits for ``sub``."""
     return data_frame(
@@ -97,17 +115,13 @@ class Boundary(NamedTuple):
     (sent or abandoned); ``attempts`` are the head-of-queue arbitration
     attempt counters.  ``counters`` are the controllers' live TEC/REC
     pairs: the caller applies the clean frames it commits to them in
-    place before the engine resumes.  ``next_flip`` is the window tick
-    of the next noise flip when the injector has drawn it already;
-    when it is None the noise generator is settled in place at
-    ``tick``, in the injector's scalar draw order, ready for a scan.
+    place before the engine resumes.
     """
 
     tick: int
     finished: Tuple[int, ...]
     attempts: Tuple[int, ...]
     counters: Tuple[ErrorCounters, ...]
-    next_flip: Optional[int]
 
 
 class _HandBack(Exception):
@@ -132,21 +146,20 @@ class _EngineWindow:
 
     One engine, one injector and one set of controllers serve every
     engine segment of the window; between segments the engine's clock
-    jumps over the ticks the caller renders in closed form.  ``rng`` is
-    the noise generator, already advanced to the first segment's cut
-    (None when noise is off).
+    jumps over the ticks the caller renders in closed form.  ``noise``
+    is the window's noise injector (:func:`window_noise`; None when
+    noise is off).
     """
 
-    def __init__(self, spec: TrafficSpec, window: int, rng=None) -> None:
+    def __init__(
+        self,
+        spec: TrafficSpec,
+        window: int,
+        noise: Optional[RandomViewErrorInjector] = None,
+    ) -> None:
         self.spec = spec
         self.window = window
-        injectors: List[object] = []
-        noise = None
-        if rng is not None:
-            noise = RandomViewErrorInjector(
-                spec.noise_ber, seed=rng, only_nodes=spec.noise_nodes
-            )
-            injectors.append(noise)
+        injectors: List[object] = [] if noise is None else [noise]
         for burst in spec.bursts_for_window(window):
             injectors.append(
                 BurstViewErrorInjector(burst.node, burst.start, burst.length)
@@ -156,7 +169,6 @@ class _EngineWindow:
         else:
             injector = injectors[0] if injectors else None
         self.injectors = injectors
-        self.noise = noise
 
         config = _controller_config(spec)
         app_nodes = None
@@ -237,11 +249,6 @@ class _EngineWindow:
                     or controller.counters.state is not active
                 ):
                     return
-            flip = None
-            if noise is not None:
-                flip = noise.drawn_flip()
-                if flip is None:
-                    noise.settle(now + 1)
             boundary = Boundary(
                 tick=now + 1,
                 finished=tuple(
@@ -253,7 +260,6 @@ class _EngineWindow:
                     for controller in controllers
                 ),
                 counters=tuple(controller.counters for controller in controllers),
-                next_flip=flip,
             )
             later = segment.hand_back(boundary)
             if later is None:
@@ -389,7 +395,7 @@ class _EngineWindow:
             }
             | {c.name for c in controllers if c.offline}
         )
-        bus = "".join(level.symbol for level in self.engine.bus.history)
+        bus = levels_to_string(self.engine.bus.history)
         return WindowResult(
             window=self.window,
             bits=len(bus),

@@ -89,6 +89,11 @@ class TestLevelStrings:
     def test_render_error_flag(self):
         assert levels_to_string([DOMINANT] * 6) == "dddddd"
 
+    def test_render_bit_values_from_an_iterator(self):
+        # Wire encodings render their 0/1 bit values with the same table.
+        assert levels_to_string(iter([0, 1, RECESSIVE, DOMINANT])) == "drrd"
+        assert levels_to_string([]) == ""
+
     def test_parse_simple(self):
         assert levels_from_string("drd") == [DOMINANT, RECESSIVE, DOMINANT]
 

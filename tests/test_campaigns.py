@@ -1,10 +1,10 @@
 """Tests for the structured fault-injection campaign module."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import campaigns
+from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.faults.campaigns import CampaignSpec, compare_protocols, run_campaign
 from repro.simulation.engine import SimulationEngine
 
@@ -114,7 +114,7 @@ class TestRoundDrain:
 
     def _round(self):
         return campaigns.run_round(
-            "can", 5, self.NODES, 0, 0.01, True, "bg1", np.random.default_rng(3)
+            "can", 5, self.NODES, 0, True, "bg1", RandomViewErrorInjector(0.01, seed=3)
         )
 
     def _reference(self):

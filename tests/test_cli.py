@@ -16,6 +16,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
+    def test_protocol_choices_are_the_protocol_geometries(self):
+        from repro.can.geometry import PROTOCOL_NAMES
+        from repro.cli import PROTOCOLS
+
+        assert PROTOCOLS == PROTOCOL_NAMES
+
 
 class TestCommands:
     def test_table1(self, capsys):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.noisebatch import advance
 from repro.can.bits import DOMINANT, RECESSIVE
 from repro.can.controller import CanController
 from repro.can.fields import DATA, EOF
@@ -223,12 +222,12 @@ class TestSparseViewNoise:
         engine, _ = run_noise(injector, segments=((2500, None),))
         injector.settle(engine.time)
         fresh = np.random.default_rng(12)
-        advance(fresh, engine.time * 2)
+        fresh.random(engine.time * 2)
         assert rng.bit_generator.state == fresh.bit_generator.state
         # The run continues from the settled stream, still in scalar order.
         engine.run(700)
         injector.settle(engine.time)
-        advance(fresh, 700 * 2)
+        fresh.random(700 * 2)
         assert rng.bit_generator.state == fresh.bit_generator.state
 
     def test_only_flip_ticks_consult_the_injector(self):

@@ -3,9 +3,9 @@
 Two contracts from the noise-vectorisation work are pinned here, plus
 the rejection of compressed recordings:
 
-* :mod:`repro.analysis.noisebatch` preserves the engine's draw order
-  exactly — a vector scan consumes the same stream prefix as the
-  scalar injector loop, and snapshots rewind it bit-for-bit;
+* :meth:`RandomViewErrorInjector.next_flip` preserves the engine's
+  draw order exactly — a scan finds the flip the scalar per-node loop
+  finds, and leaves the stream where that loop would be once settled;
 * noisy traffic runs are *bit-identical* across backend, worker count
   and cache temperature, including the degenerate (BER 0) and extreme
   (bus never idles) boundaries;
@@ -13,17 +13,18 @@ the rejection of compressed recordings:
   recordings are written uncompressed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.noisebatch import (
-    advance,
-    first_flip,
-    generator_state,
-    restore_state,
-)
+from repro.can.controller import CanController
 from repro.errors import SimulationError, TraceStoreError
+from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.metrics.export import json_line
+from repro.simulation.engine import SimulationEngine
 from repro.traffic import (
     BurstSpec,
     TrafficSpec,
@@ -37,56 +38,117 @@ def _lines(outcome):
 
 
 # ---------------------------------------------------------------------------
-# noisebatch primitives
+# The injector's flip scan
 # ---------------------------------------------------------------------------
 
+_NAMES = tuple("n%d" % index for index in range(8))
 
-def _scalar_scan(rng, total, ber):
-    """The engine's draw loop, verbatim: one uniform per draw slot."""
-    for index in range(total):
-        if rng.random() < ber:
-            return index
+
+def _scalar_next_flip(seed, width, ber, origin, start, end):
+    """The engine's draw loop, verbatim: one uniform per eligible node
+    per tick from tick ``origin`` (``ScalarViewNoise``'s order),
+    reporting the first flipping tick in ``start..end-1``."""
+    rng = np.random.default_rng(seed)
+    for tick in range(origin, end):
+        for _ in range(width):
+            if rng.random() < ber and tick >= start:
+                return tick
     return None
 
 
-class TestFirstFlip:
-    @pytest.mark.parametrize("seed,total,ber", [
-        (99, 5000, 0.01),
-        (3, 200_000, 1e-5),
-        (7, 131_072, 0.0005),
-    ])
-    def test_vector_scan_matches_scalar_draw_order(self, seed, total, ber):
-        expected = _scalar_scan(np.random.default_rng(seed), total, ber)
-        assert first_flip(np.random.default_rng(seed), total, ber) == expected
+class TestNextFlip:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(1, 8),
+        ber=st.sampled_from([0.0, 1e-4, 2e-3, 0.03]),
+        ran=st.integers(0, 1500),
+        gap=st.integers(0, 2500),
+        span=st.integers(0, 3000),
+        data=st.data(),
+    )
+    def test_scan_matches_the_scalar_draw_order(
+        self, seed, n_nodes, ber, ran, gap, span, data
+    ):
+        # An engine runs the injector for ``ran`` ticks from tick 0, then
+        # the scan starts ``gap`` ticks later, inside or past the
+        # lookahead.  Without a run the scan comes before any engine
+        # binds the injector, and the stream starts at the scan.
+        names = _NAMES[:n_nodes]
+        only_nodes = data.draw(
+            st.none() | st.lists(st.sampled_from(names), min_size=1, unique=True)
+        )
+        width = n_nodes if only_nodes is None else len(only_nodes)
+        noise = RandomViewErrorInjector(
+            ber, seed=seed, only_nodes=only_nodes, names=names
+        )
+        if ran:
+            engine = SimulationEngine(
+                [CanController(name) for name in names],
+                injector=noise,
+                record_bits=False,
+            )
+            engine.run(ran)
+        start = ran + gap
+        end = start + span
+        origin = 0 if ran else start
+        assert noise.next_flip(start, end) == _scalar_next_flip(
+            seed, width, ber, origin, start, end
+        )
+        settled = start + data.draw(st.integers(0, span))
+        noise.settle(settled)
+        reference = np.random.default_rng(seed)
+        reference.random((settled - origin) * width)
+        assert noise.rng.bit_generator.state == reference.bit_generator.state
 
-    def test_clean_scan_leaves_stream_exactly_total_ahead(self):
-        scanned = np.random.default_rng(5)
-        assert first_flip(scanned, 3000, 0.0) is None
-        mirror = np.random.default_rng(5)
-        advance(mirror, 3000)
-        assert scanned.random() == mirror.random()
+    def test_engine_goes_on_from_the_scanned_lookahead(self):
+        # The scan's draws are the engine's: a run after a scan flips
+        # exactly where a run on a fresh injector does, and leaves the
+        # stream at the same place.
+        names = _NAMES[:4]
 
-    def test_nonpositive_total_is_none_and_draws_nothing(self):
-        rng = np.random.default_rng(9)
-        state = generator_state(rng)
-        assert first_flip(rng, 0, 0.9) is None
-        assert first_flip(rng, -4, 0.9) is None
-        assert rng.bit_generator.state == state
+        def run(scan):
+            noise = RandomViewErrorInjector(2e-3, seed=17, names=names)
+            flip = noise.next_flip(0, 5000) if scan else None
+            engine = SimulationEngine(
+                [CanController(name) for name in names],
+                injector=noise,
+                record_bits=False,
+            )
+            engine.run(5000)
+            return flip, noise.injections, noise.rng.bit_generator.state
 
-    def test_restore_state_rewinds_in_place(self):
-        rng = np.random.default_rng(11)
-        state = generator_state(rng)
-        burned = [rng.random() for _ in range(17)]
-        restore_state(rng, state)
-        assert [rng.random() for _ in range(17)] == burned
+        flip, scanned, scanned_state = run(scan=True)
+        _, fresh, fresh_state = run(scan=False)
+        assert scanned == fresh and flip == scanned[0][0]
+        assert scanned_state == fresh_state
 
-    def test_advance_matches_discarded_scalar_draws(self):
-        fast = np.random.default_rng(21)
-        advance(fast, 70_001, chunk=4096)
-        slow = np.random.default_rng(21)
-        for _ in range(70_001):
-            slow.random()
-        assert fast.random() == slow.random()
+    def test_ber_change_redraws_the_lookahead(self):
+        # A new BER thresholds the same uniforms afresh: the scan after
+        # the change rewinds within the lookahead and finds the flip the
+        # scalar loop finds at the new BER.
+        names = _NAMES[:3]
+        noise = RandomViewErrorInjector(1e-4, seed=23, names=names)
+        noise.next_flip(0, 4000)
+        noise.ber_star = 0.01
+        assert noise.next_flip(700, 4000) == _scalar_next_flip(
+            23, 3, 0.01, 0, 700, 4000
+        )
+
+    def test_empty_range_is_none(self):
+        noise = RandomViewErrorInjector(0.9, seed=9, names=_NAMES[:2])
+        assert noise.next_flip(40, 40) is None
+        assert noise.next_flip(40, 12) is None
+
+    def test_scan_before_an_engine_needs_names(self):
+        with pytest.raises(SimulationError):
+            RandomViewErrorInjector(0.1).next_flip(0, 100)
+
+    def test_scan_refuses_to_rewind_past_its_lookahead(self):
+        noise = RandomViewErrorInjector(0.01, seed=2, names=_NAMES[:3])
+        noise.next_flip(3000, 9000)
+        with pytest.raises(SimulationError):
+            noise.next_flip(10, 20)
 
 
 class TestRngGoldenVector:
@@ -110,21 +172,27 @@ class TestRngGoldenVector:
         0.5556921645495566,
     ]
 
-    def _window_rng(self):
-        from repro.parallel.seeds import rng_from
+    def _window_seed(self):
         from repro.traffic import traffic_seed_tree
 
-        return rng_from(traffic_seed_tree(self.SPEC)[1][0])
+        return traffic_seed_tree(self.SPEC)[1][0]
 
     def test_first_uniforms_of_the_window_noise_stream(self):
-        drawn = self._window_rng().random(8).tolist()
+        from repro.parallel.seeds import rng_from
+
+        drawn = rng_from(self._window_seed()).random(8).tolist()
         assert drawn == self.FIRST_UNIFORMS, (
             "PCG64 stream changed under numpy %s" % np.__version__
         )
 
-    def test_first_flip_index(self):
-        flip = first_flip(self._window_rng(), 100_000, 1e-3)
-        assert flip == 1066, "PCG64 stream changed under numpy %s" % np.__version__
+    def test_first_flip_tick(self):
+        from repro.traffic.window import window_noise
+
+        noise = window_noise(replace(self.SPEC, noise_ber=1e-3), self._window_seed())
+        # The first uniform below 1e-3 is draw 1066: tick 1066 // 3.
+        assert noise.next_flip(0, 100_000) == 355, (
+            "PCG64 stream changed under numpy %s" % np.__version__
+        )
 
 
 # ---------------------------------------------------------------------------

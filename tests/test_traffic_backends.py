@@ -257,7 +257,6 @@ class TestHandBack:
         # carry exactly the state a single engine run from tick 0 has at
         # that tick: error counters, queues with their attempt counters,
         # and the noise generator's position in the scalar draw order.
-        from repro.analysis.noisebatch import generator_state
         from repro.faults.bit_errors import RandomViewErrorInjector
         from repro.faults.scenarios import make_controller
         from repro.parallel.seeds import rng_from
@@ -288,7 +287,7 @@ class TestHandBack:
             return (
                 [(c.counters.tec, c.counters.rec) for c in controllers],
                 [[(job.frame, job.attempts) for job in c.tx_queue] for c in controllers],
-                generator_state(noise.rng),
+                noise.rng.bit_generator.state,
             )
 
         carried = []
@@ -297,7 +296,7 @@ class TestHandBack:
         def spy(self, cut, *args):
             result, boundary = run_segment(self, cut, *args)
             if boundary is not None:
-                state = _state(self.controllers, self.noise, boundary.tick)
+                state = _state(self.controllers, self.injectors[0], boundary.tick)
                 assert boundary.attempts == tuple(
                     queue[0][1] if queue else 0 for queue in state[1]
                 )
