@@ -222,7 +222,6 @@ def _engine_row(key: str, frames: int, reference: dict, candidate: dict,
         surface=lambda bits: bits,
         items=lambda bits: bits,
         unit="bits",
-        repeats=1,
         staged=True,
         alias=alias,
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.can.bits import DOMINANT, RECESSIVE, Level
@@ -85,6 +86,11 @@ STATE_OVERLOAD_DELIM = "overload_delim"
 STATE_INTERMISSION = "intermission"
 STATE_SUSPEND = "suspend"
 STATE_BUS_OFF = "bus_off"
+
+#: The positions an offline node publishes: bus-off, or idle after a
+#: crash or disconnection in any other state.
+_BUS_OFF_AT = (BUS_OFF_POSITION, 0)
+_IDLE_AT = (IDLE, 0)
 
 
 @dataclass
@@ -143,7 +149,6 @@ class CanController:
         #: ``config.fast_path`` (both expose the same verdict surface).
         self._parser: Optional[Union[FrameParser, FastFrameParser]] = None
         self._parser_failed = False
-        self._driven: Level = RECESSIVE
         self._flag_remaining = 0
         self._wait_first_bit = False
         self._wait_dominant_run = 0
@@ -164,7 +169,10 @@ class CanController:
         #: Precompiled signalling positions for this configuration
         #: (shared across controllers via the ``signal_table`` cache).
         self._signal_table: SignalTable = signal_table(self.config.delimiter_length)
-        #: This configuration's (drive, on_bit) state -> handler tables.
+        #: This configuration's (drive, on_bit) state -> handler tables;
+        #: the engine calls ``_drive_handlers[_state](self)`` and
+        #: ``_bit_handlers[_state](self, seen)`` directly.  Crashing or
+        #: disconnecting swaps in the offline pair.
         self._drive_handlers, self._bit_handlers = self._HANDLERS[bool(self.config.fast_path)]
 
     # ------------------------------------------------------------------
@@ -200,12 +208,14 @@ class CanController:
         """Fail-silent crash: stop driving and processing immediately."""
         if not self.crashed:
             self.crashed = True
+            self._drive_handlers, self._bit_handlers = _offline_handlers(type(self))
             self._log(EventKind.CRASHED)
 
     def disconnect(self) -> None:
         """Controlled disconnection (the paper's warning-limit switch-off)."""
         if not self.disconnected:
             self.disconnected = True
+            self._drive_handlers, self._bit_handlers = _offline_handlers(type(self))
             self._log(EventKind.DISCONNECTED)
 
     def request_overload(self) -> None:
@@ -228,23 +238,15 @@ class CanController:
 
     def drive(self) -> Level:
         """Phase 1: return the level driven on the bus this bit time."""
-        if self.offline:
-            self.position = (BUS_OFF_POSITION if self._state == STATE_BUS_OFF else IDLE, 0)
-            return RECESSIVE
         handler = self._drive_handlers.get(self._state)
-        if handler is None:  # pragma: no cover - defensive
+        if handler is None:
             raise SimulationError("no drive handler for state %r" % self._state)
-        self._driven = handler(self)
-        return self._driven
+        return handler(self)
 
     def on_bit(self, seen: Level) -> None:
         """Phase 2: consume the level observed on the bus this bit time."""
-        if self.crashed or self.disconnected:
-            return
-        # A bus-off node still monitors the bus when the optional
-        # recovery sequence is enabled (see _bit_bus_off).
         handler = self._bit_handlers.get(self._state)
-        if handler is None:  # pragma: no cover - defensive
+        if handler is None:
             raise SimulationError("no bit handler for state %r" % self._state)
         handler(self, seen)
 
@@ -255,7 +257,7 @@ class CanController:
     def _drive_idle(self) -> Level:
         if self.tx_queue:
             return self._start_transmission()
-        self.position = (IDLE, 0)
+        self.position = _IDLE_AT
         return RECESSIVE
 
     def _drive_receiving(self) -> Level:
@@ -271,9 +273,20 @@ class CanController:
         self.position = self._wire.positions[self._tx_pos]
         return self._wire.levels[self._tx_pos]
 
+    def _drive_bus_off(self) -> Level:
+        self.position = _BUS_OFF_AT
+        return RECESSIVE
+
+    def _drive_offline(self) -> Level:
+        self.position = _IDLE_AT
+        return RECESSIVE
+
     # ------------------------------------------------------------------
     # Bit handlers
     # ------------------------------------------------------------------
+
+    def _bit_offline(self, seen: Level) -> None:
+        """A crashed or disconnected node ignores the bus."""
 
     def _bit_bus_off(self, seen: Level) -> None:
         """Optionally monitor the recovery sequence while bus-off.
@@ -955,6 +968,7 @@ class CanController:
         STATE_OVERLOAD_DELIM: _drive_overload_delim,
         STATE_INTERMISSION: _drive_intermission,
         STATE_SUSPEND: _drive_suspend,
+        STATE_BUS_OFF: _drive_bus_off,
     }
     _REFERENCE_BIT: Dict[str, Callable[["CanController", Level], None]] = {
         STATE_IDLE: _bit_idle,
@@ -994,3 +1008,18 @@ class CanController:
             },
         ),
     )
+
+
+@lru_cache(maxsize=None)
+def _offline_handlers(cls: type) -> tuple:
+    """The ``(drive, on_bit)`` tables of a crashed or disconnected ``cls``.
+
+    They cover every state of the class's own ``_HANDLERS`` (so also
+    the states a protocol subclass adds): the node drives recessive,
+    publishes the bus-off position in bus-off and idle otherwise, and
+    ignores what it sees.
+    """
+    states = {state for tables in cls._HANDLERS for table in tables for state in table}
+    drive = dict.fromkeys(states, CanController._drive_offline)
+    drive[STATE_BUS_OFF] = CanController._drive_bus_off
+    return drive, dict.fromkeys(states, CanController._bit_offline)

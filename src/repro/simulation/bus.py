@@ -25,11 +25,6 @@ class Bus:
         self.history.append(level)
         return level
 
-    def push(self, level: Level) -> Level:
-        """Record a bus level resolved by the caller (engine fast path)."""
-        self.history.append(level)
-        return level
-
     @property
     def time(self) -> int:
         """Number of bit times resolved so far."""

@@ -131,6 +131,23 @@ def _traffic_spec(name: str):
             bursts=(BurstSpec(node="n0", window=0, start=10, length=700),),
             bus_off_recovery=True,
         ),
+        # The same bus-off recovery driven by per-bit noise on n0's own
+        # view instead of a burst: n0 ramps into bus-off twice and
+        # rejoins once, and flipped views keep breaking the recessive
+        # runs it counts while it is off the bus.
+        "traffic-busoff-recovery-noise-majorcan": TrafficSpec(
+            name="traffic-busoff-recovery-noise-majorcan",
+            protocol="majorcan",
+            m=5,
+            n_nodes=3,
+            windows=1,
+            window_bits=6000,
+            load=0.3,
+            seed=3,
+            noise_ber=0.05,
+            noise_nodes=("n0",),
+            bus_off_recovery=True,
+        ),
         # An HLP stream: EDCAN riding standard CAN, application-level
         # (origin, seq) ledger keys across two windows.
         "traffic-hlp-edcan": TrafficSpec(
@@ -215,6 +232,7 @@ GOLDEN_TRAFFIC_ENTRIES = (
     "traffic-burst-relcan",
     "traffic-burst-storm-can",
     "traffic-busoff-recovery-majorcan",
+    "traffic-busoff-recovery-noise-majorcan",
     "traffic-contended-majorcan",
     "traffic-hlp-edcan",
     "traffic-hlp-totcan-contended",

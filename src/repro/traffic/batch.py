@@ -223,12 +223,27 @@ def _plan_frames(
 ) -> Tuple[List[_FramePlan], int]:
     """Lay the window's frames on the clean timeline; no rendering.
 
+    Returns the time-ordered frame plans of :func:`_frames` and the
+    window's total bit length (active + drain) on the clean timeline.
+    """
+    plans = list(_frames(queues, heads, start))
+    return plans, _total_bits(spec, plans)
+
+
+def _total_bits(spec: TrafficSpec, plans: List[_FramePlan]) -> int:
+    """The window's length on the clean timeline of ``plans``: the
+    active part, then the drain's quiet bits."""
+    quiet_from = plans[-1].t_end + _TURNAROUND - 1 if plans else 0
+    return max(spec.window_bits, quiet_from) + _SETTLE_BITS
+
+
+def _frames(queues: _Queues, heads: List[int], start: int) -> Iterator[_FramePlan]:
+    """Plan the frames of the clean timeline one at a time, in time order.
+
     Plans the entries of each node's queue from its head on, with the
     bus idle from window tick ``start``.  A heap of head-of-queue
     arrivals yields each frame's earliest arrival and its contenders,
-    so a frame costs O(contenders), not a scan of every node.  Returns
-    the time-ordered frame plans and the window's total bit length
-    (active + drain) on the clean timeline.
+    so a frame costs O(contenders), not a scan of every node.
     """
     heads = list(heads)
     arrivals = [
@@ -237,7 +252,6 @@ def _plan_frames(
         if head < len(queue)
     ]
     heapq.heapify(arrivals)
-    plans: List[_FramePlan] = []
     idle_from = start
     while arrivals:
         t0 = max(idle_from, arrivals[0][0] + 1)
@@ -248,15 +262,31 @@ def _plan_frames(
         winner = contenders[0]
         wire = queues[winner][heads[winner]][3]
         t_end = t0 + wire.length - 1
-        plans.append(_FramePlan(t0, t_end, winner, tuple(contenders), wire))
+        yield _FramePlan(t0, t_end, winner, tuple(contenders), wire)
         heads[winner] += 1
         if heads[winner] == len(queues[winner]):
             del contenders[0]
         for index in contenders:
             heapq.heappush(arrivals, (queues[index][heads[index]][0], index))
         idle_from = t_end + _TURNAROUND
-    quiet_from = plans[-1].t_end + _TURNAROUND - 1 if plans else 0
-    return plans, max(spec.window_bits, quiet_from) + _SETTLE_BITS
+
+
+def _quiet_bound(queues: _Queues, heads: List[int], start: int) -> int:
+    """An upper bound on the tick the clean timeline from ``start``
+    falls quiet.
+
+    The planner never leaves the bus idle while a frame is queued, so
+    every frame has ended, intermission included, before the latest
+    queued arrival (or ``start``) plus each queued frame's length and
+    turnaround.
+    """
+    latest = start
+    reach = 0
+    for queue, head in zip(queues, heads):
+        for arrival, _, _, wire in queue[head:]:
+            latest = max(latest, arrival + 1)
+            reach += wire.length + _TURNAROUND
+    return latest + reach
 
 
 def _frame_events(
@@ -567,7 +597,21 @@ def _resume_window(
     def offer(boundary: Boundary) -> Optional[int]:
         tick = boundary.tick
         next_heads = [head + done for head, done in zip(heads, boundary.finished)]
-        next_plans, next_total = _plan_frames(spec, queues, next_heads, tick)
+        frames = _frames(queues, next_heads, tick)
+        first = next(frames, None)
+        if first is not None:
+            # The commit rule declines exactly when a fault comes at
+            # ``tick``, or before the first frame commits while that
+            # frame starts at once; so a decline needs only the first
+            # frame, unless the whole plan may overflow the drain.
+            end = first.t_end + _TURNAROUND if first.t0 - 1 <= tick else tick + 1
+            fault = _next_fault(spec, window, noise, tick, end)
+            if fault is not None:
+                longest = max(spec.window_bits, _quiet_bound(queues, next_heads, tick))
+                if longest + _SETTLE_BITS - spec.window_bits <= spec.max_window_bits:
+                    return fault
+        next_plans = [] if first is None else [first, *frames]
+        next_total = _total_bits(spec, next_plans)
         if next_total - spec.window_bits > spec.max_window_bits or (
             not next_plans and tick > spec.window_bits
         ):

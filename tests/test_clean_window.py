@@ -52,7 +52,7 @@ from repro.can.stuffing import STUFF_WIDTH
 from repro.core.majorcan import majorcan_config
 from repro.faults.scenarios import make_controller
 from repro.traffic import TrafficSpec, build_schedule, run_window
-from repro.traffic.batch import _local_queues, _plan_frames
+from repro.traffic.batch import _local_queues, _plan_frames, _quiet_bound
 from repro.traffic.window import _controller_config, _submission_frame
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,22 @@ def test_heap_planner_equals_the_node_scan(spec, data):
         assert [
             (plan.t0, plan.t_end, plan.winner, plan.contenders) for plan in plans
         ] == oracle_plan(spec, queues, heads, start)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(clean_specs(), st.data())
+def test_quiet_bound_covers_the_plan(spec, data):
+    # A declined hand-back trusts this bound instead of planning the
+    # rest of the window to rule out a drain overflow.
+    submissions = tuple(sub for sub in build_schedule(spec) if sub.window == 0)
+    queues = _local_queues(spec, 0, submissions)
+    start = data.draw(st.integers(0, spec.window_bits))
+    heads = [data.draw(st.integers(0, len(queue))) for queue in queues]
+    plans, _ = _plan_frames(spec, queues, heads, start)
+    quiet_from = plans[-1].t_end + 3 if plans else start
+    assert _quiet_bound(queues, heads, start) >= quiet_from
 
 
 # ---------------------------------------------------------------------------

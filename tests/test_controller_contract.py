@@ -8,9 +8,12 @@ invariants of the two-phase per-bit protocol:
   (flags dominant, delimiters/waits recessive, idle recessive).
 """
 
+import pytest
+
 from repro.can.bits import DOMINANT, RECESSIVE
 from repro.can.controller import (
     CanController,
+    STATE_BUS_OFF,
     STATE_ERROR_DELIM,
     STATE_ERROR_FLAG,
     STATE_ERROR_WAIT,
@@ -18,9 +21,11 @@ from repro.can.controller import (
     STATE_RECEIVING,
     STATE_TRANSMITTING,
 )
-from repro.can.fields import EOF
+from repro.can.controller_config import ControllerConfig
+from repro.can.fields import BUS_OFF_POSITION, EOF, IDLE
 from repro.can.frame import data_frame
-from repro.core.majorcan import MajorCanController
+from repro.core.majorcan import STATE_MAJOR_QUIET, MajorCanController
+from repro.errors import SimulationError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.simulation.engine import SimulationEngine
 
@@ -118,3 +123,37 @@ class TestOfflineNodesAreSilent:
         before = node.state
         node.on_bit(DOMINANT)
         assert node.state == before
+
+    @pytest.mark.parametrize("go_offline", ["crash", "disconnect"])
+    @pytest.mark.parametrize(
+        "state,position",
+        [(STATE_BUS_OFF, (BUS_OFF_POSITION, 0)), (STATE_MAJOR_QUIET, (IDLE, 0))],
+    )
+    def test_offline_node_publishes_its_position_in_every_state(
+        self, go_offline, state, position
+    ):
+        # The offline tables cover the states MajorCAN adds too.
+        node = MajorCanController("n")
+        node._state = state
+        getattr(node, go_offline)()
+        for _ in range(3):
+            assert node.drive() is RECESSIVE
+            assert node.position == position
+            node.on_bit(DOMINANT)
+            assert node.state == state
+
+    def test_bus_off_node_drives_recessive_and_keeps_monitoring(self):
+        node = CanController("n", ControllerConfig(bus_off_recovery=True))
+        node._state = STATE_BUS_OFF
+        assert node.drive() is RECESSIVE
+        assert node.position == (BUS_OFF_POSITION, 0)
+        node.on_bit(RECESSIVE)
+        assert node._bus_off_recessive_run == 1
+
+    def test_unknown_state_raises(self):
+        node = CanController("n")
+        node._state = "no_such_state"
+        with pytest.raises(SimulationError, match="no drive handler"):
+            node.drive()
+        with pytest.raises(SimulationError, match="no bit handler"):
+            node.on_bit(RECESSIVE)

@@ -61,6 +61,30 @@ class TestRunner:
         entry = perf_harness.run_row(_fake_row(share=0.0, max_share=0.0))
         assert entry["engine_share"] == 0.0
 
+    def test_staged_row_builds_and_times_each_repeat(self):
+        builds = []
+        row = perf_harness.Row(
+            "staged",
+            reference=lambda: builds.append("reference") or (lambda: 7),
+            candidate=lambda: builds.append("candidate") or (lambda: 7),
+            surface=lambda result: result,
+            items=lambda result: result,
+            unit="bits",
+            staged=True,
+        )
+        entry = perf_harness.run_row(row)
+        assert entry["items"] == 7
+        assert builds.count("reference") == builds.count("candidate") == row.repeats
+
+
+def test_gated_rows_time_best_of_three():
+    """A single timed run per side makes a gated ratio pass or fail by
+    chance; every row behind a gated metric takes the best of three."""
+    rows = {row.key: row for row in perf_harness.rows(smoke=True, jobs=2)}
+    for metric in perf_gate.GATED_METRICS:
+        key = metric.rsplit(".", 1)[0]
+        assert rows[key].repeats >= 3, metric
+
 
 def test_smoke_run_writes_report(tmp_path):
     out = tmp_path / "bench.json"

@@ -1,15 +1,16 @@
 """Stateful fuzzing of the simulation substrate.
 
 A hypothesis rule machine drives a live bus with arbitrary interleaved
-operations — frame submissions on any node, node crashes, bursts of
-random view noise, plain time advancement — and checks global
-invariants after every step:
+operations — frame submissions on any node, node crashes and
+disconnections, bursts of random view noise, plain time advancement —
+and checks global invariants after every step:
 
 * the engine never raises;
 * nothing is delivered that was never submitted (wire-level
   non-triviality);
 * per-source delivery order never inverts the submission order
   (modulo adjacent duplicates from the CAN last-bit rule);
+* a crashed or disconnected node logs nothing more;
 * error counters remain non-negative and controllers stay in known
   states.
 """
@@ -69,6 +70,8 @@ class BusMachine(RuleBasedStateMachine):
         )
         self.submitted_payloads = set()
         self.sequence_counter = 0
+        #: Crashed or disconnected node index -> its event count then.
+        self.silenced = {}
 
     # ------------------------------------------------------------------
     # Rules
@@ -96,6 +99,12 @@ class BusMachine(RuleBasedStateMachine):
     def crash_node(self, node_index):
         # Keep node 0 alive so the bus never fully dies.
         self.nodes[node_index].crash()
+        self.silenced[node_index] = len(self.nodes[node_index].events)
+
+    @rule(node_index=st.integers(1, NODE_COUNT - 1))
+    def disconnect_node(self, node_index):
+        self.nodes[node_index].disconnect()
+        self.silenced[node_index] = len(self.nodes[node_index].events)
 
     # ------------------------------------------------------------------
     # Invariants
@@ -125,6 +134,13 @@ class BusMachine(RuleBasedStateMachine):
                 # strictly: the first occurrences must be increasing
                 firsts = list(dict.fromkeys(sequence))
                 assert firsts == sorted(firsts)
+
+    @invariant()
+    def offline_nodes_stay_silent(self):
+        for node_index, events in self.silenced.items():
+            node = self.nodes[node_index]
+            assert node.offline
+            assert len(node.events) == events
 
     @invariant()
     def counters_non_negative_and_states_known(self):
