@@ -20,7 +20,11 @@ row's codes, trimmed of padding, key the process-wide verdict cache,
 and the fresh rows are routed by a position-to-tail-key table, so
 equivalent placements share one verdict.  The result is columnar
 (:class:`Placements`): a ``[P, n]`` delivery matrix, attempts and route
-codes, with the relabelling undone by one gather.
+codes, with the relabelling undone by one gather.  A slab narrower
+than :data:`_ARRAY_BREAK_EVEN` (a Monte-Carlo chunk, a campaign round)
+takes the same steps one placement at a time in Python, to the same
+keys: there the array front end's fixed cost per call outweighs its
+per-placement saving.
 
 **One table.**  Pure tail placements (CRC delimiter, ACK slot, ACK
 delimiter, EOF and the MajorCAN sampling window) follow a tail-only
@@ -58,6 +62,7 @@ generated placements.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -317,24 +322,24 @@ class BatchReplayEvaluator(EngineClassifier):
         Repeated placements (Monte-Carlo draws across chunks, the F1
         universe re-visiting tail-window sites) therefore classify at
         dictionary-lookup cost.  A slab narrower than
-        :data:`_ARRAY_BREAK_EVEN` whose every placement is in
-        :data:`_ROW_CACHE` skips the front end altogether.  Each
-        placement adds 1 to ``stats`` under the label of the route that
-        first computed its verdict, cache hits included.
+        :data:`_ARRAY_BREAK_EVEN` looks its placements up in
+        :data:`_ROW_CACHE` and canonicalises only the missing ones, one
+        at a time (:meth:`_row_verdicts`).  Each placement adds 1 to
+        ``stats`` under the label of the route that first computed its
+        verdict, cache hits included.
         """
         combos = [tuple(combo) for combo in combos]
         verdicts = self._verdicts()
         n = len(self.node_names)
-        rows = None
         if len(combos) < _ARRAY_BREAK_EVEN:
             rows = _ROW_CACHE.setdefault(self._config, {})
-            found = [rows.get(combo) for combo in combos]
-        if rows is not None and None not in found:
+            missing = list(dict.fromkeys(combo for combo in combos if combo not in rows))
+            if missing:
+                rows.update(zip(missing, self._row_verdicts(missing, verdicts)))
+            found = [rows[combo] for combo in combos]
             table = np.array(found, dtype=np.int64).reshape(len(combos), n + 2)
         else:
             table = self._verdict_rows(combos, verdicts)
-            if rows is not None:
-                rows.update(zip(combos, table.tolist()))
         routes = table[:, n + 1]
         for label, count in zip(ROUTES, np.bincount(routes, minlength=len(ROUTES)).tolist()):
             self.stats[label] += count
@@ -378,6 +383,63 @@ class BatchReplayEvaluator(EngineClassifier):
         table[:, :n] = table[np.arange(len(found))[:, None], slab.place]
         return table
 
+    def _row_verdicts(
+        self, combos: Sequence[Tuple[Site, ...]], verdicts: Dict[bytes, Verdict]
+    ) -> List[Verdict]:
+        """The front end of a narrow slab: :meth:`_verdict_rows` one
+        placement at a time, in Python.
+
+        The same canonical keys (:meth:`_row_form`), the same cache and
+        the same routes (:meth:`_row_verdict`), without the array front
+        end's fixed cost of some fifty numpy operations per call, which
+        outweighs its per-placement saving on a narrow slab.
+        """
+        forms = [self._row_form(combo) for combo in combos]
+        for form in forms:
+            if form is not None and form[0] not in verdicts:
+                verdicts[form[0]] = self._row_verdict(form[1])
+        n = len(self.node_names)
+        found = []
+        for combo, form in zip(combos, forms):
+            if form is None:
+                found.append(self._engine_outcome(combo))
+                continue
+            verdict = verdicts[form[0]]
+            found.append(tuple(verdict[label] for label in form[2]) + verdict[n:])
+        return found
+
+    def _row_form(
+        self, combo: Sequence[Site]
+    ) -> Optional[Tuple[bytes, List[int], List[int]]]:
+        """One placement's canonical ``(key, codes, place)``, exactly as
+        :meth:`_canonical` and :func:`_row_keys` give its row of a slab:
+        the key bytes, the sorted canonical codes, and ``place[v]``, the
+        canonical label of real node ``v``.  None when a site names an
+        unknown node."""
+        codes = sorted(self._site_codes[site] for site in combo)
+        if codes and codes[0] == _UNKNOWN:
+            return None
+        odd: List[int] = []
+        for code in codes:  # parity: sorted, so equal codes are adjacent
+            if odd and odd[-1] == code:
+                odd.pop()
+            else:
+                odd.append(code)
+        groups: Dict[int, List[int]] = {}
+        for code in odd:
+            node = code >> _NODE_SHIFT
+            if node:
+                groups.setdefault(node, []).append(code & _POSITION_MASK)
+        faulted = sorted(groups, key=lambda node: (groups[node], node))
+        clean = [node for node in range(1, len(self.node_names)) if node not in groups]
+        place = [0] * len(self.node_names)
+        for label, node in enumerate(faulted + clean, 1):
+            place[node] = label
+        codes = sorted(
+            place[code >> _NODE_SHIFT] << _NODE_SHIFT | code & _POSITION_MASK for code in odd
+        )
+        return array("q", codes).tobytes(), codes, place
+
     def _site_matrix(self, combos: Sequence[Sequence[Site]]) -> np.ndarray:
         """The slab as a ``[P, W]`` matrix of site codes, ``_PAD`` after
         each row's last site: one dictionary lookup per site."""
@@ -420,7 +482,7 @@ class BatchReplayEvaluator(EngineClassifier):
         Header placements take a reduced engine run and placements
         outside every model the engine.  Pure tail placements replay on
         the transition table: on the array driver from
-        :data:`_ARRAY_BREAK_EVEN` fresh placements up, on the scalar one
+        :data:`_ARRAY_BREAK_EVEN` fast placements up, on the scalar one
         below (its per-placement cost beats the array loop's fixed
         per-call cost on narrow batches) and for the array's bails.
         """
@@ -429,20 +491,22 @@ class BatchReplayEvaluator(EngineClassifier):
         verdicts: List[Optional[Verdict]] = [None] * len(codes)
         routes, nodes, keys, live = self._resolve(codes)
         for row in np.flatnonzero(routes == _REDUCED).tolist():
-            verdicts[row] = self._reduced_outcome(_index_sites(codes[row][live[row]]))
+            verdicts[row] = self._reduced_outcome(_index_sites(codes[row][live[row]].tolist()))
         for row in np.flatnonzero(routes == _FULL).tolist():
-            verdicts[row] = self._engine_outcome(self._named(_index_sites(codes[row])))
+            verdicts[row] = self._engine_outcome(self._named(_index_sites(codes[row].tolist())))
         fast = np.flatnonzero(routes == _FAST)
         if not len(fast):
             return verdicts
-        table = transition_table(self.geometry)
-        n = len(self.node_names)
         nodes, keys = nodes[fast], keys[fast]
-        flips = (keys >= 0).sum(axis=1).tolist()
         scalar = range(len(fast))
         if len(fast) >= _ARRAY_BREAK_EVEN:
+            flips = (keys >= 0).sum(axis=1)
             deliveries, attempts, finished = _replay_array(
-                table, n, nodes, keys, _step_cap(self.attempt_cap, max(flips))
+                transition_table(self.geometry),
+                len(self.node_names),
+                nodes,
+                keys,
+                _step_cap(self.attempt_cap, int(flips.max())),
             )
             # Column lists zip straight into the verdict tuples: a list per
             # row would raise the peak RSS of wide runs (~0.3 MB on verify_m5).
@@ -452,19 +516,54 @@ class BatchReplayEvaluator(EngineClassifier):
             scalar = np.flatnonzero(~finished).tolist()
         rows = fast.tolist()
         for i in scalar:
-            # The common bail on dense placements is the step budget:
-            # every flip can restart the frame and the cascade outruns
-            # the nominal cap.  The scalar driver's widened budget stays
-            # exact (same transition table, more steps) and keeps these
-            # off the engine; genuine envelope violations bail at the
-            # same step under any budget and fall through to the oracle.
-            arm = _arm(nodes[i], keys[i])
-            replay = _replay_scalar(table, n, arm, _step_cap(self.attempt_cap, flips[i], 8))
-            if replay is not None:
-                verdicts[rows[i]] = replay[0] + (replay[1], SCALAR)
-            else:
-                verdicts[rows[i]] = self._engine_outcome(self._named(_index_sites(codes[rows[i]])))
+            verdicts[rows[i]] = self._scalar_outcome(
+                _arm(nodes[i], keys[i]), codes[rows[i]].tolist()
+            )
         return verdicts
+
+    def _row_verdict(self, codes: List[int]) -> Verdict:
+        """One fresh canonical row's verdict (its codes without padding),
+        routed site by site by the rule of :meth:`_resolve`."""
+        table = self._position_routes()
+        kinds = [int(table[code & _POSITION_MASK]) for code in codes]
+        if _UNSUPPORTED in kinds:
+            return self._engine_outcome(self._named(_index_sites(codes)))
+        nodes = [code >> _NODE_SHIFT for code in codes]
+        live_nodes = {
+            node for node, kind in zip(nodes, kinds) if kind >= 0 or kind == _ANNOUNCED
+        }
+        header = [
+            kind == _ANNOUNCED or (kind == _SILENT and node in live_nodes)
+            for node, kind in zip(nodes, kinds)
+        ]
+        if any(header):
+            return self._reduced_outcome(_index_sites([
+                code for code, kind, rides in zip(codes, kinds, header) if kind >= 0 or rides
+            ]))
+        return self._scalar_outcome(
+            [(node, kind) for node, kind in zip(nodes, kinds) if kind >= 0], codes
+        )
+
+    def _scalar_outcome(self, arm: List[Tuple[int, int]], codes: List[int]) -> Verdict:
+        """A pure tail placement on the scalar driver: ``arm`` holds its
+        armed ``(node, key)`` pairs, ``codes`` its canonical codes.
+
+        The common bail on dense placements is the step budget: every
+        flip can restart the frame and the cascade outruns the nominal
+        cap.  The scalar driver's widened budget stays exact (same
+        transition table, more steps) and keeps these off the engine;
+        genuine envelope violations bail at the same step under any
+        budget and fall through to the oracle.
+        """
+        replay = _replay_scalar(
+            transition_table(self.geometry),
+            len(self.node_names),
+            arm,
+            _step_cap(self.attempt_cap, len(arm), 8),
+        )
+        if replay is not None:
+            return replay[0] + (replay[1], SCALAR)
+        return self._engine_outcome(self._named(_index_sites(codes)))
 
     def _named(self, sites: Sequence[IndexSite]) -> Tuple[Site, ...]:
         return tuple((self.node_names[node], f, i) for node, f, i in sites)
@@ -477,6 +576,16 @@ class BatchReplayEvaluator(EngineClassifier):
             announced = (field_name, index) in self._header_shape().announced
             return _ANNOUNCED if announced else _SILENT
         return _site_key(self.geometry, field_name, index)
+
+    def _position_routes(self) -> np.ndarray:
+        """This frame's :data:`_POSITION_ROUTES` entry, grown to every
+        position id issued so far."""
+        shape_key = self._config[:3]
+        table = _POSITION_ROUTES.get(shape_key, np.zeros(0, dtype=np.int64))
+        if len(table) < len(_POSITIONS):
+            grown = [self._position_route(*position) for position in _POSITIONS[len(table):]]
+            table = _POSITION_ROUTES[shape_key] = np.append(table, grown)
+        return table
 
     def _resolve(
         self, codes: np.ndarray
@@ -504,11 +613,7 @@ class BatchReplayEvaluator(EngineClassifier):
         reduced run, which replays the real engine and needs no
         announcement reasoning.
         """
-        shape_key = self._config[:3]
-        table = _POSITION_ROUTES.get(shape_key, np.zeros(0, dtype=np.int64))
-        if len(table) < len(_POSITIONS):
-            grown = [self._position_route(*position) for position in _POSITIONS[len(table):]]
-            table = _POSITION_ROUTES[shape_key] = np.append(table, grown)
+        table = self._position_routes()
         valid = codes != _PAD
         nodes = np.where(valid, codes >> _NODE_SHIFT, 0)
         kinds = np.full(codes.shape, _INERT, dtype=np.int64)
@@ -658,11 +763,11 @@ def _arm(nodes: np.ndarray, keys: np.ndarray) -> List[Tuple[int, int]]:
     ]
 
 
-def _index_sites(codes: np.ndarray) -> Tuple[IndexSite, ...]:
+def _index_sites(codes: Sequence[int]) -> Tuple[IndexSite, ...]:
     """The ``(node index, field, index)`` sites of one row of codes."""
     return tuple(
         (code >> _NODE_SHIFT,) + _POSITIONS[code & _POSITION_MASK]
-        for code in codes.tolist()
+        for code in codes
         if code != _PAD
     )
 
@@ -688,15 +793,15 @@ _COMBO_CACHE_LIMIT = 1 << 19
 
 #: The verdicts of narrow slabs' placements as given (real node order),
 #: per configuration.  Monte-Carlo chunks and campaign rounds draw the
-#: same few placements call after call, and below
-#: :data:`_ARRAY_BREAK_EVEN` placements the array front end's fixed
-#: per-call cost outweighs its per-placement saving.  Cleared with
+#: same few placements call after call; a hit skips the per-placement
+#: canonical form of :meth:`BatchReplayEvaluator._row_form`.  Cleared with
 #: :data:`_COMBO_CACHE`, so a row keeps the route label of its
 #: canonical verdict.
 _ROW_CACHE: Dict[Tuple, Dict[Tuple[Site, ...], Verdict]] = {}
 
-#: Minimum fresh-placement batch for the array pass; below this the
-#: scalar driver (~15-30 us/placement) beats the array loop's fixed
+#: Minimum slab for the array front end and minimum fresh-placement
+#: batch for the array pass; below this the per-placement front end and
+#: the scalar driver (~15-30 us/placement) beat the array code's fixed
 #: per-call cost.  The measured crossover of the node-major driver is
 #: ~48-128 placements (MajorCAN_5 over five nodes to CAN over three,
 #: 2-vCPU Xeon VM; ~64-192 for the placement-major one it replaced).
@@ -1000,28 +1105,27 @@ def transition_table(geometry: FrameEnd) -> TransitionTable:
     columns: Tuple[List, ...] = tuple([] for _ in range(7))
     nxt, delivered, bail, drives, key, is_idle, ready = columns
     for state, t in pairs:  # grows as the search discovers pairs
-        announced = _announced_key(geometry, state, t)
+        after_t = min(t + 1, tmax)
         for seen in (False, True):
             after, got, bails = _node_step(geometry, state, t, seen)
-            pair = (after, min(t + 1, tmax))
-            if pair not in index:
-                index[pair] = len(pairs)
-                pairs.append(pair)
-            nxt.append(2 * index[pair])
+            code = index.setdefault((after, after_t), len(pairs))
+            if code == len(pairs):
+                pairs.append((after, after_t))
+            nxt.append(2 * code)
             delivered.append(got)
             bail.append(bails)
-            drives.append(_drives(state, t))
-            key.append(none if announced is None else announced)
-            is_idle.append(state.st == IDLE)
-            ready.append(
-                state.st == IDLE
-                or (state.st == INTER and state.ipos == INTERMISSION_LENGTH - 1)
-            )
+        # The pair-only columns, once for both sampled bits.
+        announced = _announced_key(geometry, state, t)
+        idle = state.st == IDLE
+        drives += [_drives(state, t)] * 2
+        key += [none if announced is None else announced] * 2
+        is_idle += [idle] * 2
+        ready += [idle or (state.st == INTER and state.ipos == INTERMISSION_LENGTH - 1)] * 2
     # ``next`` is intp: the array driver indexes with its codes every pass.
     dtypes = (np.intp, np.uint8, bool, bool, np.min_scalar_type(none), bool, bool)
     arrays = [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
-    for array in arrays:
-        array.setflags(write=False)  # one cached table serves every caller
+    for column in arrays:
+        column.setflags(write=False)  # one cached table serves every caller
     return TransitionTable(
         *arrays, key_count=none, columns=tuple(map(tuple, columns))
     )

@@ -26,8 +26,10 @@ the engine.  These tests enforce that contract:
 * over **generated slabs** (Hypothesis, 2-7 nodes, combos of every
   length 1-6 with repeated sites, unknown nodes, tail and header sites
   mixed): the array canonical form matches a verbatim copy of the
-  per-placement canonicaliser it replaced, and one slab classifies
-  like the same combos one call each;
+  per-placement canonicaliser it replaced, one slab classifies like
+  the same combos one call each, and the per-placement front end of
+  narrow slabs gives the array front end's keys, relabelling, routes
+  and verdicts;
 * over **a sampled CAN/MinorCAN 2-flip universe**: ``verify_chunk``
   finds the engine's hits on both backends;
 * through every wired entry point (``verify_consistency``,
@@ -48,10 +50,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.batchreplay import (
+    _ARRAY_BREAK_EVEN,
     _FAST,
+    _PAD,
     _RX_START,
     _TX_START,
     ENGINE,
+    HEADER,
+    SCALAR,
     BatchReplayEvaluator,
     EngineClassifier,
     _arm,
@@ -799,15 +805,15 @@ class TestCanonicalForm:
     def test_clear_caches_reaches_built_evaluators(self, monkeypatch):
         evaluator = BatchReplayEvaluator("can", 5, ("tx", "r1", "r2"), FRAME)
         fresh = []
-        classify = evaluator._classify
+        row_verdict = evaluator._row_verdict
         monkeypatch.setattr(
             evaluator,
-            "_classify",
-            lambda codes: fresh.append(_row_keys(codes)) or classify(codes),
+            "_row_verdict",
+            lambda codes: fresh.append(codes) or row_verdict(codes),
         )
         combo = (("r1", EOF, 5),)
         mirror = (("r2", EOF, 5),)  # the same canonical form
-        (key,) = _row_keys(evaluator._canonical([combo]).codes)
+        _, codes, _ = evaluator._row_form(combo)
         clear_caches()
         evaluator.evaluate([combo])
         evaluator.evaluate([combo])  # a row-cache hit: no front end at all
@@ -816,7 +822,7 @@ class TestCanonicalForm:
         clear_caches()
         assert evaluator._verdicts() == {}
         evaluator.evaluate([combo])
-        assert fresh == [[key], [], [key]]
+        assert fresh == [codes, codes]
 
     def test_combo_cache_clears_wholesale_at_its_limit(self, monkeypatch):
         from repro.analysis import batchreplay
@@ -944,6 +950,58 @@ class TestArrayCanonicalForm:
         ]
         assert together == apart
         assert sum(evaluator.stats.values()) == len(combos)
+
+
+class TestNarrowFrontEnd:
+    """The per-placement front end of narrow slabs against the array one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(slab_cases())
+    def test_row_form_matches_the_slab_row(self, case):
+        protocol, m, names, combos = case
+        evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
+        slab = evaluator._canonical(combos)
+        keys = _row_keys(slab.codes)
+        for row, combo in enumerate(combos):
+            form = evaluator._row_form(combo)
+            assert (form is not None) == bool(slab.known[row]), combo
+            if form is not None:
+                key, codes, place = form
+                assert key == keys[row]
+                assert codes == [code for code in slab.codes[row].tolist() if code != _PAD]
+                assert place == slab.place[row].tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(slab_cases())
+    def test_row_routing_matches_the_array_routing(self, case):
+        protocol, m, names, combos = case
+        evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
+        slab = evaluator._canonical(combos)
+        codes = slab.codes[slab.known]
+        rows = [evaluator._row_verdict([c for c in row if c != _PAD]) for row in codes.tolist()]
+        assert rows == evaluator._classify(codes)
+
+    def test_silent_header_site_rides_only_with_its_own_node(self):
+        evaluator = BatchReplayEvaluator("can", 5, ("tx", "r1", "r2"), FRAME)
+        riding = (("r1", EOF, 3), ("r1", "SOF", 3))
+        dropped = (("r1", EOF, 3), ("r2", "SOF", 3))
+        routes = []
+        for combo in (riding, dropped):
+            _, codes, _ = evaluator._row_form(combo)
+            routes.append(evaluator._row_verdict(codes)[-1])
+        assert routes == [HEADER, SCALAR]
+
+    @settings(max_examples=20, deadline=None)
+    @given(slab_cases())
+    def test_wide_slab_equals_narrow_calls(self, case):
+        protocol, m, names, combos = case
+        wide = (combos * (_ARRAY_BREAK_EVEN // len(combos) + 1))[:_ARRAY_BREAK_EVEN]
+        clear_caches()
+        together = verdicts(BatchReplayEvaluator(protocol, m, names, FRAME).evaluate(wide))
+        clear_caches()
+        evaluator = BatchReplayEvaluator(protocol, m, names, FRAME)
+        assert verdicts(evaluator.evaluate(combos)) == together[: len(combos)]
+        assert verdicts(evaluator.evaluate(wide[len(combos):])) == together[len(combos):]
 
 
 class TestHitScan:
