@@ -54,11 +54,7 @@ if _SRC not in sys.path:
     except ImportError:
         sys.path.insert(0, _SRC)
 
-from repro.analysis.batchreplay import (  # noqa: E402
-    BatchReplayEvaluator,
-    clear_caches,
-    warm_shapes,
-)
+from repro.analysis.batchreplay import BatchReplayEvaluator, clear_caches  # noqa: E402
 from repro.analysis.montecarlo import monte_carlo_tail  # noqa: E402
 from repro.analysis.reliability import reliability_comparison  # noqa: E402
 from repro.analysis.sweeps import m_ablation  # noqa: E402
@@ -326,7 +322,6 @@ def _multiflip_row(protocol: str = "can", m: int = 5, n_nodes: int = 6) -> Row:
             [()] + [(site,) for site in sites]
             + list(itertools.combinations(sites, 2))
         )
-        warm_shapes()
         clear_caches()
         batch_pass()  # pays the shape compile for ``frame``
 
@@ -368,7 +363,6 @@ def _warm_campaign() -> None:
     warm_up = CampaignSpec(
         protocol="can", n_nodes=4, rounds=2, attack_probability=0.5, seed=17
     )
-    warm_shapes()
     run_campaign(warm_up, backend="engine")
     run_campaign(warm_up, backend="batch")  # compiles the campaign frame shape
 
@@ -433,7 +427,6 @@ def _sweep_row() -> Row:
 
     def warm():
         workdir.append(tempfile.TemporaryDirectory(prefix="perf-sweep-"))
-        warm_shapes()
         run_with("engine")
         run_with("batch")
 
@@ -513,7 +506,6 @@ def rows(smoke: bool = False, jobs: int = 4) -> List[Row]:
             items=lambda rows: sum(r.tail_errors_verified for r in rows),
             unit="placements",
             warm=lambda: (
-                warm_shapes(),
                 _ablation(_M_VALUES[:1]),
                 _ablation(_M_VALUES[:1], backend="batch"),
             ),
@@ -524,7 +516,6 @@ def rows(smoke: bool = False, jobs: int = 4) -> List[Row]:
             500,
             backend="batch",
             warm=lambda: (
-                warm_shapes(),
                 _monte_carlo(trials=8, jobs=1),
                 _monte_carlo(trials=8, jobs=1, backend="batch"),
             ),
@@ -547,7 +538,6 @@ def rows(smoke: bool = False, jobs: int = 4) -> List[Row]:
             items=lambda rows: sum(_route_totals(rows).values()),
             unit="patterns",
             warm=lambda: (
-                warm_shapes(),
                 reliability_comparison(1e-5, backend="engine"),
                 reliability_comparison(1e-5, backend="batch"),
             ),

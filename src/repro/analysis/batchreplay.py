@@ -48,9 +48,7 @@ overflows the array driver's budget retries once on it.
 Placements touching header sites (the F1 desync universe: SOF through
 the CRC sequence) instead take cached *reduced* engine runs, one per
 fault-group arrangement: the transmitter, the faulted receivers and
-one clean witness stand in for the whole network.  Lone mid-frame
-DATA/CRC receiver flips share one run per parse signature of the
-stuff-aware :func:`repro.can.encoding.header_shape` expansion.
+one clean witness stand in for the whole network.
 
 Every route yields one flat ``(deliveries..., attempts, route)``
 verdict, and one gather fans it out to every placement that shares it.  The
@@ -70,16 +68,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.can.fields import (
-    CRC,
-    DATA,
-    EOF,
-    FLAG_LENGTH,
-    INTERMISSION_LENGTH,
-    SAMPLING,
-)
+from repro.can.fields import EOF, FLAG_LENGTH, INTERMISSION_LENGTH, SAMPLING
 from repro.can.frame import Frame, data_frame
-from repro.can.encoding import HEADER_KIND_OVERRUN, HEADER_SITE_FIELDS, header_shape
+from repro.can.encoding import HEADER_SITE_FIELDS, header_shape
 from repro.can.geometry import ACK_SLOT_OFFSET, EOF_OFFSET, TAIL_PREFIX, FrameEnd, frame_end
 from repro.errors import AnalysisError
 from repro.faults.scenarios import run_placement
@@ -568,12 +559,11 @@ class BatchReplayEvaluator(EngineClassifier):
     def _named(self, sites: Sequence[IndexSite]) -> Tuple[Site, ...]:
         return tuple((self.node_names[node], f, i) for node, f, i in sites)
 
-    def _header_shape(self):
-        return header_shape(self.frame, self.geometry.eof_length)
-
     def _position_route(self, field_name: str, index: int) -> int:
         if field_name in HEADER_SITE_FIELDS:
-            announced = (field_name, index) in self._header_shape().announced
+            announced = (field_name, index) in header_shape(
+                self.frame, self.geometry.eof_length
+            )
             return _ANNOUNCED if announced else _SILENT
         return _site_key(self.geometry, field_name, index)
 
@@ -645,11 +635,7 @@ class BatchReplayEvaluator(EngineClassifier):
         bus).  Verdicts are cached per fault-group arrangement in
         :data:`_REDUCED_CACHE`; combined with the canonical relabelling
         in :meth:`_canonical`, one run serves every placement of the
-        same fault groups over any receivers.  A lone receiver flip in
-        the mid-frame DATA/CRC fields shares one entry per
-        :class:`~repro.can.encoding.HeaderSiteRow` parse signature
-        instead (identical flipped-stream trajectories drive the
-        faulted receiver — and hence the whole bus — identically).
+        same fault groups over any receivers.
         """
         rx_nodes = sorted({node for node, _, _ in sites if node != 0})
         n = len(self.node_names)
@@ -659,12 +645,7 @@ class BatchReplayEvaluator(EngineClassifier):
             tuple((f, i) for node2, f, i in sites if node2 == node)
             for node in [0] + rx_nodes
         )
-        class_key: Tuple = groups
-        if len(sites) == 1 and k == 1 and sites[0][1] in (DATA, CRC):
-            row = self._header_shape().by_site[sites[0][1:]]
-            if row.kind != HEADER_KIND_OVERRUN:
-                class_key = ("sig", row.signature)
-        cache_key = (self.protocol, self.m, self.frame, class_key, has_witness)
+        cache_key = (self.protocol, self.m, self.frame, groups, has_witness)
         verdict = _REDUCED_CACHE.get(cache_key)
         if verdict is None:
             verdict = _reduced_class_run(
@@ -774,9 +755,8 @@ def _index_sites(codes: Sequence[int]) -> Tuple[IndexSite, ...]:
 
 #: Reduced-run verdicts per fault-group arrangement, keyed by
 #: ``(protocol, m, frame, groups, has_witness)`` — ``groups`` being the
-#: per-carrier fault-site tuples, transmitter first, or
-#: ``("sig", signature)`` for a lone DATA/CRC receiver flip — and
-#: holding ``(tx_count, faulted_counts, witness_count, attempts)``.
+#: per-carrier fault-site tuples, transmitter first — and holding
+#: ``(tx_count, faulted_counts, witness_count, attempts)``.
 #: Module-level so every evaluator in a process (and every chunk a pool
 #: worker runs) shares one cache; entries are tiny tuples.
 _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
@@ -796,7 +776,11 @@ _COMBO_CACHE_LIMIT = 1 << 19
 #: same few placements call after call; a hit skips the per-placement
 #: canonical form of :meth:`BatchReplayEvaluator._row_form`.  Cleared with
 #: :data:`_COMBO_CACHE`, so a row keeps the route label of its
-#: canonical verdict.
+#: canonical verdict.  No ``bench/run.py`` workload repeats a narrow
+#: placement within one process; the cache is kept for the perf
+#: harness's ``montecarlo_batch`` row, which read x39.0-x48.7 (median
+#: x39.5) with it and x25.3-x34.5 (median x30.5) without it, over six
+#: alternating smoke runs on a 2-vCPU VM.
 _ROW_CACHE: Dict[Tuple, Dict[Tuple[Site, ...], Verdict]] = {}
 
 #: Minimum slab for the array front end and minimum fresh-placement
@@ -853,24 +837,6 @@ def _reduced_class_run(
     )
     witness_count = outcome.deliveries["wit"] if has_witness else 0
     return (tx_count, faulted_counts, witness_count, outcome.attempts)
-
-
-def warm_shapes() -> None:
-    """Pre-populate the wire and header shape caches in this process.
-
-    An untimed warm-up for benchmarks that time warm-cache passes.
-    Covers the one-byte placement frame under the protocols and ``m``
-    values the sweeps iterate over; other frames still warm lazily
-    through the ``lru_cache``s.
-    """
-    frame = data_frame(0x123, b"\x55", message_id="m")
-    for protocol, ms in (
-        ("can", (5,)),
-        ("minorcan", (5,)),
-        ("majorcan", (3, 4, 5, 6, 7)),
-    ):
-        for m in ms:
-            header_shape(frame, frame_end(protocol, m).eof_length)
 
 
 #: Display order of the provenance counters in stats lines.

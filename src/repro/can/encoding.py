@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.can.bits import Level, levels_to_string
 from repro.can.fields import (
@@ -154,10 +154,9 @@ def encode_frame(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> WireFra
     ops: List[int] = []
     run_value: Optional[int] = None
     run_length = 0
-    for segment in header_segments(frame):
-        name = segment.name
+    for name, bits in header_segments(frame):
         arbitration = name in ARBITRATION_FIELDS
-        for index, bit in enumerate(segment.bits):
+        for index, bit in enumerate(bits):
             position = (name, index)
             values.append(bit)
             positions.append(position)
@@ -267,7 +266,7 @@ def signal_table(delimiter_length: int, extended_flag_end: int = 0) -> SignalTab
 
 
 # ---------------------------------------------------------------------------
-# Stuff-aware header site expansion (the batch backend's header view)
+# Announced header sites (the batch backend's header view)
 # ---------------------------------------------------------------------------
 
 #: Field names whose bits belong to the stuffed frame header (SOF through
@@ -278,113 +277,16 @@ HEADER_SITE_FIELDS = frozenset(
     {SOF, ID_A, SRR, IDE, ID_B, RTR, R1, R0, DLC, DATA, CRC}
 )
 
-#: Replay verdict kinds for :class:`HeaderSiteRow.kind`.  These are the
-#: protocol-independent stop points of a receive parse: all three
-#: protocol variants stop consuming the nominal stream at the same bit,
-#: they only differ in how they *signal* afterwards.
-HEADER_KIND_ACCEPT = "accept"
-HEADER_KIND_STUFF = "stuff_violation"
-HEADER_KIND_FORM = "form_violation"
-HEADER_KIND_CRC = "crc_error"
-HEADER_KIND_OVERRUN = "overrun"
-
-
-@dataclass(frozen=True)
-class HeaderSiteRow:
-    """One header bit-site of a frame, expanded under a single flip.
-
-    The row holds what a nominal in-sync receiver makes of the
-    transmitted stream with this one bit inverted: the verdict ``kind``
-    at the first protocol-independent stop point, and the restuffed
-    parse trajectory (``signature``) that identifies equivalent sites.
-    """
-
-    kind: str
-    signature: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class HeaderShape:
-    """Per-frame expansion of every announced header bit-site.
-
-    ``announced`` is the set of ``(field, index)`` positions a trigger
-    can actually fire on (header sites absent from it are inert: the
-    fault never fires and the run is clean); ``by_site`` holds one
-    :class:`HeaderSiteRow` per announced header site.
-    """
-
-    announced: frozenset
-    by_site: Dict[Tuple[str, int], HeaderSiteRow]
-
-
-def _replay_flipped(bit_values: Tuple[int, ...], flip: int, eof_length: int):
-    """Replay a receive parse of ``bit_values`` with one bit inverted.
-
-    Returns ``(kind, signature)``: the verdict at the first stop point
-    and the parse signature — the verdict, the CRC and completion
-    flags, the parsed frame (or ``None``) and the per-bit ``(field,
-    index, is_stuff, code)`` trajectory (pre-feed upcoming plus the
-    step code).
-    """
-    # Local import: repro.can.parser deliberately does not import this
-    # module, so the replay can live next to the encoder it inverts.
-    from repro.can.parser import (
-        STEP_ACK_DELIM,
-        STEP_FORM_VIOLATION,
-        STEP_STUFF_VIOLATION,
-        FastFrameParser,
-    )
-
-    parser = FastFrameParser(eof_length=eof_length)
-    records: List[Tuple[str, int, bool, int]] = []
-    kind = HEADER_KIND_OVERRUN
-    for position, bit in enumerate(bit_values):
-        if position == flip:
-            bit ^= 1
-        pre_field = parser.next_field
-        pre_index = parser.next_index
-        pre_stuff = parser.next_is_stuff
-        code = parser.feed_code(Level(bit))
-        records.append((pre_field, pre_index, pre_stuff, code))
-        if code == STEP_STUFF_VIOLATION:
-            kind = HEADER_KIND_STUFF
-            break
-        if code == STEP_FORM_VIOLATION:
-            kind = HEADER_KIND_FORM
-            break
-        if code == STEP_ACK_DELIM and parser.crc_ok is False:
-            kind = HEADER_KIND_CRC
-            break
-        if parser.complete:
-            kind = HEADER_KIND_ACCEPT
-            break
-    reconstructed = parser.frame() if parser.header_complete else None
-    signature = (kind, parser.crc_ok, parser.complete, reconstructed, tuple(records))
-    return kind, signature
-
 
 @lru_cache(maxsize=256)
-def header_shape(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> HeaderShape:
-    """Expand every announced header bit-site of ``frame`` under a flip.
+def header_shape(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> frozenset:
+    """The ``(field, index)`` positions the transmitter of ``frame``
+    announces before the CRC delimiter.
 
-    For each ``(field, index)`` the transmitter announces before the CRC
-    delimiter, the shape replays a full receive parse of the stream with
-    that one wire bit inverted (the stuffed region restuffs itself: the
-    replay consumes the *transmitted* levels, so an added or removed
-    stuff condition shifts the parse exactly as it would on the bus) and
-    records the verdict kind and the complete trajectory signature used
-    by the batch backend to share classification work between
-    equivalent sites.
+    A header trigger outside this set never fires on a nominal parse
+    (``tests/test_frame_end.py`` pins that the parsers announce nothing
+    else), so the batch backend drops such a site unless another fault
+    on the same node can shift that node's parse.
     """
     wire = wire_program(frame, eof_length=eof_length)
-    tail_offset = wire.tail_start
-    by_site: Dict[Tuple[str, int], HeaderSiteRow] = {}
-    for position in range(tail_offset):
-        site = wire.positions[position]
-        if site in by_site or site[0] not in HEADER_SITE_FIELDS:
-            continue
-        kind, signature = _replay_flipped(wire.bit_values, position, eof_length)
-        by_site[site] = HeaderSiteRow(kind=kind, signature=signature)
-    return HeaderShape(
-        announced=frozenset(wire.positions[:tail_offset]), by_site=by_site
-    )
+    return frozenset(wire.positions[: wire.tail_start])

@@ -1,9 +1,11 @@
 """Frame field layout.
 
-This module is the single source of truth for the order and content of
-the fields of a CAN frame, shared by the transmitter-side encoder
-(:mod:`repro.can.encoding`) and the receiver-side parser
-(:mod:`repro.can.parser`), so the two can never disagree.
+This module holds the field names and the transmitter's field order
+(:func:`header_segments`, read by :mod:`repro.can.encoding`).  The
+receiver-side parsers (:mod:`repro.can.parser`) walk their own field
+order; ``tests/test_frame_end.py`` keeps them in step with the encoder
+and pins the two cases where a receiver names a wire bit differently
+(the extended SRR bit, and a stuff bit after a field's last bit).
 
 Classical base-format data frame (CAN 2.0A)::
 
@@ -22,7 +24,6 @@ layout and the EOF length of each protocol variant are declared in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.can.bits import bits_from_int
@@ -83,45 +84,39 @@ INTERMISSION_LENGTH = 3
 SUSPEND_LENGTH = 8
 
 
-@dataclass(frozen=True)
-class FieldSegment:
-    """One named, contiguous run of unstuffed frame bits."""
+def header_segments(frame: Frame) -> List[Tuple[str, Tuple[int, ...]]]:
+    """The stuffed-region ``(field, bits)`` pairs, SOF through CRC, of
+    ``frame``, in wire order and unstuffed.
 
-    name: str
-    bits: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def header_segments(frame: Frame) -> List[FieldSegment]:
-    """The stuffed-region segments (SOF through CRC) for ``frame``.
-
-    The CRC segment is computed over the concatenation of all previous
-    segments, matching the CAN specification.
+    The CRC bits are computed over the concatenation of all previous
+    bits, matching the CAN specification.
     """
-    segments: List[FieldSegment] = [FieldSegment(SOF, (0,))]
-    if frame.can_id.extended:
-        segments.append(FieldSegment(ID_A, tuple(frame.can_id.base_part())))
-        segments.append(FieldSegment(SRR, (1,)))
-        segments.append(FieldSegment(IDE, (1,)))
-        segments.append(FieldSegment(ID_B, tuple(frame.can_id.extension_part())))
-        segments.append(FieldSegment(RTR, (1 if frame.remote else 0,)))
-        segments.append(FieldSegment(R1, (0,)))
-        segments.append(FieldSegment(R0, (0,)))
+    can_id = frame.can_id
+    rtr = (1,) if frame.remote else (0,)
+    if can_id.extended:
+        segments = [
+            (SOF, (0,)),
+            (ID_A, tuple(can_id.base_part())),
+            (SRR, (1,)),
+            (IDE, (1,)),
+            (ID_B, tuple(can_id.extension_part())),
+            (RTR, rtr),
+            (R1, (0,)),
+            (R0, (0,)),
+        ]
     else:
-        segments.append(FieldSegment(ID_A, tuple(frame.can_id.id_bits())))
-        segments.append(FieldSegment(RTR, (1 if frame.remote else 0,)))
-        segments.append(FieldSegment(IDE, (0,)))
-        segments.append(FieldSegment(R0, (0,)))
-    segments.append(FieldSegment(DLC, tuple(bits_from_int(frame.dlc, 4))))
+        segments = [
+            (SOF, (0,)),
+            (ID_A, tuple(can_id.id_bits())),
+            (RTR, rtr),
+            (IDE, (0,)),
+            (R0, (0,)),
+        ]
+    segments.append((DLC, tuple(bits_from_int(frame.dlc, 4))))
     if not frame.remote and frame.effective_data_length:
-        data_bits: List[int] = []
-        for byte in frame.data:
-            data_bits.extend(bits_from_int(byte, 8))
-        segments.append(FieldSegment(DATA, tuple(data_bits)))
-    covered: List[int] = []
-    for segment in segments:
-        covered.extend(segment.bits)
-    segments.append(FieldSegment(CRC, tuple(crc15_bits(covered))))
+        segments.append(
+            (DATA, tuple([bit for byte in frame.data for bit in bits_from_int(byte, 8)]))
+        )
+    covered = [bit for _, bits in segments for bit in bits]
+    segments.append((CRC, tuple(crc15_bits(covered))))
     return segments

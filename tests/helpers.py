@@ -35,4 +35,4 @@ def delivered_payloads(controller: CanController) -> List[bytes]:
 def header_bits(frame: Frame) -> List[int]:
     """All stuffed-region bits of ``frame`` (SOF through CRC) before
     stuffing, in order."""
-    return [bit for segment in header_segments(frame) for bit in segment.bits]
+    return [bit for _, bits in header_segments(frame) for bit in bits]

@@ -602,10 +602,10 @@ class TestHeaderDifferential:
         node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
         for protocol, m in (("can", 5), ("majorcan", 3)):
             evaluator = BatchReplayEvaluator(protocol, m, node_names, FRAME)
-            shape = header_shape(evaluator.frame, evaluator.geometry.eof_length)
+            announced = header_shape(evaluator.frame, evaluator.geometry.eof_length)
             combos = [
                 ((name, field_name, index),)
-                for (field_name, index) in sorted(shape.announced)
+                for (field_name, index) in sorted(announced)
                 for name in node_names
             ]
             outcomes = verdicts(evaluator.evaluate(combos))
@@ -643,12 +643,12 @@ class TestHeaderDifferential:
             expected = engine_oracle("can", 5, ("tx", "r1", "r2"), combo, frame)
             assert outcome == expected
 
-    def test_lone_receiver_flips_share_one_run_per_parse_signature(
-        self, monkeypatch
-    ):
-        # Lone DATA/CRC receiver flips with equal parse signatures share
-        # one reduced run, so the cold MajorCAN_5 header universe over
-        # five nodes costs 24 engine runs, not one per site.
+    def test_one_reduced_run_per_fault_group_arrangement(self, monkeypatch):
+        # Receiver symmetry leaves two arrangements per header site: the
+        # flip on the transmitter, or on one receiver with clean ones as
+        # witnesses.  The cold MajorCAN_5 header universe over five nodes
+        # (12 DLC/DATA sites) thus costs 12 x 2 = 24 engine runs, not
+        # one per placement.
         from repro.analysis import batchreplay
 
         runs = []
@@ -719,8 +719,8 @@ class TestRouting:
 
 
 #: Header positions of the generated placements: DLC and DATA (the F1
-#: universe) plus the CRC sequence, whose lone receiver flips share a
-#: reduced run per parse signature.
+#: universe) plus the CRC sequence, the header field next to the tail,
+#: whose reduced runs the differentials check against the engine too.
 HEADER_POSITIONS = [
     (field_name, index) for _, field_name, index in header_sites(["tx"])
 ] + [(CRC, index) for index in range(15)]
@@ -1329,18 +1329,6 @@ class TestStatsHelpers:
         assert engine_share_notice({"batch": 90, "engine": 10}) is None
         notice = engine_share_notice({"batch": 80, "engine": 20})
         assert notice is not None and "20%" in notice
-
-    def test_warm_shapes_populates_caches(self):
-        from repro.analysis.batchreplay import warm_shapes
-        from repro.can.encoding import header_shape
-
-        warm_shapes()
-        assert frame_end.cache_info().currsize >= 7
-        assert header_shape.cache_info().currsize >= 1
-        # The warmed entries cover the sweep protocols for this frame.
-        hits = header_shape.cache_info().hits
-        header_shape(FRAME, frame_end("majorcan", 3).eof_length)
-        assert header_shape.cache_info().hits == hits + 1
 
 
 def _strip_stats(output):

@@ -181,13 +181,13 @@ def oracle_encode_bits(
     wire_bits: List[OracleBit] = []
     run_value: Optional[int] = None
     run_length = 0
-    for segment in header_segments(frame):
-        in_arbitration = segment.name in ARBITRATION_FIELDS
-        for index, bit in enumerate(segment.bits):
+    for name, bits in header_segments(frame):
+        in_arbitration = name in ARBITRATION_FIELDS
+        for index, bit in enumerate(bits):
             wire_bits.append(
                 OracleBit(
                     level=Level(bit),
-                    field=segment.name,
+                    field=name,
                     index=index,
                     is_stuff=False,
                     in_arbitration=in_arbitration,
@@ -203,7 +203,7 @@ def oracle_encode_bits(
                 wire_bits.append(
                     OracleBit(
                         level=Level(stuff_bit),
-                        field=segment.name,
+                        field=name,
                         index=index,
                         is_stuff=True,
                         in_arbitration=in_arbitration,

@@ -36,35 +36,31 @@ extended_ids = st.integers(0, 0x1FFFFFFF)
 
 class TestHeaderSegments:
     def test_base_frame_field_order(self):
-        names = [segment.name for segment in header_segments(data_frame(1, b"\x01"))]
+        names = [name for name, _ in header_segments(data_frame(1, b"\x01"))]
         assert names == [SOF, ID_A, RTR, IDE, R0, DLC, DATA, CRC]
 
     def test_extended_frame_field_order(self):
         frame = data_frame(1, b"\x01", extended=True)
-        names = [segment.name for segment in header_segments(frame)]
+        names = [name for name, _ in header_segments(frame)]
         assert names == [SOF, ID_A, SRR, IDE, ID_B, RTR, R1, R0, DLC, DATA, CRC]
 
     def test_remote_frame_has_no_data(self):
-        names = [segment.name for segment in header_segments(remote_frame(1, dlc=4))]
+        names = [name for name, _ in header_segments(remote_frame(1, dlc=4))]
         assert DATA not in names
 
     def test_sof_is_dominant(self):
-        assert header_segments(data_frame(1, b""))[0].bits == (0,)
+        assert header_segments(data_frame(1, b""))[0] == (SOF, (0,))
 
     def test_rtr_encodes_remote(self):
         def rtr_bit(frame):
-            return dict(
-                (segment.name, segment.bits) for segment in header_segments(frame)
-            )[RTR][0]
+            return dict(header_segments(frame))[RTR][0]
 
         assert rtr_bit(data_frame(1, b"")) == 0
         assert rtr_bit(remote_frame(1)) == 1
 
     def test_ide_distinguishes_formats(self):
         def ide_bit(frame):
-            return dict(
-                (segment.name, segment.bits) for segment in header_segments(frame)
-            )[IDE][0]
+            return dict(header_segments(frame))[IDE][0]
 
         assert ide_bit(data_frame(1, b"")) == 0
         assert ide_bit(data_frame(1, b"", extended=True)) == 1
@@ -72,11 +68,12 @@ class TestHeaderSegments:
     def test_crc_covers_header(self):
         frame = data_frame(0x123, b"\xde\xad")
         bits = header_bits(frame)
-        crc_segment = header_segments(frame)[-1]
-        covered = bits[: -len(crc_segment)]
+        name, crc_bits = header_segments(frame)[-1]
+        covered = bits[: -len(crc_bits)]
         from repro.can.bits import int_from_bits
 
-        assert int_from_bits(list(crc_segment.bits)) == crc15(covered)
+        assert name == CRC
+        assert int_from_bits(list(crc_bits)) == crc15(covered)
 
 
 class TestTail:
