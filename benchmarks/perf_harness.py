@@ -316,7 +316,7 @@ def _multiflip_row(protocol: str = "can", m: int = 5, n_nodes: int = 6) -> Row:
         sites += [
             (name, EOF, index)
             for name in node_names
-            for index in range(probe.config.eof_length)
+            for index in range(probe.geometry.eof_length)
         ]
         combos[:] = (
             [()] + [(site,) for site in sites]

@@ -47,7 +47,7 @@ def run_round(controller_class, attacked, victim):
     controllers = [controller_class(name) for name in ECU_NAMES]
     brakes = controllers[0]
     injector = SCRIPTS["fig3" if attacked else "clean"].injector(
-        {"tx": ["brakes"], "x": [victim]}, brakes.config.eof_length
+        {"tx": ["brakes"], "x": [victim]}, brakes.geometry.eof_length
     )
     engine = SimulationEngine(controllers, injector=injector, record_bits=False)
     command = data_frame(0x010, b"\xb0\x01", message_id="brake-cmd")

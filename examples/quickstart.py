@@ -42,7 +42,7 @@ def the_new_inconsistency(controller_class, label):
     transmitter = controller_class("tx")
     x = controller_class("x")
     y = controller_class("y")
-    last = transmitter.config.eof_length - 1
+    last = transmitter.geometry.eof_length - 1
     injector = ScriptedInjector(
         view_faults=[
             ViewFault("x", Trigger(field=EOF, index=last - 1), force=DOMINANT),

@@ -36,12 +36,12 @@ An enumeration runs in two steps:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.batchreplay import placement_classifier
+from repro.analysis.probability import _receiver_split_sum
 from repro.analysis.verification import placement_node_names
 from repro.can.fields import EOF
 from repro.can.geometry import frame_end
@@ -311,9 +311,4 @@ def equation4_tail_prediction(ber_star: float, n_nodes: int, tau_data: int) -> f
     """Equation 4 recomputed from ``ber*`` directly (helper for
     comparing against :class:`EnumerationResult` values)."""
     b = ber_star
-    total = 0.0
-    affected = ((1 - b) ** (tau_data - 2)) * b
-    clean = (1 - b) ** (tau_data - 1)
-    for i in range(1, n_nodes - 1):
-        total += math.comb(n_nodes - 1, i) * affected**i * clean ** (n_nodes - 1 - i)
-    return total * ((1 - b) ** (tau_data - 1)) * b
+    return _receiver_split_sum(b, n_nodes, tau_data) * ((1 - b) ** (tau_data - 1)) * b

@@ -145,17 +145,16 @@ def smallest_m_meeting_target(
     ber: float,
     target: float = 1e-9,
     profile: NetworkProfile = PAPER_PROFILE,
-    use_upper_bound: bool = True,
     max_m: int = 32,
 ) -> int:
-    """The smallest m whose residual rate meets a dependability target.
+    """The smallest m whose residual-rate upper bound meets a
+    dependability target.
 
     This is the design rule the paper sketches in Section 5 ("this
     decision strongly depends on the ber value"), made computable.
     """
-    bound = residual_rate_upper_bound if use_upper_bound else residual_rate_tail_bound
     for m in range(3, max_m + 1):
-        if bound(ber, m, profile) <= target:
+        if residual_rate_upper_bound(ber, m, profile) <= target:
             return m
     raise AnalysisError(
         "no m up to %d meets %.1e/hour at ber %.1e" % (max_m, target, ber)

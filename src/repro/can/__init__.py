@@ -7,7 +7,7 @@ Public entry points:
 * :class:`~repro.can.controller.CanController` — the MAC state machine
   attached to a simulated bus node;
 * :class:`~repro.can.controller_config.ControllerConfig` — per-node
-  configuration (EOF/delimiter lengths, dependability options);
+  configuration (dependability options, fast path);
 * :mod:`~repro.can.crc`, :mod:`~repro.can.stuffing`,
   :mod:`~repro.can.encoding`, :mod:`~repro.can.parser` — the wire
   format building blocks;

@@ -57,6 +57,7 @@ from repro.can.fields import (
     SUSPEND_LENGTH,
 )
 from repro.can.frame import Frame
+from repro.can.geometry import FrameEnd, frame_end
 from repro.can.identifiers import CanId
 from repro.can.parser import (
     STEP_ACK_DELIM,
@@ -122,6 +123,8 @@ class CanController:
 
     #: Human-readable protocol label (overridden by subclasses).
     protocol_name = "CAN"
+    #: The protocol's frame-end geometry: EOF and delimiter lengths.
+    geometry: FrameEnd = frame_end("can")
 
     def __init__(self, name: str, config: Optional[ControllerConfig] = None) -> None:
         self.name = name
@@ -168,7 +171,7 @@ class CanController:
 
         #: Precompiled signalling positions for this configuration
         #: (shared across controllers via the ``signal_table`` cache).
-        self._signal_table: SignalTable = signal_table(self.config.delimiter_length)
+        self._signal_table: SignalTable = signal_table(self.geometry.delimiter_length)
         #: This configuration's (drive, on_bit) state -> handler tables;
         #: the engine calls ``_drive_handlers[_state](self)`` and
         #: ``_bit_handlers[_state](self, seen)`` directly.  Crashing or
@@ -392,7 +395,7 @@ class CanController:
                 self._confinement_check()
             return
         # First recessive bit: delimiter bit 1.
-        self._delim_remaining = self.config.delimiter_length - 1
+        self._delim_remaining = self.geometry.delimiter_length - 1
         self._state = STATE_ERROR_DELIM
 
     def _bit_error_delim(self, seen: Level) -> None:
@@ -410,7 +413,7 @@ class CanController:
     def _bit_overload_wait(self, seen: Level) -> None:
         if seen is DOMINANT:
             return
-        self._delim_remaining = self.config.delimiter_length - 1
+        self._delim_remaining = self.geometry.delimiter_length - 1
         self._state = STATE_OVERLOAD_DELIM
 
     def _bit_overload_delim(self, seen: Level) -> None:
@@ -553,7 +556,7 @@ class CanController:
         by replaying the first ``upto`` wire bits plus the observed bit
         that lost the arbitration.
         """
-        parser = FastFrameParser(eof_length=self.config.eof_length)
+        parser = FastFrameParser(eof_length=self.geometry.eof_length)
         feed = parser.feed_code
         for value in self._wire.bit_values[:upto]:
             feed(value)
@@ -639,12 +642,12 @@ class CanController:
             # Cached encoding; the parallel receive parser stays
             # unmaterialized until an arbitration loss needs it (see
             # _materialize_rx_parser).
-            self._wire = wire_program(job.frame, self.config.eof_length)
+            self._wire = wire_program(job.frame, self.geometry.eof_length)
             self._parser = None
             self._parser_failed = False
         else:
-            self._wire = encode_frame(job.frame, eof_length=self.config.eof_length)
-            self._parser = FrameParser(eof_length=self.config.eof_length)
+            self._wire = encode_frame(job.frame, eof_length=self.geometry.eof_length)
+            self._parser = FrameParser(eof_length=self.geometry.eof_length)
             self._parser_failed = False
             if skip_sof and observed_sof is not None:
                 self._parser.feed(observed_sof)
@@ -663,10 +666,10 @@ class CanController:
 
     def _start_reception(self, sof_level: Level) -> None:
         if self.config.fast_path:
-            self._parser = FastFrameParser(eof_length=self.config.eof_length)
+            self._parser = FastFrameParser(eof_length=self.geometry.eof_length)
             self._parser.feed_code(sof_level)
         else:
-            self._parser = FrameParser(eof_length=self.config.eof_length)
+            self._parser = FrameParser(eof_length=self.geometry.eof_length)
             self._parser.feed(sof_level)
         self._parser_failed = False
         self.is_transmitter = False
@@ -692,8 +695,7 @@ class CanController:
             attempt=job.attempts,
             message_id=job.frame.message_id,
         )
-        if self.config.self_delivery:
-            self._record_delivery(job.frame, attempt=job.attempts)
+        self._record_delivery(job.frame, attempt=job.attempts)
         self._wire = None
         self._enter_intermission()
 
@@ -795,15 +797,6 @@ class CanController:
         if not self.tx_queue:
             return
         job = self.tx_queue[0]
-        limit = self.config.max_retransmissions
-        if limit is not None and job.attempts > limit:
-            self.tx_queue.popleft()
-            self._log(
-                EventKind.TX_ABANDONED,
-                frame=str(job.frame),
-                attempts=job.attempts,
-            )
-            return
         self._log(
             EventKind.TX_RETRANSMIT_SCHEDULED,
             frame=str(job.frame),
@@ -847,8 +840,7 @@ class CanController:
             message_id=job.frame.message_id,
             during_error_frame=True,
         )
-        if self.config.self_delivery:
-            self._record_delivery(job.frame, attempt=job.attempts)
+        self._record_delivery(job.frame, attempt=job.attempts)
         self._wire = None
 
     def _enter_overload(self, reactive: bool) -> None:
@@ -877,7 +869,7 @@ class CanController:
         for the double receptions and inconsistent omissions that the
         paper analyses).
         """
-        last = self.config.eof_length - 1
+        last = self.geometry.eof_length - 1
         if index < last:
             if seen is DOMINANT:
                 self._enter_error(ErrorReason.EOF)

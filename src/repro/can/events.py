@@ -21,7 +21,6 @@ class EventKind:
     TX_START = "tx_start"
     TX_SUCCESS = "tx_success"
     TX_RETRANSMIT_SCHEDULED = "tx_retransmit_scheduled"
-    TX_ABANDONED = "tx_abandoned"
     ARBITRATION_LOST = "arbitration_lost"
     RX_START = "rx_start"
     FRAME_DELIVERED = "frame_delivered"

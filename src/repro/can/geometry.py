@@ -20,8 +20,8 @@ Two things are declared here, and every reader takes them from here:
   and delimiter lengths, the sampling window and the majority.
 
 The encoder and the fast parser build their tails from the table; the
-controller configurations, the batch tail replay, the placement
-drivers and the figure scripts read the record.
+controllers (their ``geometry`` attribute), the batch tail replay, the
+placement drivers and the figure scripts read the record.
 :func:`repro.analysis.geometry.derive_geometry` restates the MajorCAN
 constants independently, from the paper's error budgets, and checks
 this record against them.

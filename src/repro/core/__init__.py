@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = lazy_namespace(
     {
         "majorcan": (
             "DEFAULT_M", "MajorCanController", "STATE_MAJOR_EXTENDED_FLAG", "STATE_MAJOR_FLAG",
-            "STATE_MAJOR_QUIET", "majorcan_config",
+            "STATE_MAJOR_QUIET",
         ),
         "minorcan": ("MinorCanController",),
     },

@@ -56,7 +56,6 @@ from repro.can.events import ErrorReason, EventKind
 from repro.can.fields import FLAG_LENGTH
 from repro.can.frame import Frame
 from repro.can.geometry import DEFAULT_M, EOF_OFFSET, TAIL_PREFIX, frame_end
-from repro.errors import ConfigurationError
 
 #: MAC states added by MajorCAN.
 STATE_MAJOR_FLAG = "major_flag"
@@ -75,17 +74,6 @@ def _with_states(handlers, drive, bit):
     the ``drive`` and ``bit`` entries."""
     return tuple(
         ({**base_drive, **drive}, {**base_bit, **bit}) for base_drive, base_bit in handlers
-    )
-
-
-def majorcan_config(m: int = DEFAULT_M, **overrides: object) -> ControllerConfig:
-    """Build the :class:`ControllerConfig` for MajorCAN_m: the EOF and
-    delimiter lengths of :func:`repro.can.geometry.frame_end`."""
-    geometry = frame_end("majorcan", m)
-    return ControllerConfig(
-        eof_length=geometry.eof_length,
-        delimiter_length=geometry.delimiter_length,
-        **overrides,  # type: ignore[arg-type]
     )
 
 
@@ -112,17 +100,7 @@ class MajorCanController(CanController):
         m: int = DEFAULT_M,
         config: Optional[ControllerConfig] = None,
     ) -> None:
-        geometry = frame_end("majorcan", m)
-        if config is None:
-            config = majorcan_config(m)
-        elif (config.eof_length, config.delimiter_length) != (
-            geometry.eof_length,
-            geometry.delimiter_length,
-        ):
-            raise ConfigurationError(
-                "MajorCAN_%d needs eof_length=%d and delimiter_length=%d"
-                % (m, geometry.eof_length, geometry.delimiter_length)
-            )
+        self.geometry = geometry = frame_end("majorcan", m)
         super().__init__(name, config)
         self.m = m
         #: The sampling window: first and last sampled EOF-relative bit
@@ -142,7 +120,7 @@ class MajorCanController(CanController):
         # Extend the signal table with the sampling window and the
         # extended-flag span.
         self._signal_table = signal_table(
-            self.config.delimiter_length, extended_flag_end=self.window_end
+            geometry.delimiter_length, extended_flag_end=self.window_end
         )
 
     # ------------------------------------------------------------------
@@ -153,7 +131,7 @@ class MajorCanController(CanController):
         if seen is DOMINANT:
             self._handle_eof_error(index)
             return
-        if index == self.config.eof_length - 1:
+        if index == self.geometry.eof_length - 1:
             self._deliver_received_frame()
             self._state = STATE_INTERMISSION
             self._intermission_pos = 0

@@ -33,6 +33,7 @@ from __future__ import annotations
 from repro.can.bits import DOMINANT, Level
 from repro.can.controller import CanController, STATE_INTERMISSION
 from repro.can.events import ErrorReason
+from repro.can.geometry import frame_end
 
 
 class MinorCanController(CanController):
@@ -52,9 +53,10 @@ class MinorCanController(CanController):
     """
 
     protocol_name = "MinorCAN"
+    geometry = frame_end("minorcan")
 
     def _rx_eof_bit(self, index: int, seen: Level) -> None:
-        last = self.config.eof_length - 1
+        last = self.geometry.eof_length - 1
         if index < last:
             if seen is DOMINANT:
                 self._enter_error(ErrorReason.EOF)
@@ -70,7 +72,7 @@ class MinorCanController(CanController):
         self.is_transmitter = False
 
     def _tx_eof_bit(self, index: int, seen: Level) -> bool:
-        last = self.config.eof_length - 1
+        last = self.geometry.eof_length - 1
         if seen is not DOMINANT:
             return False
         if index == last:

@@ -288,7 +288,7 @@ def _round_network(
     # Attacked rounds suffer the Fig. 3a tail pattern.
     script = SCRIPTS["fig3" if attacked else "clean"]
     injector = script.injector(
-        _round_roles(node_names, victim), controllers[0].config.eof_length
+        _round_roles(node_names, victim), controllers[0].geometry.eof_length
     )
     return controllers, injector
 

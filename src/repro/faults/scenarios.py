@@ -337,7 +337,7 @@ def run_script(
     # announce them, so under the other protocols they never fire.
     sampled = any(field_name == SAMPLING for _, field_name, _, _ in script.views)
     window_start = frame_end("majorcan", m).window_start if sampled else 0
-    injector = script.injector(roles, nodes[0].config.eof_length, window_start)
+    injector = script.injector(roles, nodes[0].geometry.eof_length, window_start)
     return run_single_frame_scenario(name, nodes, injector)
 
 

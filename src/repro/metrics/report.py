@@ -14,9 +14,9 @@ def render_table(
     rows: Sequence[Dict[str, object]],
     columns: Sequence[str],
     title: str = "",
-    float_format: str = "%.3g",
 ) -> str:
-    """Render dict rows as an aligned, pipe-free text table."""
+    """Render dict rows as an aligned, pipe-free text table (floats to
+    three significant digits)."""
     if not rows:
         return title + "\n(no rows)" if title else "(no rows)"
     rendered: List[List[str]] = []
@@ -25,7 +25,7 @@ def render_table(
         for column in columns:
             value = row.get(column, "")
             if isinstance(value, float):
-                cells.append(float_format % value)
+                cells.append("%.3g" % value)
             else:
                 cells.append(str(value))
         rendered.append(cells)

@@ -92,7 +92,7 @@ def measure_majorcan_bandwidth(
         protocol="MajorCAN_%d" % m,
         n_nodes=n_nodes,
         frames_on_bus=len(controllers[0].tx_successes),
-        frame_bits_total=wire_program(frame, controllers[0].config.eof_length).length,
+        frame_bits_total=wire_program(frame, controllers[0].geometry.eof_length).length,
         bus_busy_bits=_busy_bits(outcome.engine),
     )
 

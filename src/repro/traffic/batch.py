@@ -70,6 +70,7 @@ from repro.can.encoding import WireFrame, wire_program
 from repro.can.error_counters import ErrorCounters
 from repro.can.events import Event, EventKind
 from repro.can.frame import Frame
+from repro.can.geometry import frame_end
 from repro.can.identifiers import CanId
 from repro.errors import SimulationError
 from repro.faults.bit_errors import RandomViewErrorInjector
@@ -80,7 +81,6 @@ from repro.traffic.window import (
     _SETTLE_BITS,
     Boundary,
     WindowResult,
-    _controller_config,
     _EngineWindow,
     _submission_frame,
     window_noise,
@@ -205,7 +205,7 @@ def _local_queues(
     once, however many frames it holds.
     """
     offset = window * spec.window_bits
-    eof_length = _controller_config(spec).eof_length
+    eof_length = frame_end(spec.protocol, spec.m).eof_length
     queues: _Queues = [[] for _ in range(spec.n_nodes)]
     for sub in submissions:
         frame = _submission_frame(sub)
@@ -296,7 +296,6 @@ def _frame_events(
     attempts: List[int],
     names: Tuple[str, ...],
     rx_time: int,
-    self_delivery: bool,
 ) -> Iterator[Tuple[int, Event]]:
     """The engine's events of one planned frame, as ``(node, event)``.
 
@@ -351,17 +350,16 @@ def _frame_events(
     yield winner, Event(
         time=plan.t_end, node=names[winner], kind=EventKind.TX_SUCCESS, data=sent
     )
-    if self_delivery:
-        yield winner, Event(
-            time=plan.t_end,
-            node=names[winner],
-            kind=EventKind.FRAME_DELIVERED,
-            data={
-                "frame": sent["frame"],
-                "message_id": sent["message_id"],
-                "attempt": sent["attempt"],
-            },
-        )
+    yield winner, Event(
+        time=plan.t_end,
+        node=names[winner],
+        kind=EventKind.FRAME_DELIVERED,
+        data={
+            "frame": sent["frame"],
+            "message_id": sent["message_id"],
+            "attempt": sent["attempt"],
+        },
+    )
 
 
 def _render_segment(
@@ -388,11 +386,10 @@ def _render_segment(
     Events are built only when the spec records them.  Otherwise
     ``event_counts`` is summed in closed form: per frame, one TX_START
     per contender and one RX_START per other node, an
-    ARBITRATION_LOST per loser, a FRAME_DELIVERED per receiver (and
-    the winner's own under self-delivery) and one TX_SUCCESS.
+    ARBITRATION_LOST per loser, a FRAME_DELIVERED per node (the
+    winner delivers its own frame) and one TX_SUCCESS.
     """
     record = spec.record_events
-    self_delivery = _controller_config(spec).self_delivery
     names = spec.node_names
     n_nodes = spec.n_nodes
     # Receivers of a standard CAN frame deliver at the last-but-one EOF
@@ -429,17 +426,10 @@ def _render_segment(
         for index in range(n_nodes):
             if index != winner:
                 deliveries[index].append(received_row)
-        if self_delivery:
-            deliveries[winner].append((origin, seq, t_end))
+        deliveries[winner].append((origin, seq, t_end))
         if record:
             for index, event in _frame_events(
-                plan,
-                queues,
-                heads,
-                attempts,
-                names,
-                rx_time,
-                self_delivery,
+                plan, queues, heads, attempts, names, rx_time
             ):
                 node_events[index].append(event)
         completions[winner].append(t_end)
@@ -463,12 +453,11 @@ def _render_segment(
         events = tuple(event_record(event) for event in merged)
     else:
         frames = len(plans)
-        receivers = n_nodes - 1 + (1 if self_delivery else 0)
         for kind, count in (
             (EventKind.TX_START, contended),
             (EventKind.RX_START, frames * n_nodes - contended),
             (EventKind.ARBITRATION_LOST, contended - frames),
-            (EventKind.FRAME_DELIVERED, frames * receivers),
+            (EventKind.FRAME_DELIVERED, frames * n_nodes),
             (EventKind.TX_SUCCESS, frames),
         ):
             if count:

@@ -23,7 +23,6 @@ from repro.can.controller_config import ControllerConfig
 from repro.can.error_counters import ConfinementState, ErrorCounters
 from repro.can.events import EventKind
 from repro.can.frame import data_frame
-from repro.core.majorcan import majorcan_config
 from repro.errors import SimulationError
 from repro.faults.bit_errors import BurstViewErrorInjector, RandomViewErrorInjector
 from repro.faults.injector import CompositeInjector
@@ -69,14 +68,8 @@ class WindowResult:
     backend: str = "engine"
 
 
-def _controller_config(spec: TrafficSpec):
+def _controller_config(spec: TrafficSpec) -> ControllerConfig:
     """Controller config honouring the spec's fault-confinement knobs."""
-    if spec.protocol == "majorcan":
-        return majorcan_config(
-            spec.m,
-            bus_off_recovery=spec.bus_off_recovery,
-            fast_path=spec.fast_path,
-        )
     return ControllerConfig(
         bus_off_recovery=spec.bus_off_recovery, fast_path=spec.fast_path
     )
@@ -111,11 +104,11 @@ class Boundary(NamedTuple):
 
     At the end of tick ``tick - 1`` every controller was idle,
     error-active and online, and the bus was recessive.  ``finished``
-    counts, per node, the segment's submissions that left the queue
-    (sent or abandoned); ``attempts`` are the head-of-queue arbitration
-    attempt counters.  ``counters`` are the controllers' live TEC/REC
-    pairs: the caller applies the clean frames it commits to them in
-    place before the engine resumes.
+    counts, per node, the segment's submissions that were sent (a frame
+    leaves the queue only once sent); ``attempts`` are the head-of-queue
+    arbitration attempt counters.  ``counters`` are the controllers'
+    live TEC/REC pairs: the caller applies the clean frames it commits
+    to them in place before the engine resumes.
     """
 
     tick: int

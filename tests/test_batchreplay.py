@@ -1298,7 +1298,7 @@ class TestTailShapeSignalling:
         for m in (3, 5, 7):
             node = make_controller("majorcan", "n", m=m)
             geometry = off_engine_geometry("majorcan", m)
-            assert geometry.delimiter_length == node.config.delimiter_length
+            assert geometry.delimiter_length == node.geometry.delimiter_length
             assert geometry.window_end == node.window_end == 3 * m + 5
 
     def test_majorcan_5_window(self):

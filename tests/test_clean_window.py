@@ -46,14 +46,13 @@ from repro.can.fields import (
     header_segments,
 )
 from repro.can.frame import Frame
-from repro.can.geometry import tail_positions
+from repro.can.geometry import frame_end, tail_positions
 from repro.can.identifiers import CanId
 from repro.can.stuffing import STUFF_WIDTH
-from repro.core.majorcan import majorcan_config
 from repro.faults.scenarios import make_controller
 from repro.traffic import TrafficSpec, build_schedule, run_window
 from repro.traffic.batch import _local_queues, _plan_frames, _quiet_bound
-from repro.traffic.window import _controller_config, _submission_frame
+from repro.traffic.window import _submission_frame
 
 # ---------------------------------------------------------------------------
 # Events off ≡ events on, except the events
@@ -103,7 +102,7 @@ def test_window_without_events_equals_window_with_events(spec):
 
 def oracle_plan(spec, queues, heads, start):
     """The planner before the heap: every frame rescans every node."""
-    eof_length = _controller_config(spec).eof_length
+    eof_length = frame_end(spec.protocol, spec.m).eof_length
     heads = list(heads)
     plans = []
     idle_from = start
@@ -271,9 +270,9 @@ def _first_position(wire_bits: List[OracleBit], field: str) -> int:
 #: Every EOF length a protocol uses: standard CAN and MinorCAN keep the
 #: 7-bit EOF, MajorCAN_m has ``2m`` bits.
 EOF_LENGTHS = (
-    CanController("eof").config.eof_length,
-    make_controller("minorcan", "eof").config.eof_length,
-) + tuple(majorcan_config(m).eof_length for m in range(3, 11))
+    CanController("eof").geometry.eof_length,
+    make_controller("minorcan", "eof").geometry.eof_length,
+) + tuple(make_controller("majorcan", "eof", m=m).geometry.eof_length for m in range(3, 11))
 
 
 @st.composite

@@ -14,7 +14,6 @@ from repro.can.controller import (
 from repro.can.controller_config import ControllerConfig
 from repro.can.events import EventKind
 from repro.can.frame import data_frame, remote_frame
-from repro.core.majorcan import majorcan_config
 from repro.errors import SimulationError
 from repro.faults.scenarios import make_controller
 from repro.simulation.engine import SimulationEngine
@@ -35,15 +34,6 @@ class TestErrorFreeTransfer:
         tx.submit(data_frame(0x123, b"\x99"))
         engine.run_until_idle(5000)
         assert delivered_payloads(tx) == [b"\x99"]
-
-    def test_self_delivery_can_be_disabled(self):
-        tx = CanController("tx", ControllerConfig(self_delivery=False))
-        rx = CanController("rx")
-        engine = SimulationEngine([tx, rx])
-        tx.submit(data_frame(0x1, b"\x01"))
-        engine.run_until_idle(5000)
-        assert tx.deliveries == []
-        assert len(rx.deliveries) == 1
 
     def test_receivers_reconstruct_identifier(self, three_node_bus):
         engine, tx, rx1, _ = three_node_bus
@@ -184,11 +174,7 @@ def test_dropped_controller_dies_by_refcount(protocol, fast_path):
     """A controller holds no reference cycle (its handler tables are
     class-level functions), so finished runs free their controllers
     without waiting for the cyclic collector."""
-    config = (
-        majorcan_config(5, fast_path=fast_path)
-        if protocol == "majorcan"
-        else ControllerConfig(fast_path=fast_path)
-    )
+    config = ControllerConfig(fast_path=fast_path)
     gc.disable()
     try:
         controllers = [make_controller(protocol, name, config=config) for name in ("tx", "rx")]

@@ -37,7 +37,7 @@ from repro.can.parser import (
     FastFrameParser,
     FrameParser,
 )
-from repro.core.majorcan import DEFAULT_M, majorcan_config
+from repro.core.majorcan import DEFAULT_M
 from repro.faults.bit_errors import BurstViewErrorInjector, RandomViewErrorInjector
 from repro.faults.injector import CompositeInjector
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
@@ -63,13 +63,6 @@ CORPUS_FILES = sorted(
 )
 
 
-def variant_config(protocol: str, m: int, fast_path: bool) -> ControllerConfig:
-    """The protocol variant's config with the fast path toggled."""
-    if protocol.lower() == "majorcan":
-        return majorcan_config(m, fast_path=fast_path)
-    return ControllerConfig(fast_path=fast_path)
-
-
 def build_nodes(node_specs, fast_path: bool):
     """Fresh controllers for ``(name, protocol, m)`` specs."""
     return [
@@ -77,7 +70,7 @@ def build_nodes(node_specs, fast_path: bool):
             protocol,
             name,
             m=m if m is not None else DEFAULT_M,
-            config=variant_config(protocol, m if m is not None else DEFAULT_M, fast_path),
+            config=ControllerConfig(fast_path=fast_path),
         )
         for name, protocol, m in node_specs
     ]

@@ -45,7 +45,7 @@ from repro.can.fields import (
     SAMPLING,
 )
 from repro.can.frame import data_frame
-from repro.core.majorcan import majorcan_config
+from repro.can.geometry import frame_end
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 
@@ -57,16 +57,10 @@ CONFIGS = [("can", 5), ("minorcan", 5), ("majorcan", 3), ("majorcan", 5)]
 FORCES = (None, DOMINANT, RECESSIVE)
 
 
-def variant_config(protocol, m, fast_path):
-    if protocol == "majorcan":
-        return majorcan_config(m, fast_path=fast_path)
-    return ControllerConfig(fast_path=fast_path)
-
-
 def build_nodes(protocol, m, fast_path):
     return [
         make_controller(
-            protocol, name, m=m, config=variant_config(protocol, m, fast_path)
+            protocol, name, m=m, config=ControllerConfig(fast_path=fast_path)
         )
         for name in NODE_NAMES
     ]
@@ -79,12 +73,12 @@ def signalling_positions(protocol, m):
     ``SignalTable`` walks, so a trigger that fires here under the
     reference machine must fire at the same bit under the fast path.
     """
-    config = variant_config(protocol, m, True)
-    positions = [(EOF, i) for i in range(config.eof_length)]
+    geometry = frame_end(protocol, m)
+    positions = [(EOF, i) for i in range(geometry.eof_length)]
     positions += [(ERROR_FLAG, i) for i in range(FLAG_LENGTH)]
     positions += [(OVERLOAD_FLAG, i) for i in range(FLAG_LENGTH)]
-    positions += [(ERROR_DELIM, i) for i in range(config.delimiter_length)]
-    positions += [(OVERLOAD_DELIM, i) for i in range(config.delimiter_length)]
+    positions += [(ERROR_DELIM, i) for i in range(geometry.delimiter_length)]
+    positions += [(OVERLOAD_DELIM, i) for i in range(geometry.delimiter_length)]
     positions += [(INTERMISSION, i) for i in range(3)]
     positions += [(CRC_DELIM, 0), (ACK_SLOT, 0), (ACK_DELIM, 0)]
     if protocol == "majorcan":
@@ -97,11 +91,11 @@ def signalling_positions(protocol, m):
 def random_faults(protocol, m, seed):
     """A seeded fault script igniting and then perturbing signalling."""
     rng = random.Random(seed)
-    config = variant_config(protocol, m, True)
+    eof_length = frame_end(protocol, m).eof_length
     faults = [
         ViewFault(
             rng.choice(NODE_NAMES),
-            Trigger(field=EOF, index=rng.randrange(config.eof_length)),
+            Trigger(field=EOF, index=rng.randrange(eof_length)),
             force=None,
         )
     ]

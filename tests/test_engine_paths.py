@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.can.controller_config import ControllerConfig
 from repro.can.events import EventKind
 from repro.can.frame import data_frame
-from repro.core.majorcan import DEFAULT_M, majorcan_config
+from repro.core.majorcan import DEFAULT_M
 from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.faults.injector import CompositeInjector
 from repro.faults.scenarios import make_controller
@@ -102,14 +102,11 @@ def buses(draw):
 
 
 def _config(case):
-    knobs = {
-        "fast_path": case["fast_path"],
-        "disconnect_on_warning": case["disconnect_on_warning"],
-        "bus_off_recovery": case["bus_off_recovery"],
-    }
-    if case["protocol"] == "majorcan":
-        return majorcan_config(DEFAULT_M, **knobs)
-    return ControllerConfig(**knobs)
+    return ControllerConfig(
+        fast_path=case["fast_path"],
+        disconnect_on_warning=case["disconnect_on_warning"],
+        bus_off_recovery=case["bus_off_recovery"],
+    )
 
 
 def run_bus(case, record_bits):

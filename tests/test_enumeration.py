@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,27 @@ class TestStandardCan:
         assert can_result.p_inconsistent_omission == pytest.approx(
             predicted, rel=0.001
         )
+
+    def test_equation4_prediction_is_the_pre_refactor_expression(self):
+        """The shared receiver split reproduces, bit for bit, the loop
+        the prediction used to carry itself (kept here as the oracle)."""
+
+        def oracle(b, n_nodes, tau_data):
+            total = 0.0
+            affected = ((1 - b) ** (tau_data - 2)) * b
+            clean = (1 - b) ** (tau_data - 1)
+            for i in range(1, n_nodes - 1):
+                total += math.comb(n_nodes - 1, i) * affected**i * clean ** (n_nodes - 1 - i)
+            return total * ((1 - b) ** (tau_data - 1)) * b
+
+        bers = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.3)
+        taus = (3, 4, 10, 47, 64, 100, 110, 131, 160)
+        points = [
+            (b, n, tau) for b in bers for n in range(2, 40) for tau in taus
+        ]
+        assert len(points) == 3078
+        for point in points:
+            assert equation4_tail_prediction(*point) == oracle(*point), point
 
     def test_minimal_imo_patterns_match_fig3a(self, can_result):
         """Every 2-flip IMO pattern is transmitter@last-bit plus one

@@ -137,8 +137,7 @@ def test_tail_sites_key_the_replay_in_order(protocol, m):
 def test_record_equals_the_constructed_controller(protocol, m):
     geometry = frame_end(protocol, m)
     node = make_controller(protocol, "n", m=m)
-    assert node.config.eof_length == geometry.eof_length
-    assert node.config.delimiter_length == geometry.delimiter_length
+    assert node.geometry == geometry
     if protocol == "majorcan":
         assert (node.window_start, node.window_end, node.majority) == (
             geometry.window_start,

@@ -7,11 +7,7 @@ from repro.can.controller import CanController
 from repro.can.events import EventKind
 from repro.can.fields import DATA, EOF, SAMPLING
 from repro.can.frame import data_frame
-from repro.core.majorcan import (
-    DEFAULT_M,
-    MajorCanController,
-    majorcan_config,
-)
+from repro.core.majorcan import DEFAULT_M, MajorCanController
 from repro.errors import ConfigurationError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import fig4_behaviour, fig5, render_behaviour
@@ -30,21 +26,13 @@ class TestConfiguration:
 
     def test_eof_and_delimiter_lengths(self):
         node = MajorCanController("n", m=4)
-        assert node.config.eof_length == 8
-        assert node.config.delimiter_length == 9
+        assert node.geometry.eof_length == 8
+        assert node.geometry.delimiter_length == 9
 
     def test_m_below_three_rejected(self):
         """With m <= 2 the scenario leading to CAN2' can still happen."""
         with pytest.raises(ConfigurationError):
-            majorcan_config(2)
-        with pytest.raises(ConfigurationError):
             MajorCanController("n", m=2)
-
-    def test_inconsistent_config_rejected(self):
-        from repro.can.controller_config import ControllerConfig
-
-        with pytest.raises(ConfigurationError):
-            MajorCanController("n", m=5, config=ControllerConfig(eof_length=7))
 
     def test_geometry(self):
         node = MajorCanController("n", m=5)

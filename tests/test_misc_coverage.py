@@ -6,11 +6,10 @@ from repro.can.bits import DOMINANT
 from repro.can.controller import CanController
 from repro.can.controller_config import ControllerConfig
 from repro.can.encoding import encode_frame
-from repro.can.events import EventKind
 from repro.can.fields import DATA
 from repro.can.frame import data_frame
 from repro.analysis.rates import hours_between_incidents, incidents_per_hour
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.simulation.engine import SimulationEngine
 from repro.workload.profiles import PAPER_PROFILE
@@ -19,47 +18,23 @@ from helpers import run_one_frame
 
 
 class TestMaxRetransmissions:
-    def _run_with_limit(self, limit, failures=5):
-        config = ControllerConfig(max_retransmissions=limit)
-        nodes = [CanController("tx", config), CanController("x"), CanController("y")]
+    def test_unlimited_by_default(self):
+        """Retransmission is unbounded: four failed attempts, then the
+        fifth delivers everywhere."""
+        nodes = [
+            CanController("tx", ControllerConfig()),
+            CanController("x"),
+            CanController("y"),
+        ]
         injector = ScriptedInjector(
             view_faults=[
                 ViewFault("x", Trigger(field=DATA, index=1, occurrence=n))
-                for n in range(1, failures + 1)
+                for n in range(1, 5)
             ]
         )
         outcome = run_one_frame(nodes, data_frame(0x123, b"\x55"), injector)
-        return outcome
-
-    def test_frame_abandoned_after_limit(self):
-        outcome = self._run_with_limit(limit=2)
-        transmitter = outcome.engine.node("tx")
-        abandoned = [
-            e for e in transmitter.events if e.kind == EventKind.TX_ABANDONED
-        ]
-        assert abandoned
-        assert transmitter.pending_transmissions == 0
-        # Nobody ever delivered the abandoned frame.
-        assert outcome.deliveries["x"] == 0
-
-    def test_unlimited_by_default(self):
-        outcome = self._run_with_limit(limit=None, failures=4)
         assert outcome.all_delivered_once
         assert outcome.attempts == 5
-
-    def test_limit_validation(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(max_retransmissions=-1)
-
-
-class TestConfigValidation:
-    def test_eof_minimum(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(eof_length=1)
-
-    def test_delimiter_minimum(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(delimiter_length=1)
 
 
 class TestWireFrameHelpers:

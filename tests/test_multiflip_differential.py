@@ -39,7 +39,7 @@ def full_universe(protocol, m):
     sites += [
         (name, EOF, index)
         for name in NODE_NAMES
-        for index in range(probe.config.eof_length)
+        for index in range(probe.geometry.eof_length)
     ]
     return (
         [()]

@@ -325,7 +325,7 @@ class TestEngineFastPath:
             nodes = [
                 make_controller("can", name, m=5) for name in ("tx", "x", "y")
             ]
-            eof_last = nodes[0].config.eof_length - 1
+            eof_last = nodes[0].geometry.eof_length - 1
             faults = [
                 ViewFault("x", Trigger(field=EOF, index=eof_last - 1), force=None)
             ]

@@ -5,6 +5,11 @@ missed re-exports) that unit tests importing the private modules would
 not notice.
 """
 
+import contextlib
+import io
+import os
+import re
+
 import repro
 import repro.analysis
 import repro.can
@@ -114,3 +119,19 @@ class TestDocstrings:
                     if not (obj.__doc__ or "").strip():
                         undocumented.append("%s.%s" % (module.__name__, name))
         assert undocumented == []
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+class TestReadme:
+    def test_thirty_second_example_runs_as_printed(self):
+        """README's "Thirty-second example" runs and prints the verdict
+        its comment promises."""
+        with open(README, encoding="utf-8") as handle:
+            section = handle.read().split("## Thirty-second example", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), {})
+        assert out.getvalue() == "{'tx': 1, 'x': 1, 'y': 1}\n"

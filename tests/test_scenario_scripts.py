@@ -56,7 +56,7 @@ def _round_roles(victim):
 
 
 def _eof_length(protocol):
-    return make_controller(protocol, "probe").config.eof_length
+    return make_controller(protocol, "probe").geometry.eof_length
 
 
 def _script_dict(script, roles, protocol="can"):

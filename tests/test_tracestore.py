@@ -12,7 +12,6 @@ import pytest
 
 from repro.can.bits import DOMINANT
 from repro.can.controller import CanController
-from repro.can.controller_config import ControllerConfig
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import TraceError, TraceStoreError
@@ -436,8 +435,9 @@ class TestReplay:
         assert result.bit_identical
 
     def test_controller_tweak_caught_as_diff(self, tmp_path, monkeypatch):
-        """A deliberate behaviour change (longer EOF field) must show up
-        as a structured bus/verdict diff on replay."""
+        """A deliberate behaviour change (a MajorCAN_4 controller, whose
+        EOF is 8 bits, in place of each CAN one) must show up as a
+        structured bus/verdict diff on replay."""
         from repro.faults import scenarios
 
         path = record_outcome(str(tmp_path / "fig1b.jsonl"), _fig1b_outcome())
@@ -445,7 +445,7 @@ class TestReplay:
 
         def tweaked(protocol, name, m=5, config=None):
             if protocol == "can" and config is None:
-                config = ControllerConfig(eof_length=8)
+                return original("majorcan", name, m=4)
             return original(protocol, name, m=m, config=config)
 
         monkeypatch.setattr(scenarios, "make_controller", tweaked)
