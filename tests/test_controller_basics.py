@@ -35,6 +35,16 @@ class TestErrorFreeTransfer:
         engine.run_until_idle(5000)
         assert delivered_payloads(tx) == [b"\x99"]
 
+    @pytest.mark.parametrize("protocol", ["can", "minorcan", "majorcan"])
+    def test_transmitter_self_delivers_on_every_protocol(self, protocol):
+        """Self-delivery is unconditional: the transmitter delivers its
+        own frame once, alongside every receiver."""
+        nodes = [make_controller(protocol, name) for name in ("tx", "rx")]
+        engine = SimulationEngine(nodes)
+        nodes[0].submit(data_frame(0x1, b"\x01"))
+        engine.run_until_idle(5000)
+        assert [delivered_payloads(node) for node in nodes] == [[b"\x01"]] * 2
+
     def test_receivers_reconstruct_identifier(self, three_node_bus):
         engine, tx, rx1, _ = three_node_bus
         tx.submit(data_frame(0x6A5, b"\xab\xcd"))

@@ -4,9 +4,11 @@ import pytest
 
 from repro.can.bits import DOMINANT, RECESSIVE
 from repro.can.controller import CanController
+from repro.can.controller_config import ControllerConfig
 from repro.can.events import EventKind
 from repro.can.fields import DATA, EOF, SAMPLING
 from repro.can.frame import data_frame
+from repro.can.geometry import frame_end
 from repro.core.majorcan import DEFAULT_M, MajorCanController
 from repro.errors import ConfigurationError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
@@ -33,6 +35,18 @@ class TestConfiguration:
         """With m <= 2 the scenario leading to CAN2' can still happen."""
         with pytest.raises(ConfigurationError):
             MajorCanController("n", m=2)
+
+    def test_one_config_serves_every_m(self):
+        """The geometry follows m alone, so one config fits every m."""
+        config = ControllerConfig(fast_path=False)
+        for m in (3, 5, 7):
+            node = MajorCanController("n", m=m, config=config)
+            assert node.config is config
+            assert node.geometry == frame_end("majorcan", m)
+            assert (node.geometry.eof_length, node.geometry.delimiter_length) == (
+                2 * m,
+                2 * m + 1,
+            )
 
     def test_geometry(self):
         node = MajorCanController("n", m=5)
